@@ -32,8 +32,9 @@ def main() -> None:
 
     # 2. Build the three systems of the paper's evaluation.
     cost_model = scaled_cost_model()
-    # engine= picks the wall-clock backend ("python" | "vectorized" |
-    # "matrix"); all three return bit-identical results and simulated
+    # engine= pins the wall-clock backend ("python" | "vectorized" |
+    # "matrix"); the default "auto" picks one per call from the size of
+    # the request.  All three return bit-identical results and simulated
     # stats, so it only changes how fast the reproduction itself runs.
     moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model))
     pim_hash = PIMHashSystem.from_graph(graph, cost_model=cost_model)

@@ -14,6 +14,15 @@ variable like ``snap.indptr``) and flags in-place mutation of tainted
 names: subscript stores, augmented assignment, ``.sort()`` /
 ``.fill()`` / ``.partition()`` / ``.resize()`` calls, and ``out=``
 keywords.  Rebinding a name (``x = x.copy()``) clears its taint.
+
+Query answers are frozen the same way: a
+:class:`~repro.rpq.query.BatchResult` is one CSR pair that the result
+cache, sessions, scheduler futures and reply encoders share without
+copying.  A result reaches a function under any name (tuple-unpacked
+from ``execute``, a parameter, a cache entry), so the rule treats the
+attribute names themselves — ``.indptr`` / ``.indices``, which are
+frozen on every class in this repository that carries them — as frozen
+on whatever object they are read from.
 """
 
 from __future__ import annotations
@@ -42,6 +51,10 @@ FROZEN_ACCESSORS = frozenset(
     }
 )
 
+#: Attributes that hold frozen arrays on every object carrying them:
+#: the CSR pair of a ``BatchResult`` (and of snapshots and their blocks).
+FROZEN_ATTRIBUTES = frozenset({"indptr", "indices"})
+
 #: ndarray methods that mutate in place.
 _MUTATORS = frozenset({"sort", "fill", "partition", "resize", "put"})
 
@@ -53,6 +66,15 @@ def _base_name(node: ast.AST) -> str:
     if isinstance(node, ast.Name):
         return node.id
     return ""
+
+
+def _frozen_attribute(node: ast.AST) -> Optional[str]:
+    """``base.attr`` when the chain reads a :data:`FROZEN_ATTRIBUTES` member."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and node.attr in FROZEN_ATTRIBUTES:
+            return f"{_base_name(node) or '?'}.{node.attr}"
+        node = node.value
+    return None
 
 
 class Rule:
@@ -96,12 +118,13 @@ class Rule:
                             tainted.discard(target.id)
             elif isinstance(node, ast.AugAssign):
                 base = _base_name(node.target)
-                if base in tainted:
+                origin = self._frozen_origin(node.target, tainted, origins)
+                if origin is not None:
                     yield self._finding(
                         module,
                         node,
                         f"augmented assignment to {base}",
-                        origins.get(base, "?"),
+                        origin,
                     )
             elif isinstance(node, ast.Call):
                 yield from self._flag_call(module, node, tainted, origins)
@@ -114,25 +137,37 @@ class Rule:
             name = call_func_name(value)
             if name in FROZEN_ACCESSORS:
                 return name
-        # Attribute load off a tainted variable: ``snap.indptr``.
+        # Attribute load off a tainted variable (``snap.indptr``) or of
+        # a frozen attribute off anything (``result.indices``).
         if isinstance(value, ast.Attribute):
             base = _base_name(value)
             if base in tainted:
                 return f"{base}.{value.attr}"
+            return _frozen_attribute(value)
         return None
+
+    @staticmethod
+    def _frozen_origin(
+        target: ast.AST, tainted: Set[str], origins: Dict[str, str]
+    ) -> Optional[str]:
+        """Where ``target``'s array came from when it is frozen, else None."""
+        base = _base_name(target)
+        if base in tainted:
+            return origins.get(base, "?")
+        return _frozen_attribute(target)
 
     def _flag_subscript_stores(
         self, module, assign: ast.Assign, tainted: Set[str], origins
     ) -> Iterator[Finding]:
         for target in assign.targets:
             if isinstance(target, ast.Subscript):
-                base = _base_name(target)
-                if base in tainted:
+                origin = self._frozen_origin(target, tainted, origins)
+                if origin is not None:
                     yield self._finding(
                         module,
                         assign,
-                        f"subscript store into {base}[...]",
-                        origins.get(base, "?"),
+                        f"subscript store into {_base_name(target)}[...]",
+                        origin,
                     )
 
     def _flag_call(
@@ -140,23 +175,25 @@ class Rule:
     ) -> Iterator[Finding]:
         if isinstance(call.func, ast.Attribute):
             func = call.func.attr
-            base = _base_name(call.func.value)
-            if func in _MUTATORS and base in tainted:
+            origin = self._frozen_origin(call.func.value, tainted, origins)
+            if func in _MUTATORS and origin is not None:
                 yield self._finding(
                     module,
                     call,
-                    f"in-place {base}.{func}()",
-                    origins.get(base, "?"),
+                    f"in-place {_base_name(call.func.value)}.{func}()",
+                    origin,
                 )
         for keyword in call.keywords:
-            if keyword.arg == "out" and isinstance(keyword.value, ast.Name):
-                if keyword.value.id in tainted:
-                    yield self._finding(
-                        module,
-                        call,
-                        f"out={keyword.value.id} kwarg",
-                        origins.get(keyword.value.id, "?"),
-                    )
+            if keyword.arg != "out":
+                continue
+            origin = self._frozen_origin(keyword.value, tainted, origins)
+            if origin is not None:
+                yield self._finding(
+                    module,
+                    call,
+                    f"out={_base_name(keyword.value)} kwarg",
+                    origin,
+                )
 
     def _finding(self, module, node, what: str, origin: str) -> Finding:
         return Finding(

@@ -4,7 +4,7 @@ The paper's primary baseline is RedisGraph, an in-memory graph database
 that stores the graph as sparse matrices (SuiteSparse:GraphBLAS) and
 evaluates path queries with sparse matrix products on one CPU core.
 This module reproduces that *behaviour and cost profile* rather than the
-code base (documented substitution, see DESIGN.md):
+code base (a documented substitution):
 
 * the adjacency is kept in sorted per-row arrays, the mutable analogue
   of a CSC/CSR sparse matrix with delta updates;
@@ -188,7 +188,7 @@ class RedisGraphEngine:
 
         stats = operation.finish()
         stats.add_counter("results", sum(len(dests) for dests in results))
-        return BatchResult(sources=list(query.sources), destinations=results), stats
+        return BatchResult.from_sets(list(query.sources), results), stats
 
     def execute(self, query) -> Tuple[BatchResult, ExecutionStats]:
         """Run a :class:`KHopQuery` or a general :class:`RPQuery`."""
@@ -250,7 +250,7 @@ class RedisGraphEngine:
 
         stats = operation.finish()
         stats.add_counter("results", sum(len(dests) for dests in results))
-        return BatchResult(sources=list(query.sources), destinations=results), stats
+        return BatchResult.from_sets(list(query.sources), results), stats
 
     # ------------------------------------------------------------------
     # Updates

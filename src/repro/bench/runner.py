@@ -10,8 +10,7 @@ and collects the simulated latencies:
 * ``redisgraph`` — :class:`repro.baselines.RedisGraphEngine`.
 
 Each experiment function returns a list of per-trace result rows (plain
-dictionaries) so that both the pytest-benchmark harness and EXPERIMENTS.md
-generation can consume it.
+dictionaries) that the pytest-benchmark harness consumes.
 """
 
 from __future__ import annotations

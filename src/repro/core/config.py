@@ -13,8 +13,9 @@ ablations can sweep them:
   PIM-hash contrast system and the ablation benches are expressed;
 * the physical execution backend (``engine``) — the scalar reference
   engine, the vectorized numpy engine or the semiring-matrix engine,
-  which are required to agree on
-  every result and every simulated counter;
+  which are required to agree on every result and every simulated
+  counter, or ``"auto"``, which picks the scalar or the vectorized one
+  per call from the size of the request;
 * the snapshot-maintenance knobs (``snapshot_compact_ratio``,
   ``snapshot_incremental``) controlling how the storages refresh their
   cached CSR views between updates and queries;
@@ -80,12 +81,18 @@ class MoctopusConfig:
     #: Physical execution backend for batch queries: ``"python"`` (the
     #: scalar reference engine, exact original semantics),
     #: ``"vectorized"`` (numpy columnar frontiers over CSR storage
-    #: snapshots) or ``"matrix"`` (masked boolean-semiring SpGEMM over
+    #: snapshots), ``"matrix"`` (masked boolean-semiring SpGEMM over
     #: pre-transposed CSR blocks, falling back to the push path for
-    #: sparse frontiers).  All produce identical results and identical
-    #: simulated statistics; the numpy backends are much faster
-    #: wall-clock, with ``"matrix"`` ahead on dense multi-hop frontiers.
-    engine: str = "python"
+    #: sparse frontiers) or ``"auto"`` (the default: each call runs on
+    #: ``"python"`` or ``"vectorized"``, whichever
+    #: :func:`repro.engine.base.choose_engine` estimates faster from
+    #: the plan shape, the batch size and the graph's average
+    #: out-degree — scalar for small requests, numpy for bulk
+    #: batches).  All produce identical results and identical
+    #: simulated statistics, so the choice never changes an answer; a
+    #: concrete name pins one backend (parity suites, probes, oracle).
+    #: Update partitioning runs its scalar path under ``"auto"``.
+    engine: str = "auto"
     #: Dirty-row fraction of a storage's cached CSR base above which a
     #: snapshot refresh compacts (rebuilds the base from scratch) instead
     #: of splicing the delta overlay in.  ``0.0`` compacts on every
@@ -168,17 +175,15 @@ class MoctopusConfig:
     #: source-side expansion (the pre-planner behaviour and the
     #: ablation baseline).
     planner_direction: str = "auto"
-    #: Whether the planner's advisory engine hint may pick the backend
-    #: when the caller did not pin one.  Callers that pass an engine
-    #: instance (sessions, schedulers) are never overridden.
-    planner_engine_selection: bool = True
     #: Bound of the epoch-keyed plan cache on the query processor
     #: (entries; LRU).  ``0`` disables plan caching.
     plan_cache_size: int = 128
     #: Bound of the epoch-keyed LRU result cache for repeated
-    #: ``(expression, sources, epoch)`` hits.  Entries are deep copies,
-    #: so cached answers are bit-identical to a fresh execution
-    #: (results *and* simulated stats).  ``0`` disables result caching.
+    #: ``(expression, sources, epoch)`` hits.  An entry and every hit
+    #: share the result's immutable arrays (only the small stats object
+    #: is copied), so cached answers are bit-identical to a fresh
+    #: execution (results *and* simulated stats) at no per-hit copy
+    #: cost.  ``0`` disables result caching.
     result_cache_size: int = 256
 
     def __post_init__(self) -> None:
@@ -187,9 +192,9 @@ class MoctopusConfig:
                 "pim_placement must be 'radical_greedy' or 'hash', "
                 f"got {self.pim_placement!r}"
             )
-        if self.engine not in ("python", "vectorized", "matrix"):
+        if self.engine not in ("auto", "python", "vectorized", "matrix"):
             raise ValueError(
-                "engine must be 'python', 'vectorized' or 'matrix', "
+                "engine must be 'auto', 'python', 'vectorized' or 'matrix', "
                 f"got {self.engine!r}"
             )
         if not 0.0 < self.misplacement_threshold <= 1.0:

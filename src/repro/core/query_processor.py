@@ -7,18 +7,18 @@ The processor's job is planning and delegation, not data movement:
    paper's k-hop workload, a DFA-guided fixpoint for general RPQs), and,
    for epoch-pinned executions, costed by
    :mod:`repro.rpq.cost_planner`, which may flip a fixed-length plan to
-   *reverse* expansion from the rarer accepting side and attach an
-   advisory engine hint;
+   *reverse* expansion from the rarer accepting side;
 2. the logical plan is lowered again into a
    :class:`~repro.engine.physical.PhysicalPlan` of bulk-synchronous
    dispatch / expand / route / reduce operators;
 3. the physical plan is handed to the
    :class:`~repro.engine.base.ExecutionEngine` selected by
-   ``MoctopusConfig.engine`` — the scalar ``"python"`` backend or the
-   numpy ``"vectorized"`` backend — which executes it on the simulated
-   platform and returns the answer matrix plus the execution statistics.
+   ``MoctopusConfig.engine`` — the scalar ``"python"`` backend, one of
+   the numpy backends, or the ``"auto"`` dispatcher choosing among them
+   per call — which executes it on the simulated platform and returns
+   the answer matrix plus the execution statistics.
 
-Both backends implement the same operator semantics (see
+All backends implement the same operator semantics (see
 :mod:`repro.engine`): the smxm phases where partitioning quality turns
 into time, the mwait reduction, and the misplacement reports handed to
 the node migrator off the query's critical path.
@@ -31,10 +31,13 @@ epoch can never observe a stale entry:
   the lowered :class:`PhysicalPlan` (plans are immutable, so cached
   plans are shared, not copied);
 * a **result cache** mapping ``(epoch id, query shape, exact sources,
-  engine)`` to a deep copy of ``(result, stats)``, replayed as a fresh
-  deep copy on every hit so cached answers — results *and* simulated
-  counters — are bit-identical to an uncached execution and remain safe
-  for callers that annotate the returned stats in place.
+  engine)`` to ``(result, stats)``.  A :class:`BatchResult` is two
+  frozen arrays, so the entry, the first caller and every hit share
+  them without copying; only the small, mutable
+  :class:`ExecutionStats` is copied per insert and per hit, because
+  callers stamp counters into the stats they receive.  Cached answers —
+  results *and* simulated counters — are therefore bit-identical to an
+  uncached execution.
 
 Hit/miss counters accumulate on :attr:`QueryProcessor.cache_stats`
 (a separate :class:`ExecutionStats`), never on per-query stats, so the
@@ -63,6 +66,23 @@ from repro.rpq.planner import LogicalPlan, plan_query
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
 __all__ = ["QueryProcessor", "Frontier"]
+
+
+def _shared_outcome(
+    outcome: Tuple[BatchResult, ExecutionStats]
+) -> Tuple[BatchResult, ExecutionStats]:
+    """A second owner's handle on ``outcome`` (cache entry or cache hit).
+
+    The answer's frozen arrays are shared as they are — no per-match
+    work.  The two small mutable parts are copied: the ``sources`` list,
+    and the stats, because callers stamp counters into the stats they
+    receive.
+    """
+    result, stats = outcome
+    return (
+        BatchResult(list(result.sources), result.indptr, result.indices),
+        copy.deepcopy(stats),
+    )
 
 
 class QueryProcessor:
@@ -97,7 +117,6 @@ class QueryProcessor:
         self.planner = CostBasedPlanner(
             label_names=label_names or {},
             direction=config.planner_direction,
-            engine_selection=config.planner_engine_selection,
         )
         #: Cache hit/miss counters.  Deliberately *not* merged into any
         #: per-query :class:`ExecutionStats` — per-query observables must
@@ -144,12 +163,7 @@ class QueryProcessor:
         """
         epoch = epoch_of_view(view)
         physical = self.lower(query, view=view)
-        if engine is not None:
-            engine_name = engine.name
-        elif physical.engine_hint is not None:
-            engine_name = physical.engine_hint
-        else:
-            engine_name = self.engine.name
+        engine_name = engine.name if engine is not None else self.engine.name
         result_key = None
         if epoch is not None and self._config.result_cache_size > 0:
             result_key = (
@@ -166,19 +180,13 @@ class QueryProcessor:
                 else:
                     self.cache_stats.add_counter("result_cache_misses")
             if cached is not None:
-                # The O(result-size) replay copy runs *outside* the
-                # lock: entries are immutable by convention (only ever
-                # deep-copied), so concurrent epoch-pinned readers
-                # hitting the cache copy in parallel instead of
-                # serializing behind each other's copies.  The local
-                # reference keeps the entry alive even if LRU eviction
-                # drops it mid-copy.
-                return copy.deepcopy(cached)
+                # Outside the lock, so concurrent hits never serialize.
+                return _shared_outcome(cached)
         if engine is None:
             engine = create_engine(engine_name, self._runtime)
         outcome = engine.execute(physical, query.sources, view=view)
         if result_key is not None:
-            entry = copy.deepcopy(outcome)
+            entry = _shared_outcome(outcome)
             with self._cache_lock:
                 self._result_cache[result_key] = entry
                 self._result_cache.move_to_end(result_key)
@@ -275,12 +283,5 @@ class QueryProcessor:
         Pinned executions bound against the view's frozen row counts
         instead of the live ones.
         """
-        if view is not None:
-            stored_rows = view.total_rows()
-        else:
-            runtime = self._runtime
-            stored_rows = sum(
-                storage.num_rows for storage in runtime.module_storages
-            )
-            stored_rows += runtime.host_storage.num_rows
-        return max(1, stored_rows)
+        stored = view if view is not None else self._runtime
+        return max(1, stored.total_rows())

@@ -540,10 +540,10 @@ class Moctopus:
         return self._query_processor.engine_name
 
     def use_engine(self, name: str) -> None:
-        """Swap the execution backend (``"python"`` / ``"vectorized"``).
+        """Swap the execution backend (any ``ENGINE_NAMES`` entry).
 
         Switches both the query engine and the update processor's batch
-        partitioning path.  Both backends produce identical results and
+        partitioning path.  All backends produce identical results and
         identical simulated statistics on the same system state;
         swapping mid-run is safe and is how the engine benchmarks
         compare wall-clock cost.

@@ -24,10 +24,11 @@ Execution of one batch:
 Two interchangeable implementations of the partition step exist, chosen
 by the same ``MoctopusConfig.engine`` knob as the query backends:
 
-* ``"python"`` — the scalar reference: one pass over the batch, a
-  partition-vector consultation per update (exact original semantics);
-* ``"vectorized"`` — one ``searchsorted`` over the whole batch resolves
-  every endpoint against the :class:`~repro.partition.owner_index.
+* ``"python"`` (and the default ``"auto"``) — the scalar reference: one
+  pass over the batch, a partition-vector consultation per update
+  (exact original semantics);
+* ``"vectorized"`` / ``"matrix"`` — one ``searchsorted`` over the whole
+  batch resolves every endpoint against the :class:`~repro.partition.owner_index.
   OwnerIndex`; updates that cannot change any placement (both endpoints
   assigned, source nowhere near the high-degree threshold) are grouped
   per module with ``np.unique``-style run detection, and only the
@@ -270,7 +271,8 @@ class UpdateProcessor:
         with operation.phase("partition"):
             # The matrix engine shares the vectorized batch-partitioning
             # path: only query execution differs between those backends.
-            if self._engine_name != "python" and ops:
+            # ``"auto"`` keeps the scalar path.
+            if self._engine_name in ("vectorized", "matrix") and ops:
                 self._partition_batch_vectorized(
                     operation, ops, labels, pending, hetero_ops
                 )

@@ -6,7 +6,9 @@ This package separates *what* a query does from *how* it runs:
   vocabulary (dispatch / expand / route / reduce) lowered from the
   logical planner's matrix plans;
 * :mod:`repro.engine.base` — the :class:`ExecutionEngine` protocol, the
-  :class:`EngineRuntime` wiring bundle and the backend factory;
+  :class:`EngineRuntime` wiring bundle, the backend factory and the
+  ``"auto"`` dispatcher that picks a backend per call from the size of
+  the request;
 * :mod:`repro.engine.python_engine` — the scalar reference backend
   (exact original semantics);
 * :mod:`repro.engine.vectorized` — the numpy backend expanding columnar
@@ -22,9 +24,11 @@ between them without perturbing any figure of the reproduction.
 
 from repro.engine.base import (
     ENGINE_NAMES,
+    AutoEngine,
     EngineRuntime,
     ExecutionEngine,
     Frontier,
+    choose_engine,
     create_engine,
 )
 from repro.engine.physical import (
@@ -44,9 +48,11 @@ from repro.engine.vectorized import VectorizedEngine
 
 __all__ = [
     "ENGINE_NAMES",
+    "AutoEngine",
     "EngineRuntime",
     "ExecutionEngine",
     "Frontier",
+    "choose_engine",
     "create_engine",
     "PhysicalPlan",
     "PhysicalOp",

@@ -29,7 +29,7 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.physical import PhysicalPlan
+from repro.engine.physical import FixpointOp, PhysicalPlan
 from repro.partition.base import HOST_PARTITION
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
@@ -55,7 +55,16 @@ if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
 Frontier = Dict[int, Dict[int, ContextSet]]
 
 #: Names accepted by :func:`create_engine` / ``MoctopusConfig.engine``.
-ENGINE_NAMES = ("python", "vectorized", "matrix")
+#: ``"auto"`` selects per call between the scalar and the vectorized
+#: backend; ``"matrix"`` runs only when named.
+ENGINE_NAMES = ("auto", "python", "vectorized", "matrix")
+
+#: Estimated final-frontier items (``batch size x average out-degree ^
+#: expansion phases``) at which the array backends overtake the scalar
+#: one.  Below it their fixed per-phase, per-partition numpy overhead
+#: dominates; above it the scalar engine's per-item Python work does.
+#: See the README's "Execution engines" crossover table.
+AUTO_CROSSOVER_ITEMS = 4096
 
 
 @runtime_checkable
@@ -96,6 +105,10 @@ class PlanView(Protocol):
         """Total adjacency rows across all pinned snapshots."""
         ...
 
+    def total_edges(self) -> int:
+        """Total adjacency entries across all pinned snapshots."""
+        ...
+
 
 @dataclass
 class EngineRuntime:
@@ -120,6 +133,18 @@ class EngineRuntime:
             return self.host_storage.to_csr()
         return self.module_storages[partition].to_csr()
 
+    def total_rows(self) -> int:
+        """Total adjacency rows across the live storages."""
+        return self.host_storage.num_rows + sum(
+            storage.num_rows for storage in self.module_storages
+        )
+
+    def total_edges(self) -> int:
+        """Total adjacency entries across the live storages."""
+        return self.host_storage.num_edges + sum(
+            storage.num_edges for storage in self.module_storages
+        )
+
 
 @runtime_checkable
 class ExecutionEngine(Protocol):
@@ -143,8 +168,61 @@ class ExecutionEngine(Protocol):
         ...
 
 
+def choose_engine(
+    plan: PhysicalPlan, batch_size: int, avg_out_degree: float
+) -> str:
+    """The backend ``"auto"`` runs ``plan`` on: a pure function of the plan
+    shape, the batch size and the graph's average out-degree.
+
+    Fixpoint (Kleene) plans re-expand small frontiers for many phases,
+    which the scalar engine does with the least overhead at every batch
+    size measured.  Fixed-depth plans go to the vectorized engine once
+    the estimated final frontier reaches :data:`AUTO_CROSSOVER_ITEMS`.
+    """
+    if any(isinstance(op, FixpointOp) for op in plan.ops):
+        return "python"
+    try:
+        estimate = batch_size * avg_out_degree ** plan.max_expansion_phases()
+    except OverflowError:  # a few hundred hops: certainly not small
+        return "vectorized"
+    return "python" if estimate < AUTO_CROSSOVER_ITEMS else "vectorized"
+
+
+class AutoEngine:
+    """Dispatches each plan to the backend :func:`choose_engine` names.
+
+    The backends return identical results and identical simulated
+    statistics, so the choice only moves wall-clock time and memory.
+    """
+
+    name = "auto"
+
+    def __init__(self, runtime: EngineRuntime) -> None:
+        self._runtime = runtime
+        self._engines: Dict[str, ExecutionEngine] = {}
+
+    def execute(
+        self,
+        plan: PhysicalPlan,
+        sources: List[int],
+        view: Optional[PlanView] = None,
+    ) -> Tuple[BatchResult, ExecutionStats]:
+        # Both sides answer the same two questions, so one graph and
+        # one request choose alike live and pinned.
+        stored = view if view is not None else self._runtime
+        avg_out_degree = stored.total_edges() / max(1, stored.total_rows())
+        batch_size = len(plan.reverse.seeds) if plan.reverse else len(sources)
+        name = choose_engine(plan, batch_size, avg_out_degree)
+        engine = self._engines.get(name)
+        if engine is None:
+            engine = self._engines[name] = create_engine(name, self._runtime)
+        return engine.execute(plan, sources, view)
+
+
 def create_engine(name: str, runtime: EngineRuntime) -> ExecutionEngine:
     """Instantiate the backend selected by ``name``."""
+    if name == "auto":
+        return AutoEngine(runtime)
     if name == "python":
         from repro.engine.python_engine import PythonEngine
 

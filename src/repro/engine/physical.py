@@ -25,7 +25,9 @@ their simulated work counters comparable item for item.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.rpq.automaton import DFA
 from repro.rpq.planner import ExpandStep, FixpointStep, LogicalPlan
@@ -75,29 +77,44 @@ class ReversePlan:
     unchanged.
     """
 
-    #: Sorted candidate end nodes the reverse expansion starts from.
+    #: Sorted, distinct candidate end nodes the reverse expansion starts from.
     seeds: Tuple[int, ...]
 
 
 def invert_reverse_results(
     sources: Sequence[int],
     seeds: Sequence[int],
-    reverse_destinations: Sequence[Set[int]],
-) -> List[Set[int]]:
+    indptr: np.ndarray,
+    indices: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Turn reverse-direction matches back into forward batch results.
 
-    ``reverse_destinations[i]`` holds the *start* nodes reached from
-    ``seeds[i]`` along the reversed expression; a forward query from
-    ``source`` therefore matches exactly the seeds whose reverse set
-    contains it.  Every engine funnels reverse results through this one
-    helper so the inversion (and its result counters) stay bit-identical
-    across backends.
+    ``indices[indptr[i]:indptr[i+1]]`` holds the *start* nodes reached
+    from ``seeds[i]`` along the reversed expression; a forward query from
+    ``source`` therefore matches exactly the seeds whose reverse row
+    contains it.  Returns the forward CSR pair over ``sources``: one row
+    per source in batch order — a source listed twice gets two equal
+    rows, a source no seed reached (or unknown to the graph) an empty
+    one — each row sorted and duplicate-free.  Every engine funnels
+    reverse results through this one helper so the inversion (and its
+    result counters) stay bit-identical across backends.
     """
-    reached: Dict[int, Set[int]] = {}
-    for row, end_node in enumerate(seeds):
-        for start_node in reverse_destinations[row]:
-            reached.setdefault(start_node, set()).add(end_node)
-    return [set(reached.get(source, ())) for source in sources]
+    source_nodes = np.asarray(sources, dtype=np.int64)
+    ends = np.repeat(np.asarray(seeds, dtype=np.int64), np.diff(indptr))
+    # ``seeds`` are distinct (``ReversePlan.seeds``) and reverse rows are
+    # duplicate-free, so every (start, end) pair occurs once; sorted by
+    # start then end, each start node's end nodes are one ascending run.
+    order = np.lexsort((ends, indices))
+    starts, ends = indices[order], ends[order]
+    run_lo = np.searchsorted(starts, source_nodes, side="left")
+    run_hi = np.searchsorted(starts, source_nodes, side="right")
+    counts = run_hi - run_lo
+    out_indptr = np.zeros(len(source_nodes) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_indptr[1:])
+    gather = np.repeat(run_lo - out_indptr[:-1], counts) + np.arange(
+        int(out_indptr[-1]), dtype=np.int64
+    )
+    return out_indptr, ends[gather]
 
 
 @dataclass
@@ -116,9 +133,6 @@ class PhysicalPlan:
     #: carries the seed nodes; engines invert the matches at the end.
     direction: str = "forward"
     reverse: Optional[ReversePlan] = None
-    #: Advisory engine choice from the cost planner; honoured only when
-    #: the caller did not pin an engine.
-    engine_hint: Optional[str] = None
 
     def max_expansion_phases(self) -> int:
         """Upper bound on the expand/route phases this plan can run.
@@ -241,12 +255,10 @@ def lower_plan(plan: LogicalPlan, default_fixpoint_iterations: int) -> PhysicalP
         if plan.reverse_seeds is None:
             raise ValueError("reverse plans must carry reverse_seeds")
         reverse = ReversePlan(seeds=tuple(plan.reverse_seeds))
-    decision = plan.decision
     return PhysicalPlan(
         ops=ops,
         accumulate_results=plan.accumulate_results,
         dfa=plan.dfa,
         direction=plan.direction,
         reverse=reverse,
-        engine_hint=decision.engine_hint if decision is not None else None,
     )

@@ -127,15 +127,17 @@ class PythonEngine:
             self._view = None
             self._direction = "forward"
 
+        result = BatchResult.from_sets(list(run_sources), results)
         if reverse:
-            results = invert_reverse_results(
-                sources, plan.reverse.seeds, results
+            result = BatchResult(
+                list(sources),
+                *invert_reverse_results(
+                    sources, plan.reverse.seeds, result.indptr, result.indices
+                ),
             )
         stats = op.finish()
-        stats.add_counter(
-            "results", sum(len(destinations) for destinations in results)
-        )
-        return BatchResult(sources=list(sources), destinations=results), stats
+        stats.add_counter("results", result.total_matches)
+        return result, stats
 
     # ------------------------------------------------------------------
     # Frontier construction and dispatch

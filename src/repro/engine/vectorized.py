@@ -37,7 +37,7 @@ computing the answer changes — which is the point.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.partition.owner_index import OwnerIndex
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import OperationContext
 from repro.rpq.automaton import DFA
-from repro.rpq.query import BatchResult
+from repro.rpq.query import BatchResult, csr_from_sorted_pairs
 
 #: Owner code of a node the partitioner has never seen (dangling edge).
 _UNKNOWN_OWNER = OwnerIndex.UNKNOWN
@@ -98,23 +98,17 @@ def _run_starts(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _group_into_results(
-    rows: np.ndarray, nodes: np.ndarray, results: List[Set[int]]
-) -> None:
-    """Merge ``(row, node)`` pairs into the per-row result sets.
+    rows: np.ndarray, nodes: np.ndarray, num_rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the distinct ``(row, node)`` pairs.
 
-    Grouping by row and building each chunk with one C-level ``set``
-    construction is far cheaper than a Python-level ``add`` per pair.
+    ``rows`` are batch row numbers, so a source listed twice keeps two
+    independent rows, and a row with no pair is an empty slice.  Each
+    row comes out sorted and duplicate-free (the same node can be
+    accepted in two automaton states).
     """
-    if rows.size == 0:
-        return
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    sorted_nodes = nodes[order]
-    unique_rows, counts = _sorted_unique_counts(sorted_rows)
-    start = 0
-    for row, count in zip(unique_rows.tolist(), counts.tolist()):
-        results[row].update(sorted_nodes[start:start + count].tolist())
-        start += count
+    order = np.lexsort((nodes, rows))
+    return csr_from_sorted_pairs(rows[order], nodes[order], num_rows)
 
 
 def _row_bit_masks(rows: np.ndarray, num_words: int) -> np.ndarray:
@@ -266,11 +260,13 @@ class VectorizedEngine:
         self, plan: PhysicalPlan, sources: List[int]
     ) -> Tuple[BatchResult, ExecutionStats]:
         op = self._begin_op()
-        results: List[Set[int]] = [set() for _ in sources]
         self._num_words = max(1, (len(sources) + 63) // 64)
         self._num_rows = len(sources)
 
         state: Dict[str, Dict[int, MaskBlock]] = {"frontier": {}}
+        #: The answer's CSR pair; stays empty when an expansion drains
+        #: the frontier and the plan never reaches its reduce.
+        answer = [np.zeros(len(sources) + 1, dtype=np.int64), _EMPTY]
 
         def dispatch() -> None:
             frontier, skipped = self._bitset_initial_frontier(sources)
@@ -290,7 +286,7 @@ class VectorizedEngine:
             state["frontier"] = {}
 
         def reduce() -> None:
-            self._bitset_reduce(op, state["frontier"], results)
+            answer[:] = self._bitset_reduce(op, state["frontier"])
 
         run_plan(
             plan,
@@ -300,11 +296,10 @@ class VectorizedEngine:
             reduce=reduce,
         )
 
+        result = BatchResult(list(sources), *answer)
         stats = op.finish()
-        stats.add_counter(
-            "results", sum(len(destinations) for destinations in results)
-        )
-        return BatchResult(sources=list(sources), destinations=results), stats
+        stats.add_counter("results", result.total_matches)
+        return result, stats
 
     def _bitset_initial_frontier(
         self, sources: List[int]
@@ -497,11 +492,9 @@ class VectorizedEngine:
         return frontier
 
     def _bitset_reduce(
-        self,
-        op: OperationContext,
-        frontier: Dict[int, MaskBlock],
-        results: List[Set[int]],
-    ) -> None:
+        self, op: OperationContext, frontier: Dict[int, MaskBlock]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Charge the ``mwait`` and return the answer's ``(indptr, indices)``."""
         with op.phase("mwait"):
             charge_reduce(
                 op,
@@ -510,24 +503,31 @@ class VectorizedEngine:
                     for partition, (_, masks) in frontier.items()
                 },
             )
-            if not frontier:
-                return
-            nodes = np.concatenate([block[0] for block in frontier.values()])
-            masks = np.concatenate([block[1] for block in frontier.values()])
-            # Unpack the bit matrix row-major so the per-row node runs
-            # come out pre-grouped (no sort needed).
+        indptr = np.zeros(self._num_rows + 1, dtype=np.int64)
+        if not frontier:
+            return indptr, _EMPTY
+        nodes = np.concatenate([block[0] for block in frontier.values()])
+        masks = np.concatenate([block[1] for block in frontier.values()])
+        # Blocks are sorted per owner only: sort the nodes once, and every
+        # row's matches then come out ascending.
+        order = np.argsort(nodes)
+        nodes, masks = nodes[order], masks[order]
+        counts = np.zeros(self._num_words * 64, dtype=np.int64)
+        chunks: List[np.ndarray] = []
+        # One 64-row word column at a time keeps the unpacked bit matrix
+        # (a byte per node and row) a small transient.
+        for word in range(self._num_words):
             bits = np.unpackbits(
-                np.ascontiguousarray(masks).view(np.uint8),
+                np.ascontiguousarray(masks[:, word]).view(np.uint8).reshape(-1, 8),
                 axis=1,
                 bitorder="little",
-            )[:, : self._num_rows]
-            row_ids, node_pos = np.nonzero(np.ascontiguousarray(bits.T))
-            unique_rows, counts = _sorted_unique_counts(row_ids)
-            matched_nodes = nodes[node_pos]
-            start = 0
-            for row, count in zip(unique_rows.tolist(), counts.tolist()):
-                results[row].update(matched_nodes[start:start + count].tolist())
-                start += count
+            )
+            # Row-major over the transpose: grouped by row, nodes ascending.
+            row_bits, node_pos = np.nonzero(np.ascontiguousarray(bits.T))
+            counts[word * 64:(word + 1) * 64] = np.bincount(row_bits, minlength=64)
+            chunks.append(nodes[node_pos])
+        np.cumsum(counts[: self._num_rows], out=indptr[1:])
+        return indptr, np.concatenate(chunks)
 
     # ==================================================================
     # Packed-key path (automaton-guided plans: (row, state) contexts)
@@ -544,15 +544,15 @@ class VectorizedEngine:
         #: candidate end nodes; the forward answer is recovered by
         #: inverting the matches after the plan drains.
         run_sources = list(plan.reverse.seeds) if reverse else sources
-        results: List[Set[int]] = [set() for _ in run_sources]
         stepper = _DfaStepper(dfa, runtime.label_names)
 
         # Packed-key parameters for this batch (see module docstring).
         self._row_span = max(1, len(run_sources))
         self._state_span = stepper.num_slots + 1
         self._max_packable_node = (2 ** 62) // (self._row_span * self._state_span)
-        #: ``(rows, dsts)`` array pairs accepted while routing (accumulate
-        #: mode); merged into ``results`` once, after the plan finishes.
+        #: ``(rows, dsts)`` array pairs accepted so far — while routing in
+        #: accumulate mode, by the reduce otherwise; grouped into the
+        #: answer once, after the plan finishes.
         self._accumulated: List[Tuple[np.ndarray, np.ndarray]] = []
 
         #: frontier: partition -> sorted array of unique context keys;
@@ -561,7 +561,7 @@ class VectorizedEngine:
 
         def dispatch() -> None:
             frontier, skipped = self._build_initial_frontier(
-                run_sources, dfa, results, accumulate
+                run_sources, dfa, accumulate
             )
             state["frontier"] = frontier
             with op.phase("dispatch"):
@@ -582,9 +582,7 @@ class VectorizedEngine:
             state["frontier"] = {}
 
         def reduce() -> None:
-            self._run_reduce_phase(
-                op, state["frontier"], results, accumulate, stepper
-            )
+            self._run_reduce_phase(op, state["frontier"], accumulate, stepper)
 
         run_plan(
             plan,
@@ -594,23 +592,20 @@ class VectorizedEngine:
             reduce=reduce,
         )
 
-        if self._accumulated:
-            _group_into_results(
-                np.concatenate([rows for rows, _ in self._accumulated]),
-                np.concatenate([dsts for _, dsts in self._accumulated]),
-                results,
-            )
-            self._accumulated = []
-
-        if reverse:
-            results = invert_reverse_results(
-                sources, plan.reverse.seeds, results
-            )
-        stats = op.finish()
-        stats.add_counter(
-            "results", sum(len(destinations) for destinations in results)
+        accepted, self._accumulated = self._accumulated, []
+        indptr, indices = _group_into_results(
+            np.concatenate([rows for rows, _ in accepted] or [_EMPTY]),
+            np.concatenate([dsts for _, dsts in accepted] or [_EMPTY]),
+            len(run_sources),
         )
-        return BatchResult(sources=list(sources), destinations=results), stats
+        if reverse:
+            indptr, indices = invert_reverse_results(
+                sources, plan.reverse.seeds, indptr, indices
+            )
+        result = BatchResult(list(sources), indptr, indices)
+        stats = op.finish()
+        stats.add_counter("results", result.total_matches)
+        return result, stats
 
     # ------------------------------------------------------------------
     # Packed-key plumbing
@@ -644,7 +639,6 @@ class VectorizedEngine:
         self,
         sources: List[int],
         dfa: DFA,
-        results: List[Set[int]],
         accumulate: bool,
     ) -> Tuple[Dict[int, np.ndarray], int]:
         start_state = dfa.start
@@ -658,8 +652,7 @@ class VectorizedEngine:
             source_nodes[known], source_rows[known], owners[known]
         )
         if start_accepting:
-            for row, source in zip(source_rows.tolist(), source_nodes.tolist()):
-                results[row].add(source)
+            self._accumulated.append((source_rows, source_nodes))
         states = np.full(len(source_nodes), start_state, dtype=np.int64)
         keys = self._pack(source_nodes, source_rows, states)
         order = np.lexsort((keys, owners))
@@ -916,7 +909,6 @@ class VectorizedEngine:
         self,
         op: OperationContext,
         frontier: Dict[int, np.ndarray],
-        results: List[Set[int]],
         accumulate: bool,
         stepper: _DfaStepper,
     ) -> None:
@@ -934,4 +926,4 @@ class VectorizedEngine:
                 np.concatenate(list(frontier.values()))
             )
             accepted = stepper.accepting[states]
-            _group_into_results(rows[accepted], nodes[accepted], results)
+            self._accumulated.append((rows[accepted], nodes[accepted]))

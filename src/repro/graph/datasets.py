@@ -20,7 +20,7 @@ the skew classes are preserved; the ``scale`` parameter of
 :func:`load_dataset` grows every graph proportionally when more fidelity
 is wanted.
 
-Documented substitution (see DESIGN.md): the paper's conclusions rest on
+Documented substitution: the paper's conclusions rest on
 skewness and locality, which the stand-ins reproduce; absolute latencies
 are not expected to match.
 """

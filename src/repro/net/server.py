@@ -567,7 +567,9 @@ class MoctopusServer:
                 {
                     "type": "result",
                     "id": rid,
-                    "destinations": sorted(destinations),
+                    # The scheduler resolves to a sorted row of the
+                    # batch's answer array: one C-level conversion.
+                    "destinations": destinations.tolist(),
                     "stats": stats_to_wire(stats),
                 }
             )

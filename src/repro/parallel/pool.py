@@ -14,7 +14,9 @@ Protocol (per-worker FIFO task queues, one shared result queue):
   epoch; the worker attaches the shared segment (idempotent);
 * ``("exec", task_id, epoch_id, engine, plan, sources)`` — run one
   batch; replies ``("done", task_id, worker_id, result, stats,
-  lifetime_delta)`` where the delta is the fresh per-task
+  lifetime_delta)`` where the result crosses the process boundary as
+  its two CSR buffers (re-frozen on arrival, never per-row sets) and
+  the delta is the fresh per-task
   :class:`~repro.pim.system.PIMSystem`'s lifetime capture, merged by the
   parent into its own accounting platform (bit-identical integer
   counters, order-independent);

@@ -100,6 +100,10 @@ class PartitionMap:
         """Number of nodes on the host partition."""
         return self._sizes[HOST_PARTITION]
 
+    def pim_total(self) -> int:
+        """Number of nodes on all PIM partitions together (O(1))."""
+        return len(self._assignment) - self._sizes[HOST_PARTITION]
+
     def nodes_on(self, partition: int) -> List[int]:
         """All nodes currently placed on ``partition``."""
         self._validate(partition)

@@ -77,8 +77,7 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         The constraint grows with the graph ("increasing with graph
         scale"), so early placements are never starved.
         """
-        assigned_to_pim = sum(self.partition_map.pim_sizes())
-        average = assigned_to_pim / self.num_partitions
+        average = self.partition_map.pim_total() / self.num_partitions
         return max(self.capacity_factor * average, float(self.min_capacity))
 
     def _under_capacity(self, partition: int) -> bool:

@@ -1,7 +1,7 @@
 """Simulator of a commodity processing-in-memory platform (UPMEM-like).
 
 The paper evaluates Moctopus on real UPMEM hardware; this reproduction
-substitutes an analytic simulator (see DESIGN.md).  The simulator keeps
+substitutes an analytic simulator.  The simulator keeps
 the quantities that determine PIM performance — bytes moved per channel,
 random accesses, and the maximum load across modules in each
 bulk-synchronous phase — and converts them into latency with parameters

@@ -19,9 +19,9 @@ nodes (the destinations of edges whose label the query can finish on)
 and inverting the matches afterwards.  Whichever side is estimated
 cheaper wins; queries that finish on a rare label start the reverse
 expansion from a tiny seed set and skip the broad forward fan-out
-entirely.  The decision, the estimates and an advisory engine hint are
-recorded on the returned :class:`~repro.rpq.planner.LogicalPlan` as a
-:class:`PlanDecision` (surfaced by ``LogicalPlan.explain()``).
+entirely.  The decision and the estimates are recorded on the returned
+:class:`~repro.rpq.planner.LogicalPlan` as a :class:`PlanDecision`
+(surfaced by ``LogicalPlan.explain()``).
 
 Live executions and session-patched views carry no frozen statistics,
 so they always plan forward — same structure, no cost model.
@@ -120,7 +120,6 @@ class PlanDecision:
     reverse_cost: Optional[float]
     #: Estimated frontier items after each hop of the chosen plan.
     hop_estimates: Tuple[float, ...]
-    engine_hint: Optional[str]
     reason: str
 
     def explain_lines(self) -> List[str]:
@@ -138,8 +137,6 @@ class PlanDecision:
                 f"{estimate:.1f}" for estimate in self.hop_estimates
             )
             lines.append(f"frontier estimates per hop: [{estimates}]")
-        if self.engine_hint is not None:
-            lines.append(f"engine hint: {self.engine_hint}")
         return lines
 
 
@@ -253,7 +250,7 @@ def _reverse_seed_nodes(
 
 
 class CostBasedPlanner:
-    """Plans queries with epoch statistics: direction, bounds, engine.
+    """Plans queries with epoch statistics: direction and bounds.
 
     Stateless apart from its construction-time label table and policy
     knobs, so one instance is safely shared by every thread of a query
@@ -264,11 +261,9 @@ class CostBasedPlanner:
         self,
         label_names: Optional[Dict[int, str]] = None,
         direction: str = "auto",
-        engine_selection: bool = True,
     ) -> None:
         self._label_names = label_names or {}
         self._direction = direction
-        self._engine_selection = engine_selection
 
     def plan(self, query, view=None) -> LogicalPlan:
         """A costed :class:`LogicalPlan` for ``query`` against ``view``."""
@@ -280,7 +275,6 @@ class CostBasedPlanner:
                 forward_cost=0.0,
                 reverse_cost=None,
                 hop_estimates=(),
-                engine_hint=None,
                 reason="forward (no frozen epoch statistics: live "
                        "execution or session-patched view)",
             )
@@ -297,7 +291,6 @@ class CostBasedPlanner:
                 forward_cost=forward_cost,
                 reverse_cost=None,
                 hop_estimates=estimates,
-                engine_hint=self._engine_hint(base, estimates, stats),
                 reason="forward (k-hop plans use the bit-mask path)",
             )
             return base
@@ -315,7 +308,6 @@ class CostBasedPlanner:
                 forward_cost=forward_cost,
                 reverse_cost=None,
                 hop_estimates=(),
-                engine_hint=self._engine_hint(base, (), stats),
                 reason="forward (variable-length plans run to fixpoint)",
             )
             return base
@@ -364,7 +356,6 @@ class CostBasedPlanner:
                     forward_cost=forward_cost,
                     reverse_cost=reverse_cost,
                     hop_estimates=reverse_estimates,
-                    engine_hint=self._engine_hint(plan, reverse_estimates, stats),
                     reason=(
                         "reverse (accepting side is rarer: "
                         f"{len(seeds)} seed end nodes vs "
@@ -377,7 +368,6 @@ class CostBasedPlanner:
             forward_cost=forward_cost,
             reverse_cost=reverse_cost,
             hop_estimates=forward_estimates,
-            engine_hint=self._engine_hint(base, forward_estimates, stats),
             reason=(
                 "forward (cheaper than reverse expansion)"
                 if reverse_cost is not None
@@ -385,27 +375,3 @@ class CostBasedPlanner:
             ),
         )
         return base
-
-    def _engine_hint(
-        self,
-        plan: LogicalPlan,
-        estimates: Tuple[float, ...],
-        stats: GraphCostStats,
-    ) -> Optional[str]:
-        """Advisory backend choice (``None`` = keep the configured one).
-
-        Mirrors the matrix engine's own dense-frontier crossover: deep
-        plans whose estimated frontiers saturate a large share of the
-        rows are exactly where the masked-SpGEMM pull backend wins;
-        everything else keeps the session's configured engine.
-        """
-        if not self._engine_selection:
-            return None
-        if plan.num_expansions <= 1 or len(estimates) <= 1:
-            return None
-        if stats.num_rows <= 0:
-            return None
-        saturation = max(estimates) / float(stats.num_rows)
-        if saturation >= 0.5 and stats.avg_out_degree >= 2.0:
-            return "matrix"
-        return None

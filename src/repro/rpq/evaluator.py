@@ -47,7 +47,7 @@ def evaluate_khop(graph: DiGraph, query: KHopQuery) -> BatchResult:
             if not frontier:
                 break
         destinations.append(frontier)
-    return BatchResult(sources=list(query.sources), destinations=destinations)
+    return BatchResult.from_sets(list(query.sources), destinations)
 
 
 def evaluate_rpq(
@@ -73,7 +73,7 @@ def evaluate_rpq(
     destinations: List[Set[int]] = []
     for source in query.sources:
         destinations.append(_single_source_rpq(graph, dfa, source, label_names))
-    return BatchResult(sources=list(query.sources), destinations=destinations)
+    return BatchResult.from_sets(list(query.sources), destinations)
 
 
 def _label_string(label: int, label_names: Dict[int, str] = None) -> str:

@@ -9,15 +9,19 @@ described for RPQs in general.  Two query classes mirror that split:
 * :class:`KHopQuery` — the ``.{k}`` special case; engines recognise it
   and run the pure matrix plan ``ans = Q x Adj x ... x Adj``.
 
-A query result is a :class:`BatchResult`: per query (row) the set of
+A query result is a :class:`BatchResult`: per query (row) the sorted
 destination nodes whose path from the query's source matches the
-expression, matching the ``ans`` matrix of the paper's Figure 2.
+expression — the sparse ``ans`` matrix of the paper's Figure 2, held as
+one frozen CSR pair for the whole batch.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence, Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+
+import numpy as np
 
 from repro.rpq.automaton import DFA, build_dfa
 from repro.rpq.regex import RegexNode, khop_expression, parse_path_expression
@@ -33,33 +37,188 @@ Context = Union[int, Tuple[int, int]]
 ContextSet = Set[Context]
 
 
-@dataclass
-class BatchResult:
-    """Result of a batch of single-source path queries.
+def _frozen_int64(values) -> np.ndarray:
+    """``values`` as a contiguous read-only ``int64`` array.
 
-    ``destinations[i]`` is the destination set of the ``i``-th query in
-    the batch (the ``i``-th row of the ``ans`` matrix).
+    No copy when it already is one: the result is then a frozen *view*,
+    so the caller's own array object keeps its flags.
+    """
+    array = np.ascontiguousarray(values, dtype=np.int64).view()
+    array.flags.writeable = False
+    return array
+
+
+def csr_from_sorted_pairs(
+    rows: np.ndarray, nodes: np.ndarray, num_rows: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of ``(row, node)`` pairs sorted by row, then node.
+
+    Repeated pairs collapse to one, so every row comes out sorted and
+    duplicate-free; a row number with no pair is an empty slice.
+    """
+    if rows.size:
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]) | (nodes[1:] != nodes[:-1])
+        rows, nodes = rows[fresh], nodes[fresh]
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return indptr, nodes
+
+
+class DestinationRow(AbstractSet):
+    """Read-only set view of one answer row (a sorted, unique ``int64`` slice).
+
+    Compares equal to a ``set`` with the same members, iterates Python
+    ``int``s in ascending order, and answers ``in`` by binary search, so
+    callers written against per-row ``set``s keep working while the data
+    stays in the batch's shared array.
     """
 
-    sources: List[int]
-    destinations: List[Set[int]]
+    __slots__ = ("_nodes",)
 
-    def pairs(self) -> Set[Tuple[int, int]]:
-        """All matched ``(source, destination)`` endpoint pairs."""
-        matched: Set[Tuple[int, int]] = set()
-        for source, destination_set in zip(self.sources, self.destinations):
-            for destination in destination_set:
-                matched.add((source, destination))
-        return matched
+    def __init__(self, nodes: np.ndarray) -> None:
+        self._nodes = nodes
 
-    def destinations_of(self, index: int) -> Set[int]:
+    @classmethod
+    def _from_iterable(cls, iterable: Iterable[int]) -> Set[int]:
+        # ``row & other`` / ``row | other`` (the ``Set`` mixins) yield
+        # plain sets: a derived set is not a slice of any batch.
+        return set(iterable)
+
+    def tolist(self) -> List[int]:
+        """The members as an ascending list of Python ``int``s."""
+        return self._nodes.tolist()
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._nodes.tolist())
+
+    def __contains__(self, node: object) -> bool:
+        if isinstance(node, (float, np.floating)) and float(node).is_integer():
+            node = int(node)  # ``3.0 in {3}`` holds for a set
+        if not isinstance(node, (int, np.integer)):
+            return False
+        position = int(np.searchsorted(self._nodes, node))
+        return position < len(self._nodes) and bool(self._nodes[position] == node)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DestinationRow):
+            return np.array_equal(self._nodes, other._nodes)
+        if isinstance(other, AbstractSet):
+            return len(other) == len(self._nodes) and all(
+                node in other for node in self._nodes.tolist()
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DestinationRow({self._nodes.tolist()})"
+
+
+class DestinationRows(Sequence):
+    """Read-only per-row view of a :class:`BatchResult` (``.destinations``).
+
+    Behaves like the ``List[Set[int]]`` it replaces: indexable, iterable,
+    and equal to any sequence of equal-membered sets.
+    """
+
+    __slots__ = ("_indptr", "_indices")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self._indptr = indptr
+        self._indices = indices
+
+    def __len__(self) -> int:
+        return len(self._indptr) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("batch row out of range")
+        return DestinationRow(
+            self._indices[self._indptr[index]:self._indptr[index + 1]]
+        )
+
+    def __iter__(self) -> Iterator[DestinationRow]:
+        bounds = self._indptr.tolist()
+        for start, stop in zip(bounds, bounds[1:]):
+            yield DestinationRow(self._indices[start:stop])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DestinationRows):
+            return np.array_equal(self._indptr, other._indptr) and np.array_equal(
+                self._indices, other._indices
+            )
+        if isinstance(other, Sequence):
+            return len(other) == len(self) and all(
+                row == expected for row, expected in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"DestinationRows({[row.tolist() for row in self]})"
+
+
+class BatchResult:
+    """Result of a batch of single-source path queries (the ``ans`` matrix).
+
+    The answer is one CSR pair for the whole batch: row ``i`` — the
+    destinations of ``sources[i]`` — is ``indices[indptr[i]:indptr[i+1]]``,
+    sorted ascending and duplicate-free.  Both arrays are ``int64`` and
+    frozen (``writeable=False``), so a result can be shared between the
+    result cache, sessions, scheduler futures and reply encoders without
+    copying.  Duplicate sources are independent rows; a source matching
+    nothing (or unknown to the graph) is an empty slice.
+    """
+
+    __slots__ = ("sources", "indptr", "indices")
+
+    def __init__(self, sources: List[int], indptr, indices) -> None:
+        self.sources = sources
+        self.indptr = _frozen_int64(indptr)
+        self.indices = _frozen_int64(indices)
+        if len(self.indptr) != len(sources) + 1:
+            raise ValueError("indptr must hold one offset per source plus one")
+
+    @classmethod
+    def from_sets(
+        cls, sources: List[int], destinations: Iterable[Iterable[int]]
+    ) -> "BatchResult":
+        """Build a result from one destination collection per source."""
+        rows = [np.sort(np.fromiter(row, dtype=np.int64)) for row in destinations]
+        row_ids = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        nodes = np.concatenate(rows) if rows else row_ids
+        return cls(sources, *csr_from_sorted_pairs(row_ids, nodes, len(rows)))
+
+    def __reduce__(self):
+        # numpy does not pickle the writeable flag: rebuild through the
+        # constructor so the arrays arrive frozen on the other side.
+        return (BatchResult, (self.sources, self.indptr, self.indices))
+
+    @property
+    def destinations(self) -> DestinationRows:
+        """Per-row destination sets (a read-only view, no copy)."""
+        return DestinationRows(self.indptr, self.indices)
+
+    def destinations_of(self, index: int) -> DestinationRow:
         """Destination set of the ``index``-th query in the batch."""
         return self.destinations[index]
 
     @property
     def total_matches(self) -> int:
         """Total number of matched endpoint pairs across the batch."""
-        return sum(len(destination_set) for destination_set in self.destinations)
+        return int(self.indptr[-1])
+
+    def pairs(self) -> Set[Tuple[int, int]]:
+        """All matched ``(source, destination)`` endpoint pairs."""
+        row_sources = np.repeat(
+            np.asarray(self.sources, dtype=np.int64), np.diff(self.indptr)
+        )
+        return set(zip(row_sources.tolist(), self.indices.tolist()))
 
     def as_dict(self) -> Dict[int, Set[int]]:
         """Mapping from source to the union of its destinations.
@@ -68,8 +227,8 @@ class BatchResult:
         destination sets are merged.
         """
         merged: Dict[int, Set[int]] = {}
-        for source, destination_set in zip(self.sources, self.destinations):
-            merged.setdefault(source, set()).update(destination_set)
+        for source, row in zip(self.sources, self.destinations):
+            merged.setdefault(source, set()).update(row)
         return merged
 
     def __eq__(self, other: object) -> bool:
@@ -78,6 +237,12 @@ class BatchResult:
         return (
             self.sources == other.sources
             and self.destinations == other.destinations
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchResult(sources={len(self.sources)}, "
+            f"matches={self.total_matches})"
         )
 
 

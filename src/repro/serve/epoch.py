@@ -262,6 +262,10 @@ class Epoch:
         """Total adjacency rows across every pinned snapshot."""
         return sum(snapshot.num_rows for snapshot in self.snapshots)
 
+    def total_edges(self) -> int:
+        """Total adjacency entries across every pinned snapshot."""
+        return sum(snapshot.num_edges for snapshot in self.snapshots)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Epoch(id={self.epoch_id}, nodes={self.num_nodes}, "
@@ -349,6 +353,13 @@ class EpochView:
         for partition in range(self.epoch.num_modules):
             total += self.snapshot_of(partition).num_rows
         return total + self.snapshot_of(HOST_PARTITION).num_rows
+
+    def total_edges(self) -> int:
+        """Total adjacency entries across the view's snapshots."""
+        total = 0
+        for partition in range(self.epoch.num_modules):
+            total += self.snapshot_of(partition).num_edges
+        return total + self.snapshot_of(HOST_PARTITION).num_edges
 
 
 class EpochManager:

@@ -35,12 +35,12 @@ import copy
 import queue
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.engine.base import ENGINE_NAMES, create_engine
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
-from repro.rpq.query import KHopQuery, RPQuery
+from repro.rpq.query import DestinationRow, KHopQuery, RPQuery
 from repro.serve.epoch import EpochView
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -173,17 +173,23 @@ class ServingFuture(ResultGate):
             return ("rpq", self.expression)
         return ("khop", self.hops)
 
-    def _resolve(self, destinations: Set[int], stats: ExecutionStats) -> None:
+    def _resolve(
+        self, destinations: DestinationRow, stats: ExecutionStats
+    ) -> None:
         self._settle((destinations, stats))
 
-    def result(self, timeout: Optional[float] = None) -> Set[int]:
-        """Destination set of the query (blocks until resolved)."""
+    def result(self, timeout: Optional[float] = None) -> DestinationRow:
+        """Destination set of the query (blocks until resolved).
+
+        A read-only set view of this query's row in the coalesced
+        batch's answer — sorted, shared, never copied.
+        """
         destinations, _ = self.outcome(timeout=timeout)
         return destinations
 
     def outcome(
         self, timeout: Optional[float] = None
-    ) -> Tuple[Set[int], ExecutionStats]:
+    ) -> Tuple[DestinationRow, ExecutionStats]:
         """``(destinations, batch stats)`` — stats are shared across the
         coalesced batch this query rode in."""
         return self._wait(timeout)
@@ -347,7 +353,7 @@ class BatchScheduler:
             future._fail(RuntimeError("scheduler closed during submit"))
         return future
 
-    def query(self, source: int, hops: int) -> Set[int]:
+    def query(self, source: int, hops: int) -> DestinationRow:
         """Blocking convenience wrapper: submit and wait for the answer."""
         return self.submit(source, hops).result()
 

@@ -412,6 +412,41 @@ class TestRep004:
         )
         assert findings == []
 
+    def test_flags_mutation_of_a_results_csr_pair(self):
+        findings = lint(
+            "REP004",
+            """
+            def tamper(session, query, np):
+                result, stats = session.execute(query)
+                result.indices[0] = 1
+                result.indptr += 1
+                offsets = result.indptr
+                offsets.sort()
+                np.cumsum(stats.sizes, out=result.indptr[1:])
+            """,
+        )
+        assert [f.rule for f in findings] == ["REP004"] * 4
+        assert "result.indices" in findings[0].message
+
+    def test_building_and_copying_a_csr_pair_is_clean(self):
+        findings = lint(
+            "REP004",
+            """
+            class Holder:
+                def __init__(self, indptr, indices):
+                    self.indptr = indptr
+                    self.indices = indices
+
+            def widen(result, np):
+                indptr = np.zeros(8)
+                np.cumsum(result.counts, out=indptr[1:])
+                indices = result.indices.copy()
+                indices[0] = 1
+                indices.sort()
+            """,
+        )
+        assert findings == []
+
 
 # ----------------------------------------------------------------------
 # REP005 — no blocking calls on the event loop (net/ only)

@@ -31,7 +31,7 @@ from repro.pim import CostModel
 from repro.rpq import RPQuery, plan_query
 from repro.rpq.evaluator import evaluate_rpq
 
-ENGINES = ("python", "vectorized", "matrix")
+ENGINES = ("python", "vectorized", "matrix", "auto")
 LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 
 

@@ -24,6 +24,7 @@ from repro.core.local_storage import BYTES_PER_ENTRY
 from repro.core.snapshot import build_snapshot_reference
 from repro.engine import (
     ENGINE_NAMES,
+    AutoEngine,
     MatrixEngine,
     PythonEngine,
     VectorizedEngine,
@@ -33,7 +34,8 @@ from repro.graph import DiGraph, random_graph
 from repro.pim import CostModel
 from repro.rpq import RPQuery, random_source_batch
 
-#: Every backend, scalar reference first (the others are compared to it).
+#: Every backend and the ``"auto"`` dispatcher; each is compared to the
+#: scalar reference ``"python"``.
 ENGINES = ENGINE_NAMES
 
 
@@ -125,12 +127,14 @@ def test_config_selects_engine():
     system = Moctopus.from_graph(
         graph, MoctopusConfig(cost_model=CostModel(num_modules=4))
     )
-    assert system.engine_name == "python"
+    assert system.engine_name == "auto"
+    assert type(system._query_processor.engine) is AutoEngine
     system.use_engine("vectorized")
     assert system.engine_name == "vectorized"
     system.use_engine("matrix")
     assert system.engine_name == "matrix"
     for engine, engine_type in (
+        ("python", PythonEngine),
         ("vectorized", VectorizedEngine),
         ("matrix", MatrixEngine),
     ):
@@ -159,6 +163,7 @@ def test_create_engine_factory():
         graph, MoctopusConfig(cost_model=CostModel(num_modules=4))
     )
     runtime = system._query_processor._runtime
+    assert type(create_engine("auto", runtime)) is AutoEngine
     assert isinstance(create_engine("python", runtime), PythonEngine)
     assert type(create_engine("vectorized", runtime)) is VectorizedEngine
     assert type(create_engine("matrix", runtime)) is MatrixEngine
@@ -361,7 +366,7 @@ def test_update_engine_follows_use_engine():
     system = Moctopus.from_graph(
         graph, MoctopusConfig(cost_model=CostModel(num_modules=4))
     )
-    assert system._update_processor.engine_name == "python"
+    assert system._update_processor.engine_name == "auto"
     system.use_engine("vectorized")
     assert system._update_processor.engine_name == "vectorized"
     system.use_engine("matrix")

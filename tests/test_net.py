@@ -103,7 +103,7 @@ def test_decode_rejects_garbage():
 def test_welcome_carries_protocol_and_engine(client):
     assert client.server_info["protocol"] == PROTOCOL_VERSION
     assert client.server_info["server"] == "moctopus"
-    assert client.server_info["engine"] == "python"
+    assert client.server_info["engine"] == "auto"
     assert client.server_info["max_inflight"] >= 1
 
 

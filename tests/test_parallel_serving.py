@@ -40,7 +40,7 @@ from repro.rpq import RPQuery
 from repro.rpq.query import KHopQuery
 from repro.serve.epoch import EpochView
 
-ENGINES = ("python", "vectorized", "matrix")
+ENGINES = ("python", "vectorized", "matrix", "auto")
 LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 RPQ_EXPRESSIONS = (".{1}", ".{2}", ".+", "a", "a/b", "(a|b)+")
 

@@ -46,7 +46,7 @@ def test_rpq_fixed_length_detection():
 
 
 def test_batch_result_accessors():
-    result = BatchResult(sources=[1, 1, 2], destinations=[{3}, {4}, set()])
+    result = BatchResult.from_sets([1, 1, 2], [{3}, {4}, set()])
     assert result.total_matches == 2
     assert result.pairs() == {(1, 3), (1, 4)}
     assert result.destinations_of(1) == {4}

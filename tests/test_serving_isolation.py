@@ -38,7 +38,7 @@ from repro.pim import CostModel
 from repro.rpq import RPQuery
 from repro.serve import SchedulerSaturated
 
-ENGINES = ("python", "vectorized", "matrix")
+ENGINES = ("python", "vectorized", "matrix", "auto")
 
 #: Sessions each engine's replay sweep must exercise (acceptance bar).
 MIN_SESSIONS = 200
