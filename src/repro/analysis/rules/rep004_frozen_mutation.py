@@ -23,6 +23,12 @@ from ``execute``, a parameter, a cache entry), so the rule treats the
 attribute names themselves — ``.indptr`` / ``.indices``, which are
 frozen on every class in this repository that carries them — as frozen
 on whatever object they are read from.
+
+So is ``.graph``: a system's stored graph is a live read-only view over
+its storages (the only adjacency a ``Moctopus`` holds), so a ``DiGraph``
+mutator called on it — directly or through a variable bound from it —
+is a finding.  Updates go through ``apply_updates``; ``.graph.copy()``
+yields a mutable ``DiGraph``.
 """
 
 from __future__ import annotations
@@ -51,12 +57,17 @@ FROZEN_ACCESSORS = frozenset(
     }
 )
 
-#: Attributes that hold frozen arrays on every object carrying them:
-#: the CSR pair of a ``BatchResult`` (and of snapshots and their blocks).
-FROZEN_ATTRIBUTES = frozenset({"indptr", "indices"})
+#: Attributes that hold frozen state on every object carrying them:
+#: the CSR pair of a ``BatchResult`` (and of snapshots and their blocks),
+#: and the stored-graph view of a ``Moctopus``.
+FROZEN_ATTRIBUTES = frozenset({"indptr", "indices", "graph"})
 
-#: ndarray methods that mutate in place.
-_MUTATORS = frozenset({"sort", "fill", "partition", "resize", "put"})
+#: Methods that mutate in place: ndarray's, and ``DiGraph``'s (which the
+#: stored-graph view deliberately lacks).
+_MUTATORS = frozenset(
+    {"sort", "fill", "partition", "resize", "put"}
+    | {"add_edge", "add_node", "remove_edge", "remove_node"}
+)
 
 
 def _base_name(node: ast.AST) -> str:
@@ -203,8 +214,8 @@ class Rule:
             scope=module.scope_of(node),
             detail=what,
             message=(
-                f"{what} mutates an array obtained from frozen accessor "
-                f"`{origin}` — epoch snapshots are shared, immutable state"
+                f"{what} mutates frozen shared state obtained from "
+                f"`{origin}` — readers hold it zero-copy, it never changes"
             ),
             hint=self.hint,
         )

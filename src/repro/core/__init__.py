@@ -16,12 +16,15 @@ Figure 1:
   module;
 * :class:`HeterogeneousGraphStorage` — the host's ``cols_vector`` rows
   plus PIM-side index maps for high-degree nodes;
+* :class:`StoredGraphView` — ``system.graph``: the stored graph read
+  straight off those storages (no second adjacency is kept);
 * :class:`GraphSnapshot` — dirty-flag-cached CSR views of both storages
   (``to_csr()``), the substrate of the vectorized execution backend in
   :mod:`repro.engine`.
 """
 
 from repro.core.config import MoctopusConfig
+from repro.core.graph_view import StoredGraphView
 from repro.core.local_storage import LocalGraphStorage
 from repro.core.hetero_storage import (
     HeterogeneousGraphStorage,
@@ -55,6 +58,7 @@ __all__ = [
     "HeterogeneousGraphStorage",
     "HeteroUpdateOutcome",
     "GraphSnapshot",
+    "StoredGraphView",
     "SmxmOperator",
     "MwaitOperator",
     "AddOperator",

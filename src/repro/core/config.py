@@ -19,11 +19,10 @@ ablations can sweep them:
 * the snapshot-maintenance knobs (``snapshot_compact_ratio``,
   ``snapshot_incremental``) controlling how the storages refresh their
   cached CSR views between updates and queries;
-* the serving-layer knobs (``epoch_retention``, ``serve_queue_depth``,
+* the serving-layer knobs (``serve_queue_depth``,
   ``serve_batch_window``, ``serve_linger``, ``serve_workers``,
-  ``serve_worker_start_method``) controlling how many published epochs
-  stay registered for lagging readers, how the batch scheduler admits
-  and coalesces concurrent client queries, and whether coalesced
+  ``serve_worker_start_method``) controlling how the batch scheduler
+  admits and coalesces concurrent client queries, and whether coalesced
   batches fan out across worker *processes* over shared-memory epoch
   exports (:mod:`repro.parallel`);
 * the network front-end knobs (``net_host``, ``net_port``,
@@ -104,12 +103,6 @@ class MoctopusConfig:
     #: scalar rebuild — kept as a benchmark baseline and differential
     #: reference.
     snapshot_incremental: bool = True
-    #: How many epochs (the current one included) the serving layer's
-    #: :class:`~repro.serve.epoch.EpochManager` keeps registered, so
-    #: recent history stays inspectable for lagging readers.  Epochs
-    #: pinned by open sessions are always retained regardless of this
-    #: bound.
-    epoch_retention: int = 4
     #: Bound of the serving layer's admission queue: how many client
     #: queries may be waiting in a :class:`~repro.serve.scheduler.
     #: BatchScheduler` before further submissions are rejected
@@ -207,8 +200,6 @@ class MoctopusConfig:
             raise ValueError("high_degree_threshold must be positive or None")
         if self.snapshot_compact_ratio < 0.0:
             raise ValueError("snapshot_compact_ratio must be >= 0")
-        if self.epoch_retention < 1:
-            raise ValueError("epoch_retention must be >= 1")
         if self.serve_queue_depth < 1:
             raise ValueError("serve_queue_depth must be >= 1")
         if self.serve_batch_window < 1:

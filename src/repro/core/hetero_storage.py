@@ -27,7 +27,7 @@ the simulated hardware accordingly (host write vs PIM map operations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.snapshot import (
     DEFAULT_SNAPSHOT_COMPACT_RATIO,
@@ -130,10 +130,6 @@ class HeterogeneousGraphStorage:
         """Whether ``node`` has a host-resident row."""
         return node in self._vectors
 
-    def rows(self) -> Iterator[int]:
-        """Iterate over stored row ids."""
-        return iter(self._vectors)
-
     def row_length(self, node: int) -> int:
         """Out-degree of ``node`` (0 when the row is absent)."""
         vector = self._vectors.get(node)
@@ -207,6 +203,10 @@ class HeterogeneousGraphStorage:
             working_set_bytes=lambda: max(self.total_bytes(), 1),
             count_local=False,
         )
+
+    def drop_snapshot(self) -> None:
+        """Release the cached CSR arrays (rebuilt on the next ``to_csr``)."""
+        self._cache.drop()
 
     # Refresh-strategy counters, aliased for tests and diagnostics.
     @property

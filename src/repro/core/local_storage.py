@@ -207,6 +207,10 @@ class LocalGraphStorage:
             count_local=True,
         )
 
+    def drop_snapshot(self) -> None:
+        """Release the cached CSR arrays (rebuilt on the next ``to_csr``)."""
+        self._cache.drop()
+
     # Refresh-strategy counters, aliased for tests and diagnostics.
     @property
     def snapshot_builds(self) -> int:

@@ -539,6 +539,11 @@ class SnapshotCache:
         self.base = snapshot.freeze()
         self.overlay.clear()
 
+    def drop(self) -> None:
+        """Forget the cached base; the next refresh rebuilds from the rows."""
+        self.base = None
+        self.overlay.clear()
+
     def refresh(
         self,
         rows: Callable[[], List[Tuple[int, RowEntries]]],

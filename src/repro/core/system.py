@@ -28,9 +28,10 @@ figures.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MoctopusConfig
+from repro.core.graph_view import StoredGraphView
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.core.node_migrator import NodeMigrator
@@ -38,11 +39,10 @@ from repro.core.operator_processor import OperatorProcessor
 from repro.core.partitioner import GraphPartitioner
 from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
-from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.graph.digraph import DEFAULT_LABEL, ReadableGraph
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
 from repro.partition.metrics import PartitionQuality, evaluate_partition
-from repro.partition.owner_index import OwnerIndex
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
@@ -86,9 +86,13 @@ class Moctopus:
             )
             for module_id, storage in enumerate(self._module_storages)
         ]
-        #: Mirror of the stored graph, used for partition-quality metrics,
-        #: reference checks and source sampling in benchmarks.
-        self._mirror = DiGraph()
+        #: Live read-only graph view over the storages — the only
+        #: adjacency the system holds (oracle checks, partition metrics).
+        self._graph = StoredGraphView(
+            self._partitioner.partition_map,
+            self._module_storages,
+            self._host_storage,
+        )
         self._migrator = NodeMigrator(
             self._partitioner,
             self._module_storages,
@@ -113,7 +117,6 @@ class Moctopus:
             self._host_storage,
             self._processors,
             self._migrator,
-            self._mirror,
         )
         #: Stats of the most recent post-query maintenance pass (migrations).
         self.last_maintenance_stats: Optional[ExecutionStats] = None
@@ -121,17 +124,16 @@ class Moctopus:
         #: migrations, epoch captures).  Pinned session/scheduler
         #: executions run *outside* this lock on frozen arrays.
         self._serve_lock = threading.RLock()
-        #: Owner-table capture cache for epoch publishing (journal-patched
-        #: between captures; each epoch takes a frozen copy).
-        self._owner_capture = OwnerIndex()
         # Imported lazily: repro.serve sits above repro.core, so a
         # module-level import here would be circular.
         from repro.serve.epoch import EpochManager
 
-        #: Epoch publish/pin lifecycle of the serving layer.
+        #: Epoch publish/pin lifecycle of the serving layer.  It captures
+        #: from the storages directly, never through ``self``: no
+        #: reference cycle, so a dropped system is freed by refcount.
         self._epochs = EpochManager(
-            self._capture_epoch,
-            retention=self.config.epoch_retention,
+            self._partitioner.partition_map,
+            (*self._module_storages, self._host_storage),
             lock=self._serve_lock,
         )
         #: Write-ahead log + checkpoint lifecycle (``None`` = memory-only).
@@ -145,7 +147,7 @@ class Moctopus:
     @classmethod
     def from_graph(
         cls,
-        graph: DiGraph,
+        graph: ReadableGraph,
         config: Optional[MoctopusConfig] = None,
         label_names: Optional[Dict[int, str]] = None,
     ) -> "Moctopus":
@@ -154,7 +156,7 @@ class Moctopus:
         system.load_graph(graph)
         return system
 
-    def load_graph(self, graph: DiGraph) -> None:
+    def load_graph(self, graph: ReadableGraph) -> None:
         """Bulk-load a graph (no simulated cost; loading is offline).
 
         Edges are replayed in their insertion order so the radical greedy
@@ -164,19 +166,15 @@ class Moctopus:
         are written ahead as one ``BOOTSTRAP`` record.
         """
         with self._serve_lock:
+            # Both the log record and the replay stream the graph's own
+            # iterators — no second copy of every edge is materialized.
             if self._durability is not None:
-                edges = list(graph.labeled_edges())
-                nodes = list(graph.nodes())
-                self._durability.log_bootstrap(edges, nodes)
-                self._replay_bootstrap(edges, nodes)
-            else:
-                # Memory-only loads stream the generators directly — no
-                # point materializing a second copy of every edge.
-                self._replay_bootstrap(graph.labeled_edges(), graph.nodes())
+                self._durability.log_bootstrap(graph)
+            self._replay_bootstrap(graph.labeled_edges(), graph.nodes())
 
     def _replay_bootstrap(
         self,
-        edges: Iterable[Tuple[int, int, int]],
+        edges: Iterable[Sequence[int]],
         nodes: Iterable[int],
     ) -> None:
         """Ingest a bulk load's edge/node streams (live load and recovery)."""
@@ -186,7 +184,6 @@ class Moctopus:
             for node in nodes:
                 if self._partitioner.partition_of(node) is None:
                     self._partitioner.assign_node(node)
-                    self._mirror.add_node(node)
                     self._ensure_row(node)
             self._epochs.mark_stale()
 
@@ -200,27 +197,11 @@ class Moctopus:
         ):
             # The labor-division wrapper just promoted this node.
             self._migrator.promote_to_host(src, previous)
-        self._mirror.add_edge(src, dst, label)
         self._ensure_row(dst, dst_partition)
         if src_partition == HOST_PARTITION:
             self._host_storage.insert_edge(src, dst, label)
         else:
             self._module_storages[src_partition].add_edge(src, dst, label)
-
-    def _capture_epoch(self):
-        """Capture the frozen state of a new serving epoch.
-
-        Called by the :class:`~repro.serve.epoch.EpochManager` under the
-        serve lock.  Cheap by design: ``to_csr()`` is a cache hit for
-        every storage the last update batch didn't touch, and the owner
-        table is journal-patched then copied once.
-        """
-        snapshots = tuple(
-            storage.to_csr() for storage in self._module_storages
-        ) + (self._host_storage.to_csr(),)
-        self._owner_capture.refresh(self._partitioner.partition_map)
-        owners = self._owner_capture.frozen_copy()
-        return snapshots, owners, self._mirror.num_nodes, self._mirror.num_edges
 
     def _ensure_row(self, node: int, partition: Optional[int] = None) -> None:
         partition = (
@@ -400,15 +381,20 @@ class Moctopus:
         return self._durability.checkpoint_now()
 
     def close(self) -> None:
-        """Flush and detach durability (stop the daemon, close the WAL).
+        """Flush and detach durability, and release derived arrays.
 
-        Safe to call on memory-only systems (a no-op) and more than
-        once.  The system remains usable for in-memory work afterwards,
-        but further updates are no longer logged.
+        Stops the checkpoint daemon, closes the WAL, and drops the
+        current epoch and the storages' cached CSR snapshots, so a
+        closed system a caller still references holds only its rows.
+        Safe to call on memory-only systems and more than once.  The
+        system remains usable for in-memory work afterwards (the next
+        query rebuilds the snapshots), but further updates are no
+        longer logged.
         """
         if self._durability is not None:
             self._durability.close()
             self._durability = None
+        self._epochs.release()
 
     @property
     def durable_lsn(self) -> int:
@@ -515,19 +501,23 @@ class Moctopus:
         return self._query_processor.cache_stats
 
     @property
-    def graph(self) -> DiGraph:
-        """The mirror of the currently stored graph (read-only by convention)."""
-        return self._mirror
+    def graph(self) -> StoredGraphView:
+        """The stored graph: a live, read-only view over the storages.
+
+        Satisfies :class:`~repro.graph.digraph.ReadableGraph`; call
+        ``.copy()`` for an independent, mutable ``DiGraph``.
+        """
+        return self._graph
 
     @property
     def num_nodes(self) -> int:
         """Number of stored graph nodes."""
-        return self._mirror.num_nodes
+        return self._graph.num_nodes
 
     @property
     def num_edges(self) -> int:
         """Number of stored edges."""
-        return self._mirror.num_edges
+        return self._graph.num_edges
 
     @property
     def num_modules(self) -> int:
@@ -566,7 +556,7 @@ class Moctopus:
 
     def partition_quality(self) -> PartitionQuality:
         """Edge cut / locality / balance of the current placement."""
-        return evaluate_partition(self._mirror, self._partitioner.partition_map)
+        return evaluate_partition(self._graph, self._partitioner.partition_map)
 
     def partition_statistics(self) -> Dict[str, int]:
         """Partitioner decision counters (greedy vs fallback vs promotions)."""
@@ -579,7 +569,7 @@ class Moctopus:
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Whether the stored graph contains ``src -> dst``."""
-        return self._mirror.has_edge(src, dst)
+        return self._graph.has_edge(src, dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,7 +48,7 @@ method must stay a pure function of (batch, labels, observable system
 state): no wall clock, no randomness, no iteration over
 non-deterministically ordered containers that feeds back into state or
 accounting.  Everything it consults — the partition vector, observed
-out-degrees, storage contents, the mirror's node count — is restored
+out-degrees, storage contents, the node count — is restored
 bit-exactly by checkpoints, and the fault-injection suite
 (``tests/test_durability.py``) breaks if a change here violates the
 contract.
@@ -68,7 +68,7 @@ from repro.core.operator_processor import OperatorProcessor
 from repro.core.operators import BYTES_PER_UPDATE_ITEM, OPERATOR_HEADER_BYTES
 from repro.core.partitioner import GraphPartitioner
 from repro.engine.base import ENGINE_NAMES
-from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
 from repro.partition.owner_index import OwnerIndex
@@ -221,7 +221,6 @@ class UpdateProcessor:
         host_storage: HeterogeneousGraphStorage,
         operator_processors: List[OperatorProcessor],
         node_migrator: NodeMigrator,
-        mirror_graph: DiGraph,
     ) -> None:
         self._config = config
         self._pim = pim_system
@@ -230,9 +229,13 @@ class UpdateProcessor:
         self._host_storage = host_storage
         self._processors = operator_processors
         self._migrator = node_migrator
-        self._mirror = mirror_graph
         self._engine_name = config.engine
         self._owner_index = OwnerIndex()
+        #: Bytes of the ``node_partition_vector`` (2 per node) as of the
+        #: current batch's start: the working set every partition-vector
+        #: access of the batch is charged against.  Read once per batch —
+        #: nodes the partition phase places do not grow it mid-batch.
+        self._vector_bytes = 0
         #: Lifetime number of update batches applied.  Checkpointed and
         #: restored (then advanced by WAL tail replay) so the counter
         #: reads the same on a recovered system as on one that never
@@ -264,6 +267,7 @@ class UpdateProcessor:
     ) -> ExecutionStats:
         """Apply a mixed batch of updates following the paper's flow."""
         operation = self._pim.begin_operation()
+        self._vector_bytes = len(self._partitioner.partition_map) * 2
 
         pending = _PendingBatch()
         hetero_ops: List[Tuple[UpdateOp, int]] = []
@@ -403,12 +407,11 @@ class UpdateProcessor:
 
         # --- bulk host accounting for the simple set ---------------------
         # The scalar path charges 2 partition-vector accesses per insert
-        # and 1 per delete; the working set is constant across the phase
-        # (the mirror only mutates during apply).
+        # and 1 per delete; the working set is constant across the batch.
         accesses = 2 * int(simple_inserts.sum()) + int(simple_deletes.sum())
         if accesses:
             operation.host.random_accesses(
-                accesses, working_set_bytes=len(self._mirror) * 2
+                accesses, working_set_bytes=self._vector_bytes
             )
 
         # --- degree bookkeeping the scalar ingest would have done --------
@@ -514,10 +517,10 @@ class UpdateProcessor:
             # host-side access per endpoint; the vector is one small entry
             # per node (the paper's node_partition_vector), so it stays
             # cache-resident just as it does on the real platform.
-            operation.host.random_accesses(2, working_set_bytes=len(self._mirror) * 2)
+            operation.host.random_accesses(2, working_set_bytes=self._vector_bytes)
             return src_partition, promoted_from
         owner = self._partitioner.partition_of(src)
-        operation.host.random_accesses(1, working_set_bytes=len(self._mirror) * 2)
+        operation.host.random_accesses(1, working_set_bytes=self._vector_bytes)
         if owner is None:
             # Deleting an edge of an unknown node: treat as a host no-op.
             return HOST_PARTITION, None
@@ -565,11 +568,6 @@ class UpdateProcessor:
             module.random_accesses(work.map_lookups)
             module.stream_bytes(work.bytes_streamed)
             module.process_items(work.items_processed)
-            for _, kind, src, dst, label in entries:
-                if kind is UpdateKind.INSERT:
-                    self._mirror.add_edge(src, dst, label)
-                else:
-                    self._mirror.remove_edge(src, dst)
 
     def _apply_hetero_updates(
         self,
@@ -589,10 +587,8 @@ class UpdateProcessor:
             )
             if update.kind is UpdateKind.INSERT:
                 outcome = self._host_storage.insert_edge(update.src, update.dst, label)
-                self._mirror.add_edge(update.src, update.dst, label)
             else:
                 outcome = self._host_storage.delete_edge(update.src, update.dst)
-                self._mirror.remove_edge(update.src, update.dst)
             # PIM side: index-map lookups and free-slot management.
             index_module.random_accesses(outcome.pim_map_lookups)
             index_module.process_items(outcome.pim_map_lookups)

@@ -41,6 +41,7 @@ from repro.durability.wal import (
     prune_segments,
     scan_wal,
 )
+from repro.graph.digraph import ReadableGraph
 from repro.graph.stream import UpdateOp
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -173,12 +174,10 @@ class DurabilityController:
                 "durable history); restart via Moctopus.recover()"
             ) from self.failed
 
-    def log_bootstrap(
-        self, edges: Sequence[Tuple[int, int, int]], nodes: Sequence[int]
-    ) -> int:
-        """Write-ahead the initial bulk load."""
+    def log_bootstrap(self, graph: ReadableGraph) -> int:
+        """Write-ahead the initial bulk load (streamed from ``graph``)."""
         self._check_healthy()
-        return self.wal.append_bootstrap(edges, nodes)
+        return self.wal.append_bootstrap(graph)
 
     def log_batch(
         self, ops: Sequence[UpdateOp], labels: Optional[Sequence[int]]

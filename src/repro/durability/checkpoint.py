@@ -368,7 +368,7 @@ def _rows_from_snapshot(snapshot: GraphSnapshot) -> Dict[int, List[Tuple[int, in
 def restore_into(system: "Moctopus", state: CheckpointState) -> None:
     """Restore a checkpoint into a freshly constructed ``system``.
 
-    The storages, partitioner and mirror are rebuilt in place (the
+    The storages and the partitioner are rebuilt in place (the
     processors, migrator and engine runtime keep their references), the
     snapshot caches are seeded with the checkpoint's frozen arrays, and
     the lifetime/diagnostic counters resume where the crashed process
@@ -444,24 +444,12 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
         [tuple(row) for row in arrays["mig_pending"].tolist()]
     )
 
-    # The mirror is the union of every storage's rows; node registration
-    # follows the partition map so isolated nodes survive too.
-    for node, _ in arrays["p_assignments"].tolist():
-        system._mirror.add_node(node)
-    for module_id in range(num_modules):
-        storage = system._module_storages[module_id]
-        for node in sorted(storage.rows()):
-            for dst, label in storage.next_hops_with_labels(node):
-                system._mirror.add_edge(node, dst, label)
-    host = system._host_storage
-    for node in sorted(host.rows()):
-        for dst, label in host.next_hops_with_labels(node):
-            system._mirror.add_edge(node, dst, label)
-    if system._mirror.num_edges != int(manifest["num_edges"]):
-        raise CheckpointError(
-            f"mirror restored {system._mirror.num_edges} edges, checkpoint "
-            f"recorded {manifest['num_edges']}"
-        )
+    for name in ("num_nodes", "num_edges"):
+        if getattr(system, name) != int(manifest[name]):
+            raise CheckpointError(
+                f"restored {name} is {getattr(system, name)}, checkpoint "
+                f"recorded {manifest[name]}"
+            )
 
     system.pim.restore_lifetime(manifest["pim"])
     system._epochs.restore_published_count(int(manifest["published_epochs"]))

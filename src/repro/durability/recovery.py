@@ -57,7 +57,10 @@ def _config_from_dict(data: dict) -> "MoctopusConfig":
     from repro.core.config import MoctopusConfig
     from repro.pim.cost_model import CostModel
 
-    data = dict(data)
+    # An older writer's echo may carry knobs that have since been
+    # retired; they configured nothing replay depends on.
+    known = {field.name for field in dataclasses.fields(MoctopusConfig)}
+    data = {name: value for name, value in data.items() if name in known}
     cost_model = CostModel(**data.pop("cost_model"))
     return MoctopusConfig(cost_model=cost_model, **data)
 

@@ -43,10 +43,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.graph.digraph import ReadableGraph
 from repro.graph.stream import UpdateKind, UpdateOp
 
 #: First two bytes of every record.
@@ -171,23 +173,36 @@ def decode_batch(payload: bytes) -> Tuple[List[UpdateOp], Optional[List[int]]]:
     return ops, labels
 
 
-def encode_bootstrap(
-    edges: Sequence[Tuple[int, int, int]], nodes: Sequence[int]
-) -> bytes:
-    """Payload of a ``BOOTSTRAP`` record (edges and nodes in replay order)."""
-    edge_array = np.asarray(edges, dtype=np.int64).reshape(len(edges), 3)
-    node_array = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+def encode_bootstrap(graph: ReadableGraph) -> bytes:
+    """Payload of a ``BOOTSTRAP`` record (edges and nodes in replay order).
+
+    The graph's edge and node streams fill the ``int64`` payload
+    directly; no per-edge tuple list is built on the way.
+    """
+    num_edges, num_nodes = graph.num_edges, graph.num_nodes
+    edge_array = np.fromiter(
+        chain.from_iterable(graph.labeled_edges()),
+        dtype=np.int64,
+        count=3 * num_edges,
+    )
+    node_array = np.fromiter(graph.nodes(), dtype=np.int64, count=num_nodes)
     return (
-        struct.pack("<QQ", len(edges), len(nodes))
+        struct.pack("<QQ", num_edges, num_nodes)
         + edge_array.tobytes()
         + node_array.tobytes()
     )
 
 
-def decode_bootstrap(
-    payload: bytes,
-) -> Tuple[List[Tuple[int, int, int]], List[int]]:
-    """Inverse of :func:`encode_bootstrap`."""
+#: Edge rows :func:`decode_bootstrap` converts to Python ints at a time.
+_DECODE_CHUNK_ROWS = 8192
+
+
+def decode_bootstrap(payload: bytes) -> Tuple[Iterator[List[int]], List[int]]:
+    """Inverse of :func:`encode_bootstrap`: ``(edge rows, nodes)``.
+
+    The edge rows (``[src, dst, label]``) come as a one-shot iterator
+    over the payload, converted a chunk at a time.
+    """
     num_edges, num_nodes = struct.unpack_from("<QQ", payload, 0)
     offset = struct.calcsize("<QQ")
     edges = np.frombuffer(
@@ -195,7 +210,11 @@ def decode_bootstrap(
     ).reshape(num_edges, 3)
     offset += 24 * num_edges
     nodes = np.frombuffer(payload, dtype=np.int64, count=num_nodes, offset=offset)
-    return [tuple(edge) for edge in edges.tolist()], nodes.tolist()
+    rows = chain.from_iterable(
+        edges[start : start + _DECODE_CHUNK_ROWS].tolist()
+        for start in range(0, num_edges, _DECODE_CHUNK_ROWS)
+    )
+    return rows, nodes.tolist()
 
 
 def encode_migrations(moves: Sequence[Tuple[int, int, int]]) -> bytes:
@@ -541,11 +560,9 @@ class WriteAheadLog:
         self.last_lsn += 1
         return self.last_lsn
 
-    def append_bootstrap(
-        self, edges: Sequence[Tuple[int, int, int]], nodes: Sequence[int]
-    ) -> int:
+    def append_bootstrap(self, graph: ReadableGraph) -> int:
         """Append the initial bulk load as one record."""
-        return self.append(RT_BOOTSTRAP, encode_bootstrap(edges, nodes))
+        return self.append(RT_BOOTSTRAP, encode_bootstrap(graph))
 
     def append_batch(
         self, ops: Sequence[UpdateOp], labels: Optional[Sequence[int]]

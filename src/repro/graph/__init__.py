@@ -4,7 +4,8 @@ This subpackage is the foundation every engine in the reproduction
 builds on.  Nothing in here knows about PIM or about Moctopus; it is the
 "graph database storage and math" layer:
 
-* :class:`DiGraph` / :class:`PropertyGraph` — mutable graph structures;
+* :class:`DiGraph` / :class:`PropertyGraph` — mutable graph structures
+  (:class:`ReadableGraph` is the read-only protocol consumers type against);
 * :class:`BooleanMatrix` / :class:`SemiringMatrix` / :class:`CSRMatrix` —
   sparse matrices with GraphBLAS-style products;
 * :mod:`repro.graph.generators` / :mod:`repro.graph.datasets` — the
@@ -13,7 +14,7 @@ builds on.  Nothing in here knows about PIM or about Moctopus; it is the
   dynamic-graph experiments (Figure 6).
 """
 
-from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.graph.digraph import DEFAULT_LABEL, DiGraph, ReadableGraph
 from repro.graph.property_graph import EdgeRecord, NodeRecord, PropertyGraph
 from repro.graph.semiring import BOOLEAN, COUNTING, MIN_PLUS, Semiring, get_semiring
 from repro.graph.matrix import BooleanMatrix, SemiringMatrix, khop_reachability
@@ -46,6 +47,7 @@ from repro.graph.stream import (
 __all__ = [
     "DEFAULT_LABEL",
     "DiGraph",
+    "ReadableGraph",
     "PropertyGraph",
     "NodeRecord",
     "EdgeRecord",

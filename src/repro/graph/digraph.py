@@ -11,7 +11,17 @@ and deletions).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+    runtime_checkable,
+)
 
 Edge = Tuple[int, int]
 LabeledEdge = Tuple[int, int, int]
@@ -19,6 +29,62 @@ LabeledEdge = Tuple[int, int, int]
 #: Default edge label used when the caller does not care about labels
 #: (the paper's k-hop workload is label-agnostic).
 DEFAULT_LABEL = 0
+
+
+@runtime_checkable
+class ReadableGraph(Protocol):
+    """The read side of a labeled directed graph.
+
+    What the reference evaluators and the partition metrics consume.
+    :class:`DiGraph` satisfies it, and so does the live view a
+    :class:`~repro.core.system.Moctopus` exposes over its own storages
+    (``system.graph``) — which is why a loaded system needs no second
+    adjacency structure to be checked against an oracle.
+    """
+
+    @property
+    def num_nodes(self) -> int:
+        ...
+
+    @property
+    def num_edges(self) -> int:
+        ...
+
+    def nodes(self) -> Iterator[int]:
+        ...
+
+    def edges(self) -> Iterator[Edge]:
+        ...
+
+    def labeled_edges(self) -> Iterator[LabeledEdge]:
+        ...
+
+    def successors(self, node: int) -> List[int]:
+        ...
+
+    def successors_with_labels(self, node: int) -> List[Tuple[int, int]]:
+        ...
+
+    def has_node(self, node: int) -> bool:
+        ...
+
+    def has_edge(self, src: int, dst: int) -> bool:
+        ...
+
+    def edge_label(self, src: int, dst: int) -> Optional[int]:
+        ...
+
+    def out_degree(self, node: int) -> int:
+        ...
+
+    def copy(self) -> "DiGraph":
+        ...
+
+    def __len__(self) -> int:
+        ...
+
+    def __contains__(self, node: int) -> bool:
+        ...
 
 
 class DiGraph:
@@ -229,14 +295,19 @@ class DiGraph:
             graph.add_edge(src, dst, label)
         return graph
 
-    def copy(self) -> "DiGraph":
-        """Return a deep copy of this graph."""
-        clone = DiGraph()
-        for node in self._adj:
+    @classmethod
+    def copy_of(cls, graph: ReadableGraph) -> "DiGraph":
+        """An independent, mutable copy of any readable graph."""
+        clone = cls()
+        for node in graph.nodes():
             clone.add_node(node)
-        for src, dst, label in self.labeled_edges():
+        for src, dst, label in graph.labeled_edges():
             clone.add_edge(src, dst, label)
         return clone
+
+    def copy(self) -> "DiGraph":
+        """Return a deep copy of this graph."""
+        return DiGraph.copy_of(self)
 
     def reverse(self) -> "DiGraph":
         """Return a new graph with every edge direction flipped."""

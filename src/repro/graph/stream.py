@@ -28,7 +28,7 @@ class UpdateKind(Enum):
     DELETE = "delete"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateOp:
     """A single edge-level update."""
 

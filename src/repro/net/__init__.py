@@ -38,6 +38,7 @@ from repro.net.client import (
 from repro.net.metrics import ServerMetrics, render_metrics
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
+    MAX_WIRE_HOPS,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_frame,
@@ -49,6 +50,7 @@ from repro.net.server import MoctopusServer
 __all__ = [
     "AsyncMoctopusClient",
     "MAX_FRAME_BYTES",
+    "MAX_WIRE_HOPS",
     "MoctopusClient",
     "MoctopusServer",
     "PROTOCOL_VERSION",

@@ -100,7 +100,7 @@ def build_metrics(server: "MoctopusServer") -> Dict[str, Number]:
 
     Server counters first, then the backend gauges: scheduler
     throughput, the query processor's cache counters, the epoch
-    manager's pin/publish/retention state, and one in-flight gauge per
+    manager's pin/publish/live-epoch state, and one in-flight gauge per
     connected client (labelled Prometheus-style).
     """
     system = server.system
@@ -113,6 +113,9 @@ def build_metrics(server: "MoctopusServer") -> Dict[str, Number]:
     epochs = system._epochs
     out["epoch_pins"] = epochs.pins()
     out["epochs_published"] = epochs.published_epochs
+    # Live epochs: the current one plus every older one a reader still
+    # pins (an epoch retires at its last unpin; there is no retention
+    # window).  Steadily above 1 means lagging readers hold memory.
     out["epochs_retained"] = len(epochs.retained_ids())
     for name, value in sorted(system.cache_stats.counters.items()):
         out[f"cache_{name}"] = value

@@ -19,7 +19,7 @@ Frame types
 ``query``
     One single-source path query:
     ``{"type": "query", "id": n, "kind": "khop", "source": s,
-    "hops": k}`` or ``{"kind": "rpq", "source": s, "expression": e}``.
+    "hops": k}`` (``1 <= k <= MAX_WIRE_HOPS``) or ``{"kind": "rpq", "source": s, "expression": e}``.
 ``result``
     The answer: sorted destination list plus the simulated
     :class:`~repro.pim.stats.ExecutionStats` of the coalesced batch the
@@ -64,6 +64,12 @@ PROTOCOL_VERSION = 1
 #: length prefix past the bound is a protocol error, never an attempted
 #: allocation — the admission control of the byte layer.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+
+#: Largest ``hops`` a ``khop`` query may ask for.  A value read off the
+#: wire feeds size estimates and loop bounds, so it is validated like a
+#: length prefix; 64 is past where any k-hop frontier has not already
+#: saturated or died out.
+MAX_WIRE_HOPS = 64
 
 _LENGTH = struct.Struct(">I")
 

@@ -46,6 +46,7 @@ from typing import Dict, Optional, Set, TYPE_CHECKING
 
 from repro.net.metrics import ServerMetrics, build_metrics, render_metrics
 from repro.net.protocol import (
+    MAX_WIRE_HOPS,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_frame,
@@ -500,8 +501,14 @@ class MoctopusServer:
             raise ValueError("query source must be an int")
         if kind == "khop":
             hops = frame.get("hops")
-            if not isinstance(hops, int) or isinstance(hops, bool):
-                raise ValueError("khop query needs an int 'hops'")
+            if (
+                not isinstance(hops, int)
+                or isinstance(hops, bool)
+                or not 1 <= hops <= MAX_WIRE_HOPS
+            ):
+                raise ValueError(
+                    f"khop query needs an int 'hops' in 1..{MAX_WIRE_HOPS}"
+                )
             return self.scheduler.submit(source, hops, block=False)
         if kind == "rpq":
             expression = frame.get("expression")

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import ReadableGraph
 from repro.partition.base import HOST_PARTITION, PartitionMap
 
 
@@ -52,7 +52,7 @@ class PartitionQuality:
         }
 
 
-def evaluate_partition(graph: DiGraph, partition_map: PartitionMap) -> PartitionQuality:
+def evaluate_partition(graph: ReadableGraph, partition_map: PartitionMap) -> PartitionQuality:
     """Compute :class:`PartitionQuality` for ``graph`` under ``partition_map``.
 
     Every node of the graph must be assigned; unassigned nodes raise

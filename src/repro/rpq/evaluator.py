@@ -20,14 +20,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
-from repro.graph.digraph import DiGraph
+from repro.graph.digraph import DiGraph, ReadableGraph
 from repro.graph.matrix import SemiringMatrix
 from repro.graph.semiring import COUNTING
 from repro.rpq.automaton import DFA
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
 
-def evaluate_khop(graph: DiGraph, query: KHopQuery) -> BatchResult:
+def evaluate_khop(graph: ReadableGraph, query: KHopQuery) -> BatchResult:
     """Exact-k-hop reachability from every source in the batch.
 
     Sources that do not exist in the graph yield empty destination sets
@@ -51,7 +51,7 @@ def evaluate_khop(graph: DiGraph, query: KHopQuery) -> BatchResult:
 
 
 def evaluate_rpq(
-    graph: DiGraph,
+    graph: ReadableGraph,
     query: RPQuery,
     label_names: Dict[int, str] = None,
 ) -> BatchResult:
@@ -83,7 +83,7 @@ def _label_string(label: int, label_names: Dict[int, str] = None) -> str:
 
 
 def _single_source_rpq(
-    graph: DiGraph,
+    graph: ReadableGraph,
     dfa: DFA,
     source: int,
     label_names: Dict[int, str] = None,

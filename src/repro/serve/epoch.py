@@ -13,10 +13,11 @@ last refresh) plus one memcpy of the owner table.
 :class:`EpochManager` owns the publish lifecycle.  The single writer
 marks the current epoch **stale** after every update batch / migration
 pass; the next pin atomically captures and publishes a fresh epoch.
-Old epochs stay registered (bounded by ``MoctopusConfig.epoch_retention``)
-while pinned epochs are retained unconditionally — a session holding
-epoch N keeps its arrays alive and bit-identical however many
-compactions, merges and row migrations later epochs absorb.
+An epoch's lifetime is its pins: the manager retains the current epoch
+and every pinned one, and retires an older epoch at its last unpin — a
+session holding epoch N keeps its arrays alive and bit-identical however
+many compactions, merges and row migrations later epochs absorb, and
+nothing else does.
 
 :class:`EpochView` is the lens an execution engine actually receives
 (the :class:`~repro.engine.base.PlanView` contract): the epoch's frozen
@@ -29,14 +30,15 @@ never share mutable phase counters.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from types import TracebackType
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.hetero_storage import HeterogeneousGraphStorage
+from repro.core.local_storage import LocalGraphStorage
 from repro.core.snapshot import GraphSnapshot, build_snapshot
-from repro.partition.base import HOST_PARTITION
+from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import PIMSystem
 
@@ -65,11 +67,6 @@ class LockLike(Protocol):
         tb: Optional[TracebackType],
     ) -> object:
         ...
-
-
-#: What :meth:`EpochManager._capture` returns: the per-partition frozen
-#: snapshots, the frozen owner table, and the live node/edge counts.
-CaptureResult = Tuple[Tuple[GraphSnapshot, ...], OwnerIndex, int, int]
 
 
 class Epoch:
@@ -374,16 +371,22 @@ class EpochManager:
 
     def __init__(
         self,
-        capture: Callable[[], CaptureResult],
-        retention: int,
+        partition_map: PartitionMap,
+        storages: Sequence[Union[LocalGraphStorage, HeterogeneousGraphStorage]],
         lock: Optional[LockLike] = None,
     ) -> None:
-        self._capture = capture
-        self._retention = retention
+        #: What an epoch is captured from: the node partition vector and
+        #: the module storages followed by the host's — held directly,
+        #: not through the owning system, so the two form no cycle.
+        self._partition_map = partition_map
+        self._storages = tuple(storages)
+        #: Owner table, journal-patched between captures; every epoch
+        #: takes a frozen copy.
+        self._owner_capture = OwnerIndex()
         self._lock: LockLike = (
             lock if lock is not None else threading.RLock()
         )
-        self._epochs: "OrderedDict[int, Epoch]" = OrderedDict()
+        #: Open pins per epoch id; an id leaves at its last unpin.
         self._pins: Dict[int, int] = {}
         self._current: Optional[Epoch] = None
         self._stale = True
@@ -415,7 +418,7 @@ class EpochManager:
     def restore_published_count(self, count: int) -> None:
         """Resume epoch numbering after recovery (ids stay monotonic)."""
         with self._lock:
-            if self._epochs:
+            if self._current is not None:
                 raise RuntimeError("cannot renumber after epochs were published")
             self._next_id = count
 
@@ -424,39 +427,50 @@ class EpochManager:
         with self._lock:
             epoch = self._current
             if self._stale or epoch is None:
-                snapshots, owners, num_nodes, num_edges = self._capture()
+                # Cheap by design: ``to_csr()`` is a cache hit for every
+                # storage the last update batch didn't touch.
+                snapshots = tuple(storage.to_csr() for storage in self._storages)
+                self._owner_capture.refresh(self._partition_map)
                 epoch = Epoch(
                     epoch_id=self._next_id,
                     snapshots=snapshots,
-                    owners=owners,
-                    num_nodes=num_nodes,
-                    num_edges=num_edges,
+                    owners=self._owner_capture.frozen_copy(),
+                    num_nodes=len(self._partition_map),
+                    num_edges=sum(snapshot.num_edges for snapshot in snapshots),
                 )
                 self._next_id += 1
-                self._epochs[epoch.epoch_id] = epoch
-                self._current = epoch
+                previous, self._current = self._current, epoch
                 self._stale = False
-                self._evict()
+                if previous is not None:
+                    self._retire_unless_live(previous.epoch_id)
             return epoch
 
-    def _evict(self) -> None:
-        """Drop the oldest unpinned epochs past the retention bound."""
-        overflow = len(self._epochs) - self._retention
-        if overflow <= 0:
-            return
+    def _is_live(self, epoch_id: int) -> bool:
         current = self._current
-        for epoch_id in list(self._epochs):
-            if overflow <= 0:
-                break
-            if current is not None and epoch_id == current.epoch_id:
-                continue
-            if self._pins.get(epoch_id, 0) > 0:
-                continue
-            del self._epochs[epoch_id]
-            # Retire the serving counters with the epoch, or a
-            # publish-per-batch service leaks one dict per epoch forever.
+        return epoch_id in self._pins or (
+            current is not None and epoch_id == current.epoch_id
+        )
+
+    def _retire_unless_live(self, epoch_id: int) -> None:
+        """Forget an epoch that is neither current nor pinned: its arrays
+        die with its last holder, its serving counters here (or a
+        publish-per-batch service leaks one dict per epoch forever)."""
+        if not self._is_live(epoch_id):
             self._served.pop(epoch_id, None)
-            overflow -= 1
+
+    def release(self) -> None:
+        """Drop the current epoch and the storages' cached snapshots.
+
+        The owning system is closing: pinned readers keep their arrays,
+        and the next ``current()`` rebuilds and publishes afresh.
+        """
+        with self._lock:
+            released, self._current = self._current, None
+            self._stale = True
+            if released is not None:
+                self._retire_unless_live(released.epoch_id)
+            for storage in self._storages:
+                storage.drop_snapshot()
 
     # ------------------------------------------------------------------
     # Pinning
@@ -469,14 +483,14 @@ class EpochManager:
             return epoch
 
     def unpin(self, epoch: Epoch) -> None:
-        """Release one pin of ``epoch``; unpinned old epochs may retire."""
+        """Release one pin of ``epoch``; its last unpin retires an old epoch."""
         with self._lock:
             count = self._pins.get(epoch.epoch_id, 0) - 1
             if count > 0:
                 self._pins[epoch.epoch_id] = count
-            else:
-                self._pins.pop(epoch.epoch_id, None)
-            self._evict()
+                return
+            self._pins.pop(epoch.epoch_id, None)
+            self._retire_unless_live(epoch.epoch_id)
 
     def pin_count(self, epoch_id: int) -> int:
         """Open pins on ``epoch_id`` (0 when unpinned or retired)."""
@@ -489,8 +503,8 @@ class EpochManager:
         The leak detector of the serving suite: after every session,
         scheduler and worker-pool export has closed, this must return to
         zero — a nonzero residue means some path dropped an epoch
-        without unpinning it, which permanently blocks retention
-        eviction of that epoch.
+        without unpinning it, which keeps that epoch's counters (and
+        whatever still references its arrays) registered forever.
         """
         with self._lock:
             return sum(self._pins.values())
@@ -499,8 +513,13 @@ class EpochManager:
     # Introspection
     # ------------------------------------------------------------------
     def note_served(self, epoch_id: int, queries: int, batches: int = 1) -> None:
-        """Record ``queries`` answered against ``epoch_id``."""
+        """Record ``queries`` answered against ``epoch_id``.
+
+        A note arriving after the epoch retired is dropped with it.
+        """
         with self._lock:
+            if not self._is_live(epoch_id):
+                return
             entry = self._served.setdefault(
                 epoch_id, {"queries": 0, "batches": 0}
             )
@@ -514,15 +533,19 @@ class EpochManager:
             return self._next_id
 
     def retained_ids(self) -> List[int]:
-        """Ids of the epochs currently registered (oldest first)."""
+        """Ids of the live epochs: the current one and every pinned one
+        (oldest first)."""
         with self._lock:
-            return list(self._epochs)
+            retained = set(self._pins)
+            if self._current is not None:
+                retained.add(self._current.epoch_id)
+            return sorted(retained)
 
     def serving_report(self) -> Dict[int, Dict[str, int]]:
         """Serving counters of the *retained* epochs (id -> queries/batches).
 
         Counters retire together with their epoch, so the report stays
-        bounded by ``epoch_retention`` however long the service runs.
+        bounded by the number of open pins however long the service runs.
         """
         with self._lock:
             return {

@@ -447,6 +447,37 @@ class TestRep004:
         )
         assert findings == []
 
+    def test_flags_mutators_on_a_systems_graph_view(self):
+        findings = lint(
+            "REP004",
+            """
+            def tamper(system, recovered):
+                system.graph.add_edge(1, 2)
+                view = recovered.graph
+                view.remove_edge(1, 2)
+                self.system.graph.add_node(9)
+            """,
+        )
+        assert [f.rule for f in findings] == ["REP004"] * 3
+        assert "system.graph" in findings[0].message
+        assert "add_edge" in findings[0].detail
+
+    def test_reading_and_copying_a_graph_view_is_clean(self):
+        findings = lint(
+            "REP004",
+            """
+            def inspect(system, graph):
+                edges = list(system.graph.edges())
+                scratch = system.graph.copy()
+                scratch.add_edge(1, 2)
+                graph.add_edge(3, 4)
+                view = system.graph
+                view = view.copy()
+                view.remove_edge(1, 2)
+            """,
+        )
+        assert findings == []
+
 
 # ----------------------------------------------------------------------
 # REP005 — no blocking calls on the event loop (net/ only)

@@ -22,10 +22,13 @@ engines.
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
+import struct
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -40,7 +43,12 @@ from repro.durability import (
     wal_directory,
 )
 from repro.durability.checkpoint import CheckpointError
-from repro.durability.wal import list_segments, scan_wal
+from repro.durability.wal import (
+    decode_bootstrap,
+    encode_bootstrap,
+    list_segments,
+    scan_wal,
+)
 from repro.graph import DiGraph, power_law_graph
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
 from repro.pim import CostModel
@@ -849,6 +857,75 @@ def test_labels_survive_recovery(tmp_path):
     assert recovered.graph.edge_label(0, 2) == 1
     assert recovered.graph.edge_label(1, 2) == 2
     assert recovered.graph.edge_label(2, 0) == 7
+    recovered.close()
+
+
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_recovery_ignores_retired_config_knobs(tmp_path, checkpointed):
+    """A directory written when ``epoch_retention`` was still a knob (it
+    is echoed in ``config.json`` and every checkpoint manifest) recovers."""
+    system = Moctopus.from_graph(power_law_graph(60, edges_per_node=2, seed=3), _config(tmp_path))
+    system.insert_edges([(0, 999)])
+    if checkpointed:
+        system.checkpoint()
+    expected = fingerprint(system)
+    system.close()
+    echoes = [
+        os.path.join(root, name)
+        for root, _, names in os.walk(str(tmp_path))
+        for name in names
+        if name in ("config.json", "manifest.json")
+    ]
+    assert len(echoes) == 1 + checkpointed
+    for path in echoes:
+        with open(path) as handle:
+            data = json.load(handle)
+        data["config"]["epoch_retention"] = 4
+        with open(path, "w") as handle:
+            json.dump(data, handle, sort_keys=True)
+    recovered = Moctopus.recover(str(tmp_path))
+    assert_fingerprints_equal(fingerprint(recovered), expected, "retired knob")
+    recovered.close()
+
+
+def _bootstrap_payload_from_lists(edges, nodes) -> bytes:
+    """The pre-streaming encoder: materialised tuple lists through
+    ``np.asarray`` — the byte layout the WAL has always had."""
+    edge_array = np.asarray(edges, dtype=np.int64).reshape(len(edges), 3)
+    node_array = np.asarray(nodes, dtype=np.int64)
+    return (
+        struct.pack("<QQ", len(edges), len(nodes))
+        + edge_array.tobytes()
+        + node_array.tobytes()
+    )
+
+
+def test_streamed_bootstrap_record_is_byte_identical(tmp_path):
+    """Streaming the bulk load into the log changes no byte on disk."""
+    graph = power_law_graph(300, edges_per_node=3, seed=11)
+    for index, (src, dst) in enumerate(list(graph.edges())[::7]):
+        graph.add_edge(src, dst, 1 + index % 3)  # relabel: labels matter too
+    graph.add_node(100_000)  # isolated: only the node stream carries it
+    expected = _bootstrap_payload_from_lists(
+        list(graph.labeled_edges()), list(graph.nodes())
+    )
+    assert encode_bootstrap(graph) == expected
+    assert encode_bootstrap(DiGraph()) == _bootstrap_payload_from_lists([], [])
+
+    rows, nodes = decode_bootstrap(expected)
+    decoded = list(rows)
+    assert decoded == [list(edge) for edge in graph.labeled_edges()]
+    assert all(type(value) is int for row in decoded[:50] for value in row)
+    assert nodes == list(graph.nodes())
+
+    system = Moctopus.from_graph(graph, _config(tmp_path))
+    expected_state = fingerprint(system)
+    system.close()
+    records, torn = scan_wal(wal_directory(str(tmp_path)))
+    assert torn is None
+    assert [record.payload for record in records] == [expected]
+    recovered = Moctopus.recover(str(tmp_path))
+    assert_fingerprints_equal(fingerprint(recovered), expected_state, "bootstrap")
     recovered.close()
 
 

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
+import pickle
+
 import pytest
 
 from repro.graph import (
     DiGraph,
     EdgeStreamReplayer,
     UpdateKind,
+    UpdateOp,
     UpdateStream,
     iter_edge_list,
     read_edge_list,
@@ -105,3 +110,28 @@ def test_edge_stream_replayer_preserves_or_shuffles_order():
     assert len(replayer) == 4
     shuffled = EdgeStreamReplayer.from_graph(graph, shuffle_seed=7)
     assert sorted(shuffled.edges()) == sorted(graph.edges())
+
+
+def test_update_op_is_slotted_hashable_and_picklable():
+    """``UpdateOp`` carries no ``__dict__`` (scripts hold 10^5 of them)
+    and still behaves as a frozen value through every transport."""
+    op = UpdateOp(UpdateKind.INSERT, 3, 9)
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.src = 4
+    with pytest.raises((AttributeError, TypeError)):
+        op.extra = 1
+    same, other = UpdateOp(UpdateKind.INSERT, 3, 9), UpdateOp(UpdateKind.DELETE, 3, 9)
+    assert op == same and hash(op) == hash(same) and op != other
+    assert len({op, same, other}) == 2 and op.edge == (3, 9)
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        clone = pickle.loads(pickle.dumps([op, other], protocol=protocol))
+        assert clone == [op, other] and clone[0].kind is UpdateKind.INSERT
+    # The worker pool's task path: a multiprocessing queue.
+    queue = multiprocessing.Queue()
+    try:
+        queue.put(("exec", 0, [op, other]))
+        assert queue.get(timeout=10) == ("exec", 0, [op, other])
+    finally:
+        queue.close()
+        queue.join_thread()

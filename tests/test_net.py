@@ -39,7 +39,7 @@ from repro.net import (
     encode_frame,
     stats_to_wire,
 )
-from repro.net.protocol import decode_length, read_frame_blocking
+from repro.net.protocol import MAX_WIRE_HOPS, decode_length, read_frame_blocking
 from repro.pim import CostModel
 from repro.rpq import RPQuery, evaluate_rpq
 from repro.serve import BatchScheduler
@@ -221,6 +221,24 @@ def test_bad_queries_are_bad_requests(client, server):
     assert excinfo.value.code == "bad_request"
     assert server.metrics.snapshot()["bad_requests"] >= before + 4
     client.ping(timeout=5)  # connection survived every rejection
+
+
+@pytest.mark.parametrize("hops", [0, -1, 2 ** 40, MAX_WIRE_HOPS + 1, True])
+def test_out_of_range_hops_are_bad_requests(client, server, system, hops):
+    """``hops`` off the wire is bounded before anything sizes a batch by it."""
+    before = server.metrics.snapshot()["bad_requests"]
+    with pytest.raises(ServerError) as excinfo:
+        client._send_request(
+            {"type": "query", "kind": "khop", "source": 0, "hops": hops}
+        ).result(5)
+    assert excinfo.value.code == "bad_request"
+    assert str(MAX_WIRE_HOPS) in str(excinfo.value)
+    assert server.metrics.snapshot()["bad_requests"] == before + 1
+    client.ping(timeout=5)
+    # The bound itself is served.
+    destinations, _ = client.khop(0, MAX_WIRE_HOPS, timeout=15)
+    expect, _ = system.batch_khop([0], MAX_WIRE_HOPS, auto_migrate=False)
+    assert destinations == set(expect.destinations_of(0))
 
 
 # ----------------------------------------------------------------------

@@ -367,14 +367,18 @@ def test_scheduler_close_strands_no_future():
 
 
 def test_serving_report_retires_with_epochs():
-    """Per-epoch counters do not accumulate past the retention bound."""
+    """Per-epoch counters retire with their epoch: only live epochs report."""
     system = build_system(7, "vectorized")
-    config_retention = system.config.epoch_retention
-    for round_id in range(config_retention + 5):
+    lagging = system.begin()
+    lagging.batch_khop([0], 1)
+    for round_id in range(9):
         system.insert_edges([(round_id, 500 + round_id)])
         with system.begin() as session:
             session.batch_khop([0], 1)
-    assert len(system.serving_report()) <= config_retention + 1
+    current = system.current_epoch_id
+    assert set(system.serving_report()) == {lagging.epoch_id, current}
+    lagging.close()
+    assert set(system.serving_report()) == {current}
 
 
 def test_scheduler_sees_new_epochs():
@@ -498,16 +502,18 @@ def test_epoch_retention_under_concurrent_churn():
     writer_thread.join()
     assert not errors, errors
     assert manager.pins() == 0, "churned sessions left pins behind"
-    assert len(manager.retained_ids()) <= system.config.epoch_retention
-    # Retired epochs must actually be freed: the only live Epoch objects
-    # are the retained ones (plus nothing lingering in session scratch).
+    # An epoch lives exactly as long as its pins: with none open, only
+    # the current epoch (if the last write was already published) is
+    # retained ...
+    assert len(manager.retained_ids()) <= 1
+    # ... and retired epochs are actually freed, not merely unlisted:
+    # no Epoch object lingers in a registry or in session scratch.
     gc.collect()
     live_epochs = [
         obj for obj in gc.get_objects() if isinstance(obj, Epoch)
     ]
-    assert len(live_epochs) <= system.config.epoch_retention, (
-        f"{len(live_epochs)} live Epoch objects after churn "
-        f"(retention={system.config.epoch_retention})"
+    assert len(live_epochs) <= 1, (
+        f"{len(live_epochs)} live Epoch objects after churn with no pins"
     )
 
 

@@ -577,23 +577,26 @@ def test_pinned_epoch_survives_compactions_and_promotions():
 
 
 def test_epoch_retention_bounds_registry():
-    """Unpinned epochs retire past ``epoch_retention``; pinned ones stay."""
+    """The registry is {current} ∪ pinned: an epoch retires at its last
+    unpin, and an unpinned one the moment it is superseded."""
     system = Moctopus.from_graph(
         random_graph(20, 60, seed=2),
-        MoctopusConfig(cost_model=CostModel(num_modules=4), epoch_retention=2),
+        MoctopusConfig(cost_model=CostModel(num_modules=4)),
     )
+    manager = system._epochs
     pinned = system.begin()
     pinned_id = pinned.epoch_id
     for round_id in range(6):
         system.insert_edges([(round_id, 100 + round_id)])
-        system.current_epoch_id  # force a publish per round
-    retained = system._epochs.retained_ids()
-    assert len(retained) <= 3  # retention bound + the pinned epoch
-    assert pinned_id in retained, "pinned epochs are never evicted"
+        current = system.current_epoch_id  # force a publish per round
+        assert manager.retained_ids() == [pinned_id, current]
+    second = system.begin()  # a second pin on the current epoch
+    assert manager.retained_ids() == [pinned_id, current]
     pinned.close()
-    system.insert_edges([(0, 999)])
-    system.current_epoch_id
-    assert pinned_id not in system._epochs.retained_ids()
+    assert manager.retained_ids() == [current], "last unpin retires at once"
+    second.close()
+    assert manager.retained_ids() == [current], "the current epoch stays"
+    assert manager.pins() == 0
 
 
 # ----------------------------------------------------------------------
