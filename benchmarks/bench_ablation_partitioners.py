@@ -1,7 +1,8 @@
 """Ablation A1 — partitioning algorithm comparison.
 
-DESIGN.md calls out the choice of the radical greedy heuristic over the
-alternatives the paper discusses (hash, LDG, adaptive).  This ablation
+Moctopus places low-degree nodes with the radical greedy heuristic
+rather than the alternatives the paper discusses (hash, LDG, adaptive;
+README.md, "Architecture").  This ablation
 partitions a representative subset of traces with each algorithm and
 reports edge cut, locality, balance and the partitioning overhead proxy
 the paper argues about (partitions scanned per placement for LDG,

@@ -7,8 +7,8 @@ average reduction.  With the ~1/125-scale graphs there are far fewer
 nodes per PIM module than on the real platform, which caps how much
 locality any partitioner can preserve; the shape assertion is therefore
 that Moctopus's IPC is consistently below PIM-hash's and that the
-average reduction is substantial (>40 %), with the absolute percentage
-recorded in EXPERIMENTS.md.
+average reduction is substantial (>40 %); the absolute percentage is
+printed by the run.
 """
 
 from __future__ import annotations

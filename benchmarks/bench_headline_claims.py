@@ -9,7 +9,7 @@ The abstract and Section 4 summarise the evaluation as:
 
 This benchmark computes the same aggregates from the scaled reproduction
 and prints them side by side with the paper's numbers.  Only directional
-shape is asserted; the measured values are recorded in EXPERIMENTS.md.
+shape is asserted; the measured values are printed by the run.
 """
 
 from __future__ import annotations

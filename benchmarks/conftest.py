@@ -1,7 +1,7 @@
 """Shared fixtures and configuration for the benchmark harness.
 
 Every module in this directory regenerates one table or figure of the
-paper (see DESIGN.md's per-experiment index).  Knobs:
+paper (see README.md, "Benchmarks").  Knobs:
 
 ``REPRO_BENCH_SCALE``
     Multiplier on the synthetic dataset sizes (default ``1.0``).  Raising

@@ -10,14 +10,27 @@ paper splits the work:
   row, possibly with holes) and performs the single positional write of
   an update;
 * the **PIM side** keeps two supplementary hash maps *per row* —
-  ``elem_position_map`` mapping ``(row, dst)`` to the position of that
-  edge in the vector, and ``free_list_map`` listing free positions — and
-  performs existence checks and free-slot allocation.
+  ``elem_position_map`` mapping the row's ``dst`` ids to the position of
+  each edge in the vector, and ``free_list_map`` listing free positions
+  (allocated last-in first-out) — and performs existence checks and
+  free-slot allocation.
+
+A ``cols_vector`` is one contiguous row buffer
+(:mod:`repro.core.snapshot`): an ``array('q')`` of ``2 x capacity``
+values, slot ``p`` being ``dst, label`` at ``2p, 2p + 1`` and an empty
+slot carrying the reserved ``dst`` :data:`~repro.core.snapshot.HOLE`.
+The snapshot builders take these buffers holes and all and mask the
+holes in numpy; :meth:`HeterogeneousGraphStorage.capture_arrays` lays
+the same buffers end to end for a checkpoint.  Both copy — no view of a
+slot buffer outlives the call, or the next growth would fail.
 
 The insert protocol (the paper's worked example for edge ``<1, 2>``):
 ``elem_position_map`` confirms the edge is absent → ``free_list_map``
 allocates a position → the map records ``(<1, 2>, pos)`` → the host
-writes ``2`` at that position of row 1's ``cols_vector``.
+writes ``2`` at that position of row 1's ``cols_vector``.  When the map
+finds the edge already there, the insert is a relabel: the host writes
+the new label at the recorded position (and nothing when it is the
+label the edge already has).
 
 The class below is the data structure; :class:`HeteroUpdateOutcome`
 reports which side did how much work so the update processor can charge
@@ -26,13 +39,22 @@ the simulated hardware accordingly (host write vs PIM map operations).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.snapshot import (
     DEFAULT_SNAPSHOT_COMPACT_RATIO,
+    HOLE,
     GraphSnapshot,
+    RowBuffer,
+    RowEntries,
     SnapshotCache,
+    join_buffers,
+    row_buffer,
+    split_buffers,
 )
 from repro.graph.digraph import DEFAULT_LABEL
 
@@ -42,6 +64,8 @@ GROWTH_FACTOR = 2
 INITIAL_CAPACITY = 8
 #: Bytes per ``cols_vector`` slot (NodeID + label).
 BYTES_PER_SLOT = 12
+
+_EMPTY_SLOT = array("q", (HOLE, 0))
 
 
 @dataclass
@@ -70,25 +94,33 @@ class HeteroUpdateOutcome:
 
 
 class ColsVector:
-    """A growable positional array of next hops for one high-degree row."""
+    """A growable positional array of next hops for one high-degree row.
 
-    def __init__(self, capacity: int = INITIAL_CAPACITY) -> None:
-        self.slots: List[Optional[Tuple[int, int]]] = [None] * capacity
-        self.size = 0
+    ``slots`` is a row buffer at twice the capacity: slot ``p`` is the
+    pair ``slots[2p], slots[2p + 1]``, and an empty slot carries
+    :data:`~repro.core.snapshot.HOLE` as its ``dst``.
+    """
+
+    __slots__ = ("slots", "size")
+
+    def __init__(self, slots: RowBuffer, size: int = 0) -> None:
+        self.slots = slots
+        self.size = size
 
     @property
     def capacity(self) -> int:
         """Number of slots currently allocated."""
-        return len(self.slots)
+        return len(self.slots) >> 1
 
-    def occupied(self) -> List[Tuple[int, int]]:
+    def occupied(self) -> RowEntries:
         """The stored ``(dst, label)`` pairs in position order."""
-        return [slot for slot in self.slots if slot is not None]
+        values = iter(self.slots)
+        return [pair for pair in zip(values, values) if pair[0] != HOLE]
 
     def grow(self) -> int:
         """Double the capacity; return the number of bytes copied."""
         old_capacity = self.capacity
-        self.slots.extend([None] * (old_capacity * (GROWTH_FACTOR - 1)))
+        self.slots.extend(_EMPTY_SLOT * (old_capacity * (GROWTH_FACTOR - 1)))
         return old_capacity * BYTES_PER_SLOT
 
 
@@ -105,11 +137,13 @@ class HeterogeneousGraphStorage:
             raise ValueError("num_pim_modules must be positive")
         self._num_pim_modules = num_pim_modules
         self._vectors: Dict[int, ColsVector] = {}
-        #: ``(row, dst) -> position`` — conceptually sharded over PIM modules.
-        self._elem_position_map: Dict[Tuple[int, int], int] = {}
-        #: ``row -> list of free positions`` — conceptually on PIM modules.
-        self._free_list_map: Dict[int, List[int]] = {}
+        #: ``row -> {dst: position}`` — conceptually sharded over PIM modules.
+        self._elem_position_map: Dict[int, Dict[int, int]] = {}
+        #: ``row -> free positions`` (allocated LIFO) — conceptually on PIM modules.
+        self._free_list_map: Dict[int, array] = {}
         self._num_edges = 0
+        #: Slots allocated across all rows (``total_bytes`` in O(1)).
+        self._total_slots = 0
         #: Base snapshot + overlay + refresh strategy (see repro.core.snapshot).
         self._cache = SnapshotCache(compact_ratio, incremental)
 
@@ -130,6 +164,10 @@ class HeterogeneousGraphStorage:
         """Whether ``node`` has a host-resident row."""
         return node in self._vectors
 
+    def rows(self) -> Iterator[int]:
+        """Iterate over stored row ids."""
+        return iter(self._vectors)
+
     def row_length(self, node: int) -> int:
         """Out-degree of ``node`` (0 when the row is absent)."""
         vector = self._vectors.get(node)
@@ -147,7 +185,7 @@ class HeterogeneousGraphStorage:
 
     def total_bytes(self) -> int:
         """Total host memory occupied by all ``cols_vector`` rows."""
-        return sum(vector.capacity * BYTES_PER_SLOT for vector in self._vectors.values())
+        return self._total_slots * BYTES_PER_SLOT
 
     def index_module_of(self, node: int) -> int:
         """PIM module that shards ``node``'s index maps.
@@ -165,7 +203,7 @@ class HeterogeneousGraphStorage:
         vector = self._vectors.get(node)
         if vector is None:
             return []
-        return [dst for dst, _ in vector.occupied()]
+        return [dst for dst in vector.slots[::2] if dst != HOLE]
 
     def next_hops_with_labels(self, node: int) -> List[Tuple[int, int]]:
         """Next hops of ``node`` as ``(dst, label)`` pairs."""
@@ -176,21 +214,22 @@ class HeterogeneousGraphStorage:
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Edge existence via the PIM-side ``elem_position_map``."""
-        return (src, dst) in self._elem_position_map
+        return dst in self._elem_position_map.get(src, ())
 
-    def _fetch_row(self, node: int) -> Optional[List[Tuple[int, int]]]:
-        """Current entries of ``node``'s row (``None`` when absent)."""
+    def _fetch_row(self, node: int) -> Optional[RowBuffer]:
+        """``node``'s slot buffer, holes included (``None`` when absent)."""
         vector = self._vectors.get(node)
-        return None if vector is None else vector.occupied()
+        return None if vector is None else vector.slots
 
-    def _all_rows(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        return [(node, vector.occupied()) for node, vector in self._vectors.items()]
+    def _all_rows(self) -> List[Tuple[int, RowBuffer]]:
+        return [(node, vector.slots) for node, vector in self._vectors.items()]
 
     def to_csr(self) -> GraphSnapshot:
         """CSR snapshot of the host rows (cached; incrementally refreshed).
 
         Entries appear in ``cols_vector`` position order (the order a
-        host scan streams them); ``working_set_bytes`` is the
+        host scan streams them; the builders skip the holes);
+        ``working_set_bytes`` is the
         capacity-based footprint that the host's random-access cost
         depends on.  Refresh strategy (return cached / splice dirty rows
         / compact) lives in :class:`~repro.core.snapshot.SnapshotCache`;
@@ -236,8 +275,10 @@ class HeterogeneousGraphStorage:
         """Create an empty row for ``node``; return ``True`` if it was new."""
         if node in self._vectors:
             return False
-        self._vectors[node] = ColsVector()
-        self._free_list_map[node] = list(range(INITIAL_CAPACITY))
+        self._vectors[node] = ColsVector(_EMPTY_SLOT * INITIAL_CAPACITY)
+        self._elem_position_map[node] = {}
+        self._free_list_map[node] = array("q", range(INITIAL_CAPACITY))
+        self._total_slots += INITIAL_CAPACITY
         if self._cache.tracking:
             self._cache.overlay.record_add(node)
         return True
@@ -245,25 +286,43 @@ class HeterogeneousGraphStorage:
     def insert_edge(
         self, src: int, dst: int, label: int = DEFAULT_LABEL
     ) -> HeteroUpdateOutcome:
-        """Insert ``src -> dst`` following the paper's split protocol."""
+        """Insert ``src -> dst`` following the paper's split protocol.
+
+        Re-inserting an existing edge relabels it in place — the same
+        answer a PIM-module row gives — at the cost of one positional
+        host write when the label actually changes.
+        """
+        if dst == HOLE:
+            raise ValueError(f"node id {HOLE} is reserved for empty slots")
         self.ensure_row(src)
         lookups = 1  # elem_position_map existence check (PIM side).
-        if (src, dst) in self._elem_position_map:
-            return HeteroUpdateOutcome(applied=False, pim_map_lookups=lookups)
-
         vector = self._vectors[src]
-        free_list = self._free_list_map.setdefault(src, [])
+        positions = self._elem_position_map[src]
+        position = positions.get(dst)
+        if position is not None:
+            if vector.slots[2 * position + 1] == label:
+                return HeteroUpdateOutcome(applied=False, pim_map_lookups=lookups)
+            vector.slots[2 * position + 1] = label
+            if self._cache.tracking:
+                self._cache.overlay.record_add(src)
+            return HeteroUpdateOutcome(
+                applied=False, pim_map_lookups=lookups, host_writes=1
+            )
+
+        free_list = self._free_list_map[src]
         streamed = 0
         if not free_list:
             # The vector is full: grow it and publish the new free slots.
             old_capacity = vector.capacity
             streamed = vector.grow()
             free_list.extend(range(old_capacity, vector.capacity))
+            self._total_slots += vector.capacity - old_capacity
         position = free_list.pop()
         lookups += 1  # free_list_map allocation (PIM side).
-        self._elem_position_map[(src, dst)] = position
+        positions[dst] = position
         lookups += 1  # elem_position_map insertion (PIM side).
-        vector.slots[position] = (dst, label)
+        vector.slots[2 * position] = dst
+        vector.slots[2 * position + 1] = label
         vector.size += 1
         self._num_edges += 1
         if self._cache.tracking:
@@ -278,13 +337,14 @@ class HeterogeneousGraphStorage:
     def delete_edge(self, src: int, dst: int) -> HeteroUpdateOutcome:
         """Delete ``src -> dst`` following the split protocol."""
         lookups = 1  # elem_position_map lookup (PIM side).
-        position = self._elem_position_map.pop((src, dst), None)
+        positions = self._elem_position_map.get(src)
+        position = None if positions is None else positions.pop(dst, None)
         if position is None:
             return HeteroUpdateOutcome(applied=False, pim_map_lookups=lookups)
         vector = self._vectors[src]
-        vector.slots[position] = None
+        vector.slots[2 * position] = HOLE
         vector.size -= 1
-        self._free_list_map.setdefault(src, []).append(position)
+        self._free_list_map[src].append(position)
         lookups += 1  # free_list_map release (PIM side).
         self._num_edges -= 1
         if self._cache.tracking:
@@ -296,99 +356,123 @@ class HeterogeneousGraphStorage:
     # ------------------------------------------------------------------
     # Bulk moves (labor division migrations)
     # ------------------------------------------------------------------
-    def insert_row(self, node: int, entries: List[Tuple[int, int]]) -> None:
+    def insert_row(self, node: int, entries: RowEntries) -> None:
         """Install a whole row (a node promoted from a PIM module)."""
-        if node in self._vectors and self._vectors[node].size > 0:
-            raise ValueError(f"row {node} already holds data on the host")
-        capacity = max(INITIAL_CAPACITY, len(entries) * GROWTH_FACTOR)
-        vector = ColsVector(capacity=capacity)
-        for position, (dst, label) in enumerate(entries):
-            vector.slots[position] = (dst, label)
-            self._elem_position_map[(node, dst)] = position
-        vector.size = len(entries)
-        self._vectors[node] = vector
-        self._free_list_map[node] = list(range(len(entries), capacity))
-        self._num_edges += len(entries)
+        previous = self._vectors.get(node)
+        if previous is not None:
+            if previous.size > 0:
+                raise ValueError(f"row {node} already holds data on the host")
+            self._total_slots -= previous.capacity
+        count = len(entries)
+        capacity = max(INITIAL_CAPACITY, count * GROWTH_FACTOR)
+        slots = row_buffer(entries)
+        slots.extend(_EMPTY_SLOT * (capacity - count))
+        self._vectors[node] = ColsVector(slots, count)
+        self._elem_position_map[node] = {
+            dst: position for position, (dst, _) in enumerate(entries)
+        }
+        self._free_list_map[node] = array("q", range(count, capacity))
+        self._total_slots += capacity
+        self._num_edges += count
         if self._cache.tracking:
             self._cache.overlay.record_move_in(node)
 
-    def remove_row(self, node: int) -> List[Tuple[int, int]]:
+    def remove_row(self, node: int) -> RowEntries:
         """Remove a row entirely and return its entries (demotion path)."""
         vector = self._vectors.pop(node, None)
         if vector is None:
             return []
-        entries = vector.occupied()
-        for dst, _ in entries:
-            self._elem_position_map.pop((node, dst), None)
-        self._free_list_map.pop(node, None)
-        self._num_edges -= len(entries)
+        del self._elem_position_map[node]
+        del self._free_list_map[node]
+        self._total_slots -= vector.capacity
+        self._num_edges -= vector.size
         if self._cache.tracking:
             self._cache.overlay.record_move_out(node)
-        return entries
+        return vector.occupied()
 
     # ------------------------------------------------------------------
     # Checkpoint capture / restore
     # ------------------------------------------------------------------
-    def capture_state(self) -> Dict[str, List]:
-        """Positional state a CSR snapshot cannot express.
+    def capture_arrays(self) -> Dict[str, np.ndarray]:
+        """Positional state a CSR snapshot cannot express, as flat arrays.
 
         The split protocol's future behaviour (and simulated cost)
         depends on exactly where each edge sits in its ``cols_vector``,
         how large every vector's capacity is (the host's working-set
         bytes) and the *order* of each free list (slots are allocated
         LIFO).  A checkpoint therefore records, per row sorted by id:
-        capacity, the occupied ``(position, dst, label)`` slots in
-        position order, and the free list verbatim.
+        ``caps``, the occupied ``(position, dst, label)`` triples in
+        position order (``occ_flat``, bounded per row by ``occ_indptr``)
+        and the free lists verbatim (``free_flat`` / ``free_indptr``).
+        Every array is a private copy: the slot buffers are joined into
+        one ``bytes`` and never exported past this call.
         """
         row_ids = sorted(self._vectors)
-        capacities: List[int] = []
-        occupied: List[List[Tuple[int, int, int]]] = []
-        free_lists: List[List[int]] = []
-        for node in row_ids:
-            vector = self._vectors[node]
-            capacities.append(vector.capacity)
-            occupied.append(
-                [
-                    (position, slot[0], slot[1])
-                    for position, slot in enumerate(vector.slots)
-                    if slot is not None
-                ]
-            )
-            free_lists.append(list(self._free_list_map.get(node, [])))
+        vectors = [self._vectors[node] for node in row_ids]
+        slot_bounds, values = join_buffers([vector.slots for vector in vectors])
+        slot_indptr = slot_bounds >> 1
+        slots = values.reshape(-1, 2)
+        live = np.flatnonzero(slots[:, 0] != HOLE)
+        sizes = np.fromiter(
+            (vector.size for vector in vectors), dtype=np.int64, count=len(vectors)
+        )
+        occ_indptr = np.zeros(len(vectors) + 1, dtype=np.int64)
+        np.cumsum(3 * sizes, out=occ_indptr[1:])
+        free_indptr, free_flat = join_buffers(
+            [self._free_list_map[node] for node in row_ids]
+        )
         return {
-            "row_ids": row_ids,
-            "capacities": capacities,
-            "occupied": occupied,
-            "free_lists": free_lists,
+            "row_ids": np.asarray(row_ids, dtype=np.int64),
+            "caps": np.diff(slot_indptr),
+            "occ_indptr": occ_indptr,
+            "occ_flat": np.column_stack(
+                [live - np.repeat(slot_indptr[:-1], sizes), slots[live]]
+            ).reshape(-1),
+            "free_indptr": free_indptr,
+            "free_flat": free_flat,
         }
 
-    def restore_state(
-        self, state: Dict[str, List], base: Optional[GraphSnapshot] = None
+    def restore_arrays(
+        self, arrays: Dict[str, np.ndarray], base: GraphSnapshot
     ) -> None:
         """Rebuild vectors, index maps and free lists from a capture.
 
-        ``base`` optionally seeds the snapshot cache with the
-        checkpoint's CSR arrays.  The storage must be empty (freshly
-        constructed).
+        The inverse of :meth:`capture_arrays`: the triples are scattered
+        into one hole-filled slot array that is cut into per-row buffers.
+        ``base`` seeds the snapshot cache with the checkpoint's CSR
+        arrays.  The storage must be empty (freshly constructed).
         """
         if self._vectors:
-            raise RuntimeError("restore_state requires an empty storage")
-        for node, capacity, occupied, free_list in zip(
-            state["row_ids"],
-            state["capacities"],
-            state["occupied"],
-            state["free_lists"],
+            raise RuntimeError("restore_arrays requires an empty storage")
+        caps = arrays["caps"]
+        slot_indptr = np.zeros(len(caps) + 1, dtype=np.int64)
+        np.cumsum(caps, out=slot_indptr[1:])
+        triples = arrays["occ_flat"].reshape(-1, 3)
+        occ_bounds = arrays["occ_indptr"] // 3
+
+        slots = np.empty((int(slot_indptr[-1]), 2), dtype=np.int64)
+        slots[:, 0] = HOLE
+        slots[:, 1] = 0
+        slots[np.repeat(slot_indptr[:-1], np.diff(occ_bounds)) + triples[:, 0]] = triples[:, 1:]
+
+        positions = triples[:, 0].tolist()
+        dsts = triples[:, 1].tolist()
+        occ_bounds = occ_bounds.tolist()
+        for node, start, stop, slot_buffer, free_list in zip(
+            arrays["row_ids"].tolist(),
+            occ_bounds,
+            occ_bounds[1:],
+            split_buffers(slots.reshape(-1), 2 * slot_indptr),
+            split_buffers(arrays["free_flat"], arrays["free_indptr"]),
         ):
-            vector = ColsVector(capacity=capacity)
-            for position, dst, label in occupied:
-                vector.slots[position] = (dst, label)
-                self._elem_position_map[(node, dst)] = position
-            vector.size = len(occupied)
-            self._vectors[node] = vector
-            self._free_list_map[node] = list(free_list)
-            self._num_edges += len(occupied)
-        if base is not None:
-            self._cache.seed_base(base)
+            self._vectors[node] = ColsVector(slot_buffer, stop - start)
+            self._elem_position_map[node] = dict(
+                zip(dsts[start:stop], positions[start:stop])
+            )
+            self._free_list_map[node] = free_list
+        self._total_slots = int(slot_indptr[-1])
+        self._num_edges = len(triples)
+        self._cache.seed_base(base)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

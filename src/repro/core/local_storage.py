@@ -2,10 +2,20 @@
 
 Each PIM module keeps the adjacency-matrix segment of the graph nodes
 assigned to it as a hash map from row id (NodeID) to the row data — the
-list of next-hop NodeIDs (and their edge labels).  A hash map is used
-for its concurrency and scalability, exactly as the paper describes; in
-the simulator it is a Python dict plus byte accounting against the
-module's 64 MB local memory.
+next-hop NodeIDs and their edge labels.  A hash map is used for its
+concurrency and scalability, exactly as the paper describes; in the
+simulator it is a Python dict plus byte accounting against the module's
+64 MB local memory.
+
+A row's value is one compact buffer, as on the real module: an
+``array('q')`` interleaving ``dst0, label0, dst1, label1, ...`` in
+insertion order (the row-buffer format of :mod:`repro.core.snapshot`).
+Edges are found on the ``dst`` column — ``row[::2]`` — never by
+searching the interleaved buffer, where a label can equal a node id.
+The public reads still return Python lists, materialised per call; the
+snapshot builders and the checkpoint read the buffers themselves, by
+copy, and keep no view of one (an ``array`` exporting a buffer cannot
+grow).
 
 The storage itself is purely functional with respect to simulation: it
 mutates data and reports what happened (row length read, whether an edge
@@ -22,12 +32,20 @@ lifecycle.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.snapshot import (
     DEFAULT_SNAPSHOT_COMPACT_RATIO,
+    HOLE,
     GraphSnapshot,
+    RowBuffer,
     SnapshotCache,
+    row_buffer,
+    row_pairs,
+    split_buffers,
 )
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.pim.memory import LocalMemory
@@ -47,7 +65,8 @@ class LocalGraphStorage:
         compact_ratio: float = DEFAULT_SNAPSHOT_COMPACT_RATIO,
         incremental: bool = True,
     ) -> None:
-        self._rows: Dict[int, List[Tuple[int, int]]] = {}
+        #: ``node -> dst0, label0, dst1, label1, ...`` in insertion order.
+        self._rows: Dict[int, RowBuffer] = {}
         self._memory = memory
         self._num_edges = 0
         #: Base snapshot + overlay + refresh strategy (see repro.core.snapshot).
@@ -82,7 +101,7 @@ class LocalGraphStorage:
     def row_length(self, node: int) -> int:
         """Out-degree of ``node`` on this module (0 when absent)."""
         row = self._rows.get(node)
-        return 0 if row is None else len(row)
+        return 0 if row is None else len(row) >> 1
 
     # ------------------------------------------------------------------
     # Mutation
@@ -93,24 +112,29 @@ class LocalGraphStorage:
             return False
         if self._memory is not None:
             self._memory.allocate(BYTES_PER_ROW)
-        self._rows[node] = []
+        self._rows[node] = array("q")
         if self._cache.tracking:
             self._cache.overlay.record_add(node)
         return True
 
     def add_edge(self, src: int, dst: int, label: int = DEFAULT_LABEL) -> bool:
         """Insert ``src -> dst``; return ``True`` if the edge was new."""
+        if dst == HOLE:
+            raise ValueError(f"node id {HOLE} is reserved for empty slots")
         self.ensure_row(src)
         row = self._rows[src]
-        for index, (existing_dst, _) in enumerate(row):
-            if existing_dst == dst:
-                row[index] = (dst, label)
-                if self._cache.tracking:
-                    self._cache.overlay.record_add(src)
-                return False
+        # Search the dst column only: in the interleaved buffer a label
+        # can equal a node id.
+        dsts = row[::2]
+        if dst in dsts:
+            row[2 * dsts.index(dst) + 1] = label
+            if self._cache.tracking:
+                self._cache.overlay.record_add(src)
+            return False
         if self._memory is not None:
             self._memory.allocate(BYTES_PER_ENTRY)
-        row.append((dst, label))
+        row.append(dst)
+        row.append(label)
         self._num_edges += 1
         if self._cache.tracking:
             self._cache.overlay.record_add(src)
@@ -121,16 +145,17 @@ class LocalGraphStorage:
         row = self._rows.get(src)
         if row is None:
             return False
-        for index, (existing_dst, _) in enumerate(row):
-            if existing_dst == dst:
-                del row[index]
-                self._num_edges -= 1
-                if self._memory is not None:
-                    self._memory.free(BYTES_PER_ENTRY)
-                if self._cache.tracking:
-                    self._cache.overlay.record_sub(src)
-                return True
-        return False
+        dsts = row[::2]
+        if dst not in dsts:
+            return False
+        index = 2 * dsts.index(dst)
+        del row[index : index + 2]
+        self._num_edges -= 1
+        if self._memory is not None:
+            self._memory.free(BYTES_PER_ENTRY)
+        if self._cache.tracking:
+            self._cache.overlay.record_sub(src)
+        return True
 
     def remove_row(self, node: int) -> List[Tuple[int, int]]:
         """Remove ``node``'s row entirely and return its entries.
@@ -141,12 +166,13 @@ class LocalGraphStorage:
         row = self._rows.pop(node, None)
         if row is None:
             return []
-        self._num_edges -= len(row)
+        entries = row_pairs(row)
+        self._num_edges -= len(entries)
         if self._memory is not None:
-            self._memory.free(BYTES_PER_ROW + len(row) * BYTES_PER_ENTRY)
+            self._memory.free(BYTES_PER_ROW + len(entries) * BYTES_PER_ENTRY)
         if self._cache.tracking:
             self._cache.overlay.record_move_out(node)
-        return row
+        return entries
 
     def insert_row(self, node: int, entries: List[Tuple[int, int]]) -> None:
         """Install a full row (the receiving side of a migration)."""
@@ -154,7 +180,7 @@ class LocalGraphStorage:
             raise ValueError(f"row {node} already exists on this module")
         if self._memory is not None:
             self._memory.allocate(BYTES_PER_ROW + len(entries) * BYTES_PER_ENTRY)
-        self._rows[node] = list(entries)
+        self._rows[node] = row_buffer(entries)
         self._num_edges += len(entries)
         if self._cache.tracking:
             self._cache.overlay.record_move_in(node)
@@ -162,28 +188,29 @@ class LocalGraphStorage:
     # ------------------------------------------------------------------
     # Checkpoint restore
     # ------------------------------------------------------------------
-    def restore_rows(
-        self,
-        rows: Dict[int, List[Tuple[int, int]]],
-        base: Optional[GraphSnapshot] = None,
-    ) -> None:
+    def restore_rows(self, snapshot: GraphSnapshot) -> None:
         """Replace this segment's contents wholesale (recovery path).
 
-        ``rows`` is the full ``node -> [(dst, label), ...]`` mapping the
-        checkpoint recorded; ``base`` optionally seeds the snapshot
-        cache with the checkpoint's CSR arrays so the first
+        ``snapshot`` is the CSR capture the checkpoint recorded: every
+        row is filled with one ``frombytes`` slice of its interleaved
+        columns, and the snapshot itself seeds the cache so the first
         post-recovery ``to_csr()`` is a cache hit.  Memory accounting is
         re-charged from scratch — the storage must be empty (freshly
         constructed) when this is called.
         """
         if self._rows:
             raise RuntimeError("restore_rows requires an empty storage")
-        self._rows = {node: list(entries) for node, entries in rows.items()}
-        self._num_edges = sum(len(entries) for entries in self._rows.values())
+        interleaved = np.column_stack([snapshot.dsts, snapshot.labels]).reshape(-1)
+        self._rows = dict(
+            zip(
+                snapshot.node_ids.tolist(),
+                split_buffers(interleaved, 2 * snapshot.indptr),
+            )
+        )
+        self._num_edges = snapshot.num_edges
         if self._memory is not None:
             self._memory.allocate(self.storage_bytes)
-        if base is not None:
-            self._cache.seed_base(base)
+        self._cache.seed_base(snapshot)
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -200,7 +227,7 @@ class LocalGraphStorage:
         yields array-identical snapshots.
         """
         return self._cache.refresh(
-            lambda: list(self._rows.items()),
+            self._rows.items,
             self._rows.get,
             bytes_per_entry=BYTES_PER_ENTRY,
             working_set_bytes=lambda: max(self.storage_bytes, 1),
@@ -240,21 +267,30 @@ class LocalGraphStorage:
         row = self._rows.get(node)
         if row is None:
             return []
-        return [dst for dst, _ in row]
+        return row[::2].tolist()
 
     def next_hops_with_labels(self, node: int) -> List[Tuple[int, int]]:
         """Next hops of ``node`` as ``(dst, label)`` pairs."""
         row = self._rows.get(node)
         if row is None:
             return []
-        return list(row)
+        return row_pairs(row)
+
+    def local_hops(self, node: int) -> int:
+        """How many of ``node``'s next hops are rows of this module — the
+        ``local`` side of misplacement detection (a snapshot's
+        ``local_counts``, read live)."""
+        rows = self._rows
+        local = 0
+        for dst in rows.get(node, ())[::2]:
+            if dst in rows:
+                local += 1
+        return local
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Whether ``src -> dst`` is stored on this module."""
         row = self._rows.get(src)
-        if row is None:
-            return False
-        return any(existing_dst == dst for existing_dst, _ in row)
+        return row is not None and dst in row[::2]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

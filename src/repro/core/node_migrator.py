@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.partitioner import GraphPartitioner
@@ -191,9 +193,12 @@ class NodeMigrator:
             for node, (local, remote) in self._pending.items()
         )
 
-    def restore_pending(self, reports: List[Tuple[int, int, int]]) -> None:
-        """Re-seed the pending misplacement reports from a checkpoint."""
-        self._pending = {node: (local, remote) for node, local, remote in reports}
+    def restore_pending(self, reports: np.ndarray) -> None:
+        """Re-seed the pending misplacement reports from a checkpoint's
+        ``(node, local, remote)`` array rows."""
+        self._pending = {
+            node: (local, remote) for node, local, remote in reports.tolist()
+        }
 
     # ------------------------------------------------------------------
     # Labor-division promotion

@@ -94,20 +94,20 @@ class OperatorProcessor:
         """
         produced: Dict[int, ContextSet] = {}
         work = SmxmWork()
+        storage = self.storage
         for node, contexts in frontier.items():
-            next_hops = self.storage.next_hops_with_labels(node)
             work.rows_touched += 1
-            work.bytes_streamed += len(next_hops) * BYTES_PER_ENTRY
-            if not next_hops:
-                continue
-            local = 0
-            for destination, label in next_hops:
-                if self.storage.has_row(destination):
-                    local += 1
-                if dfa is None:
-                    work.items_processed += len(contexts)
+            if dfa is None:
+                # k-hop plans never read a label: the dst column is enough.
+                next_hops = storage.next_hops(node)
+                degree = len(next_hops)
+                for destination in next_hops:
                     produced.setdefault(destination, set()).update(contexts)
-                else:
+                work.items_processed += degree * len(contexts)
+            else:
+                entries = storage.next_hops_with_labels(node)
+                degree = len(entries)
+                for destination, label in entries:
                     label_string = (
                         label_names[label]
                         if label_names and label in label_names
@@ -120,9 +120,11 @@ class OperatorProcessor:
                         if next_state is None:
                             continue
                         produced.setdefault(destination, set()).add((row, next_state))
-            if detect_misplacement:
-                remote = len(next_hops) - local
-                if remote > 0 and remote / len(next_hops) > self.misplacement_threshold:
+            work.bytes_streamed += degree * BYTES_PER_ENTRY
+            if detect_misplacement and degree:
+                local = storage.local_hops(node)
+                remote = degree - local
+                if remote > 0 and remote / degree > self.misplacement_threshold:
                     work.misplacement_reports[node] = (local, remote)
         return produced, work
 

@@ -18,7 +18,9 @@ their first neighbor's entry.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
+
+import numpy as np
 
 from repro.core.config import MoctopusConfig
 from repro.partition.base import HOST_PARTITION, PartitionMap, StreamingPartitioner
@@ -95,19 +97,23 @@ class GraphPartitioner:
     # Checkpoint capture / restore
     # ------------------------------------------------------------------
     def capture_state(self) -> Dict[str, object]:
-        """Everything future placement decisions depend on.
+        """What future placement decisions depend on, beyond the
+        ``node_partition_vector`` itself (a checkpoint takes that from
+        its published epoch's frozen owner table).
 
-        The ``node_partition_vector`` (sorted assignment pairs), the
-        labor-division wrapper's observed out-degrees (they decide
-        future promotions) and the placement counters (diagnostics the
-        recovered system must keep reporting consistently).
+        The labor-division wrapper's observed out-degrees as sorted
+        ``(node, degree)`` array rows (they decide future promotions)
+        and the placement counters (diagnostics the recovered system
+        must keep reporting consistently).
         """
-        assignments = sorted(self.partition_map.items())
-        degrees: List[Tuple[int, int]] = []
+        degrees = np.empty((0, 2), dtype=np.int64)
         if isinstance(self._policy, LaborDivisionPartitioner):
-            degrees = sorted(self._policy._out_degree.items())
+            observed = self._policy._out_degree
+            nodes = np.fromiter(observed.keys(), dtype=np.int64, count=len(observed))
+            counts = np.fromiter(observed.values(), dtype=np.int64, count=len(observed))
+            order = np.argsort(nodes)
+            degrees = np.column_stack([nodes[order], counts[order]])
         return {
-            "assignments": assignments,
             "out_degrees": degrees,
             "greedy_placements": self.greedy_placements(),
             "fallback_placements": self.fallback_placements(),
@@ -115,13 +121,16 @@ class GraphPartitioner:
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Rebuild policy state from a capture (freshly constructed only)."""
+        """Rebuild policy state from a capture (freshly constructed only).
+
+        ``assignments`` and ``out_degrees`` are two-column int arrays.
+        """
         if len(self.partition_map):
             raise RuntimeError("restore_state requires an empty partitioner")
-        for node, partition in state["assignments"]:
+        for node, partition in state["assignments"].tolist():
             self.partition_map.assign(node, partition)
         if isinstance(self._policy, LaborDivisionPartitioner):
-            self._policy._out_degree = dict(state["out_degrees"])
+            self._policy._out_degree = dict(state["out_degrees"].tolist())
             self._policy.promotions = int(state["promotions"])
         if isinstance(self._pim_policy, RadicalGreedyPartitioner):
             self._pim_policy.greedy_placements = int(state["greedy_placements"])

@@ -7,6 +7,20 @@ to be available as flat arrays.  Both storage classes
 :class:`~repro.core.hetero_storage.HeterogeneousGraphStorage`) expose a
 ``to_csr()`` method returning a :class:`GraphSnapshot`.
 
+Row buffers
+-----------
+The storages keep — and hand to the builders here — each adjacency row
+as one flat int64 buffer: an ``array('q')`` interleaving ``dst0, label0,
+dst1, label1, ...``.  A pair whose ``dst`` is :data:`HOLE` is an empty
+slot (the host's ``cols_vector`` has them; module rows never do) and is
+skipped.  :func:`row_buffer` / :func:`row_pairs` convert from and to the
+``(dst, label)`` lists of the public read API, and
+:func:`split_buffers` cuts checkpoint arrays back into rows.  The
+builders copy every buffer they are given (one ``bytes.join``) and never
+keep a ``memoryview`` or ``frombuffer`` array over one: an ``array``
+that is exporting its buffer cannot be resized, so a view that outlived
+the call would make the next insert into that row raise ``BufferError``.
+
 Snapshot lifecycle
 ------------------
 A storage keeps one cached **base** snapshot plus a :class:`DeltaOverlay`
@@ -18,14 +32,15 @@ whichever strategy is cheaper:
 * **empty overlay** — the cached base is returned as-is (fast path; this
   is what back-to-back queries between updates hit);
 * **small overlay** — :func:`merge_snapshot` splices the current data of
-  the dirty rows into the base with vectorized segment gathers: clean
-  rows are copied as contiguous array slices, only dirty rows are
-  re-read from the storage;
+  the dirty rows into the base: only the dirty rows' buffers are re-read
+  from the storage and flattened, then one index array places every
+  row's segment of ``base ++ delta`` and each column is one gather — a
+  fixed number of numpy calls whatever the dirty-row count;
 * **large overlay** — when the dirty-row count exceeds
   ``snapshot_compact_ratio`` x the base row count, the splice
   bookkeeping would touch most of the snapshot anyway, so the storage
-  *compacts*: it rebuilds a fresh base from scratch with the (also
-  vectorized) :func:`build_snapshot`.
+  *compacts*: it rebuilds a fresh base from scratch with
+  :func:`build_snapshot` (every row buffer joined and flattened once).
 
 All three paths produce **array-for-array identical** snapshots — the
 engine-parity suite asserts incremental results against from-scratch
@@ -45,8 +60,9 @@ the same simulated work as the scalar one.
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,8 +75,56 @@ _EMPTY = np.empty(0, dtype=np.int64)
 # published snapshot can be mutated through the shared instance.
 _EMPTY.flags.writeable = False
 
-#: A row's adjacency entries as the storages hand them over.
+#: A row's ``(dst, label)`` pairs as the public read API returns them.
 RowEntries = List[Tuple[int, int]]
+#: A row as the storages *store* it and hand it to the builders: one
+#: ``array('q')`` interleaving ``dst0, label0, dst1, label1, ...``.
+RowBuffer = array
+#: ``dst`` of an empty slot in a row buffer.  Node ids are non-negative
+#: (they index the owner table), so no stored edge can carry it.
+HOLE = -1
+
+
+def row_buffer(entries: Iterable[Tuple[int, int]]) -> RowBuffer:
+    """Pack ``(dst, label)`` pairs into a row buffer."""
+    return array("q", chain.from_iterable(entries))
+
+
+def row_pairs(buffer: RowBuffer) -> RowEntries:
+    """The ``(dst, label)`` pairs of a hole-free row buffer, in order."""
+    values = iter(buffer)
+    return list(zip(values, values))
+
+
+def join_buffers(buffers: List[array]) -> Tuple[np.ndarray, np.ndarray]:
+    """Lay ``array('q')`` buffers end to end: ``(bounds, values)``.
+
+    ``bounds`` holds each buffer's item offsets (``len(buffers) + 1`` of
+    them) and ``values`` is a read-only int64 array over a private
+    ``bytes`` copy: the join releases every buffer export it takes
+    before it returns, so nothing here outlives the call holding a row.
+    """
+    count = len(buffers)
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, buffers), dtype=np.int64, count=count), out=bounds[1:]
+    )
+    return bounds, np.frombuffer(b"".join(buffers), dtype=np.int64)
+
+
+def split_buffers(values: np.ndarray, bounds: np.ndarray) -> List[array]:
+    """Cut an int64 array into one ``array('q')`` per ``bounds`` segment
+    (:func:`join_buffers`' inverse), each filled by a single
+    ``frombytes`` of its slice.
+    """
+    data = memoryview(values.tobytes())
+    cuts = (bounds * values.itemsize).tolist()
+    pieces: List[RowBuffer] = []
+    for start, stop in zip(cuts, cuts[1:]):
+        piece = array("q")
+        piece.frombytes(data[start:stop])
+        pieces.append(piece)
+    return pieces
 
 
 class TransposedBlock:
@@ -318,51 +382,44 @@ def _local_counts(
 
 
 def _flatten_entries(
-    entry_lists: List[RowEntries], total: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-row ``(dst, label)`` lists into two flat columns.
+    buffers: List[RowBuffer],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate row buffers into ``(indptr, dsts, labels)`` columns.
 
-    ``total`` is the known entry count.  The pairs are streamed through
-    one scalar ``fromiter`` (an order of magnitude faster than
-    ``np.array`` on a list of tuples) and unzipped by reshaping.
+    The joined buffers are viewed as ``(slot, 2)`` and the live-slot mask
+    drops :data:`HOLE` pairs while gathering each column into a fresh
+    contiguous array.  ``indptr`` counts live entries, so a host
+    ``cols_vector`` with holes and a packed module row flatten the same
+    way.
     """
-    if total == 0:
-        return _EMPTY, _EMPTY
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(entry_lists)),
-        dtype=np.int64,
-        count=2 * total,
-    ).reshape(total, 2)
-    return np.ascontiguousarray(flat[:, 0]), np.ascontiguousarray(flat[:, 1])
+    bounds, values = join_buffers(buffers)
+    slots = values.reshape(-1, 2)
+    live = slots[:, 0] != HOLE
+    live_prefix = np.zeros(len(slots) + 1, dtype=np.int64)
+    np.cumsum(live, out=live_prefix[1:])
+    return live_prefix[bounds >> 1], slots[live, 0], slots[live, 1]
 
 
 def build_snapshot(
-    rows: List[Tuple[int, RowEntries]],
+    rows: Iterable[Tuple[int, RowBuffer]],
     bytes_per_entry: int,
     working_set_bytes: int,
     count_local: bool,
 ) -> GraphSnapshot:
-    """Freeze ``rows`` (``(node, [(dst, label), ...])`` pairs) into CSR form.
+    """Freeze ``rows`` (``(node, row buffer)`` pairs) into CSR form.
 
     ``rows`` need not be sorted; they are sorted by node id here.  The
-    per-row entry lists are flattened with one array construction and
-    the local-destination counter runs as a prefix-sum — no per-edge
-    Python work.  When ``count_local`` is set, each row's destinations
-    are checked for membership in the snapshot's own row set (the
-    misplacement-detection ``local`` counter); host snapshots skip it —
-    the host never detects misplacement.
+    buffers are flattened with one join and the local-destination
+    counter runs as a prefix-sum — no per-edge Python work.  When
+    ``count_local`` is set, each row's destinations are checked for
+    membership in the snapshot's own row set (the misplacement-detection
+    ``local`` counter); host snapshots skip it — the host never detects
+    misplacement.
     """
     rows = sorted(rows, key=lambda item: item[0])
     count = len(rows)
     node_ids = np.fromiter((node for node, _ in rows), dtype=np.int64, count=count)
-    degrees = np.fromiter(
-        (len(entries) for _, entries in rows), dtype=np.int64, count=count
-    )
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    dsts, labels = _flatten_entries(
-        [entries for _, entries in rows], int(indptr[-1])
-    )
+    indptr, dsts, labels = _flatten_entries([buffer for _, buffer in rows])
     if count_local:
         local_counts = _local_counts(node_ids, indptr, dsts)
     else:
@@ -379,7 +436,7 @@ def build_snapshot(
 
 
 def build_snapshot_reference(
-    rows: List[Tuple[int, RowEntries]],
+    rows: Iterable[Tuple[int, RowBuffer]],
     bytes_per_entry: int,
     working_set_bytes: int,
     count_local: bool,
@@ -395,10 +452,11 @@ def build_snapshot_reference(
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     dst_chunks: List[int] = []
     label_chunks: List[int] = []
-    for index, (_, entries) in enumerate(rows):
-        for dst, label in entries:
-            dst_chunks.append(dst)
-            label_chunks.append(label)
+    for index, (_, buffer) in enumerate(rows):
+        for dst, label in row_pairs(buffer):
+            if dst != HOLE:
+                dst_chunks.append(dst)
+                label_chunks.append(label)
         indptr[index + 1] = len(dst_chunks)
     dsts = np.asarray(dst_chunks, dtype=np.int64)
     labels = np.asarray(label_chunks, dtype=np.int64)
@@ -546,8 +604,8 @@ class SnapshotCache:
 
     def refresh(
         self,
-        rows: Callable[[], List[Tuple[int, RowEntries]]],
-        fetch_row: Callable[[int], Optional[RowEntries]],
+        rows: Callable[[], Iterable[Tuple[int, RowBuffer]]],
+        fetch_row: Callable[[int], Optional[RowBuffer]],
         bytes_per_entry: int,
         working_set_bytes: Callable[[], int],
         count_local: bool,
@@ -602,96 +660,56 @@ class SnapshotCache:
 def merge_snapshot(
     base: GraphSnapshot,
     dirty_rows: np.ndarray,
-    fetch_row: Callable[[int], Optional[RowEntries]],
+    fetch_row: Callable[[int], Optional[RowBuffer]],
     bytes_per_entry: int,
     working_set_bytes: int,
     count_local: bool,
 ) -> GraphSnapshot:
     """Splice the current data of ``dirty_rows`` into ``base``.
 
-    ``fetch_row`` returns a dirty row's current ``(dst, label)`` entries,
-    or ``None`` when the row no longer exists on the storage.  Clean base
-    rows are carried over as contiguous array slices via one gather; the
-    result is array-for-array identical to a from-scratch
-    :func:`build_snapshot` of the storage's current contents.
+    ``fetch_row`` returns a dirty row's current buffer, or ``None`` when
+    the row no longer exists on the storage.  Clean base rows and the
+    freshly flattened dirty rows are laid end to end and the merged
+    columns come out of one gather each; the result is array-for-array
+    identical to a from-scratch :func:`build_snapshot` of the storage's
+    current contents.
     """
     # Clean base rows survive with their segments; dirty ones are
     # replaced (or dropped) wholesale from the storage's live data.
     keep = ~_sorted_member_mask(dirty_rows, base.node_ids)
-    keep_nodes = base.node_ids[keep]
-    keep_degrees = base.degrees[keep]
 
     delta_node_list: List[int] = []
-    delta_entry_lists: List[RowEntries] = []
+    delta_buffers: List[RowBuffer] = []
     for node in dirty_rows.tolist():
-        entries = fetch_row(node)
-        if entries is None:
+        buffer = fetch_row(node)
+        if buffer is None:
             continue
         delta_node_list.append(node)
-        delta_entry_lists.append(entries)
+        delta_buffers.append(buffer)
     delta_nodes = np.fromiter(
         delta_node_list, dtype=np.int64, count=len(delta_node_list)
     )
-    delta_degrees = np.fromiter(
-        (len(entries) for entries in delta_entry_lists),
-        dtype=np.int64,
-        count=len(delta_entry_lists),
-    )
-    delta_starts = np.zeros(len(delta_entry_lists), dtype=np.int64)
-    np.cumsum(delta_degrees[:-1], out=delta_starts[1:])
-    delta_dsts, delta_labels = _flatten_entries(
-        delta_entry_lists, int(delta_degrees.sum())
-    )
+    delta_indptr, delta_dsts, delta_labels = _flatten_entries(delta_buffers)
 
-    # Two-source segment splice: order the union of surviving and dirty
-    # rows by node id (all ids are unique, so the sort is total), then
-    # copy each *run* of source-consecutive rows as one contiguous slice
-    # — clean base rows between two dirty rows come over in a single
-    # memcpy, so the splice costs O(dirty rows) numpy calls, not O(rows).
-    all_nodes = np.concatenate([keep_nodes, delta_nodes])
-    all_degrees = np.concatenate([keep_degrees, delta_degrees])
-    from_delta = np.concatenate(
-        [
-            np.zeros(len(keep_nodes), dtype=bool),
-            np.ones(len(delta_nodes), dtype=bool),
-        ]
-    )
-    source_index = np.concatenate(
-        [np.flatnonzero(keep), np.arange(len(delta_nodes), dtype=np.int64)]
+    # Two-source splice: order the union of surviving and dirty rows by
+    # node id (all ids are unique, so the sort is total).  Each merged
+    # row then knows where its segment starts in ``base ++ delta``, and
+    # one index array gathers every segment into place — a fixed number
+    # of numpy calls whatever the dirty-row count.
+    all_nodes = np.concatenate([base.node_ids[keep], delta_nodes])
+    all_degrees = np.concatenate([base.degrees[keep], np.diff(delta_indptr)])
+    all_starts = np.concatenate(
+        [base.indptr[:-1][keep], delta_indptr[:-1] + base.num_edges]
     )
     order = np.argsort(all_nodes)
     node_ids = all_nodes[order]
     degrees = all_degrees[order]
-    from_delta = from_delta[order]
-    source_index = source_index[order]
-
     indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-
-    dst_chunks: List[np.ndarray] = []
-    label_chunks: List[np.ndarray] = []
-    if len(node_ids):
-        boundary = np.empty(len(node_ids), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (from_delta[1:] != from_delta[:-1]) | (
-            source_index[1:] != source_index[:-1] + 1
-        )
-        run_starts = np.flatnonzero(boundary)
-        run_stops = np.append(run_starts[1:], len(node_ids))
-        for start, stop in zip(run_starts.tolist(), run_stops.tolist()):
-            first, last = source_index[start], source_index[stop - 1]
-            if from_delta[start]:
-                lo = delta_starts[first]
-                hi = delta_starts[last] + delta_degrees[last]
-                dst_chunks.append(delta_dsts[lo:hi])
-                label_chunks.append(delta_labels[lo:hi])
-            else:
-                lo = base.indptr[first]
-                hi = base.indptr[last + 1]
-                dst_chunks.append(base.dsts[lo:hi])
-                label_chunks.append(base.labels[lo:hi])
-    dsts = np.concatenate(dst_chunks) if dst_chunks else _EMPTY
-    labels = np.concatenate(label_chunks) if label_chunks else _EMPTY
+    gather = np.repeat(all_starts[order] - indptr[:-1], degrees)
+    gather += np.arange(len(gather), dtype=np.int64)
+    dsts = np.concatenate([base.dsts, delta_dsts])[gather]
+    labels = np.concatenate([base.labels, delta_labels])[gather]
 
     if count_local:
         # Locality of a *clean* row only changes when the row-id set
@@ -706,11 +724,7 @@ def merge_snapshot(
         if rows_removed or rows_added:
             local_counts = _local_counts(node_ids, indptr, dsts)
         else:
-            delta_local = _local_counts(
-                node_ids,
-                np.concatenate([delta_starts, [len(delta_dsts)]]),
-                delta_dsts,
-            )
+            delta_local = _local_counts(node_ids, delta_indptr, delta_dsts)
             local_counts = np.concatenate(
                 [base.local_counts[keep], delta_local]
             )[order]

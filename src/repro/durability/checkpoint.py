@@ -9,10 +9,12 @@ system needs to continue **bit-identically**:
   construction: publishing and the writer path share one lock);
 * the heterogeneous storage's positional internals (slot layout,
   capacities, free-list order) that a CSR view cannot express but the
-  split update protocol's future costs depend on;
-* the ``node_partition_vector`` (which is the :class:`~repro.partition.
-  owner_index.OwnerIndex`'s source of truth), the labor-division
-  degree counters, and the placement/migration counters;
+  split update protocol's future costs depend on — the ``hx_*`` arrays,
+  built by :meth:`~repro.core.hetero_storage.HeterogeneousGraphStorage.
+  capture_arrays` from the rows' slot buffers laid end to end;
+* the ``node_partition_vector``, read off the same epoch's frozen owner
+  table (``p_assignments``), the labor-division degree counters, and the
+  placement/migration counters;
 * the simulated platform's lifetime counters and the epoch numbering,
   so diagnostics and epoch ids stay continuous across a crash.
 
@@ -24,6 +26,15 @@ last, so a crash mid-checkpoint leaves either the previous checkpoint or
 a ``.tmp`` orphan — never a half-readable "latest".  All writes go
 through :func:`repro.durability.wal.wal_write` so the fault-injection
 harness can tear a checkpoint at any byte.
+
+Capture holds the writer lock, so it builds arrays only from arrays and
+buffers (no per-edge Python objects), and every array it returns is a
+private copy or a frozen epoch array — none aliases a live row.
+Restore is the mirror image: module rows and host vectors are filled
+with ``frombytes`` slices of the checkpoint's arrays.  The array names,
+dtypes and contents are those of ``CHECKPOINT_FORMAT`` 1 since it was
+introduced; ``tests/data/ckpt_pr16`` keeps a directory written before
+rows became buffers recoverable.
 
 The background checkpoint daemon (:class:`CheckpointDaemon`) watches the
 batch counter and writes a checkpoint under the system's writer lock
@@ -91,15 +102,6 @@ def _snapshot_arrays(prefix: str, snapshot: GraphSnapshot, arrays: Dict) -> Dict
     }
 
 
-def _concat_ragged(rows: List[List]) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten a ragged int list-of-lists into (indptr, values)."""
-    lengths = np.fromiter((len(row) for row in rows), dtype=np.int64, count=len(rows))
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    flat = [value for row in rows for value in row]
-    return indptr, np.asarray(flat, dtype=np.int64)
-
-
 def capture_checkpoint(system: "Moctopus") -> Tuple[Dict, Dict[str, np.ndarray]]:
     """Gather a checkpoint's manifest and arrays (caller holds the lock)."""
     epoch = system._epochs.publish()
@@ -113,30 +115,14 @@ def capture_checkpoint(system: "Moctopus") -> Tuple[Dict, Dict[str, np.ndarray]]
         "host", epoch.snapshot_of(HOST_PARTITION), arrays
     )
 
-    hetero = system._host_storage.capture_state()
-    arrays["hx_row_ids"] = np.asarray(hetero["row_ids"], dtype=np.int64)
-    arrays["hx_caps"] = np.asarray(hetero["capacities"], dtype=np.int64)
-    occ_indptr, occ_flat = _concat_ragged(
-        [
-            [value for slot in row for value in slot]
-            for row in hetero["occupied"]
-        ]
-    )
-    arrays["hx_occ_indptr"] = occ_indptr
-    arrays["hx_occ_flat"] = occ_flat
-    free_indptr, free_flat = _concat_ragged(hetero["free_lists"])
-    arrays["hx_free_indptr"] = free_indptr
-    arrays["hx_free_flat"] = free_flat
+    for name, array in system._host_storage.capture_arrays().items():
+        arrays[f"hx_{name}"] = array
 
+    # The published epoch's frozen owner table *is* the
+    # ``node_partition_vector``, already as sorted arrays.
+    arrays["p_assignments"] = np.column_stack(epoch.owners.table())
     partition = system._partitioner.capture_state()
-    assignments = np.asarray(
-        partition["assignments"], dtype=np.int64
-    ).reshape(len(partition["assignments"]), 2)
-    arrays["p_assignments"] = assignments
-    degrees = np.asarray(partition["out_degrees"], dtype=np.int64).reshape(
-        len(partition["out_degrees"]), 2
-    )
-    arrays["ld_out_degrees"] = degrees
+    arrays["ld_out_degrees"] = partition["out_degrees"]
     pending = np.asarray(
         system._migrator.capture_pending(), dtype=np.int64
     ).reshape(-1, 3)
@@ -354,17 +340,6 @@ def _snapshot_from_arrays(prefix: str, meta: Dict, arrays: Dict) -> GraphSnapsho
     )
 
 
-def _rows_from_snapshot(snapshot: GraphSnapshot) -> Dict[int, List[Tuple[int, int]]]:
-    rows: Dict[int, List[Tuple[int, int]]] = {}
-    indptr = snapshot.indptr
-    dsts = snapshot.dsts.tolist()
-    labels = snapshot.labels.tolist()
-    for index, node in enumerate(snapshot.node_ids.tolist()):
-        start, stop = int(indptr[index]), int(indptr[index + 1])
-        rows[node] = list(zip(dsts[start:stop], labels[start:stop]))
-    return rows
-
-
 def restore_into(system: "Moctopus", state: CheckpointState) -> None:
     """Restore a checkpoint into a freshly constructed ``system``.
 
@@ -387,9 +362,8 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
 
     for module_id in range(num_modules):
         meta = manifest["storages"][module_id]
-        snapshot = _snapshot_from_arrays(f"m{module_id}", meta, arrays)
         storage = system._module_storages[module_id]
-        storage.restore_rows(_rows_from_snapshot(snapshot), base=snapshot)
+        storage.restore_rows(_snapshot_from_arrays(f"m{module_id}", meta, arrays))
         if storage.num_edges != int(meta["num_edges"]):
             raise CheckpointError(
                 f"module {module_id} restored {storage.num_edges} edges, "
@@ -397,24 +371,14 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
             )
 
     host_meta = manifest["host_storage"]
-    host_snapshot = _snapshot_from_arrays("host", host_meta, arrays)
-    occ_indptr = arrays["hx_occ_indptr"]
-    occ_flat = arrays["hx_occ_flat"].reshape(-1, 3)
-    free_indptr = arrays["hx_free_indptr"]
-    free_flat = arrays["hx_free_flat"]
-    hetero_state = {
-        "row_ids": arrays["hx_row_ids"].tolist(),
-        "capacities": arrays["hx_caps"].tolist(),
-        "occupied": [
-            [tuple(slot) for slot in occ_flat[start // 3 : stop // 3].tolist()]
-            for start, stop in zip(occ_indptr[:-1], occ_indptr[1:])
-        ],
-        "free_lists": [
-            free_flat[start:stop].tolist()
-            for start, stop in zip(free_indptr[:-1], free_indptr[1:])
-        ],
-    }
-    system._host_storage.restore_state(hetero_state, base=host_snapshot)
+    system._host_storage.restore_arrays(
+        {
+            name[len("hx_") :]: array
+            for name, array in arrays.items()
+            if name.startswith("hx_")
+        },
+        base=_snapshot_from_arrays("host", host_meta, arrays),
+    )
     expected_ws = int(host_meta["working_set_bytes"])
     actual_ws = max(system._host_storage.total_bytes(), 1)
     if actual_ws != expected_ws:
@@ -426,12 +390,8 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
     counters = manifest["partition_counters"]
     system._partitioner.restore_state(
         {
-            "assignments": [
-                tuple(pair) for pair in arrays["p_assignments"].tolist()
-            ],
-            "out_degrees": [
-                tuple(pair) for pair in arrays["ld_out_degrees"].tolist()
-            ],
+            "assignments": arrays["p_assignments"],
+            "out_degrees": arrays["ld_out_degrees"],
             "greedy_placements": counters["greedy_placements"],
             "fallback_placements": counters["fallback_placements"],
             "promotions": counters["promotions"],
@@ -440,9 +400,7 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
     system._migrator.migrations_performed = int(counters["migrations_performed"])
     system._migrator.promotions_performed = int(counters["promotions_performed"])
     system._update_processor.batches_applied = int(counters["batches_applied"])
-    system._migrator.restore_pending(
-        [tuple(row) for row in arrays["mig_pending"].tolist()]
-    )
+    system._migrator.restore_pending(arrays["mig_pending"])
 
     for name in ("num_nodes", "num_edges"):
         if getattr(system, name) != int(manifest[name]):

@@ -30,6 +30,7 @@ never share mutable phase counters.
 from __future__ import annotations
 
 import threading
+from array import array
 from types import TracebackType
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
-from repro.core.snapshot import GraphSnapshot, build_snapshot
+from repro.core.snapshot import GraphSnapshot, RowBuffer, build_snapshot
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import PIMSystem
@@ -175,7 +176,7 @@ class Epoch:
         """
         cached = self._reverse_index
         if cached is None:
-            in_rows: Dict[int, List[Tuple[int, int]]] = {}
+            in_rows: Dict[int, RowBuffer] = {}
             for snapshot in self.snapshots:
                 if len(snapshot.dsts) == 0:
                     continue
@@ -185,9 +186,13 @@ class Epoch:
                     srcs.tolist(),
                     snapshot.labels.tolist(),
                 ):
-                    in_rows.setdefault(dst, []).append((src, label))
+                    row = in_rows.get(dst)
+                    if row is None:
+                        row = in_rows[dst] = array("q")
+                    row.append(src)
+                    row.append(label)
             extra_owners: Dict[int, int] = {}
-            per_partition: Dict[int, List[Tuple[int, List[Tuple[int, int]]]]] = {}
+            per_partition: Dict[int, List[Tuple[int, RowBuffer]]] = {}
             for node, entries in in_rows.items():
                 owner = self.owner(node)
                 if owner is None:
@@ -199,7 +204,7 @@ class Epoch:
             for partition in partitions:
                 base = self.snapshot_of(partition)
                 rows = per_partition.get(partition, [])
-                entry_count = sum(len(entries) for _, entries in rows)
+                entry_count = sum(len(entries) for _, entries in rows) >> 1
                 reversed_snapshots.append(
                     build_snapshot(
                         rows,

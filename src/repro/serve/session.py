@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.snapshot import GraphSnapshot, merge_snapshot
+from repro.core.snapshot import GraphSnapshot, merge_snapshot, row_buffer
 from repro.engine.base import create_engine
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
@@ -303,7 +303,7 @@ class Session:
             patched[owner] = merge_snapshot(
                 base,
                 dirty,
-                self._local.get,
+                lambda node: row_buffer(self._local[node]),
                 bytes_per_entry=base.bytes_per_entry,
                 working_set_bytes=base.working_set_bytes,
                 count_local=(owner != HOST_PARTITION),

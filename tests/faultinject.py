@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.snapshot import row_buffer
 from repro.core.system import Moctopus
 from repro.durability import wal as wal_module
 from repro.partition.owner_index import OwnerIndex
@@ -136,6 +137,16 @@ class FaultInjector:
 # ----------------------------------------------------------------------
 # State fingerprints
 # ----------------------------------------------------------------------
+def public_rows(storage):
+    """``(node, row buffer)`` pairs re-packed from a storage's public
+    reads — the input of ``build_snapshot_reference`` that owes nothing
+    to how the storage keeps its rows."""
+    return [
+        (node, row_buffer(storage.next_hops_with_labels(node)))
+        for node in storage.rows()
+    ]
+
+
 def fingerprint(system: Moctopus) -> Dict:
     """The durable-equivalence view of a system's state."""
     snapshots = []

@@ -34,6 +34,8 @@ from repro.graph import DiGraph, random_graph
 from repro.pim import CostModel
 from repro.rpq import RPQuery, random_source_batch
 
+from faultinject import public_rows
+
 #: Every backend and the ``"auto"`` dispatcher; each is compared to the
 #: scalar reference ``"python"``.
 ENGINES = ENGINE_NAMES
@@ -44,7 +46,7 @@ def assert_snapshots_match_rebuild(system, context=""):
     for module_id, storage in enumerate(system._module_storages):
         snapshot = storage.to_csr()
         reference = build_snapshot_reference(
-            list(storage._rows.items()),
+            public_rows(storage),
             bytes_per_entry=BYTES_PER_ENTRY,
             working_set_bytes=max(storage.storage_bytes, 1),
             count_local=True,
@@ -55,7 +57,7 @@ def assert_snapshots_match_rebuild(system, context=""):
     host = system._host_storage
     snapshot = host.to_csr()
     reference = build_snapshot_reference(
-        [(node, vector.occupied()) for node, vector in host._vectors.items()],
+        public_rows(host),
         bytes_per_entry=BYTES_PER_SLOT,
         working_set_bytes=max(host.total_bytes(), 1),
         count_local=False,

@@ -202,12 +202,13 @@ def test_epoch_registry_is_current_plus_pinned():
 
 
 def test_traced_bytes_per_stored_edge_stay_under_the_ceiling():
-    """A loaded, published smoke-graph system costs < 192 traced B/edge.
+    """A loaded, published smoke-graph system costs < 138 traced B/edge.
 
-    Measured 174.4 B/edge (storage rows + live CSR + owner table +
-    partition vector and degree counters); the parent commit, which
-    also kept a mirror ``DiGraph``, measured 237.6 B/edge on the same
-    graph.  The ceiling sits ~10 % above today's value.
+    Measured 125.4 B/edge (storage rows as ``array('q')`` buffers + live
+    CSR + owner table + partition vector and degree counters); with one
+    ``(dst, label)`` tuple per edge in the rows the same graph measured
+    174.4, and with a mirror ``DiGraph`` beside them 237.6.  The ceiling
+    sits ~10 % above today's value.
     """
     graph = power_law_graph(1200, edges_per_node=4, skew=0.6, reciprocity=0.3, seed=13)
     config = MoctopusConfig(cost_model=scaled_cost_model())
@@ -222,4 +223,4 @@ def test_traced_bytes_per_stored_edge_stay_under_the_ceiling():
     finally:
         tracemalloc.stop()
     assert system.num_edges == graph.num_edges
-    assert traced / system.num_edges < 192
+    assert traced / system.num_edges < 138

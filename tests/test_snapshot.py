@@ -13,15 +13,23 @@ from repro.core.snapshot import (
     build_snapshot,
     build_snapshot_reference,
     merge_snapshot,
+    row_buffer,
 )
 from repro.graph import random_graph
 from repro.pim import CostModel
+
+from faultinject import public_rows
+
+
+def buffers(rows):
+    """``(node, [(dst, label), ...])`` pairs as ``(node, row buffer)`` pairs."""
+    return [(node, row_buffer(entries)) for node, entries in rows]
 
 
 def reference_of(storage: LocalGraphStorage):
     """From-scratch scalar rebuild of ``storage``'s current contents."""
     return build_snapshot_reference(
-        list(storage._rows.items()),
+        public_rows(storage),
         bytes_per_entry=BYTES_PER_ENTRY,
         working_set_bytes=max(storage.storage_bytes, 1),
         count_local=True,
@@ -33,7 +41,7 @@ def reference_of(storage: LocalGraphStorage):
 # ----------------------------------------------------------------------
 def test_build_snapshot_orders_rows_and_counts_locals():
     snapshot = build_snapshot(
-        [(5, [(1, 0), (5, 0), (9, 0)]), (1, [(5, 0)]), (9, [])],
+        buffers([(5, [(1, 0), (5, 0), (9, 0)]), (1, [(5, 0)]), (9, [])]),
         bytes_per_entry=12,
         working_set_bytes=100,
         count_local=True,
@@ -54,7 +62,7 @@ def test_build_snapshot_empty():
 
 def test_build_snapshot_trailing_empty_rows():
     snapshot = build_snapshot(
-        [(0, [(1, 0)]), (1, []), (2, [])],
+        buffers([(0, [(1, 0)]), (1, []), (2, [])]),
         bytes_per_entry=12,
         working_set_bytes=1,
         count_local=True,
@@ -64,12 +72,14 @@ def test_build_snapshot_trailing_empty_rows():
 
 def test_build_snapshot_matches_scalar_reference():
     """The vectorized builder and the per-edge reference agree array-for-array."""
-    rows = [
-        (5, [(1, 0), (5, 2), (9, 1)]),
-        (1, [(5, 3)]),
-        (9, []),
-        (3, [(77, 0), (3, 1)]),
-    ]
+    rows = buffers(
+        [
+            (5, [(1, 0), (5, 2), (9, 1)]),
+            (1, [(5, 3)]),
+            (9, []),
+            (3, [(77, 0), (3, 1)]),
+        ]
+    )
     for count_local in (True, False):
         fast = build_snapshot(rows, 12, 100, count_local)
         slow = build_snapshot_reference(rows, 12, 100, count_local)
@@ -190,7 +200,7 @@ def test_overlay_records_kinds_and_clears():
 
 def test_merge_snapshot_into_empty_base():
     base = build_snapshot([], bytes_per_entry=12, working_set_bytes=1, count_local=True)
-    rows = {4: [(1, 0)], 2: [(4, 5)]}
+    rows = dict(buffers([(4, [(1, 0)]), (2, [(4, 5)])]))
     merged = merge_snapshot(
         base,
         np.array([2, 4], dtype=np.int64),
@@ -231,7 +241,7 @@ def test_hetero_overlay_merges_match_rebuild():
     snapshot = storage.to_csr()
     assert storage.snapshot_merges == 1
     reference = build_snapshot_reference(
-        [(node, vector.occupied()) for node, vector in storage._vectors.items()],
+        public_rows(storage),
         bytes_per_entry=BYTES_PER_SLOT,
         working_set_bytes=max(storage.total_bytes(), 1),
         count_local=False,
@@ -448,10 +458,7 @@ def test_seed_base_restores_cache_and_allows_mutation():
     frozen = original.to_csr()
 
     restored = LocalGraphStorage()
-    restored.restore_rows(
-        {node: original.next_hops_with_labels(node) for node in original.rows()},
-        base=frozen,
-    )
+    restored.restore_rows(frozen)
     # Cache hit: the exact seeded object comes back.
     assert restored.to_csr() is frozen
     assert restored.num_edges == original.num_edges
@@ -470,14 +477,17 @@ def test_seed_base_restores_cache_and_allows_mutation():
 def test_restore_rows_requires_empty_storage():
     storage = LocalGraphStorage()
     storage.add_edge(1, 2)
+    donor = LocalGraphStorage()
+    donor.add_edge(3, 4)
     with pytest.raises(RuntimeError):
-        storage.restore_rows({3: [(4, 0)]})
+        storage.restore_rows(donor.to_csr())
+    assert storage.next_hops_with_labels(1) == [(2, 0)] and not storage.has_row(3)
     hetero = HeterogeneousGraphStorage(num_pim_modules=2)
     hetero.insert_edge(1, 2)
+    empty = HeterogeneousGraphStorage(num_pim_modules=2)
     with pytest.raises(RuntimeError):
-        hetero.restore_state(
-            {"row_ids": [], "capacities": [], "occupied": [], "free_lists": []}
-        )
+        hetero.restore_arrays(empty.capture_arrays(), base=empty.to_csr())
+    assert hetero.next_hops(1) == [2] and hetero.num_rows == 1
 
 
 def test_row_entries_reads_pinned_rows():
@@ -604,7 +614,7 @@ def test_epoch_retention_bounds_registry():
 # ----------------------------------------------------------------------
 def test_degree_histogram_counts_rows_by_out_degree():
     snapshot = build_snapshot(
-        [(5, [(1, 0), (5, 0), (9, 0)]), (1, [(5, 0)]), (9, [])],
+        buffers([(5, [(1, 0), (5, 0), (9, 0)]), (1, [(5, 0)]), (9, [])]),
         bytes_per_entry=12,
         working_set_bytes=100,
         count_local=True,
@@ -621,7 +631,7 @@ def test_degree_histogram_counts_rows_by_out_degree():
 
 def test_transpose_block_groups_in_edges_by_destination():
     snapshot = build_snapshot(
-        [(1, [(7, 0), (3, 0)]), (5, [(3, 0)]), (9, [(9, 0)])],
+        buffers([(1, [(7, 0), (3, 0)]), (5, [(3, 0)]), (9, [(9, 0)])]),
         bytes_per_entry=12,
         working_set_bytes=100,
         count_local=True,
@@ -656,7 +666,7 @@ def test_transpose_block_round_trips_every_edge():
 
 def test_label_blocks_partition_edges_by_label():
     snapshot = build_snapshot(
-        [(0, [(1, 1), (2, 2)]), (1, [(2, 1)]), (2, [])],
+        buffers([(0, [(1, 1), (2, 2)]), (1, [(2, 1)]), (2, [])]),
         bytes_per_entry=12,
         working_set_bytes=100,
         count_local=True,
