@@ -8,12 +8,12 @@ worse, through a view or an ``out=`` kwarg on a copy that aliases the
 base — silently corrupt every other reader of the epoch.
 
 The rule taints variables bound from frozen-snapshot accessors
-(``to_csr``, ``snapshot_of``, ``reverse_snapshot_of``,
-``degree_histogram``, ``freeze``, plus attribute loads off a tainted
-variable like ``snap.indptr``) and flags in-place mutation of tainted
-names: subscript stores, augmented assignment, ``.sort()`` /
-``.fill()`` / ``.partition()`` / ``.resize()`` calls, and ``out=``
-keywords.  Rebinding a name (``x = x.copy()``) clears its taint.
+(``to_csr``, ``snapshot_of``, ``degree_histogram``, ``freeze``, plus
+attribute loads off a tainted variable like ``snap.indptr``) and flags
+in-place mutation of tainted names: subscript stores, augmented
+assignment, ``.sort()`` / ``.fill()`` / ``.partition()`` /
+``.resize()`` calls, and ``out=`` keywords.  Rebinding a name
+(``x = x.copy()``) clears its taint.
 
 Query answers are frozen the same way: a
 :class:`~repro.rpq.query.BatchResult` is one CSR pair that the result
@@ -51,7 +51,6 @@ FROZEN_ACCESSORS = frozenset(
     {
         "to_csr",
         "snapshot_of",
-        "reverse_snapshot_of",
         "degree_histogram",
         "freeze",
     }

@@ -16,9 +16,9 @@ ablations can sweep them:
   which are required to agree on every result and every simulated
   counter, or ``"auto"``, which picks the scalar or the vectorized one
   per call from the size of the request;
-* the snapshot-maintenance knobs (``snapshot_compact_ratio``,
-  ``snapshot_incremental``) controlling how the storages refresh their
-  cached CSR views between updates and queries;
+* the snapshot-maintenance knob ``snapshot_compact_ratio``: when a
+  storage refreshing its cached CSR view between updates and queries
+  rebuilds it instead of splicing the dirty rows in;
 * the serving-layer knobs (``serve_queue_depth``,
   ``serve_batch_window``, ``serve_linger``, ``serve_workers``,
   ``serve_worker_start_method``) controlling how the batch scheduler
@@ -97,12 +97,6 @@ class MoctopusConfig:
     #: of splicing the delta overlay in.  ``0.0`` compacts on every
     #: refresh; large values always splice.
     snapshot_compact_ratio: float = DEFAULT_SNAPSHOT_COMPACT_RATIO
-    #: Whether storages maintain their CSR snapshots incrementally
-    #: (base + overlay).  ``False`` restores the pre-overlay behaviour —
-    #: every mutation invalidates, every refresh is a from-scratch
-    #: scalar rebuild — kept as a benchmark baseline and differential
-    #: reference.
-    snapshot_incremental: bool = True
     #: Bound of the serving layer's admission queue: how many client
     #: queries may be waiting in a :class:`~repro.serve.scheduler.
     #: BatchScheduler` before further submissions are rejected

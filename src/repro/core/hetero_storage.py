@@ -127,11 +127,13 @@ class ColsVector:
 class HeterogeneousGraphStorage:
     """Host-resident ``cols_vector`` rows plus PIM-resident index maps."""
 
+    #: Bytes streamed per occupied slot when a row is scanned (``RowSource``).
+    bytes_per_entry = BYTES_PER_SLOT
+
     def __init__(
         self,
         num_pim_modules: int,
         compact_ratio: float = DEFAULT_SNAPSHOT_COMPACT_RATIO,
-        incremental: bool = True,
     ) -> None:
         if num_pim_modules <= 0:
             raise ValueError("num_pim_modules must be positive")
@@ -145,7 +147,7 @@ class HeterogeneousGraphStorage:
         #: Slots allocated across all rows (``total_bytes`` in O(1)).
         self._total_slots = 0
         #: Base snapshot + overlay + refresh strategy (see repro.core.snapshot).
-        self._cache = SnapshotCache(compact_ratio, incremental)
+        self._cache = SnapshotCache(compact_ratio)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -187,6 +189,12 @@ class HeterogeneousGraphStorage:
         """Total host memory occupied by all ``cols_vector`` rows."""
         return self._total_slots * BYTES_PER_SLOT
 
+    @property
+    def working_set_bytes(self) -> int:
+        """The capacity-based footprint the host's random-access cost
+        depends on, as the host snapshots carry it (never 0)."""
+        return max(self.total_bytes(), 1)
+
     def index_module_of(self, node: int) -> int:
         """PIM module that shards ``node``'s index maps.
 
@@ -211,6 +219,16 @@ class HeterogeneousGraphStorage:
         if vector is None:
             return []
         return vector.occupied()
+
+    # The names a ``RowSource`` is read by (live rows and pinned
+    # snapshots expand through the same scalar loop).
+    row_dsts = next_hops
+    row_entries = next_hops_with_labels
+
+    def local_hops(self, node: int) -> int:
+        """Always 0, like a host snapshot's ``local_counts``: the host
+        never detects misplacement."""
+        return 0
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Edge existence via the PIM-side ``elem_position_map``."""
@@ -239,7 +257,7 @@ class HeterogeneousGraphStorage:
             self._all_rows,
             self._fetch_row,
             bytes_per_entry=BYTES_PER_SLOT,
-            working_set_bytes=lambda: max(self.total_bytes(), 1),
+            working_set_bytes=lambda: self.working_set_bytes,
             count_local=False,
         )
 

@@ -59,18 +59,20 @@ BYTES_PER_ROW = 32
 class LocalGraphStorage:
     """Hash-map adjacency segment stored in one PIM module's local memory."""
 
+    #: Bytes streamed per entry when a row is scanned (``RowSource``).
+    bytes_per_entry = BYTES_PER_ENTRY
+
     def __init__(
         self,
         memory: Optional[LocalMemory] = None,
         compact_ratio: float = DEFAULT_SNAPSHOT_COMPACT_RATIO,
-        incremental: bool = True,
     ) -> None:
         #: ``node -> dst0, label0, dst1, label1, ...`` in insertion order.
         self._rows: Dict[int, RowBuffer] = {}
         self._memory = memory
         self._num_edges = 0
         #: Base snapshot + overlay + refresh strategy (see repro.core.snapshot).
-        self._cache = SnapshotCache(compact_ratio, incremental)
+        self._cache = SnapshotCache(compact_ratio)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -89,6 +91,11 @@ class LocalGraphStorage:
     def storage_bytes(self) -> int:
         """Bytes of local memory this segment occupies."""
         return len(self._rows) * BYTES_PER_ROW + self._num_edges * BYTES_PER_ENTRY
+
+    @property
+    def working_set_bytes(self) -> int:
+        """The segment's footprint as its snapshots carry it (never 0)."""
+        return max(self.storage_bytes, 1)
 
     def has_row(self, node: int) -> bool:
         """Whether ``node``'s row lives on this module."""
@@ -230,7 +237,7 @@ class LocalGraphStorage:
             self._rows.items,
             self._rows.get,
             bytes_per_entry=BYTES_PER_ENTRY,
-            working_set_bytes=lambda: max(self.storage_bytes, 1),
+            working_set_bytes=lambda: self.working_set_bytes,
             count_local=True,
         )
 
@@ -275,6 +282,11 @@ class LocalGraphStorage:
         if row is None:
             return []
         return row_pairs(row)
+
+    # The names a ``RowSource`` is read by (live rows and pinned
+    # snapshots expand through the same scalar loop).
+    row_dsts = next_hops
+    row_entries = next_hops_with_labels
 
     def local_hops(self, node: int) -> int:
         """How many of ``node``'s next hops are rows of this module — the

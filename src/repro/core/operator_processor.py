@@ -10,12 +10,18 @@ While expanding a frontier, the processor also performs the paper's
 misplacement detection: a node whose next hops mostly live outside the
 local module is reported as incorrectly partitioned, overlapping the
 detection with query processing exactly as Section 3.2.2 describes.
+
+The expansion itself is the module-level :func:`smxm`: the one scalar
+loop, over any :class:`RowSource` — a module's live storage, the host's,
+or a pinned CSR snapshot.  :meth:`OperatorProcessor.process_smxm` is that
+loop over the processor's own storage; the scalar execution kernel calls
+it on whatever rows its view hands out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.graph.stream import UpdateKind
@@ -47,6 +53,108 @@ class UpdateWork:
     applied: int = 0
 
 
+@runtime_checkable
+class RowSource(Protocol):
+    """Adjacency rows as the scalar ``smxm`` loop reads them.
+
+    Satisfied by both live storages and by a pinned
+    :class:`~repro.core.snapshot.GraphSnapshot`, so one loop expands
+    live and pinned frontiers and charges them alike: a row streams
+    ``len(row) * bytes_per_entry`` bytes wherever it is read from.
+    """
+
+    #: Bytes streamed per adjacency entry when a row is scanned.
+    bytes_per_entry: int
+    #: Footprint the host's random-access cost depends on.
+    working_set_bytes: int
+
+    def row_dsts(self, node: int) -> List[int]:
+        """Next-hop node ids of ``node`` (empty when the row is absent)."""
+        ...
+
+    def row_entries(self, node: int) -> List[Tuple[int, int]]:
+        """``(dst, label)`` entries of ``node``'s row, in stored order."""
+        ...
+
+    def local_hops(self, node: int) -> int:
+        """How many of ``node``'s next hops are rows of the same source."""
+        ...
+
+
+def smxm(
+    frontier: Dict[int, ContextSet],
+    rows: RowSource,
+    dfa: Optional[DFA] = None,
+    label_names: Optional[Dict[int, str]] = None,
+    misplacement_threshold: Optional[float] = None,
+) -> Tuple[Dict[int, ContextSet], SmxmWork]:
+    """Expand ``frontier`` against ``rows`` — the one scalar ``smxm`` loop.
+
+    Parameters
+    ----------
+    frontier:
+        ``node -> set of contexts``; a context is a query row (k-hop
+        plans) or a ``(row, automaton_state)`` pair (general RPQs).
+    rows:
+        Where the adjacency rows are read: a live storage or a pinned
+        snapshot.
+    dfa:
+        When given, contexts are ``(row, state)`` pairs and each edge
+        label steps the automaton; contexts that the automaton
+        rejects are dropped.
+    label_names:
+        Integer-label to query-label-string mapping for DFA stepping.
+    misplacement_threshold:
+        Remote-hop fraction above which a node is reported as
+        misplaced; ``None`` turns detection off.
+
+    Returns
+    -------
+    (produced, work):
+        ``produced`` maps destination node to the set of contexts now
+        sitting on it; ``work`` holds the counters to charge.
+    """
+    produced: Dict[int, ContextSet] = {}
+    reports: Dict[int, Tuple[int, int]] = {}
+    names = label_names or {}
+    edges = 0
+    items = 0
+    for node, contexts in frontier.items():
+        if dfa is None:
+            # k-hop plans never read a label: the dst column is enough.
+            next_hops = rows.row_dsts(node)
+            degree = len(next_hops)
+            for destination in next_hops:
+                produced.setdefault(destination, set()).update(contexts)
+            items += degree * len(contexts)
+        else:
+            entries = rows.row_entries(node)
+            degree = len(entries)
+            for destination, label in entries:
+                label_string = names.get(label)
+                if label_string is None:
+                    label_string = str(label)
+                for context in contexts:
+                    items += 1
+                    row, state = context
+                    next_state = dfa.step(state, label_string)
+                    if next_state is None:
+                        continue
+                    produced.setdefault(destination, set()).add((row, next_state))
+        edges += degree
+        if misplacement_threshold is not None and degree:
+            local = rows.local_hops(node)
+            remote = degree - local
+            if remote > 0 and remote / degree > misplacement_threshold:
+                reports[node] = (local, remote)
+    return produced, SmxmWork(
+        rows_touched=len(frontier),
+        bytes_streamed=edges * rows.bytes_per_entry,
+        items_processed=items,
+        misplacement_reports=reports,
+    )
+
+
 class OperatorProcessor:
     """Executes operators against one module's local graph storage."""
 
@@ -70,63 +178,15 @@ class OperatorProcessor:
         label_names: Optional[Dict[int, str]] = None,
         detect_misplacement: bool = True,
     ) -> Tuple[Dict[int, ContextSet], SmxmWork]:
-        """Expand ``frontier`` against the local adjacency segment.
-
-        Parameters
-        ----------
-        frontier:
-            ``node -> set of contexts``; a context is a query row (k-hop
-            plans) or a ``(row, automaton_state)`` pair (general RPQs).
-        dfa:
-            When given, contexts are ``(row, state)`` pairs and each edge
-            label steps the automaton; contexts that the automaton
-            rejects are dropped.
-        label_names:
-            Integer-label to query-label-string mapping for DFA stepping.
-        detect_misplacement:
-            Whether to report nodes whose next hops are mostly remote.
-
-        Returns
-        -------
-        (produced, work):
-            ``produced`` maps destination node to the set of contexts now
-            sitting on it; ``work`` holds the counters to charge.
-        """
-        produced: Dict[int, ContextSet] = {}
-        work = SmxmWork()
-        storage = self.storage
-        for node, contexts in frontier.items():
-            work.rows_touched += 1
-            if dfa is None:
-                # k-hop plans never read a label: the dst column is enough.
-                next_hops = storage.next_hops(node)
-                degree = len(next_hops)
-                for destination in next_hops:
-                    produced.setdefault(destination, set()).update(contexts)
-                work.items_processed += degree * len(contexts)
-            else:
-                entries = storage.next_hops_with_labels(node)
-                degree = len(entries)
-                for destination, label in entries:
-                    label_string = (
-                        label_names[label]
-                        if label_names and label in label_names
-                        else str(label)
-                    )
-                    for context in contexts:
-                        work.items_processed += 1
-                        row, state = context
-                        next_state = dfa.step(state, label_string)
-                        if next_state is None:
-                            continue
-                        produced.setdefault(destination, set()).add((row, next_state))
-            work.bytes_streamed += degree * BYTES_PER_ENTRY
-            if detect_misplacement and degree:
-                local = storage.local_hops(node)
-                remote = degree - local
-                if remote > 0 and remote / degree > self.misplacement_threshold:
-                    work.misplacement_reports[node] = (local, remote)
-        return produced, work
+        """Expand ``frontier`` against the local adjacency segment
+        (:func:`smxm` over this module's storage and threshold)."""
+        return smxm(
+            frontier,
+            self.storage,
+            dfa,
+            label_names,
+            self.misplacement_threshold if detect_misplacement else None,
+        )
 
     # ------------------------------------------------------------------
     # add / sub

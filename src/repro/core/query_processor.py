@@ -11,12 +11,19 @@ The processor's job is planning and delegation, not data movement:
 2. the logical plan is lowered again into a
    :class:`~repro.engine.physical.PhysicalPlan` of bulk-synchronous
    dispatch / expand / route / reduce operators;
-3. the physical plan is handed to the
-   :class:`~repro.engine.base.ExecutionEngine` selected by
+3. the physical plan is handed, with the view to run it against, to
+   the :class:`~repro.engine.base.ExecutionEngine` selected by
    ``MoctopusConfig.engine`` — the scalar ``"python"`` backend, one of
    the numpy backends, or the ``"auto"`` dispatcher choosing among them
    per call — which executes it on the simulated platform and returns
    the answer matrix plus the execution statistics.
+
+:meth:`QueryProcessor.execute_on_view` is the one entry point: live
+queries pass :attr:`QueryProcessor.live` (the
+:class:`~repro.engine.base.LiveView` over the storages), sessions and
+the scheduler pass a pinned :class:`~repro.serve.epoch.EpochView`.
+Engines keep no state between calls, so the processor hands out one
+shared instance per backend (:meth:`QueryProcessor.engine_named`).
 
 All backends implement the same operator semantics (see
 :mod:`repro.engine`): the smxm phases where partitioning quality turns
@@ -49,23 +56,17 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import MoctopusConfig
-from repro.core.hetero_storage import HeterogeneousGraphStorage
-from repro.core.local_storage import LocalGraphStorage
-from repro.core.node_migrator import NodeMigrator
-from repro.core.operator_processor import OperatorProcessor
-from repro.core.partitioner import GraphPartitioner
-from repro.engine.base import EngineRuntime, ExecutionEngine, Frontier, create_engine
+from repro.engine.base import ExecutionEngine, LiveView, create_engine
 from repro.engine.physical import PhysicalPlan, lower_plan
 from repro.pim.stats import ExecutionStats
-from repro.pim.system import PIMSystem
 from repro.rpq.cost_planner import CostBasedPlanner, epoch_of_view
-from repro.rpq.planner import LogicalPlan, plan_query
+from repro.rpq.planner import LogicalPlan
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
-__all__ = ["QueryProcessor", "Frontier"]
+__all__ = ["QueryProcessor"]
 
 
 def _shared_outcome(
@@ -91,31 +92,18 @@ class QueryProcessor:
     def __init__(
         self,
         config: MoctopusConfig,
-        pim_system: PIMSystem,
-        partitioner: GraphPartitioner,
-        module_storages: List[LocalGraphStorage],
-        host_storage: HeterogeneousGraphStorage,
-        operator_processors: List[OperatorProcessor],
-        node_migrator: NodeMigrator,
+        live: LiveView,
         label_names: Optional[Dict[int, str]] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self._config = config
-        self._runtime = EngineRuntime(
-            config=config,
-            pim=pim_system,
-            partitioner=partitioner,
-            module_storages=module_storages,
-            host_storage=host_storage,
-            processors=operator_processors,
-            migrator=node_migrator,
-            label_names=label_names or {},
-        )
-        self.engine: ExecutionEngine = create_engine(
-            engine or config.engine, self._runtime
-        )
+        #: The view live (unpinned) queries execute against.
+        self.live = live
+        #: Integer edge label -> query label string.
+        self.label_names: Dict[int, str] = label_names or {}
+        self._engines: Dict[str, ExecutionEngine] = {}
+        self.engine: ExecutionEngine = self.engine_named(config.engine)
         self.planner = CostBasedPlanner(
-            label_names=label_names or {},
+            label_names=self.label_names,
             direction=config.planner_direction,
         )
         #: Cache hit/miss counters.  Deliberately *not* merged into any
@@ -135,42 +123,46 @@ class QueryProcessor:
 
     def use_engine(self, name: str) -> None:
         """Swap the execution backend (used by benchmarks and tests)."""
-        self.engine = create_engine(name, self._runtime)
+        self.engine = self.engine_named(name)
+
+    def engine_named(self, name: str) -> ExecutionEngine:
+        """The shared instance of backend ``name``.
+
+        Engines hold nothing but the label table, so live callers,
+        sessions and the scheduler all run on the same one.
+        """
+        engine = self._engines.get(name)
+        if engine is None:
+            engine = self._engines[name] = create_engine(name, self.label_names)
+        return engine
 
     # ------------------------------------------------------------------
-    # Public entry points
+    # The entry point
     # ------------------------------------------------------------------
-    def execute_khop(self, query: KHopQuery) -> Tuple[BatchResult, ExecutionStats]:
-        """Execute a batch k-hop query (the paper's workload)."""
-        return self._run(plan_query(query), query.sources)
-
-    def execute_rpq(self, query: RPQuery) -> Tuple[BatchResult, ExecutionStats]:
-        """Execute a general regular path query."""
-        return self._run(plan_query(query), query.sources)
-
     def execute_on_view(
         self, query, view, engine: Optional[ExecutionEngine] = None
     ) -> Tuple[BatchResult, ExecutionStats]:
-        """Plan ``query`` and execute it against a pinned epoch view.
+        """Plan ``query`` and execute it against ``view``.
 
-        The serving layer's entry point: planning and lowering are the
-        same as the live path, but the physical plan runs on ``view``
-        (frozen owners and snapshots, private accounting platform) via a
-        per-session ``engine`` instance.  When no engine is supplied a
-        fresh one is created for the call — pinned executions must never
-        share the live engine's scratch state with concurrent live
-        queries.
+        ``view`` is :attr:`live` for a live query, or a pinned
+        :class:`~repro.serve.epoch.EpochView` (frozen owners and
+        snapshots, private accounting platform).  Only an unpatched
+        pinned view has frozen statistics, so only it gets cost-based
+        direction and the epoch-keyed caches; the live view and
+        session-patched views plan forward and always execute.
+        ``engine`` defaults to the processor's configured backend.
         """
+        if engine is None:
+            engine = self.engine
         epoch = epoch_of_view(view)
         physical = self.lower(query, view=view)
-        engine_name = engine.name if engine is not None else self.engine.name
         result_key = None
         if epoch is not None and self._config.result_cache_size > 0:
             result_key = (
                 epoch.epoch_id,
                 self._query_key(query),
                 tuple(query.sources),
-                engine_name,
+                engine.name,
             )
             with self._cache_lock:
                 cached = self._result_cache.get(result_key)
@@ -182,9 +174,7 @@ class QueryProcessor:
             if cached is not None:
                 # Outside the lock, so concurrent hits never serialize.
                 return _shared_outcome(cached)
-        if engine is None:
-            engine = create_engine(engine_name, self._runtime)
-        outcome = engine.execute(physical, query.sources, view=view)
+        outcome = engine.execute(physical, query.sources, view)
         if result_key is not None:
             entry = _shared_outcome(outcome)
             with self._cache_lock:
@@ -203,14 +193,14 @@ class QueryProcessor:
             raise TypeError(f"unsupported query type {type(query).__name__}")
         return self.planner.plan(query, view=view)
 
-    def lower(self, query, view=None) -> "PhysicalPlan":
+    def lower(self, query, view) -> "PhysicalPlan":
         """Plan and lower ``query`` without executing it.
 
-        ``view`` is anything with a ``total_rows()`` (a pinned
-        :class:`~repro.serve.epoch.EpochView`, or a bare
-        :class:`~repro.serve.epoch.Epoch`): the cost-based planner then
-        consults the epoch's frozen statistics and fixpoint bounds
-        derive from the frozen row counts instead of the live storages.
+        ``view`` is anything with a ``total_rows()`` (the live view, a
+        pinned :class:`~repro.serve.epoch.EpochView`, or a bare
+        :class:`~repro.serve.epoch.Epoch`): fixpoint bounds derive from
+        its row count, and with an epoch behind it the cost-based
+        planner consults the epoch's frozen statistics.
         The parallel worker pool lowers here once and ships the
         resulting picklable plan to its worker processes, so every
         process executes exactly the plan an in-process pinned
@@ -240,9 +230,7 @@ class QueryProcessor:
         plan = self.plan(query, view=view)
         physical = lower_plan(
             plan,
-            default_fixpoint_iterations=self._max_fixpoint_iterations(
-                plan, view=view
-            ),
+            default_fixpoint_iterations=self._max_fixpoint_iterations(view),
         )
         if plan_key is not None:
             with self._cache_lock:
@@ -261,16 +249,8 @@ class QueryProcessor:
             return ("rpq", query.expression)
         raise TypeError(f"unsupported query type {type(query).__name__}")
 
-    def _run(
-        self, plan: LogicalPlan, sources: List[int]
-    ) -> Tuple[BatchResult, ExecutionStats]:
-        physical = lower_plan(
-            plan,
-            default_fixpoint_iterations=self._max_fixpoint_iterations(plan),
-        )
-        return self.engine.execute(physical, sources)
-
-    def _max_fixpoint_iterations(self, plan: LogicalPlan, view=None) -> int:
+    @staticmethod
+    def _max_fixpoint_iterations(view) -> int:
         """Row-count bound on Kleene-closure iterations.
 
         A shortest path to any ``(node, state)`` frontier item visits
@@ -280,8 +260,7 @@ class QueryProcessor:
         as an iteration produces nothing new.  This method contributes
         the row half — ``lower_plan`` scales the default bound by the
         attached DFA's state count, completing the product-graph bound.
-        Pinned executions bound against the view's frozen row counts
-        instead of the live ones.
+        The rows counted are the view's: frozen for a pinned execution,
+        live otherwise.
         """
-        stored = view if view is not None else self._runtime
-        return max(1, stored.total_rows())
+        return max(1, view.total_rows())

@@ -44,11 +44,9 @@ whichever strategy is cheaper:
 
 All three paths produce **array-for-array identical** snapshots — the
 engine-parity suite asserts incremental results against from-scratch
-rebuilds — so callers never observe which strategy ran.  The pre-PR
-behaviour (invalidate on every mutation, rebuild with per-edge Python
-appends) is preserved behind the storages' ``incremental=False`` switch
-as a benchmark baseline and differential-testing reference
-(:func:`build_snapshot_reference`).
+rebuilds — so callers never observe which strategy ran.
+:func:`build_snapshot_reference` (per-edge Python appends) is the
+differential-testing oracle the suites compare all three against.
 
 A snapshot is a *simulation-faithful* view: alongside the CSR topology
 it carries the byte-accounting constants of its storage (hash-map entry
@@ -244,6 +242,13 @@ class GraphSnapshot:
             return position
         return -1
 
+    def row_dsts(self, node: int) -> List[int]:
+        """Next-hop node ids of ``node``'s row (empty when absent)."""
+        row = self.row_index(node)
+        if row < 0:
+            return []
+        return self.dsts[int(self.indptr[row]):int(self.indptr[row + 1])].tolist()
+
     def row_entries(self, node: int) -> RowEntries:
         """``(dst, label)`` entries of ``node``'s row, in stored order.
 
@@ -259,6 +264,12 @@ class GraphSnapshot:
         return list(
             zip(self.dsts[start:stop].tolist(), self.labels[start:stop].tolist())
         )
+
+    def local_hops(self, node: int) -> int:
+        """How many of ``node``'s next hops are rows of this snapshot
+        (its ``local_counts`` entry; 0 when the row is absent)."""
+        row = self.row_index(node)
+        return 0 if row < 0 else int(self.local_counts[row])
 
     def degree_histogram(self) -> np.ndarray:
         """Out-degree histogram of the snapshot's rows (cached, frozen).
@@ -444,8 +455,7 @@ def build_snapshot_reference(
     """Per-edge Python-append builder (the pre-vectorization behaviour).
 
     Kept as the differential-testing oracle for :func:`build_snapshot`
-    and :func:`merge_snapshot`, and as the wall-clock baseline the
-    mixed-workload benchmark measures the incremental path against.
+    and :func:`merge_snapshot`; nothing in the system itself calls it.
     """
     rows = sorted(rows, key=lambda item: item[0])
     node_ids = np.fromiter((node for node, _ in rows), dtype=np.int64, count=len(rows))
@@ -564,11 +574,10 @@ class SnapshotCache:
     constants.
     """
 
-    def __init__(self, compact_ratio: float, incremental: bool) -> None:
+    def __init__(self, compact_ratio: float) -> None:
         self.overlay = DeltaOverlay()
         self.base: Optional[GraphSnapshot] = None
         self._compact_ratio = compact_ratio
-        self._incremental = incremental
         #: Number of snapshot refreshes performed (any strategy).
         self.builds = 0
         #: Refreshes that rebuilt the base from scratch.
@@ -620,9 +629,8 @@ class SnapshotCache:
         base = self.base
         if base is not None and self.overlay.is_empty:
             return base
-        if base is None or not self._incremental:
-            builder = build_snapshot if self._incremental else build_snapshot_reference
-            self.base = builder(
+        if base is None:
+            self.base = build_snapshot(
                 rows(),
                 bytes_per_entry=bytes_per_entry,
                 working_set_bytes=working_set_bytes(),

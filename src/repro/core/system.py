@@ -39,13 +39,14 @@ from repro.core.operator_processor import OperatorProcessor
 from repro.core.partitioner import GraphPartitioner
 from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
+from repro.engine.base import LiveView
 from repro.graph.digraph import DEFAULT_LABEL, ReadableGraph
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
 from repro.partition.metrics import PartitionQuality, evaluate_partition
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
-from repro.rpq.query import BatchResult, KHopQuery, RPQuery
+from repro.rpq.query import BatchResult, KHopQuery
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.durability import DurabilityController
@@ -69,14 +70,12 @@ class Moctopus:
             LocalGraphStorage(
                 memory=module.memory,
                 compact_ratio=self.config.snapshot_compact_ratio,
-                incremental=self.config.snapshot_incremental,
             )
             for module in self.pim.modules
         ]
         self._host_storage = HeterogeneousGraphStorage(
             self.config.num_modules,
             compact_ratio=self.config.snapshot_compact_ratio,
-            incremental=self.config.snapshot_incremental,
         )
         self._processors = [
             OperatorProcessor(
@@ -101,12 +100,15 @@ class Moctopus:
         )
         self._query_processor = QueryProcessor(
             self.config,
-            self.pim,
-            self._partitioner,
-            self._module_storages,
-            self._host_storage,
-            self._processors,
-            self._migrator,
+            LiveView(
+                config=self.config,
+                pim=self.pim,
+                partitioner=self._partitioner,
+                module_storages=self._module_storages,
+                host_storage=self._host_storage,
+                processors=self._processors,
+                migrator=self._migrator,
+            ),
             label_names=label_names,
         )
         self._update_processor = UpdateProcessor(
@@ -223,23 +225,17 @@ class Moctopus:
         self, sources: Iterable[int], hops: int, auto_migrate: Optional[bool] = None
     ) -> Tuple[BatchResult, ExecutionStats]:
         """Run a batch k-hop path query (the paper's RPQ workload)."""
-        query = KHopQuery(hops=hops, sources=list(sources))
-        with self._serve_lock:
-            result, stats = self._query_processor.execute_khop(query)
-            self._maybe_migrate(auto_migrate)
-        return result, stats
+        return self.execute(
+            KHopQuery(hops=hops, sources=list(sources)), auto_migrate
+        )
 
     def execute(
         self, query, auto_migrate: Optional[bool] = None
     ) -> Tuple[BatchResult, ExecutionStats]:
         """Run a :class:`KHopQuery` or a general :class:`RPQuery`."""
+        processor = self._query_processor
         with self._serve_lock:
-            if isinstance(query, KHopQuery):
-                result, stats = self._query_processor.execute_khop(query)
-            elif isinstance(query, RPQuery):
-                result, stats = self._query_processor.execute_rpq(query)
-            else:
-                raise TypeError(f"unsupported query type {type(query).__name__}")
+            result, stats = processor.execute_on_view(query, processor.live)
             self._maybe_migrate(auto_migrate)
         return result, stats
 

@@ -1,4 +1,4 @@
-"""The physical execution layer: swappable batch-RPQ backends.
+"""The physical execution layer: one plan driver, swappable kernels.
 
 This package separates *what* a query does from *how* it runs:
 
@@ -6,14 +6,18 @@ This package separates *what* a query does from *how* it runs:
   vocabulary (dispatch / expand / route / reduce) lowered from the
   logical planner's matrix plans;
 * :mod:`repro.engine.base` — the :class:`ExecutionEngine` protocol, the
-  :class:`EngineRuntime` wiring bundle, the backend factory and the
-  ``"auto"`` dispatcher that picks a backend per call from the size of
-  the request;
-* :mod:`repro.engine.python_engine` — the scalar reference backend
+  :class:`PlanView` every execution reads graph state through (and
+  :class:`LiveView`, the one over the live storages), the backend
+  factory and the ``"auto"`` dispatcher that picks a backend per call
+  from the size of the request;
+* :mod:`repro.engine.driver` — :func:`execute_plan`, the only
+  interpreter of physical plans and the only code that charges the
+  simulated platform, parameterised by a :class:`Kernel`;
+* :mod:`repro.engine.python_engine` — the scalar reference kernel
   (exact original semantics);
-* :mod:`repro.engine.vectorized` — the numpy backend expanding columnar
+* :mod:`repro.engine.vectorized` — the numpy kernels expanding columnar
   frontiers against CSR storage snapshots (push-style gathers);
-* :mod:`repro.engine.matrix_engine` — the semiring-matrix backend
+* :mod:`repro.engine.matrix_engine` — the semiring-matrix kernels
   executing plans as masked boolean SpGEMM over pre-transposed CSR
   blocks, with a dense-vs-sparse crossover back to the push path.
 
@@ -25,9 +29,9 @@ between them without perturbing any figure of the reproduction.
 from repro.engine.base import (
     ENGINE_NAMES,
     AutoEngine,
-    EngineRuntime,
     ExecutionEngine,
-    Frontier,
+    LiveView,
+    PlanView,
     choose_engine,
     create_engine,
 )
@@ -40,8 +44,8 @@ from repro.engine.physical import (
     ReduceOp,
     RouteOp,
     lower_plan,
-    run_plan,
 )
+from repro.engine.driver import ExpandWork, Kernel, execute_plan
 from repro.engine.matrix_engine import MatrixEngine
 from repro.engine.python_engine import PythonEngine
 from repro.engine.vectorized import VectorizedEngine
@@ -49,9 +53,9 @@ from repro.engine.vectorized import VectorizedEngine
 __all__ = [
     "ENGINE_NAMES",
     "AutoEngine",
-    "EngineRuntime",
     "ExecutionEngine",
-    "Frontier",
+    "LiveView",
+    "PlanView",
     "choose_engine",
     "create_engine",
     "PhysicalPlan",
@@ -62,7 +66,9 @@ __all__ = [
     "FixpointOp",
     "ReduceOp",
     "lower_plan",
-    "run_plan",
+    "ExpandWork",
+    "Kernel",
+    "execute_plan",
     "MatrixEngine",
     "PythonEngine",
     "VectorizedEngine",

@@ -1,17 +1,25 @@
-"""The execution-engine protocol and the wiring both backends share.
+"""The execution-engine protocol and the one view of graph state.
 
 The query processor lowers a logical plan into a
-:class:`~repro.engine.physical.PhysicalPlan` and hands it to an
-:class:`ExecutionEngine`.  Engines are interchangeable: every backend
-must produce identical :class:`~repro.rpq.query.BatchResult`s *and*
-identical simulated work counters (rows touched, bytes streamed, items
-processed, channel traffic) for the same plan on the same system state —
-the paper's figures are derived from those counters, so a faster backend
-must not change what the simulation measures.
+:class:`~repro.engine.physical.PhysicalPlan` and hands it, with a
+:class:`PlanView`, to an :class:`ExecutionEngine`.  Engines are
+interchangeable: every backend must produce identical
+:class:`~repro.rpq.query.BatchResult`s *and* identical simulated work
+counters (rows touched, bytes streamed, items processed, channel
+traffic) for the same plan on the same view — the paper's figures are
+derived from those counters, so a faster backend must not change what
+the simulation measures.  They cannot drift apart: one driver
+(:func:`repro.engine.driver.execute_plan`) sequences the plan and
+charges the platform for all of them; a backend only supplies the
+frontier math.
 
-:class:`EngineRuntime` bundles the system components an engine needs;
-:func:`create_engine` maps the ``MoctopusConfig.engine`` knob to a
-backend instance.
+A :class:`PlanView` is all the graph state a backend sees — owners,
+adjacency rows, the accounting platform.  :class:`LiveView` reads the
+live storages; a pinned, session-patched, pool-attached or reversed
+:class:`~repro.serve.epoch.EpochView` reads frozen arrays.  Engines keep
+nothing between calls but the label table, so one instance per backend
+serves every caller and thread; :func:`create_engine` maps a
+``MoctopusConfig.engine`` name to one.
 """
 
 from __future__ import annotations
@@ -20,10 +28,12 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     List,
     Optional,
     Protocol,
     Tuple,
+    Union,
     runtime_checkable,
 )
 
@@ -31,28 +41,25 @@ import numpy as np
 
 from repro.engine.physical import FixpointOp, PhysicalPlan
 from repro.partition.base import HOST_PARTITION
+from repro.partition.owner_index import OwnerIndex
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
-from repro.rpq.query import BatchResult, ContextSet
+from repro.rpq.query import BatchResult
 
 if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
     from repro.core.config import MoctopusConfig
     from repro.core.hetero_storage import HeterogeneousGraphStorage
     from repro.core.local_storage import LocalGraphStorage
     from repro.core.node_migrator import NodeMigrator
-    from repro.core.operator_processor import OperatorProcessor
+    from repro.core.operator_processor import OperatorProcessor, RowSource
     from repro.core.partitioner import GraphPartitioner
     from repro.core.snapshot import GraphSnapshot
 
 # NOTE: the ``repro.core`` imports above are type-only on purpose.  The
 # query processor (a ``repro.core`` module) imports this module, so a
 # runtime import of ``repro.core`` here would deadlock whichever package
-# is imported second; the runtime only ever touches these objects
-# through the :class:`EngineRuntime` fields it is handed.
-
-#: A frontier as the scalar backend sees it: owner partition -> node ->
-#: set of query contexts.
-Frontier = Dict[int, Dict[int, ContextSet]]
+# is imported second; a :class:`LiveView` only ever touches these
+# objects through the fields it is handed.
 
 #: Names accepted by :func:`create_engine` / ``MoctopusConfig.engine``.
 #: ``"auto"`` selects per call between the scalar and the vectorized
@@ -69,50 +76,66 @@ AUTO_CROSSOVER_ITEMS = 4096
 
 @runtime_checkable
 class PlanView(Protocol):
-    """A frozen, epoch-pinned substitute for the live system state.
+    """The graph state one plan execution runs against.
 
-    The serving layer (:mod:`repro.serve`) hands one of these to
-    ``ExecutionEngine.execute`` to run a plan against an immutable
-    epoch capture instead of the live storages: owner lookups resolve
-    against the epoch's frozen partition table, adjacency reads against
-    the epoch's (possibly session-patched) CSR snapshots, and simulated
-    work is charged to the view's private accounting platform so
-    concurrent pinned executions never share mutable phase counters.
-
-    Pinned execution never reports misplacement — the reports would be
-    derived from a stale epoch — so both engines skip detection when a
-    view is supplied, keeping their outputs bit-identical.
+    Owner lookups, adjacency reads and the accounting platform all come
+    from the view, so a backend never asks whether it is running live,
+    pinned, patched or reversed: :class:`LiveView` answers from the live
+    storages, an :class:`~repro.serve.epoch.EpochView` from an epoch's
+    frozen arrays (optionally patched with a session's uncommitted
+    writes, or swapped for the epoch's reversed adjacency), charging a
+    private platform so concurrent pinned executions never share mutable
+    phase counters.
     """
 
-    #: Identifier of the pinned epoch (stamped into query stats).
-    epoch_id: int
-    #: Private accounting platform for this view's executions.
+    #: Accounting platform this view's executions charge.
     pim: PIMSystem
 
     def owner(self, node: int) -> Optional[int]:
-        """Partition owning ``node`` at the pinned epoch (``None`` unknown)."""
+        """Partition owning ``node`` (``None`` when unknown)."""
         ...
 
     def owners_of(self, nodes: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup (``OwnerIndex.UNKNOWN`` when unplaced)."""
         ...
 
+    def rows_of(self, partition: int) -> "RowSource":
+        """``partition``'s adjacency rows as the scalar loop reads them."""
+        ...
+
     def snapshot_of(self, partition: int) -> "GraphSnapshot":
-        """Pinned CSR snapshot of ``partition``'s adjacency segment."""
+        """CSR snapshot of ``partition``'s adjacency segment."""
+        ...
+
+    def misplacement_threshold(self, partition: int) -> Optional[float]:
+        """Remote-hop fraction above which ``partition`` reports a node
+        as misplaced; ``None`` when it detects nothing."""
+        ...
+
+    def report_misplaced(self, reports: Iterable[Tuple[int, int, int]]) -> None:
+        """Take one expansion's ``(node, local, remote)`` misplacement reports."""
+        ...
+
+    def reversed(self) -> "PlanView":
+        """The view a reverse plan expands against (in-edges as rows)."""
         ...
 
     def total_rows(self) -> int:
-        """Total adjacency rows across all pinned snapshots."""
+        """Total adjacency rows in the view."""
         ...
 
     def total_edges(self) -> int:
-        """Total adjacency entries across all pinned snapshots."""
+        """Total adjacency entries in the view."""
         ...
 
 
 @dataclass
-class EngineRuntime:
-    """The system components an execution engine operates on."""
+class LiveView:
+    """The :class:`PlanView` over the live storages.
+
+    Live queries run under the system's writer lock, one at a time, so
+    the view's owner index needs no synchronisation of its own.
+    """
 
     config: MoctopusConfig
     pim: PIMSystem
@@ -121,26 +144,54 @@ class EngineRuntime:
     host_storage: HeterogeneousGraphStorage
     processors: List[OperatorProcessor]
     migrator: NodeMigrator
-    label_names: Dict[int, str] = field(default_factory=dict)
+    #: Version-cached vectorized owner lookups over the partition map.
+    _owners: OwnerIndex = field(default_factory=OwnerIndex, repr=False)
 
     def owner(self, node: int) -> Optional[int]:
-        """Partition owning ``node`` (``None`` when unknown)."""
         return self.partitioner.partition_of(node)
 
-    def snapshot_of(self, partition: int) -> GraphSnapshot:
-        """CSR snapshot of the storage backing ``partition``."""
+    def owners_of(self, nodes: np.ndarray) -> np.ndarray:
+        # Version-stamped: node placement cannot change mid-query
+        # (migrations run after the answer is complete), so every call
+        # after a query's first is a no-op.
+        self._owners.refresh(self.partitioner.partition_map)
+        return self._owners.owners_of(nodes)
+
+    def rows_of(
+        self, partition: int
+    ) -> Union[LocalGraphStorage, HeterogeneousGraphStorage]:
+        """The live storage itself — never ``to_csr()``: a small scalar
+        query between migration passes must not pay a snapshot splice."""
         if partition == HOST_PARTITION:
-            return self.host_storage.to_csr()
-        return self.module_storages[partition].to_csr()
+            return self.host_storage
+        return self.module_storages[partition]
+
+    def snapshot_of(self, partition: int) -> GraphSnapshot:
+        return self.rows_of(partition).to_csr()
+
+    def misplacement_threshold(self, partition: int) -> Optional[float]:
+        """The module's ``OperatorProcessor`` threshold — frozen at
+        construction, so a later config tweak cannot diverge backends."""
+        if partition == HOST_PARTITION or not self.config.enable_migration:
+            return None
+        return self.processors[partition].misplacement_threshold
+
+    def report_misplaced(self, reports: Iterable[Tuple[int, int, int]]) -> None:
+        for node, local, remote in reports:
+            self.migrator.report_misplaced(node, local, remote)
+
+    def reversed(self) -> "PlanView":
+        raise ValueError(
+            "reverse plans need a pinned epoch: the live storages keep "
+            "no reversed adjacency"
+        )
 
     def total_rows(self) -> int:
-        """Total adjacency rows across the live storages."""
         return self.host_storage.num_rows + sum(
             storage.num_rows for storage in self.module_storages
         )
 
     def total_edges(self) -> int:
-        """Total adjacency entries across the live storages."""
         return self.host_storage.num_edges + sum(
             storage.num_edges for storage in self.module_storages
         )
@@ -154,17 +205,10 @@ class ExecutionEngine(Protocol):
     name: str
 
     def execute(
-        self,
-        plan: PhysicalPlan,
-        sources: List[int],
-        view: Optional[PlanView] = None,
+        self, plan: PhysicalPlan, sources: List[int], view: PlanView
     ) -> Tuple[BatchResult, ExecutionStats]:
-        """Run ``plan`` for the batch ``sources`` on the simulated system.
-
-        With ``view`` supplied, the plan executes against the pinned
-        epoch capture (frozen owners + snapshots, private accounting)
-        instead of the live storages.
-        """
+        """Run ``plan`` for the batch ``sources`` against ``view``,
+        charging the simulated work to ``view.pim``."""
         ...
 
 
@@ -197,44 +241,41 @@ class AutoEngine:
 
     name = "auto"
 
-    def __init__(self, runtime: EngineRuntime) -> None:
-        self._runtime = runtime
-        self._engines: Dict[str, ExecutionEngine] = {}
+    def __init__(self, label_names: Dict[int, str]) -> None:
+        self._label_names = label_names
 
     def execute(
-        self,
-        plan: PhysicalPlan,
-        sources: List[int],
-        view: Optional[PlanView] = None,
+        self, plan: PhysicalPlan, sources: List[int], view: PlanView
     ) -> Tuple[BatchResult, ExecutionStats]:
-        # Both sides answer the same two questions, so one graph and
+        # Every view answers the same two questions, so one graph and
         # one request choose alike live and pinned.
-        stored = view if view is not None else self._runtime
-        avg_out_degree = stored.total_edges() / max(1, stored.total_rows())
+        avg_out_degree = view.total_edges() / max(1, view.total_rows())
         batch_size = len(plan.reverse.seeds) if plan.reverse else len(sources)
         name = choose_engine(plan, batch_size, avg_out_degree)
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = self._engines[name] = create_engine(name, self._runtime)
-        return engine.execute(plan, sources, view)
+        # Backends keep nothing between calls, so none is kept here.
+        return create_engine(name, self._label_names).execute(plan, sources, view)
 
 
-def create_engine(name: str, runtime: EngineRuntime) -> ExecutionEngine:
-    """Instantiate the backend selected by ``name``."""
+def create_engine(name: str, label_names: Dict[int, str]) -> ExecutionEngine:
+    """Instantiate the backend selected by ``name``.
+
+    ``label_names`` (integer edge label -> query label string) is the
+    only thing an engine holds.
+    """
     if name == "auto":
-        return AutoEngine(runtime)
+        return AutoEngine(label_names)
     if name == "python":
         from repro.engine.python_engine import PythonEngine
 
-        return PythonEngine(runtime)
+        return PythonEngine(label_names)
     if name == "vectorized":
         from repro.engine.vectorized import VectorizedEngine
 
-        return VectorizedEngine(runtime)
+        return VectorizedEngine(label_names)
     if name == "matrix":
         from repro.engine.matrix_engine import MatrixEngine
 
-        return MatrixEngine(runtime)
+        return MatrixEngine(label_names)
     raise ValueError(
         f"unknown execution engine {name!r}; expected one of {ENGINE_NAMES}"
     )

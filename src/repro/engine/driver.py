@@ -1,0 +1,278 @@
+"""The one interpreter of physical plans, and the only code that charges.
+
+Every backend runs a :class:`~repro.engine.physical.PhysicalPlan`
+through :func:`execute_plan`.  The driver owns what the simulation
+measures — op sequencing, the accounting operation on ``view.pim``, the
+dispatch / expand / route / reduce charges, the ``batch_size`` /
+``unknown_sources`` / ``results`` counters, the misplacement hand-off
+and reverse-result inversion — and asks a :class:`Kernel` for frontier
+math only (diagram: README, "Execution engines").
+
+A kernel is a per-call object: it reads the view, keeps the frontier
+representation and the accumulating answer, and reports each expansion's
+work as a frozen :class:`ExpandWork`.  It never touches the platform, so
+bit-identical statistics across backends follow from the counts the
+kernels report, not from three copies of the charging code.
+
+The charge formulas import ``repro.core`` constants, so this module
+loads with the backends (see the import note in
+:mod:`repro.engine.base`), never from ``base`` or ``physical``.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Dict, List, NamedTuple, Protocol, Tuple, runtime_checkable
+
+import numpy as np
+
+from repro.core.local_storage import BYTES_PER_ENTRY
+from repro.core.operators import BYTES_PER_FRONTIER_ITEM, OPERATOR_HEADER_BYTES
+from repro.engine.base import PlanView
+from repro.engine.physical import (
+    DispatchOp,
+    ExpandOp,
+    FixpointOp,
+    PhysicalPlan,
+    ReduceOp,
+    RouteOp,
+    invert_reverse_results,
+)
+from repro.partition.base import HOST_PARTITION
+from repro.pim.stats import ExecutionStats
+from repro.pim.system import OperationContext
+from repro.rpq.query import BatchResult
+
+#: One partition's share of a frontier, in the kernel's representation.
+Block = Any
+#: A whole frontier: owner partition -> that partition's block.
+Blocks = Dict[int, Block]
+
+
+class ExpandWork(NamedTuple):
+    """What one partition's ``smxm`` expansion did, for the driver to charge.
+
+    Frozen, and a tuple rather than a dataclass because one is built per
+    partition per phase: a quarter of the cost on small queries' path.
+    """
+
+    #: Adjacency-row lookups (random accesses).
+    rows_touched: int
+    #: Bytes of row data streamed.
+    bytes_streamed: int
+    #: Frontier items processed (one per item and out-edge).
+    items_processed: int
+    #: Footprint of the structure the rows were read from (the host's
+    #: random-access cost depends on it; modules ignore it).
+    working_set_bytes: int
+    #: ``(node, local, remote)`` for every node found misplaced.
+    misplaced: Tuple[Tuple[int, int, int], ...] = ()
+
+
+@runtime_checkable
+class Kernel(Protocol):
+    """Frontier math for one plan execution (one instance per call)."""
+
+    def initial_frontier(self) -> Tuple[Blocks, int]:
+        """The dispatched frontier and the number of unknown sources."""
+        ...
+
+    def items(self, block: Block) -> int:
+        """Frontier items (node x context) in ``block``."""
+        ...
+
+    def expand(self, partition: int, block: Block) -> Tuple[ExpandWork, Any]:
+        """Expand ``partition``'s block; the work done and what it produced."""
+        ...
+
+    def route(self, producer: int, produced: Any) -> Tuple[int, int]:
+        """Hand ``produced`` to its owners (set semantics, dangling
+        destinations dropped, accepting items accumulated); the items
+        that crossed the CPC and the IPC channel."""
+        ...
+
+    def next_frontier(self) -> Blocks:
+        """Everything routed since the last call, merged by owner."""
+        ...
+
+    def reduce(self, frontier: Blocks) -> None:
+        """Fold the final frontier into the answer (``mwait``)."""
+        ...
+
+    def answer(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The answer's CSR ``(indptr, indices)`` over the kernel's sources."""
+        ...
+
+
+def execute_plan(
+    plan: PhysicalPlan,
+    sources: List[int],
+    view: PlanView,
+    make_kernel: Callable[[PhysicalPlan, List[int], PlanView], Kernel],
+) -> Tuple[BatchResult, ExecutionStats]:
+    """Run ``plan`` for ``sources`` against ``view``, charging ``view.pim``.
+
+    A reverse plan (one carrying ``plan.reverse``) expands the
+    reversed-expression DFA (already ``plan.dfa``) from the candidate
+    end nodes over ``view.reversed()``; the forward answer is recovered
+    by inverting the matches after the plan drains.  When a plain expand
+    phase drains the frontier, the rest of the plan — the reduce
+    included — is skipped, matching the bulk-synchronous schedule the
+    scalar engine has always used.
+    """
+    run_sources, reverse = sources, plan.reverse
+    if reverse is not None:
+        run_sources = list(reverse.seeds)
+        view = view.reversed()
+    kernel = make_kernel(plan, run_sources, view)
+    op = view.pim.begin_operation()
+    frontier: Blocks = {}
+    ops = plan.ops
+    index = 0
+    while index < len(ops):
+        physical_op = ops[index]
+        if isinstance(physical_op, DispatchOp):
+            frontier, unknown = kernel.initial_frontier()
+            with op.phase("dispatch"):
+                charge_dispatch(op, _items_per_partition(kernel, frontier))
+            op.add_counter("batch_size", len(run_sources))
+            op.add_counter("unknown_sources", unknown)
+        elif isinstance(physical_op, ExpandOp):
+            if index + 1 >= len(ops) or not isinstance(ops[index + 1], RouteOp):
+                raise ValueError("every ExpandOp must be paired with a RouteOp")
+            index += 1  # The paired route runs inside the same phase.
+            frontier = _expand_route(
+                op, view, kernel, frontier, physical_op.phase_name
+            )
+            if not frontier:
+                break
+        elif isinstance(physical_op, FixpointOp):
+            for iteration in range(physical_op.max_iterations):
+                frontier = _expand_route(
+                    op, view, kernel, frontier, f"smxm fixpoint {iteration + 1}"
+                )
+                if not frontier:
+                    break
+            frontier = {}
+        elif isinstance(physical_op, ReduceOp):
+            with op.phase("mwait"):
+                charge_reduce(op, _items_per_partition(kernel, frontier))
+            kernel.reduce(frontier)
+        else:
+            raise TypeError(f"unknown physical operator {physical_op!r}")
+        index += 1
+
+    indptr, indices = kernel.answer()
+    if reverse is not None:
+        indptr, indices = invert_reverse_results(
+            sources, reverse.seeds, indptr, indices
+        )
+    result = BatchResult(list(sources), indptr, indices)
+    stats = op.finish()
+    stats.add_counter("results", result.total_matches)
+    return result, stats
+
+
+def _items_per_partition(kernel: Kernel, frontier: Blocks) -> Dict[int, int]:
+    return {
+        partition: kernel.items(block) for partition, block in frontier.items()
+    }
+
+
+def _expand_route(
+    op: OperationContext,
+    view: PlanView,
+    kernel: Kernel,
+    frontier: Blocks,
+    phase_name: str,
+) -> Blocks:
+    """One fused expand+route phase; returns the next frontier.
+
+    Partitions are visited in sorted order (host first, then modules
+    ascending), so the phase's accounting is independent of how the
+    frontier was built.
+    """
+    cpc_items = 0
+    ipc_items = 0
+    with op.phase(phase_name):
+        for partition in sorted(frontier):
+            work, produced = kernel.expand(partition, frontier[partition])
+            if partition == HOST_PARTITION:
+                op.host.random_accesses(work.rows_touched, work.working_set_bytes)
+                op.host.stream_bytes(work.bytes_streamed)
+                op.host.process_items(work.items_processed)
+            else:
+                module = op.module(partition)
+                # The kernel launches even when every row turns out empty.
+                module.launch_kernel()
+                module.random_accesses(work.rows_touched)
+                module.stream_bytes(work.bytes_streamed)
+                module.process_items(work.items_processed)
+                if work.misplaced:
+                    view.report_misplaced(work.misplaced)
+            crossed_cpc, crossed_ipc = kernel.route(partition, produced)
+            cpc_items += crossed_cpc
+            ipc_items += crossed_ipc
+        # Frontier hand-offs are rank-level bulk transfers: one batched
+        # gather/scatter pair moves every crossing item of the phase, so
+        # only the byte volume — controlled by partition locality —
+        # depends on how many items crossed.
+        if cpc_items:
+            op.cpc_transfer(cpc_items * BYTES_PER_FRONTIER_ITEM, num_transfers=1)
+        if ipc_items:
+            op.ipc_transfer(ipc_items * BYTES_PER_FRONTIER_ITEM, num_transfers=1)
+    return kernel.next_frontier()
+
+
+# The dispatch and mwait charge formulas are the parity contract between
+# the backends: a kernel counts *how many* frontier items sit on each
+# partition — that part is representation-specific — and these charge
+# exactly the same amounts for the same counts.
+def charge_dispatch(
+    op: OperationContext, items_per_partition: Dict[int, int]
+) -> None:
+    """Charge the dispatch phase for an initial frontier.
+
+    The smxm operators for every module ship in one rank-level batched
+    CPC scatter (host-owned sources stay put); the host pays per-item
+    packing work for the whole batch.
+    """
+    total_items = sum(items_per_partition.values())
+    dispatched_items = sum(
+        items
+        for partition, items in items_per_partition.items()
+        if partition != HOST_PARTITION
+    )
+    if dispatched_items:
+        op.cpc_transfer(
+            OPERATOR_HEADER_BYTES + dispatched_items * BYTES_PER_FRONTIER_ITEM,
+            num_transfers=1,
+        )
+    op.host.process_items(total_items)
+
+
+def charge_reduce(
+    op: OperationContext, items_per_partition: Dict[int, int]
+) -> None:
+    """Charge the ``mwait`` phase for a final frontier.
+
+    Every module streams out and processes its share of the answer, one
+    rank-level batched CPC gather brings the partial results back, and
+    the host concatenates them (destination nodes are disjoint across
+    owners, so the reduction streams sequentially with no dedup).
+    """
+    total_items = 0
+    gathered_items = 0
+    for partition in sorted(items_per_partition):
+        items = items_per_partition[partition]
+        total_items += items
+        if partition != HOST_PARTITION and items:
+            gathered_items += items
+            op.module(partition).process_items(items)
+            op.module(partition).stream_bytes(items * BYTES_PER_ENTRY)
+    if gathered_items:
+        op.cpc_transfer(
+            OPERATOR_HEADER_BYTES + gathered_items * BYTES_PER_FRONTIER_ITEM,
+            num_transfers=1,
+        )
+    op.host.stream_bytes(total_items * BYTES_PER_FRONTIER_ITEM)
+    op.host.process_items(total_items)

@@ -35,13 +35,14 @@ out-degree histogram, biased by the plan shape
 (:meth:`~repro.engine.physical.PhysicalPlan.max_expansion_phases`) —
 deep traversals saturate their frontiers and tolerate an earlier switch.
 
-Both kernels produce the same per-destination OR / produced-key sets as
-the push path (the bit-identity is asserted by the three-way parity
-suite), and all work accounting runs in the shared
-:class:`~repro.engine.vectorized.VectorizedEngine` code *before* the
-production kernel is chosen — so results **and** simulated stats are
-bit-identical to the scalar reference by construction, whichever side
-of the crossover a phase lands on.
+Both pull kernels override one ``_produce`` of the vectorized kernels
+and produce the same per-destination OR / produced-key sets as the push
+path (the bit-identity is asserted by the three-way parity suite); the
+work counts are taken in the inherited ``expand`` *before* the
+production kernel is chosen and charged by the shared driver — so
+results **and** simulated stats are bit-identical to the scalar
+reference by construction, whichever side of the crossover a phase
+lands on.
 """
 
 from __future__ import annotations
@@ -50,24 +51,19 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.engine.base import EngineRuntime
-from repro.engine.physical import PhysicalPlan
 from repro.engine.vectorized import (
+    BitsetKernel,
+    KeysKernel,
     MaskBlock,
     VectorizedEngine,
-    _DfaStepper,
     _EMPTY,
     _row_bit_masks,
     _run_starts,
 )
-from repro.pim.stats import ExecutionStats
-from repro.rpq.query import BatchResult
 
 
-class MatrixEngine(VectorizedEngine):
-    """Executes physical plans as masked boolean-semiring SpGEMM."""
-
-    name = "matrix"
+class PullBitsetKernel(BitsetKernel):
+    """Bit-mask frontiers expanded as ``frontier ⊗ Adjᵀ`` when dense."""
 
     #: Pull runs when ``touched_edges * factor >= rows + edges`` of the
     #: partition (the dense pull cost).  Deep plans (more than one
@@ -77,30 +73,7 @@ class MatrixEngine(VectorizedEngine):
     PULL_CROSSOVER_DEEP = 4
     PULL_CROSSOVER_SHALLOW = 1
 
-    #: DFA pull runs when its block work (live (label, state) pairs times
-    #: block edges, plus plane assembly) stays under ``touched items *
-    #: factor`` — the push path's per-(item, edge) stepping cost.
-    KEYS_CROSSOVER = 2
-
-    def __init__(self, runtime: EngineRuntime) -> None:
-        super().__init__(runtime)
-        #: Whether the current plan runs more than one expansion phase
-        #: (set per ``execute`` call; biases the pull crossover).
-        self._deep_plan = False
-
-    def execute(
-        self,
-        plan: PhysicalPlan,
-        sources: List[int],
-        view=None,
-    ) -> Tuple[BatchResult, ExecutionStats]:
-        self._deep_plan = plan.max_expansion_phases() > 1
-        return super().execute(plan, sources, view)
-
-    # ==================================================================
-    # Bit-mask path: frontier ← (frontier ⊗ Adjᵀ)
-    # ==================================================================
-    def _bitset_produce(
+    def _produce(
         self,
         snapshot,
         masks: np.ndarray,
@@ -108,10 +81,8 @@ class MatrixEngine(VectorizedEngine):
         degrees: np.ndarray,
         num_edges: int,
     ) -> MaskBlock:
-        if not self._use_pull_bitset(snapshot, num_edges):
-            return super()._bitset_produce(
-                snapshot, masks, row_idx, degrees, num_edges
-            )
+        if not self._use_pull(snapshot, num_edges):
+            return super()._produce(snapshot, masks, row_idx, degrees, num_edges)
         block = snapshot.transpose_block()
         num_words = masks.shape[1]
         # Scatter the frontier masks into a dense per-row plane (absent
@@ -129,7 +100,7 @@ class MatrixEngine(VectorizedEngine):
             return block.dsts, produced
         return block.dsts[keep], produced[keep]
 
-    def _use_pull_bitset(self, snapshot, touched_edges: int) -> bool:
+    def _use_pull(self, snapshot, touched_edges: int) -> bool:
         """Dense-vs-sparse crossover for one partition's expansion."""
         histogram = snapshot.degree_histogram()
         # rows + edges straight off the cached histogram: the pull side
@@ -144,10 +115,17 @@ class MatrixEngine(VectorizedEngine):
         )
         return touched_edges * factor >= dense_work
 
-    # ==================================================================
-    # Packed-key path: one block product per live (label, state) pair
-    # ==================================================================
-    def _keys_produce(
+
+class PullKeysKernel(KeysKernel):
+    """Packed-key frontiers expanded as one block product per live
+    (label, state) pair when that is cheaper than stepping every item."""
+
+    #: DFA pull runs when its block work (live (label, state) pairs times
+    #: block edges, plus plane assembly) stays under ``touched items *
+    #: factor`` — the push path's per-(item, edge) stepping cost.
+    KEYS_CROSSOVER = 2
+
+    def _produce(
         self,
         snapshot,
         rows: np.ndarray,
@@ -156,8 +134,8 @@ class MatrixEngine(VectorizedEngine):
         row_idx: np.ndarray,
         item_degrees: np.ndarray,
         items_processed: int,
-        stepper: _DfaStepper,
     ) -> np.ndarray:
+        stepper = self._stepper
         row_span = self._row_span
         num_words = max(1, (row_span + 63) // 64)
 
@@ -180,9 +158,9 @@ class MatrixEngine(VectorizedEngine):
         if not live_pairs:
             return _EMPTY
         if pull_work * num_words > items_processed * self.KEYS_CROSSOVER:
-            return super()._keys_produce(
+            return super()._produce(
                 snapshot, rows, states, counts, row_idx, item_degrees,
-                items_processed, stepper,
+                items_processed,
             )
 
         # One bit plane per live automaton state: plane[s][row, w] holds
@@ -243,3 +221,11 @@ class MatrixEngine(VectorizedEngine):
         if len(produced_chunks) == 1:
             return produced_chunks[0]
         return np.concatenate(produced_chunks)
+
+
+class MatrixEngine(VectorizedEngine):
+    """Executes physical plans as masked boolean-semiring SpGEMM."""
+
+    name = "matrix"
+    bitset_kernel = PullBitsetKernel
+    keys_kernel = PullKeysKernel

@@ -17,15 +17,16 @@ simulated platform's bulk-synchronous operator vocabulary:
 * :class:`ReduceOp` — the final ``mwait``: gather per-owner partial
   results and reduce them into the answer matrix.
 
-The lowering is backend-agnostic: both the scalar and the vectorized
-engines execute the same :class:`PhysicalPlan`, which is what makes
-their simulated work counters comparable item for item.
+The lowering is backend-agnostic: every backend's kernel runs the same
+:class:`PhysicalPlan` under the one interpreter,
+:func:`repro.engine.driver.execute_plan`, which is what makes their
+simulated work counters comparable item for item.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,9 +96,8 @@ def invert_reverse_results(
     contains it.  Returns the forward CSR pair over ``sources``: one row
     per source in batch order — a source listed twice gets two equal
     rows, a source no seed reached (or unknown to the graph) an empty
-    one — each row sorted and duplicate-free.  Every engine funnels
-    reverse results through this one helper so the inversion (and its
-    result counters) stay bit-identical across backends.
+    one — each row sorted and duplicate-free.  The driver funnels every
+    backend's reverse results through this one helper.
     """
     source_nodes = np.asarray(sources, dtype=np.int64)
     ends = np.repeat(np.asarray(seeds, dtype=np.int64), np.diff(indptr))
@@ -170,55 +170,6 @@ class PhysicalPlan:
             else:
                 lines.append(f"{index}: reduce (mwait)")
         return "\n".join(lines)
-
-
-def run_plan(
-    plan: PhysicalPlan,
-    *,
-    dispatch: Callable[[], None],
-    expand_route: Callable[[str], bool],
-    clear_frontier: Callable[[], None],
-    reduce: Callable[[], None],
-) -> None:
-    """Drive a physical plan through representation-agnostic callbacks.
-
-    This is the single interpreter every backend shares; only the
-    frontier math behind the callbacks differs per engine.
-
-    * ``dispatch()`` builds the initial frontier and charges the CPC
-      scatter;
-    * ``expand_route(phase_name)`` runs one fused expand+route phase and
-      returns whether the frontier is still non-empty;
-    * ``clear_frontier()`` empties the frontier after a fixpoint drains;
-    * ``reduce()`` runs the final ``mwait`` phase.
-
-    When a plain expand phase drains the frontier, the rest of the plan
-    — including the reduce — is skipped, matching the bulk-synchronous
-    schedule the scalar engine has always used.
-    """
-    index = 0
-    while index < len(plan.ops):
-        physical_op = plan.ops[index]
-        if isinstance(physical_op, DispatchOp):
-            dispatch()
-        elif isinstance(physical_op, ExpandOp):
-            if index + 1 >= len(plan.ops) or not isinstance(
-                plan.ops[index + 1], RouteOp
-            ):
-                raise ValueError("every ExpandOp must be paired with a RouteOp")
-            index += 1  # The paired route runs inside the same phase.
-            if not expand_route(physical_op.phase_name):
-                return
-        elif isinstance(physical_op, FixpointOp):
-            for iteration in range(physical_op.max_iterations):
-                if not expand_route(f"smxm fixpoint {iteration + 1}"):
-                    break
-            clear_frontier()
-        elif isinstance(physical_op, ReduceOp):
-            reduce()
-        else:
-            raise TypeError(f"unknown physical operator {physical_op!r}")
-        index += 1
 
 
 def lower_plan(plan: LogicalPlan, default_fixpoint_iterations: int) -> PhysicalPlan:

@@ -6,8 +6,8 @@ builds on.  Nothing in here knows about PIM or about Moctopus; it is the
 
 * :class:`DiGraph` / :class:`PropertyGraph` — mutable graph structures
   (:class:`ReadableGraph` is the read-only protocol consumers type against);
-* :class:`BooleanMatrix` / :class:`SemiringMatrix` / :class:`CSRMatrix` —
-  sparse matrices with GraphBLAS-style products;
+* :class:`BooleanMatrix` / :class:`SemiringMatrix` — sparse matrices
+  with GraphBLAS-style products;
 * :mod:`repro.graph.generators` / :mod:`repro.graph.datasets` — the
   synthetic stand-ins for the paper's 15 SNAP graphs (Table 1);
 * :mod:`repro.graph.stream` — insertion/deletion workloads for the
@@ -18,7 +18,6 @@ from repro.graph.digraph import DEFAULT_LABEL, DiGraph, ReadableGraph
 from repro.graph.property_graph import EdgeRecord, NodeRecord, PropertyGraph
 from repro.graph.semiring import BOOLEAN, COUNTING, MIN_PLUS, Semiring, get_semiring
 from repro.graph.matrix import BooleanMatrix, SemiringMatrix, khop_reachability
-from repro.graph.csr import CSRMatrix
 from repro.graph.generators import (
     community_graph,
     power_law_graph,
@@ -59,7 +58,6 @@ __all__ = [
     "BooleanMatrix",
     "SemiringMatrix",
     "khop_reachability",
-    "CSRMatrix",
     "road_network",
     "power_law_graph",
     "community_graph",

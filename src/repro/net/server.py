@@ -179,6 +179,7 @@ class MoctopusServer:
         self._startup_error: Optional[BaseException] = None
         self._shutdown_requested: Optional[asyncio.Event] = None
         self._close_lock = threading.Lock()
+        self._close_requested = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -286,17 +287,22 @@ class MoctopusServer:
     def close(self, timeout: float = 15.0) -> None:
         """Gracefully stop a :meth:`start`-ed server (idempotent).
 
-        The close lock is held only to request the shutdown; the thread
-        join and the scheduler teardown run outside it, so a concurrent
-        closer is never stalled behind the multi-second drain (REP001:
-        mark under the lock, act outside).  Both post-mark steps are
-        idempotent, so racing closers are safe.
+        The close lock is held only to mark the shutdown requested; the
+        signal to the loop, the thread join and the scheduler teardown
+        run outside it, so a concurrent closer is never stalled behind
+        the multi-second drain (REP001: mark under the lock, act
+        outside).  Only the closer that set the mark signals the loop —
+        a later one may find the loop thread alive but its loop already
+        closed — and every closer joins, so racing closers are safe.
         """
         with self._close_lock:
             thread = self._thread
-            if thread is not None and thread.is_alive():
-                self._loop.call_soon_threadsafe(self._shutdown_requested.set)
-        if thread is not None and thread.is_alive():
+            first = thread is not None and not self._close_requested
+            if first:
+                self._close_requested = True
+        if first and thread.is_alive():
+            self._loop.call_soon_threadsafe(self._shutdown_requested.set)
+        if thread is not None:
             thread.join(timeout)
         if self._owns_scheduler:
             self.scheduler.close()  # idempotent; covers thread timeout

@@ -107,18 +107,17 @@ def _execute_task(  # pragma: no cover - runs in the worker process
     worker_id: int,
     config,
     attached: Dict[int, tuple],
-    engines: Dict[str, object],
-    runtime,
+    label_names: Dict[int, str],
     message: tuple,
     result_queue,
 ) -> None:
     """Run one scattered batch and reply.
 
     A dedicated function (not inline in the worker loop) so every
-    reference to the attached epoch — the view, the engine's scratch
-    bindings — dies when it returns: a lingering local in the loop
-    would keep numpy views into the shared mapping alive across a later
-    ``retire`` and block the detach's ``close()``.
+    reference to the attached epoch — the view, the kernel — dies when
+    it returns: a lingering local in the loop would keep numpy views
+    into the shared mapping alive across a later ``retire`` and block
+    the detach's ``close()``.
     """
     from repro.engine.base import create_engine
     from repro.serve.epoch import EpochView
@@ -130,12 +129,9 @@ def _execute_task(  # pragma: no cover - runs in the worker process
         # exactly the task's accounting delta (see absorb_lifetime).
         pim = PIMSystem(config.cost_model)
         view = EpochView(epoch, pim)
-        engine = engines.get(engine_name)
-        if engine is None:
-            engine = engines[engine_name] = create_engine(
-                engine_name, runtime
-            )
-        result, stats = engine.execute(plan, sources, view=view)
+        # Engines keep nothing between calls, so none is kept here.
+        engine = create_engine(engine_name, label_names)
+        result, stats = engine.execute(plan, sources, view)
         result_queue.put(
             ("done", task_id, worker_id, result, stats,
              pim.capture_lifetime())
@@ -154,23 +150,7 @@ def worker_main(  # pragma: no cover - runs in the worker process
     result_queue,
 ) -> None:
     """Entry point of one pool worker process."""
-    from repro.engine.base import EngineRuntime
-
     attached: Dict[int, tuple] = {}
-    engines: Dict[str, object] = {}
-    # View-mode execution never touches the live-system half of the
-    # runtime (partitioner, storages, processors, migrator) — it reads
-    # config flags and label names and charges the *view's* platform.
-    runtime = EngineRuntime(
-        config=config,
-        pim=PIMSystem(config.cost_model),
-        partitioner=None,
-        module_storages=[],
-        host_storage=None,
-        processors=[],
-        migrator=None,
-        label_names=dict(label_names),
-    )
     while True:
         message = task_queue.get()
         kind = message[0]
@@ -189,7 +169,7 @@ def worker_main(  # pragma: no cover - runs in the worker process
             result_queue.put(("retired", worker_id, epoch_id))
         else:  # ("exec", task_id, epoch_id, engine_name, plan, sources)
             _execute_task(
-                worker_id, config, attached, engines, runtime, message,
+                worker_id, config, attached, label_names, message,
                 result_queue,
             )
         # Nothing epoch-shaped may survive the iteration (see
@@ -260,7 +240,7 @@ class WorkerPool:
         self._lock = threading.Lock()
         self._task_queues = [self._ctx.Queue() for _ in range(workers)]
         self._results = self._ctx.Queue()
-        label_names = system._query_processor._runtime.label_names
+        label_names = system._query_processor.label_names
         self._processes = [
             self._ctx.Process(
                 target=worker_main,

@@ -24,7 +24,9 @@ nothing else does.
 state, optionally patched with a session's uncommitted writes
 (read-your-writes), plus a private accounting
 :class:`~repro.pim.system.PIMSystem` so concurrent pinned executions
-never share mutable phase counters.
+never share mutable phase counters.  A reverse plan runs on
+:meth:`EpochView.reversed` — the same class, patched with the epoch's
+reversed-adjacency captures — so no backend knows a direction.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import threading
 from array import array
 from types import TracebackType
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,7 +109,7 @@ class Epoch:
         self._degree_histogram: Optional[np.ndarray] = None
         self._label_edge_counts: Optional[Dict[int, int]] = None
         self._reverse_index: Optional[
-            Tuple[Tuple[GraphSnapshot, ...], Dict[int, int]]
+            Tuple[Dict[int, GraphSnapshot], Dict[int, int]]
         ] = None
 
     def degree_histogram(self) -> np.ndarray:
@@ -156,12 +158,12 @@ class Epoch:
 
     def reverse_index(
         self,
-    ) -> Tuple[Tuple[GraphSnapshot, ...], Dict[int, int]]:
+    ) -> Tuple[Dict[int, GraphSnapshot], Dict[int, int]]:
         """Reversed-adjacency snapshots of this epoch (cached, lazy).
 
-        Returns ``(snapshots, extra_owners)``: per-partition CSR captures
-        whose row for node ``v`` lists ``v``'s *in*-edges ``(u, label)``,
-        in the same module/host layout as the forward snapshots.  A
+        Returns ``(snapshots, extra_owners)``: a CSR capture per
+        partition (every module and ``HOST_PARTITION``) whose row for
+        node ``v`` lists ``v``'s *in*-edges ``(u, label)``.  A
         reversed row lands on its node's owner so reverse expansion
         charges the same placement-sensitive routing as forward
         expansion; nodes that only ever appeared as destinations have no
@@ -199,51 +201,20 @@ class Epoch:
                     owner = node % max(1, self.num_modules)
                     extra_owners[node] = owner
                 per_partition.setdefault(owner, []).append((node, entries))
-            partitions = list(range(self.num_modules)) + [HOST_PARTITION]
-            reversed_snapshots = []
-            for partition in partitions:
+            reversed_snapshots = {}
+            for partition in (*range(self.num_modules), HOST_PARTITION):
                 base = self.snapshot_of(partition)
                 rows = per_partition.get(partition, [])
                 entry_count = sum(len(entries) for _, entries in rows) >> 1
-                reversed_snapshots.append(
-                    build_snapshot(
-                        rows,
-                        bytes_per_entry=base.bytes_per_entry,
-                        working_set_bytes=max(
-                            1, entry_count * base.bytes_per_entry
-                        ),
-                        count_local=(partition != HOST_PARTITION),
-                    ).freeze()
-                )
-            cached = (tuple(reversed_snapshots), extra_owners)
+                reversed_snapshots[partition] = build_snapshot(
+                    rows,
+                    bytes_per_entry=base.bytes_per_entry,
+                    working_set_bytes=max(1, entry_count * base.bytes_per_entry),
+                    count_local=(partition != HOST_PARTITION),
+                ).freeze()
+            cached = (reversed_snapshots, extra_owners)
             self._reverse_index = cached
         return cached
-
-    def reverse_snapshot_of(self, partition: int) -> GraphSnapshot:
-        """Reversed-adjacency snapshot of ``partition``."""
-        snapshots, _ = self.reverse_index()
-        if partition == HOST_PARTITION:
-            return snapshots[self.num_modules]
-        return snapshots[partition]
-
-    def reverse_owner(self, node: int) -> Optional[int]:
-        """Owner of ``node``'s reversed row (provisional for dst-only nodes)."""
-        owner = self.owner(node)
-        if owner is not None:
-            return owner
-        _, extra_owners = self.reverse_index()
-        return extra_owners.get(node)
-
-    def reverse_owners_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorized owner lookup against the reversed index."""
-        owners = np.array(self.owners_of(nodes), copy=True)
-        _, extra_owners = self.reverse_index()
-        if extra_owners:
-            for position in np.flatnonzero(owners == OwnerIndex.UNKNOWN).tolist():
-                owners[position] = extra_owners.get(
-                    int(nodes[position]), OwnerIndex.UNKNOWN
-                )
-        return owners
 
     def snapshot_of(self, partition: int) -> GraphSnapshot:
         """Pinned snapshot of ``partition`` (``HOST_PARTITION`` = host)."""
@@ -278,12 +249,14 @@ class Epoch:
 class EpochView:
     """A :class:`~repro.engine.base.PlanView` over one pinned epoch.
 
-    ``patched`` optionally overrides per-partition snapshots with
+    ``patched`` optionally overrides per-partition snapshots — with
     session-patched ones (uncommitted writes spliced in with
-    :func:`~repro.core.snapshot.merge_snapshot`); ``extra_owners`` maps
-    session-created nodes to their provisional partitions so the
-    engines can route frontiers through rows that exist only in the
-    session's overlay.
+    :func:`~repro.core.snapshot.merge_snapshot`), or with the epoch's
+    reversed-adjacency captures (:meth:`reversed`); ``extra_owners``
+    maps nodes the epoch's owner table does not place (session-created
+    ones, or destination-only ones of the reversed index) to their
+    provisional partitions so the engines can route frontiers through
+    rows that exist only in the overlay.
     """
 
     def __init__(
@@ -313,17 +286,18 @@ class EpochView:
         """
         return bool(self._patched) or bool(self._extra_owners)
 
-    def reverse_snapshot_of(self, partition: int) -> GraphSnapshot:
-        """Reversed-adjacency snapshot (epoch-level; never patched)."""
-        return self.epoch.reverse_snapshot_of(partition)
+    def reversed(self) -> "EpochView":
+        """The view a reverse plan expands against.
 
-    def reverse_owner(self, node: int) -> Optional[int]:
-        """Owner of ``node``'s reversed row at the pinned epoch."""
-        return self.epoch.reverse_owner(node)
-
-    def reverse_owners_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorized reversed-row owner lookup at the pinned epoch."""
-        return self.epoch.reverse_owners_of(nodes)
+        The epoch's reversed-adjacency captures stand in as the patched
+        snapshots and its destination-only placements as the extra
+        owners — the session-overlay mechanism, fed from
+        :meth:`Epoch.reverse_index` — so the engines read in-edges
+        through the same calls as out-edges.  Epoch-level: a session's
+        uncommitted writes are not reversed (the planner never picks the
+        reverse direction for a patched view).
+        """
+        return EpochView(self.epoch, self.pim, *self.epoch.reverse_index())
 
     def snapshot_of(self, partition: int) -> GraphSnapshot:
         """Pinned (possibly session-patched) snapshot of ``partition``."""
@@ -331,6 +305,17 @@ class EpochView:
         if patched is not None:
             return patched
         return self.epoch.snapshot_of(partition)
+
+    #: The scalar loop reads the same frozen snapshots row by row.
+    rows_of = snapshot_of
+
+    def misplacement_threshold(self, partition: int) -> Optional[float]:
+        """``None``: pinned executions skip misplacement detection."""
+        return None
+
+    def report_misplaced(self, reports: Iterable[Tuple[int, int, int]]) -> None:
+        """Dropped: a report derived from a pinned (possibly stale)
+        epoch would misdirect the migrator."""
 
     def owner(self, node: int) -> Optional[int]:
         """Owner at the pinned epoch, extended with session-local nodes."""
@@ -349,19 +334,17 @@ class EpochView:
                 )
         return owners
 
+    def _snapshots(self) -> List[GraphSnapshot]:
+        partitions = (*range(self.epoch.num_modules), HOST_PARTITION)
+        return [self.snapshot_of(partition) for partition in partitions]
+
     def total_rows(self) -> int:
         """Total adjacency rows across the view's snapshots."""
-        total = 0
-        for partition in range(self.epoch.num_modules):
-            total += self.snapshot_of(partition).num_rows
-        return total + self.snapshot_of(HOST_PARTITION).num_rows
+        return sum(snapshot.num_rows for snapshot in self._snapshots())
 
     def total_edges(self) -> int:
         """Total adjacency entries across the view's snapshots."""
-        total = 0
-        for partition in range(self.epoch.num_modules):
-            total += self.snapshot_of(partition).num_edges
-        return total + self.snapshot_of(HOST_PARTITION).num_edges
+        return sum(snapshot.num_edges for snapshot in self._snapshots())
 
 
 class EpochManager:

@@ -37,7 +37,6 @@ import threading
 import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.base import ENGINE_NAMES, create_engine
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import DestinationRow, KHopQuery, RPQuery
@@ -232,24 +231,19 @@ class BatchScheduler:
         self._pool = None
         self._gatherer: Optional[threading.Thread] = None
         self._scattered: Optional["queue.Queue"] = None
-        #: Private engine + accounting platform of in-process execution:
-        #: the drain thread never shares scratch state with live callers
-        #: or sessions.  ``None`` in pool mode (workers own both).
-        self._engine = None
-        self._pim = None
-        #: Backend name for in-process group execution (also the lazy
-        #: fallback pool mode uses for expression groups, which the
-        #: k-hop-only workers don't execute).
+        #: Private accounting platform of in-process execution: the
+        #: drain thread never shares phase counters with live callers or
+        #: sessions.  Pool mode charges it for expression groups only
+        #: (k-hop windows account on the pool's platform).
+        self._pim = PIMSystem(config.cost_model)
+        #: Backend of in-process group execution (pool mode still needs
+        #: it for expression groups, which the k-hop-only workers don't
+        #: execute): the processor's shared instance.  Looked up here so
+        #: a bad name fails fast, *before* any threads start or
+        #: processes fork — surfacing later (inside a worker) it would
+        #: leak resources this constructor could no longer close.
         self._engine_name = engine or system.engine_name
-        if self._engine_name not in ENGINE_NAMES:
-            # Fail fast on a bad engine name *before* any threads start
-            # or processes fork: an invalid name surfacing later (inside
-            # a worker) would leak resources this constructor could no
-            # longer close.
-            raise ValueError(
-                f"unknown execution engine {self._engine_name!r}; expected "
-                f"one of {ENGINE_NAMES}"
-            )
+        self._engine = system._query_processor.engine_named(self._engine_name)
         if parallel is None:
             parallel = 0
         if parallel:
@@ -269,16 +263,6 @@ class BatchScheduler:
                 daemon=True,
             )
             self._gatherer.start()
-        else:
-            # In-process mode only: pool mode executes k-hop windows on
-            # the workers' engines and accounts on the pool's platform,
-            # so these stay unbuilt there (created lazily only if an
-            # expression group arrives, which workers don't execute).
-            self._pim = PIMSystem(config.cost_model)
-            self._engine = create_engine(
-                self._engine_name,
-                system._query_processor._runtime,
-            )
         self._closed = threading.Event()
         #: Serializes ``close()``: concurrent/double closes must not race
         #: the drain thread or tear down the pool twice.
@@ -544,14 +528,6 @@ class BatchScheduler:
     def _execute_group(
         self, key: Tuple[str, object], group: List[ServingFuture]
     ) -> None:
-        if self._pim is None:
-            # Pool mode reaching the in-process path (an expression
-            # group): build the private platform/engine on first use.
-            self._pim = PIMSystem(self._system.config.cost_model)
-        if self._engine is None:
-            self._engine = create_engine(
-                self._engine_name, self._system._query_processor._runtime
-            )
         manager = self._system._epochs
         epoch = manager.pin()
         try:

@@ -11,11 +11,12 @@ queries see its uncommitted edges immediately, while other readers and
 the live system see nothing until :meth:`commit` hands the staged batch
 to the single writer.
 
-Each session owns a private execution engine instance and a private
-accounting :class:`~repro.pim.system.PIMSystem`, so sessions on
-different threads execute concurrently without sharing any mutable
-state — the pinned arrays are frozen (``writeable=False``) and
-everything else is session-local.
+Each session owns a private accounting
+:class:`~repro.pim.system.PIMSystem`, so sessions on different threads
+execute concurrently without sharing any mutable state: the pinned
+arrays are frozen (``writeable=False``), the engine — one shared
+instance per backend — keeps nothing between calls, and everything else
+is session-local.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.snapshot import GraphSnapshot, merge_snapshot, row_buffer
-from repro.engine.base import create_engine
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
@@ -58,8 +58,8 @@ class Session:
         self._closed = False
         #: Private accounting platform: pinned executions charge here.
         self._pim = PIMSystem(system.config.cost_model)
-        self._engine = create_engine(
-            engine or system.engine_name, system._query_processor._runtime
+        self._engine = system._query_processor.engine_named(
+            engine or system.engine_name
         )
         #: Patched row contents of every source the session wrote:
         #: ``node -> [(dst, label), ...]`` (full row, storage semantics).

@@ -19,6 +19,7 @@ Three layers:
 from __future__ import annotations
 
 import asyncio
+import sys
 import textwrap
 import threading
 import time
@@ -818,19 +819,100 @@ class TestCloseRegression:
             try:
                 with MoctopusClient("127.0.0.1", server.port) as cli:
                     cli.khop(0, 2, timeout=10)
-                closers = [
-                    threading.Thread(target=server.close) for _ in range(2)
-                ]
-                for thread in closers:
-                    thread.start()
-                for thread in closers:
-                    thread.join(timeout=20)
-                assert not any(thread.is_alive() for thread in closers)
+                assert self._race_closers(server) == []
             finally:
                 server.close()
                 scheduler.close()
         assert self._join_hazards(checker) == []
         assert checker.cycles() == []
+
+    @staticmethod
+    def _closer(server, errors):
+        """A thread target closing ``server``; what escapes ``close()``
+        lands in ``errors`` instead of the thread's excepthook."""
+
+        def close():
+            try:
+                server.close()
+            except BaseException as error:  # the test's own boundary
+                errors.append(error)
+
+        return close
+
+    def _race_closers(self, server, closers=2):
+        """Close ``server`` from ``closers`` threads at once; return the
+        exceptions that escaped ``close()``."""
+        errors = []
+        threads = [
+            threading.Thread(target=self._closer(server, errors))
+            for _ in range(closers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        return errors
+
+    def test_server_two_closer_stress(self, system):
+        # The second closer used to signal a loop the first closer's
+        # shutdown had already closed ("Event loop is closed" out of
+        # close()) whenever it took the lock between loop.close() and
+        # the loop thread's exit: 1-3 rounds in 200 before the fix.
+        scheduler = BatchScheduler(system)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(200):
+                server = MoctopusServer(
+                    system, scheduler=scheduler, port=0
+                ).start()
+                assert self._race_closers(server) == []
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.close()
+
+    def test_server_late_closer_never_signals_a_closed_loop(
+        self, system, monkeypatch
+    ):
+        # The same race with the window held open: the loop thread
+        # lingers after loop.close() until the test releases it, and a
+        # second closer arrives exactly then.
+        loop_closed = threading.Event()
+        release = threading.Event()
+        new_event_loop = asyncio.new_event_loop
+
+        def lingering_loop():
+            loop = new_event_loop()
+            close = loop.close
+
+            def close_then_linger():
+                close()
+                loop_closed.set()
+                release.wait(10)
+
+            loop.close = close_then_linger
+            return loop
+
+        monkeypatch.setattr(asyncio, "new_event_loop", lingering_loop)
+        scheduler = BatchScheduler(system)
+        server = MoctopusServer(system, scheduler=scheduler, port=0).start()
+        monkeypatch.undo()
+        errors = []
+        first = threading.Thread(target=self._closer(server, errors))
+        late = threading.Thread(target=self._closer(server, errors))
+        try:
+            first.start()
+            assert loop_closed.wait(10)
+            late.start()
+            late.join(timeout=0.2)  # pre-fix it has raised by now
+        finally:
+            release.set()
+            first.join(timeout=20)
+            late.join(timeout=20)
+            scheduler.close()
+        assert not first.is_alive() and not late.is_alive()
+        assert errors == []
 
     def test_shutdown_async_keeps_loop_responsive(self, system):
         # REP005 regression: shutdown_async offloads the scheduler's

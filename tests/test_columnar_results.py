@@ -351,9 +351,9 @@ def test_auto_engine_reads_only_request_and_graph_size(monkeypatch):
         session.batch_khop(SOURCES, 2)
     expected = (len(SOURCES), round(graph.num_edges / graph.num_nodes, 6))
     assert seen == [expected, expected]
-    # The live runtime and a pinned view expose the same two totals.
-    runtime = system._query_processor._runtime
+    # The live view and a pinned view expose the same two totals.
+    live = system._query_processor.live
     with system.begin() as session:
         view = session._view()
-        assert view.total_rows() == runtime.total_rows()
-        assert view.total_edges() == runtime.total_edges() == graph.num_edges
+        assert view.total_rows() == live.total_rows()
+        assert view.total_edges() == live.total_edges() == graph.num_edges

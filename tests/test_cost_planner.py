@@ -116,7 +116,8 @@ def test_unscaled_bound_would_truncate_cycle_closure(engine):
     query = RPQuery("(a/a)*", sources=[0])
     plan = plan_query(query)
     physical = lower_plan(plan, default_fixpoint_iterations=5)
-    result, _ = system._query_processor.engine.execute(physical, query.sources)
+    processor = system._query_processor
+    result, _ = processor.engine.execute(physical, query.sources, processor.live)
     oracle = evaluate_rpq(system.graph, query, label_names=LABEL_NAMES)
     assert [set(d) for d in result.destinations] == [
         set(d) for d in oracle.destinations

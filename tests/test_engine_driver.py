@@ -1,0 +1,360 @@
+"""One driver, one view: the structure the engine stack rests on.
+
+* accounting lives in :mod:`repro.engine.driver` only — the backends'
+  sources call nothing that charges the simulated platform;
+* every kind of graph state a plan can run against is a
+  :class:`~repro.engine.base.PlanView`, every backend's frontier math a
+  :class:`~repro.engine.driver.Kernel`;
+* a live storage and its CSR snapshot read the same through the
+  :class:`~repro.core.operator_processor.RowSource` names, row for row,
+  after a churn script (the scalar loop charges live and pinned rows by
+  one formula, so they must agree on what a row *is*);
+* engines keep nothing between calls: one instance per backend serves
+  eight threads at once, bit-identically to a serial run;
+* a reverse plan runs on ``EpochView.reversed()`` — including the
+  destination-only nodes only the reversed index places — and matches
+  the reference model.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import repro.engine
+from repro.core import Moctopus, MoctopusConfig
+from repro.core.hetero_storage import BYTES_PER_SLOT
+from repro.core.local_storage import BYTES_PER_ENTRY
+from repro.core.operator_processor import RowSource
+from repro.core.snapshot import build_snapshot, row_buffer
+from repro.engine import ENGINE_NAMES, Kernel, LiveView, PlanView, create_engine
+from repro.engine.physical import lower_plan
+from repro.engine.python_engine import ScalarKernel
+from repro.engine.vectorized import BitsetKernel, KeysKernel
+from repro.graph import DiGraph, random_graph
+from repro.graph.stream import UpdateKind, UpdateOp
+from repro.parallel import attach_epoch, export_epoch
+from repro.partition.base import HOST_PARTITION
+from repro.partition.owner_index import OwnerIndex
+from repro.pim import CostModel
+from repro.pim.system import PIMSystem
+from repro.rpq import RPQuery
+from repro.rpq.cost_planner import CostBasedPlanner
+from repro.rpq.query import KHopQuery
+from repro.serve.epoch import Epoch, EpochView
+
+from model import ReferenceModel
+
+LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
+COST_MODEL = CostModel(num_modules=4)
+
+
+def build_system(graph, engine="python", **config_kwargs) -> Moctopus:
+    config = MoctopusConfig(
+        cost_model=COST_MODEL, engine=engine, high_degree_threshold=8,
+        **config_kwargs,
+    )
+    return Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+
+
+def skewed_graph(seed: int = 3) -> DiGraph:
+    """Dense ``a``/``b`` noise plus three rare ``c`` edges (``x/c``
+    queries plan in reverse)."""
+    rng = random.Random(seed)
+    graph = DiGraph(num_nodes=80)
+    for _ in range(600):
+        src, dst = rng.randrange(80), rng.randrange(80)
+        if src != dst:
+            graph.add_edge(src, dst, label=rng.choice([1, 1, 1, 1, 2]))
+    for src, dst in [(5, 6), (10, 11), (20, 21)]:
+        graph.add_edge(src, dst, label=3)
+    return graph
+
+
+def stats_fingerprint(stats):
+    return (
+        stats.host_time,
+        stats.cpc_time,
+        stats.ipc_time,
+        stats.pim_time,
+        tuple(stats.phase_pim_times),
+        stats.cpc.bytes_moved,
+        stats.cpc.transfers,
+        stats.ipc.bytes_moved,
+        stats.ipc.transfers,
+        dict(stats.counters),
+    )
+
+
+# ----------------------------------------------------------------------
+# (a) Accounting lives in the driver only
+# ----------------------------------------------------------------------
+CHARGING_CALLS = {
+    "begin_operation", "phase", "cpc_transfer", "ipc_transfer",
+    "launch_kernel", "random_accesses", "stream_bytes", "process_items",
+    "add_counter", "report_misplaced",
+}
+
+
+@pytest.mark.parametrize(
+    "module", ["python_engine.py", "vectorized.py", "matrix_engine.py"]
+)
+def test_backends_never_touch_the_platform(module):
+    path = pathlib.Path(repro.engine.__file__).with_name(module)
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else node.func.id
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, (ast.Attribute, ast.Name))
+    }
+    assert called, "the walk must have seen the module's calls"
+    assert called & CHARGING_CALLS == set()
+
+
+# ----------------------------------------------------------------------
+# (b) One view protocol, one kernel protocol
+# ----------------------------------------------------------------------
+def test_every_graph_state_is_a_plan_view_and_every_backend_a_kernel():
+    system = build_system(skewed_graph())
+    processor = system._query_processor
+    live = processor.live
+    assert isinstance(live, LiveView) and isinstance(live, PlanView)
+    with pytest.raises(ValueError):
+        live.reversed()
+
+    with system.begin() as session:
+        plain = session._view()
+        assert not plain.is_patched() and isinstance(plain, PlanView)
+        assert isinstance(plain.reversed(), PlanView)
+        khop = processor.lower(KHopQuery(hops=2, sources=[0, 1]), plain)
+        rpq = processor.lower(RPQuery("a/b", sources=[0, 1]), plain)
+        for kernel in (
+            ScalarKernel(khop, [0, 1], plain, LABEL_NAMES),
+            BitsetKernel(khop, [0, 1], plain),
+            KeysKernel(rpq, [0, 1], plain, LABEL_NAMES),
+        ):
+            assert isinstance(kernel, Kernel)
+
+        session.insert_edges([(70, 500)], labels=[3])
+        patched = session._view()
+        assert patched.is_patched() and isinstance(patched, PlanView)
+
+    epoch = system._epochs.pin()
+    try:
+        segment, manifest = export_epoch(epoch)
+        try:
+            rebuilt, mapping = attach_epoch(manifest)
+            attached = EpochView(rebuilt, PIMSystem(COST_MODEL))
+            assert isinstance(attached, PlanView)
+            del attached, rebuilt
+            mapping.close()
+        finally:
+            segment.close()
+            segment.unlink()
+    finally:
+        system._epochs.unpin(epoch)
+
+
+# ----------------------------------------------------------------------
+# (c) Live rows and their snapshot are the same RowSource
+# ----------------------------------------------------------------------
+def churned_system() -> Moctopus:
+    """Inserts, relabels, deletes leaving host holes, promotions and
+    locality migrations on top of a loaded graph."""
+    rng = random.Random(11)
+    system = build_system(
+        random_graph(60, 240, seed=5), migration_capacity_factor=1.5
+    )
+    nodes = list(range(60))
+    for _ in range(6):
+        ops, labels = [], []
+        for _ in range(40):
+            src, dst = rng.choice(nodes), rng.choice(nodes + [60 + rng.randrange(20)])
+            ops.append(UpdateOp(UpdateKind.INSERT, src, dst))
+            labels.append(rng.choice([1, 2, 3]))  # re-inserts relabel
+        for src, dst in rng.sample(sorted(system.graph.edges()), 25):
+            ops.append(UpdateOp(UpdateKind.DELETE, src, dst))
+            labels.append(0)
+        system.apply_updates(ops, labels=labels)
+        # A live query reports misplaced nodes; the pass migrates them.
+        system.batch_khop(rng.sample(nodes, 24), hops=2)
+    statistics = system.partition_statistics()
+    assert statistics["promotions"] > 0 and statistics["locality_migrations"] > 0
+    host = system._host_storage
+    assert any(
+        len(host.next_hops(node)) < host._vectors[node].capacity
+        and host._free_list_map[node]
+        and host._free_list_map[node][-1] < host.row_length(node)
+        for node in host.rows()
+    ), "the script must leave a hole inside some host row"
+    return system
+
+
+def test_live_rows_and_snapshots_read_alike_after_churn():
+    system = churned_system()
+    storages = [*system._module_storages, system._host_storage]
+    for storage in storages:
+        snapshot = storage.to_csr()
+        assert isinstance(storage, RowSource) and isinstance(snapshot, RowSource)
+        assert storage.bytes_per_entry == snapshot.bytes_per_entry
+        assert storage.working_set_bytes == snapshot.working_set_bytes
+        on_module = storage is not system._host_storage
+        assert storage.bytes_per_entry == (
+            BYTES_PER_ENTRY if on_module else BYTES_PER_SLOT
+        )
+        assert sorted(storage.rows()) == snapshot.node_ids.tolist()
+        # An absent row reads empty on both.
+        for node in [*storage.rows(), 10_000]:
+            entries = storage.row_entries(node)
+            assert snapshot.row_entries(node) == entries
+            assert snapshot.row_dsts(node) == storage.row_dsts(node)
+            assert storage.row_dsts(node) == [dst for dst, _ in entries]
+            assert storage.local_hops(node) == snapshot.local_hops(node)
+            streamed = len(entries) * storage.bytes_per_entry
+            if on_module:
+                assert streamed == storage.row_length(node) * BYTES_PER_ENTRY
+                assert storage.local_hops(node) == sum(
+                    storage.has_row(dst) for dst, _ in entries
+                )
+            else:
+                assert streamed == storage.row_bytes(node)
+
+
+# ----------------------------------------------------------------------
+# (d) Engines are shareable: one instance, eight threads
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ENGINE_NAMES)
+def test_one_engine_instance_serves_eight_threads(name):
+    system = build_system(skewed_graph())
+    processor = system._query_processor
+    engine = processor.engine_named(name)
+    assert engine is processor.engine_named(name)
+    epoch = system._epochs.pin()
+    try:
+        planning_view = EpochView(epoch, PIMSystem(COST_MODEL))
+        queries = [
+            KHopQuery(hops=2, sources=list(range(0, 40, 3))),
+            RPQuery("a/b", sources=list(range(30))),
+            RPQuery("a/c", sources=list(range(40))),  # planned in reverse
+            RPQuery("(a|b)*/c", sources=list(range(20))),
+        ]
+        plans = [processor.lower(query, planning_view) for query in queries]
+        assert [plan.direction for plan in plans] == [
+            "forward", "forward", "reverse", "forward"
+        ]
+
+        def run(index):
+            # A view (and its accounting platform) per execution.
+            result, stats = engine.execute(
+                plans[index], queries[index].sources,
+                EpochView(epoch, PIMSystem(COST_MODEL)),
+            )
+            return result, stats_fingerprint(stats)
+
+        state_before = dict(vars(engine))
+        serial = [run(index) for index in range(len(plans))]
+        outcomes, errors = {}, []
+
+        def worker(thread_id):
+            try:
+                for round_ in range(6):
+                    index = (thread_id + round_) % len(plans)
+                    outcomes[thread_id, round_] = (index, run(index))
+            except BaseException as error:  # the test's own boundary
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(outcomes) == 48
+        for index, outcome in outcomes.values():
+            assert outcome == serial[index]
+        assert vars(engine) == state_before
+        assert all(vars(engine)[key] is value for key, value in state_before.items())
+    finally:
+        system._epochs.unpin(epoch)
+
+
+# ----------------------------------------------------------------------
+# (e) Reverse plans on the reversed view, destination-only nodes included
+# ----------------------------------------------------------------------
+def handmade_epoch(edges, owners, num_modules=4) -> Epoch:
+    """An epoch whose owner table knows only ``owners``' nodes: every
+    other edge endpoint is a destination-only node no partition owns."""
+    partitions = [*range(num_modules), HOST_PARTITION]
+    rows = {partition: {} for partition in partitions}
+    for node, partition in owners.items():
+        rows[partition][node] = []
+    for src, dst, label in edges:
+        rows[owners[src]][src].append((dst, label))
+    snapshots = tuple(
+        build_snapshot(
+            [(node, row_buffer(row)) for node, row in rows[partition].items()],
+            bytes_per_entry=12,
+            working_set_bytes=max(1, 12 * sum(map(len, rows[partition].values()))),
+            count_local=partition != HOST_PARTITION,
+        ).freeze()
+        for partition in partitions
+    )
+    known = sorted(owners)
+    index = OwnerIndex.from_arrays(
+        nodes=np.asarray(known, dtype=np.int64),
+        parts=np.asarray([owners[node] for node in known], dtype=np.int64),
+    )
+    return Epoch(0, snapshots, index, num_nodes=len(owners), num_edges=len(edges))
+
+
+def test_reverse_plans_reach_destination_only_nodes_on_every_engine():
+    rng = random.Random(7)
+    edges = {}
+    for _ in range(500):
+        src, dst = rng.randrange(60), rng.randrange(60)
+        if src != dst:
+            edges[src, dst] = rng.choice([1, 1, 1, 2])
+    # The rare ``c`` edges end on nodes 900.. that own no row.
+    for src, dst in [(5, 900), (17, 901), (33, 900), (41, 902)]:
+        edges[src, dst] = 3
+    edge_list = [(src, dst, label) for (src, dst), label in edges.items()]
+    owners = {node: (node % 5) - 1 for node in range(60)}  # -1 = host
+    epoch = handmade_epoch(edge_list, owners)
+    _, extra_owners = epoch.reverse_index()
+    assert set(extra_owners) == {900, 901, 902}
+
+    model = ReferenceModel()
+    for src, dst, label in edge_list:
+        model.insert(src, dst, label)
+
+    planner = CostBasedPlanner(label_names=LABEL_NAMES)
+    for expression in ("a/c", "(a|b)/a/c"):
+        query = RPQuery(expression, sources=list(range(60)) + [900, 5000])
+        logical = planner.plan(query, view=epoch)
+        assert logical.direction == "reverse"
+        physical = lower_plan(logical, epoch.total_rows())
+        assert set(physical.reverse.seeds) == {900, 901, 902}
+        expected = model.rpq(expression, query.sources, label_names=LABEL_NAMES)
+        assert any(expected)
+        prints = set()
+        for name in ENGINE_NAMES:
+            result, stats = create_engine(name, LABEL_NAMES).execute(
+                physical, query.sources, EpochView(epoch, PIMSystem(COST_MODEL))
+            )
+            assert [set(row) for row in result.destinations] == [
+                set(row) for row in expected
+            ], (name, expression)
+            prints.add(repr(stats_fingerprint(stats)))
+        assert len(prints) == 1, expression

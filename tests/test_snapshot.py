@@ -216,18 +216,6 @@ def test_merge_snapshot_into_empty_base():
     assert merged.local_counts.tolist() == [1, 0]
 
 
-def test_non_incremental_mode_rebuilds_every_refresh():
-    storage = LocalGraphStorage(incremental=False)
-    storage.add_edge(1, 2)
-    first = storage.to_csr()
-    assert storage.to_csr() is first  # clean cache still reused
-    storage.add_edge(1, 3)
-    second = storage.to_csr()
-    assert second is not first
-    assert storage.snapshot_full_builds == 2 and storage.snapshot_merges == 0
-    assert second.same_arrays(reference_of(storage))
-
-
 def test_hetero_overlay_merges_match_rebuild():
     storage = HeterogeneousGraphStorage(num_pim_modules=4, compact_ratio=10.0)
     for node in range(6):
