@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 from conftest import bench_batch_size, bench_traces
 
@@ -57,7 +58,9 @@ def _run(provider, hops, batch_size):
         # benchmarks; our timing rounds run with auto_migrate=False, so
         # restore the misplacement-report backlog afterwards or the next
         # figure's first query would apply migrations seeded here.
-        pending_before = dict(moctopus._migrator._pending)
+        pending_before = np.asarray(
+            moctopus._migrator.capture_pending(), dtype=np.int64
+        ).reshape(-1, 3)
 
         python_s, python_result, python_stats = _time_engine(
             moctopus, "python", query
@@ -68,8 +71,7 @@ def _run(provider, hops, batch_size):
         # Restore the configured backend for the other figure benchmarks
         # sharing this provider session.
         moctopus.use_engine(moctopus.config.engine)
-        moctopus._migrator._pending.clear()
-        moctopus._migrator._pending.update(pending_before)
+        moctopus._migrator.restore_pending(pending_before)
 
         if python_result != vectorized_result:
             raise AssertionError(

@@ -110,6 +110,14 @@ class LocalGraphStorage:
         row = self._rows.get(node)
         return 0 if row is None else len(row) >> 1
 
+    def row_buffer(self, node: int) -> Optional[RowBuffer]:
+        """``node``'s stored buffer itself (``None`` when absent).
+
+        For bulk readers that copy it at once (``join_buffers``) and keep
+        no view: reading the live row never forces a snapshot refresh.
+        """
+        return self._rows.get(node)
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

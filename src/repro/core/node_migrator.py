@@ -21,6 +21,8 @@ rather than rebuilds.
 
 from __future__ import annotations
 
+from array import array
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,8 +30,66 @@ import numpy as np
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.partitioner import GraphPartitioner
+from repro.core.snapshot import join_buffers
 from repro.partition.base import HOST_PARTITION
+from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import OperationContext
+
+#: Misplacement reports as columns: ``(nodes, local, remote)`` int64 arrays.
+_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_NO_ROW = array("q")
+
+
+def _tally(
+    voters: np.ndarray, owners: np.ndarray, current: np.ndarray, num_partitions: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Votes per (voter, partition), and who is outvoted at home.
+
+    ``voters[i]`` (ascending positions into ``current``) casts one vote
+    for ``owners[i]``; host and unknown owners vote for nobody.  Returns
+    ``(parts, votes, bounds, candidates)``: voter ``v``'s tally is
+    ``parts[bounds[v]:bounds[v + 1]]`` with as many ``votes`` each, and
+    ``candidates`` are the voters some partition holds strictly more
+    votes of than ``current[v]`` does.
+
+    Sparse, and built in place, on purpose: the pass runs while the
+    batch's answer is still alive, and a dense voter x partition table
+    would be the largest array after it.
+    """
+    on_module = owners >= 0
+    # One ``voter * P + partition`` key per vote; each distinct key is one
+    # tally entry, ordered by voter, then partition.
+    keys = voters[on_module]
+    keys *= num_partitions
+    keys += owners[on_module]
+    keys, votes = np.unique(keys, return_counts=True)
+    tally_voter, parts = np.divmod(keys, num_partitions)
+    own_votes = np.zeros(len(current), dtype=np.int64)
+    own = parts == current[tally_voter]
+    own_votes[tally_voter[own]] = votes[own]
+    candidates = np.unique(tally_voter[votes > own_votes[tally_voter]])
+    bounds = np.searchsorted(tally_voter, np.arange(len(current) + 1))
+    return parts, votes, bounds, candidates
+
+
+def _later_fans(
+    nodes: np.ndarray, dsts: np.ndarray, voters: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per pending node, the later voters holding an edge to it.
+
+    A move changes the tally of every pending node that points at the
+    moved one and is decided after it.  Returns ``(fans, bounds)``: the
+    voters to patch when ``nodes[v]`` moves are
+    ``fans[bounds[v]:bounds[v + 1]]``.
+    """
+    position = np.minimum(np.searchsorted(nodes, dsts), len(nodes) - 1)
+    later = (nodes[position] == dsts) & (voters > position)
+    position = position[later]
+    order = np.argsort(position, kind="stable")
+    bounds = np.searchsorted(position[order], np.arange(len(nodes) + 1))
+    return voters[later][order], bounds
 
 
 class NodeMigrator:
@@ -50,8 +110,13 @@ class NodeMigrator:
         #: adaptive phase cannot undo the load balance the greedy phase
         #: enforced.
         self._capacity_factor = capacity_factor
-        #: Nodes reported as misplaced since the last migration pass.
-        self._pending: Dict[int, Tuple[int, int]] = {}
+        #: Reports since the last migration pass, one column chunk per
+        #: expansion, in arrival order.
+        self._reports: List[_Columns] = []
+        #: Whether ``_reports`` is the single merged chunk of :meth:`_pending`.
+        self._merged = True
+        #: Version-cached array lookups over the partition map, for the vote.
+        self._owners = OwnerIndex()
         #: Lifetime number of locality migrations performed.
         self.migrations_performed = 0
         #: Lifetime number of promotions to the host performed.
@@ -64,59 +129,86 @@ class NodeMigrator:
     # ------------------------------------------------------------------
     # Reporting (called by the query processor with module reports)
     # ------------------------------------------------------------------
-    def report_misplaced(self, node: int, local: int, remote: int) -> None:
-        """Record that ``node`` missed most of its next hops locally."""
-        self._pending[node] = (local, remote)
+    def report_misplaced(self, nodes, local, remote) -> None:
+        """Record that ``nodes`` missed most of their next hops locally.
+
+        Columns (arrays or sequences) of equal length: per node, how many
+        of its next hops were ``local`` and how many ``remote``.
+        """
+        self._reports.append(
+            (
+                np.asarray(nodes, dtype=np.int64),
+                np.asarray(local, dtype=np.int64),
+                np.asarray(remote, dtype=np.int64),
+            )
+        )
+        self._merged = False
+
+    def _pending(self) -> _Columns:
+        """The reports merged: ascending node ids, each node's latest report."""
+        if not self._reports:
+            return _EMPTY, _EMPTY, _EMPTY
+        if not self._merged:
+            nodes, local, remote = (
+                np.concatenate(column) for column in zip(*self._reports)
+            )
+            order = np.argsort(nodes, kind="stable")
+            nodes = nodes[order]
+            latest = np.ones(len(nodes), dtype=bool)
+            np.not_equal(nodes[1:], nodes[:-1], out=latest[:-1])
+            order = order[latest]
+            self._reports = [(nodes[latest], local[order], remote[order])]
+            self._merged = True
+        return self._reports[0]
 
     @property
     def pending_reports(self) -> int:
         """Number of nodes currently reported as misplaced."""
-        return len(self._pending)
+        return len(self._pending()[0])
 
     # ------------------------------------------------------------------
     # Locality migration
     # ------------------------------------------------------------------
-    def _majority_partition(self, node: int, current: int) -> Optional[int]:
-        """PIM partition holding most of ``node``'s next hops.
-
-        Returns ``None`` unless some other partition holds *strictly more*
-        next hops than the current one — moving on a tie would only churn.
-        """
-        storage = self._module_storages[current]
-        votes: Dict[int, int] = {}
-        for destination in storage.next_hops(node):
-            partition = self._partitioner.partition_of(destination)
-            if partition is None or partition == HOST_PARTITION:
-                continue
-            votes[partition] = votes.get(partition, 0) + 1
-        if not votes:
-            return None
-        target, count = max(votes.items(), key=lambda item: (item[1], -item[0]))
-        if target != current and count <= votes.get(current, 0):
-            return None
-        return target
-
     def _target_has_headroom(self, target: int) -> bool:
-        sizes = self._partitioner.partition_map.pim_sizes()
-        average = sum(sizes) / max(1, len(sizes))
-        return sizes[target] + 1 <= self._capacity_factor * max(average, 1.0)
+        partition_map = self._partitioner.partition_map
+        average = partition_map.pim_total() / max(1, partition_map.num_partitions)
+        return partition_map.size(target) + 1 <= self._capacity_factor * max(average, 1.0)
 
-    def apply_migrations(
-        self,
-        op: Optional[OperationContext] = None,
-        limit: int = 4096,
-    ) -> int:
+    def _move_row(self, node: int, source: int, target: int) -> int:
+        """Move ``node``'s row and partition-map entry; the row's length."""
+        entries = self._module_storages[source].remove_row(node)
+        self._module_storages[target].insert_row(node, entries)
+        self._partitioner.migrate(node, target)
+        self.migrations_performed += 1
+        return len(entries)
+
+    def apply_migrations(self, op: OperationContext, limit: int = 4096) -> int:
         """Migrate reported nodes to their majority partitions.
+
+        A node moves to the PIM partition holding *strictly more* of its
+        next hops than its current one (the lowest partition id among
+        equals; moving on a tie would only churn), if that partition has
+        headroom.  Nodes are decided in ascending id order — the engines
+        discover misplaced nodes in different orders, but headroom checks
+        and the migration limit must resolve identically for every
+        backend — and each decision sees the moves made before it.
+
+        The vote is columnar: the pending nodes' rows are read live (never
+        through ``to_csr()``: a pass after a small scalar query must not
+        pay the snapshot splices the next query might never need), their
+        next hops resolve to owners in one lookup and one sort tallies the
+        votes per (node, partition).  Only the nodes some other partition
+        outvotes their own on are then walked one by one.
 
         Parameters
         ----------
         op:
             Operation context to charge migration costs against (row data
             crosses the inter-PIM channel, host updates the partition
-            vector).  ``None`` performs the moves without accounting,
-            which is what bulk loading uses.
+            vector).
         limit:
-            Maximum number of nodes to migrate in this pass.
+            Maximum number of nodes to migrate in this pass; the reports
+            left over are discarded with the rest.
 
         Returns
         -------
@@ -124,39 +216,76 @@ class NodeMigrator:
             Number of nodes actually migrated.
         """
         self.last_moves = []
-        if not self._pending:
+        nodes = self._pending()[0]
+        self.clear_pending()
+        if not nodes.size:
             return 0
+        self._owners.refresh(self._partitioner.partition_map)
+        current = self._owners.owners_of(nodes)
+        on_module = current >= 0  # neither the host nor unknown
+        nodes, current = nodes[on_module], current[on_module]
+
+        storages = self._module_storages
+        bounds, values = join_buffers(
+            [
+                storages[module].row_buffer(node) or _NO_ROW
+                for node, module in zip(nodes.tolist(), current.tolist())
+            ]
+        )
+        dsts = values[::2]
+        voters = np.repeat(np.arange(len(nodes)), np.diff(bounds) >> 1)
+        tally_part, tally_votes, tally_bounds, candidates = _tally(
+            voters, self._owners.owners_of(dsts), current, self._partitioner.num_modules
+        )
+        if not candidates.size:
+            return 0
+        fans, fan_bounds = _later_fans(nodes, dsts, voters)
+
+        def tally_of(voter: int) -> Dict[int, int]:
+            start, stop = tally_bounds[voter], tally_bounds[voter + 1]
+            return dict(
+                zip(tally_part[start:stop].tolist(), tally_votes[start:stop].tolist())
+            )
+
+        heap = candidates.tolist()  # ascending, so already a heap
+        candidates = set(heap)
+        patched: Dict[int, Dict[int, int]] = {}
         migrated = 0
-        # Sorted by node id so the outcome is independent of report
-        # order: the execution engines discover misplaced nodes in
-        # different orders, but headroom checks (and the migration limit)
-        # must resolve identically for every backend.
-        for node in sorted(self._pending):
-            if migrated >= limit:
-                break
-            local, remote = self._pending.pop(node)
-            current = self._partitioner.partition_of(node)
-            if current is None or current == HOST_PARTITION:
-                continue
-            target = self._majority_partition(node, current)
-            if target is None or target == current:
+        while heap and migrated < limit:
+            voter = heappop(heap)
+            votes = patched.pop(voter, None) or tally_of(voter)
+            source = int(current[voter])
+            target = min(votes, key=lambda part: (-votes[part], part))
+            if votes[target] <= votes.get(source, 0):
                 continue
             if not self._target_has_headroom(target):
                 continue
-            entries = self._module_storages[current].remove_row(node)
-            self._module_storages[target].insert_row(node, entries)
-            self._partitioner.migrate(node, target)
+            node = int(nodes[voter])
+            row_length = self._move_row(node, source, target)
             migrated += 1
-            self.migrations_performed += 1
-            self.last_moves.append((node, current, target))
-            if op is not None:
-                row_bytes = max(1, len(entries)) * BYTES_PER_ENTRY
-                op.ipc_transfer(row_bytes, src_module=current, dst_module=target)
-                op.module(current).random_accesses(1)
-                op.module(target).random_accesses(1)
-                op.module(target).process_items(len(entries))
-                op.host.process_items(1)
-        self._pending.clear()
+            self.last_moves.append((node, source, target))
+            op.ipc_transfer(
+                max(1, row_length) * BYTES_PER_ENTRY,
+                src_module=source,
+                dst_module=target,
+            )
+            op.module(source).random_accesses(1)
+            op.module(target).random_accesses(1)
+            op.module(target).process_items(row_length)
+            op.host.process_items(1)
+            for fan in fans[fan_bounds[voter]:fan_bounds[voter + 1]].tolist():
+                votes = patched.get(fan)
+                if votes is None:
+                    # First patch of a voter still ahead of the walk: it
+                    # is queued already only if it was a candidate.
+                    votes = patched[fan] = tally_of(fan)
+                    if fan not in candidates:
+                        heappush(heap, fan)
+                if votes[source] == 1:
+                    del votes[source]
+                else:
+                    votes[source] -= 1
+                votes[target] = votes.get(target, 0) + 1
         return migrated
 
     def replay_move(self, node: int, source: int, target: int) -> None:
@@ -169,10 +298,7 @@ class NodeMigrator:
         """
         if source == HOST_PARTITION or target == HOST_PARTITION:
             raise ValueError("migration journal entries move between PIM modules")
-        entries = self._module_storages[source].remove_row(node)
-        self._module_storages[target].insert_row(node, entries)
-        self._partitioner.migrate(node, target)
-        self.migrations_performed += 1
+        self._move_row(node, source, target)
 
     def clear_pending(self) -> None:
         """Drop all pending reports.
@@ -184,21 +310,19 @@ class NodeMigrator:
         outlive the replayed pass — they would migrate nodes the
         uncrashed run never touched.
         """
-        self._pending.clear()
+        self._reports = []
+        self._merged = True
 
     def capture_pending(self) -> List[Tuple[int, int, int]]:
         """Misplacement reports not yet migrated (checkpointed as-is)."""
-        return sorted(
-            (node, local, remote)
-            for node, (local, remote) in self._pending.items()
-        )
+        return list(zip(*(column.tolist() for column in self._pending())))
 
     def restore_pending(self, reports: np.ndarray) -> None:
         """Re-seed the pending misplacement reports from a checkpoint's
         ``(node, local, remote)`` array rows."""
-        self._pending = {
-            node: (local, remote) for node, local, remote in reports.tolist()
-        }
+        self.clear_pending()
+        if len(reports):
+            self.report_misplaced(reports[:, 0], reports[:, 1], reports[:, 2])
 
     # ------------------------------------------------------------------
     # Labor-division promotion

@@ -47,6 +47,11 @@ class GraphPartitioner:
             )
         else:
             self._policy = pim_policy
+        #: :meth:`partition_of`, bound once: the policies share one
+        #: partition map and never rebind it, so the three frames the
+        #: method would walk (partitioner -> policy -> map) are one
+        #: ``dict.get``.
+        self.partition_of = self.partition_map.partition_of
 
     # ------------------------------------------------------------------
     # Placement

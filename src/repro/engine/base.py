@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     List,
     Optional,
     Protocol,
@@ -73,6 +72,11 @@ ENGINE_NAMES = ("auto", "python", "vectorized", "matrix")
 #: See the README's "Execution engines" crossover table.
 AUTO_CROSSOVER_ITEMS = 4096
 
+#: One expansion's misplacement reports as ``(nodes, local, remote)``
+#: int64 columns — arrays from the kernels through the view to the
+#: migrator, never a tuple per node.
+ReportColumns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 @runtime_checkable
 class PlanView(Protocol):
@@ -112,8 +116,8 @@ class PlanView(Protocol):
         as misplaced; ``None`` when it detects nothing."""
         ...
 
-    def report_misplaced(self, reports: Iterable[Tuple[int, int, int]]) -> None:
-        """Take one expansion's ``(node, local, remote)`` misplacement reports."""
+    def report_misplaced(self, reports: ReportColumns) -> None:
+        """Take one expansion's misplacement reports."""
         ...
 
     def reversed(self) -> "PlanView":
@@ -176,9 +180,8 @@ class LiveView:
             return None
         return self.processors[partition].misplacement_threshold
 
-    def report_misplaced(self, reports: Iterable[Tuple[int, int, int]]) -> None:
-        for node, local, remote in reports:
-            self.migrator.report_misplaced(node, local, remote)
+    def report_misplaced(self, reports: ReportColumns) -> None:
+        self.migrator.report_misplaced(*reports)
 
     def reversed(self) -> "PlanView":
         raise ValueError(

@@ -21,13 +21,23 @@ loads with the backends (see the import note in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Protocol, Tuple, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Tuple,
+    runtime_checkable,
+)
 
 import numpy as np
 
 from repro.core.local_storage import BYTES_PER_ENTRY
 from repro.core.operators import BYTES_PER_FRONTIER_ITEM, OPERATOR_HEADER_BYTES
-from repro.engine.base import PlanView
+from repro.engine.base import PlanView, ReportColumns
 from repro.engine.physical import (
     DispatchOp,
     ExpandOp,
@@ -64,8 +74,9 @@ class ExpandWork(NamedTuple):
     #: Footprint of the structure the rows were read from (the host's
     #: random-access cost depends on it; modules ignore it).
     working_set_bytes: int
-    #: ``(node, local, remote)`` for every node found misplaced.
-    misplaced: Tuple[Tuple[int, int, int], ...] = ()
+    #: The nodes found misplaced, as ``(nodes, local, remote)`` columns
+    #: (``None`` when there are none).
+    misplaced: Optional[ReportColumns] = None
 
 
 @runtime_checkable
@@ -207,7 +218,7 @@ def _expand_route(
                 module.random_accesses(work.rows_touched)
                 module.stream_bytes(work.bytes_streamed)
                 module.process_items(work.items_processed)
-                if work.misplaced:
+                if work.misplaced is not None:
                     view.report_misplaced(work.misplaced)
             crossed_cpc, crossed_ipc = kernel.route(partition, produced)
             cpc_items += crossed_cpc

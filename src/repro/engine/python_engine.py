@@ -86,10 +86,16 @@ class ScalarKernel:
             self._label_names,
             view.misplacement_threshold(partition),
         )
-        misplaced = tuple(
-            (node, local, remote)
-            for node, (local, remote) in work.misplacement_reports.items()
-        )
+        # The driver boundary is columnar: (nodes, local, remote) arrays.
+        misplaced = None
+        reports = work.misplacement_reports
+        if reports:
+            counts = np.array(list(reports.values()), dtype=np.int64)
+            misplaced = (
+                np.fromiter(reports, dtype=np.int64, count=len(reports)),
+                counts[:, 0],
+                counts[:, 1],
+            )
         return (
             ExpandWork(
                 work.rows_touched,

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.base import PlanView
+from repro.engine.base import PlanView, ReportColumns
 from repro.engine.driver import ExpandWork, execute_plan
 from repro.engine.physical import PhysicalPlan
 from repro.partition.base import HOST_PARTITION
@@ -197,21 +197,22 @@ def _misplaced(
     row_idx: np.ndarray,
     degrees: np.ndarray,
     threshold: Optional[float],
-) -> Tuple[Tuple[int, int, int], ...]:
-    """``(node, local, remote)`` of the nodes whose next hops mostly live
-    elsewhere — :func:`~repro.core.operator_processor.smxm`'s test over
-    the snapshot's ``local_counts`` (``threshold`` ``None`` = no detection)."""
+) -> Optional[ReportColumns]:
+    """``(nodes, local, remote)`` columns of the nodes whose next hops
+    mostly live elsewhere — :func:`~repro.core.operator_processor.smxm`'s
+    test over the snapshot's ``local_counts`` (``threshold`` ``None`` = no
+    detection); ``None`` when there are none."""
     if threshold is None:
-        return ()
+        return None
     active = degrees > 0
     if not active.any():
-        return ()
+        return None
     local = snapshot.local_counts[np.maximum(row_idx, 0)]
     remote = degrees - local
     reported = active & (remote > 0) & (remote / np.maximum(degrees, 1) > threshold)
-    return tuple(
-        zip(nodes[reported].tolist(), local[reported].tolist(), remote[reported].tolist())
-    )
+    if not reported.any():
+        return None
+    return nodes[reported], local[reported], remote[reported]
 
 
 def _crossing_items(
@@ -356,29 +357,40 @@ class BitsetKernel:
         if not frontier:
             return
         num_rows = len(self._sources)
-        indptr = np.zeros(num_rows + 1, dtype=np.int64)
         nodes = np.concatenate([block[0] for block in frontier.values()])
         masks = np.concatenate([block[1] for block in frontier.values()])
         # Blocks are sorted per owner only: sort the nodes once, and every
         # row's matches then come out ascending.
         order = np.argsort(nodes)
-        nodes, masks = nodes[order], masks[order]
-        counts = np.zeros(self._num_words * 64, dtype=np.int64)
-        chunks: List[np.ndarray] = []
+        nodes = nodes[order]
+        # The answer is sized once and every row's matches are written
+        # straight into their slice: it is the largest array of the whole
+        # batch, so no second copy of it may exist, even in pieces.
+        indices = np.empty(
+            int(np.bitwise_count(masks).sum(dtype=np.int64)), dtype=np.int64
+        )
+        indptr = np.zeros(num_rows + 1, dtype=np.int64)
+        stop = 0
         # One 64-row word column at a time keeps the unpacked bit matrix
-        # (a byte per node and row) a small transient.
+        # (a byte per row and live node) a small transient.
         for word in range(self._num_words):
-            bits = np.unpackbits(
-                np.ascontiguousarray(masks[:, word]).view(np.uint8).reshape(-1, 8),
-                axis=1,
+            column = masks[order, word]
+            live = np.flatnonzero(column)
+            live_nodes = nodes[live]
+            # Unpacked along axis 0 of the byte-transposed column: one
+            # contiguous row of node hits per query row.
+            hits = np.unpackbits(
+                column[live].view(np.uint8).reshape(-1, 8).T,
+                axis=0,
                 bitorder="little",
-            )
-            # Row-major over the transpose: grouped by row, nodes ascending.
-            row_bits, node_pos = np.nonzero(np.ascontiguousarray(bits.T))
-            counts[word * 64:(word + 1) * 64] = np.bincount(row_bits, minlength=64)
-            chunks.append(nodes[node_pos])
-        np.cumsum(counts[:num_rows], out=indptr[1:])
-        self._answer = (indptr, np.concatenate(chunks))
+            ).view(bool)
+            first_row = word * 64
+            counts = hits.sum(axis=1).tolist()
+            for row in range(first_row, min(first_row + 64, num_rows)):
+                start, stop = stop, stop + counts[row - first_row]
+                np.compress(hits[row - first_row], live_nodes, out=indices[start:stop])
+                indptr[row + 1] = stop
+        self._answer = (indptr, indices)
 
     def answer(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._answer

@@ -42,6 +42,10 @@ class PartitionMap:
             raise ValueError("num_partitions must be positive")
         self.num_partitions = num_partitions
         self._assignment: Dict[int, int] = {}
+        #: :meth:`partition_of` is the assignment dict's own ``get``: the
+        #: dict is never rebound, and the lookup is the hottest call of
+        #: bulk loading and update placement.
+        self.partition_of = self._assignment.get
         self._sizes: Dict[int, int] = {partition: 0 for partition in range(num_partitions)}
         self._sizes[HOST_PARTITION] = 0
         #: Bumped on every placement change; cheap staleness check for

@@ -34,7 +34,7 @@ from __future__ import annotations
 import threading
 from array import array
 from types import TracebackType
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -313,7 +313,9 @@ class EpochView:
         """``None``: pinned executions skip misplacement detection."""
         return None
 
-    def report_misplaced(self, reports: Iterable[Tuple[int, int, int]]) -> None:
+    def report_misplaced(
+        self, reports: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    ) -> None:
         """Dropped: a report derived from a pinned (possibly stale)
         epoch would misdirect the migrator."""
 

@@ -13,6 +13,9 @@ agreement between the two is evidence, not tautology.
 General RPQs are answered through :func:`repro.rpq.evaluate_rpq`, the
 product-graph BFS that the repo's existing suites already use as the
 engine-independent reference.
+
+:func:`migrate` is the oracle of the node migrator's maintenance pass
+(``test_node_migrator.py``): the per-node scalar vote over plain dicts.
 """
 
 from __future__ import annotations
@@ -133,3 +136,55 @@ class ReferenceModel:
     def num_edges(self) -> int:
         """Stored edges."""
         return sum(len(row) for row in self.rows.values())
+
+
+def migrate(
+    reports: Iterable[int],
+    placement: Dict[int, int],
+    rows: Dict[int, List[int]],
+    limit: int,
+    num_partitions: int,
+    capacity_factor: float = 1.05,
+) -> List[Tuple[int, int, int]]:
+    """The node migrator's pass, as the scalar loop it replaced.
+
+    The oracle of ``test_node_migrator.py``: one reported node at a
+    time, ascending, each voting with a Python loop over its next hops
+    against the *current* ``placement`` (so a move made earlier in the
+    pass is seen by every later vote).  ``placement`` (node -> partition,
+    ``-1`` = host) is updated in place; ``rows`` maps a node to its next
+    hops.  Returns the ``(node, source, target)`` moves in order.
+    """
+    host = -1
+    sizes = [0] * num_partitions
+    for partition in placement.values():
+        if partition != host:
+            sizes[partition] += 1
+    moves: List[Tuple[int, int, int]] = []
+    for node in sorted(set(reports)):
+        if len(moves) >= limit:
+            break
+        current = placement.get(node)
+        if current is None or current == host:
+            continue
+        votes: Dict[int, int] = {}
+        for destination in rows.get(node, ()):
+            partition = placement.get(destination)
+            if partition is None or partition == host:
+                continue
+            votes[partition] = votes.get(partition, 0) + 1
+        if not votes:
+            continue
+        # Most votes wins, the lower partition id on a tie; moving takes
+        # strictly more votes than the current partition holds.
+        target, count = max(votes.items(), key=lambda item: (item[1], -item[0]))
+        if target == current or count <= votes.get(current, 0):
+            continue
+        average = sum(sizes) / max(1, len(sizes))
+        if not sizes[target] + 1 <= capacity_factor * max(average, 1.0):
+            continue
+        placement[node] = target
+        sizes[current] -= 1
+        sizes[target] += 1
+        moves.append((node, current, target))
+    return moves

@@ -659,7 +659,7 @@ def test_zero_move_maintenance_pass_is_journaled(tmp_path):
     # Node 0's next hops land on its own module (greedy places dst next
     # to src), so the report resolves to "majority == current": no move.
     system.insert_edges([(0, 1), (0, 2)])
-    system._migrator.report_misplaced(0, 0, 2)
+    system._migrator.report_misplaced([0], [0], [2])
     system.checkpoint()  # captures pending = {0}
     lsn_before = system.durable_lsn
     moved, _ = system.run_maintenance()
