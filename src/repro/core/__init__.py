@@ -30,12 +30,6 @@ from repro.core.hetero_storage import (
     HeterogeneousGraphStorage,
     HeteroUpdateOutcome,
 )
-from repro.core.operators import (
-    AddOperator,
-    MwaitOperator,
-    SmxmOperator,
-    SubOperator,
-)
 from repro.core.operator_processor import OperatorProcessor, SmxmWork, UpdateWork
 from repro.core.partitioner import GraphPartitioner
 from repro.core.snapshot import GraphSnapshot
@@ -59,8 +53,4 @@ __all__ = [
     "HeteroUpdateOutcome",
     "GraphSnapshot",
     "StoredGraphView",
-    "SmxmOperator",
-    "MwaitOperator",
-    "AddOperator",
-    "SubOperator",
 ]

@@ -11,20 +11,21 @@ ablations can sweep them:
   reported when more than half of its next hops live on other modules);
 * switches to disable labor division or migration, which is how the
   PIM-hash contrast system and the ablation benches are expressed;
-* the physical execution backend (``engine``) — the scalar reference
+* the query execution kernel (``engine``) — the scalar reference
   engine, the vectorized numpy engine or the semiring-matrix engine,
   which are required to agree on every result and every simulated
   counter, or ``"auto"``, which picks the scalar or the vectorized one
-  per call from the size of the request;
+  per call from the size of the request.  It names a query kernel and
+  nothing else: update batches are partitioned by one loop
+  (:mod:`repro.core.update_processor`) whatever it says;
 * the snapshot-maintenance knob ``snapshot_compact_ratio``: when a
   storage refreshing its cached CSR view between updates and queries
   rebuilds it instead of splicing the dirty rows in;
 * the serving-layer knobs (``serve_queue_depth``,
-  ``serve_batch_window``, ``serve_linger``, ``serve_workers``,
-  ``serve_worker_start_method``) controlling how the batch scheduler
-  admits and coalesces concurrent client queries, and whether coalesced
-  batches fan out across worker *processes* over shared-memory epoch
-  exports (:mod:`repro.parallel`);
+  ``serve_batch_window``, ``serve_linger``, ``serve_workers``)
+  controlling how the batch scheduler admits and coalesces concurrent
+  client queries, and whether coalesced batches fan out across worker
+  *processes* over shared-memory epoch exports (:mod:`repro.parallel`);
 * the network front-end knobs (``net_host``, ``net_port``,
   ``net_auth_token``, ``net_max_inflight_per_client``,
   ``net_request_timeout``) controlling where ``Moctopus.listen()``
@@ -74,9 +75,6 @@ class MoctopusConfig:
     #: moderately; hot hubs are already on the host, so node-count skew
     #: from migration translates into little work skew.
     migration_capacity_factor: float = 1.5
-    #: Upper bound on migrations applied after one batch query, to keep
-    #: migration overhead bounded as the paper intends.
-    max_migrations_per_query: int = 4096
     #: Physical execution backend for batch queries: ``"python"`` (the
     #: scalar reference engine, exact original semantics),
     #: ``"vectorized"`` (numpy columnar frontiers over CSR storage
@@ -90,7 +88,7 @@ class MoctopusConfig:
     #: batches).  All produce identical results and identical
     #: simulated statistics, so the choice never changes an answer; a
     #: concrete name pins one backend (parity suites, probes, oracle).
-    #: Update partitioning runs its scalar path under ``"auto"``.
+    #: The update path does not read this field.
     engine: str = "auto"
     #: Dirty-row fraction of a storage's cached CSR base above which a
     #: snapshot refresh compacts (rebuilds the base from scratch) instead
@@ -112,9 +110,6 @@ class MoctopusConfig:
     #: (:mod:`repro.parallel`).  ``0`` (the default) executes windows
     #: in-process; ``serve(parallel=N)`` overrides per scheduler.
     serve_workers: int = 0
-    #: ``multiprocessing`` start method for pool workers: ``None``
-    #: auto-selects (``fork`` where available, else ``spawn``).
-    serve_worker_start_method: Optional[str] = None
     #: How long (seconds) a scheduler drain waits for stragglers to fill
     #: its coalescing window once the first query of a window arrived.
     #: ``0`` (the default) drains whatever is queued immediately —
@@ -155,13 +150,6 @@ class MoctopusConfig:
     #: fault-injection harness models); turn this on for power-loss
     #: durability at the usual per-batch latency cost.
     wal_fsync: bool = False
-    #: Expansion-direction policy of the cost-based planner:
-    #: ``"auto"`` compares the estimated forward cost against reverse
-    #: expansion from the rarer accepting side (epoch-pinned,
-    #: fixed-length plans only); ``"forward"`` pins the classic
-    #: source-side expansion (the pre-planner behaviour and the
-    #: ablation baseline).
-    planner_direction: str = "auto"
     #: Bound of the epoch-keyed plan cache on the query processor
     #: (entries; LRU).  ``0`` disables plan caching.
     plan_cache_size: int = 128
@@ -200,16 +188,6 @@ class MoctopusConfig:
             raise ValueError("serve_batch_window must be >= 1")
         if self.serve_workers < 0:
             raise ValueError("serve_workers must be >= 0")
-        if self.serve_worker_start_method not in (
-            None,
-            "fork",
-            "spawn",
-            "forkserver",
-        ):
-            raise ValueError(
-                "serve_worker_start_method must be None, 'fork', 'spawn' "
-                f"or 'forkserver', got {self.serve_worker_start_method!r}"
-            )
         if self.serve_linger < 0:
             raise ValueError("serve_linger must be >= 0 seconds")
         if not 0 <= self.net_port <= 65535:
@@ -222,11 +200,6 @@ class MoctopusConfig:
             raise ValueError("wal_segment_bytes must be >= 1024")
         if self.checkpoint_interval_batches < 0:
             raise ValueError("checkpoint_interval_batches must be >= 0")
-        if self.planner_direction not in ("auto", "forward"):
-            raise ValueError(
-                "planner_direction must be 'auto' or 'forward', "
-                f"got {self.planner_direction!r}"
-            )
         if self.plan_cache_size < 0:
             raise ValueError("plan_cache_size must be >= 0")
         if self.result_cache_size < 0:

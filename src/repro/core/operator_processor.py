@@ -13,9 +13,8 @@ detection with query processing exactly as Section 3.2.2 describes.
 
 The expansion itself is the module-level :func:`smxm`: the one scalar
 loop, over any :class:`RowSource` — a module's live storage, the host's,
-or a pinned CSR snapshot.  :meth:`OperatorProcessor.process_smxm` is that
-loop over the processor's own storage; the scalar execution kernel calls
-it on whatever rows its view hands out.
+or a pinned CSR snapshot; the scalar execution kernel calls it on
+whatever rows its view hands out.
 """
 
 from __future__ import annotations
@@ -167,41 +166,6 @@ class OperatorProcessor:
         self.module_id = module_id
         self.storage = storage
         self.misplacement_threshold = misplacement_threshold
-
-    # ------------------------------------------------------------------
-    # smxm
-    # ------------------------------------------------------------------
-    def process_smxm(
-        self,
-        frontier: Dict[int, ContextSet],
-        dfa: Optional[DFA] = None,
-        label_names: Optional[Dict[int, str]] = None,
-        detect_misplacement: bool = True,
-    ) -> Tuple[Dict[int, ContextSet], SmxmWork]:
-        """Expand ``frontier`` against the local adjacency segment
-        (:func:`smxm` over this module's storage and threshold)."""
-        return smxm(
-            frontier,
-            self.storage,
-            dfa,
-            label_names,
-            self.misplacement_threshold if detect_misplacement else None,
-        )
-
-    # ------------------------------------------------------------------
-    # add / sub
-    # ------------------------------------------------------------------
-    def process_add(self, edges: List[Tuple[int, int, int]]) -> UpdateWork:
-        """Apply a batch of edge insertions to the local segment."""
-        return self.process_update_ops(
-            [(UpdateKind.INSERT, src, dst, label) for src, dst, label in edges]
-        )
-
-    def process_sub(self, edges: List[Tuple[int, int]]) -> UpdateWork:
-        """Apply a batch of edge deletions to the local segment."""
-        return self.process_update_ops(
-            [(UpdateKind.DELETE, src, dst, 0) for src, dst in edges]
-        )
 
     def process_update_ops(
         self, entries: List[Tuple[UpdateKind, int, int, int]]

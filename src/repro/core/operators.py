@@ -1,25 +1,15 @@
-"""Matrix-based operators dispatched from the host to PIM modules.
+"""Wire sizes of the operators dispatched from the host to PIM modules.
 
-The query processor translates every request into a small set of
-operators, mirroring the paper's architecture (Figure 1):
-
-* :class:`SmxmOperator` — one step of sparse matrix-matrix
-  multiplication: "expand these frontier rows against your local
-  adjacency segment";
-* :class:`MwaitOperator` — gather the partial result a module holds so
-  the host can reduce the answer matrix;
-* :class:`AddOperator` / :class:`SubOperator` — apply a batch of edge
-  insertions / deletions to the module's local segment.
-
-Operator objects are what crosses the CPU-PIM channel, so their
-:meth:`payload_bytes` methods define the CPC traffic the simulator
-charges for dispatching them.
+Every request becomes a small set of operators, mirroring the paper's
+architecture (Figure 1): ``smxm`` (expand these frontier rows against
+your local adjacency segment), ``mwait`` (return your partial result so
+the host can reduce the answer matrix) and ``add`` / ``sub`` (apply a
+batch of edge insertions / deletions to your segment).  What crosses the
+CPU-PIM channel is a header plus fixed-size items, so these three
+constants define the CPC traffic the phase driver
+(:mod:`repro.engine.driver`) and the update path
+(:mod:`repro.core.update_processor`) charge for dispatching them.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
 
 #: Bytes to encode one frontier item (destination node id + query context).
 BYTES_PER_FRONTIER_ITEM = 16
@@ -28,70 +18,3 @@ BYTES_PER_UPDATE_ITEM = 20
 #: Fixed bytes of an operator header (opcode, counts, plan position).
 OPERATOR_HEADER_BYTES = 32
 
-
-@dataclass
-class SmxmOperator:
-    """A frontier-expansion task for one PIM module.
-
-    ``frontier`` maps a locally stored node id to the set of query
-    contexts (query row for k-hop plans, ``(row, automaton state)`` for
-    general RPQs) that currently sit on that node.
-    """
-
-    module_id: int
-    frontier: Dict[int, Set[object]] = field(default_factory=dict)
-
-    @property
-    def num_items(self) -> int:
-        """Number of (node, context) frontier items carried."""
-        return sum(len(contexts) for contexts in self.frontier.values())
-
-    def payload_bytes(self) -> int:
-        """CPC bytes needed to ship this operator to its module."""
-        return OPERATOR_HEADER_BYTES + self.num_items * BYTES_PER_FRONTIER_ITEM
-
-
-@dataclass
-class MwaitOperator:
-    """A gather request: return the module's partial result to the host."""
-
-    module_id: int
-    num_result_items: int = 0
-
-    def payload_bytes(self) -> int:
-        """CPC bytes of the returned partial result."""
-        return OPERATOR_HEADER_BYTES + self.num_result_items * BYTES_PER_FRONTIER_ITEM
-
-
-@dataclass
-class AddOperator:
-    """A batch of edge insertions for one PIM module."""
-
-    module_id: int
-    edges: List[Tuple[int, int, int]] = field(default_factory=list)
-
-    @property
-    def num_items(self) -> int:
-        """Number of edges carried."""
-        return len(self.edges)
-
-    def payload_bytes(self) -> int:
-        """CPC bytes needed to ship this operator to its module."""
-        return OPERATOR_HEADER_BYTES + self.num_items * BYTES_PER_UPDATE_ITEM
-
-
-@dataclass
-class SubOperator:
-    """A batch of edge deletions for one PIM module."""
-
-    module_id: int
-    edges: List[Tuple[int, int]] = field(default_factory=list)
-
-    @property
-    def num_items(self) -> int:
-        """Number of edges carried."""
-        return len(self.edges)
-
-    def payload_bytes(self) -> int:
-        """CPC bytes needed to ship this operator to its module."""
-        return OPERATOR_HEADER_BYTES + self.num_items * BYTES_PER_UPDATE_ITEM

@@ -18,7 +18,7 @@ their first neighbor's entry.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -76,27 +76,6 @@ class GraphPartitioner:
     def migrate(self, node: int, target_partition: int) -> None:
         """Record that ``node`` now lives on ``target_partition``."""
         self.partition_map.assign(node, target_partition)
-
-    # ------------------------------------------------------------------
-    # Degree stream bookkeeping (the labor-division wrapper's view)
-    # ------------------------------------------------------------------
-    def observed_out_degree(self, node: int) -> int:
-        """Out-degree of ``node`` as seen by the ingest stream (0 for
-        policies that track no degrees)."""
-        return self._policy.observed_out_degree(node)
-
-    def record_observed_edges(
-        self, src_counts: Iterable[Tuple[int, int]], dsts: Iterable[int]
-    ) -> None:
-        """Bulk degree bookkeeping for edges whose placement is settled.
-
-        Used by the vectorized update path for batch updates that cannot
-        change any placement (both endpoints assigned, no source near the
-        high-degree threshold); equivalent to the per-edge observations
-        :meth:`ingest_edge` would have recorded.  No-op for policies that
-        track no degrees.
-        """
-        self._policy.observe_edges(src_counts, dsts)
 
     # ------------------------------------------------------------------
     # Checkpoint capture / restore

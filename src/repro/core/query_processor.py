@@ -102,10 +102,7 @@ class QueryProcessor:
         self.label_names: Dict[int, str] = label_names or {}
         self._engines: Dict[str, ExecutionEngine] = {}
         self.engine: ExecutionEngine = self.engine_named(config.engine)
-        self.planner = CostBasedPlanner(
-            label_names=self.label_names,
-            direction=config.planner_direction,
-        )
+        self.planner = CostBasedPlanner(label_names=self.label_names)
         #: Cache hit/miss counters.  Deliberately *not* merged into any
         #: per-query :class:`ExecutionStats` — per-query observables must
         #: stay bit-identical between cold and warm executions.

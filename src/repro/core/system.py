@@ -112,7 +112,6 @@ class Moctopus:
             label_names=label_names,
         )
         self._update_processor = UpdateProcessor(
-            self.config,
             self.pim,
             self._partitioner,
             self._module_storages,
@@ -256,9 +255,7 @@ class Moctopus:
             had_reports = self._migrator.pending_reports > 0
             operation = self.pim.begin_operation()
             with operation.phase("migration"):
-                moved = self._migrator.apply_migrations(
-                    op=operation, limit=self.config.max_migrations_per_query
-                )
+                moved = self._migrator.apply_migrations(op=operation)
             stats = operation.finish()
             stats.add_counter("migrations", moved)
             self.last_maintenance_stats = stats
@@ -301,8 +298,15 @@ class Moctopus:
         ``delete_edges`` are conveniences over it), which is the single
         write-ahead point: with durability enabled the batch is appended
         to the WAL *before* any state mutates, so a batch is committed
-        exactly when its record is durable.
+        exactly when its record is durable.  ``labels``, when given, must
+        carry one label per op; a mismatch is rejected here, before
+        anything is logged or moves.
         """
+        if labels is not None and len(labels) != len(ops):
+            raise ValueError(
+                f"labels must match ops one to one: got {len(labels)} "
+                f"labels for {len(ops)} ops"
+            )
         with self._serve_lock:
             if self._durability is None:
                 stats = self._update_processor.apply_batch(ops, labels=labels)
@@ -526,17 +530,15 @@ class Moctopus:
         return self._query_processor.engine_name
 
     def use_engine(self, name: str) -> None:
-        """Swap the execution backend (any ``ENGINE_NAMES`` entry).
+        """Swap the query execution kernel (any ``ENGINE_NAMES`` entry).
 
-        Switches both the query engine and the update processor's batch
-        partitioning path.  All backends produce identical results and
-        identical simulated statistics on the same system state;
-        swapping mid-run is safe and is how the engine benchmarks
-        compare wall-clock cost.
+        All kernels produce identical results and identical simulated
+        statistics on the same system state; swapping mid-run is safe
+        and is how the engine benchmarks compare wall-clock cost.  The
+        update path has one partitioner and is not affected.
         """
         with self._serve_lock:
             self._query_processor.use_engine(name)
-            self._update_processor.use_engine(name)
 
     def partition_of(self, node: int) -> Optional[int]:
         """Partition of ``node`` (``-1`` = host)."""

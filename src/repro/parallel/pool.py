@@ -205,7 +205,6 @@ class WorkerPool:
         system: "Moctopus",
         workers: int,
         engine: Optional[str] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -214,21 +213,19 @@ class WorkerPool:
         config = system.config
         self._engine_name = engine or system.engine_name
         self.workers = workers
-        method = start_method or config.serve_worker_start_method
-        if method is None:
-            # On Linux, ``fork`` starts in milliseconds and shares the
-            # parent's loaded interpreter; workers only ever touch their
-            # queues, the shared segments and numpy, so inherited locks
-            # are harmless.  Everywhere else — notably macOS, where
-            # CPython moved the default to spawn because fork-without-
-            # exec in a threaded process can abort in system frameworks
-            # — the platform-safe choice is spawn.
-            available = multiprocessing.get_all_start_methods()
-            method = (
-                "fork"
-                if sys.platform.startswith("linux") and "fork" in available
-                else "spawn"
-            )
+        # On Linux, ``fork`` starts in milliseconds and shares the
+        # parent's loaded interpreter; workers only ever touch their
+        # queues, the shared segments and numpy, so inherited locks
+        # are harmless.  Everywhere else — notably macOS, where
+        # CPython moved the default to spawn because fork-without-
+        # exec in a threaded process can abort in system frameworks
+        # — the platform-safe choice is spawn.
+        available = multiprocessing.get_all_start_methods()
+        method = (
+            "fork"
+            if sys.platform.startswith("linux") and "fork" in available
+            else "spawn"
+        )
         self._ctx = multiprocessing.get_context(method)
         # Collect whatever a crashed sibling may have leaked before
         # creating segments of our own.

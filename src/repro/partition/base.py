@@ -177,27 +177,6 @@ class StreamingPartitioner(ABC):
         """Partition of ``node`` or ``None`` when unassigned."""
         return self.partition_map.partition_of(node)
 
-    # ------------------------------------------------------------------
-    # Degree-stream hooks (no-ops unless a policy tracks degrees)
-    # ------------------------------------------------------------------
-    def observed_out_degree(self, node: int) -> int:
-        """Out-degree of ``node`` as seen by the ingest stream.
-
-        Policies that do not track degrees report 0; the labor-division
-        wrapper overrides this with its real counter.
-        """
-        return 0
-
-    def observe_edges(
-        self, src_counts: Iterable[Tuple[int, int]], dsts: Iterable[int]
-    ) -> None:
-        """Bulk degree bookkeeping for edges placed without ingestion.
-
-        Default no-op; the labor-division wrapper overrides it.  Callers
-        guarantee no source crosses a promotion threshold — this hook
-        must never change placements.
-        """
-
 
 def partition_static_graph(
     partitioner: StreamingPartitioner, graph: DiGraph

@@ -21,7 +21,7 @@ low-degree remainder.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.partition.base import HOST_PARTITION, StreamingPartitioner
 
@@ -77,25 +77,6 @@ class LaborDivisionPartitioner(StreamingPartitioner):
             self.promotions += 1
             src_partition = HOST_PARTITION
         return src_partition, dst_partition
-
-    def observe_edges(
-        self, src_counts: Iterable[Tuple[int, int]], dsts: Iterable[int]
-    ) -> None:
-        """Bulk degree bookkeeping for edges placed without ingestion.
-
-        The vectorized update path pre-resolves placement for update
-        batches whose endpoints are already assigned and whose sources
-        cannot cross the high-degree threshold within the batch; this
-        method applies the degree observations :meth:`ingest_edge` would
-        have made for them (``+count`` per source, destination keys
-        created at zero) in one pass.  Callers guarantee no source
-        crosses the threshold — no promotion check is performed here.
-        """
-        degrees = self._out_degree
-        for node, count in src_counts:
-            degrees[node] = degrees.get(node, 0) + count
-        for node in dsts:
-            degrees.setdefault(node, 0)
 
     def pending_promotions(self) -> int:
         """Nodes still on PIM whose observed degree exceeds the threshold.

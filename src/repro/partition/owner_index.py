@@ -1,8 +1,8 @@
 """Vectorized owner lookups over the ``node_partition_vector``.
 
-Both the vectorized execution engine and the vectorized update path need
-to answer "which partition owns each of these nodes?" for whole arrays
-at once.  :class:`OwnerIndex` freezes the
+The array execution kernels, the migrator's columnar vote and epoch
+captures need to answer "which partition owns each of these nodes?" for
+whole arrays at once.  :class:`OwnerIndex` freezes the
 :class:`~repro.partition.base.PartitionMap` into one of two numpy
 lookup structures and caches it against the map's version stamp, so
 back-to-back batches between placement changes share the same arrays.

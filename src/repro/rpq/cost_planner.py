@@ -252,18 +252,13 @@ def _reverse_seed_nodes(
 class CostBasedPlanner:
     """Plans queries with epoch statistics: direction and bounds.
 
-    Stateless apart from its construction-time label table and policy
-    knobs, so one instance is safely shared by every thread of a query
-    processor; all per-query state lives on the returned plan.
+    Stateless apart from its construction-time label table, so one
+    instance is safely shared by every thread of a query processor; all
+    per-query state lives on the returned plan.
     """
 
-    def __init__(
-        self,
-        label_names: Optional[Dict[int, str]] = None,
-        direction: str = "auto",
-    ) -> None:
+    def __init__(self, label_names: Optional[Dict[int, str]] = None) -> None:
         self._label_names = label_names or {}
-        self._direction = direction
 
     def plan(self, query, view=None) -> LogicalPlan:
         """A costed :class:`LogicalPlan` for ``query`` against ``view``."""
@@ -317,12 +312,7 @@ class CostBasedPlanner:
             base.dfa, length, stats, batch_size
         )
         reverse_cost: Optional[float] = None
-        if (
-            self._direction == "auto"
-            and length >= 1
-            and stats.num_rows > 0
-            and base.dfa is not None
-        ):
+        if length >= 1 and stats.num_rows > 0 and base.dfa is not None:
             final_labels, final_wildcard = accepting_edge_labels(base.dfa)
             seed_estimate = float(
                 stats.num_edges

@@ -174,6 +174,11 @@ class Session:
         """Stage edge insertions, visible to this session immediately."""
         self._assert_open()
         edges = list(edges)
+        if labels is not None and len(labels) != len(edges):
+            raise ValueError(
+                f"labels must match edges one to one: got {len(labels)} "
+                f"labels for {len(edges)} edges"
+            )
         for index, (src, dst) in enumerate(edges):
             label = labels[index] if labels else DEFAULT_LABEL
             self._stage_insert(src, dst, label)

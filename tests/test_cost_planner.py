@@ -170,16 +170,6 @@ def test_reverse_decision_is_explained():
         assert len(decision.hop_estimates) == 2
 
 
-def test_planner_direction_forward_pins_classic_expansion():
-    system = build_system(skewed_graph(), planner_direction="forward")
-    processor = system._query_processor
-    with system.begin() as session:
-        view = session._view()
-        for expression in ("a/c", "_/c", "(a|b)/c"):
-            plan = processor.plan(RPQuery(expression, sources=[0]), view=view)
-            assert plan.direction == "forward"
-
-
 def test_patched_views_and_live_queries_plan_forward():
     system = build_system(skewed_graph())
     processor = system._query_processor

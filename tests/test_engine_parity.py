@@ -357,21 +357,6 @@ def test_parity_with_heavy_update_batches(seed):
         assert sorted(system.graph.edges()) == reference_edges, engine
 
 
-def test_update_engine_follows_use_engine():
-    """``use_engine`` swaps the update-partitioning backend too."""
-    graph = DiGraph.from_edges([(0, 1), (1, 2)])
-    system = Moctopus.from_graph(
-        graph, MoctopusConfig(cost_model=CostModel(num_modules=4))
-    )
-    assert system._update_processor.engine_name == "auto"
-    system.use_engine("vectorized")
-    assert system._update_processor.engine_name == "vectorized"
-    system.use_engine("matrix")
-    assert system._update_processor.engine_name == "matrix"
-    with pytest.raises(ValueError):
-        system._update_processor.use_engine("fortran")
-
-
 # ----------------------------------------------------------------------
 # Edge cases
 # ----------------------------------------------------------------------

@@ -323,7 +323,7 @@ def test_run_maintenance_matches_the_oracle_on_engine_reports(engine):
             for node in storage.rows()
         }
         expected = migrate(
-            reports, placement, rows, config.max_migrations_per_query,
+            reports, placement, rows, 4096,
             num_partitions=config.num_modules,
             capacity_factor=config.migration_capacity_factor,
         )

@@ -1,10 +1,10 @@
-"""Tests for the per-module operator processor and operator payloads."""
+"""Tests for the scalar ``smxm`` loop and the per-module operator processor."""
 
 from __future__ import annotations
 
-from repro.core import AddOperator, MwaitOperator, SmxmOperator, SubOperator
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.operator_processor import OperatorProcessor
+from repro.core.operator_processor import OperatorProcessor, smxm
+from repro.graph.stream import UpdateKind
 from repro.rpq import build_dfa
 
 
@@ -18,8 +18,7 @@ def make_storage() -> LocalGraphStorage:
 
 
 def test_smxm_expands_local_rows_and_counts_work():
-    processor = OperatorProcessor(0, make_storage())
-    produced, work = processor.process_smxm({1: {0, 7}, 2: {0}})
+    produced, work = smxm({1: {0, 7}, 2: {0}}, make_storage())
     assert produced[2] == {0, 7}
     assert produced[3] == {0, 7}
     assert work.rows_touched == 2
@@ -29,8 +28,7 @@ def test_smxm_expands_local_rows_and_counts_work():
 
 
 def test_smxm_missing_row_produces_nothing():
-    processor = OperatorProcessor(0, make_storage())
-    produced, work = processor.process_smxm({99: {0}})
+    produced, work = smxm({99: {0}}, make_storage())
     assert produced == {}
     assert work.rows_touched == 1
     assert work.items_processed == 0
@@ -41,12 +39,11 @@ def test_smxm_detects_misplaced_nodes():
     # Node 1 lives here but none of its next hops do.
     storage.add_edge(1, 50)
     storage.add_edge(1, 51)
-    processor = OperatorProcessor(0, storage, misplacement_threshold=0.5)
-    _, work = processor.process_smxm({1: {0}})
+    _, work = smxm({1: {0}}, storage, misplacement_threshold=0.5)
     assert 1 in work.misplacement_reports
     local, remote = work.misplacement_reports[1]
     assert local == 0 and remote == 2
-    _, quiet = processor.process_smxm({1: {0}}, detect_misplacement=False)
+    _, quiet = smxm({1: {0}}, storage, misplacement_threshold=None)
     assert quiet.misplacement_reports == {}
 
 
@@ -54,10 +51,9 @@ def test_smxm_with_dfa_filters_by_label():
     storage = LocalGraphStorage()
     storage.add_edge(1, 2, label=1)
     storage.add_edge(1, 3, label=2)
-    processor = OperatorProcessor(0, storage)
     dfa = build_dfa("a")
-    produced, _ = processor.process_smxm(
-        {1: {(0, dfa.start)}}, dfa=dfa, label_names={1: "a", 2: "b"}
+    produced, _ = smxm(
+        {1: {(0, dfa.start)}}, storage, dfa=dfa, label_names={1: "a", 2: "b"}
     )
     assert set(produced) == {2}
     ((row, state),) = produced[2]
@@ -67,22 +63,18 @@ def test_smxm_with_dfa_filters_by_label():
 def test_process_add_and_sub():
     storage = LocalGraphStorage()
     processor = OperatorProcessor(0, storage)
-    work = processor.process_add([(1, 2, 0), (1, 3, 0), (1, 2, 0)])
+    work = processor.process_update_ops(
+        [
+            (UpdateKind.INSERT, 1, 2, 0),
+            (UpdateKind.INSERT, 1, 3, 0),
+            (UpdateKind.INSERT, 1, 2, 0),
+        ]
+    )
     assert work.applied == 2
     assert work.map_lookups == 3
     assert storage.num_edges == 2
-    work = processor.process_sub([(1, 2), (1, 9)])
+    work = processor.process_update_ops(
+        [(UpdateKind.DELETE, 1, 2, 0), (UpdateKind.DELETE, 1, 9, 0)]
+    )
     assert work.applied == 1
     assert storage.num_edges == 1
-
-
-def test_operator_payload_sizes():
-    smxm = SmxmOperator(module_id=3, frontier={1: {0, 1}, 2: {0}})
-    assert smxm.num_items == 3
-    assert smxm.payload_bytes() > 3 * 16
-    mwait = MwaitOperator(module_id=3, num_result_items=10)
-    assert mwait.payload_bytes() > 10 * 16
-    add = AddOperator(module_id=1, edges=[(1, 2, 0)])
-    sub = SubOperator(module_id=1, edges=[(1, 2)])
-    assert add.num_items == 1 and sub.num_items == 1
-    assert add.payload_bytes() > 0 and sub.payload_bytes() > 0

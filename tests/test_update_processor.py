@@ -1,6 +1,11 @@
-"""Tests for the batch update path: requeue indexing and backend parity."""
+"""Tests for the batch update path: the requeue index, promotions
+mid-batch, input validation and the absolute accounting record."""
 
 from __future__ import annotations
+
+import json
+import os
+import sys
 
 import pytest
 
@@ -11,74 +16,47 @@ from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+sys.path.insert(0, DATA)
+import make_update_golden  # noqa: E402
+
+INSERT, DELETE = UpdateKind.INSERT, UpdateKind.DELETE
+
 
 # ----------------------------------------------------------------------
 # _PendingBatch (the per-source requeue index)
 # ----------------------------------------------------------------------
 def test_pending_batch_requeue_is_per_source():
     pending = _PendingBatch()
-    pending.queue_add(0, seq=0, src=1, dst=10, label=0)
-    pending.queue_add(0, seq=1, src=2, dst=20, label=0)
-    pending.queue_add(0, seq=2, src=1, dst=11, label=3)
-    pending.queue_sub(0, seq=3, src=1, dst=12)
-    pending.queue_sub(0, seq=4, src=3, dst=30)
+    pending.queue(0, (INSERT, 1, 10, 0))
+    pending.queue(0, (INSERT, 2, 20, 0))
+    pending.queue(0, (INSERT, 1, 11, 3))
+    pending.queue(0, (DELETE, 1, 12, 0))
+    pending.queue(0, (DELETE, 3, 30, 0))
     requeued = pending.requeue_source(1, module=0)
     # src 1's entries come back in batch order; others are untouched.
-    assert requeued == [
-        (0, UpdateKind.INSERT, 1, 10, 0),
-        (2, UpdateKind.INSERT, 1, 11, 3),
-        (3, UpdateKind.DELETE, 1, 12, 0),
-    ]
+    assert requeued == [(INSERT, 1, 10, 0), (INSERT, 1, 11, 3), (DELETE, 1, 12, 0)]
     module_ops = pending.finalize()
     entries, has_adds, has_subs = module_ops[0]
-    assert entries == [
-        (1, UpdateKind.INSERT, 2, 20, 0),
-        (4, UpdateKind.DELETE, 3, 30, 0),
-    ]
+    assert entries == [(INSERT, 2, 20, 0), (DELETE, 3, 30, 0)]
     assert has_adds and has_subs
 
 
 def test_pending_batch_keeps_emptied_module_operator():
-    """A module whose whole payload was requeued still gets an operator.
-
-    The scalar path always dispatched (and charged a kernel launch for)
-    an operator to a module that had entries queued, even if a promotion
-    drained them all; the tombstone finalize must preserve that.
-    """
+    """A module whose whole payload was requeued still gets an operator:
+    the update path dispatches (and charges a kernel launch for) an
+    operator to every module that had entries queued, even if a
+    promotion drained them all."""
     pending = _PendingBatch()
-    pending.queue_add(2, seq=0, src=7, dst=70, label=0)
+    pending.queue(2, (INSERT, 7, 70, 0))
     pending.requeue_source(7, module=2)
     module_ops = pending.finalize()
     assert module_ops == {2: ([], True, False)}
 
 
-def test_pending_batch_untracked_bulk_entries_are_not_requeued():
-    pending = _PendingBatch()
-    pending.extend_adds(1, [(0, 5, 50, 0), (1, 6, 60, 0)])
-    pending.queue_add(1, seq=2, src=5, dst=51, label=0)
-    requeued = pending.requeue_source(5, module=1)
-    # Only the tracked entry moves; the bulk (never-promotable) ones stay.
-    assert requeued == [(2, UpdateKind.INSERT, 5, 51, 0)]
-    entries, has_adds, has_subs = pending.finalize()[1]
-    assert entries == [
-        (0, UpdateKind.INSERT, 5, 50, 0),
-        (1, UpdateKind.INSERT, 6, 60, 0),
-    ]
-    assert has_adds and not has_subs
-
-
-def test_pending_batch_finalize_orders_by_batch_position():
-    """Bulk-queued adds and subs interleave back into batch order."""
-    pending = _PendingBatch()
-    pending.extend_subs(0, [(0, 1, 10), (2, 1, 11)])
-    pending.extend_adds(0, [(1, 1, 10, 0), (3, 2, 20, 0)])
-    entries, _, _ = pending.finalize()[0]
-    assert [entry[0] for entry in entries] == [0, 1, 2, 3]
-
-
 def test_pending_batch_requeue_of_unknown_source_is_empty():
     pending = _PendingBatch()
-    pending.queue_add(0, seq=0, src=1, dst=10, label=0)
+    pending.queue(0, (INSERT, 1, 10, 0))
     assert pending.requeue_source(99, module=0) == []
     assert pending.requeue_source(1, module=5) == []
 
@@ -87,6 +65,8 @@ def test_pending_batch_requeue_of_unknown_source_is_empty():
 # Promotions mid-batch (requeue through the real update path)
 # ----------------------------------------------------------------------
 def promotion_system(engine="python", threshold=4):
+    """``engine`` picks the query kernel the tests read the result back
+    through; the update path is the same whatever it says."""
     graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
     config = MoctopusConfig(
         cost_model=CostModel(num_modules=4),
@@ -131,6 +111,8 @@ def test_promotion_requeues_pending_deletes_too(engine):
     assert not system.has_edge(0, 1)  # the requeued delete was applied
     for dst in range(20, 25):
         assert system.has_edge(0, dst)
+    result, _ = system.batch_khop([0], hops=1)
+    assert result.destinations_of(0) == set(range(20, 25))
 
 
 @pytest.mark.parametrize("engine", ["python", "vectorized", "matrix"])
@@ -154,7 +136,6 @@ def test_same_edge_delete_then_insert_in_one_batch(engine):
     assert system.has_edge(0, 1)
     result, _ = system.batch_khop([0], hops=1)
     assert result.destinations_of(0) == {1, 2}
-    # And the mirror graph agrees with the storages.
     assert 1 in set(system.graph.successors(0))
 
     system.apply_updates(
@@ -180,3 +161,89 @@ def test_mixed_batch_stats_match_insert_then_delete_state():
     assert not system.has_edge(2, 3)
     assert system.has_edge(5, 2)
     assert not system.has_edge(3, 0)
+
+
+# ----------------------------------------------------------------------
+# A labels list that does not match the batch is rejected before
+# anything moves
+# ----------------------------------------------------------------------
+SHORT_LABELS_EDGES = [(0, 100), (1, 101), (2, 102)]
+
+
+@pytest.mark.parametrize("labels", [[7], [], [1, 2, 3, 4]])
+def test_mismatched_labels_leave_a_memory_only_system_untouched(labels):
+    system = promotion_system()
+    placement = dict(system._partitioner.partition_map.items())
+    num_nodes, epoch_id = system.num_nodes, system.current_epoch_id
+    with pytest.raises(ValueError, match="labels"):
+        system.insert_edges(SHORT_LABELS_EDGES, labels=labels)
+    assert dict(system._partitioner.partition_map.items()) == placement
+    assert system.num_nodes == num_nodes
+    assert system.current_epoch_id == epoch_id
+    assert system._update_processor.batches_applied == 0
+    # The same batch with matching labels goes through.
+    system.insert_edges(SHORT_LABELS_EDGES, labels=[7, 8, 9])
+    assert system.graph.edge_label(1, 101) == 8
+
+
+def test_mismatched_labels_are_rejected_before_the_write_ahead_point(tmp_path):
+    graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+    config = MoctopusConfig(
+        cost_model=CostModel(num_modules=4),
+        durability_dir=str(tmp_path / "durable"),
+        checkpoint_interval_batches=0,
+    )
+    system = Moctopus.from_graph(graph, config)
+    try:
+        durable_lsn = system.durable_lsn
+        for labels in ([7], []):
+            with pytest.raises(ValueError, match="labels"):
+                system.insert_edges(SHORT_LABELS_EDGES, labels=labels)
+        assert system.durable_lsn == durable_lsn
+        assert system._durability.failed is None
+        assert system.num_nodes == 4
+        system.insert_edges(SHORT_LABELS_EDGES, labels=[7, 8, 9])
+        assert system.durable_lsn == durable_lsn + 1
+    finally:
+        system.close()
+
+
+def test_mismatched_labels_stage_nothing_in_a_session():
+    system = promotion_system()
+    with system.begin() as session:
+        with pytest.raises(ValueError, match="labels"):
+            session.insert_edges(SHORT_LABELS_EDGES, labels=[7])
+        assert session._ops == []
+        assert session.commit() is None
+    assert system.num_nodes == 4
+
+
+# ----------------------------------------------------------------------
+# The absolute accounting record
+# ----------------------------------------------------------------------
+def test_update_accounting_matches_the_recorded_golden():
+    """Every charge of the update path, pinned exactly.
+
+    ``tests/data/update_golden.json`` was recorded by
+    ``tests/data/make_update_golden.py`` at the last commit that had a
+    second (array) partitioner, after the script was shown equal under
+    both; with nothing left to compare against, the record is absolute:
+    per-batch time breakdown, counters, CPC bytes and per-phase module
+    times, then the final placement and row contents.
+    """
+    with open(os.path.join(DATA, "update_golden.json")) as handle:
+        golden = json.load(handle)
+    system = make_update_golden.build_system()
+    recorded = make_update_golden.record(system)
+    assert len(recorded["batches"]) == 40
+    for index, (got, want) in enumerate(zip(recorded["batches"], golden["batches"])):
+        assert got == want, f"batch {index} diverged from the record"
+    assert recorded == golden
+    # The script really walks the rules it was written for: both
+    # crossers promote in batch 1 and the fresh hub within batch 3.
+    promotions = [batch["promotions"] for batch in golden["batches"]]
+    assert promotions[1] - promotions[0] == 2
+    assert promotions[3] - promotions[2] == 1
+    for crosser in make_update_golden.CROSSERS + (make_update_golden.FRESH_HUB,):
+        assert system.partition_of(crosser) == HOST_PARTITION
+    assert system.partition_of(99_999) is None
