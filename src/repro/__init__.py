@@ -23,8 +23,9 @@ It contains:
 
 ``repro.rpq``
     A regular path query engine: path-regex parsing, automaton
-    construction, logical planning into matrix-based execution plans, and
-    a reference evaluator used as a correctness oracle.
+    construction, the planner (one frozen ``Plan`` per query, the
+    paper's ``Q x Adj x ... x Adj`` matrix plan), and a reference
+    evaluator used as a correctness oracle.
 
 ``repro.core``
     Moctopus itself: the query processor, graph partitioner and node
@@ -33,12 +34,12 @@ It contains:
     facade.
 
 ``repro.engine``
-    The physical execution layer: logical plans lower into
-    dispatch/expand/route/reduce operator sequences executed by
-    swappable backends — the scalar reference engine and a vectorized
-    numpy engine over CSR storage snapshots — selected by
-    ``MoctopusConfig.engine`` and required to agree on every result and
-    every simulated counter.
+    The execution layer: one driver runs a ``Plan`` as dispatch, ``smxm``
+    expand+route phases and ``mwait``, charging the simulated platform,
+    over swappable kernels — the scalar reference, the vectorized numpy
+    kernels over CSR storage snapshots, the semiring-matrix kernels —
+    selected by ``MoctopusConfig.engine`` and required to agree on every
+    result and every simulated counter.
 
 ``repro.serve``
     The snapshot-isolated concurrent serving layer: immutable epoch

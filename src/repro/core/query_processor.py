@@ -2,17 +2,15 @@
 
 The processor's job is planning and delegation, not data movement:
 
-1. a query is planned into a matrix-based logical plan — structurally by
-   :mod:`repro.rpq.planner` (``k`` expand steps plus a reduce for the
-   paper's k-hop workload, a DFA-guided fixpoint for general RPQs), and,
-   for epoch-pinned executions, costed by
-   :mod:`repro.rpq.cost_planner`, which may flip a fixed-length plan to
-   *reverse* expansion from the rarer accepting side;
-2. the logical plan is lowered again into a
-   :class:`~repro.engine.physical.PhysicalPlan` of bulk-synchronous
-   dispatch / expand / route / reduce operators;
-3. the physical plan is handed, with the view to run it against, to
-   the :class:`~repro.engine.base.ExecutionEngine` selected by
+1. a query is planned into the one :class:`~repro.rpq.planner.Plan`
+   (:mod:`repro.rpq.planner`): ``k`` ``smxm`` expansions plus the
+   ``mwait`` reduce for the paper's k-hop workload and fixed-length
+   RPQs, a DFA-guided fixpoint for the rest — costed from the view's
+   frozen epoch when it has one, which may flip a fixed-length plan to
+   *reverse* expansion from the rarer accepting side — and bound to the
+   view's row count;
+2. the plan is handed, with the view to run it against, to the
+   :class:`~repro.engine.base.ExecutionEngine` selected by
    ``MoctopusConfig.engine`` — the scalar ``"python"`` backend, one of
    the numpy backends, or the ``"auto"`` dispatcher choosing among them
    per call — which executes it on the simulated platform and returns
@@ -30,13 +28,14 @@ All backends implement the same operator semantics (see
 into time, the mwait reduction, and the misplacement reports handed to
 the node migrator off the query's critical path.
 
-Epoch-pinned executions additionally go through two caches that are
-correct by construction because their keys embed the epoch id — a new
-epoch can never observe a stale entry:
+Executions whose view answers :meth:`PlanView.frozen_epoch` (pinned,
+unpatched) additionally go through two caches that are correct by
+construction because their keys embed the epoch id — a new epoch can
+never observe a stale entry:
 
 * a **plan cache** mapping ``(epoch id, query shape, batch size)`` to
-  the lowered :class:`PhysicalPlan` (plans are immutable, so cached
-  plans are shared, not copied);
+  the :class:`Plan` (plans are frozen, so cached plans are shared, not
+  copied);
 * a **result cache** mapping ``(epoch id, query shape, exact sources,
   engine)`` to ``(result, stats)``.  A :class:`BatchResult` is two
   frozen arrays, so the entry, the first caller and every hit share
@@ -59,11 +58,9 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.core.config import MoctopusConfig
-from repro.engine.base import ExecutionEngine, LiveView, create_engine
-from repro.engine.physical import PhysicalPlan, lower_plan
+from repro.engine.base import ExecutionEngine, LiveView, PlanView, create_engine
 from repro.pim.stats import ExecutionStats
-from repro.rpq.cost_planner import CostBasedPlanner, epoch_of_view
-from repro.rpq.planner import LogicalPlan
+from repro.rpq.planner import Plan, lower_plan, plan_query
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
 __all__ = ["QueryProcessor"]
@@ -102,13 +99,12 @@ class QueryProcessor:
         self.label_names: Dict[int, str] = label_names or {}
         self._engines: Dict[str, ExecutionEngine] = {}
         self.engine: ExecutionEngine = self.engine_named(config.engine)
-        self.planner = CostBasedPlanner(label_names=self.label_names)
         #: Cache hit/miss counters.  Deliberately *not* merged into any
         #: per-query :class:`ExecutionStats` — per-query observables must
         #: stay bit-identical between cold and warm executions.
         self.cache_stats = ExecutionStats()
         self._cache_lock = threading.Lock()
-        self._plan_cache: "OrderedDict[Tuple, PhysicalPlan]" = OrderedDict()
+        self._plan_cache: "OrderedDict[Tuple, Plan]" = OrderedDict()
         self._result_cache: "OrderedDict[Tuple, Tuple[BatchResult, ExecutionStats]]" = (
             OrderedDict()
         )
@@ -137,7 +133,7 @@ class QueryProcessor:
     # The entry point
     # ------------------------------------------------------------------
     def execute_on_view(
-        self, query, view, engine: Optional[ExecutionEngine] = None
+        self, query, view: PlanView, engine: Optional[ExecutionEngine] = None
     ) -> Tuple[BatchResult, ExecutionStats]:
         """Plan ``query`` and execute it against ``view``.
 
@@ -151,8 +147,8 @@ class QueryProcessor:
         """
         if engine is None:
             engine = self.engine
-        epoch = epoch_of_view(view)
-        physical = self.lower(query, view=view)
+        plan = self.plan(query, view)
+        epoch = view.frozen_epoch()
         result_key = None
         if epoch is not None and self._config.result_cache_size > 0:
             result_key = (
@@ -171,7 +167,7 @@ class QueryProcessor:
             if cached is not None:
                 # Outside the lock, so concurrent hits never serialize.
                 return _shared_outcome(cached)
-        outcome = engine.execute(physical, query.sources, view)
+        outcome = engine.execute(plan, query.sources, view)
         if result_key is not None:
             entry = _shared_outcome(outcome)
             with self._cache_lock:
@@ -182,34 +178,26 @@ class QueryProcessor:
         return outcome
 
     # ------------------------------------------------------------------
-    # Lowering and delegation
+    # Planning
     # ------------------------------------------------------------------
-    def plan(self, query, view=None) -> LogicalPlan:
-        """Cost-based logical plan for ``query`` (see ``explain()``)."""
-        if not isinstance(query, (KHopQuery, RPQuery)):
-            raise TypeError(f"unsupported query type {type(query).__name__}")
-        return self.planner.plan(query, view=view)
+    def plan(self, query, view: PlanView) -> Plan:
+        """The plan ``query`` runs as against ``view``, without running it.
 
-    def lower(self, query, view) -> "PhysicalPlan":
-        """Plan and lower ``query`` without executing it.
+        Costed from the view's frozen epoch when it has one (structure
+        only and forward otherwise), with fixpoint bounds derived from
+        the view's row count — frozen for a pinned execution, live
+        otherwise.  ``explain()`` renders this plan, and the parallel
+        worker pool plans here once and ships the picklable result to
+        its worker processes, so every process executes exactly the plan
+        an in-process pinned execution would.
 
-        ``view`` is anything with a ``total_rows()`` (the live view, a
-        pinned :class:`~repro.serve.epoch.EpochView`, or a bare
-        :class:`~repro.serve.epoch.Epoch`): fixpoint bounds derive from
-        its row count, and with an epoch behind it the cost-based
-        planner consults the epoch's frozen statistics.
-        The parallel worker pool lowers here once and ships the
-        resulting picklable plan to its worker processes, so every
-        process executes exactly the plan an in-process pinned
-        execution would.
-
-        Lowered plans are cached per ``(epoch id, query shape, batch
-        size)`` — epoch-keyed, so an entry can never outlive the data it
-        was planned against.  Batch size is part of the key because the
+        Plans are cached per ``(epoch id, query shape, batch size)`` —
+        epoch-keyed, so an entry can never outlive the data it was
+        planned against.  Batch size is part of the key because the
         direction decision depends on how many sources amortize the
         forward fan-out.
         """
-        epoch = epoch_of_view(view)
+        epoch = view.frozen_epoch()
         plan_key = None
         if epoch is not None and self._config.plan_cache_size > 0:
             plan_key = (
@@ -224,18 +212,16 @@ class QueryProcessor:
                     self.cache_stats.add_counter("plan_cache_hits")
                     return cached
                 self.cache_stats.add_counter("plan_cache_misses")
-        plan = self.plan(query, view=view)
-        physical = lower_plan(
-            plan,
-            default_fixpoint_iterations=self._max_fixpoint_iterations(view),
+        plan = lower_plan(
+            plan_query(query, epoch, self.label_names), view.total_rows()
         )
         if plan_key is not None:
             with self._cache_lock:
-                self._plan_cache[plan_key] = physical
+                self._plan_cache[plan_key] = plan
                 self._plan_cache.move_to_end(plan_key)
                 while len(self._plan_cache) > self._config.plan_cache_size:
                     self._plan_cache.popitem(last=False)
-        return physical
+        return plan
 
     @staticmethod
     def _query_key(query) -> Tuple:
@@ -245,19 +231,3 @@ class QueryProcessor:
         if isinstance(query, RPQuery):
             return ("rpq", query.expression)
         raise TypeError(f"unsupported query type {type(query).__name__}")
-
-    @staticmethod
-    def _max_fixpoint_iterations(view) -> int:
-        """Row-count bound on Kleene-closure iterations.
-
-        A shortest path to any ``(node, state)`` frontier item visits
-        each product-graph vertex at most once, so it is no longer than
-        the number of stored rows times the number of DFA states; the
-        frontier-dedup in both engines then drains the fixpoint as soon
-        as an iteration produces nothing new.  This method contributes
-        the row half — ``lower_plan`` scales the default bound by the
-        attached DFA's state count, completing the product-graph bound.
-        The rows counted are the view's: frozen for a pinned execution,
-        live otherwise.
-        """
-        return max(1, view.total_rows())

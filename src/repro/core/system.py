@@ -488,8 +488,14 @@ class Moctopus:
         the planner's reasoning included.  ``pinned=False`` explains the
         live (statistics-free, always-forward) plan instead.
         """
-        view = self._epochs.current() if pinned else None
-        return self._query_processor.plan(query, view=view).explain()
+        from repro.serve.epoch import EpochView
+
+        processor = self._query_processor
+        if pinned:
+            view = EpochView(self._epochs.current(), self.pim)
+            return processor.plan(query, view).explain()
+        with self._serve_lock:  # the live row count moves under the writer
+            return processor.plan(query, processor.live).explain()
 
     @property
     def cache_stats(self) -> ExecutionStats:

@@ -1,18 +1,18 @@
-"""The physical execution layer: one plan driver, swappable kernels.
+"""The execution layer: one plan driver, swappable kernels.
 
-This package separates *what* a query does from *how* it runs:
+This package runs the :class:`~repro.rpq.planner.Plan` the planner
+builds (:func:`lower_plan`, re-exported here, binds a fixpoint plan to
+the size of the graph it is about to run on):
 
-* :mod:`repro.engine.physical` — the :class:`PhysicalPlan` operator
-  vocabulary (dispatch / expand / route / reduce) lowered from the
-  logical planner's matrix plans;
 * :mod:`repro.engine.base` — the :class:`ExecutionEngine` protocol, the
   :class:`PlanView` every execution reads graph state through (and
   :class:`LiveView`, the one over the live storages), the backend
   factory and the ``"auto"`` dispatcher that picks a backend per call
   from the size of the request;
-* :mod:`repro.engine.driver` — :func:`execute_plan`, the only
-  interpreter of physical plans and the only code that charges the
-  simulated platform, parameterised by a :class:`Kernel`;
+* :mod:`repro.engine.driver` — :func:`execute_plan`, the only runner
+  of plans (dispatch, the ``smxm`` expand+route phases, ``mwait``) and
+  the only code that charges the simulated platform, parameterised by a
+  :class:`Kernel`;
 * :mod:`repro.engine.python_engine` — the scalar reference kernel
   (exact original semantics);
 * :mod:`repro.engine.vectorized` — the numpy kernels expanding columnar
@@ -35,20 +35,11 @@ from repro.engine.base import (
     choose_engine,
     create_engine,
 )
-from repro.engine.physical import (
-    DispatchOp,
-    ExpandOp,
-    FixpointOp,
-    PhysicalOp,
-    PhysicalPlan,
-    ReduceOp,
-    RouteOp,
-    lower_plan,
-)
 from repro.engine.driver import ExpandWork, Kernel, execute_plan
 from repro.engine.matrix_engine import MatrixEngine
 from repro.engine.python_engine import PythonEngine
 from repro.engine.vectorized import VectorizedEngine
+from repro.rpq.planner import lower_plan
 
 __all__ = [
     "ENGINE_NAMES",
@@ -58,13 +49,6 @@ __all__ = [
     "PlanView",
     "choose_engine",
     "create_engine",
-    "PhysicalPlan",
-    "PhysicalOp",
-    "DispatchOp",
-    "ExpandOp",
-    "RouteOp",
-    "FixpointOp",
-    "ReduceOp",
     "lower_plan",
     "ExpandWork",
     "Kernel",

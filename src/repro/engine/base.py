@@ -1,7 +1,7 @@
 """The execution-engine protocol and the one view of graph state.
 
-The query processor lowers a logical plan into a
-:class:`~repro.engine.physical.PhysicalPlan` and hands it, with a
+The query processor plans a query into a
+:class:`~repro.rpq.planner.Plan` and hands it, with a
 :class:`PlanView`, to an :class:`ExecutionEngine`.  Engines are
 interchangeable: every backend must produce identical
 :class:`~repro.rpq.query.BatchResult`s *and* identical simulated work
@@ -38,11 +38,11 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.physical import FixpointOp, PhysicalPlan
 from repro.partition.base import HOST_PARTITION
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
+from repro.rpq.planner import Plan
 from repro.rpq.query import BatchResult
 
 if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
@@ -53,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
     from repro.core.operator_processor import OperatorProcessor, RowSource
     from repro.core.partitioner import GraphPartitioner
     from repro.core.snapshot import GraphSnapshot
+    from repro.serve.epoch import Epoch
 
 # NOTE: the ``repro.core`` imports above are type-only on purpose.  The
 # query processor (a ``repro.core`` module) imports this module, so a
@@ -132,6 +133,12 @@ class PlanView(Protocol):
         """Total adjacency entries in the view."""
         ...
 
+    def frozen_epoch(self) -> Optional["Epoch"]:
+        """The epoch whose frozen statistics describe exactly this view,
+        or ``None``: only then may a plan be costed from them, and a
+        plan or an answer be cached under the epoch's id."""
+        ...
+
 
 @dataclass
 class LiveView:
@@ -199,16 +206,20 @@ class LiveView:
             storage.num_edges for storage in self.module_storages
         )
 
+    def frozen_epoch(self) -> None:
+        """``None``: live state keeps no frozen statistics."""
+        return None
+
 
 @runtime_checkable
 class ExecutionEngine(Protocol):
-    """A physical-plan executor (one of the swappable backends)."""
+    """A plan executor (one of the swappable backends)."""
 
     #: Engine name as selected by ``MoctopusConfig.engine``.
     name: str
 
     def execute(
-        self, plan: PhysicalPlan, sources: List[int], view: PlanView
+        self, plan: Plan, sources: List[int], view: PlanView
     ) -> Tuple[BatchResult, ExecutionStats]:
         """Run ``plan`` for the batch ``sources`` against ``view``,
         charging the simulated work to ``view.pim``."""
@@ -216,7 +227,7 @@ class ExecutionEngine(Protocol):
 
 
 def choose_engine(
-    plan: PhysicalPlan, batch_size: int, avg_out_degree: float
+    plan: Plan, batch_size: int, avg_out_degree: float
 ) -> str:
     """The backend ``"auto"`` runs ``plan`` on: a pure function of the plan
     shape, the batch size and the graph's average out-degree.
@@ -226,10 +237,10 @@ def choose_engine(
     size measured.  Fixed-depth plans go to the vectorized engine once
     the estimated final frontier reaches :data:`AUTO_CROSSOVER_ITEMS`.
     """
-    if any(isinstance(op, FixpointOp) for op in plan.ops):
+    if plan.expansions is None:
         return "python"
     try:
-        estimate = batch_size * avg_out_degree ** plan.max_expansion_phases()
+        estimate = batch_size * avg_out_degree ** plan.expansions
     except OverflowError:  # a few hundred hops: certainly not small
         return "vectorized"
     return "python" if estimate < AUTO_CROSSOVER_ITEMS else "vectorized"
@@ -248,12 +259,13 @@ class AutoEngine:
         self._label_names = label_names
 
     def execute(
-        self, plan: PhysicalPlan, sources: List[int], view: PlanView
+        self, plan: Plan, sources: List[int], view: PlanView
     ) -> Tuple[BatchResult, ExecutionStats]:
         # Every view answers the same two questions, so one graph and
         # one request choose alike live and pinned.
         avg_out_degree = view.total_edges() / max(1, view.total_rows())
-        batch_size = len(plan.reverse.seeds) if plan.reverse else len(sources)
+        seeds = plan.reverse_seeds
+        batch_size = len(sources) if seeds is None else len(seeds)
         name = choose_engine(plan, batch_size, avg_out_degree)
         # Backends keep nothing between calls, so none is kept here.
         return create_engine(name, self._label_names).execute(plan, sources, view)

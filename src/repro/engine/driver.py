@@ -1,12 +1,14 @@
-"""The one interpreter of physical plans, and the only code that charges.
+"""The one runner of plans, and the only code that charges.
 
-Every backend runs a :class:`~repro.engine.physical.PhysicalPlan`
-through :func:`execute_plan`.  The driver owns what the simulation
-measures — op sequencing, the accounting operation on ``view.pim``, the
-dispatch / expand / route / reduce charges, the ``batch_size`` /
-``unknown_sources`` / ``results`` counters, the misplacement hand-off
-and reverse-result inversion — and asks a :class:`Kernel` for frontier
-math only (diagram: README, "Execution engines").
+Every backend runs a :class:`~repro.rpq.planner.Plan` through
+:func:`execute_plan`.  The driver owns what the simulation measures —
+phase sequencing and naming (``"dispatch"``, ``"smxm <i>"`` or
+``"smxm fixpoint <i>"``, ``"mwait"``), the accounting operation on
+``view.pim``, the dispatch / expand / route / reduce charges, the
+``batch_size`` / ``unknown_sources`` / ``results`` counters, the
+misplacement hand-off and reverse-result inversion — and asks a
+:class:`Kernel` for frontier math only (diagram: README, "Execution
+engines").
 
 A kernel is a per-call object: it reads the view, keeps the frontier
 representation and the accumulating answer, and reports each expansion's
@@ -16,7 +18,7 @@ kernels report, not from three copies of the charging code.
 
 The charge formulas import ``repro.core`` constants, so this module
 loads with the backends (see the import note in
-:mod:`repro.engine.base`), never from ``base`` or ``physical``.
+:mod:`repro.engine.base`), never from ``base``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import (
     NamedTuple,
     Optional,
     Protocol,
+    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -38,18 +41,10 @@ import numpy as np
 from repro.core.local_storage import BYTES_PER_ENTRY
 from repro.core.operators import BYTES_PER_FRONTIER_ITEM, OPERATOR_HEADER_BYTES
 from repro.engine.base import PlanView, ReportColumns
-from repro.engine.physical import (
-    DispatchOp,
-    ExpandOp,
-    FixpointOp,
-    PhysicalPlan,
-    ReduceOp,
-    RouteOp,
-    invert_reverse_results,
-)
 from repro.partition.base import HOST_PARTITION
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import OperationContext
+from repro.rpq.planner import Plan
 from repro.rpq.query import BatchResult
 
 #: One partition's share of a frontier, in the kernel's representation.
@@ -115,72 +110,95 @@ class Kernel(Protocol):
 
 
 def execute_plan(
-    plan: PhysicalPlan,
+    plan: Plan,
     sources: List[int],
     view: PlanView,
-    make_kernel: Callable[[PhysicalPlan, List[int], PlanView], Kernel],
+    make_kernel: Callable[[Plan, List[int], PlanView], Kernel],
 ) -> Tuple[BatchResult, ExecutionStats]:
     """Run ``plan`` for ``sources`` against ``view``, charging ``view.pim``.
 
-    A reverse plan (one carrying ``plan.reverse``) expands the
-    reversed-expression DFA (already ``plan.dfa``) from the candidate
-    end nodes over ``view.reversed()``; the forward answer is recovered
-    by inverting the matches after the plan drains.  When a plain expand
-    phase drains the frontier, the rest of the plan — the reduce
-    included — is skipped, matching the bulk-synchronous schedule the
-    scalar engine has always used.
+    Dispatch, then ``plan.expansions`` fused expand+route phases or the
+    bounded fixpoint loop, then ``mwait``.  A plan carrying
+    ``reverse_seeds`` expands the reversed-expression DFA (already
+    ``plan.dfa``) from those candidate end nodes over
+    ``view.reversed()``; the forward answer is recovered by inverting
+    the matches after the plan drains.
     """
-    run_sources, reverse = sources, plan.reverse
-    if reverse is not None:
-        run_sources = list(reverse.seeds)
+    run_sources, seeds = sources, plan.reverse_seeds
+    if seeds is not None:
+        run_sources = list(seeds)
         view = view.reversed()
     kernel = make_kernel(plan, run_sources, view)
     op = view.pim.begin_operation()
-    frontier: Blocks = {}
-    ops = plan.ops
-    index = 0
-    while index < len(ops):
-        physical_op = ops[index]
-        if isinstance(physical_op, DispatchOp):
-            frontier, unknown = kernel.initial_frontier()
-            with op.phase("dispatch"):
-                charge_dispatch(op, _items_per_partition(kernel, frontier))
-            op.add_counter("batch_size", len(run_sources))
-            op.add_counter("unknown_sources", unknown)
-        elif isinstance(physical_op, ExpandOp):
-            if index + 1 >= len(ops) or not isinstance(ops[index + 1], RouteOp):
-                raise ValueError("every ExpandOp must be paired with a RouteOp")
-            index += 1  # The paired route runs inside the same phase.
-            frontier = _expand_route(
-                op, view, kernel, frontier, physical_op.phase_name
-            )
-            if not frontier:
-                break
-        elif isinstance(physical_op, FixpointOp):
-            for iteration in range(physical_op.max_iterations):
-                frontier = _expand_route(
-                    op, view, kernel, frontier, f"smxm fixpoint {iteration + 1}"
-                )
-                if not frontier:
-                    break
-            frontier = {}
-        elif isinstance(physical_op, ReduceOp):
-            with op.phase("mwait"):
-                charge_reduce(op, _items_per_partition(kernel, frontier))
-            kernel.reduce(frontier)
-        else:
-            raise TypeError(f"unknown physical operator {physical_op!r}")
-        index += 1
+    frontier, unknown = kernel.initial_frontier()
+    with op.phase("dispatch"):
+        charge_dispatch(op, _items_per_partition(kernel, frontier))
+    op.add_counter("batch_size", len(run_sources))
+    op.add_counter("unknown_sources", unknown)
+
+    fixpoint = plan.expansions is None
+    phase_name = "smxm fixpoint {}" if fixpoint else "smxm {}"
+    drained = False
+    for index in range(plan.max_expansion_phases()):
+        frontier = _expand_route(
+            op, view, kernel, frontier, phase_name.format(index + 1)
+        )
+        if not frontier:
+            drained = True
+            break
+    if fixpoint:
+        # Accepting items accumulated as they were routed; whatever is
+        # still in flight at the bound is not part of the answer.
+        frontier = {}
+    # When a plain expand phase drains the frontier the rest of the plan
+    # — the reduce included — is skipped, matching the bulk-synchronous
+    # schedule the scalar engine has always used.
+    if fixpoint or not drained:
+        with op.phase("mwait"):
+            charge_reduce(op, _items_per_partition(kernel, frontier))
+        kernel.reduce(frontier)
 
     indptr, indices = kernel.answer()
-    if reverse is not None:
-        indptr, indices = invert_reverse_results(
-            sources, reverse.seeds, indptr, indices
-        )
+    if seeds is not None:
+        indptr, indices = invert_reverse_results(sources, seeds, indptr, indices)
     result = BatchResult(list(sources), indptr, indices)
     stats = op.finish()
     stats.add_counter("results", result.total_matches)
     return result, stats
+
+
+def invert_reverse_results(
+    sources: Sequence[int],
+    seeds: Sequence[int],
+    indptr: np.ndarray,
+    indices: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Turn reverse-direction matches back into forward batch results.
+
+    ``indices[indptr[i]:indptr[i+1]]`` holds the *start* nodes reached
+    from ``seeds[i]`` along the reversed expression; a forward query from
+    ``source`` therefore matches exactly the seeds whose reverse row
+    contains it.  Returns the forward CSR pair over ``sources``: one row
+    per source in batch order — a source listed twice gets two equal
+    rows, a source no seed reached (or unknown to the graph) an empty
+    one — each row sorted and duplicate-free.
+    """
+    source_nodes = np.asarray(sources, dtype=np.int64)
+    ends = np.repeat(np.asarray(seeds, dtype=np.int64), np.diff(indptr))
+    # ``seeds`` are distinct (``Plan.reverse_seeds``) and reverse rows are
+    # duplicate-free, so every (start, end) pair occurs once; sorted by
+    # start then end, each start node's end nodes are one ascending run.
+    order = np.lexsort((ends, indices))
+    starts, ends = indices[order], ends[order]
+    run_lo = np.searchsorted(starts, source_nodes, side="left")
+    run_hi = np.searchsorted(starts, source_nodes, side="right")
+    counts = run_hi - run_lo
+    out_indptr = np.zeros(len(source_nodes) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out_indptr[1:])
+    gather = np.repeat(run_lo - out_indptr[:-1], counts) + np.arange(
+        int(out_indptr[-1]), dtype=np.int64
+    )
+    return out_indptr, ends[gather]
 
 
 def _items_per_partition(kernel: Kernel, frontier: Blocks) -> Dict[int, int]:

@@ -32,7 +32,7 @@ frontiers stay on the inherited push path: the crossover compares the
 frontier's *touched* edge count (already exact in the charged work
 counters) against the dense pull cost derived from the snapshot's cached
 out-degree histogram, biased by the plan shape
-(:meth:`~repro.engine.physical.PhysicalPlan.max_expansion_phases`) —
+(:meth:`~repro.rpq.planner.Plan.max_expansion_phases`) —
 deep traversals saturate their frontiers and tolerate an earlier switch.
 
 Both pull kernels override one ``_produce`` of the vectorized kernels
@@ -224,7 +224,7 @@ class PullKeysKernel(KeysKernel):
 
 
 class MatrixEngine(VectorizedEngine):
-    """Executes physical plans as masked boolean-semiring SpGEMM."""
+    """Executes plans as masked boolean-semiring SpGEMM."""
 
     name = "matrix"
     bitset_kernel = PullBitsetKernel

@@ -19,9 +19,9 @@ import numpy as np
 from repro.core.operator_processor import smxm
 from repro.engine.base import PlanView
 from repro.engine.driver import ExpandWork, execute_plan
-from repro.engine.physical import PhysicalPlan
 from repro.partition.base import HOST_PARTITION
 from repro.pim.stats import ExecutionStats
+from repro.rpq.planner import Plan
 from repro.rpq.query import BatchResult, Context, ContextSet
 
 #: A scalar frontier: owner partition -> node -> set of query contexts.
@@ -33,7 +33,7 @@ class ScalarKernel:
 
     def __init__(
         self,
-        plan: PhysicalPlan,
+        plan: Plan,
         sources: List[int],
         view: PlanView,
         label_names: Dict[int, str],
@@ -169,7 +169,7 @@ class ScalarKernel:
 
 
 class PythonEngine:
-    """Executes physical plans with :class:`ScalarKernel`."""
+    """Executes plans with :class:`ScalarKernel`."""
 
     name = "python"
 
@@ -177,11 +177,11 @@ class PythonEngine:
         self._label_names = label_names
 
     def execute(
-        self, plan: PhysicalPlan, sources: List[int], view: PlanView
+        self, plan: Plan, sources: List[int], view: PlanView
     ) -> Tuple[BatchResult, ExecutionStats]:
         return execute_plan(plan, sources, view, self._kernel)
 
     def _kernel(
-        self, plan: PhysicalPlan, sources: List[int], view: PlanView
+        self, plan: Plan, sources: List[int], view: PlanView
     ) -> ScalarKernel:
         return ScalarKernel(plan, sources, view, self._label_names)

@@ -45,11 +45,11 @@ import numpy as np
 
 from repro.engine.base import PlanView, ReportColumns
 from repro.engine.driver import ExpandWork, execute_plan
-from repro.engine.physical import PhysicalPlan
 from repro.partition.base import HOST_PARTITION
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.stats import ExecutionStats
 from repro.rpq.automaton import DFA
+from repro.rpq.planner import Plan
 from repro.rpq.query import BatchResult, csr_from_sorted_pairs
 
 #: Owner code of a node the partitioner has never seen (dangling edge).
@@ -240,7 +240,7 @@ class BitsetKernel:
     ``ceil(R/64)`` mask words per node.
     """
 
-    def __init__(self, plan: PhysicalPlan, sources: List[int], view: PlanView) -> None:
+    def __init__(self, plan: Plan, sources: List[int], view: PlanView) -> None:
         self._view = view
         self._sources = sources
         self._num_words = max(1, (len(sources) + 63) // 64)
@@ -402,7 +402,7 @@ class KeysKernel:
 
     def __init__(
         self,
-        plan: PhysicalPlan,
+        plan: Plan,
         sources: List[int],
         view: PlanView,
         label_names: Dict[int, str],
@@ -599,7 +599,7 @@ class KeysKernel:
 
 
 class VectorizedEngine:
-    """Executes physical plans with columnar frontiers and CSR snapshots."""
+    """Executes plans with columnar frontiers and CSR snapshots."""
 
     name = "vectorized"
 
@@ -612,11 +612,11 @@ class VectorizedEngine:
         self._label_names = label_names
 
     def execute(
-        self, plan: PhysicalPlan, sources: List[int], view: PlanView
+        self, plan: Plan, sources: List[int], view: PlanView
     ) -> Tuple[BatchResult, ExecutionStats]:
         return execute_plan(plan, sources, view, self._kernel)
 
-    def _kernel(self, plan: PhysicalPlan, sources: List[int], view: PlanView):
+    def _kernel(self, plan: Plan, sources: List[int], view: PlanView):
         if plan.dfa is None:
             return self.bitset_kernel(plan, sources, view)
         return self.keys_kernel(plan, sources, view, self._label_names)

@@ -19,7 +19,9 @@ Frame types
 ``query``
     One single-source path query:
     ``{"type": "query", "id": n, "kind": "khop", "source": s,
-    "hops": k}`` (``1 <= k <= MAX_WIRE_HOPS``) or ``{"kind": "rpq", "source": s, "expression": e}``.
+    "hops": k}`` (``1 <= k <= MAX_WIRE_HOPS``) or ``{"kind": "rpq",
+    "source": s, "expression": e}`` (``e`` unrolling to at most
+    ``MAX_WIRE_HOPS`` label positions: a k-hop is ``.{k}``).
 ``result``
     The answer: sorted destination list plus the simulated
     :class:`~repro.pim.stats.ExecutionStats` of the coalesced batch the
@@ -65,10 +67,11 @@ PROTOCOL_VERSION = 1
 #: allocation — the admission control of the byte layer.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-#: Largest ``hops`` a ``khop`` query may ask for.  A value read off the
-#: wire feeds size estimates and loop bounds, so it is validated like a
-#: length prefix; 64 is past where any k-hop frontier has not already
-#: saturated or died out.
+#: Largest ``hops`` a ``khop`` query may ask for, and the most label
+#: positions an ``rpq`` expression may unroll to (``.{k}`` is a k-hop).
+#: A value read off the wire feeds size estimates, loop bounds and DFA
+#: construction, so it is validated like a length prefix; 64 is past
+#: where any k-hop frontier has not already saturated or died out.
 MAX_WIRE_HOPS = 64
 
 _LENGTH = struct.Struct(">I")

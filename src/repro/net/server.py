@@ -55,6 +55,7 @@ from repro.net.protocol import (
     read_frame,
     stats_to_wire,
 )
+from repro.rpq.regex import parse_path_expression, unrolled_length
 from repro.serve.scheduler import SchedulerSaturated
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -520,6 +521,14 @@ class MoctopusServer:
             expression = frame.get("expression")
             if not isinstance(expression, str):
                 raise ValueError("rpq query needs a string 'expression'")
+            # A k-hop *is* ``.{k}``, so bounded repetition obeys the bound
+            # ``hops`` does — checked on the AST, before admission and
+            # before anything builds a DFA on the one drain thread.
+            if unrolled_length(parse_path_expression(expression)) > MAX_WIRE_HOPS:
+                raise ValueError(
+                    "rpq expression unrolls to more than "
+                    f"{MAX_WIRE_HOPS} label positions"
+                )
             return self.scheduler.submit_rpq(source, expression, block=False)
         raise ValueError(f"unknown query kind {kind!r}")
 

@@ -7,7 +7,7 @@ epoch's frozen arrays into one :mod:`multiprocessing.shared_memory`
 segment with a compact manifest, and :mod:`repro.parallel.pool` runs a
 persistent :class:`WorkerPool` whose child processes attach the segment
 zero-copy, rebuild :class:`~repro.serve.epoch.EpochView`\\ s locally and
-execute the parent's lowered :class:`~repro.engine.physical.PhysicalPlan`
+execute the parent's :class:`~repro.rpq.planner.Plan`
 with the ordinary engines — results and per-operation accounting merge
 bit-identically back into the parent.
 

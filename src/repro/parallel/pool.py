@@ -4,7 +4,7 @@
 :class:`~repro.serve.scheduler.BatchScheduler` worker: child processes
 attach exported epochs (:mod:`repro.parallel.shm`) zero-copy, rebuild
 :class:`~repro.serve.epoch.EpochView`\\ s locally, and execute the exact
-:class:`~repro.engine.physical.PhysicalPlan` the parent lowered — same
+:class:`~repro.rpq.planner.Plan` the parent planned — same
 plan, same frozen arrays, same engine code — so results *and* simulated
 statistics are bit-identical to in-process pinned execution.
 
@@ -44,6 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import BatchResult, KHopQuery
+from repro.serve.epoch import EpochView
 from repro.serve.scheduler import ResultGate
 from repro.parallel.shm import (
     SegmentGuard,
@@ -120,7 +121,6 @@ def _execute_task(  # pragma: no cover - runs in the worker process
     the detach's ``close()``.
     """
     from repro.engine.base import create_engine
-    from repro.serve.epoch import EpochView
 
     _, task_id, epoch_id, engine_name, plan, sources = message
     try:
@@ -412,12 +412,12 @@ class WorkerPool:
         """Scatter one batch query against the latest published epoch."""
         export = self._acquire_export_slot()
         try:
-            # Lower in the parent so every process executes the exact
+            # Plan in the parent so every process executes the exact
             # plan in-process pinned execution would (identical fixpoint
             # bounds derived from the epoch's frozen row counts).  Pure
             # computation — deliberately outside the pool lock.
-            plan = self._system._query_processor.lower(
-                query, view=export.epoch
+            plan = self._system._query_processor.plan(
+                query, EpochView(export.epoch, self._system.pim)
             )
         except BaseException:
             with self._lock:

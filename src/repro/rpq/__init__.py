@@ -9,10 +9,10 @@ package provides:
   (:mod:`repro.rpq.automaton`),
 * query objects — :class:`RPQuery` and the paper's :class:`KHopQuery`
   workload (:mod:`repro.rpq.query`),
-* the logical planner that lowers queries into matrix-based execution
-  plans (:mod:`repro.rpq.planner`),
-* the cost-based planner that chooses expansion direction, bounds and
-  backend from frozen epoch statistics (:mod:`repro.rpq.cost_planner`),
+* the planner: one frozen :class:`Plan` per query — ``k`` ``smxm``
+  expansions or a fixpoint, then ``mwait`` — costed, and possibly run
+  in reverse, from an epoch's frozen statistics when there is one
+  (:mod:`repro.rpq.planner`),
 * a reference evaluator used as the correctness oracle for every engine
   (:mod:`repro.rpq.evaluator`).
 """
@@ -28,6 +28,7 @@ from repro.rpq.regex import (
     khop_expression,
     parse_path_expression,
     reverse_expression,
+    unrolled_length,
 )
 from repro.rpq.automaton import (
     DFA,
@@ -37,13 +38,6 @@ from repro.rpq.automaton import (
     build_nfa,
     determinize,
     minimize_dfa,
-)
-from repro.rpq.cost_planner import (
-    CostBasedPlanner,
-    GraphCostStats,
-    PlanDecision,
-    accepting_edge_labels,
-    epoch_of_view,
 )
 from repro.rpq.query import (
     BatchResult,
@@ -55,13 +49,12 @@ from repro.rpq.query import (
     random_source_batch,
 )
 from repro.rpq.planner import (
-    ExpandStep,
-    FixpointStep,
-    LogicalPlan,
-    ReduceStep,
-    plan_khop,
+    GraphCostStats,
+    Plan,
+    PlanDecision,
+    accepting_edge_labels,
+    lower_plan,
     plan_query,
-    plan_rpq,
 )
 from repro.rpq.evaluator import count_khop_paths, evaluate_khop, evaluate_rpq
 
@@ -76,6 +69,7 @@ __all__ = [
     "parse_path_expression",
     "khop_expression",
     "reverse_expression",
+    "unrolled_length",
     "NFA",
     "DFA",
     "EPSILON",
@@ -83,11 +77,10 @@ __all__ = [
     "build_dfa",
     "determinize",
     "minimize_dfa",
-    "CostBasedPlanner",
     "GraphCostStats",
+    "Plan",
     "PlanDecision",
     "accepting_edge_labels",
-    "epoch_of_view",
     "RPQuery",
     "KHopQuery",
     "BatchResult",
@@ -95,13 +88,8 @@ __all__ = [
     "ContextSet",
     "make_batch_khop",
     "random_source_batch",
-    "LogicalPlan",
-    "ExpandStep",
-    "FixpointStep",
-    "ReduceStep",
-    "plan_khop",
-    "plan_rpq",
     "plan_query",
+    "lower_plan",
     "evaluate_khop",
     "evaluate_rpq",
     "count_khop_paths",

@@ -338,6 +338,28 @@ def reverse_expression(node: RegexNode) -> RegexNode:
     raise TypeError(f"unknown regex node {node!r}")
 
 
+def unrolled_length(node: RegexNode) -> int:
+    """Atom copies in ``node`` once bounded repetitions are unrolled.
+
+    ``e{m}`` and ``e{m,n}`` copy ``e`` ``m`` / ``n`` times into the
+    automaton and nested bounds multiply, so this — not the length of
+    the text — is what DFA construction costs: ``.{20000}`` is nine
+    characters and 20 000 states.  An unbounded tail (``*``, ``+``,
+    ``{m,}``) loops over one copy however long the paths it matches, so
+    Kleene operators add none.  O(AST): nothing is unrolled to count.
+    """
+    if isinstance(node, Label):
+        return 1
+    if isinstance(node, Concat):
+        return sum(unrolled_length(part) for part in node.parts)
+    if isinstance(node, Union):
+        return sum(unrolled_length(option) for option in node.options)
+    if isinstance(node, Repeat):
+        copies = node.maximum if node.maximum is not None else max(1, node.minimum)
+        return copies * unrolled_length(node.inner)
+    raise TypeError(f"unknown regex node {node!r}")
+
+
 def khop_expression(hops: int) -> str:
     """The path expression of a k-hop query: ``.{k}`` (any label, k edges)."""
     if hops < 1:

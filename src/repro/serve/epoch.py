@@ -86,6 +86,7 @@ class Epoch:
         "owners",
         "num_nodes",
         "num_edges",
+        "num_rows",
         "num_modules",
         "_degree_histogram",
         "_label_edge_counts",
@@ -104,7 +105,11 @@ class Epoch:
         self.snapshots = snapshots
         self.owners = owners
         self.num_nodes = num_nodes
+        #: Total adjacency entries across the snapshots.
         self.num_edges = num_edges
+        #: Total adjacency rows across the snapshots, summed once: every
+        #: ``"auto"`` dispatch and every plan asks an unpatched view.
+        self.num_rows = sum(snapshot.num_rows for snapshot in snapshots)
         self.num_modules = len(snapshots) - 1
         self._degree_histogram: Optional[np.ndarray] = None
         self._label_edge_counts: Optional[Dict[int, int]] = None
@@ -231,14 +236,6 @@ class Epoch:
         """Vectorized owner lookup against the frozen partition table."""
         return self.owners.owners_of(nodes)
 
-    def total_rows(self) -> int:
-        """Total adjacency rows across every pinned snapshot."""
-        return sum(snapshot.num_rows for snapshot in self.snapshots)
-
-    def total_edges(self) -> int:
-        """Total adjacency entries across every pinned snapshot."""
-        return sum(snapshot.num_edges for snapshot in self.snapshots)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Epoch(id={self.epoch_id}, nodes={self.num_nodes}, "
@@ -336,16 +333,26 @@ class EpochView:
                 )
         return owners
 
+    def frozen_epoch(self) -> Optional[Epoch]:
+        """The pinned epoch, unless the view is patched (a session
+        overlay or the reversed adjacency): its statistics and its id
+        then describe something other than what the view reads."""
+        return None if self.is_patched() else self.epoch
+
     def _snapshots(self) -> List[GraphSnapshot]:
         partitions = (*range(self.epoch.num_modules), HOST_PARTITION)
         return [self.snapshot_of(partition) for partition in partitions]
 
     def total_rows(self) -> int:
         """Total adjacency rows across the view's snapshots."""
+        if not self._patched:  # the epoch's own, summed once
+            return self.epoch.num_rows
         return sum(snapshot.num_rows for snapshot in self._snapshots())
 
     def total_edges(self) -> int:
         """Total adjacency entries across the view's snapshots."""
+        if not self._patched:
+            return self.epoch.num_edges
         return sum(snapshot.num_edges for snapshot in self._snapshots())
 
 

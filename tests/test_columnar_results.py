@@ -31,7 +31,7 @@ from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
 from repro.engine import ENGINE_NAMES, choose_engine, lower_plan
 from repro.engine.base import AUTO_CROSSOVER_ITEMS
-from repro.engine.physical import invert_reverse_results
+from repro.engine.driver import invert_reverse_results
 from repro.engine.matrix_engine import PullBitsetKernel
 from repro.engine.vectorized import BitsetKernel, _group_into_results
 from repro.graph import DiGraph, power_law_graph, random_graph
@@ -120,9 +120,9 @@ def test_result_invariant_on_reverse_plans(engine, expression, seeds):
     system = build_system(graph, engine=engine)
     query = RPQuery(expression, SOURCES + list(range(30)))
     with system.begin() as session:
-        plan = system._query_processor.lower(query, view=session._view())
+        plan = system._query_processor.plan(query, view=session._view())
         assert plan.direction == "reverse"
-        assert len(plan.reverse.seeds) == seeds
+        assert len(plan.reverse_seeds) == seeds
         result, stats = session.execute(query)
     assert_frozen_sorted_unique(result)
     oracle = evaluate_rpq(graph, query, label_names=LABEL_NAMES)
@@ -166,7 +166,7 @@ def test_bitset_reduce_matches_per_row_sets(kernel, num_rows, data):
     system = build_system(labeled_graph(), engine=kernel)
     sources = [3] * num_rows  # the reduce reads only their count
     live = system._query_processor.live
-    plan = system._query_processor.lower(KHopQuery(1, sources), live)
+    plan = system._query_processor.plan(KHopQuery(1, sources), live)
     instance = BITSET_KERNELS[kernel](plan, sources, live)
     # Per frontier node: the rows it answers (any subset, maybe none).
     nodes = data.draw(st.lists(st.integers(0, 300), unique=True, max_size=40))

@@ -4,7 +4,7 @@ Covers the planner protocol end to end:
 
 * the fixpoint-bound regression — ``lower_plan`` must scale its default
   bound by the attached DFA's state count (the product graph visits
-  ``rows x states`` pairs, not ``rows``), shown both on the lowered op
+  ``rows x states`` pairs, not ``rows``), shown both on the bound plan
   and as an actual truncated answer on a labeled cycle;
 * reverse-direction planning: on graphs whose accepting side is rare
   the planner flips to reverse expansion, and all three engines still
@@ -25,7 +25,7 @@ import random
 import pytest
 
 from repro.core import Moctopus, MoctopusConfig
-from repro.engine.physical import FixpointOp, lower_plan
+from repro.engine import lower_plan
 from repro.graph import DiGraph, random_graph
 from repro.pim import CostModel
 from repro.rpq import RPQuery, plan_query
@@ -83,26 +83,12 @@ def fingerprint(result, stats):
 def test_lower_plan_scales_default_bound_by_dfa_states():
     plan = plan_query(RPQuery("(a/a)*", sources=[0]))
     assert plan.dfa is not None and plan.dfa.num_states == 2
-    physical = lower_plan(plan, default_fixpoint_iterations=7)
-    fixpoints = [op for op in physical.ops if isinstance(op, FixpointOp)]
-    assert len(fixpoints) == 1
+    assert plan.expansions is None and plan.fixpoint_bound is None
+    bound = lower_plan(plan, default_fixpoint_iterations=7)
     # Regression: the default bound used to be taken verbatim (7), which
     # truncates product-graph walks longer than the row count.
-    assert fixpoints[0].max_iterations == 7 * plan.dfa.num_states
-
-
-def test_lower_plan_keeps_explicit_step_bounds_verbatim():
-    from repro.rpq.planner import FixpointStep, LogicalPlan, ReduceStep
-
-    plan = plan_query(RPQuery("(a/a)*", sources=[0]))
-    bounded = LogicalPlan(
-        steps=[FixpointStep(max_iterations=3), ReduceStep()],
-        accumulate_results=True,
-        dfa=plan.dfa,
-    )
-    physical = lower_plan(bounded, default_fixpoint_iterations=7)
-    fixpoints = [op for op in physical.ops if isinstance(op, FixpointOp)]
-    assert fixpoints[0].max_iterations == 3
+    assert bound.fixpoint_bound == 7 * plan.dfa.num_states
+    assert bound.max_expansion_phases() == 7 * plan.dfa.num_states
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -173,7 +159,7 @@ def test_reverse_decision_is_explained():
 def test_patched_views_and_live_queries_plan_forward():
     system = build_system(skewed_graph())
     processor = system._query_processor
-    live = processor.plan(RPQuery("a/c", sources=list(range(40))))
+    live = processor.plan(RPQuery("a/c", sources=list(range(40))), processor.live)
     assert live.direction == "forward"
     assert "no frozen epoch statistics" in live.decision.reason
     with system.begin() as session:

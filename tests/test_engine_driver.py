@@ -13,14 +13,24 @@
   eight threads at once, bit-identically to a serial run;
 * a reverse plan runs on ``EpochView.reversed()`` — including the
   destination-only nodes only the reversed index places — and matches
-  the reference model.
+  the reference model;
+* every charge of the query path — phase names, the full
+  ``ExecutionStats``, the answers — equals the absolute record in
+  ``tests/data/query_golden.json`` on every engine (parity alone cannot
+  see a charge that moves for all kernels at once);
+* there is one plan type, built in one module, and it survives pickle;
+* a view's row / edge totals equal a fresh sum however it is patched.
 """
 
 from __future__ import annotations
 
 import ast
+import json
+import os
 import pathlib
+import pickle
 import random
+import re
 import sys
 import threading
 
@@ -33,8 +43,14 @@ from repro.core.hetero_storage import BYTES_PER_SLOT
 from repro.core.local_storage import BYTES_PER_ENTRY
 from repro.core.operator_processor import RowSource
 from repro.core.snapshot import build_snapshot, row_buffer
-from repro.engine import ENGINE_NAMES, Kernel, LiveView, PlanView, create_engine
-from repro.engine.physical import lower_plan
+from repro.engine import (
+    ENGINE_NAMES,
+    Kernel,
+    LiveView,
+    PlanView,
+    create_engine,
+    lower_plan,
+)
 from repro.engine.python_engine import ScalarKernel
 from repro.engine.vectorized import BitsetKernel, KeysKernel
 from repro.graph import DiGraph, random_graph
@@ -44,12 +60,15 @@ from repro.partition.base import HOST_PARTITION
 from repro.partition.owner_index import OwnerIndex
 from repro.pim import CostModel
 from repro.pim.system import PIMSystem
-from repro.rpq import RPQuery
-from repro.rpq.cost_planner import CostBasedPlanner
+from repro.rpq import RPQuery, plan_query
 from repro.rpq.query import KHopQuery
 from repro.serve.epoch import Epoch, EpochView
 
 from model import ReferenceModel
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+sys.path.insert(0, DATA)
+import make_query_golden  # noqa: E402
 
 LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 COST_MODEL = CostModel(num_modules=4)
@@ -132,8 +151,8 @@ def test_every_graph_state_is_a_plan_view_and_every_backend_a_kernel():
         plain = session._view()
         assert not plain.is_patched() and isinstance(plain, PlanView)
         assert isinstance(plain.reversed(), PlanView)
-        khop = processor.lower(KHopQuery(hops=2, sources=[0, 1]), plain)
-        rpq = processor.lower(RPQuery("a/b", sources=[0, 1]), plain)
+        khop = processor.plan(KHopQuery(hops=2, sources=[0, 1]), plain)
+        rpq = processor.plan(RPQuery("a/b", sources=[0, 1]), plain)
         for kernel in (
             ScalarKernel(khop, [0, 1], plain, LABEL_NAMES),
             BitsetKernel(khop, [0, 1], plain),
@@ -244,7 +263,7 @@ def test_one_engine_instance_serves_eight_threads(name):
             RPQuery("a/c", sources=list(range(40))),  # planned in reverse
             RPQuery("(a|b)*/c", sources=list(range(20))),
         ]
-        plans = [processor.lower(query, planning_view) for query in queries]
+        plans = [processor.plan(query, planning_view) for query in queries]
         assert [plan.direction for plan in plans] == [
             "forward", "forward", "reverse", "forward"
         ]
@@ -339,22 +358,122 @@ def test_reverse_plans_reach_destination_only_nodes_on_every_engine():
     for src, dst, label in edge_list:
         model.insert(src, dst, label)
 
-    planner = CostBasedPlanner(label_names=LABEL_NAMES)
     for expression in ("a/c", "(a|b)/a/c"):
         query = RPQuery(expression, sources=list(range(60)) + [900, 5000])
-        logical = planner.plan(query, view=epoch)
-        assert logical.direction == "reverse"
-        physical = lower_plan(logical, epoch.total_rows())
-        assert set(physical.reverse.seeds) == {900, 901, 902}
+        plan = lower_plan(plan_query(query, epoch, LABEL_NAMES), epoch.num_rows)
+        assert plan.direction == "reverse"
+        assert set(plan.reverse_seeds) == {900, 901, 902}
         expected = model.rpq(expression, query.sources, label_names=LABEL_NAMES)
         assert any(expected)
         prints = set()
         for name in ENGINE_NAMES:
             result, stats = create_engine(name, LABEL_NAMES).execute(
-                physical, query.sources, EpochView(epoch, PIMSystem(COST_MODEL))
+                plan, query.sources, EpochView(epoch, PIMSystem(COST_MODEL))
             )
             assert [set(row) for row in result.destinations] == [
                 set(row) for row in expected
             ], (name, expression)
             prints.add(repr(stats_fingerprint(stats)))
         assert len(prints) == 1, expression
+
+
+# ----------------------------------------------------------------------
+# (f) The absolute accounting record
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_query_accounting_matches_the_recorded_golden(engine):
+    """``tests/data/query_golden.json`` was recorded by
+    ``tests/data/make_query_golden.py`` at the last commit that lowered
+    logical plans into physical op lists; the one ``Plan`` must charge
+    the same phases, in the same order, to the last bit."""
+    with open(os.path.join(DATA, "query_golden.json")) as handle:
+        golden = json.load(handle)
+    recorded = make_query_golden.record(engine)
+    for mode in make_query_golden.MODES:
+        assert sorted(recorded[mode]) == sorted(golden[mode])
+        for name, want in golden[mode].items():
+            assert recorded[mode][name] == want, (engine, mode, name)
+    # The record covers what it was written for: both directions, the
+    # drained-expand rule (no ``mwait``) and a multi-phase fixpoint.
+    pinned = golden["pinned"]
+    assert pinned["rpq_fixed_reverse"]["direction"].startswith("direction: reverse")
+    assert pinned["rpq_fixed_forward"]["phases"] == ["dispatch", "smxm 1", "smxm 2"]
+    assert pinned["rpq_kleene"]["phases"][1:3] == ["smxm fixpoint 1", "smxm fixpoint 2"]
+    assert pinned["rpq_zero_length"]["phases"] == ["dispatch", "mwait"]
+    assert golden["live"]["khop3"]["phases"][-2:] == ["mwait", "migration"]
+
+
+# ----------------------------------------------------------------------
+# (g) One plan type, one construction site
+# ----------------------------------------------------------------------
+def test_golden_plans_survive_pickle_equal():
+    """The worker pool ships plans between processes as they are."""
+    system = make_query_golden.build_system("python")
+    processor = system._query_processor
+    directions = set()
+    with system.begin() as session:
+        for view in (processor.live, session._view()):
+            for query in make_query_golden.queries().values():
+                plan = processor.plan(query, view)
+                clone = pickle.loads(pickle.dumps(plan))
+                assert clone == plan and clone is not plan
+                assert clone.explain() == plan.explain()
+                directions.add(plan.direction)
+    assert directions == {"forward", "reverse"}
+    system.close()
+
+
+def test_plans_are_built_in_the_planner_module_only():
+    root = pathlib.Path(repro.__file__).parent
+    builders = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if re.search(r"\bPlan\(", path.read_text())
+    )
+    assert builders == [os.path.join("rpq", "planner.py")]
+    plan_classes = sorted(
+        node.name
+        for path in root.rglob("*.py")
+        if "analysis" not in path.parts
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and "Plan" in node.name
+    )
+    assert plan_classes == ["Plan", "PlanDecision", "PlanView"]
+
+
+# ----------------------------------------------------------------------
+# (h) Totals: summed once per epoch, re-summed only under a patch
+# ----------------------------------------------------------------------
+def test_view_totals_equal_a_fresh_sum_patched_or_not():
+    system = build_system(skewed_graph())
+
+    def fresh_sum(view):
+        partitions = (*range(view.epoch.num_modules), HOST_PARTITION)
+        snapshots = [view.snapshot_of(partition) for partition in partitions]
+        return (
+            sum(snapshot.num_rows for snapshot in snapshots),
+            sum(snapshot.num_edges for snapshot in snapshots),
+        )
+
+    with system.begin() as session:
+        plain = session._view()
+        assert plain.frozen_epoch() is plain.epoch
+        totals = (plain.total_rows(), plain.total_edges())
+        assert totals == fresh_sum(plain)
+        assert totals == (plain.epoch.num_rows, plain.epoch.num_edges)
+        live = system._query_processor.live
+        assert totals == (live.total_rows(), live.total_edges())
+
+        flipped = plain.reversed()
+        assert flipped.frozen_epoch() is None
+        assert (flipped.total_rows(), flipped.total_edges()) == fresh_sum(flipped)
+        assert flipped.total_edges() == plain.total_edges()
+
+        # Two new rows (500 and, provisionally placed, 501) and two edges.
+        session.insert_edges([(500, 501), (70, 500)], labels=[1, 3])
+        patched = session._view()
+        assert patched.frozen_epoch() is None
+        assert (patched.total_rows(), patched.total_edges()) == fresh_sum(patched)
+        assert patched.total_edges() == totals[1] + 2
+        assert patched.total_rows() > totals[0]
+    system.close()

@@ -241,6 +241,51 @@ def test_out_of_range_hops_are_bad_requests(client, server, system, hops):
     assert destinations == set(expect.destinations_of(0))
 
 
+@pytest.mark.parametrize(
+    "expression", [".{65}", "a{1,65}", "(a{9}){9}", ".{20000}", "(a|b){2000}"]
+)
+def test_rpq_unrolling_past_the_hop_bound_is_a_bad_request(
+    client, server, system, monkeypatch, expression
+):
+    """A k-hop *is* ``.{k}``: bounded repetition obeys ``MAX_WIRE_HOPS``,
+    measured on the AST — no DFA is built for a rejected expression (the
+    drain thread would spend minutes on ``.{20000}``)."""
+    import repro.rpq.automaton as automaton
+    import repro.rpq.query as query_module
+
+    built = []
+    real = automaton.build_dfa
+
+    def spy(target):
+        built.append(target)
+        return real(target)
+
+    monkeypatch.setattr(automaton, "build_dfa", spy)
+    monkeypatch.setattr(query_module, "build_dfa", spy)
+    before = server.metrics.snapshot()["bad_requests"]
+    start = time.perf_counter()
+    with pytest.raises(ServerError) as excinfo:
+        client.rpq(0, expression, timeout=5)
+    elapsed = time.perf_counter() - start
+    assert excinfo.value.code == "bad_request"
+    assert str(MAX_WIRE_HOPS) in str(excinfo.value)
+    assert elapsed < 0.05, f"{expression!r} took {elapsed * 1e3:.1f} ms to reject"
+    assert built == []
+    assert server.metrics.snapshot()["bad_requests"] == before + 1
+    client.ping(timeout=5)
+    # The bound itself is served, on the same connection.
+    bound = f".{{{MAX_WIRE_HOPS}}}"
+    destinations, _ = client.rpq(0, bound, timeout=15)
+    expect, _ = system.batch_khop([0], MAX_WIRE_HOPS, auto_migrate=False)
+    assert destinations == set(expect.destinations_of(0))
+
+
+def test_kleene_operators_do_not_count_against_the_hop_bound(client, system):
+    destinations, _ = client.rpq(0, "(a|b)*", timeout=15)
+    expect, _ = system.execute(RPQuery("(a|b)*", [0]), auto_migrate=False)
+    assert destinations == set(expect.destinations_of(0))
+
+
 # ----------------------------------------------------------------------
 # Backpressure: BUSY frames, server stays live
 # ----------------------------------------------------------------------

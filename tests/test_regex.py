@@ -152,3 +152,29 @@ def test_reverse_expression_round_trip():
     assert reverse_expression(reversed_chain) == chain
     nested = parse_path_expression("(a/b|c)+/d")
     assert reverse_expression(reverse_expression(nested)) == nested
+
+
+@pytest.mark.parametrize(
+    "expression, copies",
+    [
+        ("a", 1),
+        ("a/b/c", 3),
+        ("(a|b)/c", 3),
+        (".{64}", 64),
+        ("a{1,65}", 65),
+        ("(a{9}){9}", 81),
+        ("(a|b){2000}", 4000),
+        ("a{0}", 0),
+        # Kleene operators loop over one copy and add none.
+        ("(a|b)*", 2),
+        ("a+", 1),
+        ("a?", 1),
+        ("(a/b){3,}", 6),
+        ("(a{100}){100}", 10_000),
+    ],
+)
+def test_unrolled_length_counts_atom_copies(expression, copies):
+    from repro.rpq import unrolled_length
+
+    assert unrolled_length(parse_path_expression(expression)) == copies
+    assert unrolled_length(parse_path_expression(khop_expression(7))) == 7

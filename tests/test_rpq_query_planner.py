@@ -1,4 +1,4 @@
-"""Tests for query objects, the logical planner and the reference evaluator."""
+"""Tests for query objects, the planner and the reference evaluator."""
 
 from __future__ import annotations
 
@@ -9,18 +9,13 @@ from hypothesis import strategies as st
 from repro.graph import DiGraph, random_graph
 from repro.rpq import (
     BatchResult,
-    ExpandStep,
-    FixpointStep,
     KHopQuery,
-    ReduceStep,
     RPQuery,
     count_khop_paths,
     evaluate_khop,
     evaluate_rpq,
     make_batch_khop,
-    plan_khop,
     plan_query,
-    plan_rpq,
     random_source_batch,
 )
 
@@ -73,34 +68,65 @@ def test_make_batch_khop():
 # Planner
 # ----------------------------------------------------------------------
 def test_plan_khop_structure():
-    plan = plan_khop(KHopQuery(hops=3, sources=[0]))
-    assert [type(step) for step in plan.steps] == [
-        ExpandStep, ExpandStep, ExpandStep, ReduceStep,
-    ]
-    assert plan.num_expansions == 3
+    plan = plan_query(KHopQuery(hops=3, sources=[0]))
+    assert plan.expansions == 3 and plan.dfa is None
+    assert plan.max_expansion_phases() == 3
+    assert plan.direction == "forward" and plan.reverse_seeds is None
     assert not plan.accumulate_results
     assert "smxm" in plan.explain()
 
 
 def test_plan_rpq_fixed_length_uses_expand_chain():
-    plan = plan_rpq(RPQuery("a/b", [0]))
-    assert plan.num_expansions == 2
+    plan = plan_query(RPQuery("a/b", [0]))
+    assert plan.expansions == 2
     assert plan.dfa is not None
     assert not plan.accumulate_results
+    assert plan_query(RPQuery("a{0}", [0])).expansions == 0
 
 
 def test_plan_rpq_variable_length_uses_fixpoint():
-    plan = plan_rpq(RPQuery("a+", [0]))
-    assert any(isinstance(step, FixpointStep) for step in plan.steps)
+    plan = plan_query(RPQuery("a+", [0]))
+    assert plan.expansions is None
     assert plan.accumulate_results
     assert "fixpoint" in plan.explain()
+    # Nothing can run it before ``lower_plan`` binds it to a graph size.
+    with pytest.raises(ValueError):
+        plan.max_expansion_phases()
 
 
 def test_plan_query_dispatch():
-    assert plan_query(KHopQuery(hops=1, sources=[0])).num_expansions == 1
-    assert plan_query(RPQuery("a", [0])).num_expansions == 1
+    assert plan_query(KHopQuery(hops=1, sources=[0])).expansions == 1
+    assert plan_query(RPQuery("a", [0])).expansions == 1
     with pytest.raises(TypeError):
         plan_query("not a query")
+
+
+def _phase_lines(plan):
+    return [line for line in plan.explain().splitlines() if line[0].isdigit()]
+
+
+def test_explain_names_the_labels_live_at_each_depth():
+    assert _phase_lines(plan_query(RPQuery("a/c", [0]))) == [
+        "0: smxm expand label=a",
+        "1: smxm expand label=c",
+        "2: mwait reduce",
+    ]
+    assert _phase_lines(plan_query(RPQuery("(a|b)/c", [0]))) == [
+        "0: smxm expand label=a|b",
+        "1: smxm expand label=c",
+        "2: mwait reduce",
+    ]
+    assert _phase_lines(plan_query(KHopQuery(hops=2, sources=[0]))) == [
+        "0: smxm expand label=any",
+        "1: smxm expand label=any",
+        "2: mwait reduce",
+    ]
+    # A wildcard arc is ``any``; a fixpoint names the whole alphabet.
+    assert _phase_lines(plan_query(RPQuery("a/_", [0])))[1] == "1: smxm expand label=any"
+    assert _phase_lines(plan_query(RPQuery("a/(b|c)*", [0]))) == [
+        "0: smxm fixpoint label=a|b|c",
+        "1: mwait reduce",
+    ]
 
 
 # ----------------------------------------------------------------------
