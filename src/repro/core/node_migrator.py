@@ -264,11 +264,7 @@ class NodeMigrator:
             row_length = self._move_row(node, source, target)
             migrated += 1
             self.last_moves.append((node, source, target))
-            op.ipc_transfer(
-                max(1, row_length) * BYTES_PER_ENTRY,
-                src_module=source,
-                dst_module=target,
-            )
+            op.ipc_transfer(max(1, row_length) * BYTES_PER_ENTRY)
             op.module(source).random_accesses(1)
             op.module(target).random_accesses(1)
             op.module(target).process_items(row_length)

@@ -3,8 +3,9 @@
 Each PIM module parses operators received from the host and executes
 them against its local graph storage.  In the simulator the processor
 performs the real data manipulation (so results are exact) and reports
-*work counters* that the query/update processors convert into simulated
-time on the owning :class:`~repro.pim.module.PIMModule`.
+*work counters* that the query/update processors charge to the owning
+module's :class:`~repro.pim.ledger.ModuleCounters`, which the cost model
+converts into simulated time.
 
 While expanding a frontier, the processor also performs the paper's
 misplacement detection: a node whose next hops mostly live outside the

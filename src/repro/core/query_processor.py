@@ -52,7 +52,6 @@ per-query observables stay identical between cold and warm runs.
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -79,7 +78,7 @@ def _shared_outcome(
     result, stats = outcome
     return (
         BatchResult(list(result.sources), result.indptr, result.indices),
-        copy.deepcopy(stats),
+        stats.copy(),
     )
 
 
@@ -139,9 +138,9 @@ class QueryProcessor:
 
         ``view`` is :attr:`live` for a live query, or a pinned
         :class:`~repro.serve.epoch.EpochView` (frozen owners and
-        snapshots, private accounting platform).  Only an unpatched
-        pinned view has frozen statistics, so only it gets cost-based
-        direction and the epoch-keyed caches; the live view and
+        snapshots, the pinning reader's own totals platform).  Only an
+        unpatched pinned view has frozen statistics, so only it gets
+        cost-based direction and the epoch-keyed caches; the live view and
         session-patched views plan forward and always execute.
         ``engine`` defaults to the processor's configured backend.
         """

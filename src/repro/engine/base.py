@@ -88,9 +88,11 @@ class PlanView(Protocol):
     pinned, patched or reversed: :class:`LiveView` answers from the live
     storages, an :class:`~repro.serve.epoch.EpochView` from an epoch's
     frozen arrays (optionally patched with a session's uncommitted
-    writes, or swapped for the epoch's reversed adjacency), charging a
-    private platform so concurrent pinned executions never share mutable
-    phase counters.
+    writes, or swapped for the epoch's reversed adjacency), folding its
+    totals into the pinning reader's own platform so unlogged reads stay
+    out of the live system's checkpointed counters.  (Phase state lives
+    in each operation, not on the platform, so executions sharing a
+    platform would still account exactly.)
     """
 
     #: Accounting platform this view's executions charge.

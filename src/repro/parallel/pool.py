@@ -125,8 +125,9 @@ def _execute_task(  # pragma: no cover - runs in the worker process
     _, task_id, epoch_id, engine_name, plan, sources = message
     try:
         epoch, _segment = attached[epoch_id]
-        # A fresh platform per task makes its lifetime capture
-        # exactly the task's accounting delta (see absorb_lifetime).
+        # A fresh platform per task (it allocates nothing per module)
+        # makes its lifetime capture exactly the task's accounting
+        # delta (see absorb_lifetime).
         pim = PIMSystem(config.cost_model)
         view = EpochView(epoch, pim)
         # Engines keep nothing between calls, so none is kept here.

@@ -19,19 +19,16 @@ Public surface:
 """
 
 from repro.pim.cost_model import UPMEM_FULL, UPMEM_RANK, CostModel
-from repro.pim.host import HostCPU
-from repro.pim.interconnect import Interconnect
-from repro.pim.memory import LocalMemory, MemoryCapacityError
-from repro.pim.module import PIMModule
-from repro.pim.stats import ChannelCounters, ExecutionStats, ModuleCounters
+from repro.pim.ledger import ChargeLedger, ModuleCounters
+from repro.pim.memory import LocalMemory, MemoryCapacityError, PIMModule
+from repro.pim.stats import ChannelCounters, ExecutionStats
 from repro.pim.system import OperationContext, PIMSystem
 
 __all__ = [
     "CostModel",
     "UPMEM_RANK",
     "UPMEM_FULL",
-    "HostCPU",
-    "Interconnect",
+    "ChargeLedger",
     "LocalMemory",
     "MemoryCapacityError",
     "PIMModule",

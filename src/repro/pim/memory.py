@@ -11,6 +11,8 @@ partitioner's capacity constraint is designed to prevent.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 class MemoryCapacityError(RuntimeError):
     """Raised when an allocation would exceed a module's local memory."""
@@ -80,3 +82,14 @@ class LocalMemory:
             f"LocalMemory(used={self._used_bytes}, "
             f"capacity={self.capacity_bytes})"
         )
+
+
+@dataclass(frozen=True)
+class PIMModule:
+    """The part of a PIM module that outlives an operation: its id and
+    the capacity account of its local memory, so graph storage capacity
+    is enforced across the whole lifetime of the system (the work a
+    module is charged lives in the operation that charges it)."""
+
+    module_id: int
+    memory: LocalMemory

@@ -44,23 +44,6 @@ class ChannelCounters:
 
 
 @dataclass
-class ModuleCounters:
-    """Work counters for a single PIM module within one phase."""
-
-    bytes_streamed: int = 0
-    random_accesses: int = 0
-    items_processed: int = 0
-    kernels_launched: int = 0
-
-    def merge(self, other: "ModuleCounters") -> None:
-        """Fold ``other`` into this counter."""
-        self.bytes_streamed += other.bytes_streamed
-        self.random_accesses += other.random_accesses
-        self.items_processed += other.items_processed
-        self.kernels_launched += other.kernels_launched
-
-
-@dataclass
 class ExecutionStats:
     """Time breakdown and raw counters of one simulated operation."""
 
@@ -95,6 +78,19 @@ class ExecutionStats:
     def add_counter(self, name: str, amount: int = 1) -> None:
         """Increment the named free-form counter."""
         self.counters[name] = self.counters.get(name, 0) + amount
+
+    def copy(self) -> "ExecutionStats":
+        """An equal :class:`ExecutionStats` sharing no mutable part with this one."""
+        return ExecutionStats(
+            host_time=self.host_time,
+            cpc_time=self.cpc_time,
+            ipc_time=self.ipc_time,
+            pim_time=self.pim_time,
+            cpc=ChannelCounters(self.cpc.bytes_moved, self.cpc.transfers),
+            ipc=ChannelCounters(self.ipc.bytes_moved, self.ipc.transfers),
+            phase_pim_times=list(self.phase_pim_times),
+            counters=dict(self.counters),
+        )
 
     def merge(self, other: "ExecutionStats") -> None:
         """Fold another operation's stats into this one (sequential composition)."""

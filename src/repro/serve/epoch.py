@@ -22,9 +22,10 @@ nothing else does.
 :class:`EpochView` is the lens an execution engine actually receives
 (the :class:`~repro.engine.base.PlanView` contract): the epoch's frozen
 state, optionally patched with a session's uncommitted writes
-(read-your-writes), plus a private accounting
-:class:`~repro.pim.system.PIMSystem` so concurrent pinned executions
-never share mutable phase counters.  A reverse plan runs on
+(read-your-writes), plus the accounting
+:class:`~repro.pim.system.PIMSystem` whose totals its executions fold
+into — a private one, because pinned reads are not logged and must stay
+out of the live system's checkpointed totals.  A reverse plan runs on
 :meth:`EpochView.reversed` — the same class, patched with the epoch's
 reversed-adjacency captures — so no backend knows a direction.
 """
@@ -264,7 +265,8 @@ class EpochView:
         extra_owners: Optional[Dict[int, int]] = None,
     ) -> None:
         self.epoch = epoch
-        #: Private accounting platform (PlanView contract).
+        #: Totals sink of this view's executions (PlanView contract):
+        #: the pinning reader's own platform, never the live system's.
         self.pim = pim
         self._patched = patched or {}
         self._extra_owners = extra_owners or {}

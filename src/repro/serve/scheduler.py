@@ -231,14 +231,15 @@ class BatchScheduler:
         self._pool = None
         self._gatherer: Optional[threading.Thread] = None
         self._scattered: Optional["queue.Queue"] = None
-        #: Private accounting platform of in-process execution: the
-        #: drain thread never shares phase counters with live callers or
-        #: sessions.  Pool mode charges it for expression groups only
+        #: Totals sink of in-process execution: charged by the drain
+        #: thread alone, so it folds without a lock, and apart from the
+        #: live system's checkpointed totals (scheduled reads are not
+        #: logged).  Pool mode charges it for expression groups only
         #: (k-hop windows account on the pool's platform).
         self._pim = PIMSystem(config.cost_model)
         #: Backend of in-process group execution (pool mode still needs
-        #: it for expression groups, which the k-hop-only workers don't
-        #: execute): the processor's shared instance.  Looked up here so
+        #: it for expression groups, which stay on the drain thread):
+        #: the processor's shared instance.  Looked up here so
         #: a bad name fails fast, *before* any threads start or
         #: processes fork — surfacing later (inside a worker) it would
         #: leak resources this constructor could no longer close.
@@ -469,8 +470,10 @@ class BatchScheduler:
         first — one task per group, round-robin across the workers, all
         in flight at once — and gathered in submission order, so the
         window's groups execute concurrently on separate processes.
-        Expression (RPQ) groups always run in-process: the pool protocol
-        ships k-hop batches only.
+        Expression (RPQ) groups stay on this thread by choice, not by
+        protocol — :meth:`WorkerPool.submit` ships any plan — and
+        scattering them waits for a ``serve_workers > 0`` workload to
+        measure it on (ROADMAP 1c).
         """
         by_key: Dict[Tuple[str, object], List[ServingFuture]] = {}
         for future in window:

@@ -11,12 +11,14 @@ queries see its uncommitted edges immediately, while other readers and
 the live system see nothing until :meth:`commit` hands the staged batch
 to the single writer.
 
-Each session owns a private accounting
-:class:`~repro.pim.system.PIMSystem`, so sessions on different threads
-execute concurrently without sharing any mutable state: the pinned
-arrays are frozen (``writeable=False``), the engine — one shared
-instance per backend — keeps nothing between calls, and everything else
-is session-local.
+Sessions on different threads execute concurrently without sharing any
+mutable state: the pinned arrays are frozen (``writeable=False``), the
+engine — one shared instance per backend — keeps nothing between calls,
+a phase's charges live in the operation that opened it, and everything
+else is session-local — including the accounting
+:class:`~repro.pim.system.PIMSystem` the session's reads fold their
+totals into, which keeps unlogged pinned reads out of the live system's
+checkpointed totals and needs no lock because nothing else charges it.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ class Session:
         self._system = system
         self._epoch: Epoch = system._epochs.pin()
         self._closed = False
-        #: Private accounting platform: pinned executions charge here.
+        #: Totals sink of this session's pinned executions (no other
+        #: reader, so no lock).
         self._pim = PIMSystem(system.config.cost_model)
         self._engine = system._query_processor.engine_named(
             engine or system.engine_name

@@ -300,7 +300,7 @@ def test_checkpoint_only_recovery(tmp_path):
     lsn = system.durable_lsn
     expected = fingerprint(system)
     expected_load = system.pim.load_report()
-    expected_host_items = system.pim.host.lifetime_items_processed
+    expected_host_items = system.pim.totals.host.items_processed
     expected_epochs = system._epochs.published_epochs
     system.close()
 
@@ -314,7 +314,7 @@ def test_checkpoint_only_recovery(tmp_path):
     # Diagnostics stay continuous across the crash: lifetime platform
     # counters and epoch numbering resume where the writer left them.
     assert recovered.pim.load_report() == expected_load
-    assert recovered.pim.host.lifetime_items_processed == expected_host_items
+    assert recovered.pim.totals.host.items_processed == expected_host_items
     assert recovered._epochs.published_epochs == expected_epochs
     recovered.close()
 

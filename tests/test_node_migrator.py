@@ -114,10 +114,7 @@ class Rig:
                 self.storages[target].insert_row(node, entries)
                 self.partitioner.migrate(node, target)
                 self.migrator.migrations_performed += 1
-                op.ipc_transfer(
-                    max(1, len(entries)) * BYTES_PER_ENTRY,
-                    src_module=source, dst_module=target,
-                )
+                op.ipc_transfer(max(1, len(entries)) * BYTES_PER_ENTRY)
                 op.module(source).random_accesses(1)
                 op.module(target).random_accesses(1)
                 op.module(target).process_items(len(entries))

@@ -14,17 +14,14 @@ Each test here was red on the code it now guards:
 
 from __future__ import annotations
 
-import copy as real_copy
 import threading
 import time
-import types
 
 import pytest
 
 from repro.core import Moctopus, MoctopusConfig
-from repro.core import query_processor as qp_module
 from repro.graph import random_graph
-from repro.pim import CostModel
+from repro.pim import CostModel, ExecutionStats
 from repro.rpq import KHopQuery, RPQuery, evaluate_rpq
 from repro.rpq.regex import RegexSyntaxError
 from repro.pim.system import PIMSystem
@@ -51,7 +48,7 @@ def build_system(**config_kwargs) -> Moctopus:
 def test_concurrent_cache_hits_do_not_serialize(monkeypatch):
     """Two threads hitting the same cache entry must copy concurrently.
 
-    The copies rendezvous on a barrier *inside* ``deepcopy``: if either
+    The copies rendezvous on a barrier *inside* the stats copy: if either
     thread still held ``_cache_lock`` while copying (the old bug), the
     other could never reach the barrier and the wait would break.
     """
@@ -65,16 +62,14 @@ def test_concurrent_cache_hits_do_not_serialize(monkeypatch):
     barrier = threading.Barrier(2)
     gate_open = threading.Event()
 
-    def instrumented_deepcopy(value):
+    real_copy = ExecutionStats.copy
+
+    def instrumented_copy(stats):
         if gate_open.is_set():
             barrier.wait(timeout=5)  # both copiers must be in here at once
-        return real_copy.deepcopy(value)
+        return real_copy(stats)
 
-    monkeypatch.setattr(
-        qp_module,
-        "copy",
-        types.SimpleNamespace(deepcopy=instrumented_deepcopy),
-    )
+    monkeypatch.setattr(ExecutionStats, "copy", instrumented_copy)
     results = {}
     errors = []
 
