@@ -155,6 +155,28 @@ class LocalGraphStorage:
             self._cache.overlay.record_add(src)
         return True
 
+    def append_edges(self, src: int, pairs) -> None:
+        """Append new edges to ``src``'s existing row with one ``frombytes``.
+
+        ``pairs`` holds interleaved ``int64`` ``dst, label`` values as
+        bytes (or a byte ``memoryview``) — the bulk loader's slice of a
+        chunk.  None of their destinations may be in the row yet or
+        repeat: a graph's edges are distinct, which is what lets a bulk
+        load skip :meth:`add_edge`'s search.
+        """
+        count = len(pairs) >> 4
+        if self._memory is not None:
+            self._memory.allocate(count * BYTES_PER_ENTRY)
+        row = self._rows[src]
+        row.frombytes(pairs)
+        if len(row) == 2 * count:
+            # A fresh row: keep an exact-size copy (``frombytes`` leaves
+            # a sixteenth spare, which appends one at a time do not).
+            self._rows[src] = row[:]
+        self._num_edges += count
+        if self._cache.tracking:
+            self._cache.overlay.record_add(src)
+
     def remove_edge(self, src: int, dst: int) -> bool:
         """Delete ``src -> dst``; return ``True`` if it existed."""
         row = self._rows.get(src)

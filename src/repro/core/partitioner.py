@@ -41,12 +41,13 @@ class GraphPartitioner:
         else:
             pim_policy = HashPartitioner(config.num_modules)
         self._pim_policy = pim_policy
+        #: The labor-division wrapper, ``None`` when labor division is off.
+        self.labor_division: Optional[LaborDivisionPartitioner] = None
+        self._policy = pim_policy
         if config.labor_division_enabled:
-            self._policy: StreamingPartitioner = LaborDivisionPartitioner(
+            self.labor_division = self._policy = LaborDivisionPartitioner(
                 pim_policy, high_degree_threshold=config.high_degree_threshold
             )
-        else:
-            self._policy = pim_policy
         #: :meth:`partition_of`, bound once: the policies share one
         #: partition map and never rebind it, so the three frames the
         #: method would walk (partitioner -> policy -> map) are one
@@ -91,8 +92,8 @@ class GraphPartitioner:
         must keep reporting consistently).
         """
         degrees = np.empty((0, 2), dtype=np.int64)
-        if isinstance(self._policy, LaborDivisionPartitioner):
-            observed = self._policy._out_degree
+        if self.labor_division is not None:
+            observed = self.labor_division._out_degree
             nodes = np.fromiter(observed.keys(), dtype=np.int64, count=len(observed))
             counts = np.fromiter(observed.values(), dtype=np.int64, count=len(observed))
             order = np.argsort(nodes)
@@ -113,9 +114,9 @@ class GraphPartitioner:
             raise RuntimeError("restore_state requires an empty partitioner")
         for node, partition in state["assignments"].tolist():
             self.partition_map.assign(node, partition)
-        if isinstance(self._policy, LaborDivisionPartitioner):
-            self._policy._out_degree = dict(state["out_degrees"].tolist())
-            self._policy.promotions = int(state["promotions"])
+        if self.labor_division is not None:
+            self.labor_division._out_degree = dict(state["out_degrees"].tolist())
+            self.labor_division.promotions = int(state["promotions"])
         if isinstance(self._pim_policy, RadicalGreedyPartitioner):
             self._pim_policy.greedy_placements = int(state["greedy_placements"])
             self._pim_policy.fallback_placements = int(state["fallback_placements"])
@@ -151,6 +152,6 @@ class GraphPartitioner:
 
     def promotions(self) -> int:
         """Nodes promoted to the host because they became high-degree."""
-        if isinstance(self._policy, LaborDivisionPartitioner):
-            return self._policy.promotions
+        if self.labor_division is not None:
+            return self.labor_division.promotions
         return 0

@@ -28,8 +28,13 @@ figures.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.bulk_load import bulk_load
 from repro.core.config import MoctopusConfig
 from repro.core.graph_view import StoredGraphView
 from repro.core.hetero_storage import HeterogeneousGraphStorage
@@ -40,9 +45,8 @@ from repro.core.partitioner import GraphPartitioner
 from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
 from repro.engine.base import LiveView
-from repro.graph.digraph import DEFAULT_LABEL, ReadableGraph
-from repro.graph.stream import UpdateKind, UpdateOp
-from repro.partition.base import HOST_PARTITION
+from repro.graph.digraph import ReadableGraph
+from repro.graph.stream import UpdateKind, UpdateOp, edge_chunks, require_node_ids
 from repro.partition.metrics import PartitionQuality, evaluate_partition
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
@@ -158,64 +162,44 @@ class Moctopus:
         return system
 
     def load_graph(self, graph: ReadableGraph) -> None:
-        """Bulk-load a graph (no simulated cost; loading is offline).
+        """Bulk-load a graph into this empty system (no simulated cost;
+        loading is offline).
 
-        Edges are replayed in their insertion order so the radical greedy
-        partitioner sees the same stream a growing database would have
-        produced.  With durability enabled, the exact replay streams
-        (edge order *and* node order — both feed placement decisions)
-        are written ahead as one ``BOOTSTRAP`` record.
+        The edges are placed in their stream order, so the radical greedy
+        partitioner makes the decisions a growing database would have
+        made, then the nodes no edge mentions are placed in node order.
+        The columnar loader (:mod:`repro.core.bulk_load`) reads the edges
+        a chunk at a time and makes exactly those decisions.  With
+        durability enabled, the same chunks and the node list are first
+        written ahead as one ``BOOTSTRAP`` record.
+
+        Raises :class:`RuntimeError` if the system already holds nodes
+        and :class:`ValueError` on a negative node id — both before
+        anything is logged or moves.
         """
         with self._serve_lock:
-            # Both the log record and the replay stream the graph's own
-            # iterators — no second copy of every edge is materialized.
+            if len(self._partitioner.partition_map):
+                raise RuntimeError("load_graph requires an empty system")
+            nodes = list(graph.nodes())
+            require_node_ids(nodes)
+            chunks = edge_chunks(graph.labeled_edges())
             if self._durability is not None:
-                self._durability.log_bootstrap(graph)
-            self._replay_bootstrap(graph.labeled_edges(), graph.nodes())
+                chunks = list(chunks)
+                self._durability.log_bootstrap(chunks, nodes)
+            self._bulk_load(chunks, nodes)
 
-    def _replay_bootstrap(
-        self,
-        edges: Iterable[Sequence[int]],
-        nodes: Iterable[int],
-    ) -> None:
-        """Ingest a bulk load's edge/node streams (live load and recovery)."""
+    def _bulk_load(self, chunks: Iterable[np.ndarray], nodes: List[int]) -> None:
+        """Run the bulk loader (live load and ``BOOTSTRAP`` replay)."""
         with self._serve_lock:
-            for src, dst, label in edges:
-                self._ingest_edge(src, dst, label)
-            for node in nodes:
-                if self._partitioner.partition_of(node) is None:
-                    self._partitioner.assign_node(node)
-                    self._ensure_row(node)
+            bulk_load(
+                self._partitioner,
+                self._module_storages,
+                self._host_storage,
+                self._migrator,
+                chunks,
+                nodes,
+            )
             self._epochs.mark_stale()
-
-    def _ingest_edge(self, src: int, dst: int, label: int = DEFAULT_LABEL) -> None:
-        previous = self._partitioner.partition_of(src)
-        src_partition, dst_partition = self._partitioner.ingest_edge(src, dst)
-        if (
-            previous is not None
-            and previous != HOST_PARTITION
-            and src_partition == HOST_PARTITION
-        ):
-            # The labor-division wrapper just promoted this node.
-            self._migrator.promote_to_host(src, previous)
-        self._ensure_row(dst, dst_partition)
-        if src_partition == HOST_PARTITION:
-            self._host_storage.insert_edge(src, dst, label)
-        else:
-            self._module_storages[src_partition].add_edge(src, dst, label)
-
-    def _ensure_row(self, node: int, partition: Optional[int] = None) -> None:
-        partition = (
-            partition
-            if partition is not None
-            else self._partitioner.partition_of(node)
-        )
-        if partition is None:
-            return
-        if partition == HOST_PARTITION:
-            self._host_storage.ensure_row(node)
-        else:
-            self._module_storages[partition].ensure_row(node)
 
     # ------------------------------------------------------------------
     # Queries
@@ -299,14 +283,17 @@ class Moctopus:
         write-ahead point: with durability enabled the batch is appended
         to the WAL *before* any state mutates, so a batch is committed
         exactly when its record is durable.  ``labels``, when given, must
-        carry one label per op; a mismatch is rejected here, before
-        anything is logged or moves.
+        carry one label per op; a mismatch, like a negative node id, is
+        rejected here, before anything is logged or moves.
         """
         if labels is not None and len(labels) != len(ops):
             raise ValueError(
                 f"labels must match ops one to one: got {len(labels)} "
                 f"labels for {len(ops)} ops"
             )
+        require_node_ids(
+            chain(map(attrgetter("src"), ops), map(attrgetter("dst"), ops))
+        )
         with self._serve_lock:
             if self._durability is None:
                 stats = self._update_processor.apply_batch(ops, labels=labels)

@@ -41,10 +41,11 @@ from repro.durability.wal import (
     prune_segments,
     scan_wal,
 )
-from repro.graph.digraph import ReadableGraph
 from repro.graph.stream import UpdateOp
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    import numpy as np
+
     from repro.core.config import MoctopusConfig
     from repro.core.system import Moctopus
 
@@ -174,10 +175,12 @@ class DurabilityController:
                 "durable history); restart via Moctopus.recover()"
             ) from self.failed
 
-    def log_bootstrap(self, graph: ReadableGraph) -> int:
-        """Write-ahead the initial bulk load (streamed from ``graph``)."""
+    def log_bootstrap(
+        self, chunks: Sequence["np.ndarray"], nodes: Sequence[int]
+    ) -> int:
+        """Write-ahead the initial bulk load (its edge chunks and nodes)."""
         self._check_healthy()
-        return self.wal.append_bootstrap(graph)
+        return self.wal.append_bootstrap(chunks, nodes)
 
     def log_batch(
         self, ops: Sequence[UpdateOp], labels: Optional[Sequence[int]]

@@ -43,13 +43,11 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.digraph import ReadableGraph
-from repro.graph.stream import UpdateKind, UpdateOp
+from repro.graph.stream import UpdateKind, UpdateOp, array_chunks
 
 #: First two bytes of every record.
 RECORD_MAGIC = b"WR"
@@ -119,7 +117,7 @@ def encode_record(record_type: int, lsn: int, payload: bytes) -> bytes:
     header = _HEADER.pack(record_type, lsn, len(payload))
     crc = zlib.crc32(header)
     crc = zlib.crc32(payload, crc)
-    return RECORD_MAGIC + header + payload + _CRC.pack(crc)
+    return b"".join((RECORD_MAGIC, header, payload, _CRC.pack(crc)))
 
 
 def encode_batch(
@@ -173,35 +171,26 @@ def decode_batch(payload: bytes) -> Tuple[List[UpdateOp], Optional[List[int]]]:
     return ops, labels
 
 
-def encode_bootstrap(graph: ReadableGraph) -> bytes:
+def encode_bootstrap(chunks: Sequence[np.ndarray], nodes: Sequence[int]) -> bytes:
     """Payload of a ``BOOTSTRAP`` record (edges and nodes in replay order).
 
-    The graph's edge and node streams fill the ``int64`` payload
-    directly; no per-edge tuple list is built on the way.
+    ``chunks`` are the bulk load's ``(k, 3)`` edge chunks
+    (:func:`~repro.graph.stream.edge_chunks`) — the same arrays the
+    loader consumes next, so a durable load walks the graph once and the
+    edges are copied into the payload once.
     """
-    num_edges, num_nodes = graph.num_edges, graph.num_nodes
-    edge_array = np.fromiter(
-        chain.from_iterable(graph.labeled_edges()),
-        dtype=np.int64,
-        count=3 * num_edges,
-    )
-    node_array = np.fromiter(graph.nodes(), dtype=np.int64, count=num_nodes)
-    return (
-        struct.pack("<QQ", num_edges, num_nodes)
-        + edge_array.tobytes()
-        + node_array.tobytes()
+    num_edges = sum(len(chunk) for chunk in chunks)
+    node_array = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+    return b"".join(
+        [struct.pack("<QQ", num_edges, len(nodes)), *chunks, node_array]
     )
 
 
-#: Edge rows :func:`decode_bootstrap` converts to Python ints at a time.
-_DECODE_CHUNK_ROWS = 8192
+def decode_bootstrap(payload: bytes) -> Tuple[Iterator[np.ndarray], List[int]]:
+    """Inverse of :func:`encode_bootstrap`: ``(edge chunks, nodes)``.
 
-
-def decode_bootstrap(payload: bytes) -> Tuple[Iterator[List[int]], List[int]]:
-    """Inverse of :func:`encode_bootstrap`: ``(edge rows, nodes)``.
-
-    The edge rows (``[src, dst, label]``) come as a one-shot iterator
-    over the payload, converted a chunk at a time.
+    The edge chunks are read-only ``(k, 3)`` views of the payload, cut
+    as the live load cut them (:func:`~repro.graph.stream.array_chunks`).
     """
     num_edges, num_nodes = struct.unpack_from("<QQ", payload, 0)
     offset = struct.calcsize("<QQ")
@@ -210,11 +199,7 @@ def decode_bootstrap(payload: bytes) -> Tuple[Iterator[List[int]], List[int]]:
     ).reshape(num_edges, 3)
     offset += 24 * num_edges
     nodes = np.frombuffer(payload, dtype=np.int64, count=num_nodes, offset=offset)
-    rows = chain.from_iterable(
-        edges[start : start + _DECODE_CHUNK_ROWS].tolist()
-        for start in range(0, num_edges, _DECODE_CHUNK_ROWS)
-    )
-    return rows, nodes.tolist()
+    return array_chunks(edges), nodes.tolist()
 
 
 def encode_migrations(moves: Sequence[Tuple[int, int, int]]) -> bytes:
@@ -560,9 +545,11 @@ class WriteAheadLog:
         self.last_lsn += 1
         return self.last_lsn
 
-    def append_bootstrap(self, graph: ReadableGraph) -> int:
+    def append_bootstrap(
+        self, chunks: Sequence[np.ndarray], nodes: Sequence[int]
+    ) -> int:
         """Append the initial bulk load as one record."""
-        return self.append(RT_BOOTSTRAP, encode_bootstrap(graph))
+        return self.append(RT_BOOTSTRAP, encode_bootstrap(chunks, nodes))
 
     def append_batch(
         self, ops: Sequence[UpdateOp], labels: Optional[Sequence[int]]

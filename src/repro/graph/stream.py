@@ -6,7 +6,9 @@ selected new edges and deletes 64 K randomly selected existing edges.
 :class:`EdgeStreamReplayer` replays an edge list as an insertion stream,
 which is how dynamic graph databases ingest data and how the radical
 greedy partitioner sees the graph (one edge at a time, first edge of a
-node decides its partition).
+node decides its partition).  :func:`edge_chunks` cuts a bulk load's
+edge stream into the ``int64`` chunks the columnar loader and the WAL's
+``BOOTSTRAP`` record share.
 """
 
 from __future__ import annotations
@@ -14,11 +16,52 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, List, Sequence, Tuple
+from itertools import chain, islice
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
-from repro.graph.digraph import DiGraph
+import numpy as np
+
+from repro.graph.digraph import DiGraph, LabeledEdge
 
 Edge = Tuple[int, int]
+
+#: Edge rows a bulk load reads, places and stores at a time — and the
+#: rows a ``BOOTSTRAP`` record is decoded in.  Large enough that numpy
+#: amortises its per-call cost, small enough that a chunk's transient
+#: arrays stay far below the loaded graph's own footprint.
+EDGE_CHUNK_ROWS = 8192
+
+
+def edge_chunks(edges: Iterable[LabeledEdge]) -> Iterator[np.ndarray]:
+    """``(src, dst, label)`` triples as ``int64`` ``(k, 3)`` arrays, in
+    stream order, :data:`EDGE_CHUNK_ROWS` rows at a time."""
+    edges = iter(edges)
+    while True:
+        chunk = np.fromiter(
+            chain.from_iterable(islice(edges, EDGE_CHUNK_ROWS)), dtype=np.int64
+        )
+        if not chunk.size:
+            return
+        yield chunk.reshape(-1, 3)
+
+
+def array_chunks(edges: np.ndarray) -> Iterator[np.ndarray]:
+    """Row views of an ``(n, 3)`` edge array, :data:`EDGE_CHUNK_ROWS` at
+    a time (the chunks :func:`edge_chunks` would have produced)."""
+    for start in range(0, len(edges), EDGE_CHUNK_ROWS):
+        yield edges[start : start + EDGE_CHUNK_ROWS]
+
+
+def require_node_ids(ids: Iterable[int]) -> None:
+    """Raise :class:`ValueError` if any node id is negative.
+
+    Node ids index the owner table and ``-1`` marks an empty row slot,
+    so every write path checks its ids with this before it logs or
+    moves anything.
+    """
+    lowest = min(ids, default=0)
+    if lowest < 0:
+        raise ValueError(f"node ids must be non-negative, got {lowest}")
 
 
 class UpdateKind(Enum):

@@ -13,8 +13,11 @@ Two interaction styles are supported:
   fly.  This is the graph-database setting the paper targets (the
   radical greedy heuristic decides when a node's *first* edge arrives).
 * **static** — :func:`partition_static_graph` replays an existing graph
-  through a streaming partitioner, which is how benchmarks load a
-  generated dataset into a system.
+  through a bare streaming partitioner, which is how the partitioner
+  ablation compares policies on a generated dataset.  A
+  :class:`~repro.core.system.Moctopus` loads a graph through its
+  columnar bulk loader (:mod:`repro.core.bulk_load`) instead, which
+  makes the same placement decisions a chunk of edges at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ class PartitionMap:
         #: dict is never rebound, and the lookup is the hottest call of
         #: bulk loading and update placement.
         self.partition_of = self._assignment.get
+        #: Whether a node has been placed — bound the same way (the bulk
+        #: loader asks it of every node a chunk of edges mentions).
+        self.is_assigned = self._assignment.__contains__
         self._sizes: Dict[int, int] = {partition: 0 for partition in range(num_partitions)}
         self._sizes[HOST_PARTITION] = 0
         #: Bumped on every placement change; cheap staleness check for
@@ -86,10 +92,6 @@ class PartitionMap:
     def partition_of(self, node: int) -> Optional[int]:
         """Partition of ``node`` or ``None`` when unassigned."""
         return self._assignment.get(node)
-
-    def is_assigned(self, node: int) -> bool:
-        """Whether ``node`` has been placed."""
-        return node in self._assignment
 
     def size(self, partition: int) -> int:
         """Number of nodes currently on ``partition``."""

@@ -21,7 +21,10 @@ low-degree remainder.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.partition.base import HOST_PARTITION, StreamingPartitioner
 
@@ -59,6 +62,34 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         """Whether ``node`` currently exceeds the high-degree threshold."""
         return self.observed_out_degree(node) > self.high_degree_threshold
 
+    def out_degrees(self, nodes: List[int]) -> np.ndarray:
+        """:meth:`observed_out_degree` of each of ``nodes``, as an array."""
+        return np.fromiter(
+            map(self._out_degree.get, nodes, repeat(0)), dtype=np.int64, count=len(nodes)
+        )
+
+    def observe(self, nodes: Iterable[int], degrees: Iterable[int]) -> None:
+        """Set observed out-degrees in bulk; unseen nodes enter in order."""
+        self._out_degree.update(zip(nodes, degrees))
+
+    def crossings(self, degrees: np.ndarray, added: np.ndarray) -> np.ndarray:
+        """Which new out-edge takes each node past the threshold.
+
+        Node ``i`` has out-degree ``degrees[i]`` and gains ``added[i]``
+        edges; the result is the 0-based index of the edge after which
+        :meth:`is_high_degree` first holds, or ``-1`` when none does (the
+        node stays at or under the threshold, or was over it already).
+        The bulk loader promotes at exactly these edges, as
+        :meth:`ingest_edge` would have one edge at a time.
+        """
+        offsets = self.high_degree_threshold - degrees
+        return np.where((offsets >= 0) & (offsets < added), offsets, -1)
+
+    def promote(self, node: int) -> None:
+        """Move a node that just became high-degree to the host."""
+        self.partition_map.assign(node, HOST_PARTITION)
+        self.promotions += 1
+
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
         """Place a new node: host when already high-degree, PIM otherwise."""
         if self.is_high_degree(node):
@@ -73,17 +104,16 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         src_partition, dst_partition = super().ingest_edge(src, dst)
         # The source may have just crossed the threshold: promote it.
         if src_partition != HOST_PARTITION and self.is_high_degree(src):
-            self.partition_map.assign(src, HOST_PARTITION)
-            self.promotions += 1
+            self.promote(src)
             src_partition = HOST_PARTITION
         return src_partition, dst_partition
 
     def pending_promotions(self) -> int:
         """Nodes still on PIM whose observed degree exceeds the threshold.
 
-        Normally zero, because :meth:`ingest_edge` promotes eagerly; the
-        accessor exists for tests and for engines that bypass the stream
-        interface during bulk loads.
+        Zero after every load and update batch: :meth:`ingest_edge` and
+        the bulk loader promote at the crossing edge itself.  Tests use
+        it to assert exactly that.
         """
         count = 0
         for node, degree in self._out_degree.items():

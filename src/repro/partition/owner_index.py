@@ -191,13 +191,16 @@ class OwnerIndex:
         return self._nodes, self._parts
 
     def owners_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Owner partition per node (:data:`UNKNOWN` when unplaced)."""
+        """Owner partition per node (:data:`UNKNOWN` when unplaced —
+        negative ids included, which no write path places)."""
         dense = self._dense
         if dense is not None:
             if dense.size == 0:
                 return np.full(len(nodes), self.UNKNOWN, dtype=np.int64)
-            clipped = np.minimum(nodes, dense.size - 1)
-            return np.where(nodes < dense.size, dense[clipped], self.UNKNOWN)
+            clipped = np.clip(nodes, 0, dense.size - 1)
+            return np.where(
+                (nodes >= 0) & (nodes < dense.size), dense[clipped], self.UNKNOWN
+            )
         owner_nodes = self._nodes
         if owner_nodes is None or owner_nodes.size == 0:
             return np.full(len(nodes), self.UNKNOWN, dtype=np.int64)

@@ -80,15 +80,15 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         average = self.partition_map.pim_total() / self.num_partitions
         return max(self.capacity_factor * average, float(self.min_capacity))
 
-    def _under_capacity(self, partition: int) -> bool:
-        return self.partition_map.size(partition) + 1 <= self.capacity_limit()
+    def _under_capacity(self, partition: int, limit: float) -> bool:
+        return self.partition_map.size(partition) + 1 <= limit
 
-    def _hash_fallback(self, node: int) -> int:
+    def _hash_fallback(self, node: int, limit: float) -> int:
         """Pick an under-capacity partition by hashing, as the paper describes."""
         start = stable_node_hash(node, self._salt) % self.num_partitions
         for offset in range(self.num_partitions):
             candidate = (start + offset) % self.num_partitions
-            if self._under_capacity(candidate):
+            if self._under_capacity(candidate, limit):
                 return candidate
         # Every partition is at the limit (can only happen transiently for
         # tiny graphs); fall back to the least loaded one.
@@ -97,18 +97,20 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
 
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
         """Place ``node`` next to its first neighbor when capacity allows."""
-        preferred: Optional[int] = None
+        # Only the placement itself moves the limit: compute it once.
+        limit = self.capacity_limit()
         if first_neighbor is not None:
-            neighbor_partition = self.partition_map.partition_of(first_neighbor)
-            if neighbor_partition is not None and neighbor_partition >= 0:
-                preferred = neighbor_partition
+            preferred = self.partition_map.partition_of(first_neighbor)
+            if (
+                preferred is not None
+                and preferred >= 0
+                and self._under_capacity(preferred, limit)
+            ):
+                self.partition_map.assign(node, preferred)
+                self.greedy_placements += 1
+                return preferred
 
-        if preferred is not None and self._under_capacity(preferred):
-            self.partition_map.assign(node, preferred)
-            self.greedy_placements += 1
-            return preferred
-
-        partition = self._hash_fallback(node)
+        partition = self._hash_fallback(node, limit)
         self.partition_map.assign(node, partition)
         self.fallback_placements += 1
         return partition

@@ -23,13 +23,14 @@ checkpointed totals and needs no lock because nothing else charges it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.snapshot import GraphSnapshot, merge_snapshot, row_buffer
 from repro.graph.digraph import DEFAULT_LABEL
-from repro.graph.stream import UpdateKind, UpdateOp
+from repro.graph.stream import UpdateKind, UpdateOp, require_node_ids
 from repro.partition.base import HOST_PARTITION
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
@@ -174,7 +175,11 @@ class Session:
     def insert_edges(
         self, edges, labels: Optional[List[int]] = None
     ) -> None:
-        """Stage edge insertions, visible to this session immediately."""
+        """Stage edge insertions, visible to this session immediately.
+
+        A mismatched ``labels`` list or a negative node id is rejected
+        before anything is staged.
+        """
         self._assert_open()
         edges = list(edges)
         if labels is not None and len(labels) != len(edges):
@@ -182,6 +187,7 @@ class Session:
                 f"labels must match edges one to one: got {len(labels)} "
                 f"labels for {len(edges)} edges"
             )
+        require_node_ids(chain.from_iterable(edges))
         for index, (src, dst) in enumerate(edges):
             label = labels[index] if labels else DEFAULT_LABEL
             self._stage_insert(src, dst, label)
@@ -189,12 +195,15 @@ class Session:
     def delete_edges(self, edges) -> None:
         """Stage edge deletions, visible to this session immediately."""
         self._assert_open()
-        for src, dst in list(edges):
+        edges = list(edges)
+        require_node_ids(chain.from_iterable(edges))
+        for src, dst in edges:
             self._stage_delete(src, dst)
 
     def apply_updates(self, ops: List[UpdateOp]) -> None:
         """Stage a mixed :class:`UpdateOp` stream in order."""
         self._assert_open()
+        require_node_ids(chain.from_iterable(op.edge for op in ops))
         for op in ops:
             if op.kind is UpdateKind.INSERT:
                 self._stage_insert(op.src, op.dst, DEFAULT_LABEL)

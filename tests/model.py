@@ -16,6 +16,9 @@ engine-independent reference.
 
 :func:`migrate` is the oracle of the node migrator's maintenance pass
 (``test_node_migrator.py``): the per-node scalar vote over plain dicts.
+
+:func:`load_per_edge` is the oracle of the columnar bulk loader
+(``test_bulk_load.py``): the per-edge ingest loop it replaced.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.partition.base import HOST_PARTITION
 from repro.rpq import RPQuery, evaluate_rpq
 
 
@@ -188,3 +192,39 @@ def migrate(
         sizes[target] += 1
         moves.append((node, current, target))
     return moves
+
+
+def load_per_edge(
+    system, edges: Iterable[Tuple[int, int, int]], nodes: Iterable[int]
+) -> None:
+    """A bulk load as the per-edge loop the columnar loader replaced.
+
+    Every ``(src, dst, label)`` edge goes through the partitioner's
+    ``ingest_edge``: a source that crosses the high-degree threshold is
+    promoted by the migrator, the destination's row is ensured on its
+    owner — read *after* any promotion, so a self-loop at the crossing
+    edge leaves no empty row behind on the module the node just left —
+    and the edge is stored on its source's owner.  Then every node no
+    edge placed is placed and given a row.  Drives ``system``'s own
+    partitioner, storages and migrator.
+    """
+    partitioner = system._partitioner
+    host = system._host_storage
+
+    def storage_of(partition: int):
+        return host if partition == HOST_PARTITION else system._module_storages[partition]
+
+    for src, dst, label in edges:
+        previous = partitioner.partition_of(src)
+        src_partition, _ = partitioner.ingest_edge(src, dst)
+        if previous not in (None, HOST_PARTITION) and src_partition == HOST_PARTITION:
+            system._migrator.promote_to_host(src, previous)
+        storage_of(partitioner.partition_of(dst)).ensure_row(dst)
+        if src_partition == HOST_PARTITION:
+            host.insert_edge(src, dst, label)
+        else:
+            storage_of(src_partition).add_edge(src, dst, label)
+    for node in nodes:
+        if partitioner.partition_of(node) is None:
+            storage_of(partitioner.assign_node(node)).ensure_row(node)
+    system._epochs.mark_stale()

@@ -27,6 +27,7 @@ import os
 import shutil
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from repro.durability.wal import (
     list_segments,
     scan_wal,
 )
-from repro.graph import DiGraph, power_law_graph
+from repro.graph import DiGraph, power_law_graph, stream
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
 from repro.pim import CostModel
 
@@ -901,7 +902,8 @@ def _bootstrap_payload_from_lists(edges, nodes) -> bytes:
 
 
 def test_streamed_bootstrap_record_is_byte_identical(tmp_path):
-    """Streaming the bulk load into the log changes no byte on disk."""
+    """Building the bulk load's record from its edge chunks changes no
+    byte on disk, whatever the chunk size."""
     graph = power_law_graph(300, edges_per_node=3, seed=11)
     for index, (src, dst) in enumerate(list(graph.edges())[::7]):
         graph.add_edge(src, dst, 1 + index % 3)  # relabel: labels matter too
@@ -909,14 +911,16 @@ def test_streamed_bootstrap_record_is_byte_identical(tmp_path):
     expected = _bootstrap_payload_from_lists(
         list(graph.labeled_edges()), list(graph.nodes())
     )
-    assert encode_bootstrap(graph) == expected
-    assert encode_bootstrap(DiGraph()) == _bootstrap_payload_from_lists([], [])
-
-    rows, nodes = decode_bootstrap(expected)
-    decoded = list(rows)
-    assert decoded == [list(edge) for edge in graph.labeled_edges()]
-    assert all(type(value) is int for row in decoded[:50] for value in row)
-    assert nodes == list(graph.nodes())
+    for chunk_rows in (1, 7, stream.EDGE_CHUNK_ROWS):
+        with mock.patch.object(stream, "EDGE_CHUNK_ROWS", chunk_rows):
+            chunks = list(stream.edge_chunks(graph.labeled_edges()))
+            assert encode_bootstrap(chunks, list(graph.nodes())) == expected
+            decoded, nodes = decode_bootstrap(expected)
+            decoded = list(decoded)
+        assert [len(chunk) for chunk in decoded] == [len(chunk) for chunk in chunks]
+        assert np.array_equal(np.concatenate(decoded), np.concatenate(chunks))
+        assert nodes == list(graph.nodes())
+    assert encode_bootstrap([], []) == _bootstrap_payload_from_lists([], [])
 
     system = Moctopus.from_graph(graph, _config(tmp_path))
     expected_state = fingerprint(system)

@@ -30,7 +30,7 @@ from repro.engine import (
     VectorizedEngine,
     create_engine,
 )
-from repro.graph import DiGraph, random_graph
+from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.pim import CostModel
 from repro.rpq import RPQuery, random_source_batch
 
@@ -440,6 +440,22 @@ def test_parity_with_unknown_sources():
         },
         context="unknown sources",
     )
+
+
+def test_parity_with_negative_sources():
+    """A negative source is unknown to every engine — the array kernels'
+    owner lookup must not wrap it around to the end of the owner table
+    and charge that node's module."""
+    graph = power_law_graph(60, edges_per_node=3, seed=5)
+    systems = build_systems(graph)
+    for sources in ([-1, -2, -8, 3], [-60, 0], [-1]):
+        assert_equivalent(
+            {
+                engine: system.batch_khop(sources, 2)
+                for engine, system in systems.items()
+            },
+            context=f"negative sources {sources}",
+        )
 
 
 def test_parity_with_duplicate_sources():

@@ -219,6 +219,56 @@ def test_mismatched_labels_stage_nothing_in_a_session():
 
 
 # ----------------------------------------------------------------------
+# A negative node id is rejected before anything moves
+# ----------------------------------------------------------------------
+NEGATIVE_EDGES = [(-3, 2), (7, -5)]
+
+
+def test_negative_ids_are_rejected_before_the_write_ahead_point(tmp_path):
+    """Accepted, they wrapped around the dense owner table: a later
+    ``batch_khop`` answered differently per engine."""
+    graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0), (5, 6)])
+    config = MoctopusConfig(
+        cost_model=CostModel(num_modules=4),
+        durability_dir=str(tmp_path / "durable"),
+        checkpoint_interval_batches=0,
+    )
+    system = Moctopus.from_graph(graph, config)
+    try:
+        durable_lsn = system.durable_lsn
+        placement = dict(system._partitioner.partition_map.items())
+        for write in (
+            lambda: system.insert_edges(NEGATIVE_EDGES),
+            lambda: system.delete_edges([(0, -1)]),
+            lambda: system.apply_updates([UpdateOp(INSERT, 1, -9)]),
+        ):
+            with pytest.raises(ValueError, match="non-negative"):
+                write()
+        assert system.durable_lsn == durable_lsn
+        assert system._durability.failed is None
+        assert dict(system._partitioner.partition_map.items()) == placement
+        assert system._update_processor.batches_applied == 0
+        result, _ = system.batch_khop([7, -3, 5], 1)
+        assert [sorted(row) for row in result.destinations] == [[], [], [6]]
+    finally:
+        system.close()
+
+
+def test_negative_ids_stage_nothing_in_a_session():
+    system = promotion_system()
+    with system.begin() as session:
+        with pytest.raises(ValueError, match="non-negative"):
+            session.insert_edges(NEGATIVE_EDGES)
+        with pytest.raises(ValueError, match="non-negative"):
+            session.delete_edges([(0, -1)])
+        with pytest.raises(ValueError, match="non-negative"):
+            session.apply_updates([UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, -4, 0)])
+        assert session._ops == []
+        assert session.commit() is None
+    assert system.num_nodes == 4
+
+
+# ----------------------------------------------------------------------
 # The absolute accounting record
 # ----------------------------------------------------------------------
 def test_update_accounting_matches_the_recorded_golden():
