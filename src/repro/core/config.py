@@ -18,9 +18,6 @@ ablations can sweep them:
   per call from the size of the request.  It names a query kernel and
   nothing else: update batches are partitioned by one loop
   (:mod:`repro.core.update_processor`) whatever it says;
-* the snapshot-maintenance knob ``snapshot_compact_ratio``: when a
-  storage refreshing its cached CSR view between updates and queries
-  rebuilds it instead of splicing the dirty rows in;
 * the serving-layer knobs (``serve_queue_depth``,
   ``serve_batch_window``, ``serve_linger``, ``serve_workers``)
   controlling how the batch scheduler admits and coalesces concurrent
@@ -35,6 +32,11 @@ ablations can sweep them:
   ``checkpoint_interval_batches``, ``wal_fsync``) controlling the
   write-ahead log and checkpoint lifecycle of
   :mod:`repro.durability`.
+
+How a storage keeps its CSR view fresh is not a knob: every refresh
+splices the rows edited since the last one into the cached view
+(:mod:`repro.core.snapshot`).  A float knob's bound check is written so
+that ``nan``, which fails every comparison, is rejected with the rest.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.snapshot import DEFAULT_SNAPSHOT_COMPACT_RATIO
 from repro.pim.cost_model import CostModel
 from repro.partition.labor_division import DEFAULT_HIGH_DEGREE_THRESHOLD
 from repro.partition.radical_greedy import DEFAULT_CAPACITY_FACTOR
@@ -90,11 +91,6 @@ class MoctopusConfig:
     #: concrete name pins one backend (parity suites, probes, oracle).
     #: The update path does not read this field.
     engine: str = "auto"
-    #: Dirty-row fraction of a storage's cached CSR base above which a
-    #: snapshot refresh compacts (rebuilds the base from scratch) instead
-    #: of splicing the delta overlay in.  ``0.0`` compacts on every
-    #: refresh; large values always splice.
-    snapshot_compact_ratio: float = DEFAULT_SNAPSHOT_COMPACT_RATIO
     #: Bound of the serving layer's admission queue: how many client
     #: queries may be waiting in a :class:`~repro.serve.scheduler.
     #: BatchScheduler` before further submissions are rejected
@@ -174,27 +170,25 @@ class MoctopusConfig:
             )
         if not 0.0 < self.misplacement_threshold <= 1.0:
             raise ValueError("misplacement_threshold must be in (0, 1]")
-        if self.capacity_factor < 1.0:
+        if not self.capacity_factor >= 1.0:
             raise ValueError("capacity_factor must be >= 1.0")
-        if self.migration_capacity_factor < 1.0:
+        if not self.migration_capacity_factor >= 1.0:
             raise ValueError("migration_capacity_factor must be >= 1.0")
         if self.high_degree_threshold is not None and self.high_degree_threshold <= 0:
             raise ValueError("high_degree_threshold must be positive or None")
-        if self.snapshot_compact_ratio < 0.0:
-            raise ValueError("snapshot_compact_ratio must be >= 0")
         if self.serve_queue_depth < 1:
             raise ValueError("serve_queue_depth must be >= 1")
         if self.serve_batch_window < 1:
             raise ValueError("serve_batch_window must be >= 1")
         if self.serve_workers < 0:
             raise ValueError("serve_workers must be >= 0")
-        if self.serve_linger < 0:
+        if not self.serve_linger >= 0:
             raise ValueError("serve_linger must be >= 0 seconds")
         if not 0 <= self.net_port <= 65535:
             raise ValueError("net_port must be in [0, 65535]")
         if self.net_max_inflight_per_client < 1:
             raise ValueError("net_max_inflight_per_client must be >= 1")
-        if self.net_request_timeout <= 0:
+        if not self.net_request_timeout > 0:
             raise ValueError("net_request_timeout must be > 0 seconds")
         if self.wal_segment_bytes < 1024:
             raise ValueError("wal_segment_bytes must be >= 1024")

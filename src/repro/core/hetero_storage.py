@@ -19,10 +19,13 @@ A ``cols_vector`` is one contiguous row buffer
 (:mod:`repro.core.snapshot`): an ``array('q')`` of ``2 x capacity``
 values, slot ``p`` being ``dst, label`` at ``2p, 2p + 1`` and an empty
 slot carrying the reserved ``dst`` :data:`~repro.core.snapshot.HOLE`.
-The snapshot builders take these buffers holes and all and mask the
+The snapshot splice takes these buffers holes and all and masks the
 holes in numpy; :meth:`HeterogeneousGraphStorage.capture_arrays` lays
 the same buffers end to end for a checkpoint.  Both copy — no view of a
-slot buffer outlives the call, or the next growth would fail.
+slot buffer outlives the call, or the next growth would fail.  Every
+mutation records its row in the storage's
+:class:`~repro.core.snapshot.SnapshotCache`, which the next
+:meth:`~HeterogeneousGraphStorage.to_csr` splices into the cached base.
 
 The insert protocol (the paper's worked example for edge ``<1, 2>``):
 ``elem_position_map`` confirms the edge is absent → ``free_list_map``
@@ -46,7 +49,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.snapshot import (
-    DEFAULT_SNAPSHOT_COMPACT_RATIO,
     HOLE,
     GraphSnapshot,
     RowBuffer,
@@ -130,11 +132,7 @@ class HeterogeneousGraphStorage:
     #: Bytes streamed per occupied slot when a row is scanned (``RowSource``).
     bytes_per_entry = BYTES_PER_SLOT
 
-    def __init__(
-        self,
-        num_pim_modules: int,
-        compact_ratio: float = DEFAULT_SNAPSHOT_COMPACT_RATIO,
-    ) -> None:
+    def __init__(self, num_pim_modules: int) -> None:
         if num_pim_modules <= 0:
             raise ValueError("num_pim_modules must be positive")
         self._num_pim_modules = num_pim_modules
@@ -146,8 +144,8 @@ class HeterogeneousGraphStorage:
         self._num_edges = 0
         #: Slots allocated across all rows (``total_bytes`` in O(1)).
         self._total_slots = 0
-        #: Base snapshot + overlay + refresh strategy (see repro.core.snapshot).
-        self._cache = SnapshotCache(compact_ratio)
+        #: Base snapshot + dirty rows (see repro.core.snapshot).
+        self._cache = SnapshotCache()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -239,22 +237,18 @@ class HeterogeneousGraphStorage:
         vector = self._vectors.get(node)
         return None if vector is None else vector.slots
 
-    def _all_rows(self) -> List[Tuple[int, RowBuffer]]:
-        return [(node, vector.slots) for node, vector in self._vectors.items()]
-
     def to_csr(self) -> GraphSnapshot:
         """CSR snapshot of the host rows (cached; incrementally refreshed).
 
         Entries appear in ``cols_vector`` position order (the order a
-        host scan streams them; the builders skip the holes);
-        ``working_set_bytes`` is the
-        capacity-based footprint that the host's random-access cost
-        depends on.  Refresh strategy (return cached / splice dirty rows
-        / compact) lives in :class:`~repro.core.snapshot.SnapshotCache`;
-        every strategy yields array-identical snapshots.
+        host scan streams them; the splice skips the holes);
+        ``working_set_bytes`` is the capacity-based footprint that the
+        host's random-access cost depends on.  The refresh (return the
+        cached base or splice the dirty rows into it) lives in
+        :class:`~repro.core.snapshot.SnapshotCache`.
         """
         return self._cache.refresh(
-            self._all_rows,
+            self._vectors.keys,
             self._fetch_row,
             bytes_per_entry=BYTES_PER_SLOT,
             working_set_bytes=lambda: self.working_set_bytes,
@@ -265,26 +259,10 @@ class HeterogeneousGraphStorage:
         """Release the cached CSR arrays (rebuilt on the next ``to_csr``)."""
         self._cache.drop()
 
-    # Refresh-strategy counters, aliased for tests and diagnostics.
     @property
     def snapshot_builds(self) -> int:
-        """Number of snapshot refreshes performed (any strategy)."""
+        """Number of snapshot refreshes performed (cache hits excluded)."""
         return self._cache.builds
-
-    @property
-    def snapshot_full_builds(self) -> int:
-        """Refreshes that rebuilt the base from scratch."""
-        return self._cache.full_builds
-
-    @property
-    def snapshot_merges(self) -> int:
-        """Refreshes that spliced the overlay into the cached base."""
-        return self._cache.merges
-
-    @property
-    def snapshot_compactions(self) -> int:
-        """Full builds forced by the overlay crossing ``compact_ratio``."""
-        return self._cache.compactions
 
     # ------------------------------------------------------------------
     # Mutation (split between host and PIM, reported in the outcome)
@@ -297,8 +275,7 @@ class HeterogeneousGraphStorage:
         self._elem_position_map[node] = {}
         self._free_list_map[node] = array("q", range(INITIAL_CAPACITY))
         self._total_slots += INITIAL_CAPACITY
-        if self._cache.tracking:
-            self._cache.overlay.record_add(node)
+        self._cache.record(node)
         return True
 
     def insert_edge(
@@ -321,8 +298,7 @@ class HeterogeneousGraphStorage:
             if vector.slots[2 * position + 1] == label:
                 return HeteroUpdateOutcome(applied=False, pim_map_lookups=lookups)
             vector.slots[2 * position + 1] = label
-            if self._cache.tracking:
-                self._cache.overlay.record_add(src)
+            self._cache.record(src)
             return HeteroUpdateOutcome(
                 applied=False, pim_map_lookups=lookups, host_writes=1
             )
@@ -343,8 +319,7 @@ class HeterogeneousGraphStorage:
         vector.slots[2 * position + 1] = label
         vector.size += 1
         self._num_edges += 1
-        if self._cache.tracking:
-            self._cache.overlay.record_add(src)
+        self._cache.record(src)
         return HeteroUpdateOutcome(
             applied=True,
             pim_map_lookups=lookups,
@@ -365,8 +340,7 @@ class HeterogeneousGraphStorage:
         self._free_list_map[src].append(position)
         lookups += 1  # free_list_map release (PIM side).
         self._num_edges -= 1
-        if self._cache.tracking:
-            self._cache.overlay.record_sub(src)
+        self._cache.record(src)
         return HeteroUpdateOutcome(
             applied=True, pim_map_lookups=lookups, host_writes=1
         )
@@ -392,8 +366,7 @@ class HeterogeneousGraphStorage:
         self._free_list_map[node] = array("q", range(count, capacity))
         self._total_slots += capacity
         self._num_edges += count
-        if self._cache.tracking:
-            self._cache.overlay.record_move_in(node)
+        self._cache.record(node)
 
     def remove_row(self, node: int) -> RowEntries:
         """Remove a row entirely and return its entries (demotion path)."""
@@ -404,8 +377,7 @@ class HeterogeneousGraphStorage:
         del self._free_list_map[node]
         self._total_slots -= vector.capacity
         self._num_edges -= vector.size
-        if self._cache.tracking:
-            self._cache.overlay.record_move_out(node)
+        self._cache.record(node)
         return vector.occupied()
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ insertion order (the row-buffer format of :mod:`repro.core.snapshot`).
 Edges are found on the ``dst`` column — ``row[::2]`` — never by
 searching the interleaved buffer, where a label can equal a node id.
 The public reads still return Python lists, materialised per call; the
-snapshot builders and the checkpoint read the buffers themselves, by
+snapshot splice and the checkpoint read the buffers themselves, by
 copy, and keep no view of one (an ``array`` exporting a buffer cannot
 grow).
 
@@ -23,11 +23,9 @@ existed, ...), while the *processors* translate those reports into
 charged work on the simulated hardware.
 
 Snapshots are maintained incrementally: mutations record the touched row
-in a :class:`~repro.core.snapshot.DeltaOverlay` instead of discarding
-the cached CSR base, and :meth:`to_csr` splices the dirty rows back in
-(or compacts to a fresh base when the overlay has grown past
-``compact_ratio`` of the base) — see :mod:`repro.core.snapshot` for the
-lifecycle.
+in the storage's :class:`~repro.core.snapshot.SnapshotCache` instead of
+discarding the cached CSR base, and :meth:`to_csr` splices the dirty
+rows back in — see :mod:`repro.core.snapshot` for the lifecycle.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.snapshot import (
-    DEFAULT_SNAPSHOT_COMPACT_RATIO,
     HOLE,
     GraphSnapshot,
     RowBuffer,
@@ -62,17 +59,13 @@ class LocalGraphStorage:
     #: Bytes streamed per entry when a row is scanned (``RowSource``).
     bytes_per_entry = BYTES_PER_ENTRY
 
-    def __init__(
-        self,
-        memory: Optional[LocalMemory] = None,
-        compact_ratio: float = DEFAULT_SNAPSHOT_COMPACT_RATIO,
-    ) -> None:
+    def __init__(self, memory: Optional[LocalMemory] = None) -> None:
         #: ``node -> dst0, label0, dst1, label1, ...`` in insertion order.
         self._rows: Dict[int, RowBuffer] = {}
         self._memory = memory
         self._num_edges = 0
-        #: Base snapshot + overlay + refresh strategy (see repro.core.snapshot).
-        self._cache = SnapshotCache(compact_ratio)
+        #: Base snapshot + dirty rows (see repro.core.snapshot).
+        self._cache = SnapshotCache()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -128,8 +121,7 @@ class LocalGraphStorage:
         if self._memory is not None:
             self._memory.allocate(BYTES_PER_ROW)
         self._rows[node] = array("q")
-        if self._cache.tracking:
-            self._cache.overlay.record_add(node)
+        self._cache.record(node)
         return True
 
     def add_edge(self, src: int, dst: int, label: int = DEFAULT_LABEL) -> bool:
@@ -143,16 +135,14 @@ class LocalGraphStorage:
         dsts = row[::2]
         if dst in dsts:
             row[2 * dsts.index(dst) + 1] = label
-            if self._cache.tracking:
-                self._cache.overlay.record_add(src)
+            self._cache.record(src)
             return False
         if self._memory is not None:
             self._memory.allocate(BYTES_PER_ENTRY)
         row.append(dst)
         row.append(label)
         self._num_edges += 1
-        if self._cache.tracking:
-            self._cache.overlay.record_add(src)
+        self._cache.record(src)
         return True
 
     def append_edges(self, src: int, pairs) -> None:
@@ -174,8 +164,7 @@ class LocalGraphStorage:
             # a sixteenth spare, which appends one at a time do not).
             self._rows[src] = row[:]
         self._num_edges += count
-        if self._cache.tracking:
-            self._cache.overlay.record_add(src)
+        self._cache.record(src)
 
     def remove_edge(self, src: int, dst: int) -> bool:
         """Delete ``src -> dst``; return ``True`` if it existed."""
@@ -190,8 +179,7 @@ class LocalGraphStorage:
         self._num_edges -= 1
         if self._memory is not None:
             self._memory.free(BYTES_PER_ENTRY)
-        if self._cache.tracking:
-            self._cache.overlay.record_sub(src)
+        self._cache.record(src)
         return True
 
     def remove_row(self, node: int) -> List[Tuple[int, int]]:
@@ -207,8 +195,7 @@ class LocalGraphStorage:
         self._num_edges -= len(entries)
         if self._memory is not None:
             self._memory.free(BYTES_PER_ROW + len(entries) * BYTES_PER_ENTRY)
-        if self._cache.tracking:
-            self._cache.overlay.record_move_out(node)
+        self._cache.record(node)
         return entries
 
     def insert_row(self, node: int, entries: List[Tuple[int, int]]) -> None:
@@ -219,8 +206,7 @@ class LocalGraphStorage:
             self._memory.allocate(BYTES_PER_ROW + len(entries) * BYTES_PER_ENTRY)
         self._rows[node] = row_buffer(entries)
         self._num_edges += len(entries)
-        if self._cache.tracking:
-            self._cache.overlay.record_move_in(node)
+        self._cache.record(node)
 
     # ------------------------------------------------------------------
     # Checkpoint restore
@@ -258,13 +244,12 @@ class LocalGraphStorage:
         The snapshot carries this storage's byte-accounting constant and
         the per-row local-destination counts that misplacement detection
         uses, so the vectorized engine can charge identical simulated
-        work to the scalar path.  Refresh strategy (return cached /
-        splice dirty rows / compact) lives in
-        :class:`~repro.core.snapshot.SnapshotCache`; every strategy
-        yields array-identical snapshots.
+        work to the scalar path.  The refresh (return the cached base or
+        splice the dirty rows into it) lives in
+        :class:`~repro.core.snapshot.SnapshotCache`.
         """
         return self._cache.refresh(
-            self._rows.items,
+            self._rows.keys,
             self._rows.get,
             bytes_per_entry=BYTES_PER_ENTRY,
             working_set_bytes=lambda: self.working_set_bytes,
@@ -275,26 +260,10 @@ class LocalGraphStorage:
         """Release the cached CSR arrays (rebuilt on the next ``to_csr``)."""
         self._cache.drop()
 
-    # Refresh-strategy counters, aliased for tests and diagnostics.
     @property
     def snapshot_builds(self) -> int:
-        """Number of snapshot refreshes performed (any strategy)."""
+        """Number of snapshot refreshes performed (cache hits excluded)."""
         return self._cache.builds
-
-    @property
-    def snapshot_full_builds(self) -> int:
-        """Refreshes that rebuilt the base from scratch."""
-        return self._cache.full_builds
-
-    @property
-    def snapshot_merges(self) -> int:
-        """Refreshes that spliced the overlay into the cached base."""
-        return self._cache.merges
-
-    @property
-    def snapshot_compactions(self) -> int:
-        """Full builds forced by the overlay crossing ``compact_ratio``."""
-        return self._cache.compactions
 
     # ------------------------------------------------------------------
     # Query access

@@ -11,12 +11,6 @@ misplaced nodes.
 The migrator is also responsible for the labor-division moves: when a
 node's out-degree crosses the high-degree threshold, its row is promoted
 from its PIM module to the host's heterogeneous storage.
-
-Every row move goes through the storages' ``remove_row``/``insert_row``
-pair, which records the move in each storage's snapshot
-:class:`~repro.core.snapshot.DeltaOverlay` — a migration dirties exactly
-two rows (one per storage), so the next query's snapshot refresh splices
-rather than rebuilds.
 """
 
 from __future__ import annotations
@@ -100,15 +94,16 @@ class NodeMigrator:
         partitioner: GraphPartitioner,
         module_storages: List[LocalGraphStorage],
         host_storage: HeterogeneousGraphStorage,
-        capacity_factor: float = 1.05,
+        capacity_factor: float,
     ) -> None:
         self._partitioner = partitioner
         self._module_storages = module_storages
         self._host_storage = host_storage
-        #: Same capacity-constraint proportion as the partitioner: a node
-        #: is only migrated when the target module has headroom, so the
-        #: adaptive phase cannot undo the load balance the greedy phase
-        #: enforced.
+        #: A node only moves to a module whose node count stays within
+        #: this proportion of the average (``migration_capacity_factor``).
+        #: It may be looser than the partitioner's assignment constraint:
+        #: migration exists to recover locality, so it is allowed to
+        #: overshoot the balance the greedy phase enforced.
         self._capacity_factor = capacity_factor
         #: Reports since the last migration pass, one column chunk per
         #: expansion, in arrival order.

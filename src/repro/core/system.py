@@ -71,16 +71,9 @@ class Moctopus:
         self.pim = PIMSystem(self.config.cost_model)
         self._partitioner = GraphPartitioner(self.config)
         self._module_storages = [
-            LocalGraphStorage(
-                memory=module.memory,
-                compact_ratio=self.config.snapshot_compact_ratio,
-            )
-            for module in self.pim.modules
+            LocalGraphStorage(memory=module.memory) for module in self.pim.modules
         ]
-        self._host_storage = HeterogeneousGraphStorage(
-            self.config.num_modules,
-            compact_ratio=self.config.snapshot_compact_ratio,
-        )
+        self._host_storage = HeterogeneousGraphStorage(self.config.num_modules)
         self._processors = [
             OperatorProcessor(
                 module_id,

@@ -157,7 +157,7 @@ class MoctopusServer:
         )
         if self._max_inflight < 1:
             raise ValueError("max_inflight_per_client must be >= 1")
-        if self._request_timeout <= 0:
+        if not self._request_timeout > 0:  # written so that nan is refused too
             raise ValueError("request_timeout must be > 0 seconds")
         self._owns_scheduler = scheduler is None
         self.scheduler = (

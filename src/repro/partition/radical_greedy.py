@@ -52,7 +52,7 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         salt: int = 0x51ED270,
     ) -> None:
         super().__init__(num_partitions)
-        if capacity_factor < 1.0:
+        if not capacity_factor >= 1.0:  # written so that nan is refused too
             raise ValueError("capacity_factor must be >= 1.0")
         if min_capacity < 1:
             raise ValueError("min_capacity must be at least 1")

@@ -8,7 +8,9 @@ single writer advances in the meantime.  Capturing an epoch is cheap by
 construction: the storages' :class:`~repro.core.snapshot.SnapshotCache`
 already maintains immutable CSR bases incrementally, so a capture is
 ``to_csr()`` per storage (a cache hit when nothing changed since the
-last refresh) plus one memcpy of the owner table.
+last refresh, a splice of the dirty rows otherwise) plus one memcpy of
+the owner table.  An epoch's reversed-adjacency captures are made the
+same way: every reversed row spliced into the empty snapshot.
 
 :class:`EpochManager` owns the publish lifecycle.  The single writer
 marks the current epoch **stale** after every update batch / migration
@@ -16,7 +18,7 @@ pass; the next pin atomically captures and publishes a fresh epoch.
 An epoch's lifetime is its pins: the manager retains the current epoch
 and every pinned one, and retires an older epoch at its last unpin — a
 session holding epoch N keeps its arrays alive and bit-identical however
-many compactions, merges and row migrations later epochs absorb, and
+many splices and row migrations later epochs absorb, and
 nothing else does.
 
 :class:`EpochView` is the lens an execution engine actually receives
@@ -41,7 +43,12 @@ import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
-from repro.core.snapshot import GraphSnapshot, RowBuffer, build_snapshot
+from repro.core.snapshot import (
+    EMPTY_SNAPSHOT,
+    GraphSnapshot,
+    RowBuffer,
+    merge_snapshot,
+)
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import PIMSystem
@@ -200,20 +207,22 @@ class Epoch:
                     row.append(src)
                     row.append(label)
             extra_owners: Dict[int, int] = {}
-            per_partition: Dict[int, List[Tuple[int, RowBuffer]]] = {}
+            per_partition: Dict[int, Dict[int, RowBuffer]] = {}
             for node, entries in in_rows.items():
                 owner = self.owner(node)
                 if owner is None:
                     owner = node % max(1, self.num_modules)
                     extra_owners[node] = owner
-                per_partition.setdefault(owner, []).append((node, entries))
+                per_partition.setdefault(owner, {})[node] = entries
             reversed_snapshots = {}
             for partition in (*range(self.num_modules), HOST_PARTITION):
                 base = self.snapshot_of(partition)
-                rows = per_partition.get(partition, [])
-                entry_count = sum(len(entries) for _, entries in rows) >> 1
-                reversed_snapshots[partition] = build_snapshot(
-                    rows,
+                rows = per_partition.get(partition, {})
+                entry_count = sum(map(len, rows.values())) >> 1
+                reversed_snapshots[partition] = merge_snapshot(
+                    EMPTY_SNAPSHOT,
+                    np.array(sorted(rows), dtype=np.int64),
+                    rows.get,
                     bytes_per_entry=base.bytes_per_entry,
                     working_set_bytes=max(1, entry_count * base.bytes_per_entry),
                     count_local=(partition != HOST_PARTITION),

@@ -217,7 +217,7 @@ class BatchScheduler:
             linger = config.serve_linger
         if batch_window < 1 or queue_depth < 1:
             raise ValueError("batch_window and queue_depth must be >= 1")
-        if linger < 0:
+        if not linger >= 0:  # written so that nan is refused too
             raise ValueError("linger must be >= 0 seconds")
         self._window = batch_window
         #: How long (monotonic seconds) a drain waits for stragglers to

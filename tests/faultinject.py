@@ -139,7 +139,7 @@ class FaultInjector:
 # ----------------------------------------------------------------------
 def public_rows(storage):
     """``(node, row buffer)`` pairs re-packed from a storage's public
-    reads — the input of ``build_snapshot_reference`` that owes nothing
+    reads — the input of ``model.build_snapshot_reference`` that owes nothing
     to how the storage keeps its rows."""
     return [
         (node, row_buffer(storage.next_hops_with_labels(node)))

@@ -19,12 +19,27 @@ engine-independent reference.
 
 :func:`load_per_edge` is the oracle of the columnar bulk loader
 (``test_bulk_load.py``): the per-edge ingest loop it replaced.
+
+:func:`build_snapshot_reference` is the oracle of every CSR snapshot a
+storage publishes: per-edge Python appends over the rows' public reads.
+:func:`snapshot_of` is the system's own way to freeze rows — all of
+them spliced into the empty snapshot — for tests that need a snapshot
+of hand-written rows.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.core.snapshot import (
+    EMPTY_SNAPSHOT,
+    HOLE,
+    GraphSnapshot,
+    RowBuffer,
+    merge_snapshot,
+)
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
 from repro.partition.base import HOST_PARTITION
 from repro.rpq import RPQuery, evaluate_rpq
@@ -228,3 +243,59 @@ def load_per_edge(
         if partitioner.partition_of(node) is None:
             storage_of(partitioner.assign_node(node)).ensure_row(node)
     system._epochs.mark_stale()
+
+
+def build_snapshot_reference(
+    rows: Iterable[Tuple[int, RowBuffer]],
+    bytes_per_entry: int,
+    working_set_bytes: int,
+    count_local: bool,
+) -> GraphSnapshot:
+    """Freeze ``(node, row buffer)`` pairs one edge at a time.
+
+    Rows are ordered by node id, :data:`HOLE` slots are skipped, and a
+    row's local count (when ``count_local``) is how many of its
+    destinations are rows of the same set — a Python loop that shares
+    nothing with the splice it checks.
+    """
+    rows = sorted(rows, key=lambda item: item[0])
+    members = {node for node, _ in rows}
+    indptr, dsts, labels, local_counts = [0], [], [], []
+    for _, buffer in rows:
+        local = 0
+        values = iter(buffer)
+        for dst, label in zip(values, values):
+            if dst != HOLE:
+                dsts.append(dst)
+                labels.append(label)
+                local += dst in members
+        indptr.append(len(dsts))
+        local_counts.append(local if count_local else 0)
+    return GraphSnapshot(
+        node_ids=np.array([node for node, _ in rows], dtype=np.int64),
+        indptr=np.array(indptr, dtype=np.int64),
+        dsts=np.array(dsts, dtype=np.int64),
+        labels=np.array(labels, dtype=np.int64),
+        local_counts=np.array(local_counts, dtype=np.int64),
+        bytes_per_entry=bytes_per_entry,
+        working_set_bytes=working_set_bytes,
+    )
+
+
+def snapshot_of(
+    rows: Iterable[Tuple[int, RowBuffer]],
+    bytes_per_entry: int,
+    working_set_bytes: int,
+    count_local: bool,
+) -> GraphSnapshot:
+    """``(node, row buffer)`` pairs frozen the way a storage's first
+    ``to_csr()`` does it: every row spliced into the empty snapshot."""
+    rows = dict(rows)
+    return merge_snapshot(
+        EMPTY_SNAPSHOT,
+        np.array(sorted(rows), dtype=np.int64),
+        rows.get,
+        bytes_per_entry=bytes_per_entry,
+        working_set_bytes=working_set_bytes,
+        count_local=count_local,
+    ).freeze()

@@ -70,7 +70,7 @@ def load_state(system: Moctopus) -> Dict[str, object]:
                 [(node, row.tolist()) for node, row in storage._rows.items()],
                 storage.num_edges,
                 storage._memory.used_bytes,
-                sorted(storage._cache.overlay._dirty),
+                sorted(storage._cache.dirty),
             )
             for storage in system._module_storages
         ],
@@ -83,7 +83,7 @@ def load_state(system: Moctopus) -> Dict[str, object]:
             [(node, free.tolist()) for node, free in host._free_list_map.items()],
             host._total_slots,
             host.num_edges,
-            sorted(host._cache.overlay._dirty),
+            sorted(host._cache.dirty),
         ),
     }
     # Last: building a snapshot changes the caches the fields above read.
@@ -106,7 +106,7 @@ def _empty_system(config: MoctopusConfig, cache_base: bool) -> Moctopus:
     if cache_base:
         # A base snapshot cached before the load (the fault-injection
         # reference fingerprints the empty system): every row the load
-        # touches must then be recorded in the storages' overlays.
+        # touches must then be recorded in the storages' dirty rows.
         for storage in (*system._module_storages, system._host_storage):
             storage.to_csr()
     return system

@@ -863,8 +863,9 @@ def test_labels_survive_recovery(tmp_path):
 
 @pytest.mark.parametrize("checkpointed", [False, True])
 def test_recovery_ignores_retired_config_knobs(tmp_path, checkpointed):
-    """A directory written when ``epoch_retention`` was still a knob (it
-    is echoed in ``config.json`` and every checkpoint manifest) recovers."""
+    """A directory written when ``epoch_retention`` and
+    ``snapshot_compact_ratio`` were still knobs (they are echoed in
+    ``config.json`` and every checkpoint manifest) recovers."""
     system = Moctopus.from_graph(power_law_graph(60, edges_per_node=2, seed=3), _config(tmp_path))
     system.insert_edges([(0, 999)])
     if checkpointed:
@@ -882,6 +883,7 @@ def test_recovery_ignores_retired_config_knobs(tmp_path, checkpointed):
         with open(path) as handle:
             data = json.load(handle)
         data["config"]["epoch_retention"] = 4
+        data["config"]["snapshot_compact_ratio"] = 0.25
         with open(path, "w") as handle:
             json.dump(data, handle, sort_keys=True)
     recovered = Moctopus.recover(str(tmp_path))

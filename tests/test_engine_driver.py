@@ -42,7 +42,7 @@ from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT
 from repro.core.local_storage import BYTES_PER_ENTRY
 from repro.core.operator_processor import RowSource
-from repro.core.snapshot import build_snapshot, row_buffer
+from repro.core.snapshot import row_buffer
 from repro.engine import (
     ENGINE_NAMES,
     Kernel,
@@ -64,7 +64,7 @@ from repro.rpq import RPQuery, plan_query
 from repro.rpq.query import KHopQuery
 from repro.serve.epoch import Epoch, EpochView
 
-from model import ReferenceModel
+from model import ReferenceModel, snapshot_of
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
@@ -322,12 +322,12 @@ def handmade_epoch(edges, owners, num_modules=4) -> Epoch:
     for src, dst, label in edges:
         rows[owners[src]][src].append((dst, label))
     snapshots = tuple(
-        build_snapshot(
+        snapshot_of(
             [(node, row_buffer(row)) for node, row in rows[partition].items()],
             bytes_per_entry=12,
             working_set_bytes=max(1, 12 * sum(map(len, rows[partition].values()))),
             count_local=partition != HOST_PARTITION,
-        ).freeze()
+        )
         for partition in partitions
     )
     known = sorted(owners)

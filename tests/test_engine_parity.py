@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT
 from repro.core.local_storage import BYTES_PER_ENTRY
-from repro.core.snapshot import build_snapshot_reference
 from repro.engine import (
     ENGINE_NAMES,
     AutoEngine,
@@ -35,6 +34,7 @@ from repro.pim import CostModel
 from repro.rpq import RPQuery, random_source_batch
 
 from faultinject import public_rows
+from model import build_snapshot_reference
 
 #: Every backend and the ``"auto"`` dispatcher; each is compared to the
 #: scalar reference ``"python"``.

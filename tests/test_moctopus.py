@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, random_graph
+from repro.net.server import MoctopusServer
 from repro.partition.base import HOST_PARTITION
+from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq, random_source_batch
+from repro.serve.scheduler import BatchScheduler
 
 
 def small_system(graph, **config_kwargs) -> Moctopus:
@@ -38,6 +41,39 @@ def test_config_validation():
         MoctopusConfig(migration_capacity_factor=0.2)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["capacity_factor", "migration_capacity_factor", "serve_linger", "net_request_timeout"],
+)
+def test_config_rejects_nan(field):
+    """``nan`` fails every comparison, so a bound written as ``x < low``
+    would let it through (a nan capacity factor turns every greedy
+    placement into a fallback and switches migration off)."""
+    with pytest.raises(ValueError, match=field):
+        MoctopusConfig(**{field: NAN})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda system: BatchScheduler(system, linger=NAN, autostart=False),
+        lambda system: MoctopusServer(system, port=0, request_timeout=NAN),
+        lambda system: RadicalGreedyPartitioner(4, capacity_factor=NAN),
+    ],
+    ids=["scheduler_linger", "server_request_timeout", "greedy_capacity_factor"],
+)
+def test_component_arguments_reject_nan(build):
+    system = Moctopus()
+    try:
+        with pytest.raises(ValueError):
+            build(system)
+    finally:
+        system.close()
+
+
 def test_knob_census():
     """Every ``MoctopusConfig`` field is read by the code it configures,
     and the number of fields only moves on purpose."""
@@ -59,7 +95,7 @@ def test_knob_census():
     # different values; with one value in use it is a constant, and a
     # value the code can work out is not an option.  Adding a field
     # means editing this count and naming those two callers in the PR.
-    assert len(names) == 24
+    assert len(names) == 23
 
 
 def test_pim_hash_config_disables_moctopus_features():

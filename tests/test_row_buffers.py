@@ -1,10 +1,10 @@
 """Adjacency rows are ``array('q')`` buffers, storage to checkpoint.
 
 * both storages against dict-of-lists models, step by step: reads,
-  byte accounting and, on the host, capacities, hole positions and
+  byte accounting, the refreshed snapshot against the per-edge
+  reference builder and, on the host, capacities, hole positions and
   free-list order (seeded scripts and a hypothesis differential);
-* snapshots built, spliced and compacted from buffers against the
-  per-edge reference builder;
+* snapshots spliced from buffers against the reference builder;
 * checkpoint arrays against public reads, and a directory written by
   the last tuple-row commit (``tests/data/ckpt_pr16``) against its
   recorded digest;
@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultinject import public_rows
-from model import ReferenceModel
+from model import ReferenceModel, build_snapshot_reference, snapshot_of
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import (
     BYTES_PER_SLOT,
@@ -35,13 +35,7 @@ from repro.core.hetero_storage import (
     HeterogeneousGraphStorage,
 )
 from repro.core.local_storage import BYTES_PER_ENTRY, BYTES_PER_ROW, LocalGraphStorage
-from repro.core.snapshot import (
-    HOLE,
-    build_snapshot,
-    build_snapshot_reference,
-    row_buffer,
-    row_pairs,
-)
+from repro.core.snapshot import HOLE, row_buffer, row_pairs
 from repro.durability.checkpoint import capture_checkpoint
 from repro.graph import DiGraph, power_law_graph
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
@@ -272,31 +266,29 @@ op_strategy = st.one_of(
 
 def run_module_script(ops) -> None:
     memory = LocalMemory(1 << 20)
-    storage = LocalGraphStorage(memory=memory, compact_ratio=0.5)
+    storage = LocalGraphStorage(memory=memory)
     model = ModuleModel()
-    for step, op in enumerate(ops):
+    for op in ops:  # a refresh per step: one splice, or a hit after a no-op
         model.apply(storage, op)
         model.check(storage, memory)
-        if step % 5 == 0:  # interleave refreshes: splices, compactions, hits
-            assert storage.to_csr().same_arrays(
-                build_snapshot_reference(
-                    public_rows(storage), BYTES_PER_ENTRY, max(storage.storage_bytes, 1), True
-                )
+        assert storage.to_csr().same_arrays(
+            build_snapshot_reference(
+                public_rows(storage), BYTES_PER_ENTRY, max(storage.storage_bytes, 1), True
             )
+        )
 
 
 def run_host_script(ops) -> None:
-    storage = HeterogeneousGraphStorage(num_pim_modules=4, compact_ratio=0.5)
+    storage = HeterogeneousGraphStorage(num_pim_modules=4)
     model = HostModel()
-    for step, op in enumerate(ops):
+    for op in ops:
         model.apply(storage, op)
         model.check(storage)
-        if step % 5 == 0:
-            assert storage.to_csr().same_arrays(
-                build_snapshot_reference(
-                    public_rows(storage), BYTES_PER_SLOT, max(storage.total_bytes(), 1), False
-                )
+        assert storage.to_csr().same_arrays(
+            build_snapshot_reference(
+                public_rows(storage), BYTES_PER_SLOT, max(storage.total_bytes(), 1), False
             )
+        )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -333,7 +325,7 @@ def test_the_hole_marker_is_not_a_node_id():
 
 
 # ----------------------------------------------------------------------
-# (b) build / splice / compact from buffers
+# (b) splice from buffers
 # ----------------------------------------------------------------------
 def test_build_from_buffers_skips_holes_and_keeps_empty_rows():
     rows = [
@@ -343,7 +335,7 @@ def test_build_from_buffers_skips_holes_and_keeps_empty_rows():
         (7, row_buffer([(2, 2)])),
     ]
     for count_local in (True, False):
-        built = build_snapshot(rows, 12, 64, count_local)
+        built = snapshot_of(rows, 12, 64, count_local)
         assert built.same_arrays(build_snapshot_reference(rows, 12, 64, count_local))
     assert built.node_ids.tolist() == [2, 4, 7, 9]
     assert built.degrees.tolist() == [0, 2, 1, 0]
@@ -353,10 +345,10 @@ def test_build_from_buffers_skips_holes_and_keeps_empty_rows():
     assert row_pairs(rows[3][1]) == [(2, 2)]
 
 
-@pytest.mark.parametrize("compact_ratio", [0.0, 1e9], ids=["compact", "splice"])
-def test_refresh_strategies_agree_with_the_reference_builder(compact_ratio):
-    local = LocalGraphStorage(compact_ratio=compact_ratio)
-    host = HeterogeneousGraphStorage(num_pim_modules=4, compact_ratio=compact_ratio)
+@pytest.mark.parametrize("dropped", [True, False], ids=["after_drop", "over_the_base"])
+def test_a_batch_refresh_agrees_with_the_reference_builder(dropped):
+    local = LocalGraphStorage()
+    host = HeterogeneousGraphStorage(num_pim_modules=4)
     for node in range(10):
         local.ensure_row(node)
         for dst in range(node % 4):
@@ -384,13 +376,14 @@ def test_refresh_strategies_agree_with_the_reference_builder(compact_ratio):
     local.insert_row(3, list(reversed(moved)))
     local.remove_row(7)
 
-    strategy = "snapshot_compactions" if compact_ratio == 0.0 else "snapshot_merges"
     for storage, bytes_per_entry, size, count_local in (
         (local, BYTES_PER_ENTRY, local.storage_bytes, True),
         (host, BYTES_PER_SLOT, host.total_bytes(), False),
     ):
+        if dropped:  # the next refresh splices every row into the empty snapshot
+            storage.drop_snapshot()
         refreshed = storage.to_csr()
-        assert getattr(storage, strategy) == 1
+        assert storage.snapshot_builds == 2
         assert refreshed.same_arrays(
             build_snapshot_reference(public_rows(storage), bytes_per_entry, size, count_local)
         )
@@ -399,8 +392,8 @@ def test_refresh_strategies_agree_with_the_reference_builder(compact_ratio):
 
 def test_restored_storages_refresh_against_their_read_only_seed():
     """``restore_rows`` / ``restore_arrays`` seed a frozen base; splices
-    and compactions over it must equal a rebuild, and the restored
-    positional state must be the captured one."""
+    over it — a few rows, then every row — must equal a rebuild, and the
+    restored positional state must be the captured one."""
     local = LocalGraphStorage()
     host = HeterogeneousGraphStorage(num_pim_modules=4)
     for node in range(8):
@@ -437,16 +430,14 @@ def test_restored_storages_refresh_against_their_read_only_seed():
     assert restored_host.next_hops_with_labels(2) == host.next_hops_with_labels(2)
     # Slots fill from the top (7..0, then 15); 99 took the hole 52 left at 5.
     assert restored_host.next_hops(2) == [57, 56, 55, 54, 53, 99, 51, 50, 58]
-    for node in range(8):  # past compact_ratio: compaction over the seeded lineage
+    for node in range(8):  # every row dirty, over the seeded lineage
         restored_local.add_edge(node, 200 + node)
         restored_host.insert_edge(node, 200 + node)
-    assert restored_local.snapshot_compactions == 0
     assert restored_local.to_csr().same_arrays(
         build_snapshot_reference(
             public_rows(restored_local), BYTES_PER_ENTRY, restored_local.storage_bytes, True
         )
     )
-    assert restored_local.snapshot_compactions == 1
     assert restored_host.to_csr().same_arrays(
         build_snapshot_reference(
             public_rows(restored_host), BYTES_PER_SLOT, restored_host.total_bytes(), False
