@@ -21,12 +21,10 @@ from repro.pim import CostModel
 
 
 def main() -> None:
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=16),
-        engine="python",
-        # Alternatively set ``serve_workers=2`` here to make every
-        # ``system.serve()`` parallel by default.
-    )
+    # The workers run the configured kernel (``use_engine`` swaps it for
+    # schedulers started afterwards); how many there are is chosen per
+    # scheduler with ``serve(parallel=N)`` — ``serve()`` is in-process.
+    config = MoctopusConfig(cost_model=CostModel(num_modules=16), engine="python")
     system = Moctopus.from_graph(random_graph(4000, 16000, seed=7), config)
 
     # Two worker processes; close() (or the context manager) tears the

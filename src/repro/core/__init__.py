@@ -4,14 +4,14 @@ The components map one-to-one onto the architecture of the paper's
 Figure 1:
 
 * :class:`Moctopus` — the system facade (query + update entry points);
-* :class:`MoctopusConfig` — every tunable the paper mentions;
+* :class:`MoctopusConfig` — the tunables two callers set differently;
 * :class:`GraphPartitioner` / :class:`NodeMigrator` — the PIM-friendly
   dynamic graph partitioning algorithm (labor division + greedy-adaptive
   load balancing);
 * :class:`QueryProcessor` / :class:`UpdateProcessor` — translate
   requests into ``smxm`` / ``mwait`` / ``add`` / ``sub`` operators and
   execute them across the host and the PIM modules;
-* :class:`OperatorProcessor` — the per-module operator executor;
+* :func:`apply_update_ops` — the per-module ``add``/``sub`` operator;
 * :class:`LocalGraphStorage` — the hash-map adjacency segment of a PIM
   module;
 * :class:`HeterogeneousGraphStorage` — the host's ``cols_vector`` rows
@@ -30,7 +30,7 @@ from repro.core.hetero_storage import (
     HeterogeneousGraphStorage,
     HeteroUpdateOutcome,
 )
-from repro.core.operator_processor import OperatorProcessor, SmxmWork, UpdateWork
+from repro.core.operator_processor import SmxmWork, UpdateWork, apply_update_ops
 from repro.core.partitioner import GraphPartitioner
 from repro.core.snapshot import GraphSnapshot
 from repro.core.node_migrator import NodeMigrator
@@ -45,7 +45,7 @@ __all__ = [
     "NodeMigrator",
     "QueryProcessor",
     "UpdateProcessor",
-    "OperatorProcessor",
+    "apply_update_ops",
     "SmxmWork",
     "UpdateWork",
     "LocalGraphStorage",

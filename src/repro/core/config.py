@@ -1,28 +1,22 @@
 """Configuration of a Moctopus instance.
 
-All the tunables the paper mentions live here so that benchmarks and
-ablations can sweep them:
+A field is here because two callers want different values of it:
 
 * the number of PIM modules (the paper uses one UPMEM rank = 64);
-* the high-degree threshold of the labor-division approach (16);
-* the capacity-constraint proportion of the radical greedy heuristic
-  (1.05);
-* the detection threshold for "incorrectly partitioned" nodes (a node is
-  reported when more than half of its next hops live on other modules);
-* switches to disable labor division or migration, which is how the
-  PIM-hash contrast system and the ablation benches are expressed;
+* the paper's ablation axes: the high-degree threshold of the
+  labor-division approach (16), the capacity-constraint proportion of
+  the radical greedy heuristic (1.05), the placement policy, and the
+  switch that disables migration — which is how the PIM-hash contrast
+  system and the ablation benches are expressed;
 * the query execution kernel (``engine``) — the scalar reference
   engine, the vectorized numpy engine or the semiring-matrix engine,
   which are required to agree on every result and every simulated
   counter, or ``"auto"``, which picks the scalar or the vectorized one
   per call from the size of the request.  It names a query kernel and
   nothing else: update batches are partitioned by one loop
-  (:mod:`repro.core.update_processor`) whatever it says;
-* the serving-layer knobs (``serve_queue_depth``,
-  ``serve_batch_window``, ``serve_linger``, ``serve_workers``)
-  controlling how the batch scheduler admits and coalesces concurrent
-  client queries, and whether coalesced batches fan out across worker
-  *processes* over shared-memory epoch exports (:mod:`repro.parallel`);
+  (:mod:`repro.core.update_processor`) whatever it says.  This field
+  and ``Moctopus.use_engine`` are the only ways to choose a kernel;
+* the admission bound of the batch scheduler (``serve_queue_depth``);
 * the network front-end knobs (``net_host``, ``net_port``,
   ``net_auth_token``, ``net_max_inflight_per_client``,
   ``net_request_timeout``) controlling where ``Moctopus.listen()``
@@ -31,12 +25,17 @@ ablations can sweep them:
 * the durability knobs (``durability_dir``, ``wal_segment_bytes``,
   ``checkpoint_interval_batches``, ``wal_fsync``) controlling the
   write-ahead log and checkpoint lifecycle of
-  :mod:`repro.durability`.
+  :mod:`repro.durability`;
+* the plan and result cache sizes.
 
-How a storage keeps its CSR view fresh is not a knob: every refresh
-splices the rows edited since the last one into the cached view
-(:mod:`repro.core.snapshot`).  A float knob's bound check is written so
-that ``nan``, which fails every comparison, is rejected with the rest.
+A value with one caller is a constant beside its reader, not a field.
+How a storage keeps its CSR view fresh is not a knob either: every
+refresh splices the rows edited since the last one into the cached view
+(:mod:`repro.core.snapshot`).
+
+An integer field must be an integer in range (:func:`repro.checks.
+require_int`), and a float field's bound check is written so that
+``nan``, which fails every comparison, is rejected with the rest.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.checks import require_int
 from repro.pim.cost_model import CostModel
 from repro.partition.labor_division import DEFAULT_HIGH_DEGREE_THRESHOLD
 from repro.partition.radical_greedy import DEFAULT_CAPACITY_FACTOR
@@ -63,19 +63,9 @@ class MoctopusConfig:
     #: Partitioning policy for low-degree nodes: ``"radical_greedy"`` (the
     #: paper's design) or ``"hash"`` (the PIM-hash contrast system).
     pim_placement: str = "radical_greedy"
-    #: Fraction of a node's next hops that must be non-local before the
-    #: operator processor reports it as incorrectly partitioned.
-    misplacement_threshold: float = 0.5
     #: Whether the node migrator is allowed to move misplaced nodes after
     #: a query (the adaptive half of greedy-adaptive partitioning).
     enable_migration: bool = True
-    #: Capacity proportion the *migrator* respects when moving a node to
-    #: its majority partition.  The paper bounds load balance at
-    #: assignment time (1.05x) but migration exists purely to recover
-    #: locality, so it is allowed to overshoot the assignment constraint
-    #: moderately; hot hubs are already on the host, so node-count skew
-    #: from migration translates into little work skew.
-    migration_capacity_factor: float = 1.5
     #: Physical execution backend for batch queries: ``"python"`` (the
     #: scalar reference engine, exact original semantics),
     #: ``"vectorized"`` (numpy columnar frontiers over CSR storage
@@ -96,22 +86,6 @@ class MoctopusConfig:
     #: BatchScheduler` before further submissions are rejected
     #: (backpressure instead of unbounded memory growth).
     serve_queue_depth: int = 64
-    #: Upper bound on how many queued client queries one scheduler pass
-    #: coalesces into a single engine-level batch.
-    serve_batch_window: int = 16
-    #: Default worker-process count behind ``Moctopus.serve()``: the
-    #: :class:`~repro.serve.scheduler.BatchScheduler` scatters each
-    #: window's coalesced batches across this many child processes,
-    #: zero-copy readers of shared-memory epoch exports
-    #: (:mod:`repro.parallel`).  ``0`` (the default) executes windows
-    #: in-process; ``serve(parallel=N)`` overrides per scheduler.
-    serve_workers: int = 0
-    #: How long (seconds) a scheduler drain waits for stragglers to fill
-    #: its coalescing window once the first query of a window arrived.
-    #: ``0`` (the default) drains whatever is queued immediately —
-    #: lowest latency; a small linger (e.g. ``0.002``) trades latency
-    #: for larger coalesced batches under bursty traffic.
-    serve_linger: float = 0.0
     #: Bind host of the network front-end (``Moctopus.listen()``).
     net_host: str = "127.0.0.1"
     #: Bind port of the network front-end; ``0`` picks an ephemeral port
@@ -168,36 +142,23 @@ class MoctopusConfig:
                 "engine must be 'auto', 'python', 'vectorized' or 'matrix', "
                 f"got {self.engine!r}"
             )
-        if not 0.0 < self.misplacement_threshold <= 1.0:
-            raise ValueError("misplacement_threshold must be in (0, 1]")
         if not self.capacity_factor >= 1.0:
             raise ValueError("capacity_factor must be >= 1.0")
-        if not self.migration_capacity_factor >= 1.0:
-            raise ValueError("migration_capacity_factor must be >= 1.0")
-        if self.high_degree_threshold is not None and self.high_degree_threshold <= 0:
-            raise ValueError("high_degree_threshold must be positive or None")
-        if self.serve_queue_depth < 1:
-            raise ValueError("serve_queue_depth must be >= 1")
-        if self.serve_batch_window < 1:
-            raise ValueError("serve_batch_window must be >= 1")
-        if self.serve_workers < 0:
-            raise ValueError("serve_workers must be >= 0")
-        if not self.serve_linger >= 0:
-            raise ValueError("serve_linger must be >= 0 seconds")
-        if not 0 <= self.net_port <= 65535:
-            raise ValueError("net_port must be in [0, 65535]")
-        if self.net_max_inflight_per_client < 1:
-            raise ValueError("net_max_inflight_per_client must be >= 1")
+        if self.high_degree_threshold is not None:
+            require_int("high_degree_threshold", self.high_degree_threshold, 1)
+        require_int("serve_queue_depth", self.serve_queue_depth, 1)
+        require_int("net_port", self.net_port, 0, 65535)
+        require_int(
+            "net_max_inflight_per_client", self.net_max_inflight_per_client, 1
+        )
         if not self.net_request_timeout > 0:
             raise ValueError("net_request_timeout must be > 0 seconds")
-        if self.wal_segment_bytes < 1024:
-            raise ValueError("wal_segment_bytes must be >= 1024")
-        if self.checkpoint_interval_batches < 0:
-            raise ValueError("checkpoint_interval_batches must be >= 0")
-        if self.plan_cache_size < 0:
-            raise ValueError("plan_cache_size must be >= 0")
-        if self.result_cache_size < 0:
-            raise ValueError("result_cache_size must be >= 0")
+        require_int("wal_segment_bytes", self.wal_segment_bytes, 1024)
+        require_int(
+            "checkpoint_interval_batches", self.checkpoint_interval_batches, 0
+        )
+        require_int("plan_cache_size", self.plan_cache_size, 0)
+        require_int("result_cache_size", self.result_cache_size, 0)
 
     @property
     def num_modules(self) -> int:

@@ -1,21 +1,21 @@
-"""The Operator Processor running on every PIM module.
+"""The operators every PIM module runs against its local graph storage.
 
 Each PIM module parses operators received from the host and executes
-them against its local graph storage.  In the simulator the processor
+them against its local graph storage.  In the simulator an operator
 performs the real data manipulation (so results are exact) and reports
 *work counters* that the query/update processors charge to the owning
 module's :class:`~repro.pim.ledger.ModuleCounters`, which the cost model
 converts into simulated time.
 
-While expanding a frontier, the processor also performs the paper's
+While expanding a frontier, :func:`smxm` also performs the paper's
 misplacement detection: a node whose next hops mostly live outside the
 local module is reported as incorrectly partitioned, overlapping the
 detection with query processing exactly as Section 3.2.2 describes.
 
-The expansion itself is the module-level :func:`smxm`: the one scalar
-loop, over any :class:`RowSource` — a module's live storage, the host's,
-or a pinned CSR snapshot; the scalar execution kernel calls it on
-whatever rows its view hands out.
+:func:`smxm` is the one scalar expansion loop, over any
+:class:`RowSource` — a module's live storage, the host's, or a pinned
+CSR snapshot; the scalar execution kernel calls it on whatever rows its
+view hands out.  :func:`apply_update_ops` is the ``add``/``sub`` side.
 """
 
 from __future__ import annotations
@@ -155,37 +155,25 @@ def smxm(
     )
 
 
-class OperatorProcessor:
-    """Executes operators against one module's local graph storage."""
+def apply_update_ops(
+    storage: LocalGraphStorage, entries: List[Tuple[UpdateKind, int, int, int]]
+) -> UpdateWork:
+    """Apply one module's ``(kind, src, dst, label)`` sequence in order.
 
-    def __init__(
-        self,
-        module_id: int,
-        storage: LocalGraphStorage,
-        misplacement_threshold: float = 0.5,
-    ) -> None:
-        self.module_id = module_id
-        self.storage = storage
-        self.misplacement_threshold = misplacement_threshold
-
-    def process_update_ops(
-        self, entries: List[Tuple[UpdateKind, int, int, int]]
-    ) -> UpdateWork:
-        """Apply a mixed ``(kind, src, dst, label)`` sequence in order.
-
-        Applying insertions and deletions interleaved (rather than one
-        whole operator after the other) keeps a delete→insert of the
-        same edge within one batch at its sequential result.
-        """
-        work = UpdateWork()
-        for kind, src, dst, label in entries:
-            row_length = self.storage.row_length(src)
-            work.map_lookups += 1
-            work.bytes_streamed += row_length * BYTES_PER_ENTRY
-            work.items_processed += 1
-            if kind is UpdateKind.INSERT:
-                if self.storage.add_edge(src, dst, label):
-                    work.applied += 1
-            elif self.storage.remove_edge(src, dst):
+    The module-side half of the ``add``/``sub`` operators.  Applying
+    insertions and deletions interleaved (rather than one whole operator
+    after the other) keeps a delete→insert of the same edge within one
+    batch at its sequential result.
+    """
+    work = UpdateWork()
+    for kind, src, dst, label in entries:
+        row_length = storage.row_length(src)
+        work.map_lookups += 1
+        work.bytes_streamed += row_length * BYTES_PER_ENTRY
+        work.items_processed += 1
+        if kind is UpdateKind.INSERT:
+            if storage.add_edge(src, dst, label):
                 work.applied += 1
-        return work
+        elif storage.remove_edge(src, dst):
+            work.applied += 1
+    return work

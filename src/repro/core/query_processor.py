@@ -11,17 +11,19 @@ The processor's job is planning and delegation, not data movement:
    view's row count;
 2. the plan is handed, with the view to run it against, to the
    :class:`~repro.engine.base.ExecutionEngine` selected by
-   ``MoctopusConfig.engine`` — the scalar ``"python"`` backend, one of
-   the numpy backends, or the ``"auto"`` dispatcher choosing among them
-   per call — which executes it on the simulated platform and returns
-   the answer matrix plus the execution statistics.
+   ``MoctopusConfig.engine`` (or ``Moctopus.use_engine``) — the scalar
+   ``"python"`` backend, one of the numpy backends, or the ``"auto"``
+   dispatcher choosing among them per call — which executes it on the
+   simulated platform and returns the answer matrix plus the execution
+   statistics.
 
 :meth:`QueryProcessor.execute_on_view` is the one entry point: live
 queries pass :attr:`QueryProcessor.live` (the
 :class:`~repro.engine.base.LiveView` over the storages), sessions and
 the scheduler pass a pinned :class:`~repro.serve.epoch.EpochView`.
-Engines keep no state between calls, so the processor hands out one
-shared instance per backend (:meth:`QueryProcessor.engine_named`).
+Engines keep no state between calls, so the processor holds one
+instance, :attr:`QueryProcessor.engine`, and every caller shares it; a
+session or a scheduler keeps the one that was current when it started.
 
 All backends implement the same operator semantics (see
 :mod:`repro.engine`): the smxm phases where partitioning quality turns
@@ -96,8 +98,8 @@ class QueryProcessor:
         self.live = live
         #: Integer edge label -> query label string.
         self.label_names: Dict[int, str] = label_names or {}
-        self._engines: Dict[str, ExecutionEngine] = {}
-        self.engine: ExecutionEngine = self.engine_named(config.engine)
+        #: The kernel every caller runs on.
+        self.engine: ExecutionEngine = create_engine(config.engine, self.label_names)
         #: Cache hit/miss counters.  Deliberately *not* merged into any
         #: per-query :class:`ExecutionStats` — per-query observables must
         #: stay bit-identical between cold and warm executions.
@@ -108,25 +110,9 @@ class QueryProcessor:
             OrderedDict()
         )
 
-    @property
-    def engine_name(self) -> str:
-        """Name of the active execution backend."""
-        return self.engine.name
-
     def use_engine(self, name: str) -> None:
         """Swap the execution backend (used by benchmarks and tests)."""
-        self.engine = self.engine_named(name)
-
-    def engine_named(self, name: str) -> ExecutionEngine:
-        """The shared instance of backend ``name``.
-
-        Engines hold nothing but the label table, so live callers,
-        sessions and the scheduler all run on the same one.
-        """
-        engine = self._engines.get(name)
-        if engine is None:
-            engine = self._engines[name] = create_engine(name, self.label_names)
-        return engine
+        self.engine = create_engine(name, self.label_names)
 
     # ------------------------------------------------------------------
     # The entry point
@@ -142,7 +128,8 @@ class QueryProcessor:
         unpatched pinned view has frozen statistics, so only it gets
         cost-based direction and the epoch-keyed caches; the live view and
         session-patched views plan forward and always execute.
-        ``engine`` defaults to the processor's configured backend.
+        ``engine`` defaults to the processor's current backend; a session
+        or a scheduler passes the one it captured when it started.
         """
         if engine is None:
             engine = self.engine

@@ -39,8 +39,7 @@ from repro.core.config import MoctopusConfig
 from repro.core.graph_view import StoredGraphView
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
-from repro.core.node_migrator import NodeMigrator
-from repro.core.operator_processor import OperatorProcessor
+from repro.core.node_migrator import MIGRATION_CAPACITY_FACTOR, NodeMigrator
 from repro.core.partitioner import GraphPartitioner
 from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
@@ -74,14 +73,6 @@ class Moctopus:
             LocalGraphStorage(memory=module.memory) for module in self.pim.modules
         ]
         self._host_storage = HeterogeneousGraphStorage(self.config.num_modules)
-        self._processors = [
-            OperatorProcessor(
-                module_id,
-                storage,
-                misplacement_threshold=self.config.misplacement_threshold,
-            )
-            for module_id, storage in enumerate(self._module_storages)
-        ]
         #: Live read-only graph view over the storages — the only
         #: adjacency the system holds (oracle checks, partition metrics).
         self._graph = StoredGraphView(
@@ -93,7 +84,7 @@ class Moctopus:
             self._partitioner,
             self._module_storages,
             self._host_storage,
-            capacity_factor=self.config.migration_capacity_factor,
+            capacity_factor=MIGRATION_CAPACITY_FACTOR,
         )
         self._query_processor = QueryProcessor(
             self.config,
@@ -103,7 +94,6 @@ class Moctopus:
                 partitioner=self._partitioner,
                 module_storages=self._module_storages,
                 host_storage=self._host_storage,
-                processors=self._processors,
                 migrator=self._migrator,
             ),
             label_names=label_names,
@@ -113,7 +103,6 @@ class Moctopus:
             self._partitioner,
             self._module_storages,
             self._host_storage,
-            self._processors,
             self._migrator,
         )
         #: Stats of the most recent post-query maintenance pass (migrations).
@@ -331,10 +320,7 @@ class Moctopus:
 
     @classmethod
     def recover(
-        cls,
-        durability_dir: str,
-        config: Optional[MoctopusConfig] = None,
-        engine: Optional[str] = None,
+        cls, durability_dir: str, config: Optional[MoctopusConfig] = None
     ) -> "Moctopus":
         """Rebuild the system persisted under ``durability_dir``.
 
@@ -347,7 +333,7 @@ class Moctopus:
         """
         from repro.durability.recovery import recover
 
-        return recover(durability_dir, config=config, engine=engine)
+        return recover(durability_dir, config=config)
 
     def checkpoint(self) -> str:
         """Write a checkpoint now (synchronously); returns its path.
@@ -386,42 +372,34 @@ class Moctopus:
     # ------------------------------------------------------------------
     # Serving (snapshot-isolated sessions and coalesced scheduling)
     # ------------------------------------------------------------------
-    def begin(self, engine: Optional[str] = None) -> "Session":
+    def begin(self) -> "Session":
         """Open a snapshot-isolated :class:`~repro.serve.session.Session`.
 
         The session pins the latest published epoch: its queries never
         observe writes applied after ``begin()`` until it ``refresh()``\\ es,
         and updates staged through the session are visible to the session
         immediately (read-your-writes) but to nobody else until
-        ``commit()``.  ``engine`` optionally overrides the backend for
-        this session only.
+        ``commit()``.  It runs on the kernel current at ``begin()``.
         """
         from repro.serve.session import Session
 
-        return Session(self, engine=engine)
+        return Session(self)
 
-    def serve(
-        self,
-        engine: Optional[str] = None,
-        parallel: Optional[int] = None,
-        **kwargs,
-    ) -> "BatchScheduler":
+    def serve(self, parallel: int = 0, **kwargs) -> "BatchScheduler":
         """Start a :class:`~repro.serve.scheduler.BatchScheduler`.
 
         The scheduler admits concurrent single-source k-hop queries into
         a bounded queue and coalesces them into engine-level batches
-        executed against the latest epoch.  ``parallel=N`` scatters the
-        coalesced batches across ``N`` worker processes attached
-        zero-copy to shared-memory epoch exports
-        (:mod:`repro.parallel`); the default comes from
-        ``MoctopusConfig.serve_workers`` (0 = in-process).  Close it (or
-        use it as a context manager) when done.
+        executed against the latest epoch, on the kernel current when it
+        starts.  ``parallel=N`` scatters the coalesced batches across
+        ``N`` worker processes attached zero-copy to shared-memory epoch
+        exports (:mod:`repro.parallel`); ``0`` (the default) executes
+        them in-process.  Close it (or use it as a context manager) when
+        done.
         """
         from repro.serve.scheduler import BatchScheduler
 
-        if parallel is None:
-            parallel = self.config.serve_workers
-        return BatchScheduler(self, engine=engine, parallel=parallel, **kwargs)
+        return BatchScheduler(self, parallel=parallel, **kwargs)
 
     def listen(
         self,
@@ -437,10 +415,10 @@ class Moctopus:
         ``net_host``/``net_port`` config knobs (``port=0`` binds an
         ephemeral port, readable as ``server.port``); remaining keyword
         arguments — ``auth_token``, ``max_inflight_per_client``,
-        ``request_timeout``, ``engine``, ``parallel`` — are forwarded to
-        the server constructor.  Close the returned server (or use it as
-        a context manager) when done; shutdown answers every in-flight
-        query before closing sockets.
+        ``request_timeout``, ``scheduler`` (e.g. ``serve(parallel=N)``)
+        — are forwarded to the server constructor.  Close the returned
+        server (or use it as a context manager) when done; shutdown
+        answers every in-flight query before closing sockets.
         """
         from repro.net.server import MoctopusServer
 
@@ -513,14 +491,16 @@ class Moctopus:
     @property
     def engine_name(self) -> str:
         """Name of the active query execution backend."""
-        return self._query_processor.engine_name
+        return self._query_processor.engine.name
 
     def use_engine(self, name: str) -> None:
         """Swap the query execution kernel (any ``ENGINE_NAMES`` entry).
 
         All kernels produce identical results and identical simulated
         statistics on the same system state; swapping mid-run is safe
-        and is how the engine benchmarks compare wall-clock cost.  The
+        and is how the engine benchmarks compare wall-clock cost.  With
+        ``MoctopusConfig.engine`` it is the only way to choose a kernel:
+        sessions and schedulers already started keep theirs.  The
         update path has one partitioner and is not affected.
         """
         with self._serve_lock:

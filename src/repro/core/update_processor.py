@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.core.node_migrator import NodeMigrator
-from repro.core.operator_processor import OperatorProcessor
+from repro.core.operator_processor import apply_update_ops
 from repro.core.operators import BYTES_PER_UPDATE_ITEM, OPERATOR_HEADER_BYTES
 from repro.core.partitioner import GraphPartitioner
 from repro.graph.digraph import DEFAULT_LABEL
@@ -58,8 +58,8 @@ from repro.pim.system import OperationContext, PIMSystem
 
 
 #: One queued module update, ``(kind, src, dst, label)`` — exactly what
-#: :meth:`OperatorProcessor.process_update_ops` takes (labels are
-#: ignored on removal).
+#: :func:`~repro.core.operator_processor.apply_update_ops` takes (labels
+#: are ignored on removal).
 PendingEntry = Tuple[UpdateKind, int, int, int]
 
 
@@ -138,14 +138,12 @@ class UpdateProcessor:
         partitioner: GraphPartitioner,
         module_storages: List[LocalGraphStorage],
         host_storage: HeterogeneousGraphStorage,
-        operator_processors: List[OperatorProcessor],
         node_migrator: NodeMigrator,
     ) -> None:
         self._pim = pim_system
         self._partitioner = partitioner
         self._module_storages = module_storages
         self._host_storage = host_storage
-        self._processors = operator_processors
         self._migrator = node_migrator
         #: Bytes of the ``node_partition_vector`` (2 per node) as of the
         #: current batch's start: the working set every partition-vector
@@ -284,7 +282,7 @@ class UpdateProcessor:
                 module.launch_kernel()
             if has_sub_op:
                 module.launch_kernel()
-            work = self._processors[module_id].process_update_ops(entries)
+            work = apply_update_ops(self._module_storages[module_id], entries)
             module.random_accesses(work.map_lookups)
             module.stream_bytes(work.bytes_streamed)
             module.process_items(work.items_processed)

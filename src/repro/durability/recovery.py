@@ -66,9 +66,7 @@ def _config_from_dict(data: dict) -> "MoctopusConfig":
 
 
 def recover(
-    durability_dir: str,
-    config: Optional["MoctopusConfig"] = None,
-    engine: Optional[str] = None,
+    durability_dir: str, config: Optional["MoctopusConfig"] = None
 ) -> "Moctopus":
     """Rebuild the system persisted under ``durability_dir``.
 
@@ -77,9 +75,9 @@ def recover(
     when the directory was first initialized (so even a crash before the
     first checkpoint recovers under the right platform shape).  Replay
     is only bit-exact when the effective config matches the writing
-    process's, so only pass an override that does.  ``engine`` swaps the
-    execution backend after recovery — backends are state-identical, so
-    this is always safe.
+    process's, so only pass an override that does.  Kernels are
+    state-identical, so ``Moctopus.use_engine`` may swap the recovered
+    system's kernel at any time.
     """
     from repro.core.system import Moctopus
     from repro.durability import (
@@ -134,8 +132,6 @@ def recover(
             lsn, RuntimeError("batch apply failed during recovery replay")
         )
         system._durability.failed = None
-    if engine is not None:
-        system.use_engine(engine)
     return system
 
 

@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
     from repro.core.hetero_storage import HeterogeneousGraphStorage
     from repro.core.local_storage import LocalGraphStorage
     from repro.core.node_migrator import NodeMigrator
-    from repro.core.operator_processor import OperatorProcessor, RowSource
+    from repro.core.operator_processor import RowSource
     from repro.core.partitioner import GraphPartitioner
     from repro.core.snapshot import GraphSnapshot
     from repro.serve.epoch import Epoch
@@ -142,6 +142,11 @@ class PlanView(Protocol):
         ...
 
 
+#: The paper's misplacement rule: a node is reported as incorrectly
+#: partitioned when more than this fraction of its next hops are remote.
+MISPLACEMENT_THRESHOLD = 0.5
+
+
 @dataclass
 class LiveView:
     """The :class:`PlanView` over the live storages.
@@ -155,7 +160,6 @@ class LiveView:
     partitioner: GraphPartitioner
     module_storages: List[LocalGraphStorage]
     host_storage: HeterogeneousGraphStorage
-    processors: List[OperatorProcessor]
     migrator: NodeMigrator
     #: Version-cached vectorized owner lookups over the partition map.
     _owners: OwnerIndex = field(default_factory=OwnerIndex, repr=False)
@@ -183,11 +187,11 @@ class LiveView:
         return self.rows_of(partition).to_csr()
 
     def misplacement_threshold(self, partition: int) -> Optional[float]:
-        """The module's ``OperatorProcessor`` threshold — frozen at
-        construction, so a later config tweak cannot diverge backends."""
+        """:data:`MISPLACEMENT_THRESHOLD` on a module while migration is
+        enabled; the host detects nothing."""
         if partition == HOST_PARTITION or not self.config.enable_migration:
             return None
-        return self.processors[partition].misplacement_threshold
+        return MISPLACEMENT_THRESHOLD
 
     def report_misplaced(self, reports: ReportColumns) -> None:
         self.migrator.report_misplaced(*reports)

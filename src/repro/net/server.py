@@ -44,6 +44,7 @@ import logging
 import threading
 from typing import Dict, Optional, Set, TYPE_CHECKING
 
+from repro.checks import require_int
 from repro.net.metrics import ServerMetrics, build_metrics, render_metrics
 from repro.net.protocol import (
     MAX_WIRE_HOPS,
@@ -134,8 +135,6 @@ class MoctopusServer:
         auth_token: Optional[str] = None,
         max_inflight_per_client: Optional[int] = None,
         request_timeout: Optional[float] = None,
-        engine: Optional[str] = None,
-        parallel: Optional[int] = None,
         logger: Optional[logging.Logger] = None,
     ) -> None:
         config = system.config
@@ -155,16 +154,11 @@ class MoctopusServer:
             if request_timeout is not None
             else config.net_request_timeout
         )
-        if self._max_inflight < 1:
-            raise ValueError("max_inflight_per_client must be >= 1")
+        require_int("max_inflight_per_client", self._max_inflight, 1)
         if not self._request_timeout > 0:  # written so that nan is refused too
             raise ValueError("request_timeout must be > 0 seconds")
         self._owns_scheduler = scheduler is None
-        self.scheduler = (
-            scheduler
-            if scheduler is not None
-            else system.serve(engine=engine, parallel=parallel)
-        )
+        self.scheduler = scheduler if scheduler is not None else system.serve()
         self.metrics = ServerMetrics()
         self._log = logger or logging.getLogger("repro.net.server")
         self._connections: Set[_Connection] = set()
@@ -413,7 +407,7 @@ class MoctopusServer:
                 "id": rid,
                 "server": "moctopus",
                 "protocol": PROTOCOL_VERSION,
-                "engine": self.scheduler._engine_name,
+                "engine": self.scheduler._engine.name,
                 "max_inflight": self._max_inflight,
             }
         )

@@ -11,11 +11,11 @@ execute the parent's :class:`~repro.rpq.planner.Plan`
 with the ordinary engines — results and per-operation accounting merge
 bit-identically back into the parent.
 
-Entry points: ``Moctopus.serve(parallel=N)`` (or
-``MoctopusConfig.serve_workers``) makes the
+Entry points: ``Moctopus.serve(parallel=N)`` makes the
 :class:`~repro.serve.scheduler.BatchScheduler` scatter its coalesced
 per-hops batches across the pool; :class:`WorkerPool` can also be driven
-directly for whole-batch offload.
+directly for whole-batch offload.  Either way the workers run the
+system's kernel as it was when the pool was built.
 """
 
 from repro.parallel.pool import PoolTicket, WorkerPool, WorkerPoolError

@@ -12,11 +12,11 @@ Protocol (per-worker FIFO task queues, one shared result queue):
 
 * ``("epoch", manifest)`` — broadcast before any task referencing the
   epoch; the worker attaches the shared segment (idempotent);
-* ``("exec", task_id, epoch_id, engine, plan, sources)`` — run one
-  batch; replies ``("done", task_id, worker_id, result, stats,
-  lifetime_delta)`` where the result crosses the process boundary as
-  its two CSR buffers (re-frozen on arrival, never per-row sets) and
-  the delta is the fresh per-task
+* ``("exec", task_id, epoch_id, plan, sources)`` — run one batch on
+  the kernel current when the pool was built; replies ``("done",
+  task_id, worker_id, result, stats, lifetime_delta)`` where the result
+  crosses the process boundary as its two CSR buffers (re-frozen on
+  arrival, never per-row sets) and the delta is the fresh per-task
   :class:`~repro.pim.system.PIMSystem`'s lifetime capture, merged by the
   parent into its own accounting platform (bit-identical integer
   counters, order-independent);
@@ -41,6 +41,7 @@ import threading
 import traceback
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.checks import require_int
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import BatchResult, KHopQuery
@@ -108,21 +109,19 @@ def _execute_task(  # pragma: no cover - runs in the worker process
     worker_id: int,
     config,
     attached: Dict[int, tuple],
-    label_names: Dict[int, str],
+    engine,
     message: tuple,
     result_queue,
 ) -> None:
     """Run one scattered batch and reply.
 
     A dedicated function (not inline in the worker loop) so every
-    reference to the attached epoch — the view, the kernel — dies when
+    reference to the attached epoch — the view, the result — dies when
     it returns: a lingering local in the loop would keep numpy views
     into the shared mapping alive across a later ``retire`` and block
     the detach's ``close()``.
     """
-    from repro.engine.base import create_engine
-
-    _, task_id, epoch_id, engine_name, plan, sources = message
+    _, task_id, epoch_id, plan, sources = message
     try:
         epoch, _segment = attached[epoch_id]
         # A fresh platform per task (it allocates nothing per module)
@@ -130,8 +129,6 @@ def _execute_task(  # pragma: no cover - runs in the worker process
         # delta (see absorb_lifetime).
         pim = PIMSystem(config.cost_model)
         view = EpochView(epoch, pim)
-        # Engines keep nothing between calls, so none is kept here.
-        engine = create_engine(engine_name, label_names)
         result, stats = engine.execute(plan, sources, view)
         result_queue.put(
             ("done", task_id, worker_id, result, stats,
@@ -146,11 +143,16 @@ def _execute_task(  # pragma: no cover - runs in the worker process
 def worker_main(  # pragma: no cover - runs in the worker process
     worker_id: int,
     config,
+    engine_name: str,
     label_names: Dict[int, str],
     task_queue,
     result_queue,
 ) -> None:
     """Entry point of one pool worker process."""
+    from repro.engine.base import create_engine
+
+    # Engines keep nothing between calls, so one serves every task.
+    engine = create_engine(engine_name, label_names)
     attached: Dict[int, tuple] = {}
     while True:
         message = task_queue.get()
@@ -168,10 +170,9 @@ def worker_main(  # pragma: no cover - runs in the worker process
             epoch_id = message[1]
             _detach(attached, epoch_id)
             result_queue.put(("retired", worker_id, epoch_id))
-        else:  # ("exec", task_id, epoch_id, engine_name, plan, sources)
+        else:  # ("exec", task_id, epoch_id, plan, sources)
             _execute_task(
-                worker_id, config, attached, label_names, message,
-                result_queue,
+                worker_id, config, attached, engine, message, result_queue
             )
         # Nothing epoch-shaped may survive the iteration (see
         # ``_execute_task``); ``message`` itself is plain data.
@@ -201,19 +202,12 @@ class _Export:
 class WorkerPool:
     """Scatters epoch-pinned batches across persistent worker processes."""
 
-    def __init__(
-        self,
-        system: "Moctopus",
-        workers: int,
-        engine: Optional[str] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+    def __init__(self, system: "Moctopus", workers: int) -> None:
+        self.workers = require_int("workers", workers, 1)
         self._system = system
         self._epochs = system._epochs
         config = system.config
-        self._engine_name = engine or system.engine_name
-        self.workers = workers
+        self._engine_name = system.engine_name
         # On Linux, ``fork`` starts in milliseconds and shares the
         # parent's loaded interpreter; workers only ever touch their
         # queues, the shared segments and numpy, so inherited locks
@@ -245,6 +239,7 @@ class WorkerPool:
                 args=(
                     worker_id,
                     config,
+                    self._engine_name,
                     dict(label_names),
                     task_queue,
                     self._results,
@@ -409,7 +404,7 @@ class WorkerPool:
         """Scatter one coalesced k-hop batch to the next worker."""
         return self.submit(KHopQuery(hops=hops, sources=list(sources)))
 
-    def submit(self, query, engine: Optional[str] = None) -> PoolTicket:
+    def submit(self, query) -> PoolTicket:
         """Scatter one batch query against the latest published epoch."""
         export = self._acquire_export_slot()
         try:
@@ -439,7 +434,6 @@ class WorkerPool:
                     "exec",
                     task_id,
                     export.epoch.epoch_id,
-                    engine or self._engine_name,
                     plan,
                     list(query.sources),
                 )
@@ -447,10 +441,10 @@ class WorkerPool:
             return ticket
 
     def execute(
-        self, query, engine: Optional[str] = None, timeout: float = 60.0
+        self, query, timeout: float = 60.0
     ) -> Tuple[BatchResult, ExecutionStats, int]:
         """Blocking convenience wrapper: submit one batch and gather it."""
-        return self.submit(query, engine=engine).outcome(timeout=timeout)
+        return self.submit(query).outcome(timeout=timeout)
 
     # ------------------------------------------------------------------
     # The collector thread

@@ -26,6 +26,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checks import require_int
 from repro.partition.base import HOST_PARTITION, StreamingPartitioner
 
 #: Out-degree above which a node is considered high-degree (paper: 16).
@@ -41,9 +42,9 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         high_degree_threshold: int = DEFAULT_HIGH_DEGREE_THRESHOLD,
     ) -> None:
         super().__init__(pim_partitioner.num_partitions)
-        if high_degree_threshold <= 0:
-            raise ValueError("high_degree_threshold must be positive")
-        self.high_degree_threshold = high_degree_threshold
+        self.high_degree_threshold = require_int(
+            "high_degree_threshold", high_degree_threshold, 1
+        )
         self._pim_partitioner = pim_partitioner
         # Share one map so callers see a single consistent view.
         self.partition_map = pim_partitioner.partition_map

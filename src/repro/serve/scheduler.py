@@ -5,28 +5,28 @@ cascade answers many sources at once — but concurrent clients each ask
 for one source at a time.  :class:`BatchScheduler` bridges the two: it
 admits client queries into a **bounded queue** (backpressure instead of
 unbounded memory growth) and a single worker drains the queue in
-windows, coalescing every compatible query (same hop count) into one
-engine-level :class:`~repro.rpq.query.KHopQuery` executed against the
-latest published epoch.  Eight clients asking 2-hop questions cost one
-batched plan execution, not eight — which is where the serving layer's
-throughput multiplier comes from (see
-``benchmarks/bench_concurrent_serving.py``).
+windows of up to :data:`BATCH_WINDOW` queries, coalescing every
+compatible query (same hop count) into one engine-level
+:class:`~repro.rpq.query.KHopQuery` executed against the latest
+published epoch.  A drain takes what is already queued and never waits
+for more.  Eight clients asking 2-hop questions cost one batched plan
+execution, not eight — which is where the serving layer's throughput
+multiplier comes from (see ``benchmarks/bench_concurrent_serving.py``).
 
 Every coalesced batch pins the newest epoch for exactly one execution,
 so scheduled queries always observe a consistent published state while
 the writer keeps publishing behind them.
 
-With ``parallel=N`` (``Moctopus.serve(parallel=N)`` /
-``MoctopusConfig.serve_workers``) the scheduler scatters each window's
-per-hops batches across a :class:`~repro.parallel.pool.WorkerPool` of
-``N`` child processes — zero-copy readers of shared-memory epoch
-exports — and gathers the results in submission order, so concurrent
-hop-groups execute on real cores instead of time-slicing one GIL.
+With ``parallel=N`` (``Moctopus.serve(parallel=N)``) the scheduler
+scatters each window's per-hops batches across a
+:class:`~repro.parallel.pool.WorkerPool` of ``N`` child processes —
+zero-copy readers of shared-memory epoch exports — and gathers the
+results in submission order, so concurrent hop-groups execute on real
+cores instead of time-slicing one GIL.
 Results, statistics and epoch stamps are bit-identical to in-process
-execution (the differential suite proves it on both engines).
-
-All window timing uses the monotonic clock: a wall-clock (NTP) step can
-neither stall nor collapse the drain window.
+execution (the differential suite proves it on both engines).  The
+scheduler, and its pool, run on the system's kernel as it was when the
+scheduler was built.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from __future__ import annotations
 import copy
 import queue
 import threading
-import time
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.checks import require_int
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import DestinationRow, KHopQuery, RPQuery
@@ -44,6 +44,9 @@ from repro.serve.epoch import EpochView
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.system import Moctopus
+
+#: Upper bound on how many queued client queries one drain coalesces.
+BATCH_WINDOW = 16
 
 
 class SchedulerSaturated(RuntimeError):
@@ -200,29 +203,16 @@ class BatchScheduler:
     def __init__(
         self,
         system: "Moctopus",
-        engine: Optional[str] = None,
-        batch_window: Optional[int] = None,
         queue_depth: Optional[int] = None,
         autostart: bool = True,
-        parallel: Optional[int] = None,
-        linger: Optional[float] = None,
+        parallel: int = 0,
     ) -> None:
         self._system = system
         config = system.config
-        if batch_window is None:
-            batch_window = config.serve_batch_window
         if queue_depth is None:
             queue_depth = config.serve_queue_depth
-        if linger is None:
-            linger = config.serve_linger
-        if batch_window < 1 or queue_depth < 1:
-            raise ValueError("batch_window and queue_depth must be >= 1")
-        if not linger >= 0:  # written so that nan is refused too
-            raise ValueError("linger must be >= 0 seconds")
-        self._window = batch_window
-        #: How long (monotonic seconds) a drain waits for stragglers to
-        #: fill the window.  0 preserves the drain-what's-there default.
-        self._linger = linger
+        require_int("queue_depth", queue_depth, 1)
+        require_int("parallel", parallel, 0)
         self._queue: "queue.Queue[Optional[ServingFuture]]" = queue.Queue(
             maxsize=queue_depth
         )
@@ -239,19 +229,13 @@ class BatchScheduler:
         self._pim = PIMSystem(config.cost_model)
         #: Backend of in-process group execution (pool mode still needs
         #: it for expression groups, which stay on the drain thread):
-        #: the processor's shared instance.  Looked up here so
-        #: a bad name fails fast, *before* any threads start or
-        #: processes fork — surfacing later (inside a worker) it would
-        #: leak resources this constructor could no longer close.
-        self._engine_name = engine or system.engine_name
-        self._engine = system._query_processor.engine_named(self._engine_name)
-        if parallel is None:
-            parallel = 0
+        #: the system's kernel as it is now.
+        self._engine = system._query_processor.engine
         if parallel:
             # Imported lazily: repro.parallel sits above repro.serve.
             from repro.parallel.pool import WorkerPool
 
-            self._pool = WorkerPool(system, parallel, engine=engine)
+            self._pool = WorkerPool(system, parallel)
             # Scatter/gather pipeline: the drain thread keeps scattering
             # new windows while this bounded queue of in-flight groups
             # is gathered — in submission order — by a dedicated thread,
@@ -437,22 +421,9 @@ class BatchScheduler:
                     return
                 continue
             window: List[ServingFuture] = [first]
-            # Window timing runs on the monotonic clock: an NTP step of
-            # the wall clock can neither freeze the linger (clock jumped
-            # back) nor collapse it to zero (clock jumped forward).
-            deadline = (
-                time.monotonic() + self._linger if self._linger > 0 else None
-            )
-            while len(window) < self._window:
+            while len(window) < BATCH_WINDOW:
                 try:
-                    if deadline is None:
-                        item = self._queue.get_nowait()
-                    else:
-                        remaining = deadline - time.monotonic()
-                        if remaining > 0 and not self._closed.is_set():
-                            item = self._queue.get(timeout=remaining)
-                        else:
-                            item = self._queue.get_nowait()
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is None:
@@ -472,8 +443,8 @@ class BatchScheduler:
         window's groups execute concurrently on separate processes.
         Expression (RPQ) groups stay on this thread by choice, not by
         protocol — :meth:`WorkerPool.submit` ships any plan — and
-        scattering them waits for a ``serve_workers > 0`` workload to
-        measure it on (ROADMAP 1c).
+        scattering them waits for a ``parallel > 0`` workload to measure
+        it on.
         """
         by_key: Dict[Tuple[str, object], List[ServingFuture]] = {}
         for future in window:

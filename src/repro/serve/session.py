@@ -13,9 +13,9 @@ to the single writer.
 
 Sessions on different threads execute concurrently without sharing any
 mutable state: the pinned arrays are frozen (``writeable=False``), the
-engine — one shared instance per backend — keeps nothing between calls,
-a phase's charges live in the operation that opened it, and everything
-else is session-local — including the accounting
+engine — the system's, captured at ``begin()`` — keeps nothing between
+calls, a phase's charges live in the operation that opened it, and
+everything else is session-local — including the accounting
 :class:`~repro.pim.system.PIMSystem` the session's reads fold their
 totals into, which keeps unlogged pinned reads out of the live system's
 checkpointed totals and needs no lock because nothing else charges it.
@@ -55,16 +55,15 @@ class Session:
             session.commit()                     # hand to the writer
     """
 
-    def __init__(self, system: "Moctopus", engine: Optional[str] = None) -> None:
+    def __init__(self, system: "Moctopus") -> None:
         self._system = system
         self._epoch: Epoch = system._epochs.pin()
         self._closed = False
         #: Totals sink of this session's pinned executions (no other
         #: reader, so no lock).
         self._pim = PIMSystem(system.config.cost_model)
-        self._engine = system._query_processor.engine_named(
-            engine or system.engine_name
-        )
+        #: The kernel current at ``begin()``; a later ``use_engine`` keeps it.
+        self._engine = system._query_processor.engine
         #: Patched row contents of every source the session wrote:
         #: ``node -> [(dst, label), ...]`` (full row, storage semantics).
         self._local: Dict[int, List[Tuple[int, int]]] = {}

@@ -948,8 +948,10 @@ def test_recovery_engine_lockstep(tmp_path):
     expected = fingerprint(system)
     system.close()
 
-    scalar = Moctopus.recover(str(tmp_path / "store"), engine="python")
-    vectorized = Moctopus.recover(str(tmp_path / "store"), engine="vectorized")
+    scalar = Moctopus.recover(str(tmp_path / "store"))
+    vectorized = Moctopus.recover(str(tmp_path / "store"))
+    vectorized.use_engine("vectorized")
+    assert (scalar.engine_name, vectorized.engine_name) == ("python", "vectorized")
     assert_fingerprints_equal(fingerprint(scalar), expected, "python recovery")
     assert_fingerprints_equal(
         fingerprint(vectorized), expected, "vectorized recovery"

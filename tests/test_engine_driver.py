@@ -187,9 +187,7 @@ def churned_system() -> Moctopus:
     """Inserts, relabels, deletes leaving host holes, promotions and
     locality migrations on top of a loaded graph."""
     rng = random.Random(11)
-    system = build_system(
-        random_graph(60, 240, seed=5), migration_capacity_factor=1.5
-    )
+    system = build_system(random_graph(60, 240, seed=5))
     nodes = list(range(60))
     for _ in range(6):
         ops, labels = [], []
@@ -251,9 +249,9 @@ def test_live_rows_and_snapshots_read_alike_after_churn():
 @pytest.mark.parametrize("name", ENGINE_NAMES)
 def test_one_engine_instance_serves_eight_threads(name):
     system = build_system(skewed_graph())
+    system.use_engine(name)
     processor = system._query_processor
-    engine = processor.engine_named(name)
-    assert engine is processor.engine_named(name)
+    engine = processor.engine
     epoch = system._epochs.pin()
     try:
         planning_view = EpochView(epoch, PIMSystem(COST_MODEL))

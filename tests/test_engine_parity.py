@@ -29,7 +29,7 @@ from repro.engine import (
     VectorizedEngine,
     create_engine,
 )
-from repro.graph import DiGraph, power_law_graph, random_graph
+from repro.graph import DiGraph, load_dataset, power_law_graph, random_graph
 from repro.pim import CostModel
 from repro.rpq import RPQuery, random_source_batch
 
@@ -396,6 +396,23 @@ def test_parity_with_wide_batches():
             },
             context=f"wide batch hops={hops}",
         )
+
+
+@pytest.mark.parametrize("trace", [1, 8, 15])
+def test_use_engine_parity_on_dataset_traces(trace):
+    """One system, every kernel swapped in with ``use_engine``: the same
+    state answers a 3-hop batch identically on the paper's dataset
+    stand-ins (trace 8, the skewed one, keeps hubs on the host)."""
+    graph = load_dataset(trace, scale=0.25)
+    system = Moctopus.from_graph(
+        graph, MoctopusConfig(cost_model=CostModel(num_modules=16))
+    )
+    sources = random_source_batch(list(graph.nodes()), 32, seed=0)
+    outcomes = {}
+    for engine in ENGINES:
+        system.use_engine(engine)
+        outcomes[engine] = system.batch_khop(sources, 3, auto_migrate=False)
+    assert_equivalent(outcomes, context=f"trace #{trace}")
 
 
 def test_parity_with_sparse_node_ids():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -12,8 +13,11 @@ from hypothesis import strategies as st
 
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, random_graph
+from repro.durability.recovery import recover
 from repro.net.server import MoctopusServer
+from repro.parallel import WorkerPool
 from repro.partition.base import HOST_PARTITION
+from repro.partition.labor_division import LaborDivisionPartitioner
 from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq, random_source_batch
@@ -32,22 +36,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MoctopusConfig(pim_placement="round-robin")
     with pytest.raises(ValueError):
-        MoctopusConfig(misplacement_threshold=0.0)
-    with pytest.raises(ValueError):
         MoctopusConfig(capacity_factor=0.5)
     with pytest.raises(ValueError):
         MoctopusConfig(high_degree_threshold=0)
-    with pytest.raises(ValueError):
-        MoctopusConfig(migration_capacity_factor=0.2)
 
 
 NAN = float("nan")
 
 
-@pytest.mark.parametrize(
-    "field",
-    ["capacity_factor", "migration_capacity_factor", "serve_linger", "net_request_timeout"],
-)
+@pytest.mark.parametrize("field", ["capacity_factor", "net_request_timeout"])
 def test_config_rejects_nan(field):
     """``nan`` fails every comparison, so a bound written as ``x < low``
     would let it through (a nan capacity factor turns every greedy
@@ -59,11 +56,10 @@ def test_config_rejects_nan(field):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda system: BatchScheduler(system, linger=NAN, autostart=False),
         lambda system: MoctopusServer(system, port=0, request_timeout=NAN),
         lambda system: RadicalGreedyPartitioner(4, capacity_factor=NAN),
     ],
-    ids=["scheduler_linger", "server_request_timeout", "greedy_capacity_factor"],
+    ids=["server_request_timeout", "greedy_capacity_factor"],
 )
 def test_component_arguments_reject_nan(build):
     system = Moctopus()
@@ -72,6 +68,97 @@ def test_component_arguments_reject_nan(build):
             build(system)
     finally:
         system.close()
+
+
+INT_FIELDS = [
+    "high_degree_threshold",
+    "serve_queue_depth",
+    "net_port",
+    "net_max_inflight_per_client",
+    "wal_segment_bytes",
+    "checkpoint_interval_batches",
+    "plan_cache_size",
+    "result_cache_size",
+]
+
+
+@pytest.mark.parametrize("value", [NAN, 4.0], ids=["nan", "float"])
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_config_int_fields_reject_nan_and_floats(field, value):
+    """An integer field takes integers only: ``nan`` passed every
+    ``x < low`` bound (``serve_queue_depth=nan`` built an unbounded
+    queue) and ``high_degree_threshold=4.0`` crashed the bulk load."""
+    with pytest.raises(ValueError, match=field):
+        MoctopusConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        MoctopusConfig(**{field: True})
+
+
+def test_config_int_fields_cover_every_int_default():
+    defaults = MoctopusConfig()
+    ints = [
+        field.name
+        for field in dataclasses.fields(MoctopusConfig)
+        if type(getattr(defaults, field.name)) is int
+    ]
+    assert ints == INT_FIELDS
+
+
+@pytest.mark.parametrize("value", [NAN, 4.0], ids=["nan", "float"])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("queue_depth", lambda system, value: BatchScheduler(
+            system, queue_depth=value, autostart=False)),
+        ("max_inflight_per_client", lambda system, value: MoctopusServer(
+            system, port=0, max_inflight_per_client=value)),
+        ("parallel", lambda system, value: system.serve(parallel=value)),
+        ("workers", lambda system, value: WorkerPool(system, workers=value)),
+        ("high_degree_threshold", lambda system, value: LaborDivisionPartitioner(
+            RadicalGreedyPartitioner(4), high_degree_threshold=value)),
+    ],
+    ids=["scheduler", "server", "serve", "pool", "labor_division"],
+)
+def test_component_int_arguments_reject_nan_and_floats(name, build, value):
+    """The keyword arguments that bypass the config are checked alike,
+    before any thread starts or process forks."""
+    system = Moctopus()
+    try:
+        with pytest.raises(ValueError, match=name):
+            build(system, value)
+    finally:
+        system.close()
+
+
+def test_kernel_is_chosen_in_one_place():
+    """No serving entry point takes a per-call kernel: ``engine`` and
+    ``use_engine`` choose it, and what is started keeps its kernel."""
+    entry_points = [
+        Moctopus.begin,
+        Moctopus.serve,
+        Moctopus.listen,
+        Moctopus.recover,
+        MoctopusServer,
+        BatchScheduler,
+        WorkerPool,
+        WorkerPool.submit,
+        WorkerPool.execute,
+        recover,
+    ]
+    for entry_point in entry_points:
+        assert "engine" not in inspect.signature(entry_point).parameters, entry_point
+    system = Moctopus.from_graph(
+        random_graph(40, 120, seed=3), MoctopusConfig(engine="python")
+    )
+    with system.begin() as session, system.serve() as scheduler:
+        system.use_engine("vectorized")
+        assert session._engine.name == scheduler._engine.name == "python"
+        with system.begin() as later:
+            assert later._engine.name == "vectorized"
+            expected, _ = later.batch_khop([0, 1], 2)
+        assert session.batch_khop([0, 1], 2)[0] == expected
+        assert scheduler.query(1, 2) == expected.destinations_of(1)
+    system.close()
 
 
 def test_knob_census():
@@ -95,7 +182,7 @@ def test_knob_census():
     # different values; with one value in use it is a constant, and a
     # value the code can work out is not an option.  Adding a field
     # means editing this count and naming those two callers in the PR.
-    assert len(names) == 23
+    assert len(names) == 18
 
 
 def test_pim_hash_config_disables_moctopus_features():

@@ -23,7 +23,7 @@ from model import migrate
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.node_migrator import NodeMigrator
+from repro.core.node_migrator import MIGRATION_CAPACITY_FACTOR, NodeMigrator
 from repro.core.partitioner import GraphPartitioner
 from repro.graph import community_graph
 from repro.partition.base import HOST_PARTITION
@@ -322,7 +322,7 @@ def test_run_maintenance_matches_the_oracle_on_engine_reports(engine):
         expected = migrate(
             reports, placement, rows, 4096,
             num_partitions=config.num_modules,
-            capacity_factor=config.migration_capacity_factor,
+            capacity_factor=MIGRATION_CAPACITY_FACTOR,
         )
         moved, stats = system.run_maintenance()
         assert system._migrator.last_moves == expected

@@ -1,9 +1,10 @@
-"""Tests for the scalar ``smxm`` loop and the per-module operator processor."""
+"""Tests for the per-module operators: the scalar ``smxm`` loop and
+``apply_update_ops``."""
 
 from __future__ import annotations
 
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.operator_processor import OperatorProcessor, smxm
+from repro.core.operator_processor import apply_update_ops, smxm
 from repro.graph.stream import UpdateKind
 from repro.rpq import build_dfa
 
@@ -62,19 +63,19 @@ def test_smxm_with_dfa_filters_by_label():
 
 def test_process_add_and_sub():
     storage = LocalGraphStorage()
-    processor = OperatorProcessor(0, storage)
-    work = processor.process_update_ops(
+    work = apply_update_ops(
+        storage,
         [
             (UpdateKind.INSERT, 1, 2, 0),
             (UpdateKind.INSERT, 1, 3, 0),
             (UpdateKind.INSERT, 1, 2, 0),
-        ]
+        ],
     )
     assert work.applied == 2
     assert work.map_lookups == 3
     assert storage.num_edges == 2
-    work = processor.process_update_ops(
-        [(UpdateKind.DELETE, 1, 2, 0), (UpdateKind.DELETE, 1, 9, 0)]
+    work = apply_update_ops(
+        storage, [(UpdateKind.DELETE, 1, 2, 0), (UpdateKind.DELETE, 1, 9, 0)]
     )
     assert work.applied == 1
     assert storage.num_edges == 1

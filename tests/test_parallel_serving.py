@@ -25,6 +25,7 @@ import pytest
 
 from model import ReferenceModel
 from repro.core import Moctopus, MoctopusConfig
+from repro.engine.python_engine import PythonEngine
 from repro.graph import random_graph
 from repro.parallel import (
     WorkerPool,
@@ -113,10 +114,12 @@ def test_pool_differential_sweep(engine):
     """Replay the oracle sweep through the pool: bit-identical results,
     stats, epoch ids and merged accounting vs in-process serving."""
     rng = random.Random(17)
-    system = build_system(17, engine)
+    system = build_system(17, "auto")
+    # The pool runs the kernel current when it is built.
+    system.use_engine(engine)
     model = ReferenceModel.from_digraph(random_graph(28, 90, seed=17))
     inprocess_pim = PIMSystem(system.config.cost_model)
-    pool = WorkerPool(system, workers=2, engine=engine)
+    pool = WorkerPool(system, workers=2)
     try:
         for step in range(10):
             context = f"(engine={engine} step={step})"
@@ -211,21 +214,6 @@ def test_parallel_scheduler_matches_model(engine):
     scheduler.close()
 
 
-def test_parallel_default_from_config():
-    """``MoctopusConfig.serve_workers`` is the ``serve()`` default."""
-    graph = random_graph(20, 50, seed=5)
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4), serve_workers=1
-    )
-    system = Moctopus.from_graph(graph, config)
-    expected, _ = system.batch_khop([0], 1, auto_migrate=False)
-    with system.serve() as scheduler:
-        assert scheduler.parallel_workers == 1
-        assert scheduler.query(0, 1) == expected.destinations_of(0)
-    with system.serve(parallel=0) as scheduler:
-        assert scheduler.parallel_workers == 0
-
-
 # ----------------------------------------------------------------------
 # Shared-memory lifecycle
 # ----------------------------------------------------------------------
@@ -286,20 +274,21 @@ def test_export_busy_at_supersede_retires_once_drained():
     assert system._epochs.pins() == 0
 
 
-def test_parallel_scheduler_rejects_bad_engine_before_forking():
-    """A bad engine name fails fast — before any worker process (which
-    the aborted constructor could never close) is forked."""
-    system = build_system(8, "python")
-    with pytest.raises(ValueError, match="unknown execution engine"):
-        system.serve(parallel=2, engine="vectorised")  # typo
-
-
-def test_pool_worker_error_propagates():
+def test_pool_worker_error_propagates(monkeypatch):
     system = build_system(2, "python")
+    real_execute = PythonEngine.execute
+
+    def faulty_execute(self, plan, sources, view):
+        if sources == [13]:
+            raise RuntimeError("kernel fault injected")
+        return real_execute(self, plan, sources, view)
+
+    # Patched before the fork, so the worker inherits the fault.
+    monkeypatch.setattr(PythonEngine, "execute", faulty_execute)
     pool = WorkerPool(system, workers=1)
     try:
-        ticket = pool.submit(KHopQuery(hops=1, sources=[0]), engine="bogus")
-        with pytest.raises(WorkerPoolError):
+        ticket = pool.submit(KHopQuery(hops=1, sources=[13]))
+        with pytest.raises(WorkerPoolError, match="kernel fault injected"):
             ticket.outcome(timeout=30)
         # The pool survives a task failure: later work still completes.
         result, _, _ = pool.execute(KHopQuery(hops=1, sources=[0]))

@@ -8,14 +8,13 @@ Each test here was red on the code it now guards:
 * a failed coalesced batch used to fan the *same* exception instance to
   every waiter, so concurrent ``raise`` statements raced on the shared
   ``__traceback__``;
-* plus the ``serve_linger`` knob, the ``submit()``/``close()`` race and
-  the abandoned-``outcome(timeout=...)`` contract.
+* plus the ``submit()``/``close()`` race and the
+  abandoned-``outcome(timeout=...)`` contract.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
@@ -152,7 +151,7 @@ def test_scheduler_failure_fans_out_distinct_instances():
         raise boom
 
     system._query_processor.execute_on_view = exploding_execute
-    with BatchScheduler(system, autostart=False, batch_window=8) as scheduler:
+    with BatchScheduler(system, autostart=False) as scheduler:
         futures = [scheduler.submit(source, 2) for source in range(3)]
         scheduler._worker.start()
         raised = []
@@ -181,35 +180,6 @@ def test_uncopyable_error_falls_back_to_shared_instance():
     with pytest.raises(Stubborn) as excinfo:
         future.result(timeout=5)
     assert excinfo.value is original  # fallback: never mask the failure
-
-
-# ----------------------------------------------------------------------
-# serve_linger knob
-# ----------------------------------------------------------------------
-def test_serve_linger_validated_and_plumbed():
-    with pytest.raises(ValueError):
-        MoctopusConfig(serve_linger=-0.1)
-    system = build_system(serve_linger=0.02)
-    with system.serve() as scheduler:
-        assert scheduler._linger == pytest.approx(0.02)
-        assert scheduler.query(0, 2)  # still answers queries
-    with system.serve(linger=0.0) as scheduler:
-        assert scheduler._linger == 0.0
-    with pytest.raises(ValueError):
-        BatchScheduler(system, linger=-1.0)
-
-
-def test_serve_linger_fills_window_across_stragglers():
-    system = build_system(serve_linger=0.2)
-    with system.serve(batch_window=2) as scheduler:
-        first = scheduler.submit(0, 2)
-        time.sleep(0.05)  # arrive inside the linger window
-        second = scheduler.submit(1, 2)
-        first.outcome(timeout=10)
-        second.outcome(timeout=10)
-        # The straggler rode the lingering window: one coalesced batch.
-        assert scheduler.batches_executed == 1
-        assert scheduler.queries_served == 2
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +254,7 @@ def test_add_done_callback_immediate_and_deferred():
 def test_submit_rpq_matches_oracle_and_coalesces():
     system = build_system()
     oracle_graph = system.graph
-    with BatchScheduler(system, autostart=False, batch_window=8) as scheduler:
+    with BatchScheduler(system, autostart=False) as scheduler:
         khop_futures = [scheduler.submit(source, 2) for source in (0, 1)]
         rpq_futures = [
             scheduler.submit_rpq(source, ".+") for source in (2, 3)

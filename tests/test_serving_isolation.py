@@ -540,19 +540,6 @@ def test_scheduler_close_is_idempotent_and_concurrent():
     assert system._epochs.pins() == 0
 
 
-def test_scheduler_linger_window_answers_correctly():
-    """A lingering drain window (monotonic timing) still answers every
-    query against the oracle."""
-    system = build_system(25, "vectorized")
-    model = build_model(25)
-    with system.serve(linger=0.02) as scheduler:
-        futures = [
-            (source, scheduler.submit(source, 2)) for source in range(12)
-        ]
-        for source, future in futures:
-            assert future.result(timeout=30) == model.khop([source], 2)[0]
-
-
 # ----------------------------------------------------------------------
 # Hypothesis stateful machine (seedable interleaving search)
 # ----------------------------------------------------------------------
