@@ -5,10 +5,9 @@ Path Queries over Graph Database with Processing-in-Memory"* (DAC 2024).
 It contains:
 
 ``repro.graph``
-    The graph substrate: property graphs, adjacency structures, sparse
-    boolean matrices with GraphBLAS-style semiring operations, synthetic
-    dataset generators mirroring the paper's SNAP workloads, and update
-    streams.
+    The graph substrate: property graphs, adjacency structures,
+    synthetic dataset generators mirroring the paper's SNAP workloads,
+    and update streams.
 
 ``repro.pim``
     A simulator of a commodity processing-in-memory platform (UPMEM-like):
@@ -63,7 +62,7 @@ It contains:
     by the ``benchmarks/`` harness to regenerate every table and figure.
 """
 
-from repro.graph import BooleanMatrix, DiGraph, PropertyGraph
+from repro.graph import DiGraph, PropertyGraph
 from repro.pim import CostModel, PIMSystem
 from repro.rpq import KHopQuery, RPQuery
 from repro.core import Moctopus, MoctopusConfig
@@ -75,7 +74,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DiGraph",
     "PropertyGraph",
-    "BooleanMatrix",
     "Moctopus",
     "MoctopusConfig",
     "RedisGraphEngine",

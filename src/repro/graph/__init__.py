@@ -1,13 +1,11 @@
-"""Graph substrate: graphs, matrices, generators, datasets and streams.
+"""Graph substrate: graphs, generators, datasets and streams.
 
 This subpackage is the foundation every engine in the reproduction
 builds on.  Nothing in here knows about PIM or about Moctopus; it is the
-"graph database storage and math" layer:
+graph-database storage layer:
 
 * :class:`DiGraph` / :class:`PropertyGraph` — mutable graph structures
   (:class:`ReadableGraph` is the read-only protocol consumers type against);
-* :class:`BooleanMatrix` / :class:`SemiringMatrix` — sparse matrices
-  with GraphBLAS-style products;
 * :mod:`repro.graph.generators` / :mod:`repro.graph.datasets` — the
   synthetic stand-ins for the paper's 15 SNAP graphs (Table 1);
 * :mod:`repro.graph.stream` — insertion/deletion workloads for the
@@ -16,13 +14,10 @@ builds on.  Nothing in here knows about PIM or about Moctopus; it is the
 
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph, ReadableGraph
 from repro.graph.property_graph import EdgeRecord, NodeRecord, PropertyGraph
-from repro.graph.semiring import BOOLEAN, COUNTING, MIN_PLUS, Semiring, get_semiring
-from repro.graph.matrix import BooleanMatrix, SemiringMatrix, khop_reachability
 from repro.graph.generators import (
     community_graph,
     power_law_graph,
     random_graph,
-    rmat_graph,
     road_network,
 )
 from repro.graph.datasets import (
@@ -36,12 +31,7 @@ from repro.graph.datasets import (
     road_network_specs,
 )
 from repro.graph.io import iter_edge_list, read_edge_list, write_edge_list
-from repro.graph.stream import (
-    EdgeStreamReplayer,
-    UpdateKind,
-    UpdateOp,
-    UpdateStream,
-)
+from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
 
 __all__ = [
     "DEFAULT_LABEL",
@@ -50,18 +40,9 @@ __all__ = [
     "PropertyGraph",
     "NodeRecord",
     "EdgeRecord",
-    "Semiring",
-    "BOOLEAN",
-    "COUNTING",
-    "MIN_PLUS",
-    "get_semiring",
-    "BooleanMatrix",
-    "SemiringMatrix",
-    "khop_reachability",
     "road_network",
     "power_law_graph",
     "community_graph",
-    "rmat_graph",
     "random_graph",
     "DATASETS",
     "HIGH_DEGREE_THRESHOLD",
@@ -77,5 +58,4 @@ __all__ = [
     "UpdateStream",
     "UpdateOp",
     "UpdateKind",
-    "EdgeStreamReplayer",
 ]

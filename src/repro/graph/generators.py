@@ -19,8 +19,6 @@ the same *structural families*:
   communities and sparse inter-community edges, matching the
   co-purchasing and collaboration graphs (com-amazon, com-DBLP,
   amazon0312/0505/0601) where locality-aware partitioning pays off.
-* :func:`rmat_graph` — a Kronecker/R-MAT generator kept for completeness
-  and for stress tests of the partitioners on adversarially skewed input.
 
 Every generator takes an explicit ``seed`` and uses its own
 :class:`random.Random` instance, so dataset construction is reproducible
@@ -217,58 +215,6 @@ def community_graph(
             if dst != hub:
                 edges.append((hub, dst))
 
-    return _edges_to_graph(edges, num_nodes)
-
-
-def rmat_graph(
-    scale: int,
-    edge_factor: int = 8,
-    probabilities: Tuple[float, float, float, float] = (0.57, 0.19, 0.19, 0.05),
-    seed: int = 0,
-) -> DiGraph:
-    """Generate an R-MAT (recursive matrix) graph.
-
-    R-MAT recursively subdivides the adjacency matrix into quadrants and
-    drops each edge into a quadrant with probabilities ``(a, b, c, d)``.
-    The default parameters are the Graph500 values and produce heavy
-    skew; the generator is primarily used by partitioner stress tests.
-
-    Parameters
-    ----------
-    scale:
-        ``2**scale`` nodes.
-    edge_factor:
-        Edges per node.
-    probabilities:
-        Quadrant probabilities ``(a, b, c, d)``; must sum to 1.
-    seed:
-        RNG seed.
-    """
-    total = sum(probabilities)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError("R-MAT quadrant probabilities must sum to 1")
-    rng = random.Random(seed)
-    num_nodes = 1 << scale
-    num_edges = num_nodes * edge_factor
-    a, b, c, _ = probabilities
-    edges: List[Edge] = []
-    for _ in range(num_edges):
-        row, col = 0, 0
-        span = num_nodes // 2
-        while span >= 1:
-            roll = rng.random()
-            if roll < a:
-                pass
-            elif roll < a + b:
-                col += span
-            elif roll < a + b + c:
-                row += span
-            else:
-                row += span
-                col += span
-            span //= 2
-        if row != col:
-            edges.append((row, col))
     return _edges_to_graph(edges, num_nodes)
 
 

@@ -2,13 +2,9 @@
 
 The paper's graph-update experiment (Figure 6) inserts 64 K randomly
 selected new edges and deletes 64 K randomly selected existing edges.
-:class:`UpdateStream` produces such batches deterministically, and
-:class:`EdgeStreamReplayer` replays an edge list as an insertion stream,
-which is how dynamic graph databases ingest data and how the radical
-greedy partitioner sees the graph (one edge at a time, first edge of a
-node decides its partition).  :func:`edge_chunks` cuts a bulk load's
-edge stream into the ``int64`` chunks the columnar loader and the WAL's
-``BOOTSTRAP`` record share.
+:class:`UpdateStream` produces such batches deterministically.
+:func:`edge_chunks` cuts a bulk load's edge stream into the ``int64``
+chunks the columnar loader and the WAL's ``BOOTSTRAP`` record share.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -152,33 +148,3 @@ class UpdateStream:
         ops += self.deletion_batch(count - num_inserts)
         self._rng.shuffle(ops)
         return ops
-
-
-class EdgeStreamReplayer:
-    """Replay a static graph as a stream of edge insertions.
-
-    Streaming partitioners (LDG, radical greedy) make their decisions as
-    edges arrive; replaying a generated graph through this class is how
-    benchmarks and tests feed them.
-    """
-
-    def __init__(self, edges: Sequence[Edge], shuffle_seed: int = -1) -> None:
-        self._edges = list(edges)
-        if shuffle_seed >= 0:
-            random.Random(shuffle_seed).shuffle(self._edges)
-
-    @classmethod
-    def from_graph(cls, graph: DiGraph, shuffle_seed: int = -1) -> "EdgeStreamReplayer":
-        """Build a replayer from every edge of ``graph``."""
-        return cls(list(graph.edges()), shuffle_seed=shuffle_seed)
-
-    def __iter__(self) -> Iterator[UpdateOp]:
-        for src, dst in self._edges:
-            yield UpdateOp(UpdateKind.INSERT, src, dst)
-
-    def __len__(self) -> int:
-        return len(self._edges)
-
-    def edges(self) -> List[Edge]:
-        """The edges in replay order."""
-        return list(self._edges)

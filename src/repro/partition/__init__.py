@@ -26,8 +26,8 @@ from repro.partition.base import (
     partition_static_graph,
 )
 from repro.partition.hash_partition import HashPartitioner, stable_node_hash
-from repro.partition.ldg import LDGPartitioner, ldg_partition_graph
-from repro.partition.adaptive import AdaptivePartitioner, adaptive_partition_graph
+from repro.partition.ldg import LDGPartitioner
+from repro.partition.adaptive import AdaptivePartitioner
 from repro.partition.radical_greedy import (
     DEFAULT_CAPACITY_FACTOR,
     RadicalGreedyPartitioner,
@@ -51,9 +51,7 @@ __all__ = [
     "HashPartitioner",
     "stable_node_hash",
     "LDGPartitioner",
-    "ldg_partition_graph",
     "AdaptivePartitioner",
-    "adaptive_partition_graph",
     "RadicalGreedyPartitioner",
     "DEFAULT_CAPACITY_FACTOR",
     "LaborDivisionPartitioner",

@@ -10,16 +10,14 @@ between computing nodes.
 Moctopus's greedy-adaptive method borrows the migration idea but only
 applies it to the few nodes the radical greedy heuristic got wrong, so
 its migration volume is a small fraction of a full adaptive pass.  The
-implementation here is used by the partitioner ablation benchmark and as
-a quality reference in tests.
+implementation here is used by the partitioner ablation benchmark.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-from repro.graph.digraph import DiGraph
-from repro.partition.base import PartitionMap, StreamingPartitioner
+from repro.partition.base import StreamingPartitioner
 from repro.partition.hash_partition import stable_node_hash
 
 
@@ -102,26 +100,3 @@ class AdaptivePartitioner(StreamingPartitioner):
             if moved == 0:
                 break
         return total
-
-
-def adaptive_partition_graph(
-    graph: DiGraph,
-    num_partitions: int,
-    max_rounds: int = 10,
-    imbalance_tolerance: float = 1.10,
-) -> Tuple[PartitionMap, int]:
-    """Partition a static graph with hash + adaptive migration.
-
-    Returns the final mapping and the total number of migrations (the
-    communication overhead the paper criticises this family for).
-    """
-    partitioner = AdaptivePartitioner(
-        num_partitions, imbalance_tolerance=imbalance_tolerance
-    )
-    for src, dst in graph.edges():
-        partitioner.ingest_edge(src, dst)
-    for node in graph.nodes():
-        if not partitioner.partition_map.is_assigned(node):
-            partitioner.assign_node(node)
-    migrations = partitioner.converge(max_rounds=max_rounds)
-    return partitioner.partition_map, migrations

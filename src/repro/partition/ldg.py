@@ -18,10 +18,9 @@ ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Optional, Set
 
-from repro.graph.digraph import DiGraph
-from repro.partition.base import PartitionMap, StreamingPartitioner
+from repro.partition.base import StreamingPartitioner
 
 
 class LDGPartitioner(StreamingPartitioner):
@@ -83,39 +82,3 @@ class LDGPartitioner(StreamingPartitioner):
                 best_score = score
         self.partition_map.assign(node, best_partition)
         return best_partition
-
-
-def ldg_partition_graph(
-    graph: DiGraph, num_partitions: int, node_order: Optional[Iterable[int]] = None
-) -> PartitionMap:
-    """Offline LDG: place nodes one by one with full neighborhood knowledge.
-
-    This is the classic formulation (the streaming class above only knows
-    edges seen so far).  Used by tests as a quality upper bound for the
-    greedy family.
-    """
-    partitioner_map = PartitionMap(num_partitions)
-    capacity = max(1.0, graph.num_nodes / num_partitions)
-    undirected: Dict[int, Set[int]] = {node: set() for node in graph.nodes()}
-    for src, dst in graph.edges():
-        undirected[src].add(dst)
-        undirected[dst].add(src)
-
-    order: List[int] = list(node_order) if node_order is not None else list(graph.nodes())
-    for node in order:
-        best_partition = 0
-        best_score = float("-inf")
-        for partition in range(num_partitions):
-            size = partitioner_map.size(partition)
-            neighbor_count = sum(
-                1 for neighbor in undirected[node]
-                if partitioner_map.partition_of(neighbor) == partition
-            )
-            score = neighbor_count * (1.0 - size / capacity)
-            if score > best_score or (
-                score == best_score and size < partitioner_map.size(best_partition)
-            ):
-                best_partition = partition
-                best_score = score
-        partitioner_map.assign(node, best_partition)
-    return partitioner_map

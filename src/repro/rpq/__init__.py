@@ -56,7 +56,7 @@ from repro.rpq.planner import (
     lower_plan,
     plan_query,
 )
-from repro.rpq.evaluator import count_khop_paths, evaluate_khop, evaluate_rpq
+from repro.rpq.evaluator import evaluate_khop, evaluate_rpq
 
 __all__ = [
     "ANY_LABEL",
@@ -92,5 +92,4 @@ __all__ = [
     "lower_plan",
     "evaluate_khop",
     "evaluate_rpq",
-    "count_khop_paths",
 ]

@@ -9,10 +9,7 @@ source of truth:
 * :func:`evaluate_khop` — breadth-first frontier expansion for the
   exact-k-hop semantics of the paper's workload;
 * :func:`evaluate_rpq` — product-graph BFS over (graph node, automaton
-  state) pairs, the textbook RPQ algorithm;
-* :func:`count_khop_paths` — path counting over the counting semiring,
-  used to study the result-explosion effect the paper reports for large
-  ``k`` on non-road graphs.
+  state) pairs, the textbook RPQ algorithm.
 """
 
 from __future__ import annotations
@@ -20,9 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Set, Tuple
 
-from repro.graph.digraph import DiGraph, ReadableGraph
-from repro.graph.matrix import SemiringMatrix
-from repro.graph.semiring import COUNTING
+from repro.graph.digraph import ReadableGraph
 from repro.rpq.automaton import DFA
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
@@ -112,23 +107,3 @@ def _single_source_rpq(
                 matched.add(successor)
             queue.append(pair)
     return matched
-
-
-def count_khop_paths(graph: DiGraph, sources: List[int], hops: int) -> int:
-    """Total number of distinct k-edge paths starting from ``sources``.
-
-    Computed over the counting semiring (``Q x Adj^k`` with plus/times),
-    so parallel paths to the same destination are counted separately —
-    this is the quantity that explodes with ``k`` on skewed graphs and
-    shifts Moctopus's bottleneck to CPC and reduction (Section 4.2).
-    """
-    if hops < 0:
-        raise ValueError("hops must be non-negative")
-    adjacency = SemiringMatrix.from_graph(graph, semiring=COUNTING)
-    frontier = SemiringMatrix(semiring=COUNTING)
-    for row, source in enumerate(sources):
-        frontier.set(row, source, 1)
-    for _ in range(hops):
-        frontier = frontier.mxm(adjacency)
-    total = frontier.total()
-    return int(total)

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
+from repro.checks import require_int
 from repro.rpq.automaton import DFA, build_dfa
 from repro.rpq.regex import RegexNode, khop_expression, parse_path_expression
 
@@ -321,8 +322,7 @@ class KHopQuery:
     sources: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.hops < 1:
-            raise ValueError("hops must be at least 1")
+        require_int("hops", self.hops, 1)
 
     @property
     def batch_size(self) -> int:

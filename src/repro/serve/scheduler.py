@@ -164,6 +164,10 @@ class ServingFuture(ResultGate):
         super().__init__(pending="query")
         if (hops is None) == (expression is None):
             raise ValueError("exactly one of hops/expression is required")
+        if hops is not None:
+            # Checked before admission: a float 2.0 would share ("khop", 2)
+            # with integer callers and fail their coalesced batch.
+            require_int("hops", hops, 1)
         self.source = source
         self.hops = hops
         self.expression = expression

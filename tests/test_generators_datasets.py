@@ -14,7 +14,6 @@ from repro.graph import (
     load_dataset,
     power_law_graph,
     random_graph,
-    rmat_graph,
     road_network,
     road_network_specs,
 )
@@ -51,14 +50,6 @@ def test_community_graph_keeps_edges_mostly_internal():
         if src // 20 == dst // 20:
             internal += 1
     assert internal / graph.num_edges > 0.8
-
-
-def test_rmat_graph_size_and_validation():
-    graph = rmat_graph(scale=7, edge_factor=4, seed=4)
-    assert graph.num_nodes <= 2 ** 7
-    assert graph.num_edges > 0
-    with pytest.raises(ValueError):
-        rmat_graph(scale=4, probabilities=(0.5, 0.5, 0.5, 0.5))
 
 
 def test_random_graph_is_deterministic_per_seed():

@@ -10,7 +10,6 @@ import pytest
 
 from repro.graph import (
     DiGraph,
-    EdgeStreamReplayer,
     UpdateKind,
     UpdateOp,
     UpdateStream,
@@ -101,15 +100,6 @@ def test_update_stream_is_deterministic():
     a = UpdateStream(graph, seed=5).insertion_batch(8)
     b = UpdateStream(graph, seed=5).insertion_batch(8)
     assert [op.edge for op in a] == [op.edge for op in b]
-
-
-def test_edge_stream_replayer_preserves_or_shuffles_order():
-    graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-    replayer = EdgeStreamReplayer.from_graph(graph)
-    assert [op.edge for op in replayer] == list(graph.edges())
-    assert len(replayer) == 4
-    shuffled = EdgeStreamReplayer.from_graph(graph, shuffle_seed=7)
-    assert sorted(shuffled.edges()) == sorted(graph.edges())
 
 
 def test_update_op_is_slotted_hashable_and_picklable():

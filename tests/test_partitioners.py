@@ -17,9 +17,7 @@ from repro.partition import (
     OwnerIndex,
     PartitionMap,
     RadicalGreedyPartitioner,
-    adaptive_partition_graph,
     evaluate_partition,
-    ldg_partition_graph,
     load_imbalance,
     partition_static_graph,
     stable_node_hash,
@@ -91,13 +89,6 @@ def test_ldg_beats_hash_on_community_graph():
     ldg_quality = evaluate_partition(graph, partition_static_graph(ldg, graph))
     assert ldg_quality.edge_cut_fraction < hash_quality.edge_cut_fraction
     assert ldg.partitions_scanned >= graph.num_nodes * 4  # scans every partition
-
-
-def test_ldg_offline_balance():
-    graph = community_graph(num_communities=6, community_size=20, seed=3)
-    pmap = ldg_partition_graph(graph, 4)
-    quality = evaluate_partition(graph, pmap)
-    assert quality.balance_factor < 1.8
     with pytest.raises(ValueError):
         LDGPartitioner(4, expected_nodes=0)
 
@@ -116,13 +107,6 @@ def test_adaptive_migration_improves_locality():
     assert moved > 0
     assert after.edge_cut_fraction < before.edge_cut_fraction
     assert partitioner.migrations == moved
-
-
-def test_adaptive_partition_graph_reports_migrations():
-    graph = community_graph(num_communities=5, community_size=16, seed=5)
-    pmap, migrations = adaptive_partition_graph(graph, 4, max_rounds=3)
-    assert migrations > 0
-    assert len(pmap) == graph.num_nodes
     with pytest.raises(ValueError):
         AdaptivePartitioner(4, imbalance_tolerance=0.5)
 

@@ -11,7 +11,6 @@ from repro.rpq import (
     BatchResult,
     KHopQuery,
     RPQuery,
-    count_khop_paths,
     evaluate_khop,
     evaluate_rpq,
     make_batch_khop,
@@ -175,14 +174,6 @@ def test_khop_equals_rpq_wildcard_expression():
     khop = evaluate_khop(graph, KHopQuery(hops=2, sources=sources))
     rpq = evaluate_rpq(graph, RPQuery(".{2}", sources))
     assert khop.destinations == rpq.destinations
-
-
-def test_count_khop_paths_counts_multiplicity():
-    graph = DiGraph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert count_khop_paths(graph, [0], 2) == 2
-    assert count_khop_paths(graph, [0], 0) == 1
-    with pytest.raises(ValueError):
-        count_khop_paths(graph, [0], -1)
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,12 +8,16 @@ Each test here was red on the code it now guards:
 * a failed coalesced batch used to fan the *same* exception instance to
   every waiter, so concurrent ``raise`` statements raced on the shared
   ``__traceback__``;
+* a non-integer hop count (``2.0``) was admitted and coalesced with
+  integer 2-hop callers (``("khop", 2.0) == ("khop", 2)``), failing
+  their whole batch;
 * plus the ``submit()``/``close()`` race and the
   abandoned-``outcome(timeout=...)`` contract.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import pytest
@@ -21,7 +25,7 @@ import pytest
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import random_graph
 from repro.pim import CostModel, ExecutionStats
-from repro.rpq import KHopQuery, RPQuery, evaluate_rpq
+from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq
 from repro.rpq.regex import RegexSyntaxError
 from repro.pim.system import PIMSystem
 from repro.serve import BatchScheduler
@@ -290,3 +294,38 @@ def test_mixed_wildcard_rpq_group_matches_khop_semantics():
         khop = scheduler.submit(0, 2).result(timeout=10)
         rpq = scheduler.submit_rpq(0, ".{2}").result(timeout=10)
     assert rpq == khop
+
+
+# ----------------------------------------------------------------------
+# A hop count is an integer >= 1, checked before anything is queued
+# ----------------------------------------------------------------------
+NON_INTEGER_HOPS = [2.0, math.nan, 0.5, True]
+
+
+@pytest.mark.parametrize("hops", NON_INTEGER_HOPS, ids=repr)
+def test_khop_query_rejects_non_integer_hops(hops):
+    with pytest.raises(ValueError, match="hops"):
+        KHopQuery(hops=hops, sources=[0])
+
+
+@pytest.mark.parametrize("hops", NON_INTEGER_HOPS, ids=repr)
+def test_submit_rejects_non_integer_hops_before_queueing(hops):
+    system = build_system()
+    with BatchScheduler(system, autostart=False) as scheduler:
+        with pytest.raises(ValueError, match="hops"):
+            scheduler.submit(1, hops)
+        assert scheduler.pending == 0
+
+
+def test_float_hops_cannot_fail_integer_callers_in_its_window():
+    # 2.0 == 2, so an admitted float would share the integer callers'
+    # group and, arriving first, set the hop count their batch runs with.
+    system = build_system()
+    with BatchScheduler(system, autostart=False) as scheduler:
+        with pytest.raises(ValueError):
+            scheduler.submit(1, 2.0)
+        futures = {source: scheduler.submit(source, 2) for source in (2, 3)}
+        scheduler._worker.start()
+        for source, future in futures.items():
+            oracle = evaluate_khop(system.graph, KHopQuery(hops=2, sources=[source]))
+            assert future.result(timeout=10) == set(oracle.destinations_of(0))
