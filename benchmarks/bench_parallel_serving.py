@@ -1,11 +1,12 @@
 """Parallel-serving benchmark: worker-pool scatter vs one-process drain.
 
-The serving layer already coalesces concurrent single-source queries
-into engine batches (``bench_concurrent_serving.py``); this benchmark
-measures the *next* multiplier — executing those coalesced batches on
-real cores instead of time-slicing one GIL.  The workload is the fig-4
-style sweep (mixed hop counts over a random graph, many pipelined
-clients) driven through two schedulers on the same system:
+The serving layer's :class:`~repro.serve.scheduler.BatchScheduler`
+already coalesces concurrent single-source queries into engine batches;
+this benchmark measures the *next* multiplier — executing those
+coalesced batches on real cores instead of time-slicing one GIL.  The
+workload is the fig-4 style sweep (mixed hop counts over a random
+graph, many pipelined clients) driven through two schedulers on the
+same system:
 
 ``in-process``
     the single-process :class:`~repro.serve.scheduler.BatchScheduler`:

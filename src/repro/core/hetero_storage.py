@@ -327,6 +327,41 @@ class HeterogeneousGraphStorage:
             host_streamed_bytes=streamed,
         )
 
+    def load_edges(self, src: int, dsts: List[int], labels: List[int]) -> None:
+        """Insert new edges ``src -> dsts[i]`` in order (bulk load).
+
+        Slot positions, free list, growth and slot totals end as one
+        :meth:`insert_edge` per edge leaves them: positions are popped
+        from the free list LIFO, and a full vector doubles before the
+        next pop.  No ``dst`` may be in the row yet or repeat (a loadable
+        table's pairs are distinct), so no existence check is made and no
+        outcome is reported.
+        """
+        if not dsts:
+            return
+        self.ensure_row(src)
+        vector = self._vectors[src]
+        free_list = self._free_list_map[src]
+        positions: List[int] = []
+        while len(positions) < len(dsts):
+            if not free_list:
+                old_capacity = vector.capacity
+                vector.grow()
+                free_list.extend(range(old_capacity, vector.capacity))
+                self._total_slots += vector.capacity - old_capacity
+            # Pop, last first, as many free slots as are still needed.
+            keep = max(len(free_list) - (len(dsts) - len(positions)), 0)
+            positions.extend(reversed(free_list[keep:]))
+            del free_list[keep:]
+        self._elem_position_map[src].update(zip(dsts, positions))
+        slots = vector.slots
+        for position, dst, label in zip(positions, dsts, labels):
+            slots[2 * position] = dst
+            slots[2 * position + 1] = label
+        vector.size += len(dsts)
+        self._num_edges += len(dsts)
+        self._cache.record(src)
+
     def delete_edge(self, src: int, dst: int) -> HeteroUpdateOutcome:
         """Delete ``src -> dst`` following the split protocol."""
         lookups = 1  # elem_position_map lookup (PIM side).

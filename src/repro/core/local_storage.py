@@ -145,26 +145,30 @@ class LocalGraphStorage:
         self._cache.record(src)
         return True
 
-    def append_edges(self, src: int, pairs) -> None:
-        """Append new edges to ``src``'s existing row with one ``frombytes``.
+    def load_rows(self, nodes: List[int], buffers: List[RowBuffer]) -> None:
+        """Create or extend the rows of ``nodes``, in order, with ``buffers``.
 
-        ``pairs`` holds interleaved ``int64`` ``dst, label`` values as
-        bytes (or a byte ``memoryview``) — the bulk loader's slice of a
-        chunk.  None of their destinations may be in the row yet or
-        repeat: a graph's edges are distinct, which is what lets a bulk
-        load skip :meth:`add_edge`'s search.
+        ``buffers[i]`` holds interleaved ``dst, label`` values for
+        ``nodes[i]`` — the bulk loader's slices of a chunk, one row each.
+        A new (or still empty) row becomes its buffer, so it is kept at
+        exact size; a row with edges appends it.  New rows are created in
+        ``nodes`` order.  No destination may be in its row yet or repeat
+        (a loadable table's pairs are distinct), which is what lets a
+        bulk load skip :meth:`add_edge`'s search.
         """
-        count = len(pairs) >> 4
+        rows = self._rows
+        created = len(nodes) - sum(map(rows.__contains__, nodes))
+        count = sum(map(len, buffers)) >> 1
         if self._memory is not None:
-            self._memory.allocate(count * BYTES_PER_ENTRY)
-        row = self._rows[src]
-        row.frombytes(pairs)
-        if len(row) == 2 * count:
-            # A fresh row: keep an exact-size copy (``frombytes`` leaves
-            # a sixteenth spare, which appends one at a time do not).
-            self._rows[src] = row[:]
+            self._memory.allocate(created * BYTES_PER_ROW + count * BYTES_PER_ENTRY)
+        for node, buffer in zip(nodes, buffers):
+            row = rows.get(node)
+            if row:
+                row.extend(buffer)
+            else:
+                rows[node] = buffer
         self._num_edges += count
-        self._cache.record(src)
+        self._cache.record_all(nodes)
 
     def remove_edge(self, src: int, dst: int) -> bool:
         """Delete ``src -> dst``; return ``True`` if it existed."""

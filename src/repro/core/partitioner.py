@@ -18,7 +18,7 @@ their first neighbor's entry.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +69,13 @@ class GraphPartitioner:
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
         """Place an isolated new node (no edge yet)."""
         return self._policy.assign_node(node, first_neighbor=first_neighbor)
+
+    def assign_nodes(
+        self, nodes: List[int], first_neighbors: List[Optional[int]]
+    ) -> List[int]:
+        """Place a run of distinct new nodes in order, as one
+        :meth:`assign_node` each (the bulk loader's placements)."""
+        return self._policy.assign_nodes(nodes, first_neighbors)
 
     def partition_of(self, node: int) -> Optional[int]:
         """Partition of ``node`` (``HOST_PARTITION`` for the host, ``None`` if unknown)."""

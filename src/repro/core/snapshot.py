@@ -506,6 +506,11 @@ class SnapshotCache:
         if self.base is not None:
             self.dirty.add(node)
 
+    def record_all(self, nodes: Iterable[int]) -> None:
+        """:meth:`record` each of ``nodes``."""
+        if self.base is not None:
+            self.dirty.update(nodes)
+
     def seed_base(self, snapshot: GraphSnapshot) -> None:
         """Install an externally built base (checkpoint restore).
 

@@ -45,7 +45,13 @@ from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
 from repro.engine.base import LiveView
 from repro.graph.digraph import ReadableGraph
-from repro.graph.stream import UpdateKind, UpdateOp, edge_chunks, require_node_ids
+from repro.graph.stream import (
+    UpdateKind,
+    UpdateOp,
+    edge_table,
+    require_loadable,
+    require_node_ids,
+)
 from repro.partition.metrics import PartitionQuality, evaluate_partition
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
@@ -147,30 +153,35 @@ class Moctopus:
         """Bulk-load a graph into this empty system (no simulated cost;
         loading is offline).
 
-        The edges are placed in their stream order, so the radical greedy
+        The graph is read once, into an edge table in its
+        ``labeled_edges()`` order (:func:`~repro.graph.stream.edge_table`).
+        The edges are placed in that order, so the radical greedy
         partitioner makes the decisions a growing database would have
         made, then the nodes no edge mentions are placed in node order.
-        The columnar loader (:mod:`repro.core.bulk_load`) reads the edges
+        The columnar loader (:mod:`repro.core.bulk_load`) walks the table
         a chunk at a time and makes exactly those decisions.  With
-        durability enabled, the same chunks and the node list are first
-        written ahead as one ``BOOTSTRAP`` record.
+        durability enabled, the table and the node list are first written
+        ahead as one ``BOOTSTRAP`` record.
 
-        Raises :class:`RuntimeError` if the system already holds nodes
-        and :class:`ValueError` on a negative node id — both before
-        anything is logged or moves.
+        The graph's ``(src, dst)`` pairs must be distinct, as a
+        :class:`~repro.graph.digraph.DiGraph`'s are.  Raises
+        :class:`RuntimeError` if the system already holds nodes, and
+        :class:`ValueError` on a negative node id (listed or an edge
+        endpoint) or a repeated pair — all before anything is logged or
+        moves.
         """
         with self._serve_lock:
             if len(self._partitioner.partition_map):
                 raise RuntimeError("load_graph requires an empty system")
             nodes = list(graph.nodes())
             require_node_ids(nodes)
-            chunks = edge_chunks(graph.labeled_edges())
+            table = edge_table(graph)
+            require_loadable(table)
             if self._durability is not None:
-                chunks = list(chunks)
-                self._durability.log_bootstrap(chunks, nodes)
-            self._bulk_load(chunks, nodes)
+                self._durability.log_bootstrap(table, nodes)
+            self._bulk_load(table, nodes)
 
-    def _bulk_load(self, chunks: Iterable[np.ndarray], nodes: List[int]) -> None:
+    def _bulk_load(self, table: np.ndarray, nodes: List[int]) -> None:
         """Run the bulk loader (live load and ``BOOTSTRAP`` replay)."""
         with self._serve_lock:
             bulk_load(
@@ -178,7 +189,7 @@ class Moctopus:
                 self._module_storages,
                 self._host_storage,
                 self._migrator,
-                chunks,
+                table,
                 nodes,
             )
             self._epochs.mark_stale()

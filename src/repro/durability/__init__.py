@@ -175,12 +175,10 @@ class DurabilityController:
                 "durable history); restart via Moctopus.recover()"
             ) from self.failed
 
-    def log_bootstrap(
-        self, chunks: Sequence["np.ndarray"], nodes: Sequence[int]
-    ) -> int:
-        """Write-ahead the initial bulk load (its edge chunks and nodes)."""
+    def log_bootstrap(self, table: "np.ndarray", nodes: Sequence[int]) -> int:
+        """Write-ahead the initial bulk load (its edge table and nodes)."""
         self._check_healthy()
-        return self.wal.append_bootstrap(chunks, nodes)
+        return self.wal.append_bootstrap(table, nodes)
 
     def log_batch(
         self, ops: Sequence[UpdateOp], labels: Optional[Sequence[int]]

@@ -14,7 +14,7 @@ uncrashed process would hold after applying the same durable prefix:
    a hard :class:`~repro.durability.wal.CorruptWalError`;
 4. replay the records past the checkpoint's LSN **through the real code
    paths** — bootstrap re-runs the bulk loader over the original edge
-   chunks, update batches re-run ``UpdateProcessor.apply_batch`` (so
+   table, update batches re-run ``UpdateProcessor.apply_batch`` (so
    placements, promotions and byte accounting re-derive exactly), and
    migration journal entries redo their row moves verbatim;
 5. re-attach the durability controller so the recovered system resumes
@@ -197,8 +197,8 @@ def _rebuild(
 
 def _replay(system: "Moctopus", record_type: int, payload: bytes) -> None:
     if record_type == RT_BOOTSTRAP:
-        chunks, nodes = decode_bootstrap(payload)
-        system._bulk_load(chunks, nodes)
+        table, nodes = decode_bootstrap(payload)
+        system._bulk_load(table, nodes)
     elif record_type == RT_BATCH:
         ops, labels = decode_batch(payload)
         with system._serve_lock:

@@ -43,11 +43,11 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.stream import UpdateKind, UpdateOp, array_chunks
+from repro.graph.stream import UpdateKind, UpdateOp
 
 #: First two bytes of every record.
 RECORD_MAGIC = b"WR"
@@ -171,26 +171,24 @@ def decode_batch(payload: bytes) -> Tuple[List[UpdateOp], Optional[List[int]]]:
     return ops, labels
 
 
-def encode_bootstrap(chunks: Sequence[np.ndarray], nodes: Sequence[int]) -> bytes:
+def encode_bootstrap(table: np.ndarray, nodes: Sequence[int]) -> bytes:
     """Payload of a ``BOOTSTRAP`` record (edges and nodes in replay order).
 
-    ``chunks`` are the bulk load's ``(k, 3)`` edge chunks
-    (:func:`~repro.graph.stream.edge_chunks`) — the same arrays the
-    loader consumes next, so a durable load walks the graph once and the
-    edges are copied into the payload once.
+    ``table`` is the bulk load's ``(n, 3)`` edge table
+    (:func:`~repro.graph.stream.edge_table`) — the array the loader
+    walks next, so a durable load reads the graph once and the edges are
+    copied into the payload once.
     """
-    num_edges = sum(len(chunk) for chunk in chunks)
     node_array = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
     return b"".join(
-        [struct.pack("<QQ", num_edges, len(nodes)), *chunks, node_array]
+        [struct.pack("<QQ", len(table), len(nodes)), table, node_array]
     )
 
 
-def decode_bootstrap(payload: bytes) -> Tuple[Iterator[np.ndarray], List[int]]:
-    """Inverse of :func:`encode_bootstrap`: ``(edge chunks, nodes)``.
+def decode_bootstrap(payload: bytes) -> Tuple[np.ndarray, List[int]]:
+    """Inverse of :func:`encode_bootstrap`: ``(edge table, nodes)``.
 
-    The edge chunks are read-only ``(k, 3)`` views of the payload, cut
-    as the live load cut them (:func:`~repro.graph.stream.array_chunks`).
+    The edge table is a read-only ``(n, 3)`` view of the payload.
     """
     num_edges, num_nodes = struct.unpack_from("<QQ", payload, 0)
     offset = struct.calcsize("<QQ")
@@ -199,7 +197,7 @@ def decode_bootstrap(payload: bytes) -> Tuple[Iterator[np.ndarray], List[int]]:
     ).reshape(num_edges, 3)
     offset += 24 * num_edges
     nodes = np.frombuffer(payload, dtype=np.int64, count=num_nodes, offset=offset)
-    return array_chunks(edges), nodes.tolist()
+    return edges, nodes.tolist()
 
 
 def encode_migrations(moves: Sequence[Tuple[int, int, int]]) -> bytes:
@@ -545,11 +543,9 @@ class WriteAheadLog:
         self.last_lsn += 1
         return self.last_lsn
 
-    def append_bootstrap(
-        self, chunks: Sequence[np.ndarray], nodes: Sequence[int]
-    ) -> int:
+    def append_bootstrap(self, table: np.ndarray, nodes: Sequence[int]) -> int:
         """Append the initial bulk load as one record."""
-        return self.append(RT_BOOTSTRAP, encode_bootstrap(chunks, nodes))
+        return self.append(RT_BOOTSTRAP, encode_bootstrap(table, nodes))
 
     def append_batch(
         self, ops: Sequence[UpdateOp], labels: Optional[Sequence[int]]

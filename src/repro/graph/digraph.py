@@ -11,6 +11,7 @@ and deletions).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (
     Dict,
     Iterable,
@@ -22,6 +23,8 @@ from typing import (
     Tuple,
     runtime_checkable,
 )
+
+import numpy as np
 
 Edge = Tuple[int, int]
 LabeledEdge = Tuple[int, int, int]
@@ -207,6 +210,27 @@ class DiGraph:
         for src, row in self._adj.items():
             for dst, label in row.items():
                 yield (src, dst, label)
+
+    def edge_table(self) -> np.ndarray:
+        """:meth:`labeled_edges` as an ``(n, 3)`` ``int64`` array.
+
+        Each column is read straight out of the rows into one
+        preallocated table; no per-edge tuple is built.
+        """
+        rows = self._adj.values()
+        table = np.empty((self._num_edges, 3), dtype=np.int64)
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        sources = np.fromiter(self._adj, dtype=np.int64, count=len(rows))
+        table[:, 0] = np.repeat(sources, degrees)
+        table[:, 1] = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int64, count=self._num_edges
+        )
+        table[:, 2] = np.fromiter(
+            chain.from_iterable(map(dict.values, rows)),
+            dtype=np.int64,
+            count=self._num_edges,
+        )
+        return table
 
     @property
     def num_edges(self) -> int:

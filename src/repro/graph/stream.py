@@ -1,10 +1,12 @@
-"""Update streams: dynamic-graph workloads for insertion and deletion.
+"""Update streams and edge tables: what a bulk load and an update batch read.
 
 The paper's graph-update experiment (Figure 6) inserts 64 K randomly
 selected new edges and deletes 64 K randomly selected existing edges.
 :class:`UpdateStream` produces such batches deterministically.
-:func:`edge_chunks` cuts a bulk load's edge stream into the ``int64``
-chunks the columnar loader and the WAL's ``BOOTSTRAP`` record share.
+:func:`edge_table` turns a graph into the one input of a bulk load — an
+``(n, 3)`` ``int64`` table of ``(src, dst, label)`` rows that the WAL's
+``BOOTSTRAP`` record stores and the columnar loader walks
+:func:`array_chunks` at a time.
 """
 
 from __future__ import annotations
@@ -12,38 +14,43 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.graph.digraph import DiGraph, LabeledEdge
+from repro.graph.digraph import DiGraph, ReadableGraph
 
 Edge = Tuple[int, int]
 
-#: Edge rows a bulk load reads, places and stores at a time — and the
-#: rows a ``BOOTSTRAP`` record is decoded in.  Large enough that numpy
-#: amortises its per-call cost, small enough that a chunk's transient
-#: arrays stay far below the loaded graph's own footprint.
+#: Edge rows a bulk load places and stores at a time.  Large enough that
+#: numpy amortises its per-call cost, small enough that a chunk's
+#: transient arrays stay far below the loaded graph's own footprint.
 EDGE_CHUNK_ROWS = 8192
 
 
-def edge_chunks(edges: Iterable[LabeledEdge]) -> Iterator[np.ndarray]:
-    """``(src, dst, label)`` triples as ``int64`` ``(k, 3)`` arrays, in
-    stream order, :data:`EDGE_CHUNK_ROWS` rows at a time."""
-    edges = iter(edges)
-    while True:
-        chunk = np.fromiter(
-            chain.from_iterable(islice(edges, EDGE_CHUNK_ROWS)), dtype=np.int64
-        )
-        if not chunk.size:
-            return
-        yield chunk.reshape(-1, 3)
+def edge_table(graph: ReadableGraph) -> np.ndarray:
+    """``graph``'s edges as one read-only ``(n, 3)`` ``int64`` table.
+
+    Row ``i`` is the ``i``-th ``(src, dst, label)`` triple of
+    ``graph.labeled_edges()``: placement depends on stream order, so the
+    table keeps it.  A :class:`DiGraph` fills the columns straight from
+    its rows (:meth:`DiGraph.edge_table`); any other graph is read
+    through its edge iterator.
+    """
+    if isinstance(graph, DiGraph):
+        table = graph.edge_table()
+    else:
+        table = np.fromiter(
+            chain.from_iterable(graph.labeled_edges()), dtype=np.int64
+        ).reshape(-1, 3)
+    table.flags.writeable = False
+    return table
 
 
 def array_chunks(edges: np.ndarray) -> Iterator[np.ndarray]:
-    """Row views of an ``(n, 3)`` edge array, :data:`EDGE_CHUNK_ROWS` at
-    a time (the chunks :func:`edge_chunks` would have produced)."""
+    """Row views of an ``(n, 3)`` edge table, :data:`EDGE_CHUNK_ROWS` at
+    a time."""
     for start in range(0, len(edges), EDGE_CHUNK_ROWS):
         yield edges[start : start + EDGE_CHUNK_ROWS]
 
@@ -58,6 +65,40 @@ def require_node_ids(ids: Iterable[int]) -> None:
     lowest = min(ids, default=0)
     if lowest < 0:
         raise ValueError(f"node ids must be non-negative, got {lowest}")
+
+
+def require_loadable(table: np.ndarray) -> None:
+    """Raise :class:`ValueError` unless an edge table can be bulk-loaded.
+
+    Both endpoint columns must hold non-negative node ids
+    (:func:`require_node_ids`), and no ``(src, dst)`` pair may repeat:
+    the loader appends every edge to its row without searching it, so a
+    repeated pair would be stored twice.  The pairs are checked by
+    sorting one packed key per edge and comparing neighbours.
+    """
+    if not len(table):
+        return
+    ends = table[:, :2]
+    require_node_ids([int(ends.min())])
+    srcs, dsts = table[:, 0], table[:, 1]
+    width = int(dsts.max()) + 1
+    if int(srcs.max()) * width + width <= np.iinfo(np.int64).max:
+        # Built and sorted in place: one edge column's worth of memory.
+        keys = srcs * width
+        keys += dsts
+        keys.sort()
+        repeats = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeats.size:
+            src, dst = divmod(int(keys[repeats[0]]), width)
+            raise ValueError(f"edge ({src}, {dst}) appears more than once")
+        return
+    # Ids too large to pack: order the pairs column by column instead.
+    order = np.lexsort((dsts, srcs))
+    pairs = ends[order]
+    repeats = np.flatnonzero((pairs[1:] == pairs[:-1]).all(axis=1))
+    if repeats.size:
+        src, dst = pairs[repeats[0]].tolist()
+        raise ValueError(f"edge ({src}, {dst}) appears more than once")
 
 
 class UpdateKind(Enum):

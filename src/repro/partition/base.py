@@ -49,8 +49,8 @@ class PartitionMap:
         #: dict is never rebound, and the lookup is the hottest call of
         #: bulk loading and update placement.
         self.partition_of = self._assignment.get
-        #: Whether a node has been placed — bound the same way (the bulk
-        #: loader asks it of every node a chunk of edges mentions).
+        #: Whether a node has been placed — bound the same way (the
+        #: per-edge ingest asks it of both endpoints of every edge).
         self.is_assigned = self._assignment.__contains__
         self._sizes: Dict[int, int] = {partition: 0 for partition in range(num_partitions)}
         self._sizes[HOST_PARTITION] = 0
@@ -72,6 +72,24 @@ class PartitionMap:
         self._sizes[partition] += 1
         self._journal.append((node, partition))
         self.version += 1
+
+    def assign_new(self, nodes: List[int], partitions: List[int]) -> None:
+        """:meth:`assign` each of ``nodes`` to its partition, in order.
+
+        The nodes must be distinct and not placed yet (a placement run's
+        output): the map, sizes, journal and version then end exactly as
+        one :meth:`assign` per node leaves them.
+        """
+        if not nodes:
+            return
+        self._validate(min(partitions))
+        self._validate(max(partitions))
+        self._assignment.update(zip(nodes, partitions))
+        sizes = self._sizes
+        for partition in partitions:
+            sizes[partition] += 1
+        self._journal.extend(zip(nodes, partitions))
+        self.version += len(nodes)
 
     def changes_since(self, version: int) -> Optional[List[Tuple[int, int]]]:
         """Placement changes after ``version``, oldest first.
@@ -100,7 +118,8 @@ class PartitionMap:
 
     def pim_sizes(self) -> List[int]:
         """Node counts of the PIM partitions only (index = partition id)."""
-        return [self._sizes[partition] for partition in range(self.num_partitions)]
+        # ``_sizes`` holds the PIM partitions in id order, then the host.
+        return list(islice(self._sizes.values(), self.num_partitions))
 
     def host_size(self) -> int:
         """Number of nodes on the host partition."""
@@ -156,6 +175,13 @@ class StreamingPartitioner(ABC):
     @abstractmethod
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
         """Place a node seen for the first time; return its partition."""
+
+    def assign_nodes(
+        self, nodes: List[int], first_neighbors: List[Optional[int]]
+    ) -> List[int]:
+        """Place a run of distinct new nodes in order, as one
+        :meth:`assign_node` call each; return their partitions."""
+        return list(map(self.assign_node, nodes, first_neighbors))
 
     def ingest_edge(self, src: int, dst: int) -> Tuple[int, int]:
         """Observe the edge ``src -> dst``; place unseen endpoints.

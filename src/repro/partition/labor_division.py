@@ -98,6 +98,20 @@ class LaborDivisionPartitioner(StreamingPartitioner):
             return HOST_PARTITION
         return self._pim_partitioner.assign_node(node, first_neighbor=first_neighbor)
 
+    def assign_nodes(
+        self, nodes: List[int], first_neighbors: List[Optional[int]]
+    ) -> List[int]:
+        """Place a run of new nodes, as one :meth:`assign_node` each.
+
+        A run with no high-degree node in it (every run of a bulk load:
+        a node is placed before any out-edge of it is counted) is the
+        PIM policy's run.
+        """
+        highest = max(map(self._out_degree.get, nodes, repeat(0)), default=0)
+        if highest > self.high_degree_threshold:
+            return super().assign_nodes(nodes, first_neighbors)
+        return self._pim_partitioner.assign_nodes(nodes, first_neighbors)
+
     def ingest_edge(self, src: int, dst: int) -> Tuple[int, int]:
         """Observe an edge, place endpoints, and promote a hub if needed."""
         self._out_degree[src] = self._out_degree.get(src, 0) + 1

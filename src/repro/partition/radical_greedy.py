@@ -19,7 +19,7 @@ Placement rule (Section 3.2.2):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.partition.base import StreamingPartitioner
 from repro.partition.hash_partition import stable_node_hash
@@ -71,49 +71,65 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         self.fallback_placements = 0
 
     # ------------------------------------------------------------------
-    def capacity_limit(self) -> float:
-        """Current dynamic capacity: ``factor * average assigned nodes``.
-
-        The constraint grows with the graph ("increasing with graph
-        scale"), so early placements are never starved.
-        """
-        average = self.partition_map.pim_total() / self.num_partitions
-        return max(self.capacity_factor * average, float(self.min_capacity))
-
-    def _under_capacity(self, partition: int, limit: float) -> bool:
-        return self.partition_map.size(partition) + 1 <= limit
-
-    def _hash_fallback(self, node: int, limit: float) -> int:
+    def _hash_fallback(self, node: int, limit: float, sizes: List[int]) -> int:
         """Pick an under-capacity partition by hashing, as the paper describes."""
-        start = stable_node_hash(node, self._salt) % self.num_partitions
-        for offset in range(self.num_partitions):
-            candidate = (start + offset) % self.num_partitions
-            if self._under_capacity(candidate, limit):
+        count = self.num_partitions
+        start = stable_node_hash(node, self._salt) % count
+        for offset in range(count):
+            candidate = (start + offset) % count
+            if sizes[candidate] + 1 <= limit:
                 return candidate
         # Every partition is at the limit (can only happen transiently for
         # tiny graphs); fall back to the least loaded one.
-        sizes = self.partition_map.pim_sizes()
-        return min(range(self.num_partitions), key=lambda partition: sizes[partition])
+        return min(range(count), key=sizes.__getitem__)
 
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
         """Place ``node`` next to its first neighbor when capacity allows."""
-        # Only the placement itself moves the limit: compute it once.
-        limit = self.capacity_limit()
-        if first_neighbor is not None:
-            preferred = self.partition_map.partition_of(first_neighbor)
-            if (
-                preferred is not None
-                and preferred >= 0
-                and self._under_capacity(preferred, limit)
-            ):
-                self.partition_map.assign(node, preferred)
-                self.greedy_placements += 1
-                return preferred
+        return self.assign_nodes([node], [first_neighbor])[0]
 
-        partition = self._hash_fallback(node, limit)
-        self.partition_map.assign(node, partition)
-        self.fallback_placements += 1
-        return partition
+    def assign_nodes(
+        self, nodes: List[int], first_neighbors: List[Optional[int]]
+    ) -> List[int]:
+        """Place a run of distinct new nodes in order, by the rule above.
+
+        Each node is placed as :meth:`assign_node` would place it after
+        the ones before it: the capacity limit and the partition sizes
+        move with every placement, and a first neighbor placed earlier in
+        the run counts.  The run reads the map's sizes once and writes
+        its placements once (:meth:`PartitionMap.assign_new`).
+        """
+        partition_map = self.partition_map
+        partition_of = partition_map.partition_of
+        sizes = partition_map.pim_sizes()
+        total = partition_map.pim_total()
+        count = self.num_partitions
+        factor = self.capacity_factor
+        floor = float(self.min_capacity)
+        placed: Dict[int, int] = {}
+        partitions: List[int] = []
+        append = partitions.append
+        greedy = 0
+        for node, neighbor in zip(nodes, first_neighbors):
+            # The dynamic capacity grows with the graph ("increasing with
+            # graph scale"), so early placements are never starved.
+            limit = factor * (total / count)
+            if limit < floor:
+                limit = floor
+            partition = partition_of(neighbor)
+            if partition is None:
+                partition = placed.get(neighbor)
+            if partition is None or partition < 0 or sizes[partition] + 1 > limit:
+                partition = self._hash_fallback(node, limit, sizes)
+            else:
+                greedy += 1
+            sizes[partition] += 1
+            total += 1
+            placed[node] = partition
+            append(partition)
+        partition_map.assign_new(nodes, partitions)
+        self.greedy_placements += greedy
+        self.fallback_placements += len(partitions) - greedy
+        return partitions
 
     # ------------------------------------------------------------------
     def migrate(self, node: int, target_partition: int) -> None:

@@ -11,7 +11,7 @@ compatible query (same hop count) into one engine-level
 published epoch.  A drain takes what is already queued and never waits
 for more.  Eight clients asking 2-hop questions cost one batched plan
 execution, not eight — which is where the serving layer's throughput
-multiplier comes from (see ``benchmarks/bench_concurrent_serving.py``).
+multiplier comes from.
 
 Every coalesced batch pins the newest epoch for exactly one execution,
 so scheduled queries always observe a consistent published state while

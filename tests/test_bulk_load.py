@@ -8,19 +8,23 @@ and shuffled, with self-loops and isolated nodes — under every
 placement configuration, chunk size and snapshot state, and requires the
 same partition map (order, version, journal, sizes), degree counters,
 placement counters, storages (row order, buffers, memory, dirty rows),
-host slot layout and CSR snapshots.  Hand-built cases pin the bugs the
-per-edge path had and the load's preconditions.
+host slot layout and CSR snapshots.  The host's bulk ``load_edges`` is
+held to per-edge ``insert_edge`` on its own, holes and growth included.
+Hand-built cases pin the bugs the per-edge path had, the load's
+preconditions (a negative endpoint, a repeated pair) and its cost.
 """
 
 from __future__ import annotations
 
+import cProfile
 import gc
+import pstats
 import random
 import tracemalloc
+from array import array
 from typing import Dict, List, Optional, Tuple
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,7 @@ from hypothesis import strategies as st
 from model import load_per_edge
 from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
+from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.graph import DiGraph, power_law_graph
 from repro.graph import stream
@@ -230,18 +235,77 @@ def test_bootstrap_only_recovery_equals_the_live_load(tmp_path, chunk_rows):
         recovered.close()
 
 
-def test_append_edges_charges_memory_and_dirties_the_row():
-    """The storage's bulk append on its own: a load dirties every row it
-    creates anyway, so only a row that existed before shows the record."""
+def test_load_rows_charges_memory_and_dirties_the_rows():
+    """The storage's bulk row fill on its own: an existing row appends,
+    an empty one and a new one take their buffers, new rows in order."""
     memory = LocalMemory(1 << 20)
     storage = LocalGraphStorage(memory=memory)
     storage.add_edge(1, 2, 5)
-    storage.to_csr()  # a cached base the append must be spliced into
-    storage.append_edges(1, np.array([3, 6, 4, 7], dtype=np.int64).tobytes())
+    storage.ensure_row(2)
+    storage.to_csr()  # a cached base the fill must be spliced into
+    storage.load_rows(
+        [9, 1, 2, 8],
+        [array("q"), array("q", [3, 6, 4, 7]), array("q", [1, 0]), array("q", [1, 2])],
+    )
+    assert list(storage.rows()) == [1, 2, 9, 8]
     assert storage.next_hops_with_labels(1) == [(2, 5), (3, 6), (4, 7)]
-    assert storage.num_edges == 3
+    assert storage.next_hops_with_labels(2) == [(1, 0)]
+    assert storage.next_hops_with_labels(8) == [(1, 2)]
+    assert storage.num_edges == 5
     assert memory.used_bytes == storage.storage_bytes
-    assert storage.to_csr().dsts.tolist() == [2, 3, 4]
+    assert sorted(storage._cache.dirty) == [1, 2, 8, 9]
+    assert storage.to_csr().dsts.tolist() == [2, 3, 4, 1, 1]
+
+
+@st.composite
+def host_rows(draw):
+    """A host row after some inserts and deletes, and new edges for it."""
+    inserted = draw(st.lists(st.integers(0, 60), max_size=40, unique=True))
+    deleted = draw(st.lists(st.sampled_from(inserted), unique=True)) if inserted else []
+    fresh = draw(
+        st.lists(
+            st.integers(0, 120).filter(lambda dst: dst not in set(inserted) - set(deleted)),
+            max_size=50,
+            unique=True,
+        )
+    )
+    return inserted, deleted, fresh
+
+
+@settings(max_examples=100)
+@given(row=host_rows(), promoted=st.booleans())
+def test_host_load_edges_equals_one_insert_per_edge(row, promoted):
+    """Slot positions, free lists, growth and slot totals match per-edge
+    ``insert_edge`` — on a promoted row or a grown one with holes."""
+    inserted, deleted, fresh = row
+
+    def build():
+        host = HeterogeneousGraphStorage(4)
+        if promoted:
+            host.insert_row(7, [(dst, dst % 3) for dst in inserted])
+        else:
+            host.ensure_row(7)
+            for dst in inserted:
+                host.insert_edge(7, dst, dst % 3)
+        for dst in deleted:
+            host.delete_edge(7, dst)
+        host.to_csr()
+        return host
+
+    bulk, oracle = build(), build()
+    bulk.load_edges(7, fresh, [dst % 5 for dst in fresh])
+    for dst in fresh:
+        oracle.insert_edge(7, dst, dst % 5)
+    for host in (bulk, oracle):
+        assert host.num_edges == len(set(inserted) - set(deleted)) + len(fresh)
+    vector, expected = bulk._vectors[7], oracle._vectors[7]
+    assert (vector.slots.tolist(), vector.size) == (expected.slots.tolist(), expected.size)
+    assert list(bulk._elem_position_map[7].items()) == list(
+        oracle._elem_position_map[7].items()
+    )
+    assert bulk._free_list_map[7].tolist() == oracle._free_list_map[7].tolist()
+    assert bulk._total_slots == oracle._total_slots
+    assert bulk._cache.dirty == oracle._cache.dirty
 
 
 def test_tiny_module_memory_fails_the_loader_and_the_oracle_alike():
@@ -282,6 +346,67 @@ def test_a_negative_node_id_is_refused_before_the_log(tmp_path):
         system.close()
 
 
+@pytest.mark.parametrize("engine", ["python", "vectorized"])
+def test_a_negative_edge_endpoint_is_refused_before_the_log(tmp_path, engine):
+    """Node -2 appears only as an edge endpoint, never in the node list:
+    once loaded, the scalar kernel answered through it and the array
+    kernels did not."""
+    system = Moctopus(_config(durability_dir=str(tmp_path), engine=engine))
+    try:
+        with pytest.raises(ValueError, match="non-negative, got -2"):
+            system.load_graph(EdgeStream([(0, -2, 0), (1, 0, 0), (-2, 1, 0)], [0, 1]))
+        assert system.durable_lsn == 0
+        assert system.num_nodes == 0
+        system.load_graph(EdgeStream([(0, 2, 0), (1, 0, 0), (2, 1, 0)], [0, 1]))
+        assert system.durable_lsn == 1
+        result, _ = system.batch_khop([1, 0, 2], 2)
+        assert [sorted(answer) for answer in result.destinations] == [[2], [1], [0]]
+    finally:
+        system.close()
+
+
+def test_a_repeated_pair_is_refused_before_the_log(tmp_path):
+    """The loader appends without searching: a repeated ``(src, dst)``
+    was stored twice, and deleting it left one copy behind."""
+    system = Moctopus(_config(durability_dir=str(tmp_path)))
+    try:
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) appears more than once"):
+            system.load_graph(EdgeStream([(0, 1, 1), (0, 1, 2), (1, 2, 0)], [0, 1, 2]))
+        assert system.durable_lsn == 0
+        assert system.num_nodes == 0
+        system.load_graph(EdgeStream([(0, 1, 2), (1, 2, 0)], [0, 1, 2]))
+        system.delete_edges([(0, 1)])
+        assert system.num_edges == 1
+        result, _ = system.batch_khop([0], 1)
+        assert sorted(result.destinations[0]) == []
+    finally:
+        system.close()
+
+
+def test_a_repeated_pair_of_unpackable_ids_is_refused():
+    """Ids too large to pack into one sort key take the column-wise check."""
+    big = 2**40
+    with pytest.raises(ValueError, match=rf"edge \({big}, {big + 1}\) appears"):
+        Moctopus.from_graph(
+            EdgeStream([(big, big + 1, 0), (1, big, 0), (big, big + 1, 3)], [])
+        )
+    system = Moctopus.from_graph(EdgeStream([(big, big + 1, 0), (big + 1, big, 0)], []))
+    assert system.num_edges == 2
+
+
+def test_load_graph_call_count_stays_under_the_ceiling():
+    """The interpreter calls of one load of the smoke graph (exact on
+    repeat): 66 583 for the loader that made per-node, per-row and
+    per-hub-edge calls, 8 124 for this one.  The ceiling is a third of
+    the former."""
+    graph = power_law_graph(1200, edges_per_node=4, skew=0.6, reciprocity=0.3, seed=13)
+    system = Moctopus(MoctopusConfig(cost_model=scaled_cost_model()))
+    profiler = cProfile.Profile()
+    profiler.runcall(system.load_graph, graph)
+    assert system.num_edges == graph.num_edges
+    assert pstats.Stats(profiler).total_calls <= 66_583 // 3
+
+
 def test_a_self_loop_promotion_leaves_no_phantom_row():
     """The source's (T+1)-th out-edge is a self-loop: the promoted row
     must not be re-created, empty, on the module it just left."""
@@ -298,9 +423,10 @@ def test_a_self_loop_promotion_leaves_no_phantom_row():
 def test_load_transient_bytes_stay_under_the_ceiling():
     """The load's traced peak above what it retains, on the smoke graph.
 
-    Measured 636 202 B: the graph's 6 506 edges are one chunk, so this
-    is one chunk's arrays plus the node-id dict (the per-edge loop held
-    one edge at a time: 832 B).  The ceiling sits ~10 % above.
+    Measured 548 706 B: the graph's 6 506 edges are one chunk, so this
+    is the edge table (156 KB) plus one chunk's arrays — at the peak,
+    the first-mention search's — and the node-id dict (the per-edge loop
+    held one edge at a time: 832 B).  The ceiling sits ~10 % above.
     """
     graph = power_law_graph(1200, edges_per_node=4, skew=0.6, reciprocity=0.3, seed=13)
     system = Moctopus(MoctopusConfig(cost_model=scaled_cost_model()))
@@ -312,4 +438,4 @@ def test_load_transient_bytes_stay_under_the_ceiling():
     finally:
         tracemalloc.stop()
     assert system.num_edges == graph.num_edges
-    assert peak - retained < 700_000
+    assert peak - retained < 600_000

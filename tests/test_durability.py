@@ -27,7 +27,6 @@ import os
 import shutil
 import struct
 import tempfile
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -904,8 +903,8 @@ def _bootstrap_payload_from_lists(edges, nodes) -> bytes:
 
 
 def test_streamed_bootstrap_record_is_byte_identical(tmp_path):
-    """Building the bulk load's record from its edge chunks changes no
-    byte on disk, whatever the chunk size."""
+    """Building the bulk load's record from its edge table changes no
+    byte on disk, and decoding it gives the table back."""
     graph = power_law_graph(300, edges_per_node=3, seed=11)
     for index, (src, dst) in enumerate(list(graph.edges())[::7]):
         graph.add_edge(src, dst, 1 + index % 3)  # relabel: labels matter too
@@ -913,16 +912,14 @@ def test_streamed_bootstrap_record_is_byte_identical(tmp_path):
     expected = _bootstrap_payload_from_lists(
         list(graph.labeled_edges()), list(graph.nodes())
     )
-    for chunk_rows in (1, 7, stream.EDGE_CHUNK_ROWS):
-        with mock.patch.object(stream, "EDGE_CHUNK_ROWS", chunk_rows):
-            chunks = list(stream.edge_chunks(graph.labeled_edges()))
-            assert encode_bootstrap(chunks, list(graph.nodes())) == expected
-            decoded, nodes = decode_bootstrap(expected)
-            decoded = list(decoded)
-        assert [len(chunk) for chunk in decoded] == [len(chunk) for chunk in chunks]
-        assert np.array_equal(np.concatenate(decoded), np.concatenate(chunks))
-        assert nodes == list(graph.nodes())
-    assert encode_bootstrap([], []) == _bootstrap_payload_from_lists([], [])
+    table = stream.edge_table(graph)
+    assert encode_bootstrap(table, list(graph.nodes())) == expected
+    decoded, nodes = decode_bootstrap(expected)
+    assert np.array_equal(decoded, table)
+    assert not decoded.flags.writeable
+    assert nodes == list(graph.nodes())
+    empty = stream.edge_table(DiGraph())
+    assert encode_bootstrap(empty, []) == _bootstrap_payload_from_lists([], [])
 
     system = Moctopus.from_graph(graph, _config(tmp_path))
     expected_state = fingerprint(system)

@@ -1,4 +1,4 @@
-"""Tests for edge-list IO and update streams."""
+"""Tests for edge-list IO, edge tables and update streams."""
 
 from __future__ import annotations
 
@@ -6,18 +6,25 @@ import dataclasses
 import multiprocessing
 import pickle
 
+import numpy as np
 import pytest
 
+from repro.core import Moctopus
 from repro.graph import (
     DiGraph,
     UpdateKind,
     UpdateOp,
     UpdateStream,
+    community_graph,
     iter_edge_list,
+    power_law_graph,
+    random_graph,
     read_edge_list,
+    road_network,
     write_edge_list,
 )
 from repro.graph.io import write_edges
+from repro.graph.stream import edge_table
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -49,6 +56,53 @@ def test_write_edges_plain(tmp_path):
     count = write_edges([(1, 2), (3, 4)], path)
     assert count == 2
     assert list(iter_edge_list(path)) == [(1, 2), (3, 4)]
+
+
+def _assert_table_is_labeled_edges(graph) -> None:
+    table = edge_table(graph)
+    assert table.dtype == np.int64
+    assert table.shape == (graph.num_edges, 3)
+    assert not table.flags.writeable
+    assert table.tolist() == [list(edge) for edge in graph.labeled_edges()]
+
+
+def _relabelled(graph: DiGraph) -> DiGraph:
+    """``graph`` with varied labels and a removed edge, order intact."""
+    edges = list(graph.edges())
+    for index, (src, dst) in enumerate(edges[::5]):
+        graph.add_edge(src, dst, 1 + index % 3)
+    graph.remove_edge(*edges[1])
+    return graph
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: road_network(6, 7, extra_edge_fraction=0.2, seed=1),
+        lambda: power_law_graph(300, edges_per_node=3, skew=0.8, seed=2),
+        lambda: community_graph(4, 25, hub_fraction=0.05, seed=3),
+        lambda: random_graph(80, 400, seed=4),
+    ],
+    ids=["road_network", "power_law_graph", "community_graph", "random_graph"],
+)
+def test_edge_table_is_labeled_edges_row_for_row(build):
+    _assert_table_is_labeled_edges(_relabelled(build()))
+
+
+def test_edge_table_of_a_read_edge_list(tmp_path):
+    path = tmp_path / "snap.txt"
+    path.write_text("# SNAP header\n5\t1\n1 2 999\n5 0\n2 5\n1 0\n")
+    graph = read_edge_list(path)
+    assert edge_table(graph).tolist() == [[5, 1, 0], [5, 0, 0], [1, 2, 0], [1, 0, 0], [2, 5, 0]]
+    _assert_table_is_labeled_edges(graph)
+    _assert_table_is_labeled_edges(DiGraph())
+
+
+def test_edge_table_of_a_loaded_system_view():
+    """Any readable graph converts through its edge iterator."""
+    system = Moctopus.from_graph(_relabelled(power_law_graph(200, seed=5)))
+    _assert_table_is_labeled_edges(system.graph)
+    _assert_table_is_labeled_edges(Moctopus().graph)
 
 
 def test_insertion_batch_avoids_existing_edges():

@@ -172,6 +172,54 @@ def test_labor_division_routes_hubs_to_host():
     assert partitioner.pending_promotions() == 0
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    placed=st.lists(st.integers(0, 30), max_size=20, unique=True),
+    run=st.lists(st.integers(31, 70), max_size=40, unique=True),
+    policy=st.sampled_from(["radical_greedy", "hash", "labor"]),
+    data=st.data(),
+)
+def test_a_placement_run_places_like_one_assign_node_each(placed, run, policy, data):
+    """A run sees the partitions, sizes and limits its earlier nodes left
+    behind — on a map with host nodes and, under labor division, with
+    high-degree nodes in the run."""
+    targets = st.sampled_from(placed + run) if placed + run else st.none()
+    neighbors = data.draw(
+        st.lists(st.none() | targets, min_size=len(run), max_size=len(run))
+    )
+
+    def build():
+        if policy == "hash":
+            return HashPartitioner(3)
+        partitioner = RadicalGreedyPartitioner(3, capacity_factor=1.0, min_capacity=2)
+        if policy == "labor":
+            partitioner = LaborDivisionPartitioner(partitioner, high_degree_threshold=2)
+        for node in placed:
+            partitioner.assign_node(node)
+        if policy == "labor" and placed:
+            partitioner.promote(placed[0])
+            partitioner.observe(run[::3], [3] * len(run[::3]))
+        return partitioner
+
+    def state(partitioner):
+        pmap = partitioner.partition_map
+        inner = getattr(partitioner, "_pim_partitioner", partitioner)
+        return (
+            list(pmap.items()),
+            pmap.version,
+            list(pmap._journal),
+            dict(pmap._sizes),
+            getattr(inner, "greedy_placements", None),
+            getattr(inner, "fallback_placements", None),
+        )
+
+    bulk, single = build(), build()
+    assert bulk.assign_nodes(run, neighbors) == [
+        single.assign_node(node, neighbor) for node, neighbor in zip(run, neighbors)
+    ]
+    assert state(bulk) == state(single)
+
+
 def test_labor_division_threshold_validation():
     with pytest.raises(ValueError):
         LaborDivisionPartitioner(RadicalGreedyPartitioner(2), high_degree_threshold=0)

@@ -517,6 +517,67 @@ def test_epoch_retention_under_concurrent_churn():
     )
 
 
+def test_scheduler_pipelined_readers_under_writer_churn():
+    """Readers keep a pipeline of futures at one scheduler while a writer
+    inserts and deletes: every future resolves in time with the model's
+    answer (the writer's edges are unreachable from the readers'
+    sources), and no pin is left after ``close()``."""
+    import threading
+
+    system = build_system(25, "vectorized")
+    model = build_model(25)
+    num_readers, per_reader, depth = 4, 24, 8
+    answered: list = []
+    errors: list = []
+    stop_writer = threading.Event()
+
+    def writer():
+        round_id = 0
+        while not stop_writer.is_set():
+            base = 100_000 + 64 * round_id
+            edges = [(base + offset, base + offset + 1) for offset in range(32)]
+            system.insert_edges(edges)
+            system.delete_edges(edges[::2])
+            round_id += 1
+            time.sleep(0.002)
+
+    scheduler = system.serve()
+
+    def reader(reader_id: int):
+        try:
+            pending = []
+            for index in range(per_reader):
+                source = (reader_id * 7 + index) % 28
+                pending.append((source, scheduler.submit(source, 2)))
+                if len(pending) >= depth:
+                    source, future = pending.pop(0)
+                    answered.append((source, future.result(timeout=60)))
+            for source, future in pending:
+                answered.append((source, future.result(timeout=60)))
+        except BaseException as error:  # pragma: no cover - debugging aid
+            errors.append(error)
+
+    writer_thread = threading.Thread(target=writer)
+    writer_thread.start()
+    readers = [
+        threading.Thread(target=reader, args=(reader_id,))
+        for reader_id in range(num_readers)
+    ]
+    for thread in readers:
+        thread.start()
+    for thread in readers:
+        thread.join()
+    stop_writer.set()
+    writer_thread.join()
+    scheduler.close()
+    assert not errors, errors
+    assert len(answered) == num_readers * per_reader
+    for source, destinations in answered:
+        assert destinations == model.khop([source], 2)[0]
+    assert system._epochs.published_epochs > 1
+    assert system._epochs.pins() == 0
+
+
 def test_scheduler_close_is_idempotent_and_concurrent():
     """Double close, concurrent close, and close-with-queued-work all
     resolve every admitted future exactly once."""
