@@ -67,10 +67,10 @@ def main() -> None:
 
     # 5. Peek at the cost-based planner.  Epoch-pinned executions
     # (sessions, the batch scheduler) are costed against the epoch's
-    # frozen degree/label statistics: fixed-length expressions may run
-    # *reverse* from the rarer accepting side, and repeated queries are
-    # answered from epoch-keyed plan/result caches (bit-identical to an
-    # uncached run; see moctopus.cache_stats for hit counters).
+    # frozen degree/label statistics (a per-hop frontier estimate), and
+    # repeated queries are answered from epoch-keyed plan/result caches
+    # (bit-identical to an uncached run; see moctopus.cache_stats for
+    # hit counters).
     print(f"\nplanner view of the 2-hop workload:")
     print(moctopus.explain(KHopQuery(hops=2, sources=query.sources[:8])))
 

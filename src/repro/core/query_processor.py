@@ -6,9 +6,7 @@ The processor's job is planning and delegation, not data movement:
    (:mod:`repro.rpq.planner`): ``k`` ``smxm`` expansions plus the
    ``mwait`` reduce for the paper's k-hop workload and fixed-length
    RPQs, a DFA-guided fixpoint for the rest — costed from the view's
-   frozen epoch when it has one, which may flip a fixed-length plan to
-   *reverse* expansion from the rarer accepting side — and bound to the
-   view's row count;
+   frozen epoch when it has one, and bound to the view's row count;
 2. the plan is handed, with the view to run it against, to the
    :class:`~repro.engine.base.ExecutionEngine` selected by
    ``MoctopusConfig.engine`` (or ``Moctopus.use_engine``) — the scalar
@@ -125,9 +123,9 @@ class QueryProcessor:
         ``view`` is :attr:`live` for a live query, or a pinned
         :class:`~repro.serve.epoch.EpochView` (frozen owners and
         snapshots, the pinning reader's own totals platform).  Only an
-        unpatched pinned view has frozen statistics, so only it gets
-        cost-based direction and the epoch-keyed caches; the live view and
-        session-patched views plan forward and always execute.
+        unpatched pinned view has frozen statistics, so only it gets a
+        costed plan and the epoch-keyed caches; the live view and
+        session-patched views plan uncosted and always execute.
         ``engine`` defaults to the processor's current backend; a session
         or a scheduler passes the one it captured when it started.
         """
@@ -170,7 +168,7 @@ class QueryProcessor:
         """The plan ``query`` runs as against ``view``, without running it.
 
         Costed from the view's frozen epoch when it has one (structure
-        only and forward otherwise), with fixpoint bounds derived from
+        only otherwise), with fixpoint bounds derived from
         the view's row count — frozen for a pinned execution, live
         otherwise.  ``explain()`` renders this plan, and the parallel
         worker pool plans here once and ships the picklable result to
@@ -179,9 +177,8 @@ class QueryProcessor:
 
         Plans are cached per ``(epoch id, query shape, batch size)`` —
         epoch-keyed, so an entry can never outlive the data it was
-        planned against.  Batch size is part of the key because the
-        direction decision depends on how many sources amortize the
-        forward fan-out.
+        planned against.  Batch size is part of the key because the cost
+        estimates scale with it.
         """
         epoch = view.frozen_epoch()
         plan_key = None

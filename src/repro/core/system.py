@@ -453,9 +453,9 @@ class Moctopus:
 
         With ``pinned`` (the default) the query is planned against the
         latest published epoch, so the explanation shows what a session
-        opened now would run — expansion direction, cost estimates and
-        the planner's reasoning included.  ``pinned=False`` explains the
-        live (statistics-free, always-forward) plan instead.
+        opened now would run — cost estimates and the planner's
+        reasoning included.  ``pinned=False`` explains the live
+        (statistics-free, uncosted) plan instead.
         """
         from repro.serve.epoch import EpochView
 

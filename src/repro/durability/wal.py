@@ -497,11 +497,6 @@ class WriteAheadLog:
             # orphan fsync'd record bytes in an unlinked file.
             fsync_directory(self.directory)
 
-    @property
-    def current_segment(self) -> str:
-        """Path of the segment currently being appended to."""
-        return segment_path(self.directory, self._segment_index)
-
     def append(self, record_type: int, payload: bytes) -> int:
         """Durably append one record; returns its LSN.
 

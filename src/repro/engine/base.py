@@ -15,7 +15,7 @@ frontier math.
 
 A :class:`PlanView` is all the graph state a backend sees — owners,
 adjacency rows, the accounting platform.  :class:`LiveView` reads the
-live storages; a pinned, session-patched, pool-attached or reversed
+live storages; a pinned, session-patched or pool-attached
 :class:`~repro.serve.epoch.EpochView` reads frozen arrays.  Engines keep
 nothing between calls but the label table, so one instance per backend
 serves every caller and thread; :func:`create_engine` maps a
@@ -85,12 +85,11 @@ class PlanView(Protocol):
 
     Owner lookups, adjacency reads and the accounting platform all come
     from the view, so a backend never asks whether it is running live,
-    pinned, patched or reversed: :class:`LiveView` answers from the live
-    storages, an :class:`~repro.serve.epoch.EpochView` from an epoch's
-    frozen arrays (optionally patched with a session's uncommitted
-    writes, or swapped for the epoch's reversed adjacency), folding its
-    totals into the pinning reader's own platform so unlogged reads stay
-    out of the live system's checkpointed counters.  (Phase state lives
+    pinned or patched: :class:`LiveView` answers from the live storages,
+    an :class:`~repro.serve.epoch.EpochView` from an epoch's frozen
+    arrays (optionally patched with a session's uncommitted writes),
+    folding its totals into the pinning reader's own platform so
+    unlogged reads stay out of the live system's checkpointed counters.  (Phase state lives
     in each operation, not on the platform, so executions sharing a
     platform would still account exactly.)
     """
@@ -121,10 +120,6 @@ class PlanView(Protocol):
 
     def report_misplaced(self, reports: ReportColumns) -> None:
         """Take one expansion's misplacement reports."""
-        ...
-
-    def reversed(self) -> "PlanView":
-        """The view a reverse plan expands against (in-edges as rows)."""
         ...
 
     def total_rows(self) -> int:
@@ -196,12 +191,6 @@ class LiveView:
     def report_misplaced(self, reports: ReportColumns) -> None:
         self.migrator.report_misplaced(*reports)
 
-    def reversed(self) -> "PlanView":
-        raise ValueError(
-            "reverse plans need a pinned epoch: the live storages keep "
-            "no reversed adjacency"
-        )
-
     def total_rows(self) -> int:
         return self.host_storage.num_rows + sum(
             storage.num_rows for storage in self.module_storages
@@ -270,9 +259,7 @@ class AutoEngine:
         # Every view answers the same two questions, so one graph and
         # one request choose alike live and pinned.
         avg_out_degree = view.total_edges() / max(1, view.total_rows())
-        seeds = plan.reverse_seeds
-        batch_size = len(sources) if seeds is None else len(seeds)
-        name = choose_engine(plan, batch_size, avg_out_degree)
+        name = choose_engine(plan, len(sources), avg_out_degree)
         # Backends keep nothing between calls, so none is kept here.
         return create_engine(name, self._label_names).execute(plan, sources, view)
 

@@ -5,10 +5,9 @@ Every backend runs a :class:`~repro.rpq.planner.Plan` through
 phase sequencing and naming (``"dispatch"``, ``"smxm <i>"`` or
 ``"smxm fixpoint <i>"``, ``"mwait"``), the accounting operation on
 ``view.pim``, the dispatch / expand / route / reduce charges, the
-``batch_size`` / ``unknown_sources`` / ``results`` counters, the
-misplacement hand-off and reverse-result inversion — and asks a
-:class:`Kernel` for frontier math only (diagram: README, "Execution
-engines").
+``batch_size`` / ``unknown_sources`` / ``results`` counters and the
+misplacement hand-off — and asks a :class:`Kernel` for frontier math
+only (diagram: README, "Execution engines").
 
 A kernel is a per-call object: it reads the view, keeps the frontier
 representation and the accumulating answer, and reports each expansion's
@@ -31,7 +30,6 @@ from typing import (
     NamedTuple,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     runtime_checkable,
 )
@@ -118,22 +116,14 @@ def execute_plan(
     """Run ``plan`` for ``sources`` against ``view``, charging ``view.pim``.
 
     Dispatch, then ``plan.expansions`` fused expand+route phases or the
-    bounded fixpoint loop, then ``mwait``.  A plan carrying
-    ``reverse_seeds`` expands the reversed-expression DFA (already
-    ``plan.dfa``) from those candidate end nodes over
-    ``view.reversed()``; the forward answer is recovered by inverting
-    the matches after the plan drains.
+    bounded fixpoint loop, then ``mwait``.
     """
-    run_sources, seeds = sources, plan.reverse_seeds
-    if seeds is not None:
-        run_sources = list(seeds)
-        view = view.reversed()
-    kernel = make_kernel(plan, run_sources, view)
+    kernel = make_kernel(plan, sources, view)
     op = view.pim.begin_operation()
     frontier, unknown = kernel.initial_frontier()
     with op.phase("dispatch"):
         charge_dispatch(op, _items_per_partition(kernel, frontier))
-    op.add_counter("batch_size", len(run_sources))
+    op.add_counter("batch_size", len(sources))
     op.add_counter("unknown_sources", unknown)
 
     fixpoint = plan.expansions is None
@@ -158,47 +148,10 @@ def execute_plan(
             charge_reduce(op, _items_per_partition(kernel, frontier))
         kernel.reduce(frontier)
 
-    indptr, indices = kernel.answer()
-    if seeds is not None:
-        indptr, indices = invert_reverse_results(sources, seeds, indptr, indices)
-    result = BatchResult(list(sources), indptr, indices)
+    result = BatchResult(list(sources), *kernel.answer())
     stats = op.finish()
     stats.add_counter("results", result.total_matches)
     return result, stats
-
-
-def invert_reverse_results(
-    sources: Sequence[int],
-    seeds: Sequence[int],
-    indptr: np.ndarray,
-    indices: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Turn reverse-direction matches back into forward batch results.
-
-    ``indices[indptr[i]:indptr[i+1]]`` holds the *start* nodes reached
-    from ``seeds[i]`` along the reversed expression; a forward query from
-    ``source`` therefore matches exactly the seeds whose reverse row
-    contains it.  Returns the forward CSR pair over ``sources``: one row
-    per source in batch order — a source listed twice gets two equal
-    rows, a source no seed reached (or unknown to the graph) an empty
-    one — each row sorted and duplicate-free.
-    """
-    source_nodes = np.asarray(sources, dtype=np.int64)
-    ends = np.repeat(np.asarray(seeds, dtype=np.int64), np.diff(indptr))
-    # ``seeds`` are distinct (``Plan.reverse_seeds``) and reverse rows are
-    # duplicate-free, so every (start, end) pair occurs once; sorted by
-    # start then end, each start node's end nodes are one ascending run.
-    order = np.lexsort((ends, indices))
-    starts, ends = indices[order], ends[order]
-    run_lo = np.searchsorted(starts, source_nodes, side="left")
-    run_hi = np.searchsorted(starts, source_nodes, side="right")
-    counts = run_hi - run_lo
-    out_indptr = np.zeros(len(source_nodes) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out_indptr[1:])
-    gather = np.repeat(run_lo - out_indptr[:-1], counts) + np.arange(
-        int(out_indptr[-1]), dtype=np.int64
-    )
-    return out_indptr, ends[gather]
 
 
 def _items_per_partition(kernel: Kernel, frontier: Blocks) -> Dict[int, int]:

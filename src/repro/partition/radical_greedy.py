@@ -137,8 +137,3 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         if not self.partition_map.is_assigned(node):
             raise KeyError(f"node {node} has not been assigned yet")
         self.partition_map.assign(node, target_partition)
-
-    @property
-    def placement_decisions(self) -> int:
-        """Total number of nodes this partitioner has placed."""
-        return self.greedy_placements + self.fallback_placements

@@ -150,10 +150,6 @@ class CostModel:
         channel_time = 2.0 * self.cpc_time(num_bytes, num_transfers)
         return channel_time + num_bytes * self.ipc_forward_overhead
 
-    def node_ids_to_bytes(self, num_ids: int) -> int:
-        """Wire/storage size of ``num_ids`` node identifiers."""
-        return num_ids * self.bytes_per_node_id
-
     def describe(self) -> Dict[str, float]:
         """Flat parameter dictionary (used in benchmark report headers)."""
         return {

@@ -10,9 +10,8 @@ package provides:
 * query objects — :class:`RPQuery` and the paper's :class:`KHopQuery`
   workload (:mod:`repro.rpq.query`),
 * the planner: one frozen :class:`Plan` per query — ``k`` ``smxm``
-  expansions or a fixpoint, then ``mwait`` — costed, and possibly run
-  in reverse, from an epoch's frozen statistics when there is one
-  (:mod:`repro.rpq.planner`),
+  expansions or a fixpoint, then ``mwait`` — costed from an epoch's
+  frozen statistics when there is one (:mod:`repro.rpq.planner`),
 * a reference evaluator used as the correctness oracle for every engine
   (:mod:`repro.rpq.evaluator`).
 """
@@ -27,7 +26,6 @@ from repro.rpq.regex import (
     Union,
     khop_expression,
     parse_path_expression,
-    reverse_expression,
     unrolled_length,
 )
 from repro.rpq.automaton import (
@@ -52,7 +50,6 @@ from repro.rpq.planner import (
     GraphCostStats,
     Plan,
     PlanDecision,
-    accepting_edge_labels,
     lower_plan,
     plan_query,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "RegexSyntaxError",
     "parse_path_expression",
     "khop_expression",
-    "reverse_expression",
     "unrolled_length",
     "NFA",
     "DFA",
@@ -80,7 +76,6 @@ __all__ = [
     "GraphCostStats",
     "Plan",
     "PlanDecision",
-    "accepting_edge_labels",
     "RPQuery",
     "KHopQuery",
     "BatchResult",

@@ -49,10 +49,6 @@ class NFA:
                 states.update(targets)
         return len(states)
 
-    def add_transition(self, src: int, symbol: str, dst: int) -> None:
-        """Add ``src --symbol--> dst``."""
-        self.transitions.setdefault(src, {}).setdefault(symbol, set()).add(dst)
-
     def epsilon_closure(self, states: Set[int]) -> Set[int]:
         """All states reachable from ``states`` via epsilon transitions."""
         closure = set(states)

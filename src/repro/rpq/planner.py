@@ -21,15 +21,10 @@ frozen :class:`~repro.serve.epoch.Epoch` it also costs the plan from the
 statistics the epoch already carries — the out-degree histogram (average
 wildcard fanout), the per-label edge counts (a hop over a rare label is
 costed as rare) and the minimized DFA's per-hop live-state sets (the
-product-graph frontier caps) — and, for fixed-length expressions, costs
-the *reverse* plan too: the reversed-expression DFA expanded from the
-candidate path *end* nodes (the destinations of edges whose label the
-query can finish on), the matches inverted afterwards.  Whichever side
-is estimated cheaper wins; a query that finishes on a rare label starts
-from a tiny seed set and skips the broad forward fan-out entirely.  The
-estimates and the reasoning ride on the plan as a :class:`PlanDecision`
-(:meth:`Plan.explain`).  Live executions and session-patched views have
-no frozen statistics and always plan forward.
+product-graph frontier caps).  The estimates and the reasoning ride on
+the plan as a :class:`PlanDecision` (:meth:`Plan.explain`).  Live
+executions and session-patched views have no frozen statistics and get
+an uncosted plan of the same shape.
 """
 
 from __future__ import annotations
@@ -40,14 +35,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.rpq.automaton import DFA, build_dfa
+from repro.rpq.automaton import DFA
 from repro.rpq.query import KHopQuery, RPQuery
-from repro.rpq.regex import reverse_expression
-
-#: Reverse expansion must look at least this much cheaper than forward
-#: before it is chosen — estimates are coarse, and ties should keep the
-#: well-trodden forward path.
-_REVERSE_MARGIN = 0.8
 
 
 @dataclass(frozen=True)
@@ -55,7 +44,6 @@ class GraphCostStats:
     """Planner-facing summary of one epoch's frozen statistics."""
 
     num_rows: int
-    num_nodes: int
     num_edges: int
     avg_out_degree: float
     #: Edge count per resolved label string (engine label semantics:
@@ -75,7 +63,6 @@ class GraphCostStats:
             counts[name] = counts.get(name, 0) + count
         return cls(
             num_rows=num_rows,
-            num_nodes=max(int(epoch.num_nodes), num_rows),
             num_edges=num_edges,
             avg_out_degree=num_edges / num_rows if num_rows else 0.0,
             label_counts=counts,
@@ -90,24 +77,17 @@ class GraphCostStats:
 
 @dataclass(frozen=True)
 class PlanDecision:
-    """What the planner estimated for one query, and why it chose as it did."""
+    """What the planner estimated for one query, and why."""
 
-    forward_cost: float
-    reverse_cost: Optional[float]
-    #: Estimated frontier items after each hop of the chosen plan.
+    #: Estimated frontier items processed over the whole plan.
+    cost: float
+    #: Estimated frontier items after each hop.
     hop_estimates: Tuple[float, ...]
     reason: str
 
     def explain_lines(self) -> List[str]:
         """The decision rendered for :meth:`Plan.explain`."""
-        reverse = (
-            f"{self.reverse_cost:.1f}" if self.reverse_cost is not None
-            else "n/a"
-        )
-        lines = [
-            f"cost: forward={self.forward_cost:.1f} reverse={reverse}",
-            f"decision: {self.reason}",
-        ]
+        lines = [f"cost: {self.cost:.1f}", f"decision: {self.reason}"]
         if self.hop_estimates:
             estimates = ", ".join(
                 f"{estimate:.1f}" for estimate in self.hop_estimates
@@ -117,10 +97,9 @@ class PlanDecision:
 
 
 _NO_STATISTICS = PlanDecision(
-    forward_cost=0.0,
-    reverse_cost=None,
+    cost=0.0,
     hop_estimates=(),
-    reason="forward (no frozen epoch statistics: live execution or "
+    reason="uncosted (no frozen epoch statistics: live execution or "
            "session-patched view)",
 )
 
@@ -133,22 +112,12 @@ class Plan:
     #: (only a DFA plan does).
     expansions: Optional[int]
     #: Automaton carried by the frontier contexts (``None`` = bare rows,
-    #: the k-hop bit-mask path).  The reversed-expression automaton when
-    #: the plan runs from ``reverse_seeds``.
+    #: the k-hop bit-mask path).
     dfa: Optional[DFA] = None
     #: Iteration bound of a fixpoint plan, bound by :func:`lower_plan`.
     fixpoint_bound: Optional[int] = None
-    #: Set when the plan expands against reversed adjacency: the sorted,
-    #: distinct candidate path end nodes it starts from (the matches are
-    #: inverted back to the batch's sources after it drains).
-    reverse_seeds: Optional[Tuple[int, ...]] = None
     #: The planner's estimates and reasoning (what ``explain()`` prints).
     decision: PlanDecision = _NO_STATISTICS
-
-    @property
-    def direction(self) -> str:
-        """``"reverse"`` when the plan runs from ``reverse_seeds``."""
-        return "forward" if self.reverse_seeds is None else "reverse"
 
     @property
     def accumulate_results(self) -> bool:
@@ -177,12 +146,7 @@ class Plan:
         leave over at that depth (``any`` past a wildcard arc); a
         fixpoint line names every label of the automaton.
         """
-        seeds = (
-            f", seeds={len(self.reverse_seeds)}"
-            if self.reverse_seeds is not None
-            else ""
-        )
-        lines = [f"direction: {self.direction}{seeds}", *self.decision.explain_lines()]
+        lines = self.decision.explain_lines()
         dfa = self.dfa
         if self.expansions is None:
             labels = {label for arcs in dfa.transitions.values() for label in arcs}
@@ -227,23 +191,6 @@ def _live_levels(dfa: DFA, hops: int) -> Iterator[Tuple[Set[str], bool, int]]:
         states = next_states
 
 
-def accepting_edge_labels(dfa: DFA) -> Tuple[Set[str], bool]:
-    """Labels an accepted path can *end* on: ``(labels, wildcard)``.
-
-    ``wildcard`` is true when some state reaches an accepting state via
-    its default (any-label) arc, in which case every edge label can be
-    final and ``labels`` is moot.
-    """
-    labels = {
-        label
-        for arcs in dfa.transitions.values()
-        for label, target in arcs.items()
-        if target in dfa.accepting
-    }
-    wildcard = any(target in dfa.accepting for target in dfa.default.values())
-    return labels, wildcard
-
-
 def _estimate_hops(
     dfa: Optional[DFA],
     hops: int,
@@ -278,44 +225,14 @@ def _estimate_hops(
     return tuple(estimates), cost
 
 
-def _reverse_seed_nodes(
-    epoch,
-    labels: Set[str],
-    wildcard: bool,
-    label_names: Dict[int, str],
-) -> Tuple[int, ...]:
-    """The candidate path end nodes: destinations of final-label edges."""
-    chunks: List[np.ndarray] = []
-    for snapshot in epoch.snapshots:
-        if len(snapshot.dsts) == 0:
-            continue
-        if wildcard:
-            chunks.append(snapshot.dsts)
-            continue
-        present = np.unique(snapshot.labels)
-        wanted = [
-            int(label_id)
-            for label_id in present.tolist()
-            if label_names.get(label_id, str(label_id)) in labels
-        ]
-        if not wanted:
-            continue
-        mask = np.isin(snapshot.labels, wanted)
-        chunks.append(snapshot.dsts[mask])
-    if not chunks:
-        return ()
-    return tuple(np.unique(np.concatenate(chunks)).tolist())
-
-
 def plan_query(
     query, epoch=None, label_names: Optional[Dict[int, str]] = None
 ) -> Plan:
     """The :class:`Plan` for ``query``.
 
-    Without ``epoch`` the plan is structure only and forward.  With one
-    — a frozen :class:`~repro.serve.epoch.Epoch`, ``label_names`` naming
-    its integer edge labels — the plan is costed, and a fixed-length RPQ
-    runs reverse when that is estimated cheaper by ``_REVERSE_MARGIN``.
+    Without ``epoch`` the plan is structure only.  With one — a frozen
+    :class:`~repro.serve.epoch.Epoch`, ``label_names`` naming its integer
+    edge labels — the plan is costed from the epoch's statistics.
     """
     if isinstance(query, KHopQuery):
         expansions: Optional[int] = query.hops
@@ -327,54 +244,21 @@ def plan_query(
         raise TypeError(f"unsupported query type {type(query).__name__}")
     if epoch is None:
         return Plan(expansions, dfa)
-    label_names = label_names or {}
-    stats = GraphCostStats.from_epoch(epoch, label_names)
+    stats = GraphCostStats.from_epoch(epoch, label_names or {})
     batch_size = float(len(query.sources))
     if expansions is None:
         # Kleene plans saturate: every product-graph edge relaxes at
-        # most once, so cost ~ edges x states either way; reverse
-        # would not shrink it and complicates accumulate semantics.
-        forward_cost = batch_size + float(stats.num_edges) * dfa.num_states
+        # most once, so cost ~ edges x states.
+        cost = batch_size + float(stats.num_edges) * dfa.num_states
         return Plan(None, dfa, decision=PlanDecision(
-            forward_cost, None, (),
-            "forward (variable-length plans run to fixpoint)",
+            cost, (), "variable-length plans run to fixpoint",
         ))
-    estimates, forward_cost = _estimate_hops(dfa, expansions, stats, batch_size)
-    if dfa is None:
-        return Plan(expansions, decision=PlanDecision(
-            forward_cost, None, estimates,
-            "forward (k-hop plans use the bit-mask path)",
-        ))
-    reverse_cost: Optional[float] = None
-    if expansions >= 1 and stats.num_rows > 0:
-        final_labels, final_wildcard = accepting_edge_labels(dfa)
-        seed_estimate = float(
-            stats.num_edges
-            if final_wildcard
-            else sum(stats.label_counts.get(label, 0) for label in final_labels)
-        )
-        seed_estimate = min(seed_estimate, float(stats.num_nodes))
-        reverse_dfa = build_dfa(reverse_expression(query.ast()))
-        reverse_estimates, reverse_cost = _estimate_hops(
-            reverse_dfa, expansions, stats, seed_estimate
-        )
-        if reverse_cost < forward_cost * _REVERSE_MARGIN:
-            seeds = _reverse_seed_nodes(
-                epoch, final_labels, final_wildcard, label_names
-            )
-            decision = PlanDecision(
-                forward_cost, reverse_cost, reverse_estimates,
-                "reverse (accepting side is rarer: "
-                f"{len(seeds)} seed end nodes vs "
-                f"{batch_size:.0f}-source forward fan-out)",
-            )
-            return Plan(expansions, reverse_dfa, reverse_seeds=seeds, decision=decision)
-    return Plan(expansions, dfa, decision=PlanDecision(
-        forward_cost, reverse_cost, estimates,
-        "forward (cheaper than reverse expansion)"
-        if reverse_cost is not None
-        else "forward (reverse not applicable)",
-    ))
+    estimates, cost = _estimate_hops(dfa, expansions, stats, batch_size)
+    reason = (
+        "k-hop plans use the bit-mask path" if dfa is None
+        else "fixed-length plans expand the DFA hop by hop"
+    )
+    return Plan(expansions, dfa, decision=PlanDecision(cost, estimates, reason))
 
 
 def lower_plan(plan: Plan, default_fixpoint_iterations: int) -> Plan:

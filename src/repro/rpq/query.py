@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.checks import require_int
+from repro.checks import require_int, require_node_ids
 from repro.rpq.automaton import DFA, build_dfa
 from repro.rpq.regex import RegexNode, khop_expression, parse_path_expression
 
@@ -274,6 +274,9 @@ class RPQuery:
         init=False, default=None, repr=False, compare=False
     )
 
+    def __post_init__(self) -> None:
+        require_node_ids("source", self.sources)
+
     def ast(self) -> RegexNode:
         """Parsed AST of the expression (memoized)."""
         cached = self._ast_cache
@@ -323,6 +326,7 @@ class KHopQuery:
 
     def __post_init__(self) -> None:
         require_int("hops", self.hops, 1)
+        require_node_ids("source", self.sources)
 
     @property
     def batch_size(self) -> int:

@@ -312,32 +312,6 @@ def parse_path_expression(expression: str) -> RegexNode:
     return node
 
 
-def reverse_expression(node: RegexNode) -> RegexNode:
-    """The AST matching exactly the reversed label sequences of ``node``.
-
-    ``L(reverse(e)) == {reversed(w) for w in L(e)}``: concatenations flip
-    their part order (and reverse each part), unions and repetitions
-    distribute over reversal, and single labels are their own reverse.
-    The cost-based planner uses this to build the automaton for
-    reverse-direction (destination-to-source) expansion.
-    """
-    if isinstance(node, Label):
-        return node
-    if isinstance(node, Concat):
-        return Concat(tuple(
-            reverse_expression(part) for part in reversed(node.parts)
-        ))
-    if isinstance(node, Union):
-        return Union(tuple(
-            reverse_expression(option) for option in node.options
-        ))
-    if isinstance(node, Repeat):
-        return Repeat(
-            reverse_expression(node.inner), node.minimum, node.maximum
-        )
-    raise TypeError(f"unknown regex node {node!r}")
-
-
 def unrolled_length(node: RegexNode) -> int:
     """Atom copies in ``node`` once bounded repetitions are unrolled.
 

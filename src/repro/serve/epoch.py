@@ -9,8 +9,7 @@ construction: the storages' :class:`~repro.core.snapshot.SnapshotCache`
 already maintains immutable CSR bases incrementally, so a capture is
 ``to_csr()`` per storage (a cache hit when nothing changed since the
 last refresh, a splice of the dirty rows otherwise) plus one memcpy of
-the owner table.  An epoch's reversed-adjacency captures are made the
-same way: every reversed row spliced into the empty snapshot.
+the owner table.
 
 :class:`EpochManager` owns the publish lifecycle.  The single writer
 marks the current epoch **stale** after every update batch / migration
@@ -27,15 +26,12 @@ state, optionally patched with a session's uncommitted writes
 (read-your-writes), plus the accounting
 :class:`~repro.pim.system.PIMSystem` whose totals its executions fold
 into — a private one, because pinned reads are not logged and must stay
-out of the live system's checkpointed totals.  A reverse plan runs on
-:meth:`EpochView.reversed` — the same class, patched with the epoch's
-reversed-adjacency captures — so no backend knows a direction.
+out of the live system's checkpointed totals.
 """
 
 from __future__ import annotations
 
 import threading
-from array import array
 from types import TracebackType
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
@@ -43,12 +39,7 @@ import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
-from repro.core.snapshot import (
-    EMPTY_SNAPSHOT,
-    GraphSnapshot,
-    RowBuffer,
-    merge_snapshot,
-)
+from repro.core.snapshot import GraphSnapshot
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import PIMSystem
@@ -98,7 +89,6 @@ class Epoch:
         "num_modules",
         "_degree_histogram",
         "_label_edge_counts",
-        "_reverse_index",
     )
 
     def __init__(
@@ -121,9 +111,6 @@ class Epoch:
         self.num_modules = len(snapshots) - 1
         self._degree_histogram: Optional[np.ndarray] = None
         self._label_edge_counts: Optional[Dict[int, int]] = None
-        self._reverse_index: Optional[
-            Tuple[Dict[int, GraphSnapshot], Dict[int, int]]
-        ] = None
 
     def degree_histogram(self) -> np.ndarray:
         """Out-degree histogram across every pinned snapshot (cached).
@@ -169,68 +156,6 @@ class Epoch:
             self._label_edge_counts = counts
         return counts
 
-    def reverse_index(
-        self,
-    ) -> Tuple[Dict[int, GraphSnapshot], Dict[int, int]]:
-        """Reversed-adjacency snapshots of this epoch (cached, lazy).
-
-        Returns ``(snapshots, extra_owners)``: a CSR capture per
-        partition (every module and ``HOST_PARTITION``) whose row for
-        node ``v`` lists ``v``'s *in*-edges ``(u, label)``.  A
-        reversed row lands on its node's owner so reverse expansion
-        charges the same placement-sensitive routing as forward
-        expansion; nodes that only ever appeared as destinations have no
-        owner, so they get the session layer's deterministic provisional
-        placement (``node % num_modules``), recorded in ``extra_owners``.
-
-        The build is a one-off O(edges) pass per epoch, shared by every
-        reader of the epoch afterwards (the arrays are frozen).  This is
-        the ``TransposedBlock`` idea lifted from per-snapshot blocks to a
-        whole epoch, which is what the planner's reverse direction
-        executes against.
-        """
-        cached = self._reverse_index
-        if cached is None:
-            in_rows: Dict[int, RowBuffer] = {}
-            for snapshot in self.snapshots:
-                if len(snapshot.dsts) == 0:
-                    continue
-                srcs = np.repeat(snapshot.node_ids, np.diff(snapshot.indptr))
-                for dst, src, label in zip(
-                    snapshot.dsts.tolist(),
-                    srcs.tolist(),
-                    snapshot.labels.tolist(),
-                ):
-                    row = in_rows.get(dst)
-                    if row is None:
-                        row = in_rows[dst] = array("q")
-                    row.append(src)
-                    row.append(label)
-            extra_owners: Dict[int, int] = {}
-            per_partition: Dict[int, Dict[int, RowBuffer]] = {}
-            for node, entries in in_rows.items():
-                owner = self.owner(node)
-                if owner is None:
-                    owner = node % max(1, self.num_modules)
-                    extra_owners[node] = owner
-                per_partition.setdefault(owner, {})[node] = entries
-            reversed_snapshots = {}
-            for partition in (*range(self.num_modules), HOST_PARTITION):
-                base = self.snapshot_of(partition)
-                rows = per_partition.get(partition, {})
-                entry_count = sum(map(len, rows.values())) >> 1
-                reversed_snapshots[partition] = merge_snapshot(
-                    EMPTY_SNAPSHOT,
-                    np.array(sorted(rows), dtype=np.int64),
-                    rows.get,
-                    bytes_per_entry=base.bytes_per_entry,
-                    working_set_bytes=max(1, entry_count * base.bytes_per_entry),
-                    count_local=(partition != HOST_PARTITION),
-                ).freeze()
-            cached = (reversed_snapshots, extra_owners)
-            self._reverse_index = cached
-        return cached
-
     def snapshot_of(self, partition: int) -> GraphSnapshot:
         """Pinned snapshot of ``partition`` (``HOST_PARTITION`` = host)."""
         if partition == HOST_PARTITION:
@@ -256,14 +181,12 @@ class Epoch:
 class EpochView:
     """A :class:`~repro.engine.base.PlanView` over one pinned epoch.
 
-    ``patched`` optionally overrides per-partition snapshots — with
+    ``patched`` optionally overrides per-partition snapshots with
     session-patched ones (uncommitted writes spliced in with
-    :func:`~repro.core.snapshot.merge_snapshot`), or with the epoch's
-    reversed-adjacency captures (:meth:`reversed`); ``extra_owners``
-    maps nodes the epoch's owner table does not place (session-created
-    ones, or destination-only ones of the reversed index) to their
-    provisional partitions so the engines can route frontiers through
-    rows that exist only in the overlay.
+    :func:`~repro.core.snapshot.merge_snapshot`); ``extra_owners`` maps
+    the session-created nodes the epoch's owner table does not place to
+    their provisional partitions so the engines can route frontiers
+    through rows that exist only in the overlay.
     """
 
     def __init__(
@@ -289,23 +212,10 @@ class EpochView:
         """Whether the view overlays session-local (uncommitted) state.
 
         Patched views are invisible to the epoch-keyed plan/result
-        caches and to reverse-direction planning — both are only sound
-        against the epoch's frozen, shared state.
+        caches and to cost-based planning — both are only sound against
+        the epoch's frozen, shared state.
         """
         return bool(self._patched) or bool(self._extra_owners)
-
-    def reversed(self) -> "EpochView":
-        """The view a reverse plan expands against.
-
-        The epoch's reversed-adjacency captures stand in as the patched
-        snapshots and its destination-only placements as the extra
-        owners — the session-overlay mechanism, fed from
-        :meth:`Epoch.reverse_index` — so the engines read in-edges
-        through the same calls as out-edges.  Epoch-level: a session's
-        uncommitted writes are not reversed (the planner never picks the
-        reverse direction for a patched view).
-        """
-        return EpochView(self.epoch, self.pim, *self.epoch.reverse_index())
 
     def snapshot_of(self, partition: int) -> GraphSnapshot:
         """Pinned (possibly session-patched) snapshot of ``partition``."""
@@ -345,9 +255,9 @@ class EpochView:
         return owners
 
     def frozen_epoch(self) -> Optional[Epoch]:
-        """The pinned epoch, unless the view is patched (a session
-        overlay or the reversed adjacency): its statistics and its id
-        then describe something other than what the view reads."""
+        """The pinned epoch, unless the view is patched with a session
+        overlay: its statistics and its id then describe something other
+        than what the view reads."""
         return None if self.is_patched() else self.epoch
 
     def _snapshots(self) -> List[GraphSnapshot]:

@@ -36,7 +36,7 @@ import queue
 import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.checks import require_int
+from repro.checks import require_int, require_node_ids
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import DestinationRow, KHopQuery, RPQuery
@@ -164,9 +164,11 @@ class ServingFuture(ResultGate):
         super().__init__(pending="query")
         if (hops is None) == (expression is None):
             raise ValueError("exactly one of hops/expression is required")
+        # Checked before admission: a float source or a float hop count
+        # 2.0 would ride in the integer callers' coalesced batch and fail
+        # it for all of them.
+        require_node_ids("source", (source,))
         if hops is not None:
-            # Checked before admission: a float 2.0 would share ("khop", 2)
-            # with integer callers and fail their coalesced batch.
             require_int("hops", hops, 1)
         self.source = source
         self.hops = hops

@@ -7,19 +7,17 @@ once.  The committed file was recorded at the last commit that still
 lowered a ``LogicalPlan`` into a ``PhysicalPlan`` of op objects (PR 22),
 where this script first showed ``record(engine)`` equal for all four
 engine names; ``tests/test_engine_driver.py`` asserts the record
-exactly, for every engine.  Re-record (only when a PR changes a charge
-or the planner's direction choice on purpose)::
+exactly, for every engine.  Re-record (only when a change moves a
+charge on purpose)::
 
     PYTHONPATH=src python tests/data/make_query_golden.py tests/data/query_golden.json
 
 One seeded labeled graph (two host-resident hubs, a rare ``c`` label)
 after seeded insert/delete churn, queried live and through a pinned
-session: 1/2/3-hop batches, ``a/c`` from one source (planned forward)
-and from a bulk batch (planned reverse when pinned; the live path has
-no statistics and always plans forward), a Kleene RPQ, the zero-length
-``a{0}``, and a batch with unknown and duplicate sources.  Per query the
-record holds the ``direction:`` line of ``explain()``, the phase names
-in the order the driver opened them, the full ``ExecutionStats`` and a
+session: 1/2/3-hop batches, ``a/c`` from one source and from a bulk
+batch, a Kleene RPQ, the zero-length ``a{0}``, and a batch with unknown
+and duplicate sources.  Per query the record holds the phase names in
+the order the driver opened them, the full ``ExecutionStats`` and a
 digest of the answer; live queries run the maintenance pass they
 trigger, so its phase and counters are in the record too.
 """
@@ -99,8 +97,8 @@ def queries() -> Dict[str, object]:
         "khop2": KHopQuery(2, batch),
         "khop3": KHopQuery(3, batch),
         "rpq_fixed_forward": RPQuery("a/c", [9]),
-        # Duplicates and an unknown source cross the reverse inversion too.
-        "rpq_fixed_reverse": RPQuery("a/c", bulk + [9, 9, UNKNOWN]),
+        # Duplicates and an unknown source in a bulk DFA batch.
+        "rpq_fixed_bulk": RPQuery("a/c", bulk + [9, 9, UNKNOWN]),
         "rpq_kleene": RPQuery("a/(a|b)*/c", batch[:6]),
         "rpq_zero_length": RPQuery("a{0}", batch[:6] + [UNKNOWN]),
         "khop_unknown_duplicates": KHopQuery(
@@ -134,10 +132,9 @@ def answer_digest(result) -> str:
     return digest.hexdigest()
 
 
-def _entry(direction: str, phases: List[str], outcome: Tuple) -> Dict[str, object]:
+def _entry(phases: List[str], outcome: Tuple) -> Dict[str, object]:
     result, stats = outcome
     return {
-        "direction": direction,
         "phases": list(phases),
         "stats": dataclasses.asdict(stats),
         "matches": result.total_matches,
@@ -152,18 +149,17 @@ def record(engine: str) -> Dict[str, Dict[str, object]]:
         system = build_system(engine)
         entries = out[mode] = {}
         for name, query in queries().items():
-            direction = system.explain(query, pinned=(mode == "pinned")).splitlines()[0]
             if mode == "live":
                 with recorded_phases() as phases:
                     outcome = system.execute(query)
-                entries[name] = _entry(direction, phases, outcome)
+                entries[name] = _entry(phases, outcome)
                 entries[name]["maintenance"] = dataclasses.asdict(
                     system.last_maintenance_stats
                 )
             else:
                 with system.begin() as session, recorded_phases() as phases:
                     outcome = session.execute(query)
-                entries[name] = _entry(direction, phases, outcome)
+                entries[name] = _entry(phases, outcome)
         system.close()
     return out
 
@@ -173,10 +169,8 @@ if __name__ == "__main__":
     golden = records["python"]
     for engine, recorded in records.items():
         assert recorded == golden, f"{engine} diverged from the scalar kernel"
-    assert golden["pinned"]["rpq_fixed_forward"]["direction"] == "direction: forward"
-    assert golden["pinned"]["rpq_fixed_reverse"]["direction"].startswith(
-        "direction: reverse, seeds="
-    )
+    bulk = golden["pinned"]["rpq_fixed_bulk"]["stats"]["counters"]
+    assert (bulk["batch_size"], bulk["unknown_sources"]) == (51, 1)
     with open(sys.argv[1], "w") as handle:
         json.dump(golden, handle, indent=1, sort_keys=True)
         handle.write("\n")

@@ -7,8 +7,8 @@ engine to the socket.  This suite pins what every layer relies on:
   frozen ``int64`` — on every engine and every plan shape, against the
   scalar oracle by array equality;
 * duplicate sources stay independent rows and unknown / unmatched
-  sources stay empty slices, in ``_group_into_results`` and
-  ``invert_reverse_results`` (both red on a source-keyed dict);
+  sources stay empty slices, in ``_group_into_results`` (red on a
+  source-keyed dict);
 * result-cache hits share the entry's arrays and cannot be written;
 * results cross the worker-pool process boundary frozen;
 * a bulk batch allocates array-sized, not set-sized, memory;
@@ -18,6 +18,7 @@ engine to the socket.  This suite pins what every layer relies on:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 import tracemalloc
@@ -31,7 +32,6 @@ from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
 from repro.engine import ENGINE_NAMES, choose_engine, lower_plan
 from repro.engine.base import AUTO_CROSSOVER_ITEMS
-from repro.engine.driver import invert_reverse_results
 from repro.engine.matrix_engine import PullBitsetKernel
 from repro.engine.vectorized import BitsetKernel, _group_into_results
 from repro.graph import DiGraph, power_law_graph, random_graph
@@ -113,16 +113,26 @@ def test_result_invariant(engine, shape, pinned):
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
 @pytest.mark.parametrize(
-    "expression, seeds", [("a/c", 3), ("a/d", 0)], ids=["seeded", "zero-seeds"]
+    "expression, final_edges", [("a/c", 3), ("a/d", 0)], ids=["seeded", "zero-seeds"]
 )
-def test_result_invariant_on_reverse_plans(engine, expression, seeds):
-    graph = skewed_graph()  # ``c`` edges are rare: ``a/c`` plans reverse
+def test_result_invariant_on_reverse_plans(engine, expression, final_edges):
+    """A bulk pinned batch ending on a rare label (``c``: three edges,
+    ``d``: none) — the shape reverse expansion from the accepting side
+    would favour — runs forward from its sources and matches the oracle."""
+    graph = skewed_graph()
+    final = expression.rsplit("/", 1)[-1]
+    assert sum(
+        LABEL_NAMES.get(label) == final for _, _, label in graph.labeled_edges()
+    ) == final_edges
     system = build_system(graph, engine=engine)
     query = RPQuery(expression, SOURCES + list(range(30)))
     with system.begin() as session:
         plan = system._query_processor.plan(query, view=session._view())
-        assert plan.direction == "reverse"
-        assert len(plan.reverse_seeds) == seeds
+        # No seeds, no reversed automaton: the plan runs the query's own DFA.
+        assert [field.name for field in dataclasses.fields(plan)] == [
+            "expansions", "dfa", "fixpoint_bound", "decision"
+        ]
+        assert plan.dfa is query.dfa()
         result, stats = session.execute(query)
     assert_frozen_sorted_unique(result)
     oracle = evaluate_rpq(graph, query, label_names=LABEL_NAMES)
@@ -230,27 +240,6 @@ def test_group_into_results_of_nothing_is_all_empty_rows():
     indptr, indices = _group_into_results(empty, empty, num_rows=3)
     assert indptr.tolist() == [0, 0, 0, 0]
     assert len(indices) == 0
-
-
-def test_invert_reverse_results_duplicate_and_unknown_sources():
-    # Reverse rows: seed 40 was reached from starts {1, 2}, seed 50 from {2}.
-    seeds = (40, 50)
-    indptr = np.array([0, 2, 3], dtype=np.int64)
-    indices = np.array([1, 2, 2], dtype=np.int64)
-    sources = [2, 1, 2, UNKNOWN, 7]
-    out_indptr, out_indices = invert_reverse_results(sources, seeds, indptr, indices)
-    result = BatchResult(sources, out_indptr, out_indices)
-    assert result.destinations == [{40, 50}, {40}, {40, 50}, set(), set()]
-    assert_frozen_sorted_unique(result)
-
-
-def test_invert_reverse_results_with_zero_seeds():
-    empty = np.empty(0, dtype=np.int64)
-    out_indptr, out_indices = invert_reverse_results(
-        [4, 4, UNKNOWN], (), np.zeros(1, dtype=np.int64), empty
-    )
-    assert out_indptr.tolist() == [0, 0, 0, 0]
-    assert len(out_indices) == 0
 
 
 # ----------------------------------------------------------------------

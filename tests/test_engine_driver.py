@@ -11,9 +11,6 @@
   one formula, so they must agree on what a row *is*);
 * engines keep nothing between calls: one instance per backend serves
   eight threads at once, bit-identically to a serial run;
-* a reverse plan runs on ``EpochView.reversed()`` — including the
-  destination-only nodes only the reversed index places — and matches
-  the reference model;
 * every charge of the query path — phase names, the full
   ``ExecutionStats``, the answers — equals the absolute record in
   ``tests/data/query_golden.json`` on every engine (parity alone cannot
@@ -34,7 +31,6 @@ import re
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 import repro.engine
@@ -42,29 +38,18 @@ from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT
 from repro.core.local_storage import BYTES_PER_ENTRY
 from repro.core.operator_processor import RowSource
-from repro.core.snapshot import row_buffer
-from repro.engine import (
-    ENGINE_NAMES,
-    Kernel,
-    LiveView,
-    PlanView,
-    create_engine,
-    lower_plan,
-)
+from repro.engine import ENGINE_NAMES, Kernel, LiveView, PlanView
 from repro.engine.python_engine import ScalarKernel
 from repro.engine.vectorized import BitsetKernel, KeysKernel
 from repro.graph import DiGraph, random_graph
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.parallel import attach_epoch, export_epoch
 from repro.partition.base import HOST_PARTITION
-from repro.partition.owner_index import OwnerIndex
 from repro.pim import CostModel
 from repro.pim.system import PIMSystem
-from repro.rpq import RPQuery, plan_query
+from repro.rpq import RPQuery
 from repro.rpq.query import KHopQuery
-from repro.serve.epoch import Epoch, EpochView
-
-from model import ReferenceModel, snapshot_of
+from repro.serve.epoch import EpochView
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
@@ -83,8 +68,7 @@ def build_system(graph, engine="python", **config_kwargs) -> Moctopus:
 
 
 def skewed_graph(seed: int = 3) -> DiGraph:
-    """Dense ``a``/``b`` noise plus three rare ``c`` edges (``x/c``
-    queries plan in reverse)."""
+    """Dense ``a``/``b`` noise plus three rare ``c`` edges."""
     rng = random.Random(seed)
     graph = DiGraph(num_nodes=80)
     for _ in range(600):
@@ -144,13 +128,10 @@ def test_every_graph_state_is_a_plan_view_and_every_backend_a_kernel():
     processor = system._query_processor
     live = processor.live
     assert isinstance(live, LiveView) and isinstance(live, PlanView)
-    with pytest.raises(ValueError):
-        live.reversed()
 
     with system.begin() as session:
         plain = session._view()
         assert not plain.is_patched() and isinstance(plain, PlanView)
-        assert isinstance(plain.reversed(), PlanView)
         khop = processor.plan(KHopQuery(hops=2, sources=[0, 1]), plain)
         rpq = processor.plan(RPQuery("a/b", sources=[0, 1]), plain)
         for kernel in (
@@ -258,13 +239,10 @@ def test_one_engine_instance_serves_eight_threads(name):
         queries = [
             KHopQuery(hops=2, sources=list(range(0, 40, 3))),
             RPQuery("a/b", sources=list(range(30))),
-            RPQuery("a/c", sources=list(range(40))),  # planned in reverse
+            RPQuery("a/c", sources=list(range(40))),
             RPQuery("(a|b)*/c", sources=list(range(20))),
         ]
         plans = [processor.plan(query, planning_view) for query in queries]
-        assert [plan.direction for plan in plans] == [
-            "forward", "forward", "reverse", "forward"
-        ]
 
         def run(index):
             # A view (and its accounting platform) per execution.
@@ -308,75 +286,7 @@ def test_one_engine_instance_serves_eight_threads(name):
 
 
 # ----------------------------------------------------------------------
-# (e) Reverse plans on the reversed view, destination-only nodes included
-# ----------------------------------------------------------------------
-def handmade_epoch(edges, owners, num_modules=4) -> Epoch:
-    """An epoch whose owner table knows only ``owners``' nodes: every
-    other edge endpoint is a destination-only node no partition owns."""
-    partitions = [*range(num_modules), HOST_PARTITION]
-    rows = {partition: {} for partition in partitions}
-    for node, partition in owners.items():
-        rows[partition][node] = []
-    for src, dst, label in edges:
-        rows[owners[src]][src].append((dst, label))
-    snapshots = tuple(
-        snapshot_of(
-            [(node, row_buffer(row)) for node, row in rows[partition].items()],
-            bytes_per_entry=12,
-            working_set_bytes=max(1, 12 * sum(map(len, rows[partition].values()))),
-            count_local=partition != HOST_PARTITION,
-        )
-        for partition in partitions
-    )
-    known = sorted(owners)
-    index = OwnerIndex.from_arrays(
-        nodes=np.asarray(known, dtype=np.int64),
-        parts=np.asarray([owners[node] for node in known], dtype=np.int64),
-    )
-    return Epoch(0, snapshots, index, num_nodes=len(owners), num_edges=len(edges))
-
-
-def test_reverse_plans_reach_destination_only_nodes_on_every_engine():
-    rng = random.Random(7)
-    edges = {}
-    for _ in range(500):
-        src, dst = rng.randrange(60), rng.randrange(60)
-        if src != dst:
-            edges[src, dst] = rng.choice([1, 1, 1, 2])
-    # The rare ``c`` edges end on nodes 900.. that own no row.
-    for src, dst in [(5, 900), (17, 901), (33, 900), (41, 902)]:
-        edges[src, dst] = 3
-    edge_list = [(src, dst, label) for (src, dst), label in edges.items()]
-    owners = {node: (node % 5) - 1 for node in range(60)}  # -1 = host
-    epoch = handmade_epoch(edge_list, owners)
-    _, extra_owners = epoch.reverse_index()
-    assert set(extra_owners) == {900, 901, 902}
-
-    model = ReferenceModel()
-    for src, dst, label in edge_list:
-        model.insert(src, dst, label)
-
-    for expression in ("a/c", "(a|b)/a/c"):
-        query = RPQuery(expression, sources=list(range(60)) + [900, 5000])
-        plan = lower_plan(plan_query(query, epoch, LABEL_NAMES), epoch.num_rows)
-        assert plan.direction == "reverse"
-        assert set(plan.reverse_seeds) == {900, 901, 902}
-        expected = model.rpq(expression, query.sources, label_names=LABEL_NAMES)
-        assert any(expected)
-        prints = set()
-        for name in ENGINE_NAMES:
-            result, stats = create_engine(name, LABEL_NAMES).execute(
-                plan, query.sources, EpochView(epoch, PIMSystem(COST_MODEL))
-            )
-            assert [set(row) for row in result.destinations] == [
-                set(row) for row in expected
-            ], (name, expression)
-            prints.add(repr(stats_fingerprint(stats)))
-        assert len(prints) == 1, expression
-
-
-# ----------------------------------------------------------------------
-# (f) The absolute accounting record
+# (e) The absolute accounting record
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
 def test_query_accounting_matches_the_recorded_golden(engine):
@@ -391,10 +301,11 @@ def test_query_accounting_matches_the_recorded_golden(engine):
         assert sorted(recorded[mode]) == sorted(golden[mode])
         for name, want in golden[mode].items():
             assert recorded[mode][name] == want, (engine, mode, name)
-    # The record covers what it was written for: both directions, the
-    # drained-expand rule (no ``mwait``) and a multi-phase fixpoint.
+    # The record covers what it was written for: a bulk batch through
+    # the reduce, the drained-expand rule (no ``mwait``) and a
+    # multi-phase fixpoint.
     pinned = golden["pinned"]
-    assert pinned["rpq_fixed_reverse"]["direction"].startswith("direction: reverse")
+    assert pinned["rpq_fixed_bulk"]["phases"] == ["dispatch", "smxm 1", "smxm 2", "mwait"]
     assert pinned["rpq_fixed_forward"]["phases"] == ["dispatch", "smxm 1", "smxm 2"]
     assert pinned["rpq_kleene"]["phases"][1:3] == ["smxm fixpoint 1", "smxm fixpoint 2"]
     assert pinned["rpq_zero_length"]["phases"] == ["dispatch", "mwait"]
@@ -402,13 +313,13 @@ def test_query_accounting_matches_the_recorded_golden(engine):
 
 
 # ----------------------------------------------------------------------
-# (g) One plan type, one construction site
+# (f) One plan type, one construction site
 # ----------------------------------------------------------------------
 def test_golden_plans_survive_pickle_equal():
     """The worker pool ships plans between processes as they are."""
     system = make_query_golden.build_system("python")
     processor = system._query_processor
-    directions = set()
+    costed = set()
     with system.begin() as session:
         for view in (processor.live, session._view()):
             for query in make_query_golden.queries().values():
@@ -416,8 +327,8 @@ def test_golden_plans_survive_pickle_equal():
                 clone = pickle.loads(pickle.dumps(plan))
                 assert clone == plan and clone is not plan
                 assert clone.explain() == plan.explain()
-                directions.add(plan.direction)
-    assert directions == {"forward", "reverse"}
+                costed.add(plan.decision.cost > 0)
+    assert costed == {False, True}  # live plans are uncosted, pinned ones costed
     system.close()
 
 
@@ -440,7 +351,7 @@ def test_plans_are_built_in_the_planner_module_only():
 
 
 # ----------------------------------------------------------------------
-# (h) Totals: summed once per epoch, re-summed only under a patch
+# (g) Totals: summed once per epoch, re-summed only under a patch
 # ----------------------------------------------------------------------
 def test_view_totals_equal_a_fresh_sum_patched_or_not():
     system = build_system(skewed_graph())
@@ -461,11 +372,6 @@ def test_view_totals_equal_a_fresh_sum_patched_or_not():
         assert totals == (plain.epoch.num_rows, plain.epoch.num_edges)
         live = system._query_processor.live
         assert totals == (live.total_rows(), live.total_edges())
-
-        flipped = plain.reversed()
-        assert flipped.frozen_epoch() is None
-        assert (flipped.total_rows(), flipped.total_edges()) == fresh_sum(flipped)
-        assert flipped.total_edges() == plain.total_edges()
 
         # Two new rows (500 and, provisionally placed, 501) and two edges.
         session.insert_edges([(500, 501), (70, 500)], labels=[1, 3])

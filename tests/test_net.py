@@ -175,6 +175,15 @@ def test_khop_wire_parity_with_direct_scheduler(system, client):
                 ).outcome(timeout=15)
                 assert wire_dest == expect_dest
                 assert wire_stats == stats_to_wire(expect_stats)
+        # Expression groups take the scheduler's other path.
+        for source in (0, 3, 9):
+            for expression in (".{2}", ".+", "(./.)|."):
+                wire_dest, wire_stats = client.rpq(source, expression, timeout=15)
+                expect_dest, expect_stats = direct.submit_rpq(
+                    source, expression
+                ).outcome(timeout=15)
+                assert wire_dest == expect_dest
+                assert wire_stats == stats_to_wire(expect_stats)
 
 
 def test_rpq_wire_parity_with_oracle(system, client):

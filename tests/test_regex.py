@@ -142,18 +142,6 @@ def test_underscore_then_operator_is_wildcard():
     assert node.parts[1].name == "knows"
 
 
-def test_reverse_expression_round_trip():
-    from repro.rpq import reverse_expression
-
-    chain = parse_path_expression("a/b/c")
-    reversed_chain = reverse_expression(chain)
-    assert [part.name for part in reversed_chain.parts] == ["c", "b", "a"]
-    # An involution: reversing twice restores the original shape.
-    assert reverse_expression(reversed_chain) == chain
-    nested = parse_path_expression("(a/b|c)+/d")
-    assert reverse_expression(reverse_expression(nested)) == nested
-
-
 @pytest.mark.parametrize(
     "expression, copies",
     [

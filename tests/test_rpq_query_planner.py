@@ -70,7 +70,6 @@ def test_plan_khop_structure():
     plan = plan_query(KHopQuery(hops=3, sources=[0]))
     assert plan.expansions == 3 and plan.dfa is None
     assert plan.max_expansion_phases() == 3
-    assert plan.direction == "forward" and plan.reverse_seeds is None
     assert not plan.accumulate_results
     assert "smxm" in plan.explain()
 

@@ -11,6 +11,10 @@ Each test here was red on the code it now guards:
 * a non-integer hop count (``2.0``) was admitted and coalesced with
   integer 2-hop callers (``("khop", 2.0) == ("khop", 2)``), failing
   their whole batch;
+* a non-integer source (``1.5``) answered ``[]`` on the scalar kernel
+  and node 1's row on the array kernels, raised ``IndexError`` in a
+  session, and was admitted by the scheduler, failing the integer
+  callers coalesced with it;
 * plus the ``submit()``/``close()`` race and the
   abandoned-``outcome(timeout=...)`` contract.
 """
@@ -20,9 +24,11 @@ from __future__ import annotations
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core import Moctopus, MoctopusConfig
+from repro.engine import ENGINE_NAMES
 from repro.graph import random_graph
 from repro.pim import CostModel, ExecutionStats
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq
@@ -329,3 +335,63 @@ def test_float_hops_cannot_fail_integer_callers_in_its_window():
         for source, future in futures.items():
             oracle = evaluate_khop(system.graph, KHopQuery(hops=2, sources=[source]))
             assert future.result(timeout=10) == set(oracle.destinations_of(0))
+
+
+# ----------------------------------------------------------------------
+# A query source is an integer node id, checked before anything runs
+# ----------------------------------------------------------------------
+NON_INTEGER_SOURCES = [1.5, 1.0, math.nan, True, "1", 2**63]
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("source", NON_INTEGER_SOURCES, ids=repr)
+def test_non_integer_sources_raise_on_every_engine(engine, source):
+    system = build_system(engine=engine)
+    with pytest.raises(ValueError, match="source"):
+        system.batch_khop([source], 1)
+    with pytest.raises(ValueError, match="source"):
+        system.execute(RPQuery("a", [0, source]))
+    with system.begin() as session:
+        with pytest.raises(ValueError, match="source"):
+            session.batch_khop([source], 1)
+        with pytest.raises(ValueError, match="source"):
+            session.execute(RPQuery("a", [source]))
+    assert system._epochs.pins() == 0
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+def test_numpy_negative_and_unknown_sources_stay_legal(engine):
+    system = build_system(engine=engine)
+    expected, _ = system.batch_khop([1], 1)
+    for sources in ([np.int64(1)], [np.int32(1)]):
+        result, _ = system.batch_khop(sources, 1)
+        assert result.destinations == expected.destinations
+    result, _ = system.batch_khop([-1, 10_000, -(2**63), 2**63 - 1], 1)
+    assert result.total_matches == 0 and len(result.destinations) == 4
+
+
+@pytest.mark.parametrize("source", NON_INTEGER_SOURCES, ids=repr)
+def test_submit_rejects_non_integer_sources_before_queueing(source):
+    system = build_system()
+    with BatchScheduler(system, autostart=False) as scheduler:
+        with pytest.raises(ValueError, match="source"):
+            scheduler.submit(source, 1)
+        with pytest.raises(ValueError, match="source"):
+            scheduler.submit_rpq(source, "a")
+        assert scheduler.pending == 0
+
+
+def test_float_source_cannot_fail_integer_callers_in_its_window():
+    # The scalar kernel (and so "auto" on small batches) indexed the
+    # owner table with the float and failed the whole coalesced batch.
+    system = build_system(engine="python")
+    with BatchScheduler(system, autostart=False) as scheduler:
+        with pytest.raises(ValueError):
+            scheduler.submit(1.5, 1)
+        assert scheduler.pending == 0
+        futures = {source: scheduler.submit(source, 1) for source in (0, 2, 3, 4)}
+        scheduler._worker.start()
+        for source, future in futures.items():
+            oracle = evaluate_khop(system.graph, KHopQuery(hops=1, sources=[source]))
+            assert future.result(timeout=10) == set(oracle.destinations_of(0))
+        assert scheduler.batches_executed == 1
