@@ -46,9 +46,9 @@ Usage
     assert checker.cycles() == []
     assert checker.hazards == []
 
-The test suite runs the serving, parallel and net suites under this via
-the ``REPRO_LOCKCHECK=1`` fixture in ``tests/conftest.py``; the CI
-``analysis`` job sets the variable.
+The test suite runs the serving, parallel, net and durability suites
+under this via the ``REPRO_LOCKCHECK=1`` fixture in
+``tests/conftest.py``; the CI ``analysis`` job sets the variable.
 """
 
 from __future__ import annotations

@@ -16,12 +16,6 @@ A field is here because two callers want different values of it:
   nothing else: update batches are partitioned by one loop
   (:mod:`repro.core.update_processor`) whatever it says.  This field
   and ``Moctopus.use_engine`` are the only ways to choose a kernel;
-* the admission bound of the batch scheduler (``serve_queue_depth``);
-* the network front-end knobs (``net_host``, ``net_port``,
-  ``net_auth_token``, ``net_max_inflight_per_client``,
-  ``net_request_timeout``) controlling where ``Moctopus.listen()``
-  binds, the HELLO handshake secret, and the per-client admission
-  bounds and request timeouts of :mod:`repro.net`;
 * the durability knobs (``durability_dir``, ``wal_segment_bytes``,
   ``checkpoint_interval_batches``, ``wal_fsync``) controlling the
   write-ahead log and checkpoint lifecycle of
@@ -29,6 +23,12 @@ A field is here because two callers want different values of it:
 * the plan and result cache sizes.
 
 A value with one caller is a constant beside its reader, not a field.
+A front door's settings — the scheduler's queue depth, the server's
+address, auth token, in-flight cap and request timeout — are keyword
+arguments of the call that opens it (``Moctopus.serve()``,
+``Moctopus.listen()``), not fields: the config is system state, copied
+into ``config.json`` and every checkpoint manifest, and a listening
+address or a secret is not state to write to disk or to recover.
 How a storage keeps its CSR view fresh is not a knob either: every
 refresh splices the rows edited since the last one into the cached view
 (:mod:`repro.core.snapshot`).
@@ -81,27 +81,6 @@ class MoctopusConfig:
     #: concrete name pins one backend (parity suites, probes, oracle).
     #: The update path does not read this field.
     engine: str = "auto"
-    #: Bound of the serving layer's admission queue: how many client
-    #: queries may be waiting in a :class:`~repro.serve.scheduler.
-    #: BatchScheduler` before further submissions are rejected
-    #: (backpressure instead of unbounded memory growth).
-    serve_queue_depth: int = 64
-    #: Bind host of the network front-end (``Moctopus.listen()``).
-    net_host: str = "127.0.0.1"
-    #: Bind port of the network front-end; ``0`` picks an ephemeral port
-    #: (read it back from ``server.port``).
-    net_port: int = 0
-    #: Shared-secret auth token the HELLO handshake must present.
-    #: ``None`` (the default) accepts any client.
-    net_auth_token: Optional[str] = None
-    #: Per-connection cap on queries in flight: a client exceeding it
-    #: receives BUSY frames (admission control at the socket boundary)
-    #: instead of buffering without bound.
-    net_max_inflight_per_client: int = 32
-    #: Per-request timeout (seconds) the server enforces on every QUERY:
-    #: a query not answered in time gets an ERROR(timeout) frame and its
-    #: eventual result is discarded.
-    net_request_timeout: float = 30.0
     #: Root directory of the durability subsystem (write-ahead log +
     #: checkpoints).  ``None`` (the default) keeps the system memory-only;
     #: set a path to make every bulk load, update batch and migration
@@ -146,13 +125,6 @@ class MoctopusConfig:
             raise ValueError("capacity_factor must be >= 1.0")
         if self.high_degree_threshold is not None:
             require_int("high_degree_threshold", self.high_degree_threshold, 1)
-        require_int("serve_queue_depth", self.serve_queue_depth, 1)
-        require_int("net_port", self.net_port, 0, 65535)
-        require_int(
-            "net_max_inflight_per_client", self.net_max_inflight_per_client, 1
-        )
-        if not self.net_request_timeout > 0:
-            raise ValueError("net_request_timeout must be > 0 seconds")
         require_int("wal_segment_bytes", self.wal_segment_bytes, 1024)
         require_int(
             "checkpoint_interval_batches", self.checkpoint_interval_batches, 0

@@ -405,36 +405,33 @@ class Moctopus:
         starts.  ``parallel=N`` scatters the coalesced batches across
         ``N`` worker processes attached zero-copy to shared-memory epoch
         exports (:mod:`repro.parallel`); ``0`` (the default) executes
-        them in-process.  Close it (or use it as a context manager) when
-        done.
+        them in-process.  ``queue_depth`` bounds the admission queue
+        (default :data:`~repro.serve.scheduler.DEFAULT_QUEUE_DEPTH`).
+        Close it (or use it as a context manager) when done.
         """
         from repro.serve.scheduler import BatchScheduler
 
         return BatchScheduler(self, parallel=parallel, **kwargs)
 
-    def listen(
-        self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        **kwargs,
-    ) -> "MoctopusServer":
+    def listen(self, *args, **kwargs) -> "MoctopusServer":
         """Serve queries over TCP: start a network front-end.
 
         Creates a :class:`~repro.net.server.MoctopusServer` (which owns
         its own :meth:`serve` scheduler) and starts it on a background
-        event-loop thread.  ``host``/``port`` default from the
-        ``net_host``/``net_port`` config knobs (``port=0`` binds an
-        ephemeral port, readable as ``server.port``); remaining keyword
-        arguments — ``auth_token``, ``max_inflight_per_client``,
-        ``request_timeout``, ``scheduler`` (e.g. ``serve(parallel=N)``)
-        — are forwarded to the server constructor.  Close the returned
-        server (or use it as a context manager) when done; shutdown
-        answers every in-flight query before closing sockets.
+        event-loop thread.  The arguments are the server's: ``host``
+        and ``port`` (default ``127.0.0.1:0``; ``port=0`` binds an
+        ephemeral port, readable as ``server.port``), then by keyword
+        ``auth_token``, ``max_inflight_per_client``,
+        ``request_timeout`` and ``scheduler`` (e.g.
+        ``serve(parallel=N)``).  They are not config fields: nothing
+        about the front door is written to the durability directory.
+        A bad argument raises before any thread starts.  Close the
+        returned server (or use it as a context manager) when done;
+        shutdown answers every in-flight query before closing sockets.
         """
         from repro.net.server import MoctopusServer
 
-        server = MoctopusServer(self, host=host, port=port, **kwargs)
-        return server.start()
+        return MoctopusServer(self, *args, **kwargs).start()
 
     @property
     def current_epoch_id(self) -> int:

@@ -18,8 +18,7 @@ buffering:
   query before closing sockets, and an HTTP-ish ``GET /metrics`` text
   endpoint on the same port;
 * :mod:`repro.net.client` — :class:`MoctopusClient` (blocking, with a
-  demuxing reader thread for pipelining) and
-  :class:`AsyncMoctopusClient` (asyncio streams);
+  demuxing reader thread for pipelining);
 * :mod:`repro.net.metrics` — the observable surface: server counters,
   scheduler/cache/epoch gauges and aggregated
   :class:`~repro.pim.stats.ExecutionStats`, rendered for the STATS
@@ -30,7 +29,6 @@ Entry point: ``server = system.listen(host, port)`` (see
 """
 
 from repro.net.client import (
-    AsyncMoctopusClient,
     MoctopusClient,
     ServerBusy,
     ServerError,
@@ -48,7 +46,6 @@ from repro.net.protocol import (
 from repro.net.server import MoctopusServer
 
 __all__ = [
-    "AsyncMoctopusClient",
     "MAX_FRAME_BYTES",
     "MAX_WIRE_HOPS",
     "MoctopusClient",

@@ -1,15 +1,11 @@
-"""Clients of the network serving front-end.
+"""The client of the network serving front-end.
 
-Two clients over the same frame protocol:
+:class:`MoctopusClient` is blocking: a daemon reader thread demuxes
+reply frames by request id into per-request events, so one connection
+can pipeline many queries (``submit_khop``/``submit_rpq`` return
+:class:`PendingReply` handles resolved out of order).
 
-* :class:`MoctopusClient` — blocking; a daemon reader thread demuxes
-  reply frames by request id into per-request events, so one connection
-  can pipeline many queries (``submit_khop``/``submit_rpq`` return
-  :class:`PendingReply` handles resolved out of order);
-* :class:`AsyncMoctopusClient` — asyncio-native; a reader task demuxes
-  into per-request futures.
-
-Both surface admission rejections as :class:`ServerBusy` (back off and
+It surfaces admission rejections as :class:`ServerBusy` (back off and
 retry — the query was never admitted) and request failures as
 :class:`ServerError` carrying the server's error ``code``
 (``bad_request``, ``timeout``, ``closed``, ``internal``, ``auth``).
@@ -17,7 +13,6 @@ retry — the query was never admitted) and request failures as
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import socket
 import threading
@@ -27,7 +22,6 @@ from repro.net.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     encode_frame,
-    read_frame,
     read_frame_blocking,
 )
 
@@ -244,133 +238,3 @@ class MoctopusClient:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-class AsyncMoctopusClient:
-    """Asyncio-native client; create via ``await connect(...)``."""
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        server_info: Dict[str, Any],
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self.server_info = server_info
-        self._pending: Dict[int, asyncio.Future] = {}
-        self._request_ids = itertools.count(1)
-        self._closed = False
-        self._write_lock = asyncio.Lock()
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
-        )
-
-    @classmethod
-    async def connect(
-        cls, host: str, port: int, auth_token: Optional[str] = None
-    ) -> "AsyncMoctopusClient":
-        """Open a connection and perform the HELLO handshake."""
-        reader, writer = await asyncio.open_connection(host, port)
-        hello = {"type": "hello", "id": 0, "protocol": PROTOCOL_VERSION}
-        if auth_token is not None:
-            hello["token"] = auth_token
-        writer.write(encode_frame(hello))
-        await writer.drain()
-        reply = await read_frame(reader)
-        if reply is None:
-            writer.close()
-            raise ConnectionError("server closed the connection during hello")
-        if reply["type"] != "welcome":
-            writer.close()
-            outcome = _interpret(reply)
-            if isinstance(outcome, BaseException):
-                raise outcome
-            raise ProtocolError(f"unexpected handshake reply {reply['type']!r}")
-        return cls(reader, writer, reply)
-
-    async def _read_loop(self) -> None:
-        failure: BaseException = ConnectionError("connection closed by server")
-        try:
-            while True:
-                frame = await read_frame(self._reader)
-                if frame is None:
-                    break
-                future = self._pending.pop(frame.get("id"), None)
-                if future is None or future.done():
-                    continue
-                outcome = _interpret(frame)
-                if isinstance(outcome, BaseException):
-                    future.set_exception(outcome)
-                else:
-                    future.set_result(outcome)
-        except (ProtocolError, ConnectionError, OSError) as error:
-            if not self._closed:
-                failure = error
-        except asyncio.CancelledError:
-            pass
-        finally:
-            stranded, self._pending = list(self._pending.values()), {}
-            for future in stranded:
-                if not future.done():
-                    future.set_exception(failure)
-
-    async def _send_request(self, frame: Dict[str, Any]) -> Any:
-        if self._closed:
-            raise RuntimeError("client is closed")
-        rid = next(self._request_ids)
-        frame["id"] = rid
-        future = asyncio.get_running_loop().create_future()
-        self._pending[rid] = future
-        payload = encode_frame(frame)
-        async with self._write_lock:
-            self._writer.write(payload)
-            await self._writer.drain()
-        return await future
-
-    async def khop(self, source: int, hops: int) -> QueryReply:
-        """Run one k-hop query to completion."""
-        return await self._send_request(
-            {"type": "query", "kind": "khop", "source": source, "hops": hops}
-        )
-
-    async def rpq(self, source: int, expression: str) -> QueryReply:
-        """Run one regular-path query to completion."""
-        return await self._send_request(
-            {
-                "type": "query",
-                "kind": "rpq",
-                "source": source,
-                "expression": expression,
-            }
-        )
-
-    async def stats(self) -> Dict[str, Any]:
-        """Scrape the server's metrics mapping over the protocol."""
-        return await self._send_request({"type": "stats"})
-
-    async def ping(self) -> None:
-        """Round-trip a liveness probe."""
-        await self._send_request({"type": "ping"})
-
-    async def close(self) -> None:
-        """Send GOODBYE, await the confirmation, close the streams."""
-        if self._closed:
-            return
-        try:
-            await asyncio.wait_for(
-                self._send_request({"type": "goodbye"}), timeout=5.0
-            )
-        except (RuntimeError, OSError, asyncio.TimeoutError, ServerError):
-            pass  # best-effort: teardown proceeds regardless
-        finally:
-            self._closed = True
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                pass
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass

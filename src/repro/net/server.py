@@ -7,16 +7,20 @@ design point is **backpressure, never unbounded buffering**, enforced at
 three boundaries:
 
 * per-client: a connection may keep at most
-  ``net_max_inflight_per_client`` queries in flight; the next QUERY gets
+  ``max_inflight_per_client`` queries in flight; the next QUERY gets
   a BUSY frame (``reason: "client_inflight"``) without being admitted;
 * server-wide: admission into the scheduler uses ``block=False``, so a
   full admission queue surfaces as
   :class:`~repro.serve.scheduler.SchedulerSaturated` and becomes a BUSY
   frame (``reason: "server_saturated"``) instead of a hidden backlog;
-* per-request: every admitted query runs under ``net_request_timeout``;
+* per-request: every admitted query runs under ``request_timeout``;
   on expiry the client gets an ERROR(timeout) frame and the eventual
   scheduler outcome is discarded (the
   :class:`~repro.serve.scheduler.ResultGate` contract).
+
+Before its HELLO a connection is bounded in time as well: a peer that
+connects and sends nothing, or only part of its first frame or request
+line, is closed after :data:`PRE_AUTH_TIMEOUT_S`.
 
 The asyncio/threading bridge is callback-shaped: the scheduler resolves
 a :class:`~repro.serve.scheduler.ServingFuture` on its drain thread,
@@ -39,6 +43,7 @@ production SCADA-style services.
 from __future__ import annotations
 
 import asyncio
+import hmac
 import itertools
 import logging
 import threading
@@ -67,6 +72,24 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 #: scrape, not a frame stream (a frame this long would be rejected
 #: anyway — ``b"GET "`` decodes to a 1.2 GB length prefix).
 _HTTP_GET = b"GET "
+
+#: Seconds a connection may take to deliver its first frame (or, for a
+#: metrics scrape, its request line).  Nothing is admitted before the
+#: HELLO, so an idle or trickling peer is closed rather than held open.
+PRE_AUTH_TIMEOUT_S = 5.0
+
+#: Default bind address and port of the front-end; port ``0`` picks an
+#: ephemeral port (read it back from :attr:`MoctopusServer.port`).
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 0
+
+#: Default per-connection cap on queries in flight: a client past it
+#: gets BUSY frames instead of buffering without bound.
+DEFAULT_MAX_INFLIGHT_PER_CLIENT = 32
+
+#: Default per-request timeout (seconds): a query not answered in time
+#: gets an ERROR(timeout) frame and its eventual result is discarded.
+DEFAULT_REQUEST_TIMEOUT_S = 30.0
 
 
 class _Connection:
@@ -122,40 +145,42 @@ class MoctopusServer:
     Construction does not bind anything; call :meth:`start` (background
     thread with its own event loop — the blocking-world facade used by
     ``Moctopus.listen()``) or ``await`` :meth:`start_async` from a
-    running loop.  Every ``None`` knob defaults from the system's
-    :class:`~repro.core.config.MoctopusConfig` (``net_*`` fields).
+    running loop.
+
+    ``host``/``port`` name the listening address (``port=0`` binds an
+    ephemeral port); ``auth_token``, when set, is the secret every HELLO
+    must present; ``max_inflight_per_client`` and ``request_timeout``
+    are the per-client admission bound and the per-query deadline.
+    ``scheduler`` wraps a caller-made scheduler (e.g.
+    ``system.serve(parallel=N)``) instead of starting one.  Every
+    argument is checked here, before any thread starts.
     """
 
     def __init__(
         self,
         system: "Moctopus",
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
+        *,
         scheduler: Optional["BatchScheduler"] = None,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
         auth_token: Optional[str] = None,
-        max_inflight_per_client: Optional[int] = None,
-        request_timeout: Optional[float] = None,
+        max_inflight_per_client: int = DEFAULT_MAX_INFLIGHT_PER_CLIENT,
+        request_timeout: float = DEFAULT_REQUEST_TIMEOUT_S,
         logger: Optional[logging.Logger] = None,
     ) -> None:
-        config = system.config
         self.system = system
-        self._host = host if host is not None else config.net_host
-        self._port = port if port is not None else config.net_port
+        self._host = host
+        self._port = int(require_int("port", port, 0, 65535))
+        if auth_token is not None and not isinstance(auth_token, str):
+            raise ValueError(f"auth_token must be a string, got {auth_token!r}")
         self._auth_token = (
-            auth_token if auth_token is not None else config.net_auth_token
+            None if auth_token is None else auth_token.encode("utf-8")
         )
-        self._max_inflight = (
-            max_inflight_per_client
-            if max_inflight_per_client is not None
-            else config.net_max_inflight_per_client
+        self._max_inflight = require_int(
+            "max_inflight_per_client", max_inflight_per_client, 1
         )
-        self._request_timeout = (
-            request_timeout
-            if request_timeout is not None
-            else config.net_request_timeout
-        )
-        require_int("max_inflight_per_client", self._max_inflight, 1)
-        if not self._request_timeout > 0:  # written so that nan is refused too
+        self._request_timeout = request_timeout
+        if not request_timeout > 0:  # written so that nan is refused too
             raise ValueError("request_timeout must be > 0 seconds")
         self._owns_scheduler = scheduler is None
         self.scheduler = scheduler if scheduler is not None else system.serve()
@@ -181,7 +206,7 @@ class MoctopusServer:
     # ------------------------------------------------------------------
     @property
     def port(self) -> int:
-        """The bound TCP port (resolves ``net_port=0`` ephemerals)."""
+        """The bound TCP port (resolves ``port=0`` ephemerals)."""
         if self._bound_port is None:
             raise RuntimeError("server is not started")
         return self._bound_port
@@ -315,8 +340,11 @@ class MoctopusServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            header = await reader.readexactly(4)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            header = await asyncio.wait_for(
+                reader.readexactly(4), timeout=PRE_AUTH_TIMEOUT_S
+            )
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError,
+                ConnectionError, OSError):
             writer.close()
             return
         if header == _HTTP_GET:
@@ -372,9 +400,18 @@ class MoctopusServer:
     async def _read_after_header(
         self, reader: asyncio.StreamReader, header: bytes
     ):
-        """Read the first frame, whose length prefix was already read."""
+        """Read the first frame, whose length prefix was already read.
+
+        ``None`` when the peer does not deliver it within
+        :data:`PRE_AUTH_TIMEOUT_S` (the connection is then closed).
+        """
         try:
-            payload = await reader.readexactly(decode_length(header))
+            payload = await asyncio.wait_for(
+                reader.readexactly(decode_length(header)),
+                timeout=PRE_AUTH_TIMEOUT_S,
+            )
+        except asyncio.TimeoutError:
+            return None
         except asyncio.IncompleteReadError:
             raise ProtocolError("connection closed mid-frame") from None
         return decode_frame(payload)
@@ -396,7 +433,9 @@ class MoctopusServer:
                 f"(server speaks {PROTOCOL_VERSION})",
             )
             return False
-        if self._auth_token is not None and frame.get("token") != self._auth_token:
+        if self._auth_token is not None and not self._token_matches(
+            frame.get("token")
+        ):
             self.metrics.count("auth_failures")
             self._log.warning("client %d failed auth", conn.client_id)
             await conn.send_error(rid, "auth", "invalid auth token")
@@ -412,6 +451,18 @@ class MoctopusServer:
             }
         )
         return True
+
+    def _token_matches(self, token) -> bool:
+        """Constant-time check of a HELLO token; a non-string never matches.
+
+        A lone surrogate (legal in JSON) is encoded through rather than
+        raised on: its bytes are not UTF-8, so they match no token.
+        """
+        if not isinstance(token, str):
+            return False
+        return hmac.compare_digest(
+            token.encode("utf-8", "surrogatepass"), self._auth_token
+        )
 
     async def _dispatch(self, conn: _Connection, frame: dict) -> bool:
         """Handle one post-handshake frame; False ends the connection."""
@@ -603,7 +654,7 @@ class MoctopusServer:
         """Answer ``GET /metrics`` (anything else is a 404) and close."""
         try:
             request = _HTTP_GET + await asyncio.wait_for(
-                reader.readuntil(b"\r\n"), timeout=5.0
+                reader.readuntil(b"\r\n"), timeout=PRE_AUTH_TIMEOUT_S
             )
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError, ConnectionError, OSError):

@@ -48,6 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 #: Upper bound on how many queued client queries one drain coalesces.
 BATCH_WINDOW = 16
 
+#: Default bound of the admission queue: how many client queries may
+#: wait before a further submission blocks or is refused.
+DEFAULT_QUEUE_DEPTH = 64
+
 
 class SchedulerSaturated(RuntimeError):
     """Raised when the admission queue is full and the caller won't wait."""
@@ -209,14 +213,12 @@ class BatchScheduler:
     def __init__(
         self,
         system: "Moctopus",
-        queue_depth: Optional[int] = None,
+        queue_depth: int = DEFAULT_QUEUE_DEPTH,
         autostart: bool = True,
         parallel: int = 0,
     ) -> None:
         self._system = system
         config = system.config
-        if queue_depth is None:
-            queue_depth = config.serve_queue_depth
         require_int("queue_depth", queue_depth, 1)
         require_int("parallel", parallel, 0)
         self._queue: "queue.Queue[Optional[ServingFuture]]" = queue.Queue(

@@ -107,7 +107,9 @@ def small_config(small_cost_model: CostModel) -> MoctopusConfig:
 # the code under test ever acquired locks in cycle-forming orders
 # (potential ABBA deadlock) — detection needs only the *observed*
 # orderings, no run has to actually deadlock.  The CI ``analysis`` job
-# sets the variable for the serving/parallel/net suites.
+# sets the variable for the serving/parallel/net suites and the
+# durability suite (whose checkpoint daemon takes the writer lock from
+# its own thread).
 #
 # ``tests/test_analysis.py`` manages its own checker regions (install
 # is deliberately exclusive), so it is excluded from the autouse guard.

@@ -51,6 +51,7 @@ from repro.durability.wal import (
 )
 from repro.graph import DiGraph, power_law_graph, stream
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
+from repro.net import MoctopusClient
 from repro.pim import CostModel
 
 from faultinject import (
@@ -888,6 +889,34 @@ def test_recovery_ignores_retired_config_knobs(tmp_path, checkpointed):
     recovered = Moctopus.recover(str(tmp_path))
     assert_fingerprints_equal(fingerprint(recovered), expected, "retired knob")
     recovered.close()
+
+
+def test_auth_token_never_reaches_disk(tmp_path):
+    """The front door's settings are arguments of ``listen()``, not
+    config fields, so nothing under the durability directory carries
+    the auth token (it used to sit in plain text in ``config.json`` and
+    in every checkpoint manifest)."""
+    token = "tok-5f3a9c1e-never-on-disk"
+    with pytest.raises(TypeError):
+        MoctopusConfig(net_auth_token=token)
+    system = Moctopus.from_graph(
+        power_law_graph(60, edges_per_node=2, seed=3), _config(tmp_path)
+    )
+    with system.listen(port=0, auth_token=token) as server:
+        with MoctopusClient("127.0.0.1", server.port, auth_token=token) as cli:
+            cli.ping(timeout=5)
+        system.insert_edges([(0, 999), (1, 998)])
+        system.checkpoint()
+    system.close()
+    written = [
+        os.path.join(root, name)
+        for root, _, names in os.walk(str(tmp_path))
+        for name in names
+    ]
+    assert any(name.endswith("manifest.json") for name in written)
+    for path in written:
+        with open(path, "rb") as handle:
+            assert token.encode() not in handle.read(), path
 
 
 def _bootstrap_payload_from_lists(edges, nodes) -> bytes:

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import pathlib
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -44,7 +45,7 @@ def test_config_validation():
 NAN = float("nan")
 
 
-@pytest.mark.parametrize("field", ["capacity_factor", "net_request_timeout"])
+@pytest.mark.parametrize("field", ["capacity_factor"])
 def test_config_rejects_nan(field):
     """``nan`` fails every comparison, so a bound written as ``x < low``
     would let it through (a nan capacity factor turns every greedy
@@ -72,9 +73,6 @@ def test_component_arguments_reject_nan(build):
 
 INT_FIELDS = [
     "high_degree_threshold",
-    "serve_queue_depth",
-    "net_port",
-    "net_max_inflight_per_client",
     "wal_segment_bytes",
     "checkpoint_interval_batches",
     "plan_cache_size",
@@ -86,8 +84,8 @@ INT_FIELDS = [
 @pytest.mark.parametrize("field", INT_FIELDS)
 def test_config_int_fields_reject_nan_and_floats(field, value):
     """An integer field takes integers only: ``nan`` passed every
-    ``x < low`` bound (``serve_queue_depth=nan`` built an unbounded
-    queue) and ``high_degree_threshold=4.0`` crashed the bulk load."""
+    ``x < low`` bound (a nan queue depth built an unbounded queue) and
+    ``high_degree_threshold=4.0`` crashed the bulk load."""
     with pytest.raises(ValueError, match=field):
         MoctopusConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
@@ -112,16 +110,17 @@ def test_config_int_fields_cover_every_int_default():
             system, queue_depth=value, autostart=False)),
         ("max_inflight_per_client", lambda system, value: MoctopusServer(
             system, port=0, max_inflight_per_client=value)),
+        ("port", lambda system, value: MoctopusServer(system, port=value)),
         ("parallel", lambda system, value: system.serve(parallel=value)),
         ("workers", lambda system, value: WorkerPool(system, workers=value)),
         ("high_degree_threshold", lambda system, value: LaborDivisionPartitioner(
             RadicalGreedyPartitioner(4), high_degree_threshold=value)),
     ],
-    ids=["scheduler", "server", "serve", "pool", "labor_division"],
+    ids=["scheduler", "server", "server_port", "serve", "pool", "labor_division"],
 )
 def test_component_int_arguments_reject_nan_and_floats(name, build, value):
-    """The keyword arguments that bypass the config are checked alike,
-    before any thread starts or process forks."""
+    """The integer arguments of components and front doors are checked
+    like config fields, before any thread starts or process forks."""
     system = Moctopus()
     try:
         with pytest.raises(ValueError, match=name):
@@ -182,7 +181,29 @@ def test_knob_census():
     # different values; with one value in use it is a constant, and a
     # value the code can work out is not an option.  Adding a field
     # means editing this count and naming those two callers in the PR.
-    assert len(names) == 18
+    assert len(names) == 12
+
+
+@pytest.mark.parametrize(
+    "port", [True, 1.5, NAN, -1, 65536], ids=["bool", "float", "nan", "neg", "big"]
+)
+def test_bad_port_refused_before_any_thread(port):
+    """``port=True`` and ``port=1.5`` used to bind port 1, and a port
+    past 65535 failed with ``OverflowError`` on the server's loop
+    thread; each is now refused at construction, before the scheduler
+    or the loop thread starts."""
+    import threading
+
+    system = Moctopus()
+    try:
+        threads = set(threading.enumerate())
+        with pytest.raises(ValueError, match="port"):
+            MoctopusServer(system, port=port)
+        with pytest.raises(ValueError, match="port"):
+            system.listen(port=port)
+        assert set(threading.enumerate()) == threads
+    finally:
+        system.close()
 
 
 def test_pim_hash_config_disables_moctopus_features():

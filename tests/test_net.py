@@ -16,7 +16,6 @@ Three layers:
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import struct
 import threading
@@ -27,7 +26,6 @@ import pytest
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import random_graph
 from repro.net import (
-    AsyncMoctopusClient,
     MAX_FRAME_BYTES,
     MoctopusClient,
     MoctopusServer,
@@ -39,6 +37,7 @@ from repro.net import (
     encode_frame,
     stats_to_wire,
 )
+from repro.net import server as server_module
 from repro.net.protocol import MAX_WIRE_HOPS, decode_length, read_frame_blocking
 from repro.pim import CostModel
 from repro.rpq import RPQuery, evaluate_rpq
@@ -118,6 +117,56 @@ def test_auth_token_enforced(system):
         with MoctopusClient(
             "127.0.0.1", srv.port, auth_token="sekrit"
         ) as cli:
+            cli.ping(timeout=5)
+
+
+def _hello_reply(port, frame):
+    """Send one raw HELLO frame and return the server's reply frame."""
+    sock = socket.create_connection(("127.0.0.1", port), 5)
+    try:
+        sock.sendall(encode_frame(frame))
+        return read_frame_blocking(sock)
+    finally:
+        sock.close()
+
+
+def test_auth_token_must_be_the_exact_string(system):
+    """Only the configured string authenticates: the check used to be a
+    plain ``!=`` over whatever JSON type arrived, and now is a
+    constant-time comparison of UTF-8 bytes that refuses non-strings
+    (a lone surrogate, legal in JSON, has no UTF-8 form)."""
+    with MoctopusServer(system, port=0, auth_token="sekrit").start() as srv:
+        for token in (12345, ["sekrit"], None, "sekrit ", "\ud800"):
+            reply = _hello_reply(
+                srv.port,
+                {"type": "hello", "id": 0, "protocol": PROTOCOL_VERSION,
+                 "token": token},
+            )
+            assert (reply["type"], reply["code"]) == ("error", "auth"), token
+        assert srv.metrics.snapshot()["auth_failures"] == 5
+        with MoctopusClient(
+            "127.0.0.1", srv.port, auth_token="sekrit"
+        ) as cli:
+            cli.ping(timeout=5)
+
+
+def test_connection_without_hello_is_closed(system, monkeypatch):
+    """A peer that connects and sends nothing, or only a length prefix,
+    is closed once the pre-auth timeout expires instead of being held
+    open forever."""
+    monkeypatch.setattr(server_module, "PRE_AUTH_TIMEOUT_S", 0.2)
+    with MoctopusServer(system, port=0).start() as srv:
+        silent = socket.create_connection(("127.0.0.1", srv.port), 5)
+        prefix_only = socket.create_connection(("127.0.0.1", srv.port), 5)
+        try:
+            prefix_only.sendall(struct.pack(">I", 64))
+            for sock in (silent, prefix_only):
+                sock.settimeout(5)
+                assert sock.recv(1) == b""  # EOF: the server hung up
+        finally:
+            silent.close()
+            prefix_only.close()
+        with MoctopusClient("127.0.0.1", srv.port) as cli:
             cli.ping(timeout=5)
 
 
@@ -452,7 +501,7 @@ def test_http_metrics_scrape_shares_the_port(server, client):
 
 
 # ----------------------------------------------------------------------
-# Facade, async client, lifecycle
+# Facade and lifecycle
 # ----------------------------------------------------------------------
 def test_listen_facade_and_goodbye(system):
     with system.listen(port=0) as server:
@@ -465,41 +514,6 @@ def test_listen_facade_and_goodbye(system):
         # close() sent GOODBYE; further requests must refuse locally.
         with pytest.raises(RuntimeError):
             cli.ping()
-
-
-def test_async_client_roundtrip(server, system):
-    async def go():
-        cli = await AsyncMoctopusClient.connect("127.0.0.1", server.port)
-        try:
-            destinations, stats = await cli.khop(0, 2)
-            replies = await asyncio.gather(
-                *(cli.khop(source, 2) for source in range(4))
-            )
-            rpq_dest, _ = await cli.rpq(0, ".+")
-            metrics = await cli.stats()
-            await cli.ping()
-            return destinations, stats, replies, rpq_dest, metrics
-        finally:
-            await cli.close()
-
-    destinations, stats, replies, rpq_dest, metrics = asyncio.run(go())
-    expect, _ = system.batch_khop(sources=[0], hops=2)
-    assert destinations == set(expect.destinations_of(0))
-    assert stats["total_time"] >= 0
-    assert len(replies) == 4
-    assert isinstance(rpq_dest, set)
-    assert metrics["queries_answered"] >= 5
-
-
-def test_async_client_auth_failure(system):
-    with MoctopusServer(system, port=0, auth_token="sekrit").start() as srv:
-
-        async def go():
-            with pytest.raises(ServerError) as excinfo:
-                await AsyncMoctopusClient.connect("127.0.0.1", srv.port)
-            assert excinfo.value.code == "auth"
-
-        asyncio.run(go())
 
 
 def test_server_rejects_bad_knobs(system):
