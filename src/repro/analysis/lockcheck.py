@@ -46,9 +46,10 @@ Usage
     assert checker.cycles() == []
     assert checker.hazards == []
 
-The test suite runs the serving, parallel, net and durability suites
-under this via the ``REPRO_LOCKCHECK=1`` fixture in
-``tests/conftest.py``; the CI ``analysis`` job sets the variable.
+The test suite runs the serving, parallel, net, durability and
+single-copy-state suites under this via the ``REPRO_LOCKCHECK=1``
+fixture in ``tests/conftest.py``; the CI ``analysis`` job sets the
+variable.
 """
 
 from __future__ import annotations
@@ -118,7 +119,10 @@ class LockOrderChecker:
         #: lazily, only when they participate in a nested acquisition —
         #: uncontended single-lock code adds nothing.
         self._edges: Dict[Tuple[int, int], _Edge] = {}
-        self._sites: Dict[int, str] = {}
+        #: id -> lock of every graph node, held for the checked region:
+        #: a dropped lock's address reused by a later lock would merge
+        #: two nodes and fake a cycle.
+        self._nodes: Dict[int, "InstrumentedLock"] = {}
         self.hazards: List[Hazard] = []
         self.locks_created = 0
         self.acquisitions = 0
@@ -145,8 +149,8 @@ class LockOrderChecker:
                     continue
                 edge = self._edges.get(key)
                 if edge is None:
-                    self._sites[id(holder)] = holder.site
-                    self._sites[id(lock)] = lock.site
+                    self._nodes[id(holder)] = holder
+                    self._nodes[id(lock)] = lock
                     self._edges[key] = _Edge(
                         holder.site, lock.site, stack
                     )
@@ -215,7 +219,7 @@ class LockOrderChecker:
             adjacency: Dict[int, List[int]] = {}
             for (src, dst) in self._edges:
                 adjacency.setdefault(src, []).append(dst)
-            sites = dict(self._sites)
+            sites = {key: lock.site for key, lock in self._nodes.items()}
         cycles: List[List[str]] = []
         seen_cycles: Set[Tuple[int, ...]] = set()
         visited: Set[int] = set()

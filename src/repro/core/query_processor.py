@@ -48,6 +48,8 @@ never observe a stale entry:
 Hit/miss counters accumulate on :attr:`QueryProcessor.cache_stats`
 (a separate :class:`ExecutionStats`), never on per-query stats, so the
 per-query observables stay identical between cold and warm runs.
+When an epoch retires, :meth:`QueryProcessor.forget_epoch` drops its
+entries from both caches.
 """
 
 from __future__ import annotations
@@ -111,6 +113,18 @@ class QueryProcessor:
     def use_engine(self, name: str) -> None:
         """Swap the execution backend (used by benchmarks and tests)."""
         self.engine = create_engine(name, self.label_names)
+
+    def forget_epoch(self, epoch_id: int) -> None:
+        """Drop the plan and result entries of a retired epoch.
+
+        Epoch ids are never reused, so such an entry could never hit
+        again; left alone it would hold an LRU slot (and a result's
+        arrays) until newer entries pushed it out.
+        """
+        with self._cache_lock:
+            for cache in (self._plan_cache, self._result_cache):
+                for key in [key for key in cache if key[0] == epoch_id]:
+                    del cache[key]
 
     # ------------------------------------------------------------------
     # The entry point

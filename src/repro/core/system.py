@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -63,9 +63,26 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.serve.scheduler import BatchScheduler
     from repro.serve.session import Session
 
+#: What :meth:`Moctopus.close` deletes: every attribute that reaches
+#: graph state.  Reading one afterwards lands in ``Moctopus.__getattr__``,
+#: the one place the closed error is raised.
+_RELEASED_ON_CLOSE = (
+    "_module_storages",
+    "_host_storage",
+    "_partitioner",
+    "_migrator",
+    "_query_processor",
+    "_update_processor",
+    "_graph",
+    "_durability",
+    "last_maintenance_stats",
+)
+
 
 class Moctopus:
     """PIM-based data management system for batch RPQs and graph updates."""
+
+    _closed = False
 
     def __init__(
         self,
@@ -122,12 +139,14 @@ class Moctopus:
         from repro.serve.epoch import EpochManager
 
         #: Epoch publish/pin lifecycle of the serving layer.  It captures
-        #: from the storages directly, never through ``self``: no
+        #: from the storages directly, never through ``self``, and tells
+        #: the query processor (not ``self``) which epochs retire: no
         #: reference cycle, so a dropped system is freed by refcount.
         self._epochs = EpochManager(
             self._partitioner.partition_map,
             (*self._module_storages, self._host_storage),
             lock=self._serve_lock,
+            on_retire=self._query_processor.forget_epoch,
         )
         #: Write-ahead log + checkpoint lifecycle (``None`` = memory-only).
         self._durability: Optional["DurabilityController"] = None
@@ -358,20 +377,46 @@ class Moctopus:
         return self._durability.checkpoint_now()
 
     def close(self) -> None:
-        """Flush and detach durability, and release derived arrays.
+        """End the system: detach durability and release the graph.
 
-        Stops the checkpoint daemon, closes the WAL, and drops the
-        current epoch and the storages' cached CSR snapshots, so a
-        closed system a caller still references holds only its rows.
-        Safe to call on memory-only systems and more than once.  The
-        system remains usable for in-memory work afterwards (the next
-        query rebuilds the snapshots), but further updates are no
-        longer logged.
+        Under the writer lock, the durability controller is detached, the
+        current epoch is released, and every reference that reaches
+        graph state is dropped: the storages, the partitioner and
+        migrator, the update and query processors with their caches, the
+        :attr:`graph` view and :attr:`last_maintenance_stats`.  Then the
+        checkpoint daemon is stopped and the WAL closed; every write
+        acknowledged before ``close()`` is in the log.
+
+        From then on every call that would read or write the graph —
+        directly or through a session, scheduler or server still open on
+        the system — raises :class:`RuntimeError`.  Those handles can
+        still be closed, returning their pins.  There is no reopening: a
+        durable system comes back through :meth:`recover`.  Safe to call
+        on memory-only systems and more than once.
         """
-        if self._durability is not None:
-            self._durability.close()
-            self._durability = None
-        self._epochs.release()
+        with self._serve_lock:
+            if self._closed:
+                return
+            self._closed = True
+            durability = self._durability
+            for name in _RELEASED_ON_CLOSE:
+                delattr(self, name)
+            self._epochs.close()
+        if durability is not None:
+            # Outside the writer lock: stopping the checkpoint daemon
+            # joins a thread that takes that lock.
+            durability.close()
+
+    def __getattr__(self, name: str) -> NoReturn:
+        # Reached only when normal lookup fails, which for the state
+        # close() released means the system is closed.
+        if name in _RELEASED_ON_CLOSE and self._closed:
+            from repro.serve.epoch import SYSTEM_CLOSED
+
+            raise RuntimeError(SYSTEM_CLOSED)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     @property
     def durable_lsn(self) -> int:
@@ -544,6 +589,8 @@ class Moctopus:
         return self._graph.has_edge(src, dst)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if self._closed:
+            return f"Moctopus(closed, modules={self.num_modules})"
         return (
             f"Moctopus(nodes={self.num_nodes}, edges={self.num_edges}, "
             f"modules={self.num_modules})"

@@ -50,7 +50,7 @@ import os
 import shutil
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -171,7 +171,7 @@ def checkpoint_dir_path(directory: str, lsn: int) -> str:
     return os.path.join(directory, f"{_CKPT_PREFIX}{lsn:016d}")
 
 
-def _write_file(path: str, payload: bytes, fsync: bool) -> None:
+def _write_file(path: str, payload: Union[bytes, memoryview], fsync: bool) -> None:
     # Resolved through the module so the fault-injection harness's
     # monkeypatch of ``wal.wal_write`` also tears checkpoint writes.
     with open(path, "ab", buffering=0) as handle:
@@ -221,7 +221,10 @@ def persist_checkpoint(
     os.makedirs(tmp_path)
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
-    _write_file(os.path.join(tmp_path, _STATE_FILE), buffer.getvalue(), fsync)
+    # A view of the buffer, not a second full copy of the payload; it is
+    # released before the buffer is dropped.
+    with buffer.getbuffer() as payload:
+        _write_file(os.path.join(tmp_path, _STATE_FILE), payload, fsync)
     _write_file(
         os.path.join(tmp_path, _MANIFEST_FILE),
         json.dumps(manifest, sort_keys=True).encode("utf-8"),

@@ -43,7 +43,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +78,7 @@ class WalGapError(CorruptWalError):
     """The LSN sequence has a hole (a segment went missing)."""
 
 
-def wal_write(handle, payload: bytes) -> None:
+def wal_write(handle, payload: Union[bytes, memoryview]) -> None:
     """Write ``payload`` to an (unbuffered) file handle.
 
     Every durable byte of the WAL *and* of checkpoints goes through this

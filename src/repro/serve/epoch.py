@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from types import TracebackType
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from repro.core.snapshot import GraphSnapshot
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import PIMSystem
+
+#: The one error every read or write of a closed system raises.
+SYSTEM_CLOSED = "this Moctopus system is closed: close() released its graph"
 
 
 class LockLike(Protocol):
@@ -285,6 +288,10 @@ class EpochManager:
     batch: the writer holds the lock while mutating and marks the
     manager stale; the next ``pin()``/``current()`` captures a fresh
     epoch atomically under the same lock.
+
+    ``on_retire`` is called (under the lock) with the id of every epoch
+    that retires, so epoch-keyed caches can drop entries that could
+    never hit again.
     """
 
     def __init__(
@@ -292,15 +299,18 @@ class EpochManager:
         partition_map: PartitionMap,
         storages: Sequence[Union[LocalGraphStorage, HeterogeneousGraphStorage]],
         lock: Optional[LockLike] = None,
+        on_retire: Optional[Callable[[int], None]] = None,
     ) -> None:
         #: What an epoch is captured from: the node partition vector and
         #: the module storages followed by the host's — held directly,
         #: not through the owning system, so the two form no cycle.
-        self._partition_map = partition_map
+        #: ``None`` once the owning system closed.
+        self._partition_map: Optional[PartitionMap] = partition_map
         self._storages = tuple(storages)
         #: Owner table, journal-patched between captures; every epoch
         #: takes a frozen copy.
         self._owner_capture = OwnerIndex()
+        self._on_retire = on_retire
         self._lock: LockLike = (
             lock if lock is not None else threading.RLock()
         )
@@ -341,8 +351,13 @@ class EpochManager:
             self._next_id = count
 
     def current(self) -> Epoch:
-        """The latest epoch, capturing and publishing a fresh one if stale."""
+        """The latest epoch, capturing and publishing a fresh one if stale.
+
+        Raises :class:`RuntimeError` once the owning system closed.
+        """
         with self._lock:
+            if self._partition_map is None:
+                raise RuntimeError(SYSTEM_CLOSED)
             epoch = self._current
             if self._stale or epoch is None:
                 # Cheap by design: ``to_csr()`` is a cache hit for every
@@ -371,16 +386,23 @@ class EpochManager:
 
     def _retire_unless_live(self, epoch_id: int) -> None:
         """Forget an epoch that is neither current nor pinned: its arrays
-        die with its last holder, its serving counters here (or a
-        publish-per-batch service leaks one dict per epoch forever)."""
+        die with its last holder, its serving counters and cache entries
+        here (or a publish-per-batch service leaks one dict per epoch
+        forever, and holds dead entries until the LRU bound evicts them)."""
         if not self._is_live(epoch_id):
             self._served.pop(epoch_id, None)
+            if self._on_retire is not None:
+                self._on_retire(epoch_id)
 
-    def release(self) -> None:
-        """Drop the current epoch and the storages' cached snapshots.
+    def close(self) -> None:
+        """The owning system is closing: drop the current epoch and every
+        reference to live state.
 
-        The owning system is closing: pinned readers keep their arrays,
-        and the next ``current()`` rebuilds and publishes afresh.
+        The storages' cached snapshots are dropped too, and so are the
+        storages, the partition map, the owner table and the retire
+        hook.  Pinned readers keep their arrays and can still
+        :meth:`unpin`; :meth:`current` and :meth:`pin` raise from now on.
+        Idempotent.
         """
         with self._lock:
             released, self._current = self._current, None
@@ -389,6 +411,10 @@ class EpochManager:
                 self._retire_unless_live(released.epoch_id)
             for storage in self._storages:
                 storage.drop_snapshot()
+            self._partition_map = None
+            self._storages = ()
+            self._owner_capture = OwnerIndex()
+            self._on_retire = None
 
     # ------------------------------------------------------------------
     # Pinning

@@ -107,9 +107,10 @@ def small_config(small_cost_model: CostModel) -> MoctopusConfig:
 # the code under test ever acquired locks in cycle-forming orders
 # (potential ABBA deadlock) — detection needs only the *observed*
 # orderings, no run has to actually deadlock.  The CI ``analysis`` job
-# sets the variable for the serving/parallel/net suites and the
-# durability suite (whose checkpoint daemon takes the writer lock from
-# its own thread).
+# sets the variable for the serving/parallel/net suites, the durability
+# suite (whose checkpoint daemon takes the writer lock from its own
+# thread) and the single-copy suite (``close()`` with sessions,
+# schedulers and checkpoints open).
 #
 # ``tests/test_analysis.py`` manages its own checker regions (install
 # is deliberately exclusive), so it is excluded from the autouse guard.

@@ -19,10 +19,12 @@ Three layers:
 from __future__ import annotations
 
 import asyncio
+import gc
 import sys
 import textwrap
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -757,6 +759,20 @@ class TestLockcheck:
             event.set()
             thread.join(timeout=5)
         assert results == ["woke"]
+
+    def test_graph_nodes_outlive_their_owners(self):
+        # The graph is keyed by id(): a dropped lock whose address a
+        # later lock reused would merge two nodes and fake a cycle.
+        with lock_order_checker() as checker:
+            outer, inner = threading.Lock(), threading.Lock()
+            with outer:
+                with inner:
+                    pass
+            probe = weakref.ref(outer)
+            del outer, inner
+            gc.collect()
+            assert probe() is not None
+        assert checker.cycles() == []
 
     def test_rlock_reentrancy_is_not_a_self_edge(self):
         with lock_order_checker() as checker:

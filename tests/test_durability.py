@@ -1084,16 +1084,53 @@ def test_recover_rejects_module_mismatch(tmp_path):
 
 
 def test_close_is_idempotent_and_detaches(tmp_path):
-    """close() twice is fine; later updates stay memory-only."""
+    """close() twice is fine; a closed system refuses later updates
+    instead of taking writes nobody logs."""
     config = _config(tmp_path)
     system = Moctopus(config=config)
     system.insert_edges([(0, 1)])
     system.close()
     system.close()
-    system.insert_edges([(1, 2)])  # not logged
+    with pytest.raises(RuntimeError, match="system is closed"):
+        system.insert_edges([(1, 2)])
     recovered = Moctopus.recover(str(tmp_path), config=_config(tmp_path))
     assert recovered.has_edge(0, 1) and not recovered.has_edge(1, 2)
     recovered.close()
+
+
+def test_closed_durable_system_recovers_exactly_its_acknowledged_writes(tmp_path):
+    """Every write acknowledged before close() is recovered, and none is
+    taken after it: each write path of the closed system raises, and the
+    directory recovers to the state of a memory-only run of the script."""
+    graph, steps = _workload(seed=23)
+    system = run_durable(graph, steps, _config(tmp_path))
+    reference = run_durable(
+        graph, [step for step in steps if step[0] != "checkpoint"], _config()
+    )
+    lsn = system.durable_lsn
+    system.close()
+    absent = (0, max(graph.nodes()) + 1)
+    present = next(iter(reference.graph.edges()))
+    for write in (
+        lambda: system.insert_edges([absent]),
+        lambda: system.delete_edges([present]),
+        lambda: system.apply_updates([UpdateOp(UpdateKind.INSERT, *absent)]),
+        lambda: system.run_maintenance(),
+        lambda: system.begin(),
+    ):
+        with pytest.raises(RuntimeError, match="system is closed"):
+            write()
+
+    recovered = Moctopus.recover(str(tmp_path))
+    try:
+        assert recovered.durable_lsn == lsn
+        assert not recovered.has_edge(*absent) and recovered.has_edge(*present)
+        assert_fingerprints_equal(
+            fingerprint(recovered), fingerprint(reference), "closed, then recovered"
+        )
+    finally:
+        recovered.close()
+        reference.close()
 
 
 def test_pending_misplacement_reports_survive_checkpoint(tmp_path):

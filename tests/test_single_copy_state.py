@@ -6,8 +6,11 @@ A loaded system keeps every edge exactly once, in its storages:
   ``DiGraph``), checked here edge-for-edge and label-for-label against
   :class:`tests.model.ReferenceModel` through updates, promotions,
   migrations, a pinned session's lifetime, and ``close()`` + recovery;
-* an epoch lives exactly as long as its pins (no retention window);
-* a closed system holds no reference cycle, so it is freed by refcount;
+* an epoch lives exactly as long as its pins (no retention window), and
+  a retired epoch's plan and result cache entries go with it;
+* ``close()`` is terminal: the closed system releases its graph, refuses
+  every further read and write (directly or through a handle still
+  open on it), holds no reference cycle, and is freed by refcount;
 * the traced bytes a loaded system costs per stored edge are pinned.
 """
 
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import gc
 import random
+import threading
 import tracemalloc
 import weakref
 
@@ -27,6 +31,7 @@ from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.graph.digraph import ReadableGraph
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.pim import CostModel
+from repro.rpq import KHopQuery
 
 SEED_GRAPH = dict(num_nodes=40, num_edges=140, seed=5)
 
@@ -127,7 +132,8 @@ def test_graph_view_tracks_the_oracle_live_pinned_and_recovered(tmp_path):
     assert not system.has_edge(1, 424242)
 
     system.close()
-    assert_view_equals_model(system, model, "after close")
+    with pytest.raises(RuntimeError, match="system is closed"):
+        system.graph
     recovered = Moctopus.recover(str(tmp_path))
     try:
         assert_view_equals_model(recovered, model, "after recover")
@@ -175,6 +181,112 @@ def test_closed_system_is_freed_by_refcount(tmp_path, durable):
         assert storage_ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+def test_closed_system_refuses_every_read_and_write(tmp_path, durable):
+    system = Moctopus.from_graph(
+        random_graph(**SEED_GRAPH), _config(tmp_path if durable else None)
+    )
+    system.batch_khop([0, 1], 2)
+    system.close()
+    calls = {
+        "batch_khop": lambda: system.batch_khop([0], 1),
+        "execute": lambda: system.execute(KHopQuery(hops=1, sources=[0])),
+        "apply_updates": lambda: system.apply_updates(
+            [UpdateOp(UpdateKind.INSERT, 0, 1)]
+        ),
+        "insert_edges": lambda: system.insert_edges([(0, 1)]),
+        "begin": system.begin,
+        "serve": system.serve,
+        "listen": system.listen,
+        "checkpoint": system.checkpoint,
+        "graph": lambda: system.graph,
+        "num_edges": lambda: system.num_edges,
+    }
+    for name, call in calls.items():
+        with pytest.raises(RuntimeError, match="system is closed"):
+            call()
+    system.close()  # a second close is a no-op
+    assert system._epochs.pins() == 0
+
+
+def test_open_handles_close_cleanly_after_the_system_closes():
+    threads_before = set(threading.enumerate())
+    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    session = system.begin()
+    session.batch_khop([0, 1], 2)
+    scheduler = system.serve()
+    scheduler.query(0, 2)
+    server = system.listen()
+    system.close()
+
+    with pytest.raises(RuntimeError, match="system is closed"):
+        session.batch_khop([0, 1], 2)
+    with pytest.raises(RuntimeError, match="system is closed"):
+        scheduler.query(0, 2)
+    session.close()
+    scheduler.close()
+    server.close()
+    assert system._epochs.pins() == 0
+    for thread in set(threading.enumerate()) - threads_before:
+        thread.join(timeout=5.0)
+    assert set(threading.enumerate()) <= threads_before
+
+
+def test_closed_system_holds_no_graph_state(tmp_path):
+    """A closed system a caller still references holds less than a small
+    fixed bound; before close() became terminal it kept its rows."""
+    graph = power_law_graph(2000, edges_per_node=4, skew=0.6, seed=29)
+    rng = random.Random(29)
+
+    def load_update_and_close():
+        system = Moctopus.from_graph(graph, _config(tmp_path))
+        for _ in range(6):
+            system.apply_updates(
+                [
+                    UpdateOp(UpdateKind.INSERT, rng.randrange(2000), rng.randrange(2000))
+                    for _ in range(64)
+                ]
+            )
+            with system.begin() as session:
+                session.batch_khop(rng.sample(range(2000), 16), 2)
+            system.batch_khop(rng.sample(range(2000), 16), 2)
+        system.checkpoint()
+        system.close()
+        return system
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        system = load_update_and_close()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del system
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, f"a closed system still holds {held} traced bytes"
+
+
+def test_retired_epochs_leave_the_caches():
+    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    processor = system._query_processor
+    pinned = system.begin()  # held across every round
+    pinned.batch_khop([0, 1, 2], 2)
+    for round_id in range(20):
+        system.apply_updates([UpdateOp(UpdateKind.INSERT, round_id, 600 + round_id)])
+        with system.begin() as session:
+            session.batch_khop([0, 1, 2], 2)
+    live = {pinned.epoch_id, system.current_epoch_id}
+    for cache in (processor._plan_cache, processor._result_cache):
+        assert {key[0] for key in cache} == live
+    hits = system.cache_stats.counters.get("result_cache_hits", 0)
+    pinned.batch_khop([0, 1, 2], 2)
+    assert system.cache_stats.counters["result_cache_hits"] == hits + 1
+    pinned.close()
+    system.close()
 
 
 def test_epoch_registry_is_current_plus_pinned():
