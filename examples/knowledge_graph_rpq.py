@@ -24,9 +24,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from repro import Moctopus, MoctopusConfig, RedisGraphEngine
 from repro.bench import scaled_cost_model
-from repro.graph import PropertyGraph
+from repro.graph import DiGraph
 from repro.rpq import RPQuery, evaluate_rpq
 
+#: Edge labels, as the integer ids the engines match on.
+LABELS = {
+    "writes": 1,
+    "written_by": 2,
+    "published_at": 3,
+    "affiliated_with": 4,
+    "partner_of": 5,
+}
 
 def build_knowledge_graph(
     num_authors: int = 600,
@@ -34,45 +42,36 @@ def build_knowledge_graph(
     num_venues: int = 25,
     num_institutions: int = 40,
     seed: int = 42,
-) -> PropertyGraph:
+) -> DiGraph:
     """Authors write papers, papers appear at venues, authors have affiliations."""
     rng = random.Random(seed)
-    graph = PropertyGraph()
+    graph = DiGraph()
     authors = list(range(num_authors))
     papers = list(range(num_authors, num_authors + num_papers))
     venues = list(range(papers[-1] + 1, papers[-1] + 1 + num_venues))
     institutions = list(range(venues[-1] + 1, venues[-1] + 1 + num_institutions))
 
-    for author in authors:
-        graph.add_node(author, label="Author", properties={"name": f"author-{author}"})
-    for paper in papers:
-        graph.add_node(paper, label="Paper")
-    for venue in venues:
-        graph.add_node(venue, label="Venue")
-    for institution in institutions:
-        graph.add_node(institution, label="Institution")
+    for node in authors + papers + venues + institutions:
+        graph.add_node(node)
 
     for paper in papers:
         num_coauthors = 1 + rng.randrange(4)
         for author in rng.sample(authors, num_coauthors):
-            graph.add_edge(author, paper, label="writes")
-            graph.add_edge(paper, author, label="written_by")
-        graph.add_edge(paper, rng.choice(venues), label="published_at")
+            graph.add_edge(author, paper, LABELS["writes"])
+            graph.add_edge(paper, author, LABELS["written_by"])
+        graph.add_edge(paper, rng.choice(venues), LABELS["published_at"])
     for author in authors:
-        graph.add_edge(author, rng.choice(institutions), label="affiliated_with")
+        graph.add_edge(author, rng.choice(institutions), LABELS["affiliated_with"])
     for institution in institutions:
         if rng.random() < 0.3:
-            graph.add_edge(institution, rng.choice(institutions), label="partner_of")
+            graph.add_edge(institution, rng.choice(institutions), LABELS["partner_of"])
     return graph
 
 
 def main() -> None:
-    knowledge = build_knowledge_graph()
-    adjacency = knowledge.adjacency()
-    label_names = {knowledge.edge_label_id(name): name
-                   for name in ("writes", "written_by", "published_at",
-                                "affiliated_with", "partner_of")}
-    print(f"knowledge graph: {knowledge.num_nodes} nodes, {knowledge.num_edges} edges")
+    adjacency = build_knowledge_graph()
+    label_names = {label: name for name, label in LABELS.items()}
+    print(f"knowledge graph: {adjacency.num_nodes} nodes, {adjacency.num_edges} edges")
 
     moctopus = Moctopus.from_graph(
         adjacency, MoctopusConfig(cost_model=scaled_cost_model()), label_names=label_names

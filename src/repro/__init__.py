@@ -5,7 +5,7 @@ Path Queries over Graph Database with Processing-in-Memory"* (DAC 2024).
 It contains:
 
 ``repro.graph``
-    The graph substrate: property graphs, adjacency structures,
+    The graph substrate: adjacency structures,
     synthetic dataset generators mirroring the paper's SNAP workloads,
     and update streams.
 
@@ -58,11 +58,12 @@ It contains:
     RedisGraph-like single-node GraphBLAS engine and the PIM-hash scheme.
 
 ``repro.bench``
-    Workload generators, an experiment runner and report formatting used
-    by the ``benchmarks/`` harness to regenerate every table and figure.
+    Workload generators, an experiment runner and report formatting;
+    ``python -m repro.bench`` regenerates every table and figure of the
+    paper into the committed ``REPRODUCTION.json``.
 """
 
-from repro.graph import DiGraph, PropertyGraph
+from repro.graph import DiGraph
 from repro.pim import CostModel, PIMSystem
 from repro.rpq import KHopQuery, RPQuery
 from repro.core import Moctopus, MoctopusConfig
@@ -73,7 +74,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DiGraph",
-    "PropertyGraph",
     "Moctopus",
     "MoctopusConfig",
     "RedisGraphEngine",

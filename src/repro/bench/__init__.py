@@ -1,9 +1,10 @@
-"""Benchmark support: workloads, experiment runner and report formatting.
+"""Benchmark support: workloads, experiment runner, report formatting and
+the paper's evaluation record.
 
-The ``benchmarks/`` directory at the repository root contains one
-pytest-benchmark module per table/figure of the paper; all of them are
-thin wrappers around the functions in this package so the same
-experiments can also be driven from a notebook or an example script.
+``python -m repro.bench`` regenerates every table and figure of the
+paper into ``REPRODUCTION.json`` (:mod:`repro.bench.reproduce`); the
+functions here are its parts, so the same experiments can also be
+driven from a notebook or an example script.
 """
 
 from repro.bench.workloads import (
@@ -17,7 +18,6 @@ from repro.bench.workloads import (
     update_workload,
 )
 from repro.bench.runner import (
-    SystemProvider,
     SystemSet,
     build_systems,
     load_trace,
@@ -25,12 +25,7 @@ from repro.bench.runner import (
     run_khop_experiment,
     run_update_experiment,
 )
-from repro.bench.report import (
-    format_table,
-    geometric_mean,
-    rows_to_dicts,
-    speedup_summary,
-)
+from repro.bench.report import format_table, geometric_mean
 
 __all__ = [
     "DATASET_SCALE_FRACTION",
@@ -41,7 +36,6 @@ __all__ = [
     "khop_workload",
     "update_workload",
     "scaled_cost_model",
-    "SystemProvider",
     "SystemSet",
     "build_systems",
     "load_trace",
@@ -50,6 +44,4 @@ __all__ = [
     "run_update_experiment",
     "format_table",
     "geometric_mean",
-    "speedup_summary",
-    "rows_to_dicts",
 ]

@@ -3,14 +3,14 @@
 The benchmarks print plain-text tables whose rows mirror the series of
 the paper's figures (one row per SNAP trace, one column per system).
 Nothing here depends on matplotlib — the harness is expected to run in
-headless CI — but the table data is also exposed as lists of dictionaries
-so a notebook can plot it if desired.
+headless CI; the data behind the tables is ``REPRODUCTION.json``, which
+a notebook can plot.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -47,19 +47,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if not values:
         return 0.0
     return math.exp(sum(math.log(value) for value in values) / len(values))
-
-
-def speedup_summary(speedups: Dict[str, float]) -> str:
-    """One-line min/geomean/max summary of a speedup mapping."""
-    if not speedups:
-        return "no data"
-    values = list(speedups.values())
-    return (
-        f"min {min(values):.2f}x, geomean {geometric_mean(values):.2f}x, "
-        f"max {max(values):.2f}x"
-    )
-
-
-def rows_to_dicts(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> List[Dict[str, object]]:
-    """Convert a table into a list of per-row dictionaries."""
-    return [dict(zip(headers, row)) for row in rows]

@@ -1,4 +1,4 @@
-"""Experiment runner: the engine behind every figure/table benchmark.
+"""Experiment runner: one measurement of the paper's evaluation.
 
 The runner builds the three systems of the paper's evaluation on the
 same generated graph, executes the same workload against each of them
@@ -9,14 +9,17 @@ and collects the simulated latencies:
 * ``pim-hash``   — :class:`repro.baselines.PIMHashSystem`;
 * ``redisgraph`` — :class:`repro.baselines.RedisGraphEngine`.
 
-Each experiment function returns a list of per-trace result rows (plain
-dictionaries) that the pytest-benchmark harness consumes.
+Each experiment function measures one trace and returns one row: a
+plain dictionary of simulated latencies, the integer counters behind
+them, and the ratios derived from them.  :mod:`repro.bench.reproduce`
+runs them in the paper's order and writes the rows into
+``REPRODUCTION.json``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 from repro.baselines.pim_hash import PIMHashSystem
 from repro.baselines.redisgraph import RedisGraphEngine
@@ -26,21 +29,21 @@ from repro.bench.workloads import (
     scaled_cost_model,
     update_workload,
 )
+from repro.core.config import MoctopusConfig
+from repro.core.system import Moctopus
+from repro.graph.datasets import load_dataset
+from repro.graph.digraph import DiGraph
+from repro.pim.cost_model import CostModel
+from repro.pim.stats import ExecutionStats
 
 __all__ = [
     "SystemSet",
-    "SystemProvider",
     "build_systems",
     "load_trace",
     "run_khop_experiment",
     "run_ipc_experiment",
     "run_update_experiment",
 ]
-from repro.core.config import MoctopusConfig
-from repro.core.system import Moctopus
-from repro.graph.datasets import dataset_spec, load_dataset
-from repro.graph.digraph import DiGraph
-from repro.pim.cost_model import CostModel
 
 
 @dataclass
@@ -91,195 +94,109 @@ def load_trace(trace_id: int, scale: float = 1.0) -> DiGraph:
     return load_dataset(trace_id, scale=scale)
 
 
-class SystemProvider:
-    """Builds and caches one :class:`SystemSet` per trace.
-
-    Benchmarks share a provider so that the (comparatively expensive)
-    graph generation and bulk loading happen once per trace per session,
-    not once per figure.
-    """
-
-    def __init__(
-        self,
-        scale: float = 1.0,
-        cost_model: Optional[CostModel] = None,
-        warmup_rounds: int = 2,
-    ) -> None:
-        self.scale = scale
-        self.cost_model = cost_model or scaled_cost_model()
-        self.warmup_rounds = warmup_rounds
-        self._cache: Dict[int, SystemSet] = {}
-
-    def get(self, trace_id: int) -> SystemSet:
-        """The cached system set of ``trace_id`` (building it on first use)."""
-        if trace_id not in self._cache:
-            graph = load_trace(trace_id, scale=self.scale)
-            self._cache[trace_id] = build_systems(
-                graph, cost_model=self.cost_model, warmup_rounds=self.warmup_rounds
-            )
-        return self._cache[trace_id]
-
-    def clear(self) -> None:
-        """Drop every cached system set."""
-        self._cache.clear()
+def charges(system: str, stats: ExecutionStats) -> Dict[str, object]:
+    """``system``'s simulated latency and the transfer bytes behind it."""
+    return {
+        f"{system}_ms": stats.total_time_ms,
+        f"{system}_cpc_bytes": stats.cpc.bytes_moved,
+        f"{system}_ipc_bytes": stats.ipc.bytes_moved,
+    }
 
 
 # ----------------------------------------------------------------------
 # Figure 4: k-hop query latency
 # ----------------------------------------------------------------------
 def run_khop_experiment(
-    trace_ids: Iterable[int],
+    systems: SystemSet,
     hops: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    scale: float = 1.0,
-    cost_model: Optional[CostModel] = None,
     seed: int = 0,
-    provider: Optional[SystemProvider] = None,
-) -> List[Dict[str, object]]:
-    """Latency of batch k-hop queries per trace for the three systems.
+) -> Dict[str, object]:
+    """Latency of one batch k-hop query on the three systems.
 
-    Each result row contains the trace id/name, the simulated latency in
-    milliseconds per system, and Moctopus's speedups over the other two.
+    The row holds each system's simulated latency and transfer bytes,
+    the match count, and Moctopus's speedups over the other two.
     """
-    rows: List[Dict[str, object]] = []
-    for trace_id in trace_ids:
-        spec = dataset_spec(trace_id)
-        if provider is not None:
-            systems = provider.get(trace_id)
-        else:
-            systems = build_systems(
-                load_trace(trace_id, scale=scale), cost_model=cost_model
-            )
-        graph = systems.graph
-        query = khop_workload(graph, hops=hops, batch_size=batch_size, seed=seed)
+    query = khop_workload(systems.graph, hops=hops, batch_size=batch_size, seed=seed)
+    moctopus_result, moctopus_stats = systems.moctopus.batch_khop(
+        query.sources, query.hops
+    )
+    pim_hash_result, pim_hash_stats = systems.pim_hash.batch_khop(
+        query.sources, query.hops
+    )
+    redis_result, redis_stats = systems.redisgraph.batch_khop(query.sources, query.hops)
 
-        moctopus_result, moctopus_stats = systems.moctopus.batch_khop(
-            query.sources, query.hops
+    if moctopus_result.total_matches != redis_result.total_matches:
+        raise AssertionError(
+            "result mismatch between Moctopus and the RedisGraph baseline"
         )
-        pim_hash_result, pim_hash_stats = systems.pim_hash.batch_khop(
-            query.sources, query.hops
-        )
-        redis_result, redis_stats = systems.redisgraph.batch_khop(
-            query.sources, query.hops
-        )
+    if moctopus_result.total_matches != pim_hash_result.total_matches:
+        raise AssertionError("result mismatch between Moctopus and PIM-hash")
 
-        if moctopus_result.total_matches != redis_result.total_matches:
-            raise AssertionError(
-                f"trace #{trace_id}: result mismatch between Moctopus and the "
-                "RedisGraph baseline"
-            )
-        if moctopus_result.total_matches != pim_hash_result.total_matches:
-            raise AssertionError(
-                f"trace #{trace_id}: result mismatch between Moctopus and PIM-hash"
-            )
-
-        rows.append(
-            {
-                "trace": f"#{trace_id}",
-                "name": spec.name,
-                "hops": hops,
-                "moctopus_ms": moctopus_stats.total_time_ms,
-                "pim_hash_ms": pim_hash_stats.total_time_ms,
-                "redisgraph_ms": redis_stats.total_time_ms,
-                "speedup_vs_redisgraph": (
-                    redis_stats.total_time_ms / moctopus_stats.total_time_ms
-                ),
-                "speedup_vs_pim_hash": (
-                    pim_hash_stats.total_time_ms / moctopus_stats.total_time_ms
-                ),
-                "matches": moctopus_result.total_matches,
-            }
-        )
-    return rows
+    return {
+        **charges("moctopus", moctopus_stats),
+        **charges("pim_hash", pim_hash_stats),
+        **charges("redisgraph", redis_stats),
+        "matches": moctopus_result.total_matches,
+        "speedup_vs_redisgraph": redis_stats.total_time_ms / moctopus_stats.total_time_ms,
+        "speedup_vs_pim_hash": pim_hash_stats.total_time_ms / moctopus_stats.total_time_ms,
+    }
 
 
 # ----------------------------------------------------------------------
 # Figure 5: IPC cost of 3-hop queries
 # ----------------------------------------------------------------------
 def run_ipc_experiment(
-    trace_ids: Iterable[int],
+    systems: SystemSet,
     hops: int = 3,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    scale: float = 1.0,
-    cost_model: Optional[CostModel] = None,
     seed: int = 0,
-    provider: Optional[SystemProvider] = None,
-) -> List[Dict[str, object]]:
-    """Inter-PIM communication time of Moctopus vs PIM-hash per trace."""
-    rows: List[Dict[str, object]] = []
-    for trace_id in trace_ids:
-        spec = dataset_spec(trace_id)
-        if provider is not None:
-            systems = provider.get(trace_id)
-        else:
-            systems = build_systems(
-                load_trace(trace_id, scale=scale), cost_model=cost_model
-            )
-        graph = systems.graph
-        moctopus = systems.moctopus
-        pim_hash = systems.pim_hash
-        query = khop_workload(graph, hops=hops, batch_size=batch_size, seed=seed)
+) -> Dict[str, object]:
+    """Inter-PIM communication time of Moctopus vs PIM-hash on one query."""
+    query = khop_workload(systems.graph, hops=hops, batch_size=batch_size, seed=seed)
+    _, moctopus_stats = systems.moctopus.batch_khop(query.sources, query.hops)
+    _, pim_hash_stats = systems.pim_hash.batch_khop(query.sources, query.hops)
 
-        _, moctopus_stats = moctopus.batch_khop(query.sources, query.hops)
-        _, pim_hash_stats = pim_hash.batch_khop(query.sources, query.hops)
-
-        reduction = 0.0
-        if pim_hash_stats.ipc_time > 0:
-            reduction = 1.0 - moctopus_stats.ipc_time / pim_hash_stats.ipc_time
-        rows.append(
-            {
-                "trace": f"#{trace_id}",
-                "name": spec.name,
-                "moctopus_ipc_ms": moctopus_stats.ipc_time_ms,
-                "pim_hash_ipc_ms": pim_hash_stats.ipc_time_ms,
-                "ipc_reduction": reduction,
-                "moctopus_ipc_bytes": moctopus_stats.ipc.bytes_moved,
-                "pim_hash_ipc_bytes": pim_hash_stats.ipc.bytes_moved,
-            }
-        )
-    return rows
+    reduction = 0.0
+    if pim_hash_stats.ipc_time > 0:
+        reduction = 1.0 - moctopus_stats.ipc_time / pim_hash_stats.ipc_time
+    return {
+        "moctopus_ipc_ms": moctopus_stats.ipc_time_ms,
+        "pim_hash_ipc_ms": pim_hash_stats.ipc_time_ms,
+        "ipc_reduction": reduction,
+        "moctopus_ipc_bytes": moctopus_stats.ipc.bytes_moved,
+        "pim_hash_ipc_bytes": pim_hash_stats.ipc.bytes_moved,
+    }
 
 
 # ----------------------------------------------------------------------
 # Figure 6: graph update latency
 # ----------------------------------------------------------------------
 def run_update_experiment(
-    trace_ids: Iterable[int],
+    graph: DiGraph,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    scale: float = 1.0,
     cost_model: Optional[CostModel] = None,
     seed: int = 0,
-) -> List[Dict[str, object]]:
-    """Insertion and deletion latency of Moctopus vs RedisGraph per trace."""
-    rows: List[Dict[str, object]] = []
-    for trace_id in trace_ids:
-        spec = dataset_spec(trace_id)
-        graph = load_trace(trace_id, scale=scale)
-        cost = cost_model or scaled_cost_model()
-        workload = update_workload(graph, batch_size=batch_size, seed=seed)
+) -> Dict[str, object]:
+    """Insertion and deletion latency of Moctopus vs RedisGraph on ``graph``.
 
-        moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost))
-        redisgraph = RedisGraphEngine.from_graph(graph, cost_model=cost)
+    Updates mutate the stores, so both systems are built fresh here.
+    """
+    cost = cost_model or scaled_cost_model()
+    workload = update_workload(graph, batch_size=batch_size, seed=seed)
+    moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost))
+    redisgraph = RedisGraphEngine.from_graph(graph, cost_model=cost)
 
-        moctopus_insert = moctopus.insert_edges(workload.insert_edges)
-        redis_insert = redisgraph.insert_edges(workload.insert_edges)
-        moctopus_delete = moctopus.delete_edges(workload.delete_edges)
-        redis_delete = redisgraph.delete_edges(workload.delete_edges)
+    moctopus_insert = moctopus.insert_edges(workload.insert_edges)
+    redis_insert = redisgraph.insert_edges(workload.insert_edges)
+    moctopus_delete = moctopus.delete_edges(workload.delete_edges)
+    redis_delete = redisgraph.delete_edges(workload.delete_edges)
 
-        rows.append(
-            {
-                "trace": f"#{trace_id}",
-                "name": spec.name,
-                "moctopus_insert_ms": moctopus_insert.total_time_ms,
-                "redisgraph_insert_ms": redis_insert.total_time_ms,
-                "insert_speedup": (
-                    redis_insert.total_time_ms / moctopus_insert.total_time_ms
-                ),
-                "moctopus_delete_ms": moctopus_delete.total_time_ms,
-                "redisgraph_delete_ms": redis_delete.total_time_ms,
-                "delete_speedup": (
-                    redis_delete.total_time_ms / moctopus_delete.total_time_ms
-                ),
-            }
-        )
-    return rows
+    return {
+        **charges("moctopus_insert", moctopus_insert),
+        **charges("redisgraph_insert", redis_insert),
+        "insert_speedup": redis_insert.total_time_ms / moctopus_insert.total_time_ms,
+        **charges("moctopus_delete", moctopus_delete),
+        **charges("redisgraph_delete", redis_delete),
+        "delete_speedup": redis_delete.total_time_ms / moctopus_delete.total_time_ms,
+    }

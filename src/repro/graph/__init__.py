@@ -4,7 +4,7 @@ This subpackage is the foundation every engine in the reproduction
 builds on.  Nothing in here knows about PIM or about Moctopus; it is the
 graph-database storage layer:
 
-* :class:`DiGraph` / :class:`PropertyGraph` — mutable graph structures
+* :class:`DiGraph` — the mutable graph structure
   (:class:`ReadableGraph` is the read-only protocol consumers type against);
 * :mod:`repro.graph.generators` / :mod:`repro.graph.datasets` — the
   synthetic stand-ins for the paper's 15 SNAP graphs (Table 1);
@@ -13,7 +13,6 @@ graph-database storage layer:
 """
 
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph, ReadableGraph
-from repro.graph.property_graph import EdgeRecord, NodeRecord, PropertyGraph
 from repro.graph.generators import (
     community_graph,
     power_law_graph,
@@ -37,9 +36,6 @@ __all__ = [
     "DEFAULT_LABEL",
     "DiGraph",
     "ReadableGraph",
-    "PropertyGraph",
-    "NodeRecord",
-    "EdgeRecord",
     "road_network",
     "power_law_graph",
     "community_graph",

@@ -57,13 +57,15 @@ class Session:
 
     def __init__(self, system: "Moctopus") -> None:
         self._system = system
-        self._epoch: Epoch = system._epochs.pin()
+        #: The kernel current at ``begin()``; a later ``use_engine`` keeps it.
+        #: Read before pinning: on a closed system it raises with no pin taken.
+        self._engine = system._query_processor.engine
+        #: ``None`` once closed; ``close()`` keeps its id in ``_epoch_id``.
+        self._epoch: Optional[Epoch] = system._epochs.pin()
         self._closed = False
         #: Totals sink of this session's pinned executions (no other
         #: reader, so no lock).
         self._pim = PIMSystem(system.config.cost_model)
-        #: The kernel current at ``begin()``; a later ``use_engine`` keeps it.
-        self._engine = system._query_processor.engine
         #: Patched row contents of every source the session wrote:
         #: ``node -> [(dst, label), ...]`` (full row, storage semantics).
         self._local: Dict[int, List[Tuple[int, int]]] = {}
@@ -80,8 +82,8 @@ class Session:
     # ------------------------------------------------------------------
     @property
     def epoch_id(self) -> int:
-        """Id of the currently pinned epoch."""
-        return self._epoch.epoch_id
+        """Id of the currently pinned epoch (the last one, once closed)."""
+        return self._epoch_id if self._epoch is None else self._epoch.epoch_id
 
     @property
     def pending_updates(self) -> int:
@@ -131,11 +133,19 @@ class Session:
 
         The session is marked closed *before* unpinning so a failure
         inside the manager can never lead to a double-unpin on retry;
-        queries and writes after ``close()`` raise.
+        queries and writes after ``close()`` raise.  The epoch, the view
+        over it and the staged rows are dropped with the pin, so a closed
+        handle keeps no retired epoch's arrays alive.
         """
         if not self._closed:
             self._closed = True
-            self._system._epochs.unpin(self._epoch)
+            epoch, self._epoch = self._epoch, None
+            self._epoch_id = epoch.epoch_id
+            self._view_cache = None
+            self._local.clear()
+            self._new_nodes.clear()
+            self._ops.clear()
+            self._system._epochs.unpin(epoch)
 
     def __enter__(self) -> "Session":
         return self

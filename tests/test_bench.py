@@ -6,17 +6,15 @@ import pytest
 
 from repro.bench import (
     DEFAULT_NUM_MODULES,
-    SystemProvider,
     build_systems,
     format_table,
     geometric_mean,
     khop_workload,
-    rows_to_dicts,
+    load_trace,
     run_ipc_experiment,
     run_khop_experiment,
     run_update_experiment,
     scaled_cost_model,
-    speedup_summary,
     update_workload,
 )
 from repro.graph import load_dataset
@@ -59,43 +57,37 @@ def test_build_systems_loads_all_three_engines():
     assert set(systems.by_name()) == {"moctopus", "pim-hash", "redisgraph"}
 
 
-def test_system_provider_caches():
-    provider = SystemProvider(scale=SMALL_SCALE, cost_model=scaled_cost_model(num_modules=8),
-                              warmup_rounds=0)
-    first = provider.get(6)
-    second = provider.get(6)
-    assert first is second
-    provider.clear()
-    assert provider.get(6) is not first
+def _systems(trace_id):
+    return build_systems(
+        load_trace(trace_id, scale=SMALL_SCALE),
+        cost_model=scaled_cost_model(num_modules=8),
+        warmup_rounds=1,
+    )
 
 
 def test_run_khop_experiment_rows_have_expected_fields():
-    provider = SystemProvider(scale=SMALL_SCALE, cost_model=scaled_cost_model(num_modules=8),
-                              warmup_rounds=1)
-    rows = run_khop_experiment([1, 6], hops=2, batch_size=32, provider=provider)
-    assert len(rows) == 2
-    for row in rows:
+    for trace_id in (1, 6):
+        row = run_khop_experiment(_systems(trace_id), hops=2, batch_size=32)
         assert row["moctopus_ms"] > 0
         assert row["redisgraph_ms"] > 0
         assert row["speedup_vs_redisgraph"] == pytest.approx(
             row["redisgraph_ms"] / row["moctopus_ms"]
         )
+        assert row["moctopus_cpc_bytes"] > 0
+        assert row["redisgraph_ipc_bytes"] == 0
 
 
 def test_run_ipc_experiment_reports_reduction():
-    provider = SystemProvider(scale=SMALL_SCALE, cost_model=scaled_cost_model(num_modules=8),
-                              warmup_rounds=1)
-    rows = run_ipc_experiment([7], hops=2, batch_size=32, provider=provider)
-    assert len(rows) == 1
-    row = rows[0]
+    row = run_ipc_experiment(_systems(7), hops=2, batch_size=32)
     assert row["pim_hash_ipc_ms"] >= 0
     assert row["ipc_reduction"] <= 1.0
 
 
 def test_run_update_experiment_reports_speedups():
-    rows = run_update_experiment([6], batch_size=32, scale=SMALL_SCALE,
-                                 cost_model=scaled_cost_model(num_modules=8))
-    row = rows[0]
+    row = run_update_experiment(
+        load_trace(6, scale=SMALL_SCALE), batch_size=32,
+        cost_model=scaled_cost_model(num_modules=8),
+    )
     assert row["insert_speedup"] > 1.0
     assert row["delete_speedup"] > 1.0
 
@@ -105,13 +97,8 @@ def test_format_table_alignment_and_dicts():
     rows = [["#1", 12.5], ["#2", 0.0001]]
     text = format_table(headers, rows)
     assert "trace" in text and "#2" in text
-    dicts = rows_to_dicts(headers, rows)
-    assert dicts[0]["trace"] == "#1"
 
 
 def test_geometric_mean_and_summary():
     assert geometric_mean([1, 100]) == pytest.approx(10.0)
     assert geometric_mean([]) == 0.0
-    summary = speedup_summary({"a": 2.0, "b": 8.0})
-    assert "geomean 4.00x" in summary
-    assert speedup_summary({}) == "no data"

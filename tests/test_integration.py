@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines import PIMHashSystem, RedisGraphEngine
 from repro.core import Moctopus, MoctopusConfig
-from repro.graph import PropertyGraph, UpdateStream, load_dataset
+from repro.graph import DiGraph, UpdateStream, load_dataset
 from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq, random_source_batch
 
@@ -16,29 +16,24 @@ COST_MODEL = CostModel(num_modules=8)
 
 def test_figure2_routing_scenario_end_to_end():
     """The paper's Figure 2: batch 2-hop query over a routing graph."""
-    network = PropertyGraph()
+    network = DiGraph()
+    node_of_ip = {}
     for node_id in range(10):
-        network.add_node(node_id, label="Router",
-                         properties={"ip": f"127.0.0.{node_id}"})
+        network.add_node(node_id)
+        node_of_ip[f"127.0.0.{node_id}"] = node_id
     for src, dst in [(0, 1), (1, 2), (2, 5), (5, 6), (5, 8), (2, 3), (3, 6),
                      (2, 4), (4, 9), (6, 9), (7, 8), (8, 7), (9, 0)]:
-        network.add_edge(src, dst, label="CONNECTS")
+        network.add_edge(src, dst)
 
-    system = Moctopus.from_graph(
-        network.adjacency(), MoctopusConfig(cost_model=COST_MODEL)
-    )
+    system = Moctopus.from_graph(network, MoctopusConfig(cost_model=COST_MODEL))
     # UNWIND ['127.0.0.2', '127.0.0.3'] AS ip MATCH ({ip})-[2]->(t)
-    sources = [record.node_id
-               for ip in ("127.0.0.2", "127.0.0.3")
-               for record in network.find_nodes(ip=ip)]
+    sources = [node_of_ip[ip] for ip in ("127.0.0.2", "127.0.0.3")]
     result, stats = system.batch_khop(sources, hops=2)
     # The paper's stated answer: 127.0.0.2 reaches nodes 6, 8, 9 and
     # 127.0.0.3 reaches node 9 in exactly two hops.
     assert result.destinations_of(0) == {6, 8, 9}
     assert result.destinations_of(1) == {9}
-    assert result == evaluate_khop(
-        network.adjacency(), KHopQuery(hops=2, sources=sources)
-    )
+    assert result == evaluate_khop(network, KHopQuery(hops=2, sources=sources))
     assert stats.total_time > 0
 
 
@@ -74,22 +69,18 @@ def test_dynamic_graph_scenario_consistency():
 
 def test_rpq_agreement_on_labeled_knowledge_graph():
     """A small labeled graph queried with several path expressions."""
-    knowledge = PropertyGraph()
-    people = ["alice", "bob", "carol", "dave"]
-    for index, name in enumerate(people):
-        knowledge.add_node(index, label="Person", properties={"name": name})
-    for index in range(4, 8):
-        knowledge.add_node(index, label="Org")
+    labels = {"knows": 1, "works_at": 2, "part_of": 3}
+    adjacency = DiGraph()
+    for index in range(8):  # people 0-3, organisations 4-7
+        adjacency.add_node(index)
     edges = [
         (0, 1, "knows"), (1, 2, "knows"), (2, 3, "knows"), (3, 0, "knows"),
         (0, 4, "works_at"), (1, 4, "works_at"), (2, 5, "works_at"),
         (4, 6, "part_of"), (5, 6, "part_of"), (6, 7, "part_of"),
     ]
     for src, dst, label in edges:
-        knowledge.add_edge(src, dst, label=label)
-    adjacency = knowledge.adjacency()
-    label_names = {knowledge.edge_label_id(name): name
-                   for name in ("knows", "works_at", "part_of")}
+        adjacency.add_edge(src, dst, labels[label])
+    label_names = {label: name for name, label in labels.items()}
 
     moctopus = Moctopus.from_graph(
         adjacency, MoctopusConfig(cost_model=COST_MODEL), label_names=label_names

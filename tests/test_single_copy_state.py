@@ -234,6 +234,46 @@ def test_open_handles_close_cleanly_after_the_system_closes():
     assert set(threading.enumerate()) <= threads_before
 
 
+def test_begin_racing_close_leaks_no_pin():
+    """A ``close()`` landing right after ``begin()``'s pin: the session
+    that comes back owns that pin and returns it; nothing else holds one."""
+    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    manager = system._epochs
+    pin = manager.pin
+
+    def pin_then_close():
+        epoch = pin()
+        system.close()
+        return epoch
+
+    manager.pin = pin_then_close
+    session = system.begin()
+    assert manager.pins() == 1
+    with pytest.raises(RuntimeError, match="system is closed"):
+        session.batch_khop([0, 1], 2)
+    session.close()
+    assert manager.pins() == 0
+    with pytest.raises(RuntimeError, match="system is closed"):
+        system.begin()
+    assert manager.pins() == 0
+
+
+def test_closed_session_releases_its_retired_epoch():
+    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    session = system.begin()
+    session.insert_edges([(0, 99)])
+    session.batch_khop([0, 1], 2)
+    epoch_id = session.epoch_id
+    owners = weakref.ref(session._epoch.owners)
+    system.insert_edges([(1, 98)])
+    assert system.current_epoch_id != epoch_id  # the pin alone keeps it
+    session.close()
+    assert owners() is None, "a closed session still references its epoch"
+    assert session.epoch_id == epoch_id and session.pending_updates == 0
+    assert epoch_id not in system._epochs.retained_ids()
+    system.close()
+
+
 def test_closed_system_holds_no_graph_state(tmp_path):
     """A closed system a caller still references holds less than a small
     fixed bound; before close() became terminal it kept its rows."""
