@@ -22,18 +22,17 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro import Moctopus, MoctopusConfig
+from repro import Moctopus, MoctopusConfig, PIMHashSystem
 from repro.bench import khop_workload, scaled_cost_model
 from repro.graph import load_dataset
 from repro.partition import load_imbalance
 from repro.rpq import KHopQuery, evaluate_khop
 
 
-def run_configuration(name, graph, config, query, reference):
-    system = Moctopus.from_graph(graph, config)
+def run_configuration(name, system, query, reference, auto_migrate=None):
     # One warm-up round lets the greedy-adaptive migration settle.
-    system.batch_khop(query.sources[:64], 2)
-    result, stats = system.batch_khop(query.sources, query.hops)
+    system.batch_khop(query.sources[:64], 2, auto_migrate)
+    result, stats = system.batch_khop(query.sources, query.hops, auto_migrate)
     assert result == reference, f"{name} produced a wrong answer"
     quality = system.partition_quality()
     imbalance = load_imbalance(system.pim.load_report())
@@ -53,29 +52,32 @@ def main() -> None:
     print("\npolicy sweep (64 PIM modules):")
     cost_model = scaled_cost_model()
     run_configuration(
-        "hash partitioning (PIM-hash)", graph,
-        MoctopusConfig.pim_hash_config(cost_model), query, reference,
+        "hash partitioning (PIM-hash)",
+        PIMHashSystem.from_graph(graph, cost_model), query, reference,
     )
     run_configuration(
-        "radical greedy, no labor division", graph,
-        MoctopusConfig(cost_model=cost_model, high_degree_threshold=None),
+        "radical greedy, no labor division",
+        Moctopus.from_graph(
+            graph, MoctopusConfig(cost_model=cost_model, high_degree_threshold=None)
+        ),
         query, reference,
     )
     run_configuration(
-        "radical greedy, no migration", graph,
-        MoctopusConfig(cost_model=cost_model, enable_migration=False),
-        query, reference,
+        "radical greedy, no migration",
+        Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model)),
+        query, reference, auto_migrate=False,
     )
     run_configuration(
-        "full Moctopus design", graph,
-        MoctopusConfig(cost_model=cost_model), query, reference,
+        "full Moctopus design",
+        Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model)),
+        query, reference,
     )
 
     print("\nmodule-count sweep (full design):")
     for num_modules in (8, 16, 32, 64, 128):
+        config = MoctopusConfig(cost_model=scaled_cost_model(num_modules=num_modules))
         run_configuration(
-            f"{num_modules} PIM modules", graph,
-            MoctopusConfig(cost_model=scaled_cost_model(num_modules=num_modules)),
+            f"{num_modules} PIM modules", Moctopus.from_graph(graph, config),
             query, reference,
         )
 

@@ -5,7 +5,8 @@ matrix-based execution engine as Moctopus, but with the partitioning
 scheme that distributed graph databases (G-Tran, ByteGraph) actually
 use — every graph node is hash-partitioned across PIM modules.  There is
 no labor division (hubs sit on whatever module the hash picked), no
-locality-aware placement and no migration.
+locality-aware placement and no migration (the node migrator does not
+repair a :class:`~repro.partition.hash_partition.HashPartitioner`).
 
 Because the execution engine is shared with Moctopus, every difference
 in the simulated numbers comes from partitioning alone, which is exactly
@@ -20,6 +21,8 @@ from typing import Dict, Optional
 from repro.core.config import MoctopusConfig
 from repro.core.system import Moctopus
 from repro.graph.digraph import DiGraph
+from repro.partition.base import StreamingPartitioner
+from repro.partition.hash_partition import HashPartitioner
 from repro.pim.cost_model import CostModel
 
 
@@ -32,9 +35,14 @@ class PIMHashSystem(Moctopus):
         label_names: Optional[Dict[int, str]] = None,
     ) -> None:
         super().__init__(
-            config=MoctopusConfig.pim_hash_config(cost_model),
+            config=MoctopusConfig(
+                cost_model=cost_model or CostModel(), high_degree_threshold=None
+            ),
             label_names=label_names,
         )
+
+    def _build_placement(self) -> StreamingPartitioner:
+        return HashPartitioner(self.config.num_modules)
 
     @classmethod
     def from_graph(

@@ -4,10 +4,9 @@ A field is here because two callers want different values of it:
 
 * the number of PIM modules (the paper uses one UPMEM rank = 64);
 * the paper's ablation axes: the high-degree threshold of the
-  labor-division approach (16), the capacity-constraint proportion of
-  the radical greedy heuristic (1.05), the placement policy, and the
-  switch that disables migration — which is how the PIM-hash contrast
-  system and the ablation benches are expressed;
+  labor-division approach (16, or ``None`` for no labor division) and
+  the capacity-constraint proportion of the radical greedy heuristic
+  (1.05).  Both change placement, so recovery reads them back;
 * the query execution kernel (``engine``) — the scalar reference
   engine, the vectorized numpy engine or the semiring-matrix engine,
   which are required to agree on every result and every simulated
@@ -23,6 +22,10 @@ A field is here because two callers want different values of it:
 * the plan and result cache sizes.
 
 A value with one caller is a constant beside its reader, not a field.
+Placement is not a field either: a system builds its own
+(``Moctopus._build_placement``; :class:`repro.baselines.PIMHashSystem`
+builds a hash placement), and whether the node migrator repairs it is a
+fact of the placement class (``StreamingPartitioner.migrates``).
 A front door's settings — the scheduler's queue depth, the server's
 address, auth token, in-flight cap and request timeout — are keyword
 arguments of the call that opens it (``Moctopus.serve()``,
@@ -60,12 +63,6 @@ class MoctopusConfig:
     high_degree_threshold: Optional[int] = DEFAULT_HIGH_DEGREE_THRESHOLD
     #: Capacity-constraint proportion of the radical greedy partitioner.
     capacity_factor: float = DEFAULT_CAPACITY_FACTOR
-    #: Partitioning policy for low-degree nodes: ``"radical_greedy"`` (the
-    #: paper's design) or ``"hash"`` (the PIM-hash contrast system).
-    pim_placement: str = "radical_greedy"
-    #: Whether the node migrator is allowed to move misplaced nodes after
-    #: a query (the adaptive half of greedy-adaptive partitioning).
-    enable_migration: bool = True
     #: Physical execution backend for batch queries: ``"python"`` (the
     #: scalar reference engine, exact original semantics),
     #: ``"vectorized"`` (numpy columnar frontiers over CSR storage
@@ -111,11 +108,6 @@ class MoctopusConfig:
     result_cache_size: int = 256
 
     def __post_init__(self) -> None:
-        if self.pim_placement not in ("radical_greedy", "hash"):
-            raise ValueError(
-                "pim_placement must be 'radical_greedy' or 'hash', "
-                f"got {self.pim_placement!r}"
-            )
         if self.engine not in ("auto", "python", "vectorized", "matrix"):
             raise ValueError(
                 "engine must be 'auto', 'python', 'vectorized' or 'matrix', "
@@ -136,22 +128,3 @@ class MoctopusConfig:
     def num_modules(self) -> int:
         """Number of PIM modules in the simulated platform."""
         return self.cost_model.num_modules
-
-    @property
-    def labor_division_enabled(self) -> bool:
-        """Whether high-degree nodes are routed to the host."""
-        return self.high_degree_threshold is not None
-
-    @classmethod
-    def pim_hash_config(cls, cost_model: Optional[CostModel] = None) -> "MoctopusConfig":
-        """Configuration of the paper's PIM-hash contrast system.
-
-        All nodes are hash-partitioned across PIM modules; no labor
-        division, no migration.
-        """
-        return cls(
-            cost_model=cost_model or CostModel(),
-            high_degree_threshold=None,
-            pim_placement="hash",
-            enable_migration=False,
-        )

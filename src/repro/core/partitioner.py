@@ -1,14 +1,15 @@
 """Moctopus's Graph Partitioner component.
 
-Wires the partitioning policies of :mod:`repro.partition` into the
-configuration the rest of the system expects:
+Wires a PIM placement policy of :mod:`repro.partition`, which its system
+builds, into the interface the rest of the system expects:
 
-* with the default configuration, low-degree nodes are placed by the
+* a :class:`~repro.core.system.Moctopus` places low-degree nodes by the
   radical greedy heuristic (first-neighbor placement with the 1.05x
-  dynamic capacity constraint) and high-degree nodes are routed to the
-  host by the labor-division wrapper;
-* with :meth:`MoctopusConfig.pim_hash_config`, every node is placed by a
-  plain hash, reproducing the paper's PIM-hash contrast system.
+  dynamic capacity constraint), and the labor-division wrapper routes
+  high-degree nodes to the host;
+* a :class:`~repro.baselines.PIMHashSystem` places every node by a plain
+  hash and has no labor division, reproducing the paper's PIM-hash
+  contrast system.
 
 The partitioner owns the ``node_partition_vector`` (the
 :class:`~repro.partition.base.PartitionMap`), which records every
@@ -22,36 +23,32 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.config import MoctopusConfig
 from repro.partition.base import HOST_PARTITION, PartitionMap, StreamingPartitioner
-from repro.partition.hash_partition import HashPartitioner
 from repro.partition.labor_division import LaborDivisionPartitioner
-from repro.partition.radical_greedy import RadicalGreedyPartitioner
 
 
 class GraphPartitioner:
     """The component deciding which computing node owns each graph node."""
 
-    def __init__(self, config: MoctopusConfig) -> None:
-        self._config = config
-        if config.pim_placement == "radical_greedy":
-            pim_policy: StreamingPartitioner = RadicalGreedyPartitioner(
-                config.num_modules, capacity_factor=config.capacity_factor
-            )
-        else:
-            pim_policy = HashPartitioner(config.num_modules)
-        self._pim_policy = pim_policy
+    def __init__(
+        self, pim_policy: StreamingPartitioner, high_degree_threshold: Optional[int]
+    ) -> None:
+        """``pim_policy`` places the nodes that stay on PIM modules;
+        ``high_degree_threshold`` is ``None`` for no labor division."""
+        #: The PIM placement: its counters and whether the node migrator
+        #: repairs it (:attr:`StreamingPartitioner.migrates`).
+        self.pim_policy = pim_policy
         #: The labor-division wrapper, ``None`` when labor division is off.
         self.labor_division: Optional[LaborDivisionPartitioner] = None
         self._policy = pim_policy
-        if config.labor_division_enabled:
+        if high_degree_threshold is not None:
             self.labor_division = self._policy = LaborDivisionPartitioner(
-                pim_policy, high_degree_threshold=config.high_degree_threshold
+                pim_policy, high_degree_threshold=high_degree_threshold
             )
-        #: :meth:`partition_of`, bound once: the policies share one
-        #: partition map and never rebind it, so the three frames the
-        #: method would walk (partitioner -> policy -> map) are one
-        #: ``dict.get``.
+        #: Partition of a node (``HOST_PARTITION`` for the host, ``None``
+        #: if unknown), bound once: the policies share one partition map
+        #: and never rebind it, so the three frames the method would walk
+        #: (partitioner -> policy -> map) are one ``dict.get``.
         self.partition_of = self.partition_map.partition_of
 
     # ------------------------------------------------------------------
@@ -76,10 +73,6 @@ class GraphPartitioner:
         """Place a run of distinct new nodes in order, as one
         :meth:`assign_node` each (the bulk loader's placements)."""
         return self._policy.assign_nodes(nodes, first_neighbors)
-
-    def partition_of(self, node: int) -> Optional[int]:
-        """Partition of ``node`` (``HOST_PARTITION`` for the host, ``None`` if unknown)."""
-        return self._policy.partition_of(node)
 
     def migrate(self, node: int, target_partition: int) -> None:
         """Record that ``node`` now lives on ``target_partition``."""
@@ -107,8 +100,8 @@ class GraphPartitioner:
             degrees = np.column_stack([nodes[order], counts[order]])
         return {
             "out_degrees": degrees,
-            "greedy_placements": self.greedy_placements(),
-            "fallback_placements": self.fallback_placements(),
+            "greedy_placements": self.pim_policy.greedy_placements,
+            "fallback_placements": self.pim_policy.fallback_placements,
             "promotions": self.promotions(),
         }
 
@@ -124,9 +117,8 @@ class GraphPartitioner:
         if self.labor_division is not None:
             self.labor_division._out_degree = dict(state["out_degrees"].tolist())
             self.labor_division.promotions = int(state["promotions"])
-        if isinstance(self._pim_policy, RadicalGreedyPartitioner):
-            self._pim_policy.greedy_placements = int(state["greedy_placements"])
-            self._pim_policy.fallback_placements = int(state["fallback_placements"])
+        self.pim_policy.greedy_placements = int(state["greedy_placements"])
+        self.pim_policy.fallback_placements = int(state["fallback_placements"])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -139,23 +131,11 @@ class GraphPartitioner:
     @property
     def num_modules(self) -> int:
         """Number of PIM partitions."""
-        return self._config.num_modules
+        return self.pim_policy.num_partitions
 
     def is_host(self, node: int) -> bool:
         """Whether ``node`` currently lives on the host partition."""
         return self.partition_of(node) == HOST_PARTITION
-
-    def greedy_placements(self) -> int:
-        """Placements that followed the first-neighbor heuristic (0 for hash)."""
-        if isinstance(self._pim_policy, RadicalGreedyPartitioner):
-            return self._pim_policy.greedy_placements
-        return 0
-
-    def fallback_placements(self) -> int:
-        """Placements diverted by the capacity constraint (0 for hash)."""
-        if isinstance(self._pim_policy, RadicalGreedyPartitioner):
-            return self._pim_policy.fallback_placements
-        return 0
 
     def promotions(self) -> int:
         """Nodes promoted to the host because they became high-degree."""

@@ -52,7 +52,9 @@ from repro.graph.stream import (
     require_loadable,
     require_node_ids,
 )
+from repro.partition.base import StreamingPartitioner
 from repro.partition.metrics import PartitionQuality, evaluate_partition
+from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import BatchResult, KHopQuery
@@ -91,7 +93,9 @@ class Moctopus:
     ) -> None:
         self.config = config or MoctopusConfig()
         self.pim = PIMSystem(self.config.cost_model)
-        self._partitioner = GraphPartitioner(self.config)
+        self._partitioner = GraphPartitioner(
+            self._build_placement(), self.config.high_degree_threshold
+        )
         self._module_storages = [
             LocalGraphStorage(memory=module.memory) for module in self.pim.modules
         ]
@@ -112,7 +116,6 @@ class Moctopus:
         self._query_processor = QueryProcessor(
             self.config,
             LiveView(
-                config=self.config,
                 pim=self.pim,
                 partitioner=self._partitioner,
                 module_storages=self._module_storages,
@@ -156,6 +159,12 @@ class Moctopus:
     # ------------------------------------------------------------------
     # Construction / loading
     # ------------------------------------------------------------------
+    def _build_placement(self) -> StreamingPartitioner:
+        """The placement of PIM-resident nodes: the paper's radical greedy."""
+        return RadicalGreedyPartitioner(
+            self.config.num_modules, capacity_factor=self.config.capacity_factor
+        )
+
     @classmethod
     def from_graph(
         cls,
@@ -235,10 +244,10 @@ class Moctopus:
         return result, stats
 
     def _maybe_migrate(self, auto_migrate: Optional[bool]) -> None:
-        enabled = self.config.enable_migration if auto_migrate is None else auto_migrate
-        if not enabled:
-            return
-        self.run_maintenance()
+        if auto_migrate is None:
+            auto_migrate = self._partitioner.pim_policy.migrates
+        if auto_migrate:
+            self.run_maintenance()
 
     def run_maintenance(self) -> Tuple[int, ExecutionStats]:
         """Migrate nodes reported as incorrectly partitioned.
@@ -578,8 +587,8 @@ class Moctopus:
     def partition_statistics(self) -> Dict[str, int]:
         """Partitioner decision counters (greedy vs fallback vs promotions)."""
         return {
-            "greedy_placements": self._partitioner.greedy_placements(),
-            "fallback_placements": self._partitioner.fallback_placements(),
+            "greedy_placements": self._partitioner.pim_policy.greedy_placements,
+            "fallback_placements": self._partitioner.pim_policy.fallback_placements,
             "promotions": self._partitioner.promotions(),
             "locality_migrations": self._migrator.migrations_performed,
         }

@@ -53,11 +53,23 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.system import Moctopus
 
 
+#: Retired placement knobs an older writer's echo may carry, with the one
+#: value a recovered :class:`~repro.core.system.Moctopus` still behaves as.
+_RETIRED_PLACEMENT = {"pim_placement": "radical_greedy", "enable_migration": True}
+
+
 def _config_from_dict(data: dict) -> "MoctopusConfig":
     from repro.core.config import MoctopusConfig
     from repro.pim.cost_model import CostModel
 
-    # An older writer's echo may carry knobs that have since been
+    # Replaying under another placement would diverge from the writer.
+    for name, value in _RETIRED_PLACEMENT.items():
+        if name in data and data[name] != value:
+            raise ValueError(
+                f"cannot recover {name}={data[name]!r}: a recovered system "
+                f"places as {name}={value!r}"
+            )
+    # Other knobs an older writer's echo may carry have since been
     # retired; they configured nothing replay depends on.
     known = {field.name for field in dataclasses.fields(MoctopusConfig)}
     data = {name: value for name, value in data.items() if name in known}

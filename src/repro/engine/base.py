@@ -46,7 +46,6 @@ from repro.rpq.planner import Plan
 from repro.rpq.query import BatchResult
 
 if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
-    from repro.core.config import MoctopusConfig
     from repro.core.hetero_storage import HeterogeneousGraphStorage
     from repro.core.local_storage import LocalGraphStorage
     from repro.core.node_migrator import NodeMigrator
@@ -150,7 +149,6 @@ class LiveView:
     the view's owner index needs no synchronisation of its own.
     """
 
-    config: MoctopusConfig
     pim: PIMSystem
     partitioner: GraphPartitioner
     module_storages: List[LocalGraphStorage]
@@ -182,9 +180,9 @@ class LiveView:
         return self.rows_of(partition).to_csr()
 
     def misplacement_threshold(self, partition: int) -> Optional[float]:
-        """:data:`MISPLACEMENT_THRESHOLD` on a module while migration is
-        enabled; the host detects nothing."""
-        if partition == HOST_PARTITION or not self.config.enable_migration:
+        """:data:`MISPLACEMENT_THRESHOLD` on a module when the node
+        migrator repairs the placement; the host detects nothing."""
+        if partition == HOST_PARTITION or not self.partitioner.pim_policy.migrates:
             return None
         return MISPLACEMENT_THRESHOLD
 

@@ -168,9 +168,19 @@ class PartitionMap:
 class StreamingPartitioner(ABC):
     """Base class for partitioners that decide placements edge by edge."""
 
+    #: Whether the node migrator repairs this policy's placements (the
+    #: adaptive half of greedy-adaptive partitioning): a system reports
+    #: misplaced nodes and migrates them after a query only then.
+    migrates = False
+
     def __init__(self, num_partitions: int) -> None:
         self.num_partitions = num_partitions
         self.partition_map = PartitionMap(num_partitions)
+        #: Placements that followed a node's first neighbor (locality wins).
+        self.greedy_placements = 0
+        #: Placements diverted by a capacity constraint or the lack of a
+        #: placed neighbor.
+        self.fallback_placements = 0
 
     @abstractmethod
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:

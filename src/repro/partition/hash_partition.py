@@ -15,8 +15,12 @@ from typing import Optional
 
 from repro.partition.base import StreamingPartitioner
 
+#: Default salt of :func:`stable_node_hash`, the one
+#: :class:`HashPartitioner` places with.
+HASH_SALT = 0x9E3779B1
 
-def stable_node_hash(node: int, salt: int = 0x9E3779B1) -> int:
+
+def stable_node_hash(node: int, salt: int = HASH_SALT) -> int:
     """Deterministic 64-bit mix of a node id.
 
     Python's built-in ``hash`` of an ``int`` is the identity, which would
@@ -37,12 +41,8 @@ def stable_node_hash(node: int, salt: int = 0x9E3779B1) -> int:
 class HashPartitioner(StreamingPartitioner):
     """Assign every node to ``stable_node_hash(node) % P``."""
 
-    def __init__(self, num_partitions: int, salt: int = 0x9E3779B1) -> None:
-        super().__init__(num_partitions)
-        self._salt = salt
-
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
         """Place ``node`` by hashing its identifier (neighbor is ignored)."""
-        partition = stable_node_hash(node, self._salt) % self.num_partitions
+        partition = stable_node_hash(node) % self.num_partitions
         self.partition_map.assign(node, partition)
         return partition

@@ -27,6 +27,9 @@ from repro.partition.hash_partition import stable_node_hash
 #: The paper's capacity-constraint proportion: 1.05x the average.
 DEFAULT_CAPACITY_FACTOR = 1.05
 
+#: Salt of the fallback hash used when the preferred partition is full.
+FALLBACK_SALT = 0x51ED270
+
 
 class RadicalGreedyPartitioner(StreamingPartitioner):
     """First-neighbor placement with a dynamic capacity constraint.
@@ -39,17 +42,15 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         Multiple of the average partition size above which a partition
         stops accepting new nodes (the paper uses 1.05).  Lowering it
         tightens balance but hurts locality; the A2 ablation sweeps it.
-    salt:
-        Salt of the fallback hash used when the preferred partition is
-        full.
     """
+
+    migrates = True
 
     def __init__(
         self,
         num_partitions: int,
         capacity_factor: float = DEFAULT_CAPACITY_FACTOR,
         min_capacity: int = 16,
-        salt: int = 0x51ED270,
     ) -> None:
         super().__init__(num_partitions)
         if not capacity_factor >= 1.0:  # written so that nan is refused too
@@ -63,18 +64,12 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         #: never cause meaningful imbalance, so partitions may always grow
         #: to this floor.
         self.min_capacity = min_capacity
-        self._salt = salt
-        #: Placements that followed the first neighbor (locality wins).
-        self.greedy_placements = 0
-        #: Placements diverted by the capacity constraint or lack of a
-        #: placed neighbor (hash fallback).
-        self.fallback_placements = 0
 
     # ------------------------------------------------------------------
     def _hash_fallback(self, node: int, limit: float, sizes: List[int]) -> int:
         """Pick an under-capacity partition by hashing, as the paper describes."""
         count = self.num_partitions
-        start = stable_node_hash(node, self._salt) % count
+        start = stable_node_hash(node, FALLBACK_SALT) % count
         for offset in range(count):
             candidate = (start + offset) % count
             if sizes[candidate] + 1 <= limit:

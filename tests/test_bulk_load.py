@@ -22,7 +22,8 @@ import pstats
 import random
 import tracemalloc
 from array import array
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 from unittest import mock
 
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model import load_per_edge
+from repro.baselines import PIMHashSystem
 from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
@@ -106,8 +108,8 @@ def load_state(system: Moctopus) -> Dict[str, object]:
     return state
 
 
-def _empty_system(config: MoctopusConfig, cache_base: bool) -> Moctopus:
-    system = Moctopus(config=config)
+def _empty_system(new_system: Callable[[], Moctopus], cache_base: bool) -> Moctopus:
+    system = new_system()
     if cache_base:
         # A base snapshot cached before the load (the fault-injection
         # reference fingerprints the empty system): every row the load
@@ -118,14 +120,14 @@ def _empty_system(config: MoctopusConfig, cache_base: bool) -> Moctopus:
 
 
 def assert_load_matches_oracle(
-    config: MoctopusConfig,
+    new_system: Callable[[], Moctopus],
     edges: List[Edge],
     nodes: List[int],
     cache_base: bool = False,
 ) -> Moctopus:
-    loaded = _empty_system(config, cache_base)
+    loaded = _empty_system(new_system, cache_base)
     loaded.load_graph(EdgeStream(edges, nodes))
-    oracle = _empty_system(config, cache_base)
+    oracle = _empty_system(new_system, cache_base)
     load_per_edge(oracle, edges, nodes)
     expected = load_state(oracle)
     actual = load_state(loaded)
@@ -137,14 +139,12 @@ def assert_load_matches_oracle(
 def _config(
     num_modules: int = 4,
     threshold: Optional[int] = 16,
-    placement: str = "radical_greedy",
     capacity_factor: float = 1.05,
     **kwargs,
 ) -> MoctopusConfig:
     return MoctopusConfig(
         cost_model=CostModel(num_modules=num_modules),
         high_degree_threshold=threshold,
-        pim_placement=placement,
         capacity_factor=capacity_factor,
         **kwargs,
     )
@@ -198,9 +198,13 @@ def test_loader_state_equals_the_per_edge_oracle(
     stream_, num_modules, threshold, placement, capacity_factor, cache_base, chunk_rows
 ):
     edges, nodes = stream_
-    config = _config(num_modules, threshold, placement, capacity_factor)
+    if placement == "hash":
+        # The PIM-hash system has no labor division (threshold None).
+        new_system = partial(PIMHashSystem, CostModel(num_modules=num_modules))
+    else:
+        new_system = partial(Moctopus, _config(num_modules, threshold, capacity_factor))
     with mock.patch.object(stream, "EDGE_CHUNK_ROWS", chunk_rows):
-        assert_load_matches_oracle(config, edges, nodes, cache_base)
+        assert_load_matches_oracle(new_system, edges, nodes, cache_base)
 
 
 @pytest.mark.parametrize("chunk_rows", [7, stream.EDGE_CHUNK_ROWS])
@@ -210,7 +214,7 @@ def test_smoke_graph_load_equals_the_oracle(chunk_rows):
     config = MoctopusConfig(cost_model=scaled_cost_model())
     with mock.patch.object(stream, "EDGE_CHUNK_ROWS", chunk_rows):
         system = assert_load_matches_oracle(
-            config, list(graph.labeled_edges()), list(graph.nodes())
+            partial(Moctopus, config), list(graph.labeled_edges()), list(graph.nodes())
         )
     assert system.partition_statistics()["promotions"] > 0
     assert system._partitioner.labor_division.pending_promotions() == 0

@@ -891,6 +891,37 @@ def test_recovery_ignores_retired_config_knobs(tmp_path, checkpointed):
     recovered.close()
 
 
+@pytest.mark.parametrize(
+    "name, value", [("pim_placement", "hash"), ("enable_migration", False)]
+)
+def test_recovery_refuses_a_retired_placement(tmp_path, name, value):
+    """A directory written when placement was a knob, under a placement a
+    recovered system no longer makes, is refused rather than replayed
+    under radical greedy with migration (the fixture itself, which
+    records the remaining placement, recovers)."""
+    fixture = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), "data", "ckpt_pr16", "durability"
+    )
+    directory = tmp_path / "durability"
+    shutil.copytree(fixture, directory)
+    echoes = [
+        os.path.join(root, filename)
+        for root, _, names in os.walk(str(directory))
+        for filename in names
+        if filename in ("config.json", "manifest.json")
+    ]
+    assert len(echoes) == 2
+    for path in echoes:
+        with open(path) as handle:
+            data = json.load(handle)
+        assert name in data["config"]
+        data["config"][name] = value
+        with open(path, "w") as handle:
+            json.dump(data, handle, sort_keys=True)
+    with pytest.raises(ValueError, match=name):
+        Moctopus.recover(str(directory))
+
+
 def test_auth_token_never_reaches_disk(tmp_path):
     """The front door's settings are arguments of ``listen()``, not
     config fields, so nothing under the durability directory carries

@@ -515,12 +515,12 @@ def test_parity_without_labor_division():
 
 def test_parity_with_migration_disabled():
     graph = random_graph(40, 200, seed=7)
-    systems = build_systems(graph, enable_migration=False)
+    systems = build_systems(graph)
     sources = random_source_batch(list(graph.nodes()), 12, seed=7)
     for hops in (1, 2, 3):
         assert_equivalent(
             {
-                engine: system.batch_khop(sources, hops)
+                engine: system.batch_khop(sources, hops, auto_migrate=False)
                 for engine, system in systems.items()
             },
             context=f"migration off hops={hops}",

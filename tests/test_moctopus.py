@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import PIMHashSystem
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, random_graph
 from repro.durability.recovery import recover
 from repro.net.server import MoctopusServer
 from repro.parallel import WorkerPool
 from repro.partition.base import HOST_PARTITION
+from repro.partition.hash_partition import stable_node_hash
 from repro.partition.labor_division import LaborDivisionPartitioner
 from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim import CostModel
@@ -34,8 +36,6 @@ def small_system(graph, **config_kwargs) -> Moctopus:
 # Configuration
 # ----------------------------------------------------------------------
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MoctopusConfig(pim_placement="round-robin")
     with pytest.raises(ValueError):
         MoctopusConfig(capacity_factor=0.5)
     with pytest.raises(ValueError):
@@ -181,7 +181,7 @@ def test_knob_census():
     # different values; with one value in use it is a constant, and a
     # value the code can work out is not an option.  Adding a field
     # means editing this count and naming those two callers in the PR.
-    assert len(names) == 12
+    assert len(names) == 10
 
 
 @pytest.mark.parametrize(
@@ -206,11 +206,18 @@ def test_bad_port_refused_before_any_thread(port):
         system.close()
 
 
-def test_pim_hash_config_disables_moctopus_features():
-    config = MoctopusConfig.pim_hash_config()
-    assert config.pim_placement == "hash"
-    assert not config.labor_division_enabled
-    assert not config.enable_migration
+def test_pim_hash_system_disables_moctopus_features(small_power_law):
+    """Hash placement, no labor division, no misplacement detection and
+    no migration."""
+    system = PIMHashSystem.from_graph(small_power_law, CostModel(num_modules=8))
+    for node in small_power_law.nodes():
+        assert system.partition_of(node) == stable_node_hash(node) % 8
+    assert system.host_node_count() == 0
+    before = dict(system._partitioner.partition_map.items())
+    sources = random_source_batch(list(small_power_law.nodes()), 16, seed=3)
+    system.batch_khop(sources, hops=2)
+    assert system._migrator.pending_reports == 0
+    assert dict(system._partitioner.partition_map.items()) == before
 
 
 # ----------------------------------------------------------------------
@@ -332,10 +339,10 @@ def test_migration_reduces_pending_reports(small_community):
 
 
 def test_disabling_migration_keeps_placement_static(small_community):
-    system = small_system(small_community, enable_migration=False)
+    system = small_system(small_community)
     before = dict(system._partitioner.partition_map.items())
     sources = random_source_batch(list(small_community.nodes()), 16, seed=3)
-    system.batch_khop(sources, hops=2)
+    system.batch_khop(sources, hops=2, auto_migrate=False)
     after = dict(system._partitioner.partition_map.items())
     assert before == after
 

@@ -27,6 +27,7 @@ from repro.core.node_migrator import MIGRATION_CAPACITY_FACTOR, NodeMigrator
 from repro.core.partitioner import GraphPartitioner
 from repro.graph import community_graph
 from repro.partition.base import HOST_PARTITION
+from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim import CostModel, ExecutionStats, PIMSystem
 
 Moves = List[Tuple[int, int, int]]
@@ -46,7 +47,9 @@ class Rig:
         self.capacity_factor = capacity_factor
         self.num_modules = num_modules
         self.pim = PIMSystem(config.cost_model)
-        self.partitioner = GraphPartitioner(config)
+        self.partitioner = GraphPartitioner(
+            RadicalGreedyPartitioner(num_modules), config.high_degree_threshold
+        )
         self.storages = [
             LocalGraphStorage(memory=module.memory) for module in self.pim.modules
         ]
