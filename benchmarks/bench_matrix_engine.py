@@ -127,6 +127,7 @@ def _compare(system: Moctopus, name: str, run) -> Dict[str, object]:
 def run_sweep(verbose: bool = True) -> Dict[str, object]:
     graph, labels = build_graph()
     system = build_system(graph, labels)
+    start_engine = system.engine_name
     nodes = list(graph.nodes())
 
     khop_rows = []
@@ -153,7 +154,7 @@ def run_sweep(verbose: bool = True) -> Dict[str, object]:
                 lambda q=query: system.execute(q, auto_migrate=False),
             )
         )
-    system.use_engine(system.config.engine)
+    system.use_engine(start_engine)
 
     khop_geomean = geometric_mean([row["speedup"] for row in khop_rows])
     rpq_geomean = geometric_mean([row["speedup"] for row in rpq_rows])

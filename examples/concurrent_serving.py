@@ -28,8 +28,9 @@ from repro.pim import CostModel
 def main() -> None:
     # 1. A skewed graph with hubs, served by the vectorized backend.
     graph = power_law_graph(num_nodes=2000, edges_per_node=4, skew=0.8, seed=7)
-    config = MoctopusConfig(cost_model=CostModel(num_modules=16), engine="vectorized")
+    config = MoctopusConfig(cost_model=CostModel(num_modules=16))
     system = Moctopus.from_graph(graph, config)
+    system.use_engine("vectorized")
     print(f"serving {system.num_nodes} nodes / {system.num_edges} edges")
 
     # 2. Snapshot isolation: pin an epoch, watch the writer move on.

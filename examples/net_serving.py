@@ -30,8 +30,9 @@ def main() -> None:
     # 1. Build a system and put a socket in front of it.  port=0 binds
     #    an ephemeral port; the auth token gates the handshake.
     graph = power_law_graph(num_nodes=2000, edges_per_node=4, skew=0.8, seed=7)
-    config = MoctopusConfig(cost_model=CostModel(num_modules=16), engine="vectorized")
+    config = MoctopusConfig(cost_model=CostModel(num_modules=16))
     system = Moctopus.from_graph(graph, config)
+    system.use_engine("vectorized")
     server = system.listen(port=0, auth_token="demo-token")
     print(f"serving {system.num_nodes} nodes on 127.0.0.1:{server.port}")
 

@@ -21,11 +21,12 @@ from repro.pim import CostModel
 
 
 def main() -> None:
-    # The workers run the configured kernel (``use_engine`` swaps it for
-    # schedulers started afterwards); how many there are is chosen per
+    # The workers run the kernel current when the scheduler starts
+    # (``use_engine`` pins it); how many there are is chosen per
     # scheduler with ``serve(parallel=N)`` — ``serve()`` is in-process.
-    config = MoctopusConfig(cost_model=CostModel(num_modules=16), engine="python")
+    config = MoctopusConfig(cost_model=CostModel(num_modules=16))
     system = Moctopus.from_graph(random_graph(4000, 16000, seed=7), config)
+    system.use_engine("python")
 
     # Two worker processes; close() (or the context manager) tears the
     # pool down, unlinks the shared segments and releases every pin.

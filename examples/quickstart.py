@@ -32,10 +32,11 @@ def main() -> None:
 
     # 2. Build the three systems of the paper's evaluation.
     cost_model = scaled_cost_model()
-    # engine= pins the wall-clock backend ("python" | "vectorized" |
-    # "matrix"); the default "auto" picks one per call from the size of
-    # the request.  All three return bit-identical results and simulated
-    # stats, so it only changes how fast the reproduction itself runs.
+    # A system starts on the "auto" kernel, which picks one per call
+    # from the size of the request; moctopus.use_engine("python" |
+    # "vectorized" | "matrix") pins one.  All of them return
+    # bit-identical results and simulated stats, so the choice only
+    # changes how fast the reproduction itself runs.
     moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model))
     pim_hash = PIMHashSystem.from_graph(graph, cost_model=cost_model)
     redisgraph = RedisGraphEngine.from_graph(graph, cost_model=cost_model)

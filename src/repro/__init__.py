@@ -37,7 +37,7 @@ It contains:
     expand+route phases and ``mwait``, charging the simulated platform,
     over swappable kernels — the scalar reference, the vectorized numpy
     kernels over CSR storage snapshots, the semiring-matrix kernels —
-    selected by ``MoctopusConfig.engine`` and required to agree on every
+    selected by ``Moctopus.use_engine`` and required to agree on every
     result and every simulated counter.
 
 ``repro.serve``

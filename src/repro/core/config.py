@@ -7,21 +7,19 @@ A field is here because two callers want different values of it:
   labor-division approach (16, or ``None`` for no labor division) and
   the capacity-constraint proportion of the radical greedy heuristic
   (1.05).  Both change placement, so recovery reads them back;
-* the query execution kernel (``engine``) — the scalar reference
-  engine, the vectorized numpy engine or the semiring-matrix engine,
-  which are required to agree on every result and every simulated
-  counter, or ``"auto"``, which picks the scalar or the vectorized one
-  per call from the size of the request.  It names a query kernel and
-  nothing else: update batches are partitioned by one loop
-  (:mod:`repro.core.update_processor`) whatever it says.  This field
-  and ``Moctopus.use_engine`` are the only ways to choose a kernel;
 * the durability knobs (``durability_dir``, ``wal_segment_bytes``,
   ``checkpoint_interval_batches``, ``wal_fsync``) controlling the
   write-ahead log and checkpoint lifecycle of
-  :mod:`repro.durability`;
-* the plan and result cache sizes.
+  :mod:`repro.durability`.
 
-A value with one caller is a constant beside its reader, not a field.
+Every field changes what a recovered system holds or how it persists:
+the config is system state, copied into ``config.json`` and every
+checkpoint manifest and read back by recovery.  A value with one caller
+is a constant beside its reader, not a field — the plan and result
+cache bounds (:mod:`repro.core.query_processor`).  The query kernel is
+not a field: every kernel gives the same results and the same simulated
+counters, so a system starts on ``"auto"`` and ``Moctopus.use_engine``
+is the one way to pin another.
 Placement is not a field either: a system builds its own
 (``Moctopus._build_placement``; :class:`repro.baselines.PIMHashSystem`
 builds a hash placement), and whether the node migrator repairs it is a
@@ -29,9 +27,8 @@ fact of the placement class (``StreamingPartitioner.migrates``).
 A front door's settings — the scheduler's queue depth, the server's
 address, auth token, in-flight cap and request timeout — are keyword
 arguments of the call that opens it (``Moctopus.serve()``,
-``Moctopus.listen()``), not fields: the config is system state, copied
-into ``config.json`` and every checkpoint manifest, and a listening
-address or a secret is not state to write to disk or to recover.
+``Moctopus.listen()``), not fields: a listening address or a secret is
+not state to write to disk or to recover.
 How a storage keeps its CSR view fresh is not a knob either: every
 refresh splices the rows edited since the last one into the cached view
 (:mod:`repro.core.snapshot`).
@@ -63,21 +60,6 @@ class MoctopusConfig:
     high_degree_threshold: Optional[int] = DEFAULT_HIGH_DEGREE_THRESHOLD
     #: Capacity-constraint proportion of the radical greedy partitioner.
     capacity_factor: float = DEFAULT_CAPACITY_FACTOR
-    #: Physical execution backend for batch queries: ``"python"`` (the
-    #: scalar reference engine, exact original semantics),
-    #: ``"vectorized"`` (numpy columnar frontiers over CSR storage
-    #: snapshots), ``"matrix"`` (masked boolean-semiring SpGEMM over
-    #: pre-transposed CSR blocks, falling back to the push path for
-    #: sparse frontiers) or ``"auto"`` (the default: each call runs on
-    #: ``"python"`` or ``"vectorized"``, whichever
-    #: :func:`repro.engine.base.choose_engine` estimates faster from
-    #: the plan shape, the batch size and the graph's average
-    #: out-degree — scalar for small requests, numpy for bulk
-    #: batches).  All produce identical results and identical
-    #: simulated statistics, so the choice never changes an answer; a
-    #: concrete name pins one backend (parity suites, probes, oracle).
-    #: The update path does not read this field.
-    engine: str = "auto"
     #: Root directory of the durability subsystem (write-ahead log +
     #: checkpoints).  ``None`` (the default) keeps the system memory-only;
     #: set a path to make every bulk load, update batch and migration
@@ -96,23 +78,8 @@ class MoctopusConfig:
     #: fault-injection harness models); turn this on for power-loss
     #: durability at the usual per-batch latency cost.
     wal_fsync: bool = False
-    #: Bound of the epoch-keyed plan cache on the query processor
-    #: (entries; LRU).  ``0`` disables plan caching.
-    plan_cache_size: int = 128
-    #: Bound of the epoch-keyed LRU result cache for repeated
-    #: ``(expression, sources, epoch)`` hits.  An entry and every hit
-    #: share the result's immutable arrays (only the small stats object
-    #: is copied), so cached answers are bit-identical to a fresh
-    #: execution (results *and* simulated stats) at no per-hit copy
-    #: cost.  ``0`` disables result caching.
-    result_cache_size: int = 256
 
     def __post_init__(self) -> None:
-        if self.engine not in ("auto", "python", "vectorized", "matrix"):
-            raise ValueError(
-                "engine must be 'auto', 'python', 'vectorized' or 'matrix', "
-                f"got {self.engine!r}"
-            )
         if not self.capacity_factor >= 1.0:
             raise ValueError("capacity_factor must be >= 1.0")
         if self.high_degree_threshold is not None:
@@ -121,8 +88,6 @@ class MoctopusConfig:
         require_int(
             "checkpoint_interval_batches", self.checkpoint_interval_batches, 0
         )
-        require_int("plan_cache_size", self.plan_cache_size, 0)
-        require_int("result_cache_size", self.result_cache_size, 0)
 
     @property
     def num_modules(self) -> int:

@@ -7,12 +7,12 @@ The processor's job is planning and delegation, not data movement:
    ``mwait`` reduce for the paper's k-hop workload and fixed-length
    RPQs, a DFA-guided fixpoint for the rest — costed from the view's
    frozen epoch when it has one, and bound to the view's row count;
-2. the plan is handed, with the view to run it against, to the
-   :class:`~repro.engine.base.ExecutionEngine` selected by
-   ``MoctopusConfig.engine`` (or ``Moctopus.use_engine``) — the scalar
-   ``"python"`` backend, one of the numpy backends, or the ``"auto"``
-   dispatcher choosing among them per call — which executes it on the
-   simulated platform and returns the answer matrix plus the execution
+2. the plan is handed, with the view to run it against, to the current
+   :class:`~repro.engine.base.ExecutionEngine` — the ``"auto"``
+   dispatcher a system starts on, choosing per call between the scalar
+   ``"python"`` backend and the vectorized one, or the kernel
+   ``Moctopus.use_engine`` pinned — which executes it on the simulated
+   platform and returns the answer matrix plus the execution
    statistics.
 
 :meth:`QueryProcessor.execute_on_view` is the one entry point: live
@@ -31,7 +31,8 @@ the node migrator off the query's critical path.
 Executions whose view answers :meth:`PlanView.frozen_epoch` (pinned,
 unpatched) additionally go through two caches that are correct by
 construction because their keys embed the epoch id — a new epoch can
-never observe a stale entry:
+never observe a stale entry.  Both are bounded least-recently-used maps
+(:data:`PLAN_CACHE_ENTRIES`, :data:`RESULT_CACHE_ENTRIES`):
 
 * a **plan cache** mapping ``(epoch id, query shape, batch size)`` to
   the :class:`Plan` (plans are frozen, so cached plans are shared, not
@@ -58,13 +59,17 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.core.config import MoctopusConfig
 from repro.engine.base import ExecutionEngine, LiveView, PlanView, create_engine
 from repro.pim.stats import ExecutionStats
 from repro.rpq.planner import Plan, lower_plan, plan_query
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
-__all__ = ["QueryProcessor"]
+__all__ = ["PLAN_CACHE_ENTRIES", "QueryProcessor", "RESULT_CACHE_ENTRIES"]
+
+#: Bound of the epoch-keyed plan cache (entries).
+PLAN_CACHE_ENTRIES = 128
+#: Bound of the epoch-keyed result cache (entries).
+RESULT_CACHE_ENTRIES = 256
 
 
 def _shared_outcome(
@@ -84,34 +89,58 @@ def _shared_outcome(
     )
 
 
+class _LruCache(OrderedDict):
+    """A bounded least-recently-used map counting ``<name>_hits`` /
+    ``<name>_misses``; callers hold the processor's cache lock."""
+
+    def __init__(self, name: str, capacity: int, counters: ExecutionStats) -> None:
+        super().__init__()
+        self._hits, self._misses = f"{name}_hits", f"{name}_misses"
+        self._capacity = capacity
+        self._counters = counters
+
+    def lookup(self, key):
+        """The entry under ``key``, now the most recent, or ``None``."""
+        entry = self.get(key)
+        if entry is None:
+            self._counters.add_counter(self._misses)
+        else:
+            self.move_to_end(key)
+            self._counters.add_counter(self._hits)
+        return entry
+
+    def insert(self, key, entry) -> None:
+        """Store ``entry`` as the most recent, evicting past the bound."""
+        self[key] = entry
+        self.move_to_end(key)
+        while len(self) > self._capacity:
+            self.popitem(last=False)
+
+
 class QueryProcessor:
     """Plans batch path queries and delegates them to an execution engine."""
 
     def __init__(
-        self,
-        config: MoctopusConfig,
-        live: LiveView,
-        label_names: Optional[Dict[int, str]] = None,
+        self, live: LiveView, label_names: Optional[Dict[int, str]] = None
     ) -> None:
-        self._config = config
         #: The view live (unpinned) queries execute against.
         self.live = live
         #: Integer edge label -> query label string.
         self.label_names: Dict[int, str] = label_names or {}
         #: The kernel every caller runs on.
-        self.engine: ExecutionEngine = create_engine(config.engine, self.label_names)
+        self.engine: ExecutionEngine = create_engine("auto", self.label_names)
         #: Cache hit/miss counters.  Deliberately *not* merged into any
         #: per-query :class:`ExecutionStats` — per-query observables must
         #: stay bit-identical between cold and warm executions.
         self.cache_stats = ExecutionStats()
         self._cache_lock = threading.Lock()
-        self._plan_cache: "OrderedDict[Tuple, Plan]" = OrderedDict()
-        self._result_cache: "OrderedDict[Tuple, Tuple[BatchResult, ExecutionStats]]" = (
-            OrderedDict()
+        self._plan_cache = _LruCache("plan_cache", PLAN_CACHE_ENTRIES, self.cache_stats)
+        self._result_cache = _LruCache(
+            "result_cache", RESULT_CACHE_ENTRIES, self.cache_stats
         )
 
     def use_engine(self, name: str) -> None:
-        """Swap the execution backend (used by benchmarks and tests)."""
+        """Swap the execution backend (``Moctopus.use_engine``)."""
         self.engine = create_engine(name, self.label_names)
 
     def forget_epoch(self, epoch_id: int) -> None:
@@ -148,7 +177,7 @@ class QueryProcessor:
         plan = self.plan(query, view)
         epoch = view.frozen_epoch()
         result_key = None
-        if epoch is not None and self._config.result_cache_size > 0:
+        if epoch is not None:
             result_key = (
                 epoch.epoch_id,
                 self._query_key(query),
@@ -156,12 +185,7 @@ class QueryProcessor:
                 engine.name,
             )
             with self._cache_lock:
-                cached = self._result_cache.get(result_key)
-                if cached is not None:
-                    self._result_cache.move_to_end(result_key)
-                    self.cache_stats.add_counter("result_cache_hits")
-                else:
-                    self.cache_stats.add_counter("result_cache_misses")
+                cached = self._result_cache.lookup(result_key)
             if cached is not None:
                 # Outside the lock, so concurrent hits never serialize.
                 return _shared_outcome(cached)
@@ -169,10 +193,7 @@ class QueryProcessor:
         if result_key is not None:
             entry = _shared_outcome(outcome)
             with self._cache_lock:
-                self._result_cache[result_key] = entry
-                self._result_cache.move_to_end(result_key)
-                while len(self._result_cache) > self._config.result_cache_size:
-                    self._result_cache.popitem(last=False)
+                self._result_cache.insert(result_key, entry)
         return outcome
 
     # ------------------------------------------------------------------
@@ -196,28 +217,22 @@ class QueryProcessor:
         """
         epoch = view.frozen_epoch()
         plan_key = None
-        if epoch is not None and self._config.plan_cache_size > 0:
+        if epoch is not None:
             plan_key = (
                 epoch.epoch_id,
                 self._query_key(query),
                 len(query.sources),
             )
             with self._cache_lock:
-                cached = self._plan_cache.get(plan_key)
-                if cached is not None:
-                    self._plan_cache.move_to_end(plan_key)
-                    self.cache_stats.add_counter("plan_cache_hits")
-                    return cached
-                self.cache_stats.add_counter("plan_cache_misses")
+                cached = self._plan_cache.lookup(plan_key)
+            if cached is not None:
+                return cached
         plan = lower_plan(
             plan_query(query, epoch, self.label_names), view.total_rows()
         )
         if plan_key is not None:
             with self._cache_lock:
-                self._plan_cache[plan_key] = plan
-                self._plan_cache.move_to_end(plan_key)
-                while len(self._plan_cache) > self._config.plan_cache_size:
-                    self._plan_cache.popitem(last=False)
+                self._plan_cache.insert(plan_key, plan)
         return plan
 
     @staticmethod

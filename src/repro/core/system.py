@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, NoReturn, Optional, Tupl
 
 import numpy as np
 
+from repro.checks import require_int64s, require_labels
 from repro.core.bulk_load import bulk_load
 from repro.core.config import MoctopusConfig
 from repro.core.graph_view import StoredGraphView
@@ -45,13 +46,7 @@ from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
 from repro.engine.base import LiveView
 from repro.graph.digraph import ReadableGraph
-from repro.graph.stream import (
-    UpdateKind,
-    UpdateOp,
-    edge_table,
-    require_loadable,
-    require_node_ids,
-)
+from repro.graph.stream import UpdateKind, UpdateOp, edge_table, require_loadable
 from repro.partition.base import StreamingPartitioner
 from repro.partition.metrics import PartitionQuality, evaluate_partition
 from repro.partition.radical_greedy import RadicalGreedyPartitioner
@@ -114,7 +109,6 @@ class Moctopus:
             capacity_factor=MIGRATION_CAPACITY_FACTOR,
         )
         self._query_processor = QueryProcessor(
-            self.config,
             LiveView(
                 pim=self.pim,
                 partitioner=self._partitioner,
@@ -202,7 +196,7 @@ class Moctopus:
             if len(self._partitioner.partition_map):
                 raise RuntimeError("load_graph requires an empty system")
             nodes = list(graph.nodes())
-            require_node_ids(nodes)
+            require_int64s("node id", nodes, non_negative=True)
             table = edge_table(graph)
             require_loadable(table)
             if self._durability is not None:
@@ -303,17 +297,15 @@ class Moctopus:
         ``delete_edges`` are conveniences over it), which is the single
         write-ahead point: with durability enabled the batch is appended
         to the WAL *before* any state mutates, so a batch is committed
-        exactly when its record is durable.  ``labels``, when given, must
-        carry one label per op; a mismatch, like a negative node id, is
-        rejected here, before anything is logged or moves.
+        exactly when its record is durable.  A node id must be a
+        non-negative int64 and ``labels``, when given, one int64 per op;
+        anything else raises :class:`ValueError` before anything moves.
         """
-        if labels is not None and len(labels) != len(ops):
-            raise ValueError(
-                f"labels must match ops one to one: got {len(labels)} "
-                f"labels for {len(ops)} ops"
-            )
-        require_node_ids(
-            chain(map(attrgetter("src"), ops), map(attrgetter("dst"), ops))
+        require_labels(labels, len(ops))
+        require_int64s(
+            "node id",
+            chain(map(attrgetter("src"), ops), map(attrgetter("dst"), ops)),
+            non_negative=True,
         )
         with self._serve_lock:
             if self._durability is None:
@@ -558,12 +550,12 @@ class Moctopus:
     def use_engine(self, name: str) -> None:
         """Swap the query execution kernel (any ``ENGINE_NAMES`` entry).
 
-        All kernels produce identical results and identical simulated
-        statistics on the same system state; swapping mid-run is safe
-        and is how the engine benchmarks compare wall-clock cost.  With
-        ``MoctopusConfig.engine`` it is the only way to choose a kernel:
-        sessions and schedulers already started keep theirs.  The
-        update path has one partitioner and is not affected.
+        A system, recovered ones too, starts on ``"auto"``; this is the
+        one way to pin another.  All kernels produce identical results
+        and simulated statistics on the same state, so swapping mid-run
+        is safe and is how the engine benchmarks compare wall-clock
+        cost.  Sessions, schedulers and pools already started keep
+        theirs.  The update path has one partitioner and is unaffected.
         """
         with self._serve_lock:
             self._query_processor.use_engine(name)

@@ -23,8 +23,8 @@ Execution of one batch:
 
 The partition step is one pass over the batch in batch order with a
 partition-vector consultation per update: this module alone knows how a
-batch is partitioned (``MoctopusConfig.engine`` names a query kernel and
-has no meaning here).  All phase accounting is integer counters folded
+batch is partitioned (the kernel ``Moctopus.use_engine`` pins is a
+query kernel and has no meaning here).  All phase accounting is integer counters folded
 into time once per phase.
 
 **Replay determinism contract.**  The durability layer

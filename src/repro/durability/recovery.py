@@ -69,7 +69,8 @@ def _config_from_dict(data: dict) -> "MoctopusConfig":
                 f"cannot recover {name}={data[name]!r}: a recovered system "
                 f"places as {name}={value!r}"
             )
-    # Other knobs an older writer's echo may carry have since been
+    # Other knobs an older writer's echo may carry (``engine``,
+    # ``plan_cache_size``, ``result_cache_size``, ...) have since been
     # retired; they configured nothing replay depends on.
     known = {field.name for field in dataclasses.fields(MoctopusConfig)}
     data = {name: value for name, value in data.items() if name in known}
@@ -87,9 +88,10 @@ def recover(
     when the directory was first initialized (so even a crash before the
     first checkpoint recovers under the right platform shape).  Replay
     is only bit-exact when the effective config matches the writing
-    process's, so only pass an override that does.  Kernels are
-    state-identical, so ``Moctopus.use_engine`` may swap the recovered
-    system's kernel at any time.
+    process's, so only pass an override that does.  The recovered
+    system runs on ``"auto"``, whatever kernel the writer had pinned:
+    kernels are state-identical, so ``Moctopus.use_engine`` may swap it
+    at any time.
     """
     from repro.core.system import Moctopus
     from repro.durability import (

@@ -22,7 +22,7 @@ the size of the graph it is about to run on):
   blocks, with a dense-vs-sparse crossover back to the push path.
 
 Backends are interchangeable by contract: identical results *and*
-identical simulated work counters, so ``MoctopusConfig.engine`` can flip
+identical simulated work counters, so ``Moctopus.use_engine`` can flip
 between them without perturbing any figure of the reproduction.
 """
 

@@ -18,8 +18,8 @@ adjacency rows, the accounting platform.  :class:`LiveView` reads the
 live storages; a pinned, session-patched or pool-attached
 :class:`~repro.serve.epoch.EpochView` reads frozen arrays.  Engines keep
 nothing between calls but the label table, so one instance per backend
-serves every caller and thread; :func:`create_engine` maps a
-``MoctopusConfig.engine`` name to one.
+serves every caller and thread; :func:`create_engine` maps a kernel
+name (``Moctopus.use_engine``) to one.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
 # is imported second; a :class:`LiveView` only ever touches these
 # objects through the fields it is handed.
 
-#: Names accepted by :func:`create_engine` / ``MoctopusConfig.engine``.
+#: Names accepted by :func:`create_engine` / ``Moctopus.use_engine``.
 #: ``"auto"`` selects per call between the scalar and the vectorized
 #: backend; ``"matrix"`` runs only when named.
 ENGINE_NAMES = ("auto", "python", "vectorized", "matrix")
@@ -208,7 +208,7 @@ class LiveView:
 class ExecutionEngine(Protocol):
     """A plan executor (one of the swappable backends)."""
 
-    #: Engine name as selected by ``MoctopusConfig.engine``.
+    #: Engine name as selected by ``Moctopus.use_engine``.
     name: str
 
     def execute(

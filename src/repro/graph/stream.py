@@ -15,10 +15,11 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
+from repro.checks import require_int64s
 from repro.graph.digraph import DiGraph, ReadableGraph
 
 Edge = Tuple[int, int]
@@ -55,31 +56,20 @@ def array_chunks(edges: np.ndarray) -> Iterator[np.ndarray]:
         yield edges[start : start + EDGE_CHUNK_ROWS]
 
 
-def require_node_ids(ids: Iterable[int]) -> None:
-    """Raise :class:`ValueError` if any node id is negative.
-
-    Node ids index the owner table and ``-1`` marks an empty row slot,
-    so every write path checks its ids with this before it logs or
-    moves anything.
-    """
-    lowest = min(ids, default=0)
-    if lowest < 0:
-        raise ValueError(f"node ids must be non-negative, got {lowest}")
-
-
 def require_loadable(table: np.ndarray) -> None:
     """Raise :class:`ValueError` unless an edge table can be bulk-loaded.
 
     Both endpoint columns must hold non-negative node ids
-    (:func:`require_node_ids`), and no ``(src, dst)`` pair may repeat:
-    the loader appends every edge to its row without searching it, so a
-    repeated pair would be stored twice.  The pairs are checked by
-    sorting one packed key per edge and comparing neighbours.
+    (:func:`repro.checks.require_int64s`), and no ``(src, dst)`` pair
+    may repeat: the loader appends every edge to its row without
+    searching it, so a repeated pair would be stored twice.  The pairs
+    are checked by sorting one packed key per edge and comparing
+    neighbours.
     """
     if not len(table):
         return
     ends = table[:, :2]
-    require_node_ids([int(ends.min())])
+    require_int64s("node id", [int(ends.min())], non_negative=True)
     srcs, dsts = table[:, 0], table[:, 1]
     width = int(dsts.max()) + 1
     if int(srcs.max()) * width + width <= np.iinfo(np.int64).max:

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.checks import require_int, require_node_ids
+from repro.checks import require_int, require_int64s
 from repro.rpq.automaton import DFA, build_dfa
 from repro.rpq.regex import RegexNode, khop_expression, parse_path_expression
 
@@ -275,7 +275,7 @@ class RPQuery:
     )
 
     def __post_init__(self) -> None:
-        require_node_ids("source", self.sources)
+        require_int64s("source", self.sources)
 
     def ast(self) -> RegexNode:
         """Parsed AST of the expression (memoized)."""
@@ -326,7 +326,7 @@ class KHopQuery:
 
     def __post_init__(self) -> None:
         require_int("hops", self.hops, 1)
-        require_node_ids("source", self.sources)
+        require_int64s("source", self.sources)
 
     @property
     def batch_size(self) -> int:

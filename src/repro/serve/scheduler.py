@@ -36,7 +36,7 @@ import queue
 import threading
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.checks import require_int, require_node_ids
+from repro.checks import require_int, require_int64s
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import DestinationRow, KHopQuery, RPQuery
@@ -171,7 +171,7 @@ class ServingFuture(ResultGate):
         # Checked before admission: a float source or a float hop count
         # 2.0 would ride in the integer callers' coalesced batch and fail
         # it for all of them.
-        require_node_ids("source", (source,))
+        require_int64s("source", (source,))
         if hops is not None:
             require_int("hops", hops, 1)
         self.source = source

@@ -28,9 +28,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checks import require_int64s, require_labels
 from repro.core.snapshot import GraphSnapshot, merge_snapshot, row_buffer
 from repro.graph.digraph import DEFAULT_LABEL
-from repro.graph.stream import UpdateKind, UpdateOp, require_node_ids
+from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
@@ -186,17 +187,14 @@ class Session:
     ) -> None:
         """Stage edge insertions, visible to this session immediately.
 
-        A mismatched ``labels`` list or a negative node id is rejected
+        A mismatched ``labels`` list, a label or a node id the live
+        system would refuse (:meth:`Moctopus.apply_updates`) is rejected
         before anything is staged.
         """
         self._assert_open()
         edges = list(edges)
-        if labels is not None and len(labels) != len(edges):
-            raise ValueError(
-                f"labels must match edges one to one: got {len(labels)} "
-                f"labels for {len(edges)} edges"
-            )
-        require_node_ids(chain.from_iterable(edges))
+        require_labels(labels, len(edges))
+        require_int64s("node id", chain.from_iterable(edges), non_negative=True)
         for index, (src, dst) in enumerate(edges):
             label = labels[index] if labels else DEFAULT_LABEL
             self._stage_insert(src, dst, label)
@@ -205,14 +203,16 @@ class Session:
         """Stage edge deletions, visible to this session immediately."""
         self._assert_open()
         edges = list(edges)
-        require_node_ids(chain.from_iterable(edges))
+        require_int64s("node id", chain.from_iterable(edges), non_negative=True)
         for src, dst in edges:
             self._stage_delete(src, dst)
 
     def apply_updates(self, ops: List[UpdateOp]) -> None:
         """Stage a mixed :class:`UpdateOp` stream in order."""
         self._assert_open()
-        require_node_ids(chain.from_iterable(op.edge for op in ops))
+        require_int64s(
+            "node id", chain.from_iterable(op.edge for op in ops), non_negative=True
+        )
         for op in ops:
             if op.kind is UpdateKind.INSERT:
                 self._stage_insert(op.src, op.dst, DEFAULT_LABEL)

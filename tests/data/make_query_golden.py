@@ -66,13 +66,10 @@ def base_graph() -> DiGraph:
 
 def build_system(engine: str) -> Moctopus:
     """The churned system one record is taken from."""
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=8),
-        engine=engine,
-        high_degree_threshold=12,
-    )
+    config = MoctopusConfig(cost_model=CostModel(num_modules=8), high_degree_threshold=12)
     graph = base_graph()
     system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    system.use_engine(engine)
     rng = random.Random(SEED + 1)
     live = sorted(graph.edges())
     for _ in range(6):

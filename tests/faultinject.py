@@ -254,9 +254,10 @@ def run_step(system: Moctopus, step: Step) -> Optional[ExecutionStats]:
 
 
 def run_reference(
-    graph, steps: List[Step], config
+    graph, steps: List[Step], config, engine: str = "auto"
 ) -> Tuple[Moctopus, List[Dict], List[int]]:
-    """Run the workload with durability off, capturing per-LSN fingerprints.
+    """Run the workload on ``engine`` with durability off, capturing
+    per-LSN fingerprints.
 
     Returns ``(system, fingerprints, cumulative_records)`` where
     ``fingerprints[lsn]`` is the state after the durable prefix of
@@ -269,6 +270,7 @@ def run_reference(
     the counts agree.
     """
     system = Moctopus(config=config)
+    system.use_engine(engine)
     fingerprints = [fingerprint(system)]
     cumulative = []
 
@@ -301,14 +303,16 @@ def run_reference(
     return system, fingerprints, cumulative
 
 
-def run_durable(graph, steps: List[Step], config) -> Moctopus:
-    """Run the whole workload with durability on (may raise SimulatedCrash).
+def run_durable(graph, steps: List[Step], config, engine: str = "auto") -> Moctopus:
+    """Run the whole workload on ``engine`` with durability on (may raise
+    SimulatedCrash).
 
     On a crash the partially-run system is abandoned exactly as a dead
     process would leave it — its in-memory state is discarded without
     ``close()`` and only the bytes already written survive.
     """
     system = Moctopus(config=config)
+    system.use_engine(engine)
     system.load_graph(graph)
     for step in steps:
         run_step(system, step)

@@ -337,13 +337,21 @@ def test_loading_into_a_non_empty_system_is_refused_before_the_log(tmp_path):
 
 
 def test_a_negative_node_id_is_refused_before_the_log(tmp_path):
-    graph = DiGraph.from_edges([(0, 1), (1, -2)])
+    """So is any listed node id a write may not store: a float (the edge
+    table truncated ``1.5`` to node 1 and loaded ``(0, 1), (1, 2)``), a
+    ``bool``, or one past int64."""
     system = Moctopus(_config(durability_dir=str(tmp_path)))
     try:
-        with pytest.raises(ValueError, match="non-negative"):
-            system.load_graph(graph)
-        assert system.durable_lsn == 0
-        assert system.num_nodes == 0
+        for edges, match in [
+            ([(0, 1), (1, -2)], "non-negative"),
+            ([(0, 1.5), (1.5, 2)], "node id must be an integer"),
+            ([(0, True)], "node id must be an integer"),
+            ([(0, 2**63)], "node id must be in"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                system.load_graph(DiGraph.from_edges(edges))
+            assert system.durable_lsn == 0
+            assert system.num_nodes == 0
         system.load_graph(DiGraph.from_edges([(0, 1)]))
         assert system.durable_lsn == 1
     finally:
@@ -355,7 +363,8 @@ def test_a_negative_edge_endpoint_is_refused_before_the_log(tmp_path, engine):
     """Node -2 appears only as an edge endpoint, never in the node list:
     once loaded, the scalar kernel answered through it and the array
     kernels did not."""
-    system = Moctopus(_config(durability_dir=str(tmp_path), engine=engine))
+    system = Moctopus(_config(durability_dir=str(tmp_path)))
+    system.use_engine(engine)
     try:
         with pytest.raises(ValueError, match="non-negative, got -2"):
             system.load_graph(EdgeStream([(0, -2, 0), (1, 0, 0), (-2, 1, 0)], [0, 1]))

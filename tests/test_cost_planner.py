@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.core import Moctopus, MoctopusConfig
+from repro.core import Moctopus, MoctopusConfig, query_processor
 from repro.engine import lower_plan
 from repro.graph import DiGraph, random_graph
 from repro.pim import CostModel
@@ -34,14 +34,11 @@ ENGINES = ("python", "vectorized", "matrix", "auto")
 LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 
 
-def build_system(graph: DiGraph, engine: str = "python", **config_kwargs) -> Moctopus:
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4),
-        engine=engine,
-        high_degree_threshold=12,
-        **config_kwargs,
-    )
-    return Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+def build_system(graph: DiGraph, engine: str = "python") -> Moctopus:
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=12)
+    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    system.use_engine(engine)
+    return system
 
 
 def labeled_cycle(length: int, label: int = 1) -> DiGraph:
@@ -192,21 +189,9 @@ def test_cached_stats_are_private_copies():
     assert "caller_scribble" not in second.counters
 
 
-def test_caches_can_be_disabled():
-    system = build_system(
-        skewed_graph(), plan_cache_size=0, result_cache_size=0
-    )
-    processor = system._query_processor
-    query = RPQuery("a/c", sources=list(range(30)))
-    with system.begin() as session:
-        cold = fingerprint(*session.execute(query))
-        warm = fingerprint(*session.execute(query))
-    assert cold == warm
-    assert not processor.cache_stats.counters
-
-
-def test_result_cache_evicts_least_recently_used():
-    system = build_system(skewed_graph(), result_cache_size=2)
+def test_result_cache_evicts_least_recently_used(monkeypatch):
+    monkeypatch.setattr(query_processor, "RESULT_CACHE_ENTRIES", 2)
+    system = build_system(skewed_graph())
     processor = system._query_processor
     with system.begin() as session:
         a = RPQuery("a", sources=[0])

@@ -71,10 +71,9 @@ from model import ReferenceModel
 ENGINES = ("python", "vectorized", "matrix")
 
 
-def _config(tmp_path=None, engine="python", **overrides):
+def _config(tmp_path=None, **overrides):
     defaults = dict(
         cost_model=CostModel(num_modules=4),
-        engine=engine,
         durability_dir=str(tmp_path) if tmp_path is not None else None,
         # Tiny segments so the matrix workload spans several files and
         # recovery exercises rotation + multi-segment scans.
@@ -180,7 +179,7 @@ def test_crash_matrix(engine, tmp_path):
     """Kill the pipeline at every durable write boundary; recovery must be exact."""
     graph, steps = _workload()
     reference, fingerprints, cumulative = run_reference(
-        graph, steps, _config(engine=engine)
+        graph, steps, _config(), engine=engine
     )
     model = _oracle(graph, steps)
     final = fingerprint(reference)
@@ -188,7 +187,7 @@ def test_crash_matrix(engine, tmp_path):
     # Dry run: discover the deterministic write sequence.
     dry_dir = tmp_path / "dry"
     with FaultInjector() as counter:
-        system = run_durable(graph, steps, _config(dry_dir, engine=engine))
+        system = run_durable(graph, steps, _config(dry_dir), engine=engine)
     system.close()
     total_writes = counter.writes_seen
     assert total_writes >= len(steps), "workload produced too few crash points"
@@ -204,14 +203,13 @@ def test_crash_matrix(engine, tmp_path):
             crash_dir = tmp_path / f"crash-{write_index}-{mode}"
             with FaultInjector(target=write_index, mode=mode):
                 with pytest.raises(SimulatedCrash):
-                    run_durable(graph, steps, _config(crash_dir, engine=engine))
+                    run_durable(graph, steps, _config(crash_dir), engine=engine)
 
             # The config is passed explicitly: before the first durable
             # checkpoint there is no manifest to infer it from, and
             # replay is only exact under the writer's configuration.
-            recovered = Moctopus.recover(
-                str(crash_dir), config=_config(crash_dir, engine=engine)
-            )
+            recovered = Moctopus.recover(str(crash_dir), config=_config(crash_dir))
+            recovered.use_engine(engine)
             applied = recovered.durable_lsn
             assert 0 <= applied < len(fingerprints), context
             assert_fingerprints_equal(
@@ -891,19 +889,17 @@ def test_recovery_ignores_retired_config_knobs(tmp_path, checkpointed):
     recovered.close()
 
 
-@pytest.mark.parametrize(
-    "name, value", [("pim_placement", "hash"), ("enable_migration", False)]
+#: A durability directory written by the last tuple-row commit; its
+#: config echoes still carry every knob that commit had.
+CKPT_FIXTURE = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "ckpt_pr16", "durability"
 )
-def test_recovery_refuses_a_retired_placement(tmp_path, name, value):
-    """A directory written when placement was a knob, under a placement a
-    recovered system no longer makes, is refused rather than replayed
-    under radical greedy with migration (the fixture itself, which
-    records the remaining placement, recovers)."""
-    fixture = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "data", "ckpt_pr16", "durability"
-    )
-    directory = tmp_path / "durability"
-    shutil.copytree(fixture, directory)
+
+
+def _copy_fixture(directory, **changes) -> str:
+    """Copy :data:`CKPT_FIXTURE` to ``directory`` with ``changes`` made to
+    both of its config echoes (``config.json`` and the manifest)."""
+    shutil.copytree(CKPT_FIXTURE, directory)
     echoes = [
         os.path.join(root, filename)
         for root, _, names in os.walk(str(directory))
@@ -914,12 +910,44 @@ def test_recovery_refuses_a_retired_placement(tmp_path, name, value):
     for path in echoes:
         with open(path) as handle:
             data = json.load(handle)
-        assert name in data["config"]
-        data["config"][name] = value
+        assert set(changes) <= set(data["config"])
+        data["config"].update(changes)
         with open(path, "w") as handle:
             json.dump(data, handle, sort_keys=True)
+    return str(directory)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("pim_placement", "hash"), ("enable_migration", False)]
+)
+def test_recovery_refuses_a_retired_placement(tmp_path, name, value):
+    """A directory written when placement was a knob, under a placement a
+    recovered system no longer makes, is refused rather than replayed
+    under radical greedy with migration (the fixture itself, which
+    records the remaining placement, recovers)."""
+    directory = _copy_fixture(tmp_path / "durability", **{name: value})
     with pytest.raises(ValueError, match=name):
-        Moctopus.recover(str(directory))
+        Moctopus.recover(directory)
+
+
+def test_recovery_accepts_retired_kernel_and_cache_settings(tmp_path):
+    """The writer's kernel and cache bounds are not state: a directory
+    that recorded ``engine="python"`` and a disabled result cache
+    recovers, on ``"auto"``, to exactly the fixture's own state."""
+    directory = _copy_fixture(tmp_path / "retired", engine="python", result_cache_size=0)
+    shutil.copytree(CKPT_FIXTURE, tmp_path / "as_written")
+    expected = Moctopus.recover(str(tmp_path / "as_written"))
+    recovered = Moctopus.recover(directory)
+    try:
+        assert recovered.engine_name == "auto"
+        assert_fingerprints_equal(fingerprint(recovered), fingerprint(expected), "retired")
+        assert sorted(recovered.graph.labeled_edges()) == sorted(
+            expected.graph.labeled_edges()
+        )
+        assert recovered.pim.capture_lifetime() == expected.pim.capture_lifetime()
+    finally:
+        recovered.close()
+        expected.close()
 
 
 def test_auth_token_never_reaches_disk(tmp_path):
@@ -998,14 +1026,16 @@ def test_streamed_bootstrap_record_is_byte_identical(tmp_path):
 def test_recovery_engine_lockstep(tmp_path):
     """A log written under one engine recovers identically under both."""
     graph, steps = _workload(seed=23)
-    config = _config(tmp_path / "store", engine="python")
+    config = _config(tmp_path / "store")
     system = Moctopus.from_graph(graph, config=config)
+    system.use_engine("python")
     for step in steps:
         run_step(system, step)
     expected = fingerprint(system)
     system.close()
 
     scalar = Moctopus.recover(str(tmp_path / "store"))
+    scalar.use_engine("python")
     vectorized = Moctopus.recover(str(tmp_path / "store"))
     vectorized.use_engine("vectorized")
     assert (scalar.engine_name, vectorized.engine_name) == ("python", "vectorized")
@@ -1023,16 +1053,17 @@ def test_recovery_engine_lockstep(tmp_path):
 
 
 def test_vectorized_written_log_recovers(tmp_path):
-    """Replay applies a vectorized-written log identically through both paths."""
+    """Replay applies a vectorized-written log identically; the writer's
+    kernel is not state, so the recovered system starts on ``"auto"``."""
     graph, steps = _workload(seed=31)
-    config = _config(tmp_path, engine="vectorized")
-    system = Moctopus.from_graph(graph, config=config)
+    system = Moctopus.from_graph(graph, config=_config(tmp_path))
+    system.use_engine("vectorized")
     for step in steps:
         run_step(system, step)
     expected = fingerprint(system)
     system.close()
     recovered = Moctopus.recover(str(tmp_path))
-    assert recovered.engine_name == "vectorized"
+    assert recovered.engine_name == "auto"
     assert_fingerprints_equal(fingerprint(recovered), expected, "vectorized log")
     recovered.close()
 
@@ -1213,12 +1244,12 @@ class DurabilityMachine(RuleBasedStateMachine):
         self.tmpdir = tempfile.mkdtemp(prefix="moctopus-durability-")
         self.config = MoctopusConfig(
             cost_model=CostModel(num_modules=4),
-            engine=self.engine,
             durability_dir=self.tmpdir,
             wal_segment_bytes=4096,
             checkpoint_interval_batches=0,
         )
         self.system = Moctopus(config=self.config)
+        self.system.use_engine(self.engine)
         self.model = ReferenceModel()
 
     @initialize(seed=st.integers(min_value=0, max_value=2**16))
@@ -1261,6 +1292,7 @@ class DurabilityMachine(RuleBasedStateMachine):
         # floor and rebuild purely from disk.
         self.system._durability.wal.close()
         self.system = Moctopus.recover(self.tmpdir)
+        self.system.use_engine(self.engine)
 
     @rule(hops=st.integers(min_value=1, max_value=3), data=st.data())
     def query(self, hops, data):

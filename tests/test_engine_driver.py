@@ -61,10 +61,11 @@ COST_MODEL = CostModel(num_modules=4)
 
 def build_system(graph, engine="python", **config_kwargs) -> Moctopus:
     config = MoctopusConfig(
-        cost_model=COST_MODEL, engine=engine, high_degree_threshold=8,
-        **config_kwargs,
+        cost_model=COST_MODEL, high_degree_threshold=8, **config_kwargs
     )
-    return Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    system.use_engine(engine)
+    return system
 
 
 def skewed_graph(seed: int = 3) -> DiGraph:

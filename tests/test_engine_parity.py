@@ -87,10 +87,9 @@ def build_systems(graph, **config_kwargs):
     """The same graph loaded into one system per backend."""
     systems = {}
     for engine in ENGINES:
-        config = MoctopusConfig(
-            cost_model=CostModel(num_modules=8), engine=engine, **config_kwargs
-        )
+        config = MoctopusConfig(cost_model=CostModel(num_modules=8), **config_kwargs)
         systems[engine] = Moctopus.from_graph(graph, config)
+        systems[engine].use_engine(engine)
     return systems
 
 
@@ -141,16 +140,14 @@ def test_config_selects_engine():
         ("matrix", MatrixEngine),
     ):
         built = Moctopus.from_graph(
-            graph,
-            MoctopusConfig(cost_model=CostModel(num_modules=4), engine=engine),
+            graph, MoctopusConfig(cost_model=CostModel(num_modules=4))
         )
+        built.use_engine(engine)
         assert built.engine_name == engine
         assert type(built._query_processor.engine) is engine_type
 
 
 def test_config_rejects_unknown_engine():
-    with pytest.raises(ValueError):
-        MoctopusConfig(engine="fortran")
     system = Moctopus.from_graph(
         DiGraph.from_edges([(0, 1)]),
         MoctopusConfig(cost_model=CostModel(num_modules=4)),
@@ -216,8 +213,9 @@ def test_labeled_rpq_parity(seed):
     labels = {1: "a", 2: "b", 3: "c"}
     systems = {}
     for engine in ENGINES:
-        config = MoctopusConfig(cost_model=CostModel(num_modules=8), engine=engine)
+        config = MoctopusConfig(cost_model=CostModel(num_modules=8))
         systems[engine] = Moctopus.from_graph(graph, config, label_names=labels)
+        systems[engine].use_engine(engine)
     sources = random_source_batch(list(graph.nodes()), 5, seed=seed)
     for expression in ("a/b", "(a|b)/c", "a+", "a/b*"):
         query = RPQuery(expression, sources)
@@ -376,8 +374,9 @@ def test_fixpoint_bound_covers_state_revisits():
     reference = evaluate_rpq(graph, query, label_names=labels)
     assert reference.destinations_of(0) == {0, 1, 2}
     for engine in ENGINES:
-        config = MoctopusConfig(cost_model=CostModel(num_modules=4), engine=engine)
+        config = MoctopusConfig(cost_model=CostModel(num_modules=4))
         system = Moctopus.from_graph(graph, config, label_names=labels)
+        system.use_engine(engine)
         result, _ = system.execute(query)
         assert result == reference, engine
 
@@ -440,8 +439,9 @@ def test_pack_overflow_guard():
     huge = 2 ** 61
     graph.add_edge(huge, huge + 1)
     for engine in ("vectorized", "matrix"):
-        config = MoctopusConfig(cost_model=CostModel(num_modules=4), engine=engine)
+        config = MoctopusConfig(cost_model=CostModel(num_modules=4))
         system = Moctopus.from_graph(graph, config)
+        system.use_engine(engine)
         with pytest.raises(OverflowError):
             system.execute(RPQuery(".{2}", [huge] * 8))
 

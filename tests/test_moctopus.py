@@ -75,8 +75,6 @@ INT_FIELDS = [
     "high_degree_threshold",
     "wal_segment_bytes",
     "checkpoint_interval_batches",
-    "plan_cache_size",
-    "result_cache_size",
 ]
 
 
@@ -130,8 +128,8 @@ def test_component_int_arguments_reject_nan_and_floats(name, build, value):
 
 
 def test_kernel_is_chosen_in_one_place():
-    """No serving entry point takes a per-call kernel: ``engine`` and
-    ``use_engine`` choose it, and what is started keeps its kernel."""
+    """No serving entry point and no config field takes a kernel:
+    ``use_engine`` chooses it, and what is started keeps its kernel."""
     entry_points = [
         Moctopus.begin,
         Moctopus.serve,
@@ -146,9 +144,10 @@ def test_kernel_is_chosen_in_one_place():
     ]
     for entry_point in entry_points:
         assert "engine" not in inspect.signature(entry_point).parameters, entry_point
-    system = Moctopus.from_graph(
-        random_graph(40, 120, seed=3), MoctopusConfig(engine="python")
-    )
+    assert "engine" not in {field.name for field in dataclasses.fields(MoctopusConfig)}
+    system = Moctopus.from_graph(random_graph(40, 120, seed=3))
+    assert system.engine_name == "auto"
+    system.use_engine("python")
     with system.begin() as session, system.serve() as scheduler:
         system.use_engine("vectorized")
         assert session._engine.name == scheduler._engine.name == "python"
@@ -181,7 +180,7 @@ def test_knob_census():
     # different values; with one value in use it is a constant, and a
     # value the code can work out is not an option.  Adding a field
     # means editing this count and naming those two callers in the PR.
-    assert len(names) == 10
+    assert len(names) == 7
 
 
 @pytest.mark.parametrize(

@@ -307,8 +307,9 @@ def test_pass_matches_the_scalar_oracle(case):
 @pytest.mark.parametrize("engine", ["python", "vectorized", "matrix"])
 def test_run_maintenance_matches_the_oracle_on_engine_reports(engine):
     graph = community_graph(num_communities=6, community_size=30, seed=4)
-    config = MoctopusConfig(cost_model=CostModel(num_modules=8), engine=engine)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=8))
     system = Moctopus.from_graph(graph, config)
+    system.use_engine(engine)
     nodes = list(graph.nodes())
     total_moves = 0
     for round_number, hops in enumerate((1, 2, 3, 2)):

@@ -27,7 +27,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import Moctopus, MoctopusConfig
+from repro.core import Moctopus, MoctopusConfig, query_processor
 from repro.engine import ENGINE_NAMES
 from repro.graph import random_graph
 from repro.pim import CostModel, ExecutionStats
@@ -41,14 +41,12 @@ from repro.serve.scheduler import ServingFuture
 LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 
 
-def build_system(**config_kwargs) -> Moctopus:
+def build_system(engine: str = "auto") -> Moctopus:
     graph = random_graph(26, 90, seed=11)
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4),
-        high_degree_threshold=8,
-        **config_kwargs,
-    )
-    return Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=8)
+    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    system.use_engine(engine)
+    return system
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +101,10 @@ def test_concurrent_cache_hits_do_not_serialize(monkeypatch):
     assert hits >= 2
 
 
-def test_cache_hit_still_refreshes_lru_order():
+def test_cache_hit_still_refreshes_lru_order(monkeypatch):
     """Moving the copy out of the lock must not drop the LRU touch."""
-    system = build_system(result_cache_size=4)
+    monkeypatch.setattr(query_processor, "RESULT_CACHE_ENTRIES", 4)
+    system = build_system()
     qp = system._query_processor
     epoch = EpochView(
         system._epochs.current(), PIMSystem(system.config.cost_model)

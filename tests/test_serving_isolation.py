@@ -49,12 +49,10 @@ RPQ_EXPRESSIONS = (".{1}", ".{2}", ".+", "a", "a/b", "(a|b)+")
 
 def build_system(seed: int, engine: str) -> Moctopus:
     graph = random_graph(28, 90, seed=seed)
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4),
-        engine=engine,
-        high_degree_threshold=8,
-    )
-    return Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=8)
+    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    system.use_engine(engine)
+    return system
 
 
 def build_model(seed: int) -> ReferenceModel:

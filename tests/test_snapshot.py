@@ -563,12 +563,9 @@ def test_pinned_epoch_survives_compactions_and_promotions():
     nodes' rows — and hub promotions; the pinned epoch must stay
     bit-identical throughout."""
     graph = random_graph(40, 140, seed=9)
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4),
-        engine="vectorized",
-        high_degree_threshold=8,
-    )
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=8)
     system = Moctopus.from_graph(graph, config)
+    system.use_engine("vectorized")
     with system.begin() as session:
         epoch = session._epoch
         fingerprint = _epoch_array_fingerprint(epoch)

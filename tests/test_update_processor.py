@@ -69,11 +69,11 @@ def promotion_system(engine="python", threshold=4):
     through; the update path is the same whatever it says."""
     graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
     config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4),
-        high_degree_threshold=threshold,
-        engine=engine,
+        cost_model=CostModel(num_modules=4), high_degree_threshold=threshold
     )
-    return Moctopus.from_graph(graph, config)
+    system = Moctopus.from_graph(graph, config)
+    system.use_engine(engine)
+    return system
 
 
 @pytest.mark.parametrize("engine", ["python", "vectorized", "matrix"])
@@ -124,8 +124,8 @@ def test_same_edge_delete_then_insert_in_one_batch(engine):
     (the insert landed first and the deletes erased it).
     """
     graph = DiGraph.from_edges([(0, 1), (0, 2), (3, 0)])
-    config = MoctopusConfig(cost_model=CostModel(num_modules=4), engine=engine)
-    system = Moctopus.from_graph(graph, config)
+    system = Moctopus.from_graph(graph, MoctopusConfig(cost_model=CostModel(num_modules=4)))
+    system.use_engine(engine)
     system.apply_updates(
         [
             UpdateOp(UpdateKind.DELETE, 0, 1),
@@ -223,6 +223,19 @@ def test_mismatched_labels_stage_nothing_in_a_session():
 # ----------------------------------------------------------------------
 NEGATIVE_EDGES = [(-3, 2), (7, -5)]
 
+#: Writes no path may store, each with the message naming its field.  A
+#: float id was acknowledged and kept in memory as ``1.5`` while the log
+#: stored ``1``; ``True`` was stored as node 1; a float label raised
+#: ``TypeError`` half-way through the apply, after the batch was logged.
+UNSTORABLE_EDGES = [
+    ([(1.5, 2)], None, "node id must be an integer"),
+    ([(True, 1)], None, "node id must be an integer"),
+    ([(2**63, 1)], None, "node id must be in"),
+    ([(0, 2), (1, 3)], [7, 1.5], "label must be an integer"),
+    ([(0, 2)], [True], "label must be an integer"),
+    ([(0, 2)], [2**63], "label must be in"),
+]
+
 
 def test_negative_ids_are_rejected_before_the_write_ahead_point(tmp_path):
     """Accepted, they wrapped around the dense owner table: a later
@@ -237,17 +250,26 @@ def test_negative_ids_are_rejected_before_the_write_ahead_point(tmp_path):
     try:
         durable_lsn = system.durable_lsn
         placement = dict(system._partitioner.partition_map.items())
-        for write in (
-            lambda: system.insert_edges(NEGATIVE_EDGES),
-            lambda: system.delete_edges([(0, -1)]),
-            lambda: system.apply_updates([UpdateOp(INSERT, 1, -9)]),
-        ):
-            with pytest.raises(ValueError, match="non-negative"):
+        writes = [
+            (lambda: system.insert_edges(NEGATIVE_EDGES), "non-negative"),
+            (lambda: system.delete_edges([(0, -1)]), "non-negative"),
+            (lambda: system.apply_updates([UpdateOp(INSERT, 1, -9)]), "non-negative"),
+            (lambda: system.delete_edges([(0.0, 1)]), "node id must be an integer"),
+        ]
+        writes += [
+            (lambda edges=edges, labels=labels: system.insert_edges(edges, labels), match)
+            for edges, labels, match in UNSTORABLE_EDGES
+        ]
+        for write, match in writes:
+            with pytest.raises(ValueError, match=match):
                 write()
-        assert system.durable_lsn == durable_lsn
-        assert system._durability.failed is None
-        assert dict(system._partitioner.partition_map.items()) == placement
-        assert system._update_processor.batches_applied == 0
+            assert system.durable_lsn == durable_lsn
+            assert system._durability.failed is None
+            assert dict(system._partitioner.partition_map.items()) == placement
+            assert system._update_processor.batches_applied == 0
+            assert system.num_edges == 5
+        system.insert_edges([(0, 2)], labels=[7])  # the log still takes writes
+        assert system.durable_lsn == durable_lsn + 1
         result, _ = system.batch_khop([7, -3, 5], 1)
         assert [sorted(row) for row in result.destinations] == [[], [], [6]]
     finally:
@@ -263,6 +285,11 @@ def test_negative_ids_stage_nothing_in_a_session():
             session.delete_edges([(0, -1)])
         with pytest.raises(ValueError, match="non-negative"):
             session.apply_updates([UpdateOp(INSERT, 0, 1), UpdateOp(DELETE, -4, 0)])
+        for edges, labels, match in UNSTORABLE_EDGES:
+            with pytest.raises(ValueError, match=match):
+                session.insert_edges(edges, labels)
+        with pytest.raises(ValueError, match="node id must be an integer"):
+            session.delete_edges([(1.5, 3)])
         assert session._ops == []
         assert session.commit() is None
     assert system.num_nodes == 4
