@@ -129,9 +129,6 @@ class ColsVector:
 class HeterogeneousGraphStorage:
     """Host-resident ``cols_vector`` rows plus PIM-resident index maps."""
 
-    #: Bytes streamed per occupied slot when a row is scanned (``RowSource``).
-    bytes_per_entry = BYTES_PER_SLOT
-
     def __init__(self, num_pim_modules: int) -> None:
         if num_pim_modules <= 0:
             raise ValueError("num_pim_modules must be positive")
@@ -217,16 +214,6 @@ class HeterogeneousGraphStorage:
         if vector is None:
             return []
         return vector.occupied()
-
-    # The names a ``RowSource`` is read by (live rows and pinned
-    # snapshots expand through the same scalar loop).
-    row_dsts = next_hops
-    row_entries = next_hops_with_labels
-
-    def local_hops(self, node: int) -> int:
-        """Always 0, like a host snapshot's ``local_counts``: the host
-        never detects misplacement."""
-        return 0
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Edge existence via the PIM-side ``elem_position_map``."""

@@ -56,9 +56,6 @@ BYTES_PER_ROW = 32
 class LocalGraphStorage:
     """Hash-map adjacency segment stored in one PIM module's local memory."""
 
-    #: Bytes streamed per entry when a row is scanned (``RowSource``).
-    bytes_per_entry = BYTES_PER_ENTRY
-
     def __init__(self, memory: Optional[LocalMemory] = None) -> None:
         #: ``node -> dst0, label0, dst1, label1, ...`` in insertion order.
         self._rows: Dict[int, RowBuffer] = {}
@@ -285,22 +282,6 @@ class LocalGraphStorage:
         if row is None:
             return []
         return row_pairs(row)
-
-    # The names a ``RowSource`` is read by (live rows and pinned
-    # snapshots expand through the same scalar loop).
-    row_dsts = next_hops
-    row_entries = next_hops_with_labels
-
-    def local_hops(self, node: int) -> int:
-        """How many of ``node``'s next hops are rows of this module — the
-        ``local`` side of misplacement detection (a snapshot's
-        ``local_counts``, read live)."""
-        rows = self._rows
-        local = 0
-        for dst in rows.get(node, ())[::2]:
-            if dst in rows:
-                local += 1
-        return local
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Whether ``src -> dst`` is stored on this module."""

@@ -12,18 +12,20 @@ misplacement detection: a node whose next hops mostly live outside the
 local module is reported as incorrectly partitioned, overlapping the
 detection with query processing exactly as Section 3.2.2 describes.
 
-:func:`smxm` is the one scalar expansion loop, over any
-:class:`RowSource` — a module's live storage, the host's, or a pinned
-CSR snapshot; the scalar execution kernel calls it on whatever rows its
-view hands out.  :func:`apply_update_ops` is the ``add``/``sub`` side.
+:func:`smxm` is the one scalar expansion loop, over a partition's
+:class:`~repro.core.snapshot.GraphSnapshot` — the frozen arrays the
+array kernels read too, live queries included; the scalar execution
+kernel calls it on whatever snapshot its view hands out.
+:func:`apply_update_ops` is the ``add``/``sub`` side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
+from repro.core.snapshot import GraphSnapshot
 from repro.graph.stream import UpdateKind
 from repro.rpq.automaton import DFA
 from repro.rpq.query import ContextSet
@@ -53,51 +55,22 @@ class UpdateWork:
     applied: int = 0
 
 
-@runtime_checkable
-class RowSource(Protocol):
-    """Adjacency rows as the scalar ``smxm`` loop reads them.
-
-    Satisfied by both live storages and by a pinned
-    :class:`~repro.core.snapshot.GraphSnapshot`, so one loop expands
-    live and pinned frontiers and charges them alike: a row streams
-    ``len(row) * bytes_per_entry`` bytes wherever it is read from.
-    """
-
-    #: Bytes streamed per adjacency entry when a row is scanned.
-    bytes_per_entry: int
-    #: Footprint the host's random-access cost depends on.
-    working_set_bytes: int
-
-    def row_dsts(self, node: int) -> List[int]:
-        """Next-hop node ids of ``node`` (empty when the row is absent)."""
-        ...
-
-    def row_entries(self, node: int) -> List[Tuple[int, int]]:
-        """``(dst, label)`` entries of ``node``'s row, in stored order."""
-        ...
-
-    def local_hops(self, node: int) -> int:
-        """How many of ``node``'s next hops are rows of the same source."""
-        ...
-
-
 def smxm(
     frontier: Dict[int, ContextSet],
-    rows: RowSource,
+    snapshot: GraphSnapshot,
     dfa: Optional[DFA] = None,
     label_names: Optional[Dict[int, str]] = None,
     misplacement_threshold: Optional[float] = None,
 ) -> Tuple[Dict[int, ContextSet], SmxmWork]:
-    """Expand ``frontier`` against ``rows`` — the one scalar ``smxm`` loop.
+    """Expand ``frontier`` against ``snapshot`` — the one scalar ``smxm`` loop.
 
     Parameters
     ----------
     frontier:
         ``node -> set of contexts``; a context is a query row (k-hop
         plans) or a ``(row, automaton_state)`` pair (general RPQs).
-    rows:
-        Where the adjacency rows are read: a live storage or a pinned
-        snapshot.
+    snapshot:
+        The partition's frozen adjacency rows.
     dfa:
         When given, contexts are ``(row, state)`` pairs and each edge
         label steps the automaton; contexts that the automaton
@@ -122,13 +95,13 @@ def smxm(
     for node, contexts in frontier.items():
         if dfa is None:
             # k-hop plans never read a label: the dst column is enough.
-            next_hops = rows.row_dsts(node)
+            next_hops = snapshot.row_dsts(node)
             degree = len(next_hops)
             for destination in next_hops:
                 produced.setdefault(destination, set()).update(contexts)
             items += degree * len(contexts)
         else:
-            entries = rows.row_entries(node)
+            entries = snapshot.row_entries(node)
             degree = len(entries)
             for destination, label in entries:
                 label_string = names.get(label)
@@ -143,13 +116,13 @@ def smxm(
                     produced.setdefault(destination, set()).add((row, next_state))
         edges += degree
         if misplacement_threshold is not None and degree:
-            local = rows.local_hops(node)
+            local = snapshot.local_hops(node)
             remote = degree - local
             if remote > 0 and remote / degree > misplacement_threshold:
                 reports[node] = (local, remote)
     return produced, SmxmWork(
         rows_touched=len(frontier),
-        bytes_streamed=edges * rows.bytes_per_entry,
+        bytes_streamed=edges * snapshot.bytes_per_entry,
         items_processed=items,
         misplacement_reports=reports,
     )

@@ -15,10 +15,11 @@ The processor's job is planning and delegation, not data movement:
    platform and returns the answer matrix plus the execution
    statistics.
 
-:meth:`QueryProcessor.execute_on_view` is the one entry point: live
-queries pass :attr:`QueryProcessor.live` (the
-:class:`~repro.engine.base.LiveView` over the storages), sessions and
-the scheduler pass a pinned :class:`~repro.serve.epoch.EpochView`.
+:meth:`QueryProcessor.execute_on_view` is the one entry point, and
+every caller passes an :class:`~repro.serve.epoch.EpochView`: a live
+query a ``live`` one over the current epoch, charged to the system and
+reporting misplacement to the node migrator when the placement migrates
+(``Moctopus._live_view``); sessions and the scheduler a pinned one.
 Engines keep no state between calls, so the processor holds one
 instance, :attr:`QueryProcessor.engine`, and every caller shares it; a
 session or a scheduler keeps the one that was current when it started.
@@ -59,7 +60,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.engine.base import ExecutionEngine, LiveView, PlanView, create_engine
+from repro.engine.base import ExecutionEngine, PlanView, create_engine
 from repro.pim.stats import ExecutionStats
 from repro.rpq.planner import Plan, lower_plan, plan_query
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
@@ -120,11 +121,7 @@ class _LruCache(OrderedDict):
 class QueryProcessor:
     """Plans batch path queries and delegates them to an execution engine."""
 
-    def __init__(
-        self, live: LiveView, label_names: Optional[Dict[int, str]] = None
-    ) -> None:
-        #: The view live (unpinned) queries execute against.
-        self.live = live
+    def __init__(self, label_names: Optional[Dict[int, str]] = None) -> None:
         #: Integer edge label -> query label string.
         self.label_names: Dict[int, str] = label_names or {}
         #: The kernel every caller runs on.
@@ -163,12 +160,12 @@ class QueryProcessor:
     ) -> Tuple[BatchResult, ExecutionStats]:
         """Plan ``query`` and execute it against ``view``.
 
-        ``view`` is :attr:`live` for a live query, or a pinned
-        :class:`~repro.serve.epoch.EpochView` (frozen owners and
-        snapshots, the pinning reader's own totals platform).  Only an
-        unpatched pinned view has frozen statistics, so only it gets a
-        costed plan and the epoch-keyed caches; the live view and
-        session-patched views plan uncosted and always execute.
+        ``view`` is an :class:`~repro.serve.epoch.EpochView`: frozen
+        owners and snapshots, and the platform its totals fold into.
+        Only a view answering :meth:`~repro.engine.base.PlanView.frozen_epoch`
+        gets a costed plan and the epoch-keyed caches; a live view
+        (charged to the system's own platform) and a session-patched
+        view plan uncosted and always execute.
         ``engine`` defaults to the processor's current backend; a session
         or a scheduler passes the one it captured when it started.
         """
@@ -203,9 +200,8 @@ class QueryProcessor:
         """The plan ``query`` runs as against ``view``, without running it.
 
         Costed from the view's frozen epoch when it has one (structure
-        only otherwise), with fixpoint bounds derived from
-        the view's row count — frozen for a pinned execution, live
-        otherwise.  ``explain()`` renders this plan, and the parallel
+        only otherwise), with fixpoint bounds derived from the view's
+        row count.  ``explain()`` renders this plan, and the parallel
         worker pool plans here once and ships the picklable result to
         its worker processes, so every process executes exactly the plan
         an in-process pinned execution would.

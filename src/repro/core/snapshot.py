@@ -49,6 +49,7 @@ the same simulated work as the scalar one.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from itertools import chain
 from typing import Callable, Collection, Iterable, List, Optional, Set, Tuple
 
@@ -195,14 +196,16 @@ class GraphSnapshot:
         self.working_set_bytes = working_set_bytes
         self.degrees = np.diff(indptr)
         # Lazily built derived views (transpose / per-label blocks /
-        # degree histogram).  A snapshot is immutable — the storages'
-        # SnapshotCache *replaces* the snapshot object on any mutation —
-        # so once built these can never go stale.  Concurrent pinned
-        # readers may race to build one; both compute the same arrays
-        # and the single reference assignment publishes either safely.
+        # degree histogram / row ids).  A snapshot is immutable — the
+        # storages' SnapshotCache *replaces* the snapshot object on any
+        # mutation — so once built these can never go stale.  Concurrent
+        # pinned readers may race to build one; both compute the same
+        # arrays and the single reference assignment publishes either
+        # safely.
         self._transpose: Optional[TransposedBlock] = None
         self._label_blocks: Optional[dict] = None
         self._degree_histogram: Optional[np.ndarray] = None
+        self._row_ids: Optional[List[int]] = None
 
     @property
     def num_rows(self) -> int:
@@ -224,12 +227,17 @@ class GraphSnapshot:
         return np.where(found, positions, -1)
 
     def row_index(self, node: int) -> int:
-        """Row index of a single node id (``-1`` when absent)."""
-        count = self.num_rows
-        if count == 0:
-            return -1
-        position = int(np.searchsorted(self.node_ids, node))
-        if position < count and int(self.node_ids[position]) == node:
+        """Row index of a single node id (``-1`` when absent).
+
+        The scalar loop asks this once per frontier node, so it bisects
+        a cached Python list of the row ids: ~10x cheaper per probe than
+        a ``searchsorted`` call, and built with one ``tolist()``.
+        """
+        ids = self._row_ids
+        if ids is None:
+            ids = self._row_ids = self.node_ids.tolist()
+        position = bisect_left(ids, node)
+        if position < len(ids) and ids[position] == node:
             return position
         return -1
 
@@ -238,20 +246,20 @@ class GraphSnapshot:
         row = self.row_index(node)
         if row < 0:
             return []
-        return self.dsts[int(self.indptr[row]):int(self.indptr[row + 1])].tolist()
+        start, stop = self.indptr.item(row), self.indptr.item(row + 1)
+        return self.dsts[start:stop].tolist()
 
     def row_entries(self, node: int) -> RowEntries:
         """``(dst, label)`` entries of ``node``'s row, in stored order.
 
         Empty when the row is absent — the same contract as the storages'
-        ``next_hops_with_labels``, which is what lets the scalar engine
-        expand frontiers against a pinned snapshot instead of the live
-        storage.
+        ``next_hops_with_labels``.  The scalar ``smxm`` loop reads rows
+        here, live queries included.
         """
         row = self.row_index(node)
         if row < 0:
             return []
-        start, stop = int(self.indptr[row]), int(self.indptr[row + 1])
+        start, stop = self.indptr.item(row), self.indptr.item(row + 1)
         return list(
             zip(self.dsts[start:stop].tolist(), self.labels[start:stop].tolist())
         )
@@ -260,7 +268,7 @@ class GraphSnapshot:
         """How many of ``node``'s next hops are rows of this snapshot
         (its ``local_counts`` entry; 0 when the row is absent)."""
         row = self.row_index(node)
-        return 0 if row < 0 else int(self.local_counts[row])
+        return 0 if row < 0 else self.local_counts.item(row)
 
     def degree_histogram(self) -> np.ndarray:
         """Out-degree histogram of the snapshot's rows (cached, frozen).

@@ -44,7 +44,6 @@ from repro.core.node_migrator import MIGRATION_CAPACITY_FACTOR, NodeMigrator
 from repro.core.partitioner import GraphPartitioner
 from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
-from repro.engine.base import LiveView
 from repro.graph.digraph import ReadableGraph
 from repro.graph.stream import UpdateKind, UpdateOp, edge_table, require_loadable
 from repro.partition.base import StreamingPartitioner
@@ -57,6 +56,7 @@ from repro.rpq.query import BatchResult, KHopQuery
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.durability import DurabilityController
     from repro.net.server import MoctopusServer
+    from repro.serve.epoch import EpochView
     from repro.serve.scheduler import BatchScheduler
     from repro.serve.session import Session
 
@@ -108,16 +108,7 @@ class Moctopus:
             self._host_storage,
             capacity_factor=MIGRATION_CAPACITY_FACTOR,
         )
-        self._query_processor = QueryProcessor(
-            LiveView(
-                pim=self.pim,
-                partitioner=self._partitioner,
-                module_storages=self._module_storages,
-                host_storage=self._host_storage,
-                migrator=self._migrator,
-            ),
-            label_names=label_names,
-        )
+        self._query_processor = QueryProcessor(label_names)
         self._update_processor = UpdateProcessor(
             self.pim,
             self._partitioner,
@@ -231,11 +222,27 @@ class Moctopus:
         self, query, auto_migrate: Optional[bool] = None
     ) -> Tuple[BatchResult, ExecutionStats]:
         """Run a :class:`KHopQuery` or a general :class:`RPQuery`."""
-        processor = self._query_processor
         with self._serve_lock:
-            result, stats = processor.execute_on_view(query, processor.live)
+            result, stats = self._query_processor.execute_on_view(
+                query, self._live_view()
+            )
             self._maybe_migrate(auto_migrate)
         return result, stats
+
+    def _live_view(self) -> "EpochView":
+        """The view a live query runs on: the current epoch (published
+        now if a write made it stale), charged to :attr:`pim`, never
+        costed or cached, and reporting misplaced nodes to the migrator
+        when it repairs the placement."""
+        from repro.serve.epoch import EpochView
+
+        with self._serve_lock:
+            migrator = (
+                self._migrator if self._partitioner.pim_policy.migrates else None
+            )
+            return EpochView(
+                self._epochs.current(), self.pim, live=True, migrator=migrator
+            )
 
     def _maybe_migrate(self, auto_migrate: Optional[bool]) -> None:
         if auto_migrate is None:
@@ -497,17 +504,17 @@ class Moctopus:
         With ``pinned`` (the default) the query is planned against the
         latest published epoch, so the explanation shows what a session
         opened now would run — cost estimates and the planner's
-        reasoning included.  ``pinned=False`` explains the live
-        (statistics-free, uncosted) plan instead.
+        reasoning included.  ``pinned=False`` explains the plan a live
+        query runs instead, on the same epoch: uncosted, since a live
+        view is never costed or cached.
         """
         from repro.serve.epoch import EpochView
 
-        processor = self._query_processor
         if pinned:
             view = EpochView(self._epochs.current(), self.pim)
-            return processor.plan(query, view).explain()
-        with self._serve_lock:  # the live row count moves under the writer
-            return processor.plan(query, processor.live).explain()
+        else:
+            view = self._live_view()
+        return self._query_processor.plan(query, view).explain()
 
     @property
     def cache_stats(self) -> ExecutionStats:

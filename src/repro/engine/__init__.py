@@ -5,8 +5,9 @@ builds (:func:`lower_plan`, re-exported here, binds a fixpoint plan to
 the size of the graph it is about to run on):
 
 * :mod:`repro.engine.base` — the :class:`ExecutionEngine` protocol, the
-  :class:`PlanView` every execution reads graph state through (and
-  :class:`LiveView`, the one over the live storages), the backend
+  :class:`PlanView` every execution reads graph state through (its one
+  implementation, :class:`~repro.serve.epoch.EpochView`, reads an
+  epoch's frozen snapshots, live queries included), the backend
   factory and the ``"auto"`` dispatcher that picks a backend per call
   from the size of the request;
 * :mod:`repro.engine.driver` — :func:`execute_plan`, the only runner
@@ -30,7 +31,6 @@ from repro.engine.base import (
     ENGINE_NAMES,
     AutoEngine,
     ExecutionEngine,
-    LiveView,
     PlanView,
     choose_engine,
     create_engine,
@@ -45,7 +45,6 @@ __all__ = [
     "ENGINE_NAMES",
     "AutoEngine",
     "ExecutionEngine",
-    "LiveView",
     "PlanView",
     "choose_engine",
     "create_engine",

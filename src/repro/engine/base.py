@@ -14,17 +14,18 @@ charges the platform for all of them; a backend only supplies the
 frontier math.
 
 A :class:`PlanView` is all the graph state a backend sees — owners,
-adjacency rows, the accounting platform.  :class:`LiveView` reads the
-live storages; a pinned, session-patched or pool-attached
-:class:`~repro.serve.epoch.EpochView` reads frozen arrays.  Engines keep
-nothing between calls but the label table, so one instance per backend
-serves every caller and thread; :func:`create_engine` maps a kernel
-name (``Moctopus.use_engine``) to one.
+adjacency snapshots, the accounting platform.  Its one implementation,
+:class:`~repro.serve.epoch.EpochView`, reads an epoch's frozen
+snapshots (:class:`~repro.core.snapshot.GraphSnapshot`), whether the
+execution is live (the current epoch), pinned, session-patched or
+pool-attached.  Engines keep nothing between calls but the label
+table, so one instance per backend serves every caller and thread;
+:func:`create_engine` maps a kernel name (``Moctopus.use_engine``) to
+one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -32,33 +33,19 @@ from typing import (
     Optional,
     Protocol,
     Tuple,
-    Union,
     runtime_checkable,
 )
 
 import numpy as np
 
-from repro.partition.base import HOST_PARTITION
-from repro.partition.owner_index import OwnerIndex
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.planner import Plan
 from repro.rpq.query import BatchResult
 
-if TYPE_CHECKING:  # pragma: no cover — type-only imports, see note below.
-    from repro.core.hetero_storage import HeterogeneousGraphStorage
-    from repro.core.local_storage import LocalGraphStorage
-    from repro.core.node_migrator import NodeMigrator
-    from repro.core.operator_processor import RowSource
-    from repro.core.partitioner import GraphPartitioner
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.snapshot import GraphSnapshot
     from repro.serve.epoch import Epoch
-
-# NOTE: the ``repro.core`` imports above are type-only on purpose.  The
-# query processor (a ``repro.core`` module) imports this module, so a
-# runtime import of ``repro.core`` here would deadlock whichever package
-# is imported second; a :class:`LiveView` only ever touches these
-# objects through the fields it is handed.
 
 #: Names accepted by :func:`create_engine` / ``Moctopus.use_engine``.
 #: ``"auto"`` selects per call between the scalar and the vectorized
@@ -84,13 +71,13 @@ class PlanView(Protocol):
 
     Owner lookups, adjacency reads and the accounting platform all come
     from the view, so a backend never asks whether it is running live,
-    pinned or patched: :class:`LiveView` answers from the live storages,
-    an :class:`~repro.serve.epoch.EpochView` from an epoch's frozen
-    arrays (optionally patched with a session's uncommitted writes),
-    folding its totals into the pinning reader's own platform so
-    unlogged reads stay out of the live system's checkpointed counters.  (Phase state lives
-    in each operation, not on the platform, so executions sharing a
-    platform would still account exactly.)
+    pinned or patched: an :class:`~repro.serve.epoch.EpochView` answers
+    from an epoch's frozen arrays (optionally patched with a session's
+    uncommitted writes).  A live query's view folds its totals into the
+    system's platform; a pinned one into the reader's own, so unlogged
+    reads stay out of the live system's checkpointed counters.  (Phase
+    state lives in each operation, not on the platform, so executions
+    sharing a platform would still account exactly.)
     """
 
     #: Accounting platform this view's executions charge.
@@ -102,10 +89,6 @@ class PlanView(Protocol):
 
     def owners_of(self, nodes: np.ndarray) -> np.ndarray:
         """Vectorized owner lookup (``OwnerIndex.UNKNOWN`` when unplaced)."""
-        ...
-
-    def rows_of(self, partition: int) -> "RowSource":
-        """``partition``'s adjacency rows as the scalar loop reads them."""
         ...
 
     def snapshot_of(self, partition: int) -> "GraphSnapshot":
@@ -134,74 +117,6 @@ class PlanView(Protocol):
         or ``None``: only then may a plan be costed from them, and a
         plan or an answer be cached under the epoch's id."""
         ...
-
-
-#: The paper's misplacement rule: a node is reported as incorrectly
-#: partitioned when more than this fraction of its next hops are remote.
-MISPLACEMENT_THRESHOLD = 0.5
-
-
-@dataclass
-class LiveView:
-    """The :class:`PlanView` over the live storages.
-
-    Live queries run under the system's writer lock, one at a time, so
-    the view's owner index needs no synchronisation of its own.
-    """
-
-    pim: PIMSystem
-    partitioner: GraphPartitioner
-    module_storages: List[LocalGraphStorage]
-    host_storage: HeterogeneousGraphStorage
-    migrator: NodeMigrator
-    #: Version-cached vectorized owner lookups over the partition map.
-    _owners: OwnerIndex = field(default_factory=OwnerIndex, repr=False)
-
-    def owner(self, node: int) -> Optional[int]:
-        return self.partitioner.partition_of(node)
-
-    def owners_of(self, nodes: np.ndarray) -> np.ndarray:
-        # Version-stamped: node placement cannot change mid-query
-        # (migrations run after the answer is complete), so every call
-        # after a query's first is a no-op.
-        self._owners.refresh(self.partitioner.partition_map)
-        return self._owners.owners_of(nodes)
-
-    def rows_of(
-        self, partition: int
-    ) -> Union[LocalGraphStorage, HeterogeneousGraphStorage]:
-        """The live storage itself — never ``to_csr()``: a small scalar
-        query between migration passes must not pay a snapshot splice."""
-        if partition == HOST_PARTITION:
-            return self.host_storage
-        return self.module_storages[partition]
-
-    def snapshot_of(self, partition: int) -> GraphSnapshot:
-        return self.rows_of(partition).to_csr()
-
-    def misplacement_threshold(self, partition: int) -> Optional[float]:
-        """:data:`MISPLACEMENT_THRESHOLD` on a module when the node
-        migrator repairs the placement; the host detects nothing."""
-        if partition == HOST_PARTITION or not self.partitioner.pim_policy.migrates:
-            return None
-        return MISPLACEMENT_THRESHOLD
-
-    def report_misplaced(self, reports: ReportColumns) -> None:
-        self.migrator.report_misplaced(*reports)
-
-    def total_rows(self) -> int:
-        return self.host_storage.num_rows + sum(
-            storage.num_rows for storage in self.module_storages
-        )
-
-    def total_edges(self) -> int:
-        return self.host_storage.num_edges + sum(
-            storage.num_edges for storage in self.module_storages
-        )
-
-    def frozen_epoch(self) -> None:
-        """``None``: live state keeps no frozen statistics."""
-        return None
 
 
 @runtime_checkable

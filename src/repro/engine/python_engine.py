@@ -3,8 +3,8 @@
 :class:`ScalarKernel` is the original ``QueryProcessor._execute`` hot
 path behind the :class:`~repro.engine.driver.Kernel` protocol: dict
 frontiers, per-node expansion through the one scalar loop
-(:func:`repro.core.operator_processor.smxm`) over whatever rows the view
-hands out — live storages or pinned snapshots alike — and per-item
+(:func:`repro.core.operator_processor.smxm`) over the snapshot the view
+hands out — the frozen arrays the array kernels read — and per-item
 routing.  It is deliberately straightforward: the array kernels are
 validated against it item for item, and the driver charges all of them
 from the same reported counts.
@@ -78,10 +78,10 @@ class ScalarKernel:
         self, partition: int, block: Dict[int, ContextSet]
     ) -> Tuple[ExpandWork, Dict[int, ContextSet]]:
         view = self._view
-        rows = view.rows_of(partition)
+        snapshot = view.snapshot_of(partition)
         produced, work = smxm(
             block,
-            rows,
+            snapshot,
             self._dfa,
             self._label_names,
             view.misplacement_threshold(partition),
@@ -101,7 +101,7 @@ class ScalarKernel:
                 work.rows_touched,
                 work.bytes_streamed,
                 work.items_processed,
-                rows.working_set_bytes,
+                snapshot.working_set_bytes,
                 misplaced,
             ),
             produced,

@@ -103,7 +103,7 @@ class OwnerIndex:
         dense = self._dense
         if dense is not None:
             if 0 <= node < dense.size:
-                return int(dense[node])
+                return dense.item(node)
             return self.UNKNOWN
         owner_nodes = self._nodes
         if owner_nodes is None or owner_nodes.size == 0:

@@ -21,19 +21,33 @@ many splices and row migrations later epochs absorb, and
 nothing else does.
 
 :class:`EpochView` is the lens an execution engine actually receives
-(the :class:`~repro.engine.base.PlanView` contract): the epoch's frozen
-state, optionally patched with a session's uncommitted writes
-(read-your-writes), plus the accounting
+(the :class:`~repro.engine.base.PlanView` contract), and the only one:
+the epoch's frozen state, optionally patched with a session's
+uncommitted writes (read-your-writes), plus the accounting
 :class:`~repro.pim.system.PIMSystem` whose totals its executions fold
-into — a private one, because pinned reads are not logged and must stay
-out of the live system's checkpointed totals.
+into.  A pinned reader passes a private platform, because pinned reads
+are not logged and must stay out of the live system's checkpointed
+totals.  A live query runs on a ``live`` view of the *current* epoch
+that folds into the system's own platform, is never costed or cached,
+and hands its misplacement reports to the node migrator when the
+placement migrates (``Moctopus._live_view``).
 """
 
 from __future__ import annotations
 
 import threading
 from types import TracebackType
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -44,8 +58,15 @@ from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import PIMSystem
 
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.core.node_migrator import NodeMigrator
+
 #: The one error every read or write of a closed system raises.
 SYSTEM_CLOSED = "this Moctopus system is closed: close() released its graph"
+
+#: The paper's misplacement rule: a node is reported as incorrectly
+#: partitioned when more than this fraction of its next hops are remote.
+MISPLACEMENT_THRESHOLD = 0.5
 
 
 class LockLike(Protocol):
@@ -182,7 +203,7 @@ class Epoch:
 
 
 class EpochView:
-    """A :class:`~repro.engine.base.PlanView` over one pinned epoch.
+    """The :class:`~repro.engine.base.PlanView` over one epoch.
 
     ``patched`` optionally overrides per-partition snapshots with
     session-patched ones (uncommitted writes spliced in with
@@ -190,6 +211,12 @@ class EpochView:
     the session-created nodes the epoch's owner table does not place to
     their provisional partitions so the engines can route frontiers
     through rows that exist only in the overlay.
+
+    ``live`` marks a live query's view of the current epoch.  It charges
+    the system's own platform, so it is never costed or cached: a cache
+    hit would leave that platform uncharged.  ``migrator`` is given only
+    to a live view whose placement migrates: module partitions then
+    detect misplacement and the reports go to it.
     """
 
     def __init__(
@@ -198,13 +225,19 @@ class EpochView:
         pim: PIMSystem,
         patched: Optional[Dict[int, GraphSnapshot]] = None,
         extra_owners: Optional[Dict[int, int]] = None,
+        *,
+        live: bool = False,
+        migrator: Optional[NodeMigrator] = None,
     ) -> None:
         self.epoch = epoch
         #: Totals sink of this view's executions (PlanView contract):
-        #: the pinning reader's own platform, never the live system's.
+        #: the pinning reader's own platform, or the live system's for
+        #: a live query.
         self.pim = pim
         self._patched = patched or {}
         self._extra_owners = extra_owners or {}
+        self.live = live
+        self._migrator = migrator
 
     @property
     def epoch_id(self) -> int:
@@ -227,24 +260,29 @@ class EpochView:
             return patched
         return self.epoch.snapshot_of(partition)
 
-    #: The scalar loop reads the same frozen snapshots row by row.
-    rows_of = snapshot_of
-
     def misplacement_threshold(self, partition: int) -> Optional[float]:
-        """``None``: pinned executions skip misplacement detection."""
-        return None
+        """:data:`MISPLACEMENT_THRESHOLD` on a module when the view
+        reports to a migrator; ``None`` otherwise (the host, and every
+        pinned execution, detect nothing)."""
+        if self._migrator is None or partition == HOST_PARTITION:
+            return None
+        return MISPLACEMENT_THRESHOLD
 
     def report_misplaced(
         self, reports: Tuple[np.ndarray, np.ndarray, np.ndarray]
     ) -> None:
-        """Dropped: a report derived from a pinned (possibly stale)
-        epoch would misdirect the migrator."""
+        """Forwarded to the migrator; dropped without one, because a
+        report derived from a pinned (possibly stale) epoch would
+        misdirect it."""
+        if self._migrator is not None:
+            self._migrator.report_misplaced(*reports)
 
     def owner(self, node: int) -> Optional[int]:
         """Owner at the pinned epoch, extended with session-local nodes."""
-        extra = self._extra_owners.get(node)
-        if extra is not None:
-            return extra
+        if self._extra_owners:  # the scalar route asks once per node
+            extra = self._extra_owners.get(node)
+            if extra is not None:
+                return extra
         return self.epoch.owner(node)
 
     def owners_of(self, nodes: np.ndarray) -> np.ndarray:
@@ -259,9 +297,13 @@ class EpochView:
 
     def frozen_epoch(self) -> Optional[Epoch]:
         """The pinned epoch, unless the view is patched with a session
-        overlay: its statistics and its id then describe something other
-        than what the view reads."""
-        return None if self.is_patched() else self.epoch
+        overlay — its statistics and its id then describe something other
+        than what the view reads — or is live: a cached answer would skip
+        the system's charges and the expansion whose reports drive
+        migration."""
+        if self.live or self.is_patched():
+            return None
+        return self.epoch
 
     def _snapshots(self) -> List[GraphSnapshot]:
         partitions = (*range(self.epoch.num_modules), HOST_PARTITION)

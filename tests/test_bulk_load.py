@@ -430,7 +430,8 @@ def test_a_self_loop_promotion_leaves_no_phantom_row():
     assert list(system._host_storage.rows()) == [0]
     for storage in system._module_storages:
         assert storage._memory.used_bytes == storage.storage_bytes
-        assert all(storage.local_hops(node) <= 1 for node in storage.rows())
+        snapshot = storage.to_csr()
+        assert all(snapshot.local_hops(node) <= 1 for node in storage.rows())
 
 
 def test_load_transient_bytes_stay_under_the_ceiling():

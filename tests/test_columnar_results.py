@@ -175,7 +175,7 @@ def test_bitset_reduce_matches_per_row_sets(kernel, num_rows, data):
     empty rows anywhere and blocks split over owners in any order."""
     system = build_system(labeled_graph(), engine=kernel)
     sources = [3] * num_rows  # the reduce reads only their count
-    live = system._query_processor.live
+    live = system._live_view()
     plan = system._query_processor.plan(KHopQuery(1, sources), live)
     instance = BITSET_KERNELS[kernel](plan, sources, live)
     # Per frontier node: the rows it answers (any subset, maybe none).
@@ -412,7 +412,7 @@ def test_auto_engine_reads_only_request_and_graph_size(monkeypatch):
     expected = (len(SOURCES), round(graph.num_edges / graph.num_nodes, 6))
     assert seen == [expected, expected]
     # The live view and a pinned view expose the same two totals.
-    live = system._query_processor.live
+    live = system._live_view()
     with system.begin() as session:
         view = session._view()
         assert view.total_rows() == live.total_rows()

@@ -13,7 +13,8 @@ Covers the planner protocol end to end:
 * the epoch-keyed plan cache and LRU result cache: warm answers are
   bit-identical to cold ones (results *and* per-query counters), hit
   counters land on the separate ``cache_stats`` accumulator, entries
-  never survive their epoch, and patched session views bypass caching;
+  never survive their epoch, and patched session views and live
+  queries (which must keep reporting misplaced nodes) bypass caching;
 * ``RPQuery`` AST/DFA memoization.
 """
 
@@ -23,11 +24,12 @@ import random
 
 import pytest
 
+from repro.baselines import PIMHashSystem
 from repro.core import Moctopus, MoctopusConfig, query_processor
 from repro.engine import lower_plan
 from repro.graph import DiGraph, random_graph
 from repro.pim import CostModel
-from repro.rpq import RPQuery, plan_query
+from repro.rpq import KHopQuery, RPQuery, plan_query
 from repro.rpq.evaluator import evaluate_rpq
 
 ENGINES = ("python", "vectorized", "matrix", "auto")
@@ -99,7 +101,8 @@ def test_unscaled_bound_would_truncate_cycle_closure(engine):
     plan = plan_query(query)
     physical = lower_plan(plan, default_fixpoint_iterations=5)
     processor = system._query_processor
-    result, _ = processor.engine.execute(physical, query.sources, processor.live)
+    view = system._live_view()
+    result, _ = processor.engine.execute(physical, query.sources, view)
     oracle = evaluate_rpq(system.graph, query, label_names=LABEL_NAMES)
     assert [set(d) for d in result.destinations] == [
         set(d) for d in oracle.destinations
@@ -114,7 +117,7 @@ def test_patched_views_and_live_queries_plan_forward():
     system = build_system(skewed_graph())
     processor = system._query_processor
     query = RPQuery("a/c", sources=list(range(40)))
-    live = processor.plan(query, processor.live)
+    live = processor.plan(query, system._live_view())
     assert "no frozen epoch statistics" in live.decision.reason
     assert live.decision.cost == 0.0
     with system.begin() as session:
@@ -240,6 +243,43 @@ def test_patched_session_views_bypass_the_result_cache():
         # The staged-write view must not have produced (or consumed) a
         # cache entry for its divergent answer.
         assert processor.cache_stats.counters.get("result_cache_hits", 0) == hits
+
+
+def test_live_queries_bypass_the_caches_and_keep_reporting():
+    """A live query runs on the current epoch but is never cached: a hit
+    would skip the expansion whose misplacement reports drive migration."""
+    system = build_system(skewed_graph())
+    migrator = system._migrator
+    queries = (
+        KHopQuery(2, sources=list(range(40))),
+        RPQuery("a/b", sources=list(range(40))),
+    )
+    runs = []
+    for _ in range(2):
+        migrator.clear_pending()
+        outcomes = [
+            fingerprint(*system.execute(query, auto_migrate=False))
+            for query in queries
+        ]
+        runs.append((outcomes, migrator.pending_reports))
+    (first, first_reports), (second, second_reports) = runs
+    assert first == second
+    assert first_reports > 0 and second_reports == first_reports
+    assert dict(system.cache_stats.counters) == {}
+
+
+def test_live_queries_charge_the_system_on_every_placement():
+    """A PIM-hash system has no migrator to report to, but its live
+    queries still fold into its own platform on every call: a repeated
+    query is charged again, never answered from the caches."""
+    system = PIMHashSystem.from_graph(skewed_graph(), CostModel(num_modules=4))
+    sources = list(range(40))
+    system.batch_khop(sources, hops=2)
+    once = system.pim.load_report()
+    assert sum(once) > 0
+    system.batch_khop(sources, hops=2)
+    assert system.pim.load_report() == [2 * items for items in once]
+    assert dict(system.cache_stats.counters) == {}
 
 
 # ----------------------------------------------------------------------

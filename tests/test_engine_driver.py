@@ -5,10 +5,9 @@
 * every kind of graph state a plan can run against is a
   :class:`~repro.engine.base.PlanView`, every backend's frontier math a
   :class:`~repro.engine.driver.Kernel`;
-* a live storage and its CSR snapshot read the same through the
-  :class:`~repro.core.operator_processor.RowSource` names, row for row,
-  after a churn script (the scalar loop charges live and pinned rows by
-  one formula, so they must agree on what a row *is*);
+* a storage's CSR snapshot reads what the storage holds, row for row,
+  after a churn script (every kernel, live queries included, reads the
+  snapshot, so it must agree with the storage on what a row *is*);
 * engines keep nothing between calls: one instance per backend serves
   eight threads at once, bit-identically to a serial run;
 * every charge of the query path — phase names, the full
@@ -37,8 +36,7 @@ import repro.engine
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT
 from repro.core.local_storage import BYTES_PER_ENTRY
-from repro.core.operator_processor import RowSource
-from repro.engine import ENGINE_NAMES, Kernel, LiveView, PlanView
+from repro.engine import ENGINE_NAMES, Kernel, PlanView
 from repro.engine.python_engine import ScalarKernel
 from repro.engine.vectorized import BitsetKernel, KeysKernel
 from repro.graph import DiGraph, random_graph
@@ -127,8 +125,8 @@ def test_backends_never_touch_the_platform(module):
 def test_every_graph_state_is_a_plan_view_and_every_backend_a_kernel():
     system = build_system(skewed_graph())
     processor = system._query_processor
-    live = processor.live
-    assert isinstance(live, LiveView) and isinstance(live, PlanView)
+    live = system._live_view()
+    assert isinstance(live, EpochView) and isinstance(live, PlanView)
 
     with system.begin() as session:
         plain = session._view()
@@ -163,7 +161,7 @@ def test_every_graph_state_is_a_plan_view_and_every_backend_a_kernel():
 
 
 # ----------------------------------------------------------------------
-# (c) Live rows and their snapshot are the same RowSource
+# (c) A storage and its snapshot hold the same rows
 # ----------------------------------------------------------------------
 def churned_system() -> Moctopus:
     """Inserts, relabels, deletes leaving host holes, promotions and
@@ -200,29 +198,27 @@ def test_live_rows_and_snapshots_read_alike_after_churn():
     storages = [*system._module_storages, system._host_storage]
     for storage in storages:
         snapshot = storage.to_csr()
-        assert isinstance(storage, RowSource) and isinstance(snapshot, RowSource)
-        assert storage.bytes_per_entry == snapshot.bytes_per_entry
         assert storage.working_set_bytes == snapshot.working_set_bytes
         on_module = storage is not system._host_storage
-        assert storage.bytes_per_entry == (
+        assert snapshot.bytes_per_entry == (
             BYTES_PER_ENTRY if on_module else BYTES_PER_SLOT
         )
         assert sorted(storage.rows()) == snapshot.node_ids.tolist()
         # An absent row reads empty on both.
         for node in [*storage.rows(), 10_000]:
-            entries = storage.row_entries(node)
+            entries = storage.next_hops_with_labels(node)
             assert snapshot.row_entries(node) == entries
-            assert snapshot.row_dsts(node) == storage.row_dsts(node)
-            assert storage.row_dsts(node) == [dst for dst, _ in entries]
-            assert storage.local_hops(node) == snapshot.local_hops(node)
-            streamed = len(entries) * storage.bytes_per_entry
+            assert snapshot.row_dsts(node) == storage.next_hops(node)
+            assert storage.next_hops(node) == [dst for dst, _ in entries]
+            streamed = len(entries) * snapshot.bytes_per_entry
             if on_module:
                 assert streamed == storage.row_length(node) * BYTES_PER_ENTRY
-                assert storage.local_hops(node) == sum(
+                assert snapshot.local_hops(node) == sum(
                     storage.has_row(dst) for dst, _ in entries
                 )
             else:
                 assert streamed == storage.row_bytes(node)
+                assert snapshot.local_hops(node) == 0
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +318,7 @@ def test_golden_plans_survive_pickle_equal():
     processor = system._query_processor
     costed = set()
     with system.begin() as session:
-        for view in (processor.live, session._view()):
+        for view in (system._live_view(), session._view()):
             for query in make_query_golden.queries().values():
                 plan = processor.plan(query, view)
                 clone = pickle.loads(pickle.dumps(plan))
@@ -371,7 +367,7 @@ def test_view_totals_equal_a_fresh_sum_patched_or_not():
         totals = (plain.total_rows(), plain.total_edges())
         assert totals == fresh_sum(plain)
         assert totals == (plain.epoch.num_rows, plain.epoch.num_edges)
-        live = system._query_processor.live
+        live = system._live_view()
         assert totals == (live.total_rows(), live.total_edges())
 
         # Two new rows (500 and, provisionally placed, 501) and two edges.

@@ -19,7 +19,7 @@ def make_storage() -> LocalGraphStorage:
 
 
 def test_smxm_expands_local_rows_and_counts_work():
-    produced, work = smxm({1: {0, 7}, 2: {0}}, make_storage())
+    produced, work = smxm({1: {0, 7}, 2: {0}}, make_storage().to_csr())
     assert produced[2] == {0, 7}
     assert produced[3] == {0, 7}
     assert work.rows_touched == 2
@@ -29,7 +29,7 @@ def test_smxm_expands_local_rows_and_counts_work():
 
 
 def test_smxm_missing_row_produces_nothing():
-    produced, work = smxm({99: {0}}, make_storage())
+    produced, work = smxm({99: {0}}, make_storage().to_csr())
     assert produced == {}
     assert work.rows_touched == 1
     assert work.items_processed == 0
@@ -40,11 +40,11 @@ def test_smxm_detects_misplaced_nodes():
     # Node 1 lives here but none of its next hops do.
     storage.add_edge(1, 50)
     storage.add_edge(1, 51)
-    _, work = smxm({1: {0}}, storage, misplacement_threshold=0.5)
+    _, work = smxm({1: {0}}, storage.to_csr(), misplacement_threshold=0.5)
     assert 1 in work.misplacement_reports
     local, remote = work.misplacement_reports[1]
     assert local == 0 and remote == 2
-    _, quiet = smxm({1: {0}}, storage, misplacement_threshold=None)
+    _, quiet = smxm({1: {0}}, storage.to_csr(), misplacement_threshold=None)
     assert quiet.misplacement_reports == {}
 
 
@@ -54,7 +54,7 @@ def test_smxm_with_dfa_filters_by_label():
     storage.add_edge(1, 3, label=2)
     dfa = build_dfa("a")
     produced, _ = smxm(
-        {1: {(0, dfa.start)}}, storage, dfa=dfa, label_names={1: "a", 2: "b"}
+        {1: {(0, dfa.start)}}, storage.to_csr(), dfa=dfa, label_names={1: "a", 2: "b"}
     )
     assert set(produced) == {2}
     ((row, state),) = produced[2]

@@ -320,12 +320,15 @@ def test_cross_engine_sessions_bit_identical(seed):
 def test_scheduler_answers_match_model(engine):
     system = build_system(3, engine)
     model = build_model(3)
-    with system.serve() as scheduler:
+    # Queue all 20 before the drain starts, so coalescing does not race
+    # the submissions: windows of 16 + 4, one batch per hops value each.
+    with system.serve(autostart=False) as scheduler:
         futures = [
             (source, hops, scheduler.submit(source, hops))
             for source in range(10)
             for hops in (1, 2)
         ]
+        scheduler._worker.start()
         for source, hops, future in futures:
             destinations, stats = future.outcome(timeout=10)
             assert destinations == model.khop([source], hops)[0], (
