@@ -15,20 +15,23 @@ placement counters are therefore what feeding the edges one at a time
 through :meth:`~repro.core.partitioner.GraphPartitioner.ingest_edge`
 leaves behind.
 
-The edges are then stored per source: every module gets its chunk's
-new rows and its sources' slices of the chunk in one ``load_rows``
-call; a row whose source crosses the threshold inside the chunk takes
-the edges before the crossing, then moves through the migrator's own
-``promote_to_host``; the later edges of each hub row enter it in one
-``load_edges`` call, which lays them out as per-edge ``insert_edge``
-would.  ``tests/model.py`` keeps the per-edge loop as the oracle this is
-held to.
+The module rows are stored as columns: every module accumulates the
+rows each chunk creates on it and the table positions of the edges its
+rows take, and after the last chunk builds its CSR base from them in
+one stable sort by source
+(:meth:`~repro.core.local_storage.LocalGraphStorage.load_csr`), so no
+module row ever becomes a buffer.  A row whose source crosses the
+threshold inside the chunk takes the edges before the crossing; then
+its entries leave its module's columns, in the form ``remove_row``
+returns a row, for the host's ``insert_row``, and the later edges of
+each hub row enter it in one ``load_edges`` call, which lays them out as
+per-edge ``insert_edge`` would.  ``tests/model.py`` keeps the per-edge
+loop as the oracle this is held to.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import List, Tuple
 
 import numpy as np
@@ -37,7 +40,10 @@ from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.core.node_migrator import NodeMigrator
 from repro.core.partitioner import GraphPartitioner
+from repro.core.snapshot import ranges
 from repro.graph.stream import array_chunks
+
+_NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def bulk_load(
@@ -56,10 +62,11 @@ def bulk_load(
     the graph's node list: the nodes no edge placed are placed after the
     last edge, in its order.
     """
-    loader = _BulkLoader(partitioner, module_storages, host_storage, migrator, nodes)
+    loader = _BulkLoader(partitioner, module_storages, host_storage, migrator, table, nodes)
     for chunk in array_chunks(table):
         loader.load_chunk(chunk)
     loader.load_isolated(nodes)
+    loader.store_module_rows()
 
 
 def _group_by_source(srcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,13 +81,33 @@ def _group_by_source(srcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     return order, starts, np.diff(starts, append=len(srcs))
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1`` for
-    every ``i``, end to end."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
-        starts - ends + lengths, lengths
-    )
+class _ModuleColumns:
+    """One module's rows as the load accumulates them: per chunk, the ids
+    of the rows it created there and the table positions of the edges
+    its rows took, in stream order per row."""
+
+    def __init__(self) -> None:
+        self.rows: List[np.ndarray] = []
+        self.edges: List[np.ndarray] = []
+
+    def take_row(self, node: int, table: np.ndarray) -> List[Tuple[int, int]]:
+        """Remove ``node``'s row; its ``(dst, label)`` entries in order."""
+        rows = np.concatenate([_NO_IDS, *self.rows])
+        edges = np.concatenate([_NO_IDS, *self.edges])
+        taken = table[edges, 0] == node
+        self.rows = [rows[rows != node]]
+        self.edges = [edges[~taken]]
+        row = table[edges[taken], 1:]
+        return list(zip(row[:, 0].tolist(), row[:, 1].tolist()))
+
+    def store(self, storage: LocalGraphStorage, table: np.ndarray) -> None:
+        """Make the rows here ``storage``'s base."""
+        srcs, dsts, labels = table[np.concatenate([_NO_IDS, *self.edges])].T
+        # One stable sort by source groups each row's edges, in order.
+        order = np.argsort(srcs, kind="stable")
+        rows = np.sort(np.concatenate([_NO_IDS, *self.rows]))
+        indptr = np.append(np.searchsorted(srcs[order], rows), len(srcs))
+        storage.load_csr(rows, indptr, dsts[order], labels[order])
 
 
 class _BulkLoader:
@@ -92,13 +119,18 @@ class _BulkLoader:
         module_storages: List[LocalGraphStorage],
         host_storage: HeterogeneousGraphStorage,
         migrator: NodeMigrator,
+        table: np.ndarray,
         nodes: List[int],
     ) -> None:
         self._partitioner = partitioner
         self._labor = partitioner.labor_division
         self._modules = module_storages
+        self._columns = [_ModuleColumns() for _ in module_storages]
         self._host = host_storage
         self._migrator = migrator
+        self._table = table
+        #: Table position of the current chunk's first edge.
+        self._offset = 0
         #: The graph's own ``int`` objects by value: every dict key the
         #: load creates is one of them, not a fresh ``int`` per chunk.
         self._canonical = dict(zip(nodes, nodes))
@@ -133,10 +165,12 @@ class _BulkLoader:
         rows, promoted = self._place(chunk, sources, starts, cutoffs, crossing_edges)
         if labor is not None:
             labor.observe(source_list, (degrees + counts).tolist())
-        self._store_rows(*rows, order, chunk)
+        self._store_rows(*rows, order)
         for node, module in promoted:
-            self._migrator.promote_to_host(node, module)
+            self._host.insert_row(node, self._columns[module].take_row(node, self._table))
+        self._migrator.promotions_performed += len(promoted)
         self._store_hub_edges(source_list, starts, counts, cutoffs, order, chunk)
+        self._offset += len(chunk)
 
     def _place(
         self,
@@ -149,11 +183,9 @@ class _BulkLoader:
         """Place the chunk's new nodes and promote its crossing sources.
 
         Returns the module rows to grow before any promotion moves one —
-        ``(nodes, parts, starts, lengths)`` for :meth:`_store_rows`, the
-        new rows first, in creation order (the per-edge path's: in stream
-        order, the destination's before the source's within one edge),
-        then the earlier rows that take edges — and the ``(node,
-        module)`` promotions in order.
+        ``(ids, parts, starts, lengths, created)`` for :meth:`_store_rows`,
+        the ``created`` new rows first, then the earlier rows that take
+        edges — and the ``(node, module)`` promotions in order.
         """
         mentions, new_ids, neighbors = self._first_mentions(chunk)
         new_list = new_ids.tolist()
@@ -180,19 +212,13 @@ class _BulkLoader:
             # one edge at a time would have entered them.
             self._labor.observe(nodes, repeat(0))
 
-        created = np.argsort(mentions ^ 1)
-        row_nodes = [nodes[index] for index in created.tolist()] + earlier_nodes
-        row_parts = np.concatenate(
-            [
-                np.array(parts, dtype=np.int64)[created],
-                np.array(earlier_owners, dtype=np.int64),
-            ]
-        )
-        row_starts = np.concatenate([starts[position[created]], starts[earlier]])
+        row_ids = np.concatenate([new_ids, sources[earlier]])
+        row_parts = np.array(parts + earlier_owners, dtype=np.int64)
+        row_starts = np.concatenate([starts[position], starts[earlier]])
         row_lengths = np.concatenate(
-            [np.where(is_source, cutoffs[position], 0)[created], cutoffs[earlier]]
+            [np.where(is_source, cutoffs[position], 0), cutoffs[earlier]]
         )
-        return (row_nodes, row_parts, row_starts, row_lengths), promoted
+        return (row_ids, row_parts, row_starts, row_lengths, len(new_ids)), promoted
 
     def _first_mentions(
         self, chunk: np.ndarray
@@ -247,37 +273,31 @@ class _BulkLoader:
 
     def _store_rows(
         self,
-        nodes: List[int],
+        ids: np.ndarray,
         parts: np.ndarray,
         starts: np.ndarray,
         lengths: np.ndarray,
+        created: int,
         edges: np.ndarray,
-        chunk: np.ndarray,
     ) -> None:
-        """Give each module its rows in one call: ``nodes[i]`` goes on
-        module ``parts[i]``, in ``nodes`` order, and takes the chunk rows
-        ``edges[starts[i]:starts[i] + lengths[i]]``."""
+        """Add each row to its module's columns: row ``ids[i]``, new when
+        ``i < created``, is on module ``parts[i]`` and takes the chunk's
+        edges ``edges[starts[i]:starts[i] + lengths[i]]``."""
         by_module = np.argsort(parts, kind="stable")
         lengths = lengths[by_module]
-        # The rows' edges end to end in module order: each row's buffer
-        # is then the next slice of one array.
-        values = array("q")
-        values.frombytes(
-            chunk[edges[_ranges(starts[by_module], lengths)], 1:]
-            .reshape(-1)
-            .view(np.uint8)
-        )
-        sizes = (2 * lengths).tolist()
-        buffers = [
-            values[low:high]
-            for low, high in zip(accumulate(sizes, initial=0), accumulate(sizes))
-        ]
-        nodes = [nodes[index] for index in by_module.tolist()]
-        bounds = np.searchsorted(parts[by_module], np.arange(len(self._modules) + 1))
-        bounds = bounds.tolist()
-        for module, low, high in zip(self._modules, bounds, bounds[1:]):
+        # The rows' edges end to end in module order, as table positions.
+        positions = self._offset + edges[ranges(starts[by_module], lengths)]
+        row_bounds = np.searchsorted(
+            parts[by_module], np.arange(len(self._columns) + 1)
+        ).tolist()
+        edge_bounds = np.concatenate([[0], np.cumsum(lengths)])[row_bounds].tolist()
+        new = by_module < created
+        for columns, low, high, edge_low, edge_high in zip(
+            self._columns, row_bounds, row_bounds[1:], edge_bounds, edge_bounds[1:]
+        ):
             if high > low:
-                module.load_rows(nodes[low:high], buffers[low:high])
+                columns.rows.append(ids[by_module[low:high][new[low:high]]])
+                columns.edges.append(positions[edge_low:edge_high])
 
     def _store_hub_edges(
         self,
@@ -314,10 +334,10 @@ class _BulkLoader:
         parts = self._partitioner.assign_nodes(isolated, [None] * len(isolated))
         zeros = np.zeros(len(isolated), dtype=np.int64)
         self._store_rows(
-            isolated,
-            np.array(parts, dtype=np.int64),
-            zeros,
-            zeros,
-            zeros[:0],
-            np.empty((0, 3), dtype=np.int64),
+            ids[unseen], np.array(parts, dtype=np.int64), zeros, zeros, len(isolated), zeros
         )
+
+    def store_module_rows(self) -> None:
+        """Build every module's base from its columns."""
+        for columns, storage in zip(self._columns, self._modules):
+            columns.store(storage, self._table)

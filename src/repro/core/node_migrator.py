@@ -15,7 +15,6 @@ from its PIM module to the host's heterogeneous storage.
 
 from __future__ import annotations
 
-from array import array
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
@@ -24,7 +23,7 @@ import numpy as np
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.partitioner import GraphPartitioner
-from repro.core.snapshot import join_buffers
+from repro.engine.vectorized import _unique
 from repro.partition.base import HOST_PARTITION
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import OperationContext
@@ -40,7 +39,6 @@ _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
 MIGRATION_CAPACITY_FACTOR = 1.5
 
 _EMPTY = np.empty(0, dtype=np.int64)
-_NO_ROW = array("q")
 
 
 def _tally(
@@ -48,7 +46,7 @@ def _tally(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Votes per (voter, partition), and who is outvoted at home.
 
-    ``voters[i]`` (ascending positions into ``current``) casts one vote
+    ``voters[i]`` (a position into ``current``, in any order) casts one vote
     for ``owners[i]``; host and unknown owners vote for nobody.  Returns
     ``(parts, votes, bounds, candidates)``: voter ``v``'s tally is
     ``parts[bounds[v]:bounds[v + 1]]`` with as many ``votes`` each, and
@@ -70,7 +68,7 @@ def _tally(
     own_votes = np.zeros(len(current), dtype=np.int64)
     own = parts == current[tally_voter]
     own_votes[tally_voter[own]] = votes[own]
-    candidates = np.unique(tally_voter[votes > own_votes[tally_voter]])
+    candidates = _unique(tally_voter[votes > own_votes[tally_voter]])
     bounds = np.searchsorted(tally_voter, np.arange(len(current) + 1))
     return parts, votes, bounds, candidates
 
@@ -182,6 +180,26 @@ class NodeMigrator:
         self.migrations_performed += 1
         return len(entries)
 
+    def _next_hops(
+        self, nodes: np.ndarray, current: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The live next hops of ``nodes`` (on modules ``current``) as edge
+        columns ``(voters, dsts)``: ``dsts[i]`` is a next hop of
+        ``nodes[voters[i]]``.  One read per module, so the edges come
+        grouped by module; the vote does not depend on their order."""
+        by_module = np.argsort(current, kind="stable")
+        bounds = np.searchsorted(
+            current[by_module], np.arange(len(self._module_storages) + 1)
+        ).tolist()
+        lengths, dsts = zip(
+            *(
+                storage.gather_dsts(nodes[by_module[low:high]])
+                for storage, low, high in zip(self._module_storages, bounds, bounds[1:])
+                if high > low
+            )
+        )
+        return np.repeat(by_module, np.concatenate(lengths)), np.concatenate(dsts)
+
     def apply_migrations(self, op: OperationContext, limit: int = 4096) -> int:
         """Migrate reported nodes to their majority partitions.
 
@@ -195,7 +213,8 @@ class NodeMigrator:
 
         The vote is columnar: the pending nodes' rows are read live (never
         through ``to_csr()``: a pass after a small scalar query must not
-        pay the snapshot splices the next query might never need), their
+        pay the snapshot splices the next query might never need; see
+        ``LocalGraphStorage.gather_dsts``), their
         next hops resolve to owners in one lookup and one sort tallies the
         votes per (node, partition).  Only the nodes some other partition
         outvotes their own on are then walked one by one.
@@ -224,16 +243,10 @@ class NodeMigrator:
         current = self._owners.owners_of(nodes)
         on_module = current >= 0  # neither the host nor unknown
         nodes, current = nodes[on_module], current[on_module]
+        if not nodes.size:
+            return 0
 
-        storages = self._module_storages
-        bounds, values = join_buffers(
-            [
-                storages[module].row_buffer(node) or _NO_ROW
-                for node, module in zip(nodes.tolist(), current.tolist())
-            ]
-        )
-        dsts = values[::2]
-        voters = np.repeat(np.arange(len(nodes)), np.diff(bounds) >> 1)
+        voters, dsts = self._next_hops(nodes, current)
         tally_part, tally_votes, tally_bounds, candidates = _tally(
             voters, self._owners.owners_of(dsts), current, self._partitioner.num_modules
         )

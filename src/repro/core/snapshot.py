@@ -9,17 +9,18 @@ to be available as flat arrays.  Both storage classes
 
 Row buffers
 -----------
-The storages keep — and hand to the splice here — each adjacency row
-as one flat int64 buffer: an ``array('q')`` interleaving ``dst0, label0,
-dst1, label1, ...``.  A pair whose ``dst`` is :data:`HOLE` is an empty
-slot (the host's ``cols_vector`` has them; module rows never do) and is
-skipped.  :func:`row_buffer` / :func:`row_pairs` convert from and to the
-``(dst, label)`` lists of the public read API, and
-:func:`split_buffers` cuts checkpoint arrays back into rows.  The
-splice copies every buffer it is given (one ``bytes.join``) and never
-keep a ``memoryview`` or ``frombuffer`` array over one: an ``array``
-that is exporting its buffer cannot be resized, so a view that outlived
-the call would make the next insert into that row raise ``BufferError``.
+The storages keep — and hand to the splice here — each *written*
+adjacency row as one flat int64 buffer: an ``array('q')`` interleaving
+``dst0, label0, dst1, label1, ...``.  A pair whose ``dst`` is
+:data:`HOLE` is an empty slot (the host's ``cols_vector`` has them;
+module rows never do) and is skipped.  :func:`row_buffer` /
+:func:`row_pairs` convert from and to the ``(dst, label)`` lists of the
+public read API, and :func:`split_buffers` cuts checkpoint arrays back
+into rows.  The splice copies every buffer it is given (one
+``bytes.join``) and never keep a ``memoryview`` or ``frombuffer`` array
+over one: an ``array`` that is exporting its buffer cannot be resized,
+so a view that outlived the call would make the next insert into that
+row raise ``BufferError``.
 
 Snapshot lifecycle
 ------------------
@@ -31,12 +32,22 @@ queries between updates hit — and otherwise :func:`merge_snapshot`
 splices the dirty rows' current buffers into it: only those rows are
 re-read and flattened, then one index array places every row's segment
 of ``base ++ delta`` and each column is one gather, whatever the
-dirty-row count.  The first refresh, and the first after ``drop()``,
-splices every row into :data:`EMPTY_SNAPSHOT`.  A splice is exact — a
-removed edge or row leaves no tombstone — so a base is array-for-array
-the snapshot of the current rows however long its lineage, and a
-rebuild from scratch would have nothing to collect.  The suites hold
-every refresh to a per-edge reference builder (``tests/model.py``).
+dirty-row count.  A storage with no base yet — one built edge by edge,
+or after ``drop()`` — splices every row into :data:`EMPTY_SNAPSHOT` on
+its first refresh; a bulk load and a checkpoint restore seed the base
+directly (:func:`csr_snapshot`, :meth:`SnapshotCache.seed_base`),
+so a loaded or recovered storage never takes that branch.  A splice is
+exact — a removed edge or row leaves nothing behind in the arrays — so
+a base is array-for-array the snapshot of the current rows however long
+its lineage, and a rebuild from scratch would have nothing to collect.
+The suites hold every refresh to a per-edge reference builder
+(``tests/model.py``).
+
+A module storage keeps no second copy of a clean row: its base *is*
+where the row lives, and a row gets a buffer only when it is first
+written (see :mod:`repro.core.local_storage`).  The host storage keeps
+every row as a buffer, since its slot layout is state the base does not
+carry.
 
 A snapshot is a *simulation-faithful* view: alongside the CSR topology
 it carries the byte-accounting constants of its storage (hash-map entry
@@ -110,6 +121,15 @@ def split_buffers(values: np.ndarray, bounds: np.ndarray) -> List[array]:
         piece.frombytes(data[start:stop])
         pieces.append(piece)
     return pieces
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1`` for
+    every ``i``, end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - ends + lengths, lengths
+    )
 
 
 class TransposedBlock:
@@ -415,6 +435,28 @@ def _flatten_entries(
     return live_prefix[bounds >> 1], slots[live, 0], slots[live, 1]
 
 
+def csr_snapshot(
+    node_ids: np.ndarray,
+    indptr: np.ndarray,
+    dsts: np.ndarray,
+    labels: np.ndarray,
+    bytes_per_entry: int,
+    working_set_bytes: int,
+) -> GraphSnapshot:
+    """The frozen snapshot of CSR rows built elsewhere (a bulk load),
+    with their local counts: row ``node_ids[i]`` (ascending) holds
+    ``dsts[indptr[i]:indptr[i + 1]]``."""
+    return GraphSnapshot(
+        node_ids=node_ids,
+        indptr=indptr,
+        dsts=dsts,
+        labels=labels,
+        local_counts=_local_counts(node_ids, indptr, dsts),
+        bytes_per_entry=bytes_per_entry,
+        working_set_bytes=working_set_bytes,
+    ).freeze()
+
+
 def merge_snapshot(
     base: GraphSnapshot,
     dirty_rows: np.ndarray,
@@ -503,8 +545,7 @@ class SnapshotCache:
     def __init__(self) -> None:
         self.base: Optional[GraphSnapshot] = None
         #: Ids of the rows edited since ``base`` froze.  Recorded only
-        #: while a base exists — a first refresh reads every row anyway —
-        #: so a bulk load into a fresh storage keeps no per-row set.
+        #: while a base exists: a first refresh reads every row anyway.
         self.dirty: Set[int] = set()
         #: Number of snapshot refreshes performed.
         self.builds = 0
@@ -514,18 +555,13 @@ class SnapshotCache:
         if self.base is not None:
             self.dirty.add(node)
 
-    def record_all(self, nodes: Iterable[int]) -> None:
-        """:meth:`record` each of ``nodes``."""
-        if self.base is not None:
-            self.dirty.update(nodes)
-
     def seed_base(self, snapshot: GraphSnapshot) -> None:
-        """Install an externally built base (checkpoint restore).
+        """Install an externally built base (bulk load, checkpoint restore).
 
-        The first post-recovery ``to_csr()`` is then a cache hit on the
-        checkpoint's bit-identical arrays.  They are frozen (the loader
-        may share them), so every later splice reads a read-only base —
-        which the regression suite asserts explicitly.
+        The next ``to_csr()`` is then a cache hit on those arrays.  They
+        are frozen (the checkpoint loader may share them), so every later
+        splice reads a read-only base — which the regression suite
+        asserts explicitly.
         """
         self.base = snapshot.freeze()
         self.dirty.clear()

@@ -59,6 +59,7 @@ from repro.engine.vectorized import (
     _EMPTY,
     _row_bit_masks,
     _run_starts,
+    _unique,
 )
 
 
@@ -142,7 +143,7 @@ class PullKeysKernel(KeysKernel):
         blocks = snapshot.label_blocks()
         item_row_idx = np.repeat(row_idx, counts)
         present = item_row_idx >= 0
-        active_states = np.unique(states[present]).tolist()
+        active_states = _unique(states[present]).tolist()
 
         # Live (label, state -> next state) transitions and their pull
         # cost: every block edge is gathered once per live state.

@@ -440,19 +440,17 @@ class EpochManager:
         """The owning system is closing: drop the current epoch and every
         reference to live state.
 
-        The storages' cached snapshots are dropped too, and so are the
-        storages, the partition map, the owner table and the retire
-        hook.  Pinned readers keep their arrays and can still
-        :meth:`unpin`; :meth:`current` and :meth:`pin` raise from now on.
-        Idempotent.
+        The storages are dropped too (a module storage's base holds its
+        clean rows, so it goes with the storage, not before it), and so
+        are the partition map, the owner table and the retire hook.
+        Pinned readers keep their arrays and can still :meth:`unpin`;
+        :meth:`current` and :meth:`pin` raise from now on.  Idempotent.
         """
         with self._lock:
             released, self._current = self._current, None
             self._stale = True
             if released is not None:
                 self._retire_unless_live(released.epoch_id)
-            for storage in self._storages:
-                storage.drop_snapshot()
             self._partition_map = None
             self._storages = ()
             self._owner_capture = OwnerIndex()

@@ -7,8 +7,9 @@ hypothesis differential runs both over random edge streams — src-major
 and shuffled, with self-loops and isolated nodes — under every
 placement configuration, chunk size and snapshot state, and requires the
 same partition map (order, version, journal, sizes), degree counters,
-placement counters, storages (row order, buffers, memory, dirty rows),
-host slot layout and CSR snapshots.  The host's bulk ``load_edges`` is
+placement counters, module rows through their public reads (ids,
+entries in order, counts, memory), host rows (order, buffers, memory,
+dirty rows), host slot layout and CSR snapshots.  The host's bulk ``load_edges`` is
 held to per-edge ``insert_edge`` on its own, holes and growth included.
 Hand-built cases pin the bugs the per-edge path had, the load's
 preconditions (a negative endpoint, a repeated pair) and its cost.
@@ -21,21 +22,22 @@ import gc
 import pstats
 import random
 import tracemalloc
-from array import array
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model import load_per_edge
+from model import build_snapshot_reference, load_per_edge
 from repro.baselines import PIMHashSystem
 from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
-from repro.core.local_storage import LocalGraphStorage
+from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
+from repro.core.snapshot import row_buffer
 from repro.graph import DiGraph, power_law_graph
 from repro.graph import stream
 from repro.pim import CostModel
@@ -72,12 +74,17 @@ def load_state(system: Moctopus) -> Dict[str, object]:
         "degrees": None if labor is None else list(labor._out_degree.items()),
         "counters": system.partition_statistics(),
         "promotions_performed": system._migrator.promotions_performed,
+        # A module's rows through its public readers, ids ascending: a
+        # loaded module holds them in its base, the per-edge oracle's as
+        # written buffers.  Neither keeps a creation order any more (a
+        # checkpoint never did); the CSR comparison below holds the
+        # bases and the splices alike.
         "modules": [
             (
-                [(node, row.tolist()) for node, row in storage._rows.items()],
+                [(node, storage.next_hops_with_labels(node)) for node in storage.rows()],
+                storage.num_rows,
                 storage.num_edges,
                 storage._memory.used_bytes,
-                sorted(storage._cache.dirty),
             )
             for storage in system._module_storages
         ],
@@ -112,8 +119,9 @@ def _empty_system(new_system: Callable[[], Moctopus], cache_base: bool) -> Mocto
     system = new_system()
     if cache_base:
         # A base snapshot cached before the load (the fault-injection
-        # reference fingerprints the empty system): every row the load
-        # touches must then be recorded in the storages' dirty rows.
+        # reference fingerprints the empty system): every host row the
+        # load touches must then be recorded in its dirty rows, and every
+        # module's base replaced by the loaded one.
         for storage in (*system._module_storages, system._host_storage):
             storage.to_csr()
     return system
@@ -239,26 +247,37 @@ def test_bootstrap_only_recovery_equals_the_live_load(tmp_path, chunk_rows):
         recovered.close()
 
 
-def test_load_rows_charges_memory_and_dirties_the_rows():
-    """The storage's bulk row fill on its own: an existing row appends,
-    an empty one and a new one take their buffers, new rows in order."""
+def test_load_csr_seeds_the_base_and_charges_memory():
+    """The storage's bulk fill on its own: the rows become the base, an
+    empty row kept, the memory is charged once, and no row gets a buffer
+    — so the next refresh is a cache hit."""
     memory = LocalMemory(1 << 20)
     storage = LocalGraphStorage(memory=memory)
-    storage.add_edge(1, 2, 5)
-    storage.ensure_row(2)
-    storage.to_csr()  # a cached base the fill must be spliced into
-    storage.load_rows(
-        [9, 1, 2, 8],
-        [array("q"), array("q", [3, 6, 4, 7]), array("q", [1, 0]), array("q", [1, 2])],
+    storage.to_csr()  # a cached empty base, which the load replaces
+    rows = {1: [(2, 5), (3, 6), (4, 7)], 2: [(1, 0)], 8: [(1, 2)], 9: []}
+    storage.load_csr(
+        np.array([1, 2, 8, 9]),
+        np.array([0, 3, 4, 5, 5]),
+        np.array([2, 3, 4, 1, 1]),
+        np.array([5, 6, 7, 0, 2]),
     )
-    assert list(storage.rows()) == [1, 2, 9, 8]
-    assert storage.next_hops_with_labels(1) == [(2, 5), (3, 6), (4, 7)]
-    assert storage.next_hops_with_labels(2) == [(1, 0)]
-    assert storage.next_hops_with_labels(8) == [(1, 2)]
-    assert storage.num_edges == 5
+    assert [(node, storage.next_hops_with_labels(node)) for node in storage.rows()] == list(
+        rows.items()
+    )
+    assert (storage.num_rows, storage.num_edges) == (4, 5)
     assert memory.used_bytes == storage.storage_bytes
-    assert sorted(storage._cache.dirty) == [1, 2, 8, 9]
-    assert storage.to_csr().dsts.tolist() == [2, 3, 4, 1, 1]
+    assert not storage._buffers and not storage._cache.dirty
+    builds = storage.snapshot_builds
+    reference = build_snapshot_reference(
+        [(node, row_buffer(entries)) for node, entries in rows.items()],
+        BYTES_PER_ENTRY,
+        storage.storage_bytes,
+        count_local=True,
+    )
+    assert storage.to_csr().same_arrays(reference)
+    assert storage.snapshot_builds == builds
+    with pytest.raises(RuntimeError):
+        storage.load_csr(np.array([3]), np.array([0, 0]), np.array([]), np.array([]))
 
 
 @st.composite

@@ -3,7 +3,9 @@
 * both storages against dict-of-lists models, step by step: reads,
   byte accounting, the refreshed snapshot against the per-edge
   reference builder and, on the host, capacities, hole positions and
-  free-list order (seeded scripts and a hypothesis differential);
+  free-list order (seeded scripts and a hypothesis differential; a
+  module storage also starting from a bulk-loaded or restored base,
+  whose rows it copies on first write);
 * snapshots spliced from buffers against the reference builder;
 * checkpoint arrays against public reads, and a directory written by
   the last tuple-row commit (``tests/data/ckpt_pr16``) against its
@@ -60,8 +62,10 @@ VALUES = 12
 class ModuleModel:
     """``node -> [[dst, label], ...]`` in insertion order."""
 
-    def __init__(self) -> None:
-        self.rows = {}
+    def __init__(self, rows=None) -> None:
+        self.rows = {
+            node: [list(entry) for entry in entries] for node, entries in (rows or {}).items()
+        }
 
     def apply(self, storage: LocalGraphStorage, op) -> None:
         kind, node = op[0], op[1]
@@ -103,6 +107,12 @@ class ModuleModel:
         assert storage.num_rows == len(self.rows) and storage.num_edges == edges
         assert storage.storage_bytes == len(self.rows) * BYTES_PER_ROW + edges * BYTES_PER_ENTRY
         assert memory.used_bytes == storage.storage_bytes
+        # The migrator's columnar read, before the refresh: the step's
+        # row comes from its buffer, every other one from the base.
+        lengths, dsts = storage.gather_dsts(np.arange(NODES + 1))
+        expected = [[dst for dst, _ in self.rows.get(node, [])] for node in range(NODES + 1)]
+        assert lengths.tolist() == [len(row) for row in expected]
+        assert dsts.tolist() == [dst for row in expected for dst in row]
         snapshot = storage.to_csr()
         for node in range(NODES):
             row = self.rows.get(node)
@@ -265,13 +275,45 @@ op_strategy = st.one_of(
 )
 
 
-def run_module_script(ops) -> None:
-    memory = LocalMemory(1 << 20)
+def module_storage(rows, start: str, memory: LocalMemory) -> LocalGraphStorage:
+    """A storage holding ``rows`` (``node -> [(dst, label), ...]``):
+    installed row by row, bulk-loaded into its base, or restored from a
+    checkpoint snapshot of them."""
     storage = LocalGraphStorage(memory=memory)
-    model = ModuleModel()
+    ids = sorted(rows)
+    if start == "written":
+        for node in ids:
+            storage.insert_row(node, rows[node])
+        return storage
+    if start == "loaded":
+        indptr = np.cumsum([0] + [len(rows[node]) for node in ids])
+        entries = np.array([entry for node in ids for entry in rows[node]], dtype=np.int64)
+        entries = entries.reshape(-1, 2)
+        storage.load_csr(
+            np.array(ids, dtype=np.int64), indptr, entries[:, 0].copy(), entries[:, 1].copy()
+        )
+    else:
+        assert start == "restored"
+        edges = sum(map(len, rows.values()))
+        size = max(len(rows) * BYTES_PER_ROW + edges * BYTES_PER_ENTRY, 1)
+        storage.restore_rows(
+            snapshot_of([(node, row_buffer(rows[node])) for node in ids], BYTES_PER_ENTRY, size, True)
+        )
+    assert not storage._buffers  # every row starts clean, in the base
+    return storage
+
+
+def run_module_script(ops, rows=None, start: str = "written") -> None:
+    memory = LocalMemory(1 << 20)
+    storage = module_storage(rows or {}, start, memory)
+    model = ModuleModel(rows)
+    model.check(storage, memory)
+    touched = set(storage._buffers)
     for op in ops:  # a refresh per step: one splice, or a hit after a no-op
         model.apply(storage, op)
         model.check(storage, memory)
+        touched.add(op[1])
+        assert set(storage._buffers) <= touched  # only written rows are copied
         assert storage.to_csr().same_arrays(
             build_snapshot_reference(
                 public_rows(storage), BYTES_PER_ENTRY, max(storage.storage_bytes, 1), True
@@ -304,10 +346,26 @@ def test_host_storage_matches_the_model_on_seeded_scripts(seed):
     run_host_script([random_op(rng) for _ in range(150)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(op_strategy, max_size=40))
-def test_module_storage_differential(ops):
-    run_module_script(ops)
+#: Rows a storage starts with: distinct destinations per row.
+initial_rows = st.dictionaries(
+    node_ids,
+    st.lists(st.tuples(values, values), max_size=6, unique_by=lambda entry: entry[0]),
+    max_size=NODES,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    initial_rows,
+    st.sampled_from(["written", "loaded", "restored"]),
+    st.lists(op_strategy, max_size=40),
+)
+def test_module_storage_differential(rows, start, ops):
+    """Copy on write against the model: from a base that is bulk-loaded
+    or restored, edits — a new edge, a relabel of a base edge, a removed
+    edge or row, a row re-inserted after its removal — copy only the rows
+    they touch, and every read, count and refresh stays the model's."""
+    run_module_script(ops, rows, start)
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,11 +11,11 @@ from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT, HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.snapshot import EMPTY_SNAPSHOT, merge_snapshot, row_buffer
-from repro.graph import random_graph
+from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.pim import CostModel
 
 from faultinject import public_rows
-from model import build_snapshot_reference, snapshot_of
+from model import build_snapshot_reference, load_per_edge, snapshot_of
 
 
 def buffers(rows):
@@ -740,3 +740,59 @@ def test_epoch_degree_histogram_sums_pinned_snapshots():
     )
     assert not histogram.flags.writeable
     assert epoch.degree_histogram() is histogram  # cached
+
+
+# ----------------------------------------------------------------------
+# A loaded or recovered system's first publish builds no module snapshot
+# ----------------------------------------------------------------------
+def _labelled_power_law() -> DiGraph:
+    plain = power_law_graph(1200, edges_per_node=4, skew=0.8, reciprocity=0.3, seed=11)
+    graph = DiGraph()
+    for node in plain.nodes():
+        graph.add_node(node)
+    for src, dst in plain.edges():
+        graph.add_edge(src, dst, label=(src + 3 * dst) % 4)
+    return graph
+
+
+def _assert_modules_publish_their_bases(system: Moctopus, oracle: Moctopus) -> None:
+    """The first publish is a cache hit on every module, each module
+    snapshot is the per-edge reference of the oracle's rows, and no
+    module row is a buffer."""
+    modules = system._module_storages
+    builds = [storage.snapshot_builds for storage in modules]
+    epoch = system._epochs.current()
+    assert [storage.snapshot_builds for storage in modules] == builds
+    for storage, snapshot, expected in zip(modules, epoch.snapshots, oracle._module_storages):
+        assert not storage._buffers
+        reference = build_snapshot_reference(
+            public_rows(expected), BYTES_PER_ENTRY, expected.working_set_bytes, True
+        )
+        assert snapshot.same_arrays(reference)
+
+
+def test_a_loaded_or_recovered_system_publishes_without_building(tmp_path):
+    graph = _labelled_power_law()
+    config = MoctopusConfig(cost_model=CostModel(num_modules=8))
+    oracle = Moctopus(config)
+    load_per_edge(oracle, graph.labeled_edges(), graph.nodes())
+
+    loaded = Moctopus.from_graph(graph, config)
+    assert loaded._host_storage.num_rows > 0, "the graph must promote hubs"
+    _assert_modules_publish_their_bases(loaded, oracle)
+
+    durable = Moctopus.from_graph(
+        graph,
+        MoctopusConfig(
+            cost_model=CostModel(num_modules=8),
+            durability_dir=str(tmp_path),
+            checkpoint_interval_batches=0,
+        ),
+    )
+    durable.checkpoint()
+    durable.close()
+    recovered = Moctopus.recover(str(tmp_path))
+    try:
+        _assert_modules_publish_their_bases(recovered, oracle)
+    finally:
+        recovered.close()
