@@ -46,7 +46,7 @@ for path in (_SRC, _HERE):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from repro.bench import format_table, geometric_mean  # noqa: E402
+from repro.paper import format_table, geometric_mean  # noqa: E402
 from repro.core import Moctopus, MoctopusConfig  # noqa: E402
 from repro.graph import DiGraph, random_graph  # noqa: E402
 from repro.pim import CostModel  # noqa: E402

@@ -7,8 +7,10 @@ Run with::
 The example starts a durable system in a scratch directory, applies
 update batches (checkpointing partway through), then simulates a
 process crash — the instance is abandoned without ``close()``, exactly
-as ``kill -9`` would leave it, including a torn final record manufactured
-by truncating the last WAL segment mid-append.  ``Moctopus.recover``
+as ``kill -9`` would leave it: its open files close (the log segment and
+the lock on the directory, which a dead process's kernel releases), and
+a torn final record is manufactured by truncating the last WAL segment
+mid-append.  ``Moctopus.recover``
 rebuilds from the newest checkpoint plus the WAL tail, and the round
 trip is verified bit-for-bit against an uncrashed twin that applied the
 same batches.
@@ -53,8 +55,12 @@ def main() -> None:
             print(f"checkpoint written: {os.path.basename(path)}")
     print(f"applied 6 batches, log at lsn={system.durable_lsn}")
 
-    # 2. Crash. No close(), no flush ceremony — and to make it ugly, tear
-    #    the final record as a mid-append power cut would.
+    # 2. Crash. No close(), no flush ceremony: only the files the kernel
+    #    closes for a dead process close, which releases the directory's
+    #    lock (a live writer's lock refuses a second open).  To make it
+    #    ugly, tear the final record as a mid-append power cut would.
+    system._durability.wal.close()
+    system._durability.lock.close()
     last_segment = list_segments(wal_directory(workdir))[-1]
     with open(last_segment, "rb+") as handle:
         handle.truncate(os.path.getsize(last_segment) - 7)

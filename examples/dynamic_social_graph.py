@@ -19,9 +19,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro import Moctopus, MoctopusConfig, RedisGraphEngine
-from repro.bench import scaled_cost_model
+from repro import Moctopus, MoctopusConfig
 from repro.graph import UpdateStream, load_dataset
+from repro.paper import RedisGraphEngine
+from repro.pim import scaled_cost_model
 from repro.rpq import KHopQuery, evaluate_khop, random_source_batch
 
 

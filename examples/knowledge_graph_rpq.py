@@ -22,9 +22,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro import Moctopus, MoctopusConfig, RedisGraphEngine
-from repro.bench import scaled_cost_model
+from repro import Moctopus, MoctopusConfig
 from repro.graph import DiGraph
+from repro.paper import RedisGraphEngine
+from repro.pim import scaled_cost_model
 from repro.rpq import RPQuery, evaluate_rpq
 
 #: Edge labels, as the integer ids the engines match on.

@@ -22,8 +22,8 @@ from typing import Dict, Tuple
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro import Moctopus, MoctopusConfig
-from repro.bench import scaled_cost_model
 from repro.graph import DiGraph, road_network
+from repro.pim import scaled_cost_model
 from repro.rpq import KHopQuery, evaluate_khop
 
 

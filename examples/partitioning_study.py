@@ -22,11 +22,23 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro import Moctopus, MoctopusConfig, PIMHashSystem
-from repro.bench import khop_workload, scaled_cost_model
+from repro import Moctopus, MoctopusConfig
 from repro.graph import load_dataset
-from repro.partition import load_imbalance
+from repro.paper import PIMHashSystem, khop_workload
+from repro.partition import RadicalGreedyPartitioner, load_imbalance
+from repro.pim import scaled_cost_model
 from repro.rpq import KHopQuery, evaluate_khop
+
+
+class NoLaborDivision(Moctopus):
+    """Radical greedy alone: hubs stay on whichever module they landed on.
+
+    A system's placement is whatever its ``_build_placement`` builds, so
+    a placement study varies it by overriding that method.
+    """
+
+    def _build_placement(self):
+        return RadicalGreedyPartitioner(self.config.num_modules)
 
 
 def run_configuration(name, system, query, reference, auto_migrate=None):
@@ -53,13 +65,12 @@ def main() -> None:
     cost_model = scaled_cost_model()
     run_configuration(
         "hash partitioning (PIM-hash)",
-        PIMHashSystem.from_graph(graph, cost_model), query, reference,
+        PIMHashSystem.from_graph(graph, MoctopusConfig(cost_model=cost_model)),
+        query, reference,
     )
     run_configuration(
         "radical greedy, no labor division",
-        Moctopus.from_graph(
-            graph, MoctopusConfig(cost_model=cost_model, high_degree_threshold=None)
-        ),
+        NoLaborDivision.from_graph(graph, MoctopusConfig(cost_model=cost_model)),
         query, reference,
     )
     run_configuration(

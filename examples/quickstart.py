@@ -17,9 +17,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro import Moctopus, MoctopusConfig, PIMHashSystem, RedisGraphEngine
-from repro.bench import khop_workload, scaled_cost_model
+from repro import Moctopus, MoctopusConfig
 from repro.graph import dataset_statistics, load_dataset
+from repro.paper import PIMHashSystem, RedisGraphEngine, khop_workload
+from repro.pim import scaled_cost_model
 from repro.rpq import KHopQuery, evaluate_khop
 
 
@@ -38,7 +39,7 @@ def main() -> None:
     # bit-identical results and simulated stats, so the choice only
     # changes how fast the reproduction itself runs.
     moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model))
-    pim_hash = PIMHashSystem.from_graph(graph, cost_model=cost_model)
+    pim_hash = PIMHashSystem.from_graph(graph, MoctopusConfig(cost_model=cost_model))
     redisgraph = RedisGraphEngine.from_graph(graph, cost_model=cost_model)
 
     quality = moctopus.partition_quality()

@@ -16,9 +16,9 @@ It contains:
     with bandwidth accounting.
 
 ``repro.partition``
-    Graph partitioning algorithms: hash, Linear Deterministic Greedy,
-    adaptive repartitioning, and the paper's radical-greedy heuristic with
-    a dynamic capacity constraint, plus partition quality metrics.
+    Graph partitioning: hash placement, the paper's radical-greedy
+    heuristic with a dynamic capacity constraint, labor division, and
+    partition quality metrics.
 
 ``repro.rpq``
     A regular path query engine: path-regex parsing, automaton
@@ -53,14 +53,14 @@ It contains:
     control, per-request timeouts, graceful draining shutdown, and a
     metrics surface (STATS frame + ``GET /metrics`` text scrape).
 
-``repro.baselines``
-    The two comparison systems from the paper's evaluation: a
-    RedisGraph-like single-node GraphBLAS engine and the PIM-hash scheme.
-
-``repro.bench``
-    Workload generators, an experiment runner and report formatting;
-    ``python -m repro.bench`` regenerates every table and figure of the
-    paper into the committed ``REPRODUCTION.json``.
+``repro.paper``
+    The paper's evaluation apparatus, which the package root does not
+    import: the two comparison systems (a RedisGraph-like single-node
+    GraphBLAS engine and the PIM-hash scheme), the ablations' placement
+    variants and partitioners, workload generators, an experiment
+    runner and report formatting; ``python -m repro.paper`` regenerates
+    every table and figure of the paper into the committed
+    ``REPRODUCTION.json``.
 """
 
 from repro.graph import DiGraph
@@ -68,7 +68,6 @@ from repro.pim import CostModel, PIMSystem
 from repro.rpq import KHopQuery, RPQuery
 from repro.core import Moctopus, MoctopusConfig
 from repro.serve import BatchScheduler, Session
-from repro.baselines import PIMHashSystem, RedisGraphEngine
 
 __version__ = "1.0.0"
 
@@ -76,8 +75,6 @@ __all__ = [
     "DiGraph",
     "Moctopus",
     "MoctopusConfig",
-    "RedisGraphEngine",
-    "PIMHashSystem",
     "CostModel",
     "PIMSystem",
     "RPQuery",

@@ -1,4 +1,4 @@
-"""The project-specific rule registry (REP001 — REP006).
+"""The project-specific rule registry (REP001 — REP007).
 
 Each rule module exposes a ``Rule`` class with ``rule_id``, ``title``,
 ``hint`` and ``check(module) -> Iterator[Finding]``.  ``all_rules()``
@@ -17,6 +17,7 @@ from repro.analysis.rules import (
     rep004_frozen_mutation,
     rep005_async_blocking,
     rep006_unordered_iteration,
+    rep007_paper_boundary,
 )
 
 _RULE_MODULES = (
@@ -26,6 +27,7 @@ _RULE_MODULES = (
     rep004_frozen_mutation,
     rep005_async_blocking,
     rep006_unordered_iteration,
+    rep007_paper_boundary,
 )
 
 

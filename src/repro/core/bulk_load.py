@@ -22,17 +22,18 @@ one stable sort by source
 (:meth:`~repro.core.local_storage.LocalGraphStorage.load_csr`), so no
 module row ever becomes a buffer.  A row whose source crosses the
 threshold inside the chunk takes the edges before the crossing; then
-its entries leave its module's columns, in the form ``remove_row``
-returns a row, for the host's ``insert_row``, and the later edges of
-each hub row enter it in one ``load_edges`` call, which lays them out as
-per-edge ``insert_edge`` would.  ``tests/model.py`` keeps the per-edge
+the chunk's promoted rows leave each module's columns together, in the
+form ``remove_row`` returns a row, for the host's ``insert_row`` in
+promotion order, and the later edges of each hub row enter it in one
+``load_edges`` call, which lays them out as per-edge ``insert_edge``
+would.  ``tests/model.py`` keeps the per-edge
 loop as the oracle this is held to.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -90,15 +91,20 @@ class _ModuleColumns:
         self.rows: List[np.ndarray] = []
         self.edges: List[np.ndarray] = []
 
-    def take_row(self, node: int, table: np.ndarray) -> List[Tuple[int, int]]:
-        """Remove ``node``'s row; its ``(dst, label)`` entries in order."""
+    def take_rows(self, nodes: List[int], table: np.ndarray) -> np.ndarray:
+        """Remove the rows of ``nodes`` under one mask; the table
+        positions of their edges, each row's in stream order."""
         rows = np.concatenate([_NO_IDS, *self.rows])
         edges = np.concatenate([_NO_IDS, *self.edges])
-        taken = table[edges, 0] == node
-        self.rows = [rows[rows != node]]
+        srcs = table[edges, 0]
+        taken = srcs == nodes[0]
+        kept = rows != nodes[0]
+        for node in nodes[1:]:
+            taken |= srcs == node
+            kept &= rows != node
+        self.rows = [rows[kept]]
         self.edges = [edges[~taken]]
-        row = table[edges[taken], 1:]
-        return list(zip(row[:, 0].tolist(), row[:, 1].tolist()))
+        return edges[taken]
 
     def store(self, storage: LocalGraphStorage, table: np.ndarray) -> None:
         """Make the rows here ``storage``'s base."""
@@ -166,9 +172,7 @@ class _BulkLoader:
         if labor is not None:
             labor.observe(source_list, (degrees + counts).tolist())
         self._store_rows(*rows, order)
-        for node, module in promoted:
-            self._host.insert_row(node, self._columns[module].take_row(node, self._table))
-        self._migrator.promotions_performed += len(promoted)
+        self._promote_rows(promoted)
         self._store_hub_edges(source_list, starts, counts, cutoffs, order, chunk)
         self._offset += len(chunk)
 
@@ -298,6 +302,38 @@ class _BulkLoader:
             if high > low:
                 columns.rows.append(ids[by_module[low:high][new[low:high]]])
                 columns.edges.append(positions[edge_low:edge_high])
+
+    def _promote_rows(self, promoted: List[Tuple[int, int]]) -> None:
+        """Move the rows of the chunk's ``(node, module)`` promotions to
+        the host: each module's promoted rows leave its columns under one
+        mask, then the rows enter the host in promotion order."""
+        if not promoted:
+            return
+        by_module: Dict[int, List[int]] = {}
+        for node, module in promoted:
+            by_module.setdefault(module, []).append(node)
+        table = self._table
+        positions = np.concatenate(
+            [
+                self._columns[module].take_rows(nodes, table)
+                for module, nodes in by_module.items()
+            ]
+        )
+        # Each row's edges are in stream order; a stable sort by source
+        # keeps that order within each row.
+        srcs = table[positions, 0]
+        order = np.argsort(srcs, kind="stable")
+        entries = table[positions[order], 1:]
+        dsts, labels = entries[:, 0].tolist(), entries[:, 1].tolist()
+        ids = sorted(node for node, _ in promoted)
+        bounds = np.searchsorted(srcs[order], ids).tolist() + [len(dsts)]
+        rows_of = {
+            node: list(zip(dsts[low:high], labels[low:high]))
+            for node, low, high in zip(ids, bounds, bounds[1:])
+        }
+        for node, _ in promoted:
+            self._host.insert_row(node, rows_of[node])
+        self._migrator.promotions_performed += len(promoted)
 
     def _store_hub_edges(
         self,

@@ -3,10 +3,6 @@
 A field is here because two callers want different values of it:
 
 * the number of PIM modules (the paper uses one UPMEM rank = 64);
-* the paper's ablation axes: the high-degree threshold of the
-  labor-division approach (16, or ``None`` for no labor division) and
-  the capacity-constraint proportion of the radical greedy heuristic
-  (1.05).  Both change placement, so recovery reads them back;
 * the durability knobs (``durability_dir``, ``wal_segment_bytes``,
   ``checkpoint_interval_batches``, ``wal_fsync``) controlling the
   write-ahead log and checkpoint lifecycle of
@@ -20,10 +16,15 @@ cache bounds (:mod:`repro.core.query_processor`).  The query kernel is
 not a field: every kernel gives the same results and the same simulated
 counters, so a system starts on ``"auto"`` and ``Moctopus.use_engine``
 is the one way to pin another.
-Placement is not a field either: a system builds its own
-(``Moctopus._build_placement``; :class:`repro.baselines.PIMHashSystem`
-builds a hash placement), and whether the node migrator repairs it is a
-fact of the placement class (``StreamingPartitioner.migrates``).
+Placement is not a field either, nor are its parameters: a system
+builds its own (``Moctopus._build_placement``: the paper's radical
+greedy at 1.05x capacity under labor division above out-degree 16), a
+class that places otherwise overrides that method (the evaluation's
+PIM-hash system and ablation sweeps in :mod:`repro.paper`), and whether
+the node migrator repairs a placement is a fact of its class
+(``StreamingPartitioner.migrates``).  A durability directory records
+the placement beside the config, and recovery refuses a class that
+would place otherwise.
 A front door's settings — the scheduler's queue depth, the server's
 address, auth token, in-flight cap and request timeout — are keyword
 arguments of the call that opens it (``Moctopus.serve()``,
@@ -34,8 +35,7 @@ refresh splices the rows edited since the last one into the cached view
 (:mod:`repro.core.snapshot`).
 
 An integer field must be an integer in range (:func:`repro.checks.
-require_int`), and a float field's bound check is written so that
-``nan``, which fails every comparison, is rejected with the rest.
+require_int`).
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ from typing import Optional
 
 from repro.checks import require_int
 from repro.pim.cost_model import CostModel
-from repro.partition.labor_division import DEFAULT_HIGH_DEGREE_THRESHOLD
-from repro.partition.radical_greedy import DEFAULT_CAPACITY_FACTOR
 
 
 @dataclass
@@ -55,11 +53,6 @@ class MoctopusConfig:
 
     #: Simulated platform parameters (module count, bandwidths, ...).
     cost_model: CostModel = field(default_factory=CostModel)
-    #: Out-degree above which a node is treated as high-degree and kept on
-    #: the host (labor division).  ``None`` disables labor division.
-    high_degree_threshold: Optional[int] = DEFAULT_HIGH_DEGREE_THRESHOLD
-    #: Capacity-constraint proportion of the radical greedy partitioner.
-    capacity_factor: float = DEFAULT_CAPACITY_FACTOR
     #: Root directory of the durability subsystem (write-ahead log +
     #: checkpoints).  ``None`` (the default) keeps the system memory-only;
     #: set a path to make every bulk load, update batch and migration
@@ -80,10 +73,6 @@ class MoctopusConfig:
     wal_fsync: bool = False
 
     def __post_init__(self) -> None:
-        if not self.capacity_factor >= 1.0:
-            raise ValueError("capacity_factor must be >= 1.0")
-        if self.high_degree_threshold is not None:
-            require_int("high_degree_threshold", self.high_degree_threshold, 1)
         require_int("wal_segment_bytes", self.wal_segment_bytes, 1024)
         require_int(
             "checkpoint_interval_batches", self.checkpoint_interval_batches, 0

@@ -1,15 +1,13 @@
 """Moctopus's Graph Partitioner component.
 
-Wires a PIM placement policy of :mod:`repro.partition`, which its system
-builds, into the interface the rest of the system expects:
-
-* a :class:`~repro.core.system.Moctopus` places low-degree nodes by the
-  radical greedy heuristic (first-neighbor placement with the 1.05x
-  dynamic capacity constraint), and the labor-division wrapper routes
-  high-degree nodes to the host;
-* a :class:`~repro.baselines.PIMHashSystem` places every node by a plain
-  hash and has no labor division, reproducing the paper's PIM-hash
-  contrast system.
+Wires the placement its system builds (``Moctopus._build_placement``)
+into the interface the rest of the system expects.  A
+:class:`~repro.core.system.Moctopus` places low-degree nodes by the
+radical greedy heuristic (first-neighbor placement with the 1.05x
+dynamic capacity constraint), and the labor-division wrapper routes
+nodes above out-degree 16 to the host; the evaluation's PIM-hash system
+(:mod:`repro.paper`) places every node by a plain hash, without labor
+division.
 
 The partitioner owns the ``node_partition_vector`` (the
 :class:`~repro.partition.base.PartitionMap`), which records every
@@ -30,21 +28,18 @@ from repro.partition.labor_division import LaborDivisionPartitioner
 class GraphPartitioner:
     """The component deciding which computing node owns each graph node."""
 
-    def __init__(
-        self, pim_policy: StreamingPartitioner, high_degree_threshold: Optional[int]
-    ) -> None:
-        """``pim_policy`` places the nodes that stay on PIM modules;
-        ``high_degree_threshold`` is ``None`` for no labor division."""
-        #: The PIM placement: its counters and whether the node migrator
-        #: repairs it (:attr:`StreamingPartitioner.migrates`).
-        self.pim_policy = pim_policy
+    def __init__(self, placement: StreamingPartitioner) -> None:
+        """``placement`` is a PIM placement policy, or a
+        :class:`LaborDivisionPartitioner` over one."""
+        self._policy = placement
         #: The labor-division wrapper, ``None`` when labor division is off.
         self.labor_division: Optional[LaborDivisionPartitioner] = None
-        self._policy = pim_policy
-        if high_degree_threshold is not None:
-            self.labor_division = self._policy = LaborDivisionPartitioner(
-                pim_policy, high_degree_threshold=high_degree_threshold
-            )
+        #: The PIM placement: its counters and whether the node migrator
+        #: repairs it (:attr:`StreamingPartitioner.migrates`).
+        self.pim_policy = placement
+        if isinstance(placement, LaborDivisionPartitioner):
+            self.labor_division = placement
+            self.pim_policy = placement.pim_partitioner
         #: Partition of a node (``HOST_PARTITION`` for the host, ``None``
         #: if unknown), bound once: the policies share one partition map
         #: and never rebind it, so the three frames the method would walk
@@ -79,8 +74,24 @@ class GraphPartitioner:
         self.partition_map.assign(node, target_partition)
 
     # ------------------------------------------------------------------
-    # Checkpoint capture / restore
+    # Durability: the placement record, checkpoint capture / restore
     # ------------------------------------------------------------------
+    def record(self) -> Dict[str, object]:
+        """The placement's own parameters, as a durability directory
+        records them (``config.json`` and every checkpoint manifest).
+
+        Replay re-runs placement, so recovery refuses a directory whose
+        record differs from the recovering class's.  The keys are the
+        config fields placement once was.
+        """
+        labor = self.labor_division
+        return {
+            "pim_placement": self.pim_policy.name,
+            "enable_migration": self.pim_policy.migrates,
+            "capacity_factor": getattr(self.pim_policy, "capacity_factor", None),
+            "high_degree_threshold": None if labor is None else labor.high_degree_threshold,
+        }
+
     def capture_state(self) -> Dict[str, object]:
         """What future placement decisions depend on, beyond the
         ``node_partition_vector`` itself (a checkpoint takes that from

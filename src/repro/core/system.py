@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List, NoReturn, Optional, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Dict, Iterable, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -47,8 +47,12 @@ from repro.core.update_processor import UpdateProcessor
 from repro.graph.digraph import ReadableGraph
 from repro.graph.stream import UpdateKind, UpdateOp, edge_table, require_loadable
 from repro.partition.base import StreamingPartitioner
+from repro.partition.labor_division import (
+    DEFAULT_HIGH_DEGREE_THRESHOLD,
+    LaborDivisionPartitioner,
+)
 from repro.partition.metrics import PartitionQuality, evaluate_partition
-from repro.partition.radical_greedy import RadicalGreedyPartitioner
+from repro.partition.radical_greedy import DEFAULT_CAPACITY_FACTOR, RadicalGreedyPartitioner
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import BatchResult, KHopQuery
@@ -88,9 +92,7 @@ class Moctopus:
     ) -> None:
         self.config = config or MoctopusConfig()
         self.pim = PIMSystem(self.config.cost_model)
-        self._partitioner = GraphPartitioner(
-            self._build_placement(), self.config.high_degree_threshold
-        )
+        self._partitioner = GraphPartitioner(self._build_placement())
         self._module_storages = [
             LocalGraphStorage(memory=module.memory) for module in self.pim.modules
         ]
@@ -145,9 +147,19 @@ class Moctopus:
     # Construction / loading
     # ------------------------------------------------------------------
     def _build_placement(self) -> StreamingPartitioner:
-        """The placement of PIM-resident nodes: the paper's radical greedy."""
-        return RadicalGreedyPartitioner(
-            self.config.num_modules, capacity_factor=self.config.capacity_factor
+        """The paper's placement: radical greedy under the 1.05x dynamic
+        capacity constraint (Section 3.2.2), with labor division sending
+        nodes above out-degree 16 to the host (Section 3.3).
+
+        The one place a system's placement is built; a class that places
+        otherwise overrides it, and a durability directory records what
+        it built (:meth:`~repro.core.partitioner.GraphPartitioner.record`).
+        """
+        return LaborDivisionPartitioner(
+            RadicalGreedyPartitioner(
+                self.config.num_modules, capacity_factor=DEFAULT_CAPACITY_FACTOR
+            ),
+            high_degree_threshold=DEFAULT_HIGH_DEGREE_THRESHOLD,
         )
 
     @classmethod
@@ -341,19 +353,23 @@ class Moctopus:
     # Durability (write-ahead log, checkpoints, recovery)
     # ------------------------------------------------------------------
     def _attach_durability(
-        self, config: MoctopusConfig, resume_lsn: Optional[int] = None
+        self,
+        config: MoctopusConfig,
+        resume_lsn: Optional[int] = None,
+        lock: Optional[BinaryIO] = None,
     ) -> None:
         """Wire up (or re-wire after recovery) the durability controller.
 
         ``resume_lsn`` asserts that the on-disk log ends exactly where
         replay stopped — recovery passes the last applied LSN so a
-        mismatch (someone appended behind our back) fails loudly.
+        mismatch (someone appended behind our back) fails loudly — and
+        ``lock`` is the directory lock recovery took before replaying.
         """
         from repro.durability import DurabilityController
 
         self.config = config
         self._durability = DurabilityController(
-            self, config, resume_lsn=resume_lsn
+            self, config, resume_lsn=resume_lsn, lock=lock
         )
 
     @classmethod
@@ -368,10 +384,16 @@ class Moctopus:
         state is bit-identical to the crashed process's durable prefix:
         same CSR snapshot arrays, same owner table, same accounting —
         the fault-injection suite asserts this at every crash point.
+
+        The system is an instance of ``cls``, and replay places nodes as
+        ``cls`` does, so a directory whose recorded placement differs
+        from ``cls``'s is refused with a :class:`ValueError` naming the
+        parameters that differ.  A directory another open system holds
+        is refused with a :class:`RuntimeError`.
         """
         from repro.durability.recovery import recover
 
-        return recover(durability_dir, config=config)
+        return recover(durability_dir, config=config, system_class=cls)
 
     def checkpoint(self) -> str:
         """Write a checkpoint now (synchronously); returns its path.

@@ -3,6 +3,8 @@
 Layout of a durability directory (``MoctopusConfig.durability_dir``)::
 
     <dir>/
+      config.json    the writer's config and placement record
+      lock           empty; the open system holds an exclusive flock on it
       wal/           wal-00000000.seg, wal-00000001.seg, ...
       checkpoints/   ckpt-<lsn>/{state.npz, manifest.json}
 
@@ -17,10 +19,11 @@ recovery entry point is :func:`repro.durability.recovery.recover`
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import threading
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, BinaryIO, Dict, Optional, Sequence, Tuple
 
 from repro.durability import wal as wal_log
 from repro.durability.checkpoint import (
@@ -51,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = [
     "CONFIG_MANIFEST",
+    "LOCK_FILE",
     "CheckpointError",
     "CorruptWalError",
     "DurabilityController",
@@ -58,6 +62,7 @@ __all__ = [
     "WriteAheadLog",
     "config_to_dict",
     "latest_checkpoint",
+    "lock_directory",
     "prune_segments",
     "read_config_manifest",
     "retained_checkpoint_lsns",
@@ -75,17 +80,50 @@ def wal_directory(durability_dir: str) -> str:
 
 #: Name of the config echo written when a durability directory is first
 #: initialized, so ``Moctopus.recover`` can rebuild with the writer's
-#: configuration even when the crash predates the first checkpoint.
+#: configuration, and check its placement, even when the crash predates
+#: the first checkpoint.
 CONFIG_MANIFEST = "config.json"
 
+#: Name of a durability directory's lock file: empty, and held under an
+#: exclusive ``flock`` by the one system open on the directory.
+LOCK_FILE = "lock"
 
-def write_config_manifest(durability_dir: str, config: "MoctopusConfig") -> None:
-    """Persist the writer's config echo (write-if-absent, atomic)."""
+
+def lock_directory(durability_dir: str) -> BinaryIO:
+    """Take ``durability_dir``'s lock; closing the returned handle
+    releases it.
+
+    A second system on the same directory — fresh or recovered, in this
+    process or another — would append behind the first one's back, and
+    one of the two would lose acknowledged writes, so it is refused with
+    a :class:`RuntimeError` naming the directory.  ``flock``, not
+    ``lockf``: ``flock`` locks on two handles conflict within one
+    process too, and the kernel drops the lock when its holder dies, so
+    a crashed writer never strands its directory.
+    """
+    handle = open(os.path.join(durability_dir, LOCK_FILE), "ab")
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        handle.close()
+        raise RuntimeError(
+            f"durability directory {durability_dir!r} is open in another "
+            "system; close() that one first"
+        ) from None
+    return handle
+
+
+def write_config_manifest(
+    durability_dir: str, config: "MoctopusConfig", placement: Dict
+) -> None:
+    """Persist the writer's config echo and placement record
+    (write-if-absent, atomic)."""
     path = os.path.join(durability_dir, CONFIG_MANIFEST)
     if os.path.exists(path):
         return
     payload = json.dumps(
-        {"format": 1, "config": config_to_dict(config)}, sort_keys=True
+        {"format": 1, "config": config_to_dict(config), "placement": placement},
+        sort_keys=True,
     ).encode("utf-8")
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb", buffering=0) as handle:
@@ -94,7 +132,9 @@ def write_config_manifest(durability_dir: str, config: "MoctopusConfig") -> None
 
 
 def read_config_manifest(durability_dir: str) -> Optional[Dict]:
-    """The config echo of ``durability_dir`` (``None`` when unreadable)."""
+    """The ``config.json`` of ``durability_dir``: its ``config`` echo
+    and, unless an older writer wrote it, its ``placement`` record
+    (``None`` when unreadable)."""
     path = os.path.join(durability_dir, CONFIG_MANIFEST)
     try:
         with open(path, "rb") as handle:
@@ -103,7 +143,7 @@ def read_config_manifest(durability_dir: str) -> Optional[Dict]:
         return None
     if data.get("format") != 1 or "config" not in data:
         return None
-    return data["config"]
+    return data
 
 
 class DurabilityController:
@@ -114,32 +154,44 @@ class DurabilityController:
         system: "Moctopus",
         config: "MoctopusConfig",
         resume_lsn: Optional[int] = None,
+        lock: Optional[BinaryIO] = None,
     ) -> None:
         self._system = system
         self._config = config
         root = config.durability_dir
         os.makedirs(self.checkpoint_directory(root), exist_ok=True)
-        # Recovery already scanned the log, truncated the torn tail and
-        # applied everything through resume_lsn; passing it through lets
-        # the appender skip a second full CRC scan of the history.
-        self.wal = WriteAheadLog(
-            wal_directory(root),
-            segment_bytes=config.wal_segment_bytes,
-            fsync=config.wal_fsync,
-            resume_lsn=resume_lsn,
-        )
-        if resume_lsn is None and self.wal.last_lsn != 0:
-            # A fresh system attaching over existing history would append
-            # a second bootstrap and make the log unreplayable.  This is
-            # almost always a restart that should have recovered instead.
-            last_lsn = self.wal.last_lsn
-            self.wal.close()
-            raise CorruptWalError(
-                f"durability directory {root!r} already holds a log "
-                f"(lsn {last_lsn}); open it with "
-                "Moctopus.recover() instead of constructing a new system"
+        #: The directory's lock (:func:`lock_directory`; recovery takes it
+        #: before it reads the log and hands it over), held until close().
+        self.lock = lock if lock is not None else lock_directory(root)
+        try:
+            # Recovery already scanned the log, truncated the torn tail and
+            # applied everything through resume_lsn; passing it through
+            # lets the appender skip a second full CRC scan of the history.
+            self.wal = WriteAheadLog(
+                wal_directory(root),
+                segment_bytes=config.wal_segment_bytes,
+                fsync=config.wal_fsync,
+                resume_lsn=resume_lsn,
             )
-        write_config_manifest(root, config)
+        except BaseException:
+            self.lock.close()
+            raise
+        try:
+            if resume_lsn is None and self.wal.last_lsn != 0:
+                # A fresh system attaching over existing history would
+                # append a second bootstrap and make the log unreplayable.
+                # This is almost always a restart that should have
+                # recovered instead.
+                raise CorruptWalError(
+                    f"durability directory {root!r} already holds a log "
+                    f"(lsn {self.wal.last_lsn}); open it with "
+                    "Moctopus.recover() instead of constructing a new system"
+                )
+            write_config_manifest(root, config, system._partitioner.record())
+        except BaseException:
+            self.wal.close()
+            self.lock.close()
+            raise
         #: Batches applied since the last checkpoint (daemon trigger).
         self.batches_since_checkpoint = 0
         #: Serializes whole checkpoint passes (a manual ``checkpoint()``
@@ -288,8 +340,9 @@ class DurabilityController:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the daemon and close the log."""
+        """Stop the daemon, close the log and release the directory."""
         if self._daemon is not None:
             self._daemon.stop()
             self._daemon = None
         self.wal.close()
+        self.lock.close()

@@ -19,11 +19,12 @@ system needs to continue **bit-identically**:
   so diagnostics and epoch ids stay continuous across a crash.
 
 On disk a checkpoint is a directory ``ckpt-<lsn>`` holding ``state.npz``
-(the arrays) and ``manifest.json`` (scalars, counters, the config echo
-and the WAL position the checkpoint covers).  Both files are written
-into a ``.tmp`` sibling first and the directory is renamed into place
-last, so a crash mid-checkpoint leaves either the previous checkpoint or
-a ``.tmp`` orphan — never a half-readable "latest".  All writes go
+(the arrays) and ``manifest.json`` (scalars, counters, the config echo,
+the placement record and the WAL position the checkpoint covers).  Both
+files are written into a ``.tmp`` sibling first and the directory is
+renamed into place last, so a crash mid-checkpoint leaves either the
+previous checkpoint or a ``.tmp`` orphan — never a half-readable
+"latest".  All writes go
 through :func:`repro.durability.wal.wal_write` so the fault-injection
 harness can tear a checkpoint at any byte.
 
@@ -131,6 +132,7 @@ def capture_checkpoint(system: "Moctopus") -> Tuple[Dict, Dict[str, np.ndarray]]
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config": config_to_dict(system.config),
+        "placement": system._partitioner.record(),
         "num_modules": epoch.num_modules,
         "num_nodes": epoch.num_nodes,
         "num_edges": epoch.num_edges,

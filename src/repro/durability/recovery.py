@@ -3,12 +3,15 @@
 Recovery rebuilds a system that is **bit-identical** to what an
 uncrashed process would hold after applying the same durable prefix:
 
+0. take the directory's lock (:func:`repro.durability.lock_directory`),
+   so no other system appends while this one reads the log, and hand it
+   to the recovered system;
 1. load the newest *valid* checkpoint (torn or missing manifests are
    skipped; no checkpoint means "replay everything");
-2. restore it into a freshly constructed :class:`~repro.core.system.
-   Moctopus` (storages, hetero internals, partition vector, degree
-   counters, pending misplacement reports, lifetime accounting, epoch
-   numbering);
+2. restore it into a freshly constructed system of the recovering class
+   (storages, hetero internals, partition vector, degree counters,
+   pending misplacement reports, lifetime accounting, epoch numbering),
+   after checking that the class places nodes as the directory records;
 3. scan the WAL, verifying every record CRC; a torn final record (the
    append the crash interrupted) is truncated, damage anywhere else is
    a hard :class:`~repro.durability.wal.CorruptWalError`;
@@ -30,7 +33,8 @@ re-derived.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional
+import os
+from typing import TYPE_CHECKING, Optional, Type
 
 from repro.durability import checkpoint as ckpt
 from repro.durability.wal import (
@@ -53,69 +57,115 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.system import Moctopus
 
 
-#: Retired placement knobs an older writer's echo may carry, with the one
-#: value a recovered :class:`~repro.core.system.Moctopus` still behaves as.
-_RETIRED_PLACEMENT = {"pim_placement": "radical_greedy", "enable_migration": True}
-
-
 def _config_from_dict(data: dict) -> "MoctopusConfig":
     from repro.core.config import MoctopusConfig
     from repro.pim.cost_model import CostModel
 
-    # Replaying under another placement would diverge from the writer.
-    for name, value in _RETIRED_PLACEMENT.items():
-        if name in data and data[name] != value:
-            raise ValueError(
-                f"cannot recover {name}={data[name]!r}: a recovered system "
-                f"places as {name}={value!r}"
-            )
-    # Other knobs an older writer's echo may carry (``engine``,
+    # Knobs an older writer's echo may carry (``engine``,
     # ``plan_cache_size``, ``result_cache_size``, ...) have since been
-    # retired; they configured nothing replay depends on.
+    # retired; they configured nothing replay depends on.  The placement
+    # knobs among them are the directory's placement record
+    # (:func:`_check_placement`).
     known = {field.name for field in dataclasses.fields(MoctopusConfig)}
     data = {name: value for name, value in data.items() if name in known}
     cost_model = CostModel(**data.pop("cost_model"))
     return MoctopusConfig(cost_model=cost_model, **data)
 
 
+def _check_placement(system: "Moctopus", echo: dict, durability_dir: str) -> None:
+    """Refuse to replay under a placement other than the writer's.
+
+    ``echo`` is a checkpoint manifest or ``config.json``: its
+    ``placement`` record, or — in a directory written while placement
+    was configurable — the placement fields of its ``config`` echo.
+    Replay re-runs placement, so a class that places otherwise would
+    diverge from the writer.
+    """
+    own = system._partitioner.record()
+    recorded = {**echo["config"], **echo.get("placement", {})}
+    differ = [name for name in own if name in recorded and recorded[name] != own[name]]
+    if differ:
+        raise ValueError(
+            f"cannot recover {durability_dir!r}: it records "
+            + ", ".join(f"{name}={recorded[name]!r}" for name in differ)
+            + f", and {type(system).__name__} places with "
+            + ", ".join(f"{name}={own[name]!r}" for name in differ)
+        )
+
+
 def recover(
-    durability_dir: str, config: Optional["MoctopusConfig"] = None
+    durability_dir: str,
+    config: Optional["MoctopusConfig"] = None,
+    system_class: Optional[Type["Moctopus"]] = None,
 ) -> "Moctopus":
-    """Rebuild the system persisted under ``durability_dir``.
+    """Rebuild the system persisted under ``durability_dir`` as an
+    instance of ``system_class`` (default :class:`~repro.core.system.
+    Moctopus`).
 
     ``config`` defaults to the writer's own configuration — echoed in
     the newest checkpoint, or in the ``config.json`` manifest written
     when the directory was first initialized (so even a crash before the
     first checkpoint recovers under the right platform shape).  Replay
     is only bit-exact when the effective config matches the writing
-    process's, so only pass an override that does.  The recovered
+    process's, so only pass an override that does.  The directory's
+    placement record must match ``system_class``'s placement, or a
+    :class:`ValueError` names the parameters that differ.  The recovered
     system runs on ``"auto"``, whatever kernel the writer had pinned:
     kernels are state-identical, so ``Moctopus.use_engine`` may swap it
-    at any time.
+    at any time.  A directory another open system holds is refused with
+    a :class:`RuntimeError`.
     """
-    from repro.core.system import Moctopus
+    from repro.durability import lock_directory
+
+    os.makedirs(durability_dir, exist_ok=True)
+    lock = lock_directory(durability_dir)
+    try:
+        system, config, applied, implicit_aborts = _recover_locked(
+            durability_dir, config, system_class
+        )
+        system._attach_durability(config, resume_lsn=applied, lock=lock)
+    except BaseException:
+        lock.close()
+        raise
+    for lsn in sorted(implicit_aborts):
+        system._durability.log_abort(
+            lsn, RuntimeError("batch apply failed during recovery replay")
+        )
+        system._durability.failed = None
+    return system
+
+
+def _recover_locked(
+    durability_dir: str,
+    config: Optional["MoctopusConfig"],
+    system_class: Optional[Type["Moctopus"]],
+) -> tuple:
+    """Restore and replay, holding the directory's lock: returns the
+    system, its config, the last applied LSN and the implicit aborts."""
+    from repro.core.config import MoctopusConfig
     from repro.durability import (
         DurabilityController,
         read_config_manifest,
         wal_directory,
     )
 
+    if system_class is None:
+        from repro.core.system import Moctopus as system_class
+
     state = ckpt.latest_checkpoint(
         DurabilityController.checkpoint_directory(durability_dir)
     )
+    echo = state.manifest if state is not None else read_config_manifest(durability_dir)
     if config is None:
-        if state is not None:
-            config = _config_from_dict(state.manifest["config"])
-        else:
-            echo = read_config_manifest(durability_dir)
-            if echo is not None:
-                config = _config_from_dict(echo)
-            else:
-                from repro.core.config import MoctopusConfig
-
-                config = MoctopusConfig()
+        config = MoctopusConfig() if echo is None else _config_from_dict(echo["config"])
     if config.durability_dir != durability_dir:
         config = dataclasses.replace(config, durability_dir=durability_dir)
+    # Build the skeleton with durability detached: replay must not
+    # re-append the records it is consuming.
+    blank_config = dataclasses.replace(config, durability_dir=None)
+    system = system_class(config=blank_config)
+    if echo is not None:
+        _check_placement(system, echo, durability_dir)
 
     records, torn = scan_wal(wal_directory(durability_dir))
     if torn is not None:
@@ -133,20 +183,12 @@ def recover(
     implicit_aborts: set = set()
     while True:
         try:
-            system, applied = _rebuild(
-                Moctopus, config, state, records, implicit_aborts
-            )
+            applied = _rebuild(system, state, records, implicit_aborts)
             break
         except _TailApplyError as failure:
             implicit_aborts.add(failure.lsn)
-
-    system._attach_durability(config, resume_lsn=applied)
-    for lsn in sorted(implicit_aborts):
-        system._durability.log_abort(
-            lsn, RuntimeError("batch apply failed during recovery replay")
-        )
-        system._durability.failed = None
-    return system
+            system = system_class(config=blank_config)
+    return system, config, applied, implicit_aborts
 
 
 class _TailApplyError(Exception):
@@ -158,19 +200,9 @@ class _TailApplyError(Exception):
         self.cause = cause
 
 
-def _rebuild(
-    moctopus_cls,
-    config: "MoctopusConfig",
-    state,
-    records,
-    skip: set,
-) -> tuple:
-    """One restore-and-replay pass (fresh system every attempt)."""
-    # Build the skeleton with durability detached: replay must not
-    # re-append the records it is consuming.
-    blank_config = dataclasses.replace(config, durability_dir=None)
-    system = moctopus_cls(config=blank_config)
-
+def _rebuild(system: "Moctopus", state, records, skip: set) -> int:
+    """One restore-and-replay pass onto a freshly built ``system``;
+    returns the last applied LSN."""
     applied = 0
     if state is not None:
         ckpt.restore_into(system, state)
@@ -206,7 +238,7 @@ def _rebuild(
         raise CorruptWalError(
             f"checkpoint covers lsn {state.lsn} but the log ends at {applied}"
         )
-    return system, applied
+    return applied
 
 
 def _replay(system: "Moctopus", record_type: int, payload: bytes) -> None:

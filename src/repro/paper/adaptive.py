@@ -24,6 +24,8 @@ from repro.partition.hash_partition import stable_node_hash
 class AdaptivePartitioner(StreamingPartitioner):
     """Hash placement plus iterative neighbor-majority migration."""
 
+    name = "adaptive"
+
     def __init__(
         self,
         num_partitions: int,

@@ -35,6 +35,8 @@ class LDGPartitioner(StreamingPartitioner):
         prior knowledge — exactly the limitation the paper points out.
     """
 
+    name = "ldg"
+
     def __init__(self, num_partitions: int, expected_nodes: int) -> None:
         super().__init__(num_partitions)
         if expected_nodes <= 0:

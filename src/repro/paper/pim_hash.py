@@ -16,42 +16,13 @@ skew, and the IPC cost of ignoring locality).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.core.config import MoctopusConfig
 from repro.core.system import Moctopus
-from repro.graph.digraph import DiGraph
 from repro.partition.base import StreamingPartitioner
 from repro.partition.hash_partition import HashPartitioner
-from repro.pim.cost_model import CostModel
 
 
 class PIMHashSystem(Moctopus):
     """Moctopus's engine with hash partitioning and nothing else."""
 
-    def __init__(
-        self,
-        cost_model: Optional[CostModel] = None,
-        label_names: Optional[Dict[int, str]] = None,
-    ) -> None:
-        super().__init__(
-            config=MoctopusConfig(
-                cost_model=cost_model or CostModel(), high_degree_threshold=None
-            ),
-            label_names=label_names,
-        )
-
     def _build_placement(self) -> StreamingPartitioner:
         return HashPartitioner(self.config.num_modules)
-
-    @classmethod
-    def from_graph(
-        cls,
-        graph: DiGraph,
-        cost_model: Optional[CostModel] = None,
-        label_names: Optional[Dict[int, str]] = None,
-    ) -> "PIMHashSystem":
-        """Build a PIM-hash system and bulk-load ``graph``."""
-        system = cls(cost_model=cost_model, label_names=label_names)
-        system.load_graph(graph)
-        return system

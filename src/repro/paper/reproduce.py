@@ -1,6 +1,6 @@
 """The paper's evaluation as one deterministic record.
 
-``python -m repro.bench`` regenerates Table 1, Figures 4-6, the three
+``python -m repro.paper`` regenerates Table 1, Figures 4-6, the three
 ablations and the headline claims of the paper on the synthetic
 stand-ins of the Table 1 traces, prints them as tables, and writes
 ``REPRODUCTION.json`` into the working directory.  It takes no options:
@@ -30,8 +30,13 @@ import json
 import pathlib
 from typing import Dict, Iterable, List
 
-from repro.bench.report import format_table, geometric_mean
-from repro.bench.runner import (
+from repro.core.config import MoctopusConfig
+from repro.graph.datasets import HIGH_DEGREE_THRESHOLD, dataset_spec, dataset_statistics
+from repro.paper.adaptive import AdaptivePartitioner
+from repro.paper.ldg import LDGPartitioner
+from repro.paper.placement import placed_at
+from repro.paper.report import format_table, geometric_mean
+from repro.paper.runner import (
     build_systems,
     charges,
     load_trace,
@@ -39,24 +44,15 @@ from repro.bench.runner import (
     run_khop_experiment,
     run_update_experiment,
 )
-from repro.bench.workloads import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_NUM_MODULES,
-    khop_workload,
-    scaled_cost_model,
-)
-from repro.core.config import MoctopusConfig
-from repro.core.system import Moctopus
-from repro.graph.datasets import HIGH_DEGREE_THRESHOLD, dataset_spec, dataset_statistics
+from repro.paper.workloads import DEFAULT_BATCH_SIZE, DEFAULT_NUM_MODULES, khop_workload
 from repro.partition import (
-    AdaptivePartitioner,
     HashPartitioner,
-    LDGPartitioner,
     RadicalGreedyPartitioner,
     evaluate_partition,
     load_imbalance,
     partition_static_graph,
 )
+from repro.pim.cost_model import scaled_cost_model
 
 __all__ = [
     "RECORD_NAME",
@@ -181,8 +177,8 @@ def ablation_capacity() -> Dict[str, Dict[str, object]]:
     query = khop_workload(graph, hops=3, seed=5)
     entry = {}
     for factor in CAPACITY_FACTORS:
-        system = Moctopus.from_graph(
-            graph, MoctopusConfig(cost_model=cost_model, capacity_factor=factor)
+        system = placed_at(capacity_factor=factor).from_graph(
+            graph, MoctopusConfig(cost_model=cost_model)
         )
         quality = system.partition_quality()
         _, stats = system.batch_khop(query.sources, query.hops)
@@ -202,8 +198,8 @@ def ablation_threshold() -> Dict[str, Dict[str, object]]:
     query = khop_workload(graph, hops=3, seed=7)
     entry = {}
     for threshold in THRESHOLDS:
-        system = Moctopus.from_graph(
-            graph, MoctopusConfig(cost_model=cost_model, high_degree_threshold=threshold)
+        system = placed_at(high_degree_threshold=threshold).from_graph(
+            graph, MoctopusConfig(cost_model=cost_model)
         )
         _, stats = system.batch_khop(query.sources, query.hops)
         entry["none" if threshold is None else str(threshold)] = {
@@ -262,7 +258,7 @@ def reproduce() -> Dict[str, object]:
     return {
         "about": (
             "The paper's evaluation on the synthetic stand-ins of its Table 1 "
-            "traces (repro.graph.datasets), regenerated by `python -m repro.bench`. "
+            "traces (repro.graph.datasets), regenerated by `python -m repro.paper`. "
             "Times are simulated milliseconds; *_bytes are simulated transfer counters."
         ),
         "config": {

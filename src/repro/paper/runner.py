@@ -6,12 +6,12 @@ and collects the simulated latencies:
 
 * ``moctopus``   — :class:`repro.core.Moctopus` with the paper's
   configuration (radical greedy + labor division + migration);
-* ``pim-hash``   — :class:`repro.baselines.PIMHashSystem`;
-* ``redisgraph`` — :class:`repro.baselines.RedisGraphEngine`.
+* ``pim-hash``   — :class:`repro.paper.PIMHashSystem`;
+* ``redisgraph`` — :class:`repro.paper.RedisGraphEngine`.
 
 Each experiment function measures one trace and returns one row: a
 plain dictionary of simulated latencies, the integer counters behind
-them, and the ratios derived from them.  :mod:`repro.bench.reproduce`
+them, and the ratios derived from them.  :mod:`repro.paper.reproduce`
 runs them in the paper's order and writes the rows into
 ``REPRODUCTION.json``.
 """
@@ -21,19 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.baselines.pim_hash import PIMHashSystem
-from repro.baselines.redisgraph import RedisGraphEngine
-from repro.bench.workloads import (
-    DEFAULT_BATCH_SIZE,
-    khop_workload,
-    scaled_cost_model,
-    update_workload,
-)
 from repro.core.config import MoctopusConfig
 from repro.core.system import Moctopus
 from repro.graph.datasets import load_dataset
 from repro.graph.digraph import DiGraph
-from repro.pim.cost_model import CostModel
+from repro.paper.pim_hash import PIMHashSystem
+from repro.paper.redisgraph import RedisGraphEngine
+from repro.paper.workloads import DEFAULT_BATCH_SIZE, khop_workload, update_workload
+from repro.pim.cost_model import CostModel, scaled_cost_model
 from repro.pim.stats import ExecutionStats
 
 __all__ = [
@@ -78,8 +73,9 @@ def build_systems(
     database.
     """
     cost_model = cost_model or scaled_cost_model()
-    moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model))
-    pim_hash = PIMHashSystem.from_graph(graph, cost_model=cost_model)
+    config = MoctopusConfig(cost_model=cost_model)
+    moctopus = Moctopus.from_graph(graph, config)
+    pim_hash = PIMHashSystem.from_graph(graph, config)
     redisgraph = RedisGraphEngine.from_graph(graph, cost_model=cost_model)
     for round_index in range(warmup_rounds):
         query = khop_workload(graph, hops=3, batch_size=64, seed=9000 + round_index)

@@ -11,9 +11,10 @@ The paper's evaluation setup (Section 4.1):
 
 This reproduction scales the graphs down by roughly 1/500 (see
 ``repro.graph.datasets``), so the workload constructors here scale the
-batch sizes and the host LLC by the same factor to keep every engine in
-the same operating regime as the paper (working sets exceed the cache,
-batches are large relative to the graph).  The scale knobs are explicit
+batch sizes, and :func:`repro.pim.scaled_cost_model` the host LLC, by
+the same factor to keep every engine in the same operating regime as the
+paper (working sets exceed the cache, batches are large relative to the
+graph).  The scale knobs are explicit
 parameters so higher-fidelity runs just pass larger values.
 """
 
@@ -24,49 +25,17 @@ from typing import List, Tuple
 
 from repro.graph.digraph import DiGraph
 from repro.graph.stream import UpdateStream
-from repro.pim.cost_model import CostModel
 from repro.rpq.query import KHopQuery, random_source_batch
 
 #: The paper's batch size (64 K queries / 64 K updates).
 PAPER_BATCH_SIZE = 64 * 1024
 #: The paper's host LLC (22 MB Xeon Silver).
 PAPER_LLC_BYTES = 22 * 1024 * 1024
-#: Scale factor of the synthetic datasets relative to the SNAP originals.
-DATASET_SCALE_FRACTION = 1.0 / 125.0
 #: Default benchmark batch size (the paper's 64 K scaled down to keep the
 #: batch-to-graph ratio in the same regime).
 DEFAULT_BATCH_SIZE = 128
 #: Default number of PIM modules (one UPMEM rank, as in the paper).
 DEFAULT_NUM_MODULES = 64
-
-
-def scaled_cost_model(
-    num_modules: int = DEFAULT_NUM_MODULES,
-    scale_fraction: float = DATASET_SCALE_FRACTION,
-    llc_bytes: int = 32 * 1024,
-) -> CostModel:
-    """Cost model scaled consistently with the scaled-down datasets.
-
-    Two families of parameters need adjusting when the workload shrinks
-    by ~500x; per-byte and per-access costs stay untouched because they
-    are intensive quantities:
-
-    * **LLC size** — keeping the 22 MB LLC while shrinking the graphs
-      500x would put the RedisGraph baseline entirely in cache, a regime
-      the paper never measures.  The default of 32 KB keeps the
-      working-set-to-LLC ratio of every trace in the same 1x-10x band as
-      the originals against the real 22 MB cache.
-    * **Fixed per-operation latencies** (CPC batch-transfer setup, PIM
-      kernel launch) — these are amortised over 64 K-query batches in the
-      paper; over a 128-query batch they would artificially dominate, so
-      they are scaled by the same fraction as the data.
-    """
-    return CostModel(
-        num_modules=num_modules,
-        host_llc_bytes=llc_bytes,
-        cpc_transfer_latency=CostModel.cpc_transfer_latency * scale_fraction,
-        pim_launch_latency=CostModel.pim_launch_latency * scale_fraction,
-    )
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,21 @@
 """Graph partitioning algorithms and quality metrics.
 
 The paper's central design contribution is a PIM-friendly dynamic graph
-partitioning algorithm.  This package implements it alongside the
-alternatives it is compared to and combined with:
+partitioning algorithm.  This package implements it and the hash
+placement it is compared to:
 
 * :class:`HashPartitioner` — the distributed-graph-database default and
   the placement used by the PIM-hash contrast system;
-* :class:`LDGPartitioner` — Linear Deterministic Greedy, the
-  representative of the greedy family;
-* :class:`AdaptivePartitioner` — hash placement plus iterative
-  neighbor-majority migration, the representative of the adaptive
-  family;
 * :class:`RadicalGreedyPartitioner` — the paper's first-neighbor
   heuristic with a dynamic 1.05x capacity constraint;
 * :class:`LaborDivisionPartitioner` — wrapper routing high-degree nodes
-  to the host partition, composable with any of the above for the
+  to the host partition, composable with either of the above for the
   low-degree remainder;
 * :mod:`repro.partition.metrics` — edge cut, locality, balance.
+
+The greedy and adaptive families the partitioner ablation also compares
+(LDG, adaptive repartitioning) are evaluation apparatus and live in
+:mod:`repro.paper`.
 """
 
 from repro.partition.base import (
@@ -26,8 +25,6 @@ from repro.partition.base import (
     partition_static_graph,
 )
 from repro.partition.hash_partition import HashPartitioner, stable_node_hash
-from repro.partition.ldg import LDGPartitioner
-from repro.partition.adaptive import AdaptivePartitioner
 from repro.partition.radical_greedy import (
     DEFAULT_CAPACITY_FACTOR,
     RadicalGreedyPartitioner,
@@ -50,8 +47,6 @@ __all__ = [
     "partition_static_graph",
     "HashPartitioner",
     "stable_node_hash",
-    "LDGPartitioner",
-    "AdaptivePartitioner",
     "RadicalGreedyPartitioner",
     "DEFAULT_CAPACITY_FACTOR",
     "LaborDivisionPartitioner",

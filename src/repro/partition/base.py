@@ -168,6 +168,9 @@ class PartitionMap:
 class StreamingPartitioner(ABC):
     """Base class for partitioners that decide placements edge by edge."""
 
+    #: The policy's name, as a durability directory records it
+    #: (:meth:`repro.core.partitioner.GraphPartitioner.record`).
+    name: str
     #: Whether the node migrator repairs this policy's placements (the
     #: adaptive half of greedy-adaptive partitioning): a system reports
     #: misplaced nodes and migrates them after a query only then.

@@ -41,6 +41,8 @@ def stable_node_hash(node: int, salt: int = HASH_SALT) -> int:
 class HashPartitioner(StreamingPartitioner):
     """Assign every node to ``stable_node_hash(node) % P``."""
 
+    name = "hash"
+
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
         """Place ``node`` by hashing its identifier (neighbor is ignored)."""
         partition = stable_node_hash(node) % self.num_partitions

@@ -45,7 +45,8 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         self.high_degree_threshold = require_int(
             "high_degree_threshold", high_degree_threshold, 1
         )
-        self._pim_partitioner = pim_partitioner
+        #: The policy placing the nodes that stay on PIM modules.
+        self.pim_partitioner = pim_partitioner
         # Share one map so callers see a single consistent view.
         self.partition_map = pim_partitioner.partition_map
         #: Out-degree observed so far per node (from the ingest stream).
@@ -96,7 +97,7 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         if self.is_high_degree(node):
             self.partition_map.assign(node, HOST_PARTITION)
             return HOST_PARTITION
-        return self._pim_partitioner.assign_node(node, first_neighbor=first_neighbor)
+        return self.pim_partitioner.assign_node(node, first_neighbor=first_neighbor)
 
     def assign_nodes(
         self, nodes: List[int], first_neighbors: List[Optional[int]]
@@ -110,7 +111,7 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         highest = max(map(self._out_degree.get, nodes, repeat(0)), default=0)
         if highest > self.high_degree_threshold:
             return super().assign_nodes(nodes, first_neighbors)
-        return self._pim_partitioner.assign_nodes(nodes, first_neighbors)
+        return self.pim_partitioner.assign_nodes(nodes, first_neighbors)
 
     def ingest_edge(self, src: int, dst: int) -> Tuple[int, int]:
         """Observe an edge, place endpoints, and promote a hub if needed."""

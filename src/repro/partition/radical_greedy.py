@@ -44,6 +44,7 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         tightens balance but hurts locality; the A2 ablation sweeps it.
     """
 
+    name = "radical_greedy"
     migrates = True
 
     def __init__(

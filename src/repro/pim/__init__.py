@@ -9,8 +9,9 @@ taken from the published UPMEM characterisation.
 
 Public surface:
 
-* :class:`CostModel` and the presets :data:`UPMEM_RANK` /
-  :data:`UPMEM_FULL`;
+* :class:`CostModel`, the presets :data:`UPMEM_RANK` /
+  :data:`UPMEM_FULL`, and :func:`scaled_cost_model`, the model scaled
+  with the synthetic datasets;
 * :class:`PIMSystem`, whose :meth:`~PIMSystem.begin_operation` returns an
   :class:`OperationContext` used to charge work phase by phase;
 * :class:`ExecutionStats` with the host/CPC/IPC/PIM time breakdown;
@@ -18,7 +19,7 @@ Public surface:
   per-module capacity constraint.
 """
 
-from repro.pim.cost_model import UPMEM_FULL, UPMEM_RANK, CostModel
+from repro.pim.cost_model import UPMEM_FULL, UPMEM_RANK, CostModel, scaled_cost_model
 from repro.pim.ledger import ChargeLedger, ModuleCounters
 from repro.pim.memory import LocalMemory, MemoryCapacityError, PIMModule
 from repro.pim.stats import ChannelCounters, ExecutionStats
@@ -28,6 +29,7 @@ __all__ = [
     "CostModel",
     "UPMEM_RANK",
     "UPMEM_FULL",
+    "scaled_cost_model",
     "ChargeLedger",
     "LocalMemory",
     "MemoryCapacityError",

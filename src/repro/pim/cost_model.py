@@ -169,3 +169,36 @@ UPMEM_RANK = CostModel()
 
 #: Cost model for a whole UPMEM system (2048 modules), for scaling studies.
 UPMEM_FULL = CostModel(num_modules=2048)
+
+#: Scale factor of the synthetic datasets relative to the SNAP originals
+#: (:mod:`repro.graph.datasets`).
+DATASET_SCALE_FRACTION = 1.0 / 125.0
+
+
+def scaled_cost_model(
+    num_modules: int = CostModel.num_modules,
+    scale_fraction: float = DATASET_SCALE_FRACTION,
+    llc_bytes: int = 32 * 1024,
+) -> CostModel:
+    """Cost model scaled consistently with the scaled-down datasets.
+
+    Two families of parameters need adjusting when the workload shrinks
+    by ~500x; per-byte and per-access costs stay untouched because they
+    are intensive quantities:
+
+    * **LLC size** — keeping the 22 MB LLC while shrinking the graphs
+      500x would put the RedisGraph baseline entirely in cache, a regime
+      the paper never measures.  The default of 32 KB keeps the
+      working-set-to-LLC ratio of every trace in the same 1x-10x band as
+      the originals against the real 22 MB cache.
+    * **Fixed per-operation latencies** (CPC batch-transfer setup, PIM
+      kernel launch) — these are amortised over 64 K-query batches in the
+      paper; over a 128-query batch they would artificially dominate, so
+      they are scaled by the same fraction as the data.
+    """
+    return CostModel(
+        num_modules=num_modules,
+        host_llc_bytes=llc_bytes,
+        cpc_transfer_latency=CostModel.cpc_transfer_latency * scale_fraction,
+        pim_launch_latency=CostModel.pim_launch_latency * scale_fraction,
+    )

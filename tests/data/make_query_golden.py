@@ -35,6 +35,7 @@ from typing import Dict, Iterator, List, Tuple
 from repro.core import Moctopus, MoctopusConfig
 from repro.engine import ENGINE_NAMES
 from repro.graph import DiGraph
+from repro.paper import placed_at
 from repro.pim import CostModel
 from repro.pim.system import OperationContext
 from repro.rpq import KHopQuery, RPQuery
@@ -66,9 +67,11 @@ def base_graph() -> DiGraph:
 
 def build_system(engine: str) -> Moctopus:
     """The churned system one record is taken from."""
-    config = MoctopusConfig(cost_model=CostModel(num_modules=8), high_degree_threshold=12)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=8))
     graph = base_graph()
-    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    system = placed_at(high_degree_threshold=12).from_graph(
+        graph, config, label_names=LABEL_NAMES
+    )
     system.use_engine(engine)
     rng = random.Random(SEED + 1)
     live = sorted(graph.edges())

@@ -14,7 +14,7 @@ The script is a fixed prefix of hand-built batches — one per rule the
 partition phase has to get right — followed by seeded random batches:
 
 * brand-new sources and destinations (the partition vector grows);
-* two module-resident sources crossing ``high_degree_threshold`` in one
+* two module-resident sources crossing the high-degree threshold in one
   batch with inserts *and* deletes already queued for their modules
   (the tombstone requeue);
 * delete -> insert of one edge in one batch (batch order per module);
@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph
 from repro.graph.stream import UpdateKind, UpdateOp
+from repro.paper import placed_at
 from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel
 
@@ -73,10 +74,8 @@ def base_graph() -> DiGraph:
 
 
 def build_system() -> Moctopus:
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=8), high_degree_threshold=THRESHOLD
-    )
-    return Moctopus.from_graph(base_graph(), config)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=8))
+    return placed_at(high_degree_threshold=THRESHOLD).from_graph(base_graph(), config)
 
 
 def script() -> List[Batch]:

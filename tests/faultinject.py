@@ -303,19 +303,33 @@ def run_reference(
     return system, fingerprints, cumulative
 
 
+def crash(system: Moctopus) -> None:
+    """Abandon ``system`` as a killed process leaves it: no ``close()``,
+    nothing flushed, checkpointed or journaled.  Only its open files
+    close, as the kernel closes a dead process's — the log segment and
+    the directory lock, so the directory can be recovered."""
+    system._durability.wal.close()
+    system._durability.lock.close()
+
+
 def run_durable(graph, steps: List[Step], config, engine: str = "auto") -> Moctopus:
     """Run the whole workload on ``engine`` with durability on (may raise
     SimulatedCrash).
 
     On a crash the partially-run system is abandoned exactly as a dead
-    process would leave it — its in-memory state is discarded without
-    ``close()`` and only the bytes already written survive.
+    process would leave it (:func:`crash`) — its in-memory state is
+    discarded without ``close()`` and only the bytes already written
+    survive.
     """
     system = Moctopus(config=config)
-    system.use_engine(engine)
-    system.load_graph(graph)
-    for step in steps:
-        run_step(system, step)
+    try:
+        system.use_engine(engine)
+        system.load_graph(graph)
+        for step in steps:
+            run_step(system, step)
+    except SimulatedCrash:
+        crash(system)
+        raise
     return system
 
 

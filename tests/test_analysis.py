@@ -33,9 +33,10 @@ from repro.analysis import lockcheck
 from repro.analysis.__main__ import main as analysis_main
 from repro.analysis.lockcheck import InstrumentedLock, lock_order_checker
 from repro.analysis.rules import all_rules, rule_by_id
-from repro.core import Moctopus, MoctopusConfig
+from repro.core import MoctopusConfig
 from repro.graph import random_graph
 from repro.net import MoctopusClient, MoctopusServer
+from repro.paper import placed_at
 from repro.pim import CostModel
 from repro.serve import BatchScheduler
 
@@ -54,10 +55,8 @@ def lint_all(source, relpath="src/repro/sample.py"):
 @pytest.fixture(scope="module")
 def system():
     graph = random_graph(24, 80, seed=3)
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4), high_degree_threshold=8
-    )
-    return Moctopus.from_graph(graph, config)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    return placed_at(high_degree_threshold=8).from_graph(graph, config)
 
 
 # ----------------------------------------------------------------------
@@ -613,14 +612,75 @@ class TestRep006:
         assert findings == []
 
 
+class TestRep007:
+    SERVE = "src/repro/serve/sample.py"
+
+    def test_flags_every_import_form_outside_the_paper_package(self):
+        findings = lint(
+            "REP007",
+            """
+            import repro.paper
+            from repro.paper.runner import build_systems
+            from repro import graph, paper
+
+            def lazy():
+                from repro.paper import PIMHashSystem
+                return PIMHashSystem
+            """,
+            relpath=self.SERVE,
+        )
+        assert [f.detail for f in findings] == [
+            "imports repro.paper",
+            "imports repro.paper.runner",
+            "imports repro.paper",
+            "imports repro.paper",
+        ]
+        assert findings[3].scope == "lazy"
+
+    def test_the_paper_package_imports_itself(self):
+        findings = lint(
+            "REP007",
+            """
+            from repro.paper.workloads import khop_workload
+            import repro.paper.report
+            """,
+            relpath="src/repro/paper/runner.py",
+        )
+        assert findings == []
+
+    def test_neighbouring_names_are_clean(self):
+        findings = lint(
+            "REP007",
+            """
+            import repro.papers
+            from repro.partition import HashPartitioner
+            from repro import pim
+            """,
+            relpath=self.SERVE,
+        )
+        assert findings == []
+
+    def test_the_source_tree_keeps_the_boundary(self):
+        """Nothing under ``src/`` outside ``repro.paper`` imports it."""
+        import pathlib
+
+        import repro
+
+        package = pathlib.Path(repro.__file__).parent
+        runner = LintRunner([rule_by_id("REP007")], root=str(package.parent.parent))
+        report = runner.run([str(package)])
+        assert report.files_checked > 80
+        assert [finding.render() for finding in report.findings] == []
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_six_rules_registered(self):
+    def test_all_seven_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006"
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007"
         ]
 
     def test_rule_by_id_rejects_unknown(self):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import PIMHashSystem, RedisGraphEngine
+from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, random_graph
+from repro.paper import PIMHashSystem, RedisGraphEngine
 from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq, random_source_batch
@@ -78,7 +79,9 @@ def test_redisgraph_working_set_controls_access_cost():
 # PIM-hash system
 # ----------------------------------------------------------------------
 def test_pim_hash_uses_hash_partitioning_and_no_host(small_power_law):
-    system = PIMHashSystem.from_graph(small_power_law, cost_model=CostModel(num_modules=8))
+    system = PIMHashSystem.from_graph(
+        small_power_law, MoctopusConfig(cost_model=CostModel(num_modules=8))
+    )
     assert system.host_node_count() == 0
     for node in small_power_law.high_degree_nodes(16):
         assert system.partition_of(node) != HOST_PARTITION
@@ -86,7 +89,9 @@ def test_pim_hash_uses_hash_partitioning_and_no_host(small_power_law):
 
 
 def test_pim_hash_results_match_reference(small_power_law):
-    system = PIMHashSystem.from_graph(small_power_law, cost_model=CostModel(num_modules=8))
+    system = PIMHashSystem.from_graph(
+        small_power_law, MoctopusConfig(cost_model=CostModel(num_modules=8))
+    )
     sources = random_source_batch(list(small_power_law.nodes()), 12, seed=7)
     result, stats = system.batch_khop(sources, hops=2)
     reference = evaluate_khop(small_power_law, KHopQuery(hops=2, sources=sources))
@@ -100,10 +105,8 @@ def test_all_three_engines_agree(seed):
     graph = random_graph(50, 200, seed=seed)
     sources = random_source_batch(list(graph.nodes()), 6, seed=seed)
     cost_model = CostModel(num_modules=4)
-    from repro.core import Moctopus, MoctopusConfig
-
     moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model))
-    pim_hash = PIMHashSystem.from_graph(graph, cost_model=cost_model)
+    pim_hash = PIMHashSystem.from_graph(graph, MoctopusConfig(cost_model=cost_model))
     redis = RedisGraphEngine.from_graph(graph, cost_model=cost_model)
     for hops in (1, 2):
         expected = evaluate_khop(graph, KHopQuery(hops=hops, sources=sources))

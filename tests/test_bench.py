@@ -1,10 +1,11 @@
-"""Tests for the benchmark support package (workloads, runner, reports)."""
+"""Tests for the evaluation's support code (workloads, runner, reports)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import (
+from repro.graph import load_dataset
+from repro.paper import (
     DEFAULT_NUM_MODULES,
     build_systems,
     format_table,
@@ -14,10 +15,9 @@ from repro.bench import (
     run_ipc_experiment,
     run_khop_experiment,
     run_update_experiment,
-    scaled_cost_model,
     update_workload,
 )
-from repro.graph import load_dataset
+from repro.pim import scaled_cost_model
 
 
 SMALL_SCALE = 0.15

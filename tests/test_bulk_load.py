@@ -23,7 +23,7 @@ import pstats
 import random
 import tracemalloc
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 from unittest import mock
 
 import numpy as np
@@ -32,15 +32,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from model import build_snapshot_reference, load_per_edge
-from repro.baselines import PIMHashSystem
-from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.snapshot import row_buffer
 from repro.graph import DiGraph, power_law_graph
 from repro.graph import stream
-from repro.pim import CostModel
+from repro.paper import PIMHashSystem, placed_at
+from repro.pim import CostModel, scaled_cost_model
 from repro.pim.memory import LocalMemory, MemoryCapacityError
 
 Edge = Tuple[int, int, int]
@@ -144,18 +143,8 @@ def assert_load_matches_oracle(
     return loaded
 
 
-def _config(
-    num_modules: int = 4,
-    threshold: Optional[int] = 16,
-    capacity_factor: float = 1.05,
-    **kwargs,
-) -> MoctopusConfig:
-    return MoctopusConfig(
-        cost_model=CostModel(num_modules=num_modules),
-        high_degree_threshold=threshold,
-        capacity_factor=capacity_factor,
-        **kwargs,
-    )
+def _config(num_modules: int = 4, **kwargs) -> MoctopusConfig:
+    return MoctopusConfig(cost_model=CostModel(num_modules=num_modules), **kwargs)
 
 
 @st.composite
@@ -208,9 +197,10 @@ def test_loader_state_equals_the_per_edge_oracle(
     edges, nodes = stream_
     if placement == "hash":
         # The PIM-hash system has no labor division (threshold None).
-        new_system = partial(PIMHashSystem, CostModel(num_modules=num_modules))
+        new_system = partial(PIMHashSystem, _config(num_modules))
     else:
-        new_system = partial(Moctopus, _config(num_modules, threshold, capacity_factor))
+        placed = placed_at(threshold, capacity_factor)
+        new_system = partial(placed, _config(num_modules))
     with mock.patch.object(stream, "EDGE_CHUNK_ROWS", chunk_rows):
         assert_load_matches_oracle(new_system, edges, nodes, cache_base)
 
@@ -234,12 +224,10 @@ def test_bootstrap_only_recovery_equals_the_live_load(tmp_path, chunk_rows):
     graph.add_edge(5, 5, 2)
     graph.add_node(10_000)
     with mock.patch.object(stream, "EDGE_CHUNK_ROWS", chunk_rows):
-        live = Moctopus.from_graph(graph, _config(threshold=4))
-        durable = Moctopus.from_graph(
-            graph, _config(threshold=4, durability_dir=str(tmp_path))
-        )
+        live = placed_at(4).from_graph(graph, _config())
+        durable = placed_at(4).from_graph(graph, _config(durability_dir=str(tmp_path)))
         durable.close()
-        recovered = Moctopus.recover(str(tmp_path))
+        recovered = placed_at(4).recover(str(tmp_path))
     try:
         assert recovered.durable_lsn == 1
         assert load_state(recovered) == load_state(live)
@@ -443,7 +431,7 @@ def test_a_self_loop_promotion_leaves_no_phantom_row():
     """The source's (T+1)-th out-edge is a self-loop: the promoted row
     must not be re-created, empty, on the module it just left."""
     graph = DiGraph.from_edges([(0, 1), (0, 2), (0, 0), (1, 0), (2, 1)])
-    system = Moctopus.from_graph(graph, _config(threshold=2))
+    system = placed_at(2).from_graph(graph, _config())
     rows = [node for storage in system._module_storages for node in storage.rows()]
     assert sorted(rows + list(system._host_storage.rows())) == [0, 1, 2]
     assert list(system._host_storage.rows()) == [0]

@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
 from repro.engine import ENGINE_NAMES, choose_engine, lower_plan
 from repro.engine.base import AUTO_CROSSOVER_ITEMS
@@ -36,7 +35,7 @@ from repro.engine.matrix_engine import PullBitsetKernel
 from repro.engine.vectorized import BitsetKernel, _group_into_results
 from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.parallel.pool import WorkerPool
-from repro.pim import PIMSystem
+from repro.pim import PIMSystem, scaled_cost_model
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq, plan_query
 from repro.rpq.query import BatchResult
 from repro.serve.epoch import EpochView

@@ -24,10 +24,10 @@ import random
 
 import pytest
 
-from repro.baselines import PIMHashSystem
 from repro.core import Moctopus, MoctopusConfig, query_processor
 from repro.engine import lower_plan
 from repro.graph import DiGraph, random_graph
+from repro.paper import PIMHashSystem, placed_at
 from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, plan_query
 from repro.rpq.evaluator import evaluate_rpq
@@ -37,8 +37,10 @@ LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 
 
 def build_system(graph: DiGraph, engine: str = "python") -> Moctopus:
-    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=12)
-    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    system = placed_at(high_degree_threshold=12).from_graph(
+        graph, config, label_names=LABEL_NAMES
+    )
     system.use_engine(engine)
     return system
 
@@ -272,7 +274,9 @@ def test_live_queries_charge_the_system_on_every_placement():
     """A PIM-hash system has no migrator to report to, but its live
     queries still fold into its own platform on every call: a repeated
     query is charged again, never answered from the caches."""
-    system = PIMHashSystem.from_graph(skewed_graph(), CostModel(num_modules=4))
+    system = PIMHashSystem.from_graph(
+        skewed_graph(), MoctopusConfig(cost_model=CostModel(num_modules=4))
+    )
     sources = list(range(40))
     system.batch_khop(sources, hops=2)
     once = system.pim.load_report()

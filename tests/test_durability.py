@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -52,6 +55,7 @@ from repro.durability.wal import (
 from repro.graph import DiGraph, power_law_graph, stream
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
 from repro.net import MoctopusClient
+from repro.paper import PIMHashSystem, placed_at
 from repro.pim import CostModel
 
 from faultinject import (
@@ -60,6 +64,7 @@ from faultinject import (
     SimulatedCrash,
     assert_fingerprints_equal,
     assert_stats_equal,
+    crash,
     fingerprint,
     resume_index,
     run_durable,
@@ -395,6 +400,54 @@ def test_corrupt_final_segment_with_committed_records_raises(tmp_path):
         Moctopus.recover(str(tmp_path), config=_config(tmp_path))
 
 
+def test_a_second_open_of_a_directory_is_refused_until_close(tmp_path):
+    """Two systems on one directory lost acknowledged writes: while A was
+    open, ``recover`` returned B, B acknowledged ``(5, 6)``, and after
+    both closed the directory recovered without it.  Now the directory
+    is locked from attach until ``close()``: the second open — recovered
+    or fresh — is refused by name, and succeeds once A has closed."""
+    directory = str(tmp_path)
+    first = Moctopus.from_graph(DiGraph.from_edges([(0, 1)]), _config(tmp_path))
+    with pytest.raises(RuntimeError, match=re.escape(repr(directory))):
+        Moctopus.recover(directory)
+    with pytest.raises(RuntimeError, match=re.escape(repr(directory))):
+        Moctopus(config=_config(tmp_path))
+    first.insert_edges([(1, 2)])
+    first.close()
+
+    second = Moctopus.recover(directory)
+    second.insert_edges([(5, 6)])
+    second.close()
+    third = Moctopus.recover(directory)
+    try:
+        assert all(third.has_edge(*edge) for edge in [(0, 1), (1, 2), (5, 6)])
+    finally:
+        third.close()
+
+
+def test_another_process_cannot_open_a_locked_directory(tmp_path):
+    """The lock is an ``flock``: a second process is refused while this
+    one holds the directory, and recovers it once this one closed."""
+    system = Moctopus.from_graph(DiGraph.from_edges([(0, 1)]), _config(tmp_path))
+    script = (
+        "import sys\n"
+        "from repro.core import Moctopus\n"
+        "try:\n"
+        "    Moctopus.recover(sys.argv[1]).close()\n"
+        "except RuntimeError as error:\n"
+        "    sys.exit(f'refused: {error}')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", script, str(tmp_path)]
+    refused = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert refused.returncode != 0 and "refused" in refused.stderr, refused.stderr
+    system.close()
+    accepted = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert accepted.returncode == 0, accepted.stderr
+
+
 def test_fresh_system_refuses_existing_log(tmp_path):
     """Constructing a new system over live history must fail loudly —
     appending a second bootstrap would make the log unreplayable."""
@@ -416,7 +469,7 @@ def test_recover_without_config_uses_initial_manifest(tmp_path):
     system = Moctopus.from_graph(graph, config=_config(tmp_path))
     run_step(system, steps[0])
     expected = fingerprint(system)
-    system._durability.wal.close()  # crash: no checkpoint ever written
+    crash(system)  # no checkpoint ever written
 
     recovered = Moctopus.recover(str(tmp_path))  # note: no config passed
     assert recovered.num_modules == 4
@@ -440,7 +493,7 @@ def test_stale_pending_reports_cleared_by_migration_replay(tmp_path):
     reference.run_maintenance()
     expected_pending = reference._migrator.capture_pending()
     assert expected_pending == []
-    system._durability.wal.close()  # crash after the MIGRATIONS record
+    crash(system)  # after the MIGRATIONS record
 
     recovered = Moctopus.recover(str(tmp_path))
     assert recovered._migrator.capture_pending() == expected_pending
@@ -568,6 +621,7 @@ def test_crash_between_batch_append_and_abort_recovers(tmp_path, monkeypatch):
     finally:
         wal_module.wal_write = real_write
         monkeypatch.setattr(UpdateProcessor, "apply_batch", real_apply)
+    crash(system)
 
     # On disk: the poisoned batch is the tail record (lsn 2), with no
     # abort marker after it.  Its replay re-raises, so recovery must
@@ -666,7 +720,7 @@ def test_zero_move_maintenance_pass_is_journaled(tmp_path):
     assert system.durable_lsn == lsn_before + 1, (
         "zero-move pass must still append its (empty) journal record"
     )
-    system._durability.wal.close()  # crash
+    crash(system)
 
     recovered = Moctopus.recover(str(tmp_path))
     # Replaying the empty record cleared the checkpoint-restored report.
@@ -890,10 +944,13 @@ def test_recovery_ignores_retired_config_knobs(tmp_path, checkpointed):
 
 
 #: A durability directory written by the last tuple-row commit; its
-#: config echoes still carry every knob that commit had.
+#: config echoes still carry every knob that commit had, placement
+#: included: labor division above out-degree 8.
 CKPT_FIXTURE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "ckpt_pr16", "durability"
 )
+#: The class that places as the fixture's writer did.
+THRESHOLD_8 = placed_at(high_degree_threshold=8)
 
 
 def _copy_fixture(directory, **changes) -> str:
@@ -921,13 +978,68 @@ def _copy_fixture(directory, **changes) -> str:
     "name, value", [("pim_placement", "hash"), ("enable_migration", False)]
 )
 def test_recovery_refuses_a_retired_placement(tmp_path, name, value):
-    """A directory written when placement was a knob, under a placement a
-    recovered system no longer makes, is refused rather than replayed
+    """A directory written when placement was a knob, under a placement
+    the recovering class does not make, is refused rather than replayed
     under radical greedy with migration (the fixture itself, which
-    records the remaining placement, recovers)."""
+    records that class's placement, recovers)."""
     directory = _copy_fixture(tmp_path / "durability", **{name: value})
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=rf"records {name}={value!r}, and "):
+        THRESHOLD_8.recover(directory)
+    THRESHOLD_8.recover(_copy_fixture(tmp_path / "as_written")).close()
+
+
+def test_recovery_refuses_a_placement_other_than_its_class(tmp_path):
+    """The fixture was written with labor division above out-degree 8.
+    It recovers through a class that places that way (to the state it
+    recorded: ``tests/test_row_buffers.py``); ``Moctopus``, which places
+    at 16, refuses it by name before it reads the log."""
+    directory = _copy_fixture(tmp_path / "durability")
+    before = sorted(os.listdir(os.path.join(directory, "wal")))
+    with pytest.raises(ValueError, match="high_degree_threshold=8.*high_degree_threshold=16"):
         Moctopus.recover(directory)
+    with pytest.raises(ValueError, match="pim_placement='radical_greedy'"):
+        PIMHashSystem.recover(directory)
+    assert sorted(os.listdir(os.path.join(directory, "wal"))) == before
+    recovered = THRESHOLD_8.recover(directory)
+    try:
+        assert type(recovered) is THRESHOLD_8
+        assert recovered._partitioner.labor_division.high_degree_threshold == 8
+    finally:
+        recovered.close()
+
+
+def test_a_directory_records_its_placement_and_recovers_only_through_it(tmp_path):
+    """``config.json`` and every checkpoint manifest record the writer's
+    placement; a PIM-hash directory recovers as a PIM-hash system, and
+    ``Moctopus`` refuses it naming every parameter that differs."""
+    graph = power_law_graph(80, edges_per_node=3, seed=5)
+    system = PIMHashSystem.from_graph(graph, _config(tmp_path))
+    system.insert_edges([(0, 999)])
+    system.checkpoint()
+    system.insert_edges([(999, 1)])
+    expected = fingerprint(system)
+    system.close()
+    record = {
+        "pim_placement": "hash",
+        "enable_migration": False,
+        "capacity_factor": None,
+        "high_degree_threshold": None,
+    }
+    with open(os.path.join(str(tmp_path), "config.json")) as handle:
+        assert json.load(handle)["placement"] == record
+    checkpoints = DurabilityController.checkpoint_directory(str(tmp_path))
+    (newest,) = os.listdir(checkpoints)
+    with open(os.path.join(checkpoints, newest, "manifest.json")) as handle:
+        assert json.load(handle)["placement"] == record
+    with pytest.raises(ValueError) as refused:
+        Moctopus.recover(str(tmp_path))
+    assert all(name in str(refused.value) for name in record)
+    recovered = PIMHashSystem.recover(str(tmp_path))
+    try:
+        assert type(recovered) is PIMHashSystem
+        assert_fingerprints_equal(fingerprint(recovered), expected, "pim-hash")
+    finally:
+        recovered.close()
 
 
 def test_recovery_accepts_retired_kernel_and_cache_settings(tmp_path):
@@ -936,8 +1048,8 @@ def test_recovery_accepts_retired_kernel_and_cache_settings(tmp_path):
     recovers, on ``"auto"``, to exactly the fixture's own state."""
     directory = _copy_fixture(tmp_path / "retired", engine="python", result_cache_size=0)
     shutil.copytree(CKPT_FIXTURE, tmp_path / "as_written")
-    expected = Moctopus.recover(str(tmp_path / "as_written"))
-    recovered = Moctopus.recover(directory)
+    expected = THRESHOLD_8.recover(str(tmp_path / "as_written"))
+    recovered = THRESHOLD_8.recover(directory)
     try:
         assert recovered.engine_name == "auto"
         assert_fingerprints_equal(fingerprint(recovered), fingerprint(expected), "retired")
@@ -1033,10 +1145,12 @@ def test_recovery_engine_lockstep(tmp_path):
         run_step(system, step)
     expected = fingerprint(system)
     system.close()
+    # One directory holds one open system: the second recovers a copy.
+    shutil.copytree(tmp_path / "store", tmp_path / "copy")
 
     scalar = Moctopus.recover(str(tmp_path / "store"))
     scalar.use_engine("python")
-    vectorized = Moctopus.recover(str(tmp_path / "store"))
+    vectorized = Moctopus.recover(str(tmp_path / "copy"))
     vectorized.use_engine("vectorized")
     assert (scalar.engine_name, vectorized.engine_name) == ("python", "vectorized")
     assert_fingerprints_equal(fingerprint(scalar), expected, "python recovery")
@@ -1290,7 +1404,7 @@ class DurabilityMachine(RuleBasedStateMachine):
     def crash_and_recover(self):
         # A dead process never calls close(): drop the instance on the
         # floor and rebuild purely from disk.
-        self.system._durability.wal.close()
+        crash(self.system)
         self.system = Moctopus.recover(self.tmpdir)
         self.system.use_engine(self.engine)
 

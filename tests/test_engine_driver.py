@@ -42,6 +42,7 @@ from repro.engine.vectorized import BitsetKernel, KeysKernel
 from repro.graph import DiGraph, random_graph
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.parallel import attach_epoch, export_epoch
+from repro.paper import placed_at
 from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel
 from repro.pim.system import PIMSystem
@@ -58,10 +59,10 @@ COST_MODEL = CostModel(num_modules=4)
 
 
 def build_system(graph, engine="python", **config_kwargs) -> Moctopus:
-    config = MoctopusConfig(
-        cost_model=COST_MODEL, high_degree_threshold=8, **config_kwargs
+    config = MoctopusConfig(cost_model=COST_MODEL, **config_kwargs)
+    system = placed_at(high_degree_threshold=8).from_graph(
+        graph, config, label_names=LABEL_NAMES
     )
-    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
     system.use_engine(engine)
     return system
 

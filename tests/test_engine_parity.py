@@ -30,6 +30,7 @@ from repro.engine import (
     create_engine,
 )
 from repro.graph import DiGraph, load_dataset, power_law_graph, random_graph
+from repro.paper import placed_at
 from repro.pim import CostModel
 from repro.rpq import RPQuery, random_source_batch
 
@@ -83,12 +84,12 @@ def stats_fingerprint(stats):
     )
 
 
-def build_systems(graph, **config_kwargs):
-    """The same graph loaded into one system per backend."""
+def build_systems(graph, system_class=Moctopus):
+    """The same graph loaded into one ``system_class`` per backend."""
     systems = {}
     for engine in ENGINES:
-        config = MoctopusConfig(cost_model=CostModel(num_modules=8), **config_kwargs)
-        systems[engine] = Moctopus.from_graph(graph, config)
+        config = MoctopusConfig(cost_model=CostModel(num_modules=8))
+        systems[engine] = system_class.from_graph(graph, config)
         systems[engine].use_engine(engine)
     return systems
 
@@ -298,7 +299,7 @@ def test_parity_with_heavy_update_batches(seed):
     """
     rng = random.Random(seed)
     graph = random_graph(50, 180, seed=seed)
-    systems = build_systems(graph, high_degree_threshold=8)
+    systems = build_systems(graph, placed_at(high_degree_threshold=8))
     for step in range(6):
         kind = rng.choice(["khop", "insert", "hub_insert", "delete"])
         if kind == "khop":
@@ -502,7 +503,7 @@ def test_parity_on_empty_batch():
 
 def test_parity_without_labor_division():
     graph = random_graph(40, 200, seed=6)
-    systems = build_systems(graph, high_degree_threshold=None)
+    systems = build_systems(graph, placed_at(high_degree_threshold=None))
     sources = random_source_batch(list(graph.nodes()), 12, seed=6)
     assert_equivalent(
         {

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import PIMHashSystem, RedisGraphEngine
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, UpdateStream, load_dataset
+from repro.paper import PIMHashSystem, RedisGraphEngine
 from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq, random_source_batch
 
@@ -41,7 +41,7 @@ def test_dynamic_graph_scenario_consistency():
     """Load a dataset, interleave queries and updates, check all engines agree."""
     graph = load_dataset("com-amazon", scale=0.2)
     moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=COST_MODEL))
-    pim_hash = PIMHashSystem.from_graph(graph, cost_model=COST_MODEL)
+    pim_hash = PIMHashSystem.from_graph(graph, MoctopusConfig(cost_model=COST_MODEL))
     redis = RedisGraphEngine.from_graph(graph, cost_model=COST_MODEL)
     stream = UpdateStream(graph, seed=13)
 

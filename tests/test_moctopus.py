@@ -12,46 +12,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import PIMHashSystem
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, random_graph
 from repro.durability.recovery import recover
 from repro.net.server import MoctopusServer
+from repro.paper import PIMHashSystem, placed_at
 from repro.parallel import WorkerPool
 from repro.partition.base import HOST_PARTITION
 from repro.partition.hash_partition import stable_node_hash
-from repro.partition.labor_division import LaborDivisionPartitioner
+from repro.partition.labor_division import (
+    DEFAULT_HIGH_DEGREE_THRESHOLD,
+    LaborDivisionPartitioner,
+)
 from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq, random_source_batch
 from repro.serve.scheduler import BatchScheduler
 
 
-def small_system(graph, **config_kwargs) -> Moctopus:
-    config = MoctopusConfig(cost_model=CostModel(num_modules=8), **config_kwargs)
-    return Moctopus.from_graph(graph, config)
+def small_system(graph, system_class=Moctopus) -> Moctopus:
+    return system_class.from_graph(graph, MoctopusConfig(cost_model=CostModel(num_modules=8)))
 
 
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MoctopusConfig(capacity_factor=0.5)
-    with pytest.raises(ValueError):
-        MoctopusConfig(high_degree_threshold=0)
+    with pytest.raises(ValueError, match="wal_segment_bytes"):
+        MoctopusConfig(wal_segment_bytes=512)
+    with pytest.raises(ValueError, match="checkpoint_interval_batches"):
+        MoctopusConfig(checkpoint_interval_batches=-1)
+    # The placement's parameters are the placement's, not the config's.
+    for name, value in (("capacity_factor", 1.05), ("high_degree_threshold", 16)):
+        with pytest.raises(TypeError, match=name):
+            MoctopusConfig(**{name: value})
 
 
 NAN = float("nan")
-
-
-@pytest.mark.parametrize("field", ["capacity_factor"])
-def test_config_rejects_nan(field):
-    """``nan`` fails every comparison, so a bound written as ``x < low``
-    would let it through (a nan capacity factor turns every greedy
-    placement into a fallback and switches migration off)."""
-    with pytest.raises(ValueError, match=field):
-        MoctopusConfig(**{field: NAN})
 
 
 @pytest.mark.parametrize(
@@ -72,7 +69,6 @@ def test_component_arguments_reject_nan(build):
 
 
 INT_FIELDS = [
-    "high_degree_threshold",
     "wal_segment_bytes",
     "checkpoint_interval_batches",
 ]
@@ -82,8 +78,8 @@ INT_FIELDS = [
 @pytest.mark.parametrize("field", INT_FIELDS)
 def test_config_int_fields_reject_nan_and_floats(field, value):
     """An integer field takes integers only: ``nan`` passed every
-    ``x < low`` bound (a nan queue depth built an unbounded queue) and
-    ``high_degree_threshold=4.0`` crashed the bulk load."""
+    ``x < low`` bound (a nan queue depth built an unbounded queue), and
+    so did ``4.0``."""
     with pytest.raises(ValueError, match=field):
         MoctopusConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
@@ -180,7 +176,24 @@ def test_knob_census():
     # different values; with one value in use it is a constant, and a
     # value the code can work out is not an option.  Adding a field
     # means editing this count and naming those two callers in the PR.
-    assert len(names) == 7
+    assert len(names) == 5
+
+
+def test_the_placement_is_the_papers():
+    """A system places as Sections 3.2.2 and 3.3 do, whatever its config:
+    radical greedy at 1.05x capacity under labor division above
+    out-degree 16, repaired by the node migrator."""
+    for config in (MoctopusConfig(), MoctopusConfig(cost_model=CostModel(num_modules=4))):
+        system = Moctopus(config)
+        try:
+            assert system._partitioner.record() == {
+                "pim_placement": "radical_greedy",
+                "enable_migration": True,
+                "capacity_factor": 1.05,
+                "high_degree_threshold": 16,
+            }
+        finally:
+            system.close()
 
 
 @pytest.mark.parametrize(
@@ -208,7 +221,7 @@ def test_bad_port_refused_before_any_thread(port):
 def test_pim_hash_system_disables_moctopus_features(small_power_law):
     """Hash placement, no labor division, no misplacement detection and
     no migration."""
-    system = PIMHashSystem.from_graph(small_power_law, CostModel(num_modules=8))
+    system = small_system(small_power_law, PIMHashSystem)
     for node in small_power_law.nodes():
         assert system.partition_of(node) == stable_node_hash(node) % 8
     assert system.host_node_count() == 0
@@ -234,7 +247,7 @@ def test_load_graph_places_every_node(small_community):
 
 def test_high_degree_nodes_live_on_host(small_power_law):
     system = small_system(small_power_law)
-    hubs = small_power_law.high_degree_nodes(system.config.high_degree_threshold)
+    hubs = small_power_law.high_degree_nodes(DEFAULT_HIGH_DEGREE_THRESHOLD)
     assert hubs, "fixture should contain hubs"
     for hub in hubs:
         assert system.partition_of(hub) == HOST_PARTITION
@@ -243,7 +256,7 @@ def test_high_degree_nodes_live_on_host(small_power_law):
 
 
 def test_no_host_nodes_without_labor_division(small_power_law):
-    system = small_system(small_power_law, high_degree_threshold=None)
+    system = small_system(small_power_law, placed_at(high_degree_threshold=None))
     assert system.host_node_count() == 0
 
 
@@ -372,9 +385,8 @@ def test_insert_new_node_uses_first_neighbor_partition(tiny_graph):
 
 def test_updates_promote_nodes_crossing_threshold():
     graph = DiGraph.from_edges([(0, 1), (1, 2)])
-    system = Moctopus.from_graph(
-        graph,
-        MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=4),
+    system = placed_at(high_degree_threshold=4).from_graph(
+        graph, MoctopusConfig(cost_model=CostModel(num_modules=4))
     )
     assert system.partition_of(0) != HOST_PARTITION
     system.insert_edges([(0, dst) for dst in range(10, 16)])

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.core import Moctopus, MoctopusConfig
+from repro.core import MoctopusConfig
 from repro.graph import random_graph
 from repro.net import (
     MAX_FRAME_BYTES,
@@ -39,6 +39,7 @@ from repro.net import (
 )
 from repro.net import server as server_module
 from repro.net.protocol import MAX_WIRE_HOPS, decode_length, read_frame_blocking
+from repro.paper import placed_at
 from repro.pim import CostModel
 from repro.rpq import RPQuery, evaluate_rpq
 from repro.serve import BatchScheduler
@@ -49,10 +50,10 @@ LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 @pytest.fixture(scope="module")
 def system():
     graph = random_graph(30, 110, seed=7)
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4), high_degree_threshold=8
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    return placed_at(high_degree_threshold=8).from_graph(
+        graph, config, label_names=LABEL_NAMES
     )
-    return Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
 
 
 @pytest.fixture()

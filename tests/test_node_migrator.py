@@ -31,6 +31,7 @@ from repro.core.node_migrator import MIGRATION_CAPACITY_FACTOR, NodeMigrator
 from repro.core.partitioner import GraphPartitioner
 from repro.graph import community_graph
 from repro.partition.base import HOST_PARTITION
+from repro.partition.labor_division import LaborDivisionPartitioner
 from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim import CostModel, ExecutionStats, PIMSystem
 
@@ -54,7 +55,7 @@ class Rig:
         self.num_modules = num_modules
         self.pim = PIMSystem(config.cost_model)
         self.partitioner = GraphPartitioner(
-            RadicalGreedyPartitioner(num_modules), config.high_degree_threshold
+            LaborDivisionPartitioner(RadicalGreedyPartitioner(num_modules))
         )
         self.storages = [
             LocalGraphStorage(memory=module.memory) for module in self.pim.modules

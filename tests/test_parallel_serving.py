@@ -35,6 +35,7 @@ from repro.parallel import (
     reap_stale_segments,
 )
 from repro.parallel.shm import _GUARD_PREFIX, _GUARD_SUFFIX, _guard_directory
+from repro.paper import placed_at
 from repro.pim import CostModel
 from repro.pim.system import PIMSystem
 from repro.rpq import RPQuery
@@ -48,8 +49,10 @@ RPQ_EXPRESSIONS = (".{1}", ".{2}", ".+", "a", "a/b", "(a|b)+")
 
 def build_system(seed: int, engine: str) -> Moctopus:
     graph = random_graph(28, 90, seed=seed)
-    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=8)
-    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    system = placed_at(high_degree_threshold=8).from_graph(
+        graph, config, label_names=LABEL_NAMES
+    )
     system.use_engine(engine)
     return system
 

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import DiGraph, community_graph, random_graph
+from repro.paper import AdaptivePartitioner, LDGPartitioner
 from repro.partition.base import JOURNAL_CAPACITY
 from repro.partition import (
     HOST_PARTITION,
-    AdaptivePartitioner,
     HashPartitioner,
-    LDGPartitioner,
     LaborDivisionPartitioner,
     OwnerIndex,
     PartitionMap,
@@ -203,7 +202,7 @@ def test_a_placement_run_places_like_one_assign_node_each(placed, run, policy, d
 
     def state(partitioner):
         pmap = partitioner.partition_map
-        inner = getattr(partitioner, "_pim_partitioner", partitioner)
+        inner = getattr(partitioner, "pim_partitioner", partitioner)
         return (
             list(pmap.items()),
             pmap.version,

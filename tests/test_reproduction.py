@@ -1,6 +1,6 @@
 """The committed record of the paper's evaluation, ``REPRODUCTION.json``.
 
-``python -m repro.bench`` writes it at the repository root.  Every value
+``python -m repro.paper`` writes it at the repository root.  Every value
 is a simulated counter or a ratio of counters, and every entry depends
 only on its (experiment, trace), so part of the record is regenerated
 here and must come back byte for byte.  The shape claims the paper's
@@ -14,8 +14,8 @@ import pathlib
 
 import pytest
 
-from repro.bench import geometric_mean
-from repro.bench.reproduce import (
+from repro.paper import geometric_mean
+from repro.paper.reproduce import (
     HIGHLY_SKEWED_TRACES,
     LESS_SKEWED_TRACES,
     LONG_HOPS,

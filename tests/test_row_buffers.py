@@ -41,6 +41,7 @@ from repro.core.snapshot import HOLE, row_buffer, row_pairs
 from repro.durability.checkpoint import capture_checkpoint
 from repro.graph import DiGraph, power_law_graph
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
+from repro.paper import placed_at
 from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel, LocalMemory
 from repro.rpq import RPQuery
@@ -48,6 +49,10 @@ from repro.rpq import RPQuery
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
 from make_checkpoint_fixture import state_digest  # noqa: E402
+
+#: Labor division above out-degree 8, as ``tests/data/ckpt_pr16`` was
+#: written: small graphs then have hubs.
+THRESHOLD_8 = placed_at(high_degree_threshold=8)
 
 #: Sources, destinations and labels share one small range on purpose: a
 #: label equal to a node id is what an ``index()`` on the interleaved
@@ -511,11 +516,10 @@ def _churned_system(durability_dir=None) -> Moctopus:
     graph = power_law_graph(num_nodes=120, edges_per_node=3, skew=0.85, seed=3)
     config = MoctopusConfig(
         cost_model=CostModel(num_modules=4),
-        high_degree_threshold=8,
         durability_dir=None if durability_dir is None else str(durability_dir),
         checkpoint_interval_batches=0,
     )
-    system = Moctopus.from_graph(graph, config)
+    system = THRESHOLD_8.from_graph(graph, config)
     stream = UpdateStream(graph, seed=4)
     for round_id in range(6):
         ops = stream.mixed_batch(40)
@@ -589,7 +593,7 @@ def test_a_directory_written_with_tuple_rows_recovers_to_the_same_state(tmp_path
     shutil.copytree(os.path.join(fixture, "durability"), tmp_path / "durability")
     with open(os.path.join(fixture, "expected.json")) as handle:
         expected = json.load(handle)
-    recovered = Moctopus.recover(str(tmp_path / "durability"))
+    recovered = THRESHOLD_8.recover(str(tmp_path / "durability"))
     try:
         digest = state_digest(recovered)
         assert digest["arrays"] == expected["arrays"]
@@ -598,7 +602,7 @@ def test_a_directory_written_with_tuple_rows_recovers_to_the_same_state(tmp_path
         recovered.checkpoint()
     finally:
         recovered.close()
-    again = Moctopus.recover(str(tmp_path / "durability"))
+    again = THRESHOLD_8.recover(str(tmp_path / "durability"))
     try:
         assert state_digest(again)["arrays"] == expected["arrays"]
     finally:
@@ -667,12 +671,8 @@ def test_relabel_answers_the_same_on_host_and_module_rows(tmp_path):
     graph.add_edge(5, 6, 2)
     graph.add_edge(101, 102, 2)
     model = ReferenceModel.from_digraph(graph)
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4),
-        high_degree_threshold=8,
-        durability_dir=str(tmp_path),
-    )
-    system = Moctopus.from_graph(graph, config)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4), durability_dir=str(tmp_path))
+    system = THRESHOLD_8.from_graph(graph, config)
     assert system._partitioner.is_host(0) and not system._partitioner.is_host(100)
     # Unnamed labels are spelled as their numbers (names do not survive
     # a recovery; the numbers do).
@@ -708,7 +708,7 @@ def test_relabel_answers_the_same_on_host_and_module_rows(tmp_path):
     assert answers(system) == after
 
     system.close()
-    recovered = Moctopus.recover(str(tmp_path))
+    recovered = THRESHOLD_8.recover(str(tmp_path))
     try:
         assert answers(recovered) == after
         assert recovered.graph.edge_label(0, 5) == 2

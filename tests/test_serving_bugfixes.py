@@ -30,6 +30,7 @@ import pytest
 from repro.core import Moctopus, MoctopusConfig, query_processor
 from repro.engine import ENGINE_NAMES
 from repro.graph import random_graph
+from repro.paper import placed_at
 from repro.pim import CostModel, ExecutionStats
 from repro.rpq import KHopQuery, RPQuery, evaluate_khop, evaluate_rpq
 from repro.rpq.regex import RegexSyntaxError
@@ -43,8 +44,10 @@ LABEL_NAMES = {1: "a", 2: "b", 3: "c"}
 
 def build_system(engine: str = "auto") -> Moctopus:
     graph = random_graph(26, 90, seed=11)
-    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=8)
-    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    system = placed_at(high_degree_threshold=8).from_graph(
+        graph, config, label_names=LABEL_NAMES
+    )
     system.use_engine(engine)
     return system
 

@@ -34,6 +34,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 from model import ReferenceModel
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import random_graph
+from repro.paper import placed_at
 from repro.pim import CostModel
 from repro.rpq import RPQuery
 from repro.serve import SchedulerSaturated
@@ -49,8 +50,10 @@ RPQ_EXPRESSIONS = (".{1}", ".{2}", ".+", "a", "a/b", "(a|b)+")
 
 def build_system(seed: int, engine: str) -> Moctopus:
     graph = random_graph(28, 90, seed=seed)
-    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=8)
-    system = Moctopus.from_graph(graph, config, label_names=LABEL_NAMES)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    system = placed_at(high_degree_threshold=8).from_graph(
+        graph, config, label_names=LABEL_NAMES
+    )
     system.use_engine(engine)
     return system
 

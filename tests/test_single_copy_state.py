@@ -25,21 +25,22 @@ import weakref
 import pytest
 
 from model import ReferenceModel
-from repro.bench import scaled_cost_model
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.graph.digraph import ReadableGraph
 from repro.graph.stream import UpdateKind, UpdateOp
-from repro.pim import CostModel
+from repro.paper import placed_at
+from repro.pim import CostModel, scaled_cost_model
 from repro.rpq import KHopQuery
 
 SEED_GRAPH = dict(num_nodes=40, num_edges=140, seed=5)
+#: Labor division above out-degree 8, so the seed graph has hubs.
+System = placed_at(high_degree_threshold=8)
 
 
 def _config(durability_dir=None, **overrides) -> MoctopusConfig:
     defaults = dict(
         cost_model=CostModel(num_modules=4),
-        high_degree_threshold=8,
         durability_dir=None if durability_dir is None else str(durability_dir),
         checkpoint_interval_batches=3,
     )
@@ -98,7 +99,7 @@ def _apply_to_model(model: ReferenceModel, ops, labels) -> None:
 def test_graph_view_tracks_the_oracle_live_pinned_and_recovered(tmp_path):
     graph = random_graph(**SEED_GRAPH)
     model = ReferenceModel.from_digraph(graph)
-    system = Moctopus.from_graph(graph, _config(tmp_path))
+    system = System.from_graph(graph, _config(tmp_path))
     assert_view_equals_model(system, model, "after load")
 
     rng = random.Random(17)
@@ -134,7 +135,7 @@ def test_graph_view_tracks_the_oracle_live_pinned_and_recovered(tmp_path):
     system.close()
     with pytest.raises(RuntimeError, match="system is closed"):
         system.graph
-    recovered = Moctopus.recover(str(tmp_path))
+    recovered = System.recover(str(tmp_path))
     try:
         assert_view_equals_model(recovered, model, "after recover")
     finally:
@@ -142,7 +143,7 @@ def test_graph_view_tracks_the_oracle_live_pinned_and_recovered(tmp_path):
 
 
 def test_graph_view_is_read_only_and_satisfies_the_protocol():
-    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    system = System.from_graph(random_graph(**SEED_GRAPH), _config())
     view = system.graph
     assert isinstance(view, ReadableGraph)
     assert isinstance(DiGraph(), ReadableGraph)
@@ -162,7 +163,7 @@ def test_closed_system_is_freed_by_refcount(tmp_path, durable):
     gc.collect()
     gc.disable()
     try:
-        system = Moctopus.from_graph(
+        system = System.from_graph(
             random_graph(**SEED_GRAPH), _config(tmp_path if durable else None)
         )
         with system.begin() as session:
@@ -185,7 +186,7 @@ def test_closed_system_is_freed_by_refcount(tmp_path, durable):
 
 @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
 def test_closed_system_refuses_every_read_and_write(tmp_path, durable):
-    system = Moctopus.from_graph(
+    system = System.from_graph(
         random_graph(**SEED_GRAPH), _config(tmp_path if durable else None)
     )
     system.batch_khop([0, 1], 2)
@@ -213,7 +214,7 @@ def test_closed_system_refuses_every_read_and_write(tmp_path, durable):
 
 def test_open_handles_close_cleanly_after_the_system_closes():
     threads_before = set(threading.enumerate())
-    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    system = System.from_graph(random_graph(**SEED_GRAPH), _config())
     session = system.begin()
     session.batch_khop([0, 1], 2)
     scheduler = system.serve()
@@ -237,7 +238,7 @@ def test_open_handles_close_cleanly_after_the_system_closes():
 def test_begin_racing_close_leaks_no_pin():
     """A ``close()`` landing right after ``begin()``'s pin: the session
     that comes back owns that pin and returns it; nothing else holds one."""
-    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    system = System.from_graph(random_graph(**SEED_GRAPH), _config())
     manager = system._epochs
     pin = manager.pin
 
@@ -259,7 +260,7 @@ def test_begin_racing_close_leaks_no_pin():
 
 
 def test_closed_session_releases_its_retired_epoch():
-    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    system = System.from_graph(random_graph(**SEED_GRAPH), _config())
     session = system.begin()
     session.insert_edges([(0, 99)])
     session.batch_khop([0, 1], 2)
@@ -281,7 +282,7 @@ def test_closed_system_holds_no_graph_state(tmp_path):
     rng = random.Random(29)
 
     def load_update_and_close():
-        system = Moctopus.from_graph(graph, _config(tmp_path))
+        system = System.from_graph(graph, _config(tmp_path))
         for _ in range(6):
             system.apply_updates(
                 [
@@ -311,7 +312,7 @@ def test_closed_system_holds_no_graph_state(tmp_path):
 
 
 def test_retired_epochs_leave_the_caches():
-    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    system = System.from_graph(random_graph(**SEED_GRAPH), _config())
     processor = system._query_processor
     pinned = system.begin()  # held across every round
     pinned.batch_khop([0, 1, 2], 2)
@@ -330,7 +331,7 @@ def test_retired_epochs_leave_the_caches():
 
 
 def test_epoch_registry_is_current_plus_pinned():
-    system = Moctopus.from_graph(random_graph(**SEED_GRAPH), _config())
+    system = System.from_graph(random_graph(**SEED_GRAPH), _config())
     manager = system._epochs
     rng = random.Random(3)
     held = []

@@ -12,6 +12,7 @@ from repro.core.hetero_storage import BYTES_PER_SLOT, HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.snapshot import EMPTY_SNAPSHOT, merge_snapshot, row_buffer
 from repro.graph import DiGraph, power_law_graph, random_graph
+from repro.paper import placed_at
 from repro.pim import CostModel
 
 from faultinject import public_rows
@@ -563,8 +564,8 @@ def test_pinned_epoch_survives_compactions_and_promotions():
     nodes' rows — and hub promotions; the pinned epoch must stay
     bit-identical throughout."""
     graph = random_graph(40, 140, seed=9)
-    config = MoctopusConfig(cost_model=CostModel(num_modules=4), high_degree_threshold=8)
-    system = Moctopus.from_graph(graph, config)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    system = placed_at(high_degree_threshold=8).from_graph(graph, config)
     system.use_engine("vectorized")
     with system.begin() as session:
         epoch = session._epoch

@@ -13,6 +13,7 @@ from repro.core import Moctopus, MoctopusConfig
 from repro.core.update_processor import _PendingBatch
 from repro.graph import DiGraph
 from repro.graph.stream import UpdateKind, UpdateOp
+from repro.paper import placed_at
 from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel
 
@@ -68,10 +69,8 @@ def promotion_system(engine="python", threshold=4):
     """``engine`` picks the query kernel the tests read the result back
     through; the update path is the same whatever it says."""
     graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
-    config = MoctopusConfig(
-        cost_model=CostModel(num_modules=4), high_degree_threshold=threshold
-    )
-    system = Moctopus.from_graph(graph, config)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    system = placed_at(high_degree_threshold=threshold).from_graph(graph, config)
     system.use_engine(engine)
     return system
 
