@@ -80,10 +80,11 @@ def main() -> None:
     for _ in range(5):
         twin.apply_updates(replay.mixed_batch(64))
 
-    storages = lambda sys_: list(sys_._module_storages) + [sys_._host_storage]
     identical = all(
-        a.to_csr().same_arrays(b.to_csr())
-        for a, b in zip(storages(recovered), storages(twin))
+        a.same_arrays(b)
+        for a, b in zip(
+            recovered._epochs.current().snapshots, twin._epochs.current().snapshots
+        )
     )
     print(f"bit-identical CSR snapshots vs uncrashed twin: {identical}")
     assert identical

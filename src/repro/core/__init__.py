@@ -18,9 +18,8 @@ Figure 1:
   plus PIM-side index maps for high-degree nodes;
 * :class:`StoredGraphView` — ``system.graph``: the stored graph read
   straight off those storages (no second adjacency is kept);
-* :class:`GraphSnapshot` — dirty-flag-cached CSR views of both storages
-  (``to_csr()``), the substrate of the vectorized execution backend in
-  :mod:`repro.engine`.
+* :class:`GraphSnapshot` — a storage's segment of the epoch's flat CSR
+  heap, the substrate of the execution backends in :mod:`repro.engine`.
 """
 
 from repro.core.config import MoctopusConfig

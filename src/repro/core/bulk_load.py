@@ -17,11 +17,11 @@ leaves behind.
 
 The module rows are stored as columns: every module accumulates the
 rows each chunk creates on it and the table positions of the edges its
-rows take, and after the last chunk builds its CSR base from them in
-one stable sort by source
-(:meth:`~repro.core.local_storage.LocalGraphStorage.load_csr`), so no
-module row ever becomes a buffer.  A row whose source crosses the
-threshold inside the chunk takes the edges before the crossing; then
+rows take, and after the last chunk the loader writes the epoch heap
+(:class:`~repro.core.snapshot.CSRHeap`) from them and the host's rows,
+so no module row becomes a buffer and the first publish builds nothing.
+A row whose source crosses the threshold inside the chunk takes the
+edges before the crossing; then
 the chunk's promoted rows leave each module's columns together, in the
 form ``remove_row`` returns a row, for the host's ``insert_row`` in
 promotion order, and the later edges of each hub row enter it in one
@@ -38,10 +38,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
-from repro.core.local_storage import LocalGraphStorage
+from repro.core.local_storage import LocalGraphStorage, footprint
 from repro.core.node_migrator import NodeMigrator
 from repro.core.partitioner import GraphPartitioner
-from repro.core.snapshot import ranges
+from repro.core.snapshot import CSRHeap, build_heap, flatten_rows, ranges
 from repro.graph.stream import array_chunks
 
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -54,20 +54,23 @@ def bulk_load(
     migrator: NodeMigrator,
     table: np.ndarray,
     nodes: List[int],
-) -> None:
+) -> CSRHeap:
     """Load an edge ``table`` and then the isolated ``nodes`` of a graph
-    into an empty system.
+    into an empty system, and return the heap of its rows.
 
     ``table`` holds ``(src, dst, label)`` rows in stream order and has
     passed :func:`~repro.graph.stream.require_loadable`.  ``nodes`` is
     the graph's node list: the nodes no edge placed are placed after the
-    last edge, in its order.
+    last edge, in its order.  The module storages stay empty until they
+    adopt their segments of the heap
+    (:meth:`~repro.serve.epoch.EpochManager.install`); the host storage
+    holds its rows already.
     """
     loader = _BulkLoader(partitioner, module_storages, host_storage, migrator, table, nodes)
     for chunk in array_chunks(table):
         loader.load_chunk(chunk)
     loader.load_isolated(nodes)
-    loader.store_module_rows()
+    return loader.heap()
 
 
 def _group_by_source(srcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -105,15 +108,6 @@ class _ModuleColumns:
         self.rows = [rows[kept]]
         self.edges = [edges[~taken]]
         return edges[taken]
-
-    def store(self, storage: LocalGraphStorage, table: np.ndarray) -> None:
-        """Make the rows here ``storage``'s base."""
-        srcs, dsts, labels = table[np.concatenate([_NO_IDS, *self.edges])].T
-        # One stable sort by source groups each row's edges, in order.
-        order = np.argsort(srcs, kind="stable")
-        rows = np.sort(np.concatenate([_NO_IDS, *self.rows]))
-        indptr = np.append(np.searchsorted(srcs[order], rows), len(srcs))
-        storage.load_csr(rows, indptr, dsts[order], labels[order])
 
 
 class _BulkLoader:
@@ -373,7 +367,61 @@ class _BulkLoader:
             ids[unseen], np.array(parts, dtype=np.int64), zeros, zeros, len(isolated), zeros
         )
 
-    def store_module_rows(self) -> None:
-        """Build every module's base from its columns."""
-        for columns, storage in zip(self._columns, self._modules):
-            columns.store(storage, self._table)
+    def heap(self) -> CSRHeap:
+        """The heap of the loaded rows: every module's columns by (module,
+        id), then the host's rows.  One stable sort orders the module
+        edges by row and keeps each row's in stream order (a row's edges
+        all sit in its module's columns, in that order); its key and
+        order are the only edge-sized temporaries."""
+        columns, table = self._columns, self._table
+        # The host segment first, so its transients are gone before the sort.
+        host_rows = self._host.written_rows()
+        host_ids = np.array(sorted(host_rows), dtype=np.int64)
+        host_indptr, host_dsts, host_labels = flatten_rows(
+            list(map(host_rows.__getitem__, host_ids.tolist()))
+        )
+        ids = [np.concatenate([_NO_IDS, *column.rows]) for column in columns]
+        row_module = np.repeat(np.arange(len(columns)), list(map(len, ids)))
+        ids = np.concatenate([_NO_IDS, *ids])
+        edges = np.concatenate([_NO_IDS, *(e for column in columns for e in column.edges)])
+        self._columns = columns = [_ModuleColumns() for _ in columns]
+        by_id = np.argsort(ids)
+        # (module, id) order; the small module dtype makes it a radix sort.
+        small = np.min_scalar_type(len(columns))
+        order = by_id[np.argsort(row_module[by_id].astype(small), kind="stable")]
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[order] = np.arange(len(ids))
+        # Each edge's key is its row's rank in (module, id) order.
+        key = rank[by_id][np.searchsorted(ids[by_id], table[edges, 0])]
+        module_degrees = np.bincount(key, minlength=len(ids))
+        by_row = np.argsort(key, kind="stable")
+        del key
+        edges = edges[by_row]
+        del by_row
+
+        storages = (*self._modules, self._host)
+        segment_of = np.concatenate([row_module[order], np.full(len(host_ids), len(columns))])
+        degrees = np.concatenate([module_degrees, np.diff(host_indptr)])
+        counts = [np.bincount(segment_of, weights, len(storages)) for weights in (None, degrees)]
+        working_set = np.maximum(footprint(*counts), 1).astype(np.int64)
+        working_set[-1] = self._host.working_set_bytes
+        dsts, labels = np.empty((2, len(edges) + len(host_dsts)), dtype=np.int64)
+        # ``edges`` becomes, in place, each column's flat positions: nothing
+        # is copied on the way (``clip``: valid positions, unbuffered out).
+        edges *= 3
+        for out, host in ((dsts, host_dsts), (labels, host_labels)):
+            edges += 1
+            np.take(table.reshape(-1), edges, out=out[: len(edges)], mode="clip")
+            out[len(edges) :] = host
+        del edges
+        return build_heap(
+            np.concatenate([ids[order], host_ids]),
+            segment_of,
+            degrees,
+            dsts,
+            labels,
+            np.zeros(len(segment_of), dtype=np.int64),
+            segment_of < len(columns),
+            np.array([storage.bytes_per_entry for storage in storages], dtype=np.int64),
+            working_set,
+        )

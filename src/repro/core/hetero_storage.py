@@ -23,9 +23,10 @@ The snapshot splice takes these buffers holes and all and masks the
 holes in numpy; :meth:`HeterogeneousGraphStorage.capture_arrays` lays
 the same buffers end to end for a checkpoint.  Both copy — no view of a
 slot buffer outlives the call, or the next growth would fail.  Every
-mutation records its row in the storage's
-:class:`~repro.core.snapshot.SnapshotCache`, which the next
-:meth:`~HeterogeneousGraphStorage.to_csr` splices into the cached base.
+mutation records its row in :attr:`HeterogeneousGraphStorage.written`,
+and the next publish splices those rows into the host segment of a new
+heap (:func:`~repro.core.snapshot.splice`).  The storage reads nothing
+back from the heap: its rows are its slot buffers.
 
 The insert protocol (the paper's worked example for edge ``<1, 2>``):
 ``elem_position_map`` confirms the edge is absent → ``free_list_map``
@@ -44,16 +45,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.snapshot import (
     HOLE,
-    GraphSnapshot,
+    CSRHeap,
     RowBuffer,
     RowEntries,
-    SnapshotCache,
     join_buffers,
     row_buffer,
     split_buffers,
@@ -129,6 +129,11 @@ class ColsVector:
 class HeterogeneousGraphStorage:
     """Host-resident ``cols_vector`` rows plus PIM-resident index maps."""
 
+    #: The segment's byte-accounting constant (see repro.core.snapshot).
+    bytes_per_entry = BYTES_PER_SLOT
+    #: The host segment counts no local destinations.
+    count_local = False
+
     def __init__(self, num_pim_modules: int) -> None:
         if num_pim_modules <= 0:
             raise ValueError("num_pim_modules must be positive")
@@ -141,8 +146,8 @@ class HeterogeneousGraphStorage:
         self._num_edges = 0
         #: Slots allocated across all rows (``total_bytes`` in O(1)).
         self._total_slots = 0
-        #: Base snapshot + dirty rows (see repro.core.snapshot).
-        self._cache = SnapshotCache()
+        #: Ids of the rows written since the last publish.
+        self.written: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -219,37 +224,18 @@ class HeterogeneousGraphStorage:
         """Edge existence via the PIM-side ``elem_position_map``."""
         return dst in self._elem_position_map.get(src, ())
 
-    def _fetch_row(self, node: int) -> Optional[RowBuffer]:
-        """``node``'s slot buffer, holes included (``None`` when absent)."""
-        vector = self._vectors.get(node)
-        return None if vector is None else vector.slots
+    def written_rows(self) -> Dict[int, Optional[RowBuffer]]:
+        """The rows written since the last publish: ``node -> slot
+        buffer`` (entries in position order, the order a host scan streams
+        them, holes included), or ``None`` for a removed row."""
+        vectors = self._vectors
+        return {node: vectors[node].slots if node in vectors else None for node in self.written}
 
-    def to_csr(self) -> GraphSnapshot:
-        """CSR snapshot of the host rows (cached; incrementally refreshed).
+    def rebase(self, heap: CSRHeap, segment: int) -> None:
+        """Forget the written rows: a publish, load or restore put them in ``heap``."""
+        self.written.clear()
 
-        Entries appear in ``cols_vector`` position order (the order a
-        host scan streams them; the splice skips the holes);
-        ``working_set_bytes`` is the capacity-based footprint that the
-        host's random-access cost depends on.  The refresh (return the
-        cached base or splice the dirty rows into it) lives in
-        :class:`~repro.core.snapshot.SnapshotCache`.
-        """
-        return self._cache.refresh(
-            self._vectors.keys,
-            self._fetch_row,
-            bytes_per_entry=BYTES_PER_SLOT,
-            working_set_bytes=lambda: self.working_set_bytes,
-            count_local=False,
-        )
-
-    def drop_snapshot(self) -> None:
-        """Release the cached CSR arrays (rebuilt on the next ``to_csr``)."""
-        self._cache.drop()
-
-    @property
-    def snapshot_builds(self) -> int:
-        """Number of snapshot refreshes performed (cache hits excluded)."""
-        return self._cache.builds
+    adopt = rebase
 
     # ------------------------------------------------------------------
     # Mutation (split between host and PIM, reported in the outcome)
@@ -262,7 +248,7 @@ class HeterogeneousGraphStorage:
         self._elem_position_map[node] = {}
         self._free_list_map[node] = array("q", range(INITIAL_CAPACITY))
         self._total_slots += INITIAL_CAPACITY
-        self._cache.record(node)
+        self.written.add(node)
         return True
 
     def insert_edge(
@@ -285,7 +271,7 @@ class HeterogeneousGraphStorage:
             if vector.slots[2 * position + 1] == label:
                 return HeteroUpdateOutcome(applied=False, pim_map_lookups=lookups)
             vector.slots[2 * position + 1] = label
-            self._cache.record(src)
+            self.written.add(src)
             return HeteroUpdateOutcome(
                 applied=False, pim_map_lookups=lookups, host_writes=1
             )
@@ -306,7 +292,7 @@ class HeterogeneousGraphStorage:
         vector.slots[2 * position + 1] = label
         vector.size += 1
         self._num_edges += 1
-        self._cache.record(src)
+        self.written.add(src)
         return HeteroUpdateOutcome(
             applied=True,
             pim_map_lookups=lookups,
@@ -347,7 +333,7 @@ class HeterogeneousGraphStorage:
             slots[2 * position + 1] = label
         vector.size += len(dsts)
         self._num_edges += len(dsts)
-        self._cache.record(src)
+        self.written.add(src)
 
     def delete_edge(self, src: int, dst: int) -> HeteroUpdateOutcome:
         """Delete ``src -> dst`` following the split protocol."""
@@ -362,7 +348,7 @@ class HeterogeneousGraphStorage:
         self._free_list_map[src].append(position)
         lookups += 1  # free_list_map release (PIM side).
         self._num_edges -= 1
-        self._cache.record(src)
+        self.written.add(src)
         return HeteroUpdateOutcome(
             applied=True, pim_map_lookups=lookups, host_writes=1
         )
@@ -388,7 +374,7 @@ class HeterogeneousGraphStorage:
         self._free_list_map[node] = array("q", range(count, capacity))
         self._total_slots += capacity
         self._num_edges += count
-        self._cache.record(node)
+        self.written.add(node)
 
     def remove_row(self, node: int) -> RowEntries:
         """Remove a row entirely and return its entries (demotion path)."""
@@ -399,7 +385,7 @@ class HeterogeneousGraphStorage:
         del self._free_list_map[node]
         self._total_slots -= vector.capacity
         self._num_edges -= vector.size
-        self._cache.record(node)
+        self.written.add(node)
         return vector.occupied()
 
     # ------------------------------------------------------------------
@@ -444,15 +430,12 @@ class HeterogeneousGraphStorage:
             "free_flat": free_flat,
         }
 
-    def restore_arrays(
-        self, arrays: Dict[str, np.ndarray], base: GraphSnapshot
-    ) -> None:
+    def restore_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
         """Rebuild vectors, index maps and free lists from a capture.
 
         The inverse of :meth:`capture_arrays`: the triples are scattered
         into one hole-filled slot array that is cut into per-row buffers.
-        ``base`` seeds the snapshot cache with the checkpoint's CSR
-        arrays.  The storage must be empty (freshly constructed).
+        The storage must be empty (freshly constructed).
         """
         if self._vectors:
             raise RuntimeError("restore_arrays requires an empty storage")
@@ -484,7 +467,6 @@ class HeterogeneousGraphStorage:
             self._free_list_map[node] = free_list
         self._total_slots = int(slot_indptr[-1])
         self._num_edges = len(triples)
-        self._cache.seed_base(base)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,17 +8,15 @@ simulator it is modelled by byte accounting against the module's 64 MB
 local memory (:data:`BYTES_PER_ROW` per row, :data:`BYTES_PER_ENTRY`
 per entry), while the rows themselves are held once, copy on write:
 
-* a **clean** row lives only in the storage's frozen CSR base — the
-  :class:`~repro.core.snapshot.GraphSnapshot` its
-  :class:`~repro.core.snapshot.SnapshotCache` publishes, which the bulk
-  loader and the checkpoint restore build directly
-  (:meth:`LocalGraphStorage.load_csr`,
-  :meth:`LocalGraphStorage.restore_rows`);
+* a **clean** row lives only in the storage's frozen base — its
+  segment of the last published
+  :class:`~repro.core.snapshot.CSRHeap`, which the bulk loader and the
+  checkpoint restore write directly (:meth:`LocalGraphStorage.adopt`);
 * the first write to a base row copies that one row into a buffer —
   an ``array('q')`` interleaving ``dst0, label0, dst1, label1, ...`` in
   insertion order (the row-buffer format of :mod:`repro.core.snapshot`)
-  — and the buffer stays; rows created after the base was seeded start
-  as buffers;
+  — and the buffer stays, beside the base row the next publish writes;
+  rows created after the base was adopted start as buffers;
 * a removed row leaves a ``None`` tombstone among the buffers, which
   hides its base row.
 
@@ -26,7 +24,7 @@ Rows are looked up in the base through the snapshot's own
 ``row_index``; the storage keeps no per-row index of its own.  Edges are
 found on a buffer's ``dst`` column — ``row[::2]`` — never by searching
 the interleaved buffer, where a label can equal a node id.  The public
-reads return Python lists, materialised per call; the snapshot splice
+reads return Python lists, materialised per call; a publish's splice
 reads the buffers themselves, by copy, and keeps no view of one (an
 ``array`` exporting a buffer cannot grow).
 
@@ -35,31 +33,28 @@ mutates data and reports what happened (row length read, whether an edge
 existed, ...), while the *processors* translate those reports into
 charged work on the simulated hardware.
 
-Snapshots are maintained incrementally: mutations record the touched row
-in the :class:`~repro.core.snapshot.SnapshotCache` instead of discarding
-the base, and :meth:`to_csr` splices the written rows back in — see
-:mod:`repro.core.snapshot` for the lifecycle.
+Mutations record the touched row in :attr:`LocalGraphStorage.written`,
+and the next publish splices the written rows into a new heap and
+rebases the storage onto it — see :mod:`repro.core.snapshot` for the
+lifecycle.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.snapshot import (
-    EMPTY_SNAPSHOT,
     HOLE,
+    CSRHeap,
     GraphSnapshot,
     RowBuffer,
-    SnapshotCache,
-    csr_snapshot,
     join_buffers,
     ranges,
     row_buffer,
     row_pairs,
-    split_buffers,
 )
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.pim.memory import LocalMemory
@@ -76,24 +71,41 @@ _CLEAN = object()
 _NO_ROW = array("q")
 
 
+def footprint(rows, edges):
+    """Local-memory bytes of ``rows`` rows holding ``edges`` entries."""
+    return rows * BYTES_PER_ROW + edges * BYTES_PER_ENTRY
+
+
+#: The base of a storage no publish has rebased yet: no rows.
+_EMPTY_HEAP = CSRHeap.empty([BYTES_PER_ENTRY])
+
+
 class LocalGraphStorage:
     """Hash-map adjacency segment stored in one PIM module's local memory."""
 
+    #: The segment's byte-accounting constant (see repro.core.snapshot).
+    bytes_per_entry = BYTES_PER_ENTRY
+    #: A module segment counts its rows' local destinations.
+    count_local = True
+
     def __init__(self, memory: Optional[LocalMemory] = None) -> None:
-        #: Rows written since the base was seeded: ``node -> dst0,
-        #: label0, dst1, label1, ...`` in insertion order, or ``None``
-        #: for a removed row.  Every other row is a clean base row.
+        #: Every row ever written: ``node -> dst0, label0, dst1,
+        #: label1, ...`` in insertion order, or ``None`` for a removed
+        #: row.  Every other row is a clean base row.
         self._buffers: Dict[int, Optional[RowBuffer]] = {}
         self._memory = memory
         self._num_rows = 0
         self._num_edges = 0
-        #: Base snapshot + dirty rows (see repro.core.snapshot).
-        self._cache = SnapshotCache()
+        #: Ids of the rows written since the last publish: a tombstone, a
+        #: new row or a buffer that differs from the base.
+        self.written: Set[int] = set()
+        #: The heap, and its segment, that hold the clean rows.
+        self._heap = _EMPTY_HEAP
+        self._segment = 0
 
     def _base(self) -> GraphSnapshot:
-        """The base holding the clean rows (empty before one is seeded)."""
-        base = self._cache.base
-        return EMPTY_SNAPSHOT if base is None else base
+        """The segment view holding the clean rows."""
+        return self._heap.segment(self._segment)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -111,7 +123,7 @@ class LocalGraphStorage:
     @property
     def storage_bytes(self) -> int:
         """Bytes of local memory this segment occupies."""
-        return self._num_rows * BYTES_PER_ROW + self._num_edges * BYTES_PER_ENTRY
+        return footprint(self._num_rows, self._num_edges)
 
     @property
     def working_set_bytes(self) -> int:
@@ -148,12 +160,12 @@ class LocalGraphStorage:
 
         ``dsts`` holds each node's next hops in stored order, the nodes'
         rows end to end; an absent row is empty.  A row written since the
-        last refresh is read from its buffer, every other one from the
-        base (a buffer the refresh spliced equals its base row): no
-        snapshot refresh, and no buffer is created.
+        last publish is read from its buffer, every other one from the
+        base (a buffer a publish spliced equals its base row): nothing is
+        published, and no buffer is created.
         """
         base = self._base()
-        written = self._buffers if self._cache.base is None else self._cache.dirty
+        written = self.written
         index = base.lookup(nodes)
         found = index >= 0
         lengths = np.zeros(len(nodes), dtype=np.int64)
@@ -194,7 +206,7 @@ class LocalGraphStorage:
             self._memory.allocate(BYTES_PER_ROW)
         row = self._buffers[node] = array("q")
         self._num_rows += 1
-        self._cache.record(node)
+        self.written.add(node)
         return row
 
     def ensure_row(self, node: int) -> bool:
@@ -218,14 +230,14 @@ class LocalGraphStorage:
         dsts = row[::2]
         if dst in dsts:
             row[2 * dsts.index(dst) + 1] = label
-            self._cache.record(src)
+            self.written.add(src)
             return False
         if self._memory is not None:
             self._memory.allocate(BYTES_PER_ENTRY)
         row.append(dst)
         row.append(label)
         self._num_edges += 1
-        self._cache.record(src)
+        self.written.add(src)
         return True
 
     def remove_edge(self, src: int, dst: int) -> bool:
@@ -245,7 +257,7 @@ class LocalGraphStorage:
         self._num_edges -= 1
         if self._memory is not None:
             self._memory.free(BYTES_PER_ENTRY)
-        self._cache.record(src)
+        self.written.add(src)
         return True
 
     def remove_row(self, node: int) -> List[Tuple[int, int]]:
@@ -268,7 +280,7 @@ class LocalGraphStorage:
         self._num_edges -= len(entries)
         if self._memory is not None:
             self._memory.free(BYTES_PER_ROW + len(entries) * BYTES_PER_ENTRY)
-        self._cache.record(node)
+        self.written.add(node)
         return entries
 
     def insert_row(self, node: int, entries: List[Tuple[int, int]]) -> None:
@@ -280,92 +292,32 @@ class LocalGraphStorage:
         self._buffers[node] = row_buffer(entries)
         self._num_rows += 1
         self._num_edges += len(entries)
-        self._cache.record(node)
+        self.written.add(node)
 
     # ------------------------------------------------------------------
-    # Bulk fill: the load and the checkpoint restore
+    # The heap: load, restore and publish
     # ------------------------------------------------------------------
-    def load_csr(
-        self,
-        node_ids: np.ndarray,
-        indptr: np.ndarray,
-        dsts: np.ndarray,
-        labels: np.ndarray,
-    ) -> None:
-        """Fill this empty segment with a bulk load's rows, as its base.
-
-        Row ``node_ids[i]`` (ascending) holds the edges
-        ``dsts[indptr[i]:indptr[i + 1]]`` with their ``labels``; no row
-        gets a buffer.  The memory is charged once, for the whole segment.
-        """
-        working_set = len(node_ids) * BYTES_PER_ROW + len(dsts) * BYTES_PER_ENTRY
-        self.restore_rows(
-            csr_snapshot(
-                node_ids,
-                indptr,
-                dsts,
-                labels,
-                bytes_per_entry=BYTES_PER_ENTRY,
-                working_set_bytes=max(working_set, 1),
-            )
-        )
-
-    def restore_rows(self, snapshot: GraphSnapshot) -> None:
-        """Make ``snapshot`` this empty segment's base (recovery path).
-
-        ``snapshot`` is the CSR capture the checkpoint recorded: it seeds
-        the cache, so the first post-recovery ``to_csr()`` is a cache hit
-        and every row stays clean.  Memory accounting is re-charged from
-        scratch — the storage must be empty (freshly constructed) when
-        this is called.
-        """
+    def adopt(self, heap: CSRHeap, segment: int) -> None:
+        """Make segment ``segment`` of ``heap`` this empty storage's rows
+        (a bulk load or a checkpoint restore): no row gets a buffer, and
+        the memory is charged once, for the whole segment."""
         if self._num_rows or self._buffers:
-            raise RuntimeError("restore_rows requires an empty storage")
-        self._num_rows = snapshot.num_rows
-        self._num_edges = snapshot.num_edges
+            raise RuntimeError("adopt requires an empty storage")
+        self.rebase(heap, segment)
+        self._num_rows, self._num_edges = self._base().num_rows, self._base().num_edges
         if self._memory is not None:
             self._memory.allocate(self.storage_bytes)
-        self._cache.seed_base(snapshot)
 
-    # ------------------------------------------------------------------
-    # Snapshots
-    # ------------------------------------------------------------------
-    def to_csr(self) -> GraphSnapshot:
-        """CSR snapshot of this segment (cached; incrementally refreshed).
+    def rebase(self, heap: CSRHeap, segment: int) -> None:
+        """Read clean rows from segment ``segment`` of ``heap`` from now on:
+        a publish spliced every written row into it."""
+        self._heap = heap
+        self._segment = segment
+        self.written.clear()
 
-        The snapshot carries this storage's byte-accounting constant and
-        the per-row local-destination counts that misplacement detection
-        uses, so the vectorized engine can charge identical simulated
-        work to the scalar path.  The refresh (return the cached base or
-        splice the written rows into it) lives in
-        :class:`~repro.core.snapshot.SnapshotCache`; without a base every
-        row is a buffer (or a tombstone), so the buffers are every row.
-        """
-        return self._cache.refresh(
-            self._buffers.keys,
-            self._buffers.get,
-            bytes_per_entry=BYTES_PER_ENTRY,
-            working_set_bytes=lambda: self.working_set_bytes,
-            count_local=True,
-        )
-
-    def drop_snapshot(self) -> None:
-        """Forget the cached base: its clean rows are copied into buffers
-        first, and the next ``to_csr`` splices every row anew."""
-        base = self._cache.base
-        if base is not None:
-            interleaved = np.column_stack([base.dsts, base.labels]).reshape(-1)
-            rows = dict(
-                zip(base.node_ids.tolist(), split_buffers(interleaved, 2 * base.indptr))
-            )
-            rows.update(self._buffers)  # written rows and tombstones win
-            self._buffers = {node: row for node, row in rows.items() if row is not None}
-        self._cache.drop()
-
-    @property
-    def snapshot_builds(self) -> int:
-        """Number of snapshot refreshes performed (cache hits excluded)."""
-        return self._cache.builds
+    def written_rows(self) -> Dict[int, Optional[RowBuffer]]:
+        """The rows written since the last rebase (``None``: removed)."""
+        return {node: self._buffers[node] for node in self.written}
 
     # ------------------------------------------------------------------
     # Query access

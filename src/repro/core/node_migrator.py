@@ -212,8 +212,8 @@ class NodeMigrator:
         backend — and each decision sees the moves made before it.
 
         The vote is columnar: the pending nodes' rows are read live (never
-        through ``to_csr()``: a pass after a small scalar query must not
-        pay the snapshot splices the next query might never need; see
+        through a publish: a pass after a small scalar query must not pay
+        the splice the next query might never need; see
         ``LocalGraphStorage.gather_dsts``), their
         next hops resolve to owners in one lookup and one sort tallies the
         votes per (node, partition).  Only the nodes some other partition

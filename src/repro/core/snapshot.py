@@ -1,60 +1,34 @@
-"""Columnar CSR snapshots of the graph storages, maintained incrementally.
+"""The epoch layout: one flat CSR heap for every storage, spliced per publish.
 
-The vectorized execution backend expands frontiers with numpy gathers
-instead of per-node dict lookups, which requires the adjacency segments
-to be available as flat arrays.  Both storage classes
-(:class:`~repro.core.local_storage.LocalGraphStorage` and
-:class:`~repro.core.hetero_storage.HeterogeneousGraphStorage`) expose a
-``to_csr()`` method returning a :class:`GraphSnapshot`.
+A :class:`CSRHeap` holds the adjacency of the module storages
+(:class:`~repro.core.local_storage.LocalGraphStorage`) and then the
+host's (:class:`~repro.core.hetero_storage.HeterogeneousGraphStorage`),
+one segment each, end to end in one set of arrays.  A
+:class:`GraphSnapshot` is a segment's view — slices, not copies — and
+what every kernel reads; it carries its storage's byte-accounting
+constants and the per-row count of locally-owned destinations that the
+paper's misplacement detection needs, so every engine charges the same
+simulated work.
 
-Row buffers
------------
-The storages keep — and hand to the splice here — each *written*
-adjacency row as one flat int64 buffer: an ``array('q')`` interleaving
-``dst0, label0, dst1, label1, ...``.  A pair whose ``dst`` is
-:data:`HOLE` is an empty slot (the host's ``cols_vector`` has them;
-module rows never do) and is skipped.  :func:`row_buffer` /
-:func:`row_pairs` convert from and to the ``(dst, label)`` lists of the
-public read API, and :func:`split_buffers` cuts checkpoint arrays back
-into rows.  The splice copies every buffer it is given (one
-``bytes.join``) and never keep a ``memoryview`` or ``frombuffer`` array
-over one: an ``array`` that is exporting its buffer cannot be resized,
-so a view that outlived the call would make the next insert into that
-row raise ``BufferError``.
+The storages keep each *written* row as one ``array('q')`` interleaving
+``dst0, label0, dst1, label1, ...`` (a :data:`HOLE` ``dst`` is an empty
+host slot).  The splice copies every buffer it is given (one
+``bytes.join``) and keeps no view of one: an ``array`` exporting its
+buffer cannot be resized.
 
-Snapshot lifecycle
-------------------
-A storage's :class:`SnapshotCache` keeps one frozen **base** snapshot
-and the ids of the rows edited since it froze (edge add/sub, whole-row
-install/removal by migrations and labor-division promotions).
-``to_csr()`` returns the base when no row is dirty — what back-to-back
-queries between updates hit — and otherwise :func:`merge_snapshot`
-splices the dirty rows' current buffers into it: only those rows are
-re-read and flattened, then one index array places every row's segment
-of ``base ++ delta`` and each column is one gather, whatever the
-dirty-row count.  A storage with no base yet — one built edge by edge,
-or after ``drop()`` — splices every row into :data:`EMPTY_SNAPSHOT` on
-its first refresh; a bulk load and a checkpoint restore seed the base
-directly (:func:`csr_snapshot`, :meth:`SnapshotCache.seed_base`),
-so a loaded or recovered storage never takes that branch.  A splice is
-exact — a removed edge or row leaves nothing behind in the arrays — so
-a base is array-for-array the snapshot of the current rows however long
-its lineage, and a rebuild from scratch would have nothing to collect.
-The suites hold every refresh to a per-edge reference builder
-(``tests/model.py``).
-
-A module storage keeps no second copy of a clean row: its base *is*
-where the row lives, and a row gets a buffer only when it is first
-written (see :mod:`repro.core.local_storage`).  The host storage keeps
-every row as a buffer, since its slot layout is state the base does not
-carry.
-
-A snapshot is a *simulation-faithful* view: alongside the CSR topology
-it carries the byte-accounting constants of its storage (hash-map entry
-bytes for PIM segments, ``cols_vector`` slot bytes for the host rows)
-and the per-row count of locally-owned destinations that the paper's
-misplacement detection needs, so the vectorized engine charges exactly
-the same simulated work as the scalar one.
+A storage records the ids of the rows it writes in ``written`` and reads
+every other row from its **base**, its segment of the last published
+heap.  A publish is one :func:`splice`: :meth:`CSRHeap.merge` merges
+every storage's written rows into their segments in one vectorized
+pass, :meth:`CSRHeap.replace` copies each run of untouched segments as
+one slice (a publish touching most rows merges every segment instead),
+and the storages are rebased onto the new heap.  Nothing written,
+nothing built — nor after a load or a restore, which write the heap
+directly (:meth:`~repro.serve.epoch.EpochManager.install`).  A session patches
+its staged rows in with the same :meth:`CSRHeap.merge`.  A splice is
+exact, so a heap is array-for-array the CSR of the current rows however
+long its lineage; the suites hold every segment to a per-edge reference
+builder (``tests/model.py``).
 """
 
 from __future__ import annotations
@@ -62,7 +36,10 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import chain
-from typing import Callable, Collection, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -125,11 +102,12 @@ def split_buffers(values: np.ndarray, bounds: np.ndarray) -> List[array]:
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1`` for
-    every ``i``, end to end."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
-        starts - ends + lengths, lengths
-    )
+    every ``i``, end to end: steps of 1, a jump at each piece's first item,
+    summed in place (one output-sized array, the only one)."""
+    starts, lengths = starts[lengths > 0], lengths[lengths > 0]
+    out = np.ones(int(lengths.sum()), dtype=np.int64)
+    out[np.cumsum(lengths) - lengths] = starts + 1 - np.concatenate([[1], starts + lengths])[:-1]
+    return np.cumsum(out, out=out)
 
 
 class TransposedBlock:
@@ -201,6 +179,7 @@ class GraphSnapshot:
         local_counts: np.ndarray,
         bytes_per_entry: int,
         working_set_bytes: int,
+        degrees: Optional[np.ndarray] = None,
     ) -> None:
         self.node_ids = node_ids
         self.indptr = indptr
@@ -214,11 +193,12 @@ class GraphSnapshot:
         #: Size of the structure for working-set-dependent access costs
         #: (the host's ``cols_vector`` capacity; a module's segment bytes).
         self.working_set_bytes = working_set_bytes
-        self.degrees = np.diff(indptr)
+        #: Per-row out-degrees: ``indptr``'s steps (a heap passes its own).
+        self.degrees = np.diff(indptr) if degrees is None else degrees
         # Lazily built derived views (transpose / per-label blocks /
-        # degree histogram / row ids).  A snapshot is immutable — the
-        # storages' SnapshotCache *replaces* the snapshot object on any
-        # mutation — so once built these can never go stale.  Concurrent
+        # degree histogram / row ids).  A snapshot is immutable — a
+        # publish builds a new heap, and new views over it — so once
+        # built these can never go stale.  Concurrent
         # pinned readers may race to build one; both compute the same
         # arrays and the single reference assignment publishes either
         # safely.
@@ -345,26 +325,6 @@ class GraphSnapshot:
             self._label_blocks = blocks
         return blocks
 
-    def freeze(self) -> "GraphSnapshot":
-        """Mark every array read-only and return ``self``.
-
-        Published snapshots are shared by reference between the storage
-        cache, pinned serving epochs and the engines; freezing turns any
-        accidental in-place mutation of a handed-out base into an
-        immediate ``ValueError`` instead of silent corruption of every
-        reader.
-        """
-        for array in (
-            self.node_ids,
-            self.indptr,
-            self.dsts,
-            self.labels,
-            self.local_counts,
-            self.degrees,
-        ):
-            array.flags.writeable = False
-        return self
-
     def same_arrays(self, other: "GraphSnapshot") -> bool:
         """Array-for-array equality (the incremental-maintenance contract)."""
         return (
@@ -378,18 +338,6 @@ class GraphSnapshot:
         )
 
 
-#: The base a storage's first refresh splices all of its rows into.
-EMPTY_SNAPSHOT = GraphSnapshot(
-    node_ids=_EMPTY,
-    indptr=np.zeros(1, dtype=np.int64),
-    dsts=_EMPTY,
-    labels=_EMPTY,
-    local_counts=_EMPTY,
-    bytes_per_entry=0,
-    working_set_bytes=1,
-).freeze()
-
-
 def _sorted_member_mask(members: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Boolean mask of which ``values`` occur in the sorted ``members``."""
     if len(members) == 0 or len(values) == 0:
@@ -398,25 +346,7 @@ def _sorted_member_mask(members: np.ndarray, values: np.ndarray) -> np.ndarray:
     return members[positions] == values
 
 
-def _local_counts(
-    node_ids: np.ndarray, indptr: np.ndarray, dsts: np.ndarray
-) -> np.ndarray:
-    """Per-``indptr``-segment count of destinations found in ``node_ids``.
-
-    ``indptr`` need not span all of ``node_ids``'s rows — the merge path
-    recounts only its dirty-row segments against the full member set.
-    """
-    if len(node_ids) == 0 or len(dsts) == 0:
-        return np.zeros(len(indptr) - 1, dtype=np.int64)
-    local_flags = _sorted_member_mask(node_ids, dsts).astype(np.int64)
-    # Per-row segment sums via prefix sums: exact for empty rows
-    # anywhere (reduceat would mishandle out-of-bounds segment
-    # starts produced by trailing empty rows).
-    prefix = np.concatenate([[0], np.cumsum(local_flags)])
-    return prefix[indptr[1:]] - prefix[indptr[:-1]]
-
-
-def _flatten_entries(
+def flatten_rows(
     buffers: List[RowBuffer],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenate row buffers into ``(indptr, dsts, labels)`` columns.
@@ -435,174 +365,314 @@ def _flatten_entries(
     return live_prefix[bounds >> 1], slots[live, 0], slots[live, 1]
 
 
-def csr_snapshot(
+def build_heap(
     node_ids: np.ndarray,
-    indptr: np.ndarray,
+    segment_of: np.ndarray,
+    degrees: np.ndarray,
     dsts: np.ndarray,
     labels: np.ndarray,
-    bytes_per_entry: int,
-    working_set_bytes: int,
-) -> GraphSnapshot:
-    """The frozen snapshot of CSR rows built elsewhere (a bulk load),
-    with their local counts: row ``node_ids[i]`` (ascending) holds
-    ``dsts[indptr[i]:indptr[i + 1]]``."""
-    return GraphSnapshot(
-        node_ids=node_ids,
-        indptr=indptr,
-        dsts=dsts,
-        labels=labels,
-        local_counts=_local_counts(node_ids, indptr, dsts),
-        bytes_per_entry=bytes_per_entry,
-        working_set_bytes=working_set_bytes,
-    ).freeze()
-
-
-def merge_snapshot(
-    base: GraphSnapshot,
-    dirty_rows: np.ndarray,
-    fetch_row: Callable[[int], Optional[RowBuffer]],
-    bytes_per_entry: int,
-    working_set_bytes: int,
-    count_local: bool,
-) -> GraphSnapshot:
-    """Splice the current data of ``dirty_rows`` into ``base``.
-
-    ``fetch_row`` returns a dirty row's current buffer, or ``None`` when
-    the row no longer exists on the storage.  Clean base rows and the
-    freshly flattened dirty rows are laid end to end and the merged
-    columns come out of one gather each; the result is array-for-array
-    the snapshot of the storage's current contents, whatever ``base``'s
-    lineage (:data:`EMPTY_SNAPSHOT` included).
-    """
-    # Clean base rows survive with their segments; dirty ones are
-    # replaced (or dropped) wholesale from the storage's live data.
-    keep = ~_sorted_member_mask(dirty_rows, base.node_ids)
-
-    buffers = list(map(fetch_row, dirty_rows.tolist()))
-    present = np.array([buffer is not None for buffer in buffers], dtype=bool)
-    delta_nodes = dirty_rows[present]
-    delta_indptr, delta_dsts, delta_labels = _flatten_entries(
-        [buffer for buffer in buffers if buffer is not None]
-    )
-
-    # Two-source splice: order the union of surviving and dirty rows by
-    # node id (all ids are unique, so the sort is total).  Each merged
-    # row then knows where its segment starts in ``base ++ delta``, and
-    # one index array gathers every segment into place — a fixed number
-    # of numpy calls whatever the dirty-row count.
-    all_nodes = np.concatenate([base.node_ids[keep], delta_nodes])
-    all_degrees = np.concatenate([base.degrees[keep], np.diff(delta_indptr)])
-    all_starts = np.concatenate(
-        [base.indptr[:-1][keep], delta_indptr[:-1] + base.num_edges]
-    )
-    order = np.argsort(all_nodes)
-    node_ids = all_nodes[order]
-    degrees = all_degrees[order]
-    indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    gather = np.repeat(all_starts[order] - indptr[:-1], degrees)
-    gather += np.arange(len(gather), dtype=np.int64)
-    dsts = np.concatenate([base.dsts, delta_dsts])[gather]
-    labels = np.concatenate([base.labels, delta_labels])[gather]
-
-    if count_local:
-        # Locality of a *clean* row only changes when the row-id set
-        # itself changed (an install or removal flips membership of its
-        # destinations).  With the membership intact, splice the base
-        # counts and recount just the dirty rows' destinations;
-        # otherwise recompute over the merged arrays in one pass.
-        rows_removed = len(delta_nodes) < len(dirty_rows)
-        rows_added = bool(len(delta_nodes)) and not np.all(
-            _sorted_member_mask(base.node_ids, delta_nodes)
-        )
-        if rows_removed or rows_added:
-            local_counts = _local_counts(node_ids, indptr, dsts)
-        else:
-            delta_local = _local_counts(node_ids, delta_indptr, delta_dsts)
-            local_counts = np.concatenate(
-                [base.local_counts[keep], delta_local]
-            )[order]
-    else:
-        local_counts = np.zeros(len(node_ids), dtype=np.int64)
-    return GraphSnapshot(
-        node_ids=node_ids,
-        indptr=indptr,
-        dsts=dsts,
-        labels=labels,
-        local_counts=local_counts,
-        bytes_per_entry=bytes_per_entry,
-        working_set_bytes=working_set_bytes,
+    local_counts: np.ndarray,
+    recount: np.ndarray,
+    bytes_per_entry: np.ndarray,
+    working_set_bytes: np.ndarray,
+) -> "CSRHeap":
+    """The heap of rows laid out by segment, then by node id: row ``i`` is
+    in segment ``segment_of[i]`` and has the next ``degrees[i]`` edges.
+    Rows where ``recount`` is set get their ``local_counts`` counted anew:
+    how many of their destinations are rows of their own segment."""
+    count = len(bytes_per_entry)
+    row_offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(segment_of, minlength=count), out=row_offsets[1:])
+    ends = np.cumsum(degrees)
+    edge_offsets = np.concatenate([[0], ends])[row_offsets]
+    indptr = np.zeros(len(node_ids) + count, dtype=np.int64)
+    indptr[np.arange(1, len(node_ids) + 1) + segment_of] = ends - edge_offsets[segment_of]
+    bounds = row_offsets.tolist()
+    for low, high in zip(bounds, bounds[1:]):
+        rows = low + np.flatnonzero(recount[low:high])
+        if len(rows):
+            local = _sorted_member_mask(
+                node_ids[low:high], dsts[ranges(ends[rows] - degrees[rows], degrees[rows])]
+            )
+            prefix = np.concatenate([[0], np.cumsum(local)])
+            row_ends = np.cumsum(degrees[rows])
+            local_counts[rows] = prefix[row_ends] - prefix[row_ends - degrees[rows]]
+    return CSRHeap(
+        node_ids, indptr, dsts, labels, local_counts, row_offsets, edge_offsets,
+        bytes_per_entry, working_set_bytes, degrees,
     )
 
 
-class SnapshotCache:
-    """One storage's cached base snapshot and the rows dirtied since.
+@dataclass(eq=False)
+class CSRHeap:
+    """One flat CSR holding every segment of an epoch, end to end.
 
-    The storages :meth:`record` every row a mutation touches;
-    :meth:`refresh` returns the base or splices the dirty rows into it.
+    Segment ``s`` is rows ``row_offsets[s]:row_offsets[s + 1]`` of
+    ``node_ids`` (ascending within the segment), ``local_counts`` and
+    ``degrees``, and edges ``edge_offsets[s]:edge_offsets[s + 1]`` of
+    ``dsts`` and ``labels``.  Its ``indptr`` — one entry per row plus a
+    leading 0 — is ``indptr[row_offsets[s] + s:row_offsets[s + 1] + s +
+    1]``, so a segment's own CSR is a slice of every array and
+    :meth:`segment` hands it out as a :class:`GraphSnapshot` without a
+    copy.  ``bytes_per_entry`` and ``working_set_bytes`` hold each
+    segment's byte-accounting constants.  Every array is frozen.
     """
 
-    def __init__(self) -> None:
-        self.base: Optional[GraphSnapshot] = None
-        #: Ids of the rows edited since ``base`` froze.  Recorded only
-        #: while a base exists: a first refresh reads every row anyway.
-        self.dirty: Set[int] = set()
-        #: Number of snapshot refreshes performed.
-        self.builds = 0
+    #: The arrays a heap is built from (and exported as), in order.
+    FIELDS: ClassVar[Tuple[str, ...]] = (
+        "node_ids", "indptr", "dsts", "labels", "local_counts",
+        "row_offsets", "edge_offsets", "bytes_per_entry", "working_set_bytes",
+    )
 
-    def record(self, node: int) -> None:
-        """``node``'s row was edited, installed or removed."""
-        if self.base is not None:
-            self.dirty.add(node)
+    node_ids: np.ndarray
+    indptr: np.ndarray
+    dsts: np.ndarray
+    labels: np.ndarray
+    local_counts: np.ndarray
+    row_offsets: np.ndarray
+    edge_offsets: np.ndarray
+    bytes_per_entry: np.ndarray
+    working_set_bytes: np.ndarray
+    #: Derived from ``indptr`` on first use, unless a splice passed them.
+    _degrees: Optional[np.ndarray] = None
 
-    def seed_base(self, snapshot: GraphSnapshot) -> None:
-        """Install an externally built base (bulk load, checkpoint restore).
+    def __post_init__(self) -> None:
+        for array in (*self.arrays().values(), self._degrees):
+            if array is not None:
+                array.flags.writeable = False
+        self._bounds = (self.row_offsets.tolist(), self.edge_offsets.tolist())
+        # Built on first use; two readers racing build equal views.
+        self._views: List[Optional[GraphSnapshot]] = [None] * self.num_segments
 
-        The next ``to_csr()`` is then a cache hit on those arrays.  They
-        are frozen (the checkpoint loader may share them), so every later
-        splice reads a read-only base — which the regression suite
-        asserts explicitly.
-        """
-        self.base = snapshot.freeze()
-        self.dirty.clear()
+    @classmethod
+    def empty(cls, bytes_per_entry: Sequence[int]) -> "CSRHeap":
+        """A heap of ``len(bytes_per_entry)`` empty segments."""
+        count = len(bytes_per_entry)
+        offsets, ones = np.zeros(count + 1, dtype=np.int64), np.ones(count, dtype=np.int64)
+        return cls(_EMPTY, offsets[1:], _EMPTY, _EMPTY, _EMPTY, offsets, offsets,
+                   np.array(bytes_per_entry, dtype=np.int64), ones)
 
-    def drop(self) -> None:
-        """Forget the cached base; the next refresh splices every row."""
-        self.base = None
-        self.dirty.clear()
+    @classmethod
+    def from_segments(cls, segments: Sequence[GraphSnapshot]) -> "CSRHeap":
+        """The heap of ``segments`` laid end to end (a checkpoint restore)."""
+        columns = [
+            np.concatenate([_EMPTY, *(getattr(segment, name) for segment in segments)])
+            for name in cls.FIELDS[:5]
+        ]
+        offsets = [
+            np.cumsum([0, *(getattr(segment, name) for segment in segments)])
+            for name in ("num_rows", "num_edges")
+        ]
+        constants = [
+            np.array([getattr(segment, name) for segment in segments], dtype=np.int64)
+            for name in cls.FIELDS[7:]
+        ]
+        return cls(*columns, *offsets, *constants)
 
-    def refresh(
+    @property
+    def degrees(self) -> np.ndarray:
+        """Per-row out-degrees: the steps of each segment's ``indptr``."""
+        if self._degrees is None:
+            boundaries = self.row_offsets[1:-1] + np.arange(self.num_segments - 1)
+            self._degrees = np.delete(np.diff(self.indptr), boundaries)
+            self._degrees.flags.writeable = False
+        return self._degrees
+
+    @property
+    def num_segments(self) -> int:
+        """Number of segments (modules, then the host)."""
+        return len(self.row_offsets) - 1
+
+    @property
+    def num_rows(self) -> int:
+        """Adjacency rows across every segment."""
+        return len(self.node_ids)
+
+    @property
+    def num_edges(self) -> int:
+        """Adjacency entries across every segment."""
+        return len(self.dsts)
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The arrays :class:`CSRHeap` is built from, by name."""
+        return {name: getattr(self, name) for name in self.FIELDS}
+
+    def segment(self, index: int) -> GraphSnapshot:
+        """Segment ``index`` as a :class:`GraphSnapshot` of array slices."""
+        view = self._views[index]
+        if view is None:
+            rows, edges = self._bounds
+            low, high = rows[index], rows[index + 1]
+            first, last = edges[index], edges[index + 1]
+            view = self._views[index] = GraphSnapshot(
+                node_ids=self.node_ids[low:high],
+                indptr=self.indptr[low + index : high + index + 1],
+                dsts=self.dsts[first:last],
+                labels=self.labels[first:last],
+                local_counts=self.local_counts[low:high],
+                bytes_per_entry=self.bytes_per_entry.item(index),
+                working_set_bytes=self.working_set_bytes.item(index),
+                degrees=self.degrees[low:high],
+            )
+        return view
+
+    def merge(
         self,
-        row_ids: Callable[[], Collection[int]],
-        fetch_row: Callable[[int], Optional[RowBuffer]],
-        bytes_per_entry: int,
-        working_set_bytes: Callable[[], int],
-        count_local: bool,
-    ) -> GraphSnapshot:
-        """Bring the cached snapshot up to date and return it.
+        segments: Sequence[int],
+        rows: Sequence[Mapping[int, Optional[RowBuffer]]],
+        working_set_bytes: Sequence[int],
+        count_local: Sequence[bool],
+    ) -> "CSRHeap":
+        """The ``segments`` (ascending) with ``rows`` written in, as a heap
+        of those segments alone: ``rows[k]`` maps each row of segment
+        ``segments[k]`` written since this heap to its buffer (``None``:
+        removed), ``working_set_bytes[k]`` is its new footprint and
+        ``count_local[k]`` whether it counts local destinations.
 
-        ``row_ids`` and ``working_set_bytes`` are providers, not values —
-        they are only evaluated when a refresh actually happens, so the
-        clean-cache fast path stays O(1) even for storages whose
-        footprint is O(rows) to compute.
+        One stable sort merges the written rows into the old ones, and each
+        column is one gather or one slice per run of untouched rows.  Local
+        counts are recounted for a segment's written rows, or all its rows
+        when its row set changed (that flips membership of destinations).
         """
-        base = self.base
-        if base is None:
-            base, dirty = EMPTY_SNAPSHOT, row_ids()
-        elif self.dirty:
-            dirty = self.dirty
-        else:
-            return base
-        # Published bases are shared by reference (engines, pinned serving
-        # epochs); freeze so no caller can mutate a handed-out snapshot.
-        self.base = merge_snapshot(
-            base,
-            np.sort(np.fromiter(dirty, dtype=np.int64, count=len(dirty))),
-            fetch_row,
-            bytes_per_entry=bytes_per_entry,
-            working_set_bytes=working_set_bytes(),
-            count_local=count_local,
-        ).freeze()
-        self.dirty.clear()
-        self.builds += 1
-        return self.base
+        count = len(segments)
+        touched = np.asarray(segments, dtype=np.int64)
+        old_counts = self.row_offsets[touched + 1] - self.row_offsets[touched]
+        old_bounds = np.concatenate([[0], np.cumsum(old_counts)])
+        take_old = _taker(self.row_offsets[touched], old_counts, self.num_rows)
+        old_nodes = take_old(self.node_ids, _EMPTY)
+
+        pieces, positions, buffers = [_EMPTY], [_EMPTY], []
+        for first, stop, written in zip(old_bounds.tolist(), old_bounds[1:].tolist(), rows):
+            nodes = np.sort(np.fromiter(written, dtype=np.int64, count=len(written)))
+            pieces.append(nodes)
+            positions.append(first + np.searchsorted(old_nodes[first:stop], nodes))
+            buffers.extend(map(written.get, nodes.tolist()))
+        dirty, position = np.concatenate(pieces), np.concatenate(positions)
+        dirty_segment = np.repeat(np.arange(count), list(map(len, pieces[1:])))
+        # A written row replaces its old row, when it had one.
+        found = position < old_bounds[dirty_segment + 1]
+        found[found] = old_nodes[position[found]] == dirty[found]
+        kept = np.delete(np.arange(len(old_nodes)), position[found])
+        present = np.array([buffer is not None for buffer in buffers], dtype=bool)
+        delta_indptr, delta_dsts, delta_labels = flatten_rows(
+            [buffer for buffer in buffers if buffer is not None]
+        )
+
+        # Rows ordered by (segment, node): a written row's search position
+        # is its key, a kept row's index its own, and the written row goes
+        # first on a tie (its node is the smaller).  Written rows come
+        # first in every concatenation below.
+        order = np.argsort(np.concatenate([position[present], kept]), kind="stable")
+        is_written = order < len(delta_indptr) - 1
+        old_segment = np.repeat(np.arange(count), old_counts)
+        segment_of = np.concatenate([dirty_segment[present], old_segment[kept]])[order]
+        old_degrees = take_old(self.degrees, _EMPTY)
+        degrees = np.concatenate([np.diff(delta_indptr), old_degrees[kept]])[order]
+        # Where each row's edges start in ``heap ++ delta``.
+        old_starts = _taker(
+            self.row_offsets[touched] + touched, old_counts, len(self.indptr)
+        )(self.indptr, _EMPTY) + np.repeat(self.edge_offsets[touched], old_counts)
+        starts = np.concatenate([delta_indptr[:-1] + self.num_edges, old_starts[kept]])
+        take = _taker(starts[order], degrees, self.num_edges)
+        dsts, labels = take(self.dsts, delta_dsts), take(self.labels, delta_labels)
+        del take  # its gather index is edge-sized
+        # A segment's row set changed where a row came or went.
+        changed = np.isin(np.arange(count), dirty_segment[found != present])
+        counts = np.concatenate(
+            [np.zeros(len(delta_indptr) - 1, dtype=np.int64),
+             take_old(self.local_counts, _EMPTY)[kept]]
+        )[order]
+        return build_heap(
+            np.concatenate([dirty[present], old_nodes[kept]])[order],
+            segment_of,
+            degrees,
+            dsts,
+            labels,
+            counts,
+            np.asarray(count_local, dtype=bool)[segment_of]
+            & (changed[segment_of] | is_written),
+            self.bytes_per_entry[touched],
+            np.array(working_set_bytes, dtype=np.int64),
+        )
+
+    def replace(self, segments: Sequence[int], block: "CSRHeap") -> "CSRHeap":
+        """This heap with ``block``'s segments in place of ``segments``
+        (ascending, one per block segment): each column is one slice per
+        run of untouched segments and one per run of replaced ones."""
+        mine = np.ones(self.num_segments, dtype=bool)
+        mine[segments] = False
+        theirs = np.cumsum(~mine) - 1  # a replaced segment's block index
+
+        def counts(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+            return np.where(mine, np.diff(own), np.diff(other)[theirs])
+
+        def taker(own: np.ndarray, other: np.ndarray, pad: int = 0):
+            """Each segment's span of a column that ``own`` / ``other``
+            offsets cut into segments, with ``pad`` more items each."""
+            size = own[-1] + pad * len(mine)  # the column's length here
+            index = np.arange(len(mine))
+            starts = np.where(
+                mine, own[:-1] + pad * index, size + other[theirs] + pad * theirs
+            )
+            return _taker(starts, counts(own, other) + pad, size)
+
+        rows = taker(self.row_offsets, block.row_offsets)
+        edges = taker(self.edge_offsets, block.edge_offsets)
+        constants = [
+            np.where(mine, self.bytes_per_entry, block.bytes_per_entry[theirs]),
+            np.where(mine, self.working_set_bytes, block.working_set_bytes[theirs]),
+        ]
+        return CSRHeap(
+            rows(self.node_ids, block.node_ids),
+            taker(self.row_offsets, block.row_offsets, 1)(self.indptr, block.indptr),
+            edges(self.dsts, block.dsts),
+            edges(self.labels, block.labels),
+            rows(self.local_counts, block.local_counts),
+            np.cumsum([0, *counts(self.row_offsets, block.row_offsets)]),
+            np.cumsum([0, *counts(self.edge_offsets, block.edge_offsets)]),
+            *constants,
+            rows(self.degrees, block.degrees),
+        )
+
+
+def _taker(
+    starts: np.ndarray, lengths: np.ndarray, size: int
+) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """A function laying items ``starts[i]:starts[i] + lengths[i]`` of
+    ``old ++ new`` (``old`` has ``size`` items) end to end for every
+    ``i``: one slice per run of pieces already end to end, or — when the
+    runs average under 64 items — one gather."""
+    if not len(starts):
+        return lambda old, new: _EMPTY
+    ends = starts + lengths
+    # A run never crosses from ``old`` into ``new``.
+    breaks = np.flatnonzero((starts[1:] != ends[:-1]) | (starts[1:] == size)) + 1
+    if len(breaks) > int(lengths.sum()) >> 6:
+        index = ranges(starts, lengths)
+        return lambda old, new: np.concatenate([old, new])[index]
+    runs = list(zip(
+        starts[np.concatenate([[0], breaks])].tolist(),
+        ends[np.concatenate([breaks - 1, [len(starts) - 1]])].tolist(),
+    ))
+    return lambda old, new: np.concatenate([_EMPTY, *(
+        old[low:high] if low < size else new[low - size : high - size] for low, high in runs
+    )])
+
+
+def splice(heap: CSRHeap, storages: Sequence) -> CSRHeap:
+    """The heap of the storages' current rows (storage ``i`` is segment
+    ``i``): the rows each wrote since ``heap`` (``written``, read by
+    ``written_rows()``) merged in, or ``heap`` itself when none did.
+    Nothing changes: a publish rebases the storages onto the result."""
+    touched = [index for index, storage in enumerate(storages) if storage.written]
+    if not touched:
+        return heap
+    if 2 * np.diff(heap.row_offsets)[touched].sum() > heap.num_rows:
+        touched = list(range(len(storages)))  # cheaper than a second copy of most rows
+    block = heap.merge(
+        touched,
+        [storages[index].written_rows() for index in touched],
+        [storages[index].working_set_bytes for index in touched],
+        [storages[index].count_local for index in touched],
+    )
+    return block if len(touched) == len(storages) else heap.replace(touched, block)

@@ -209,15 +209,16 @@ class Moctopus:
     def _bulk_load(self, table: np.ndarray, nodes: List[int]) -> None:
         """Run the bulk loader (live load and ``BOOTSTRAP`` replay)."""
         with self._serve_lock:
-            bulk_load(
-                self._partitioner,
-                self._module_storages,
-                self._host_storage,
-                self._migrator,
-                table,
-                nodes,
+            self._epochs.install(
+                bulk_load(
+                    self._partitioner,
+                    self._module_storages,
+                    self._host_storage,
+                    self._migrator,
+                    table,
+                    nodes,
+                )
             )
-            self._epochs.mark_stale()
 
     # ------------------------------------------------------------------
     # Queries

@@ -248,9 +248,9 @@ class UpdateProcessor:
                 self._migrator.promote_to_host(src, previous, op=operation)
                 promoted_from = previous
             # Consulting (and possibly extending) the partition vector is a
-            # host-side access per endpoint; the vector is one small entry
-            # per node (the paper's node_partition_vector), so it stays
-            # cache-resident just as it does on the real platform.
+            # host-side access per endpoint over its 2 bytes per node: under
+            # scaled_cost_model()'s 32 KB LLC that is cache-resident only up
+            # to 16 384 nodes, and each access past that is a DRAM miss.
             operation.host.random_accesses(2, working_set_bytes=self._vector_bytes)
             return src_partition, promoted_from
         owner = self._partitioner.partition_of(src)

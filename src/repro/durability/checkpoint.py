@@ -31,8 +31,10 @@ harness can tear a checkpoint at any byte.
 Capture holds the writer lock, so it builds arrays only from arrays and
 buffers (no per-edge Python objects), and every array it returns is a
 private copy or a frozen epoch array — none aliases a live row.
-Restore is the mirror image: module rows and host vectors are filled
-with ``frombytes`` slices of the checkpoint's arrays.  The array names,
+Capture slices each segment out of the epoch's heap; restore is the
+mirror image: the segments' arrays are laid end to end into one heap
+that the storages adopt, and the host vectors are filled with
+``frombytes`` slices of the checkpoint's arrays.  The array names,
 dtypes and contents are those of ``CHECKPOINT_FORMAT`` 1 since it was
 introduced; ``tests/data/ckpt_pr16`` keeps a directory written before
 rows became buffers recoverable.
@@ -55,9 +57,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.snapshot import GraphSnapshot
+from repro.core.snapshot import CSRHeap, GraphSnapshot
 from repro.durability import wal as wal_log
-from repro.partition.base import HOST_PARTITION
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.config import MoctopusConfig
@@ -90,6 +91,11 @@ class CheckpointError(RuntimeError):
 # ----------------------------------------------------------------------
 # Capture
 # ----------------------------------------------------------------------
+def _prefixes(num_modules: int) -> List[str]:
+    """Each segment's array-name prefix: the modules', then the host's."""
+    return [f"m{module_id}" for module_id in range(num_modules)] + ["host"]
+
+
 def _snapshot_arrays(prefix: str, snapshot: GraphSnapshot, arrays: Dict) -> Dict:
     arrays[f"{prefix}_node_ids"] = snapshot.node_ids
     arrays[f"{prefix}_indptr"] = snapshot.indptr
@@ -107,13 +113,9 @@ def capture_checkpoint(system: "Moctopus") -> Tuple[Dict, Dict[str, np.ndarray]]
     """Gather a checkpoint's manifest and arrays (caller holds the lock)."""
     epoch = system._epochs.publish()
     arrays: Dict[str, np.ndarray] = {}
-    storages_meta = []
-    for module_id in range(epoch.num_modules):
-        storages_meta.append(
-            _snapshot_arrays(f"m{module_id}", epoch.snapshots[module_id], arrays)
-        )
-    host_meta = _snapshot_arrays(
-        "host", epoch.snapshot_of(HOST_PARTITION), arrays
+    *storages_meta, host_meta = (
+        _snapshot_arrays(prefix, snapshot, arrays)
+        for prefix, snapshot in zip(_prefixes(epoch.num_modules), epoch.snapshots)
     )
 
     for name, array in system._host_storage.capture_arrays().items():
@@ -350,7 +352,7 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
 
     The storages and the partitioner are rebuilt in place (the
     processors, migrator and engine runtime keep their references), the
-    snapshot caches are seeded with the checkpoint's frozen arrays, and
+    checkpoint's CSR arrays become the epoch heap the storages adopt, and
     the lifetime/diagnostic counters resume where the crashed process
     left them.  Restore fidelity is validated against the manifest's
     recorded working-set and edge totals — a mismatch means the capture
@@ -365,25 +367,23 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
             f"{system.num_modules}"
         )
 
-    for module_id in range(num_modules):
-        meta = manifest["storages"][module_id]
-        storage = system._module_storages[module_id]
-        storage.restore_rows(_snapshot_from_arrays(f"m{module_id}", meta, arrays))
-        if storage.num_edges != int(meta["num_edges"]):
-            raise CheckpointError(
-                f"module {module_id} restored {storage.num_edges} edges, "
-                f"checkpoint recorded {meta['num_edges']}"
-            )
-
     host_meta = manifest["host_storage"]
     system._host_storage.restore_arrays(
         {
             name[len("hx_") :]: array
             for name, array in arrays.items()
             if name.startswith("hx_")
-        },
-        base=_snapshot_from_arrays("host", host_meta, arrays),
+        }
     )
+    metas = [*manifest["storages"], host_meta]
+    segments = map(_snapshot_from_arrays, _prefixes(num_modules), metas, [arrays] * len(metas))
+    system._epochs.install(CSRHeap.from_segments(list(segments)))
+    for module_id, (storage, meta) in enumerate(zip(system._module_storages, metas)):
+        if storage.num_edges != int(meta["num_edges"]):
+            raise CheckpointError(
+                f"module {module_id} restored {storage.num_edges} edges, "
+                f"checkpoint recorded {meta['num_edges']}"
+            )
     expected_ws = int(host_meta["working_set_bytes"])
     actual_ws = max(system._host_storage.total_bytes(), 1)
     if actual_ws != expected_ws:

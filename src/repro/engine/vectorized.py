@@ -2,10 +2,10 @@
 
 Where the scalar backend walks dict frontiers node by node, this engine
 runs each bulk-synchronous phase as a handful of numpy array operations
-against the CSR storage snapshots (:meth:`LocalGraphStorage.to_csr` /
-:meth:`HeterogeneousGraphStorage.to_csr`).  Updates and migrations
-between queries invalidate those snapshots, so results always reflect
-the current graph.  Two frontier representations are used:
+against an epoch's segment snapshots (views of its
+:class:`~repro.core.snapshot.CSRHeap`).  Updates and migrations between
+queries publish a new heap, so results always reflect the current
+graph.  Two frontier representations are used:
 
 **Bit-packed masks (pure k-hop plans).**  A k-hop frontier is exactly
 the boolean matrix ``Q`` of the paper's ``ans = Q x Adj x ... x Adj``

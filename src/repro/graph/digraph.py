@@ -26,6 +26,8 @@ from typing import (
 
 import numpy as np
 
+from repro.checks import require_int64s
+
 Edge = Tuple[int, int]
 LabeledEdge = Tuple[int, int, int]
 
@@ -215,8 +217,8 @@ class DiGraph:
         """:meth:`labeled_edges` as an ``(n, 3)`` ``int64`` array.
 
         Each column is read straight out of the rows into one
-        preallocated table; no per-edge tuple is built.
-        """
+        preallocated table; no per-edge tuple is built.  A non-int64 label
+        raises :class:`ValueError`."""
         rows = self._adj.values()
         table = np.empty((self._num_edges, 3), dtype=np.int64)
         degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
@@ -225,11 +227,13 @@ class DiGraph:
         table[:, 1] = np.fromiter(
             chain.from_iterable(rows), dtype=np.int64, count=self._num_edges
         )
-        table[:, 2] = np.fromiter(
-            chain.from_iterable(map(dict.values, rows)),
-            dtype=np.int64,
-            count=self._num_edges,
-        )
+        labels = list(chain.from_iterable(map(dict.values, rows)))
+        if not set(map(type, labels)) <= {int}:
+            require_int64s("label", labels)  # names the first bad label
+        try:
+            table[:, 2] = np.fromiter(labels, dtype=np.int64, count=self._num_edges)
+        except OverflowError:  # a plain int past int64
+            require_int64s("label", labels)
         return table
 
     @property

@@ -42,9 +42,9 @@ def edge_table(graph: ReadableGraph) -> np.ndarray:
     if isinstance(graph, DiGraph):
         table = graph.edge_table()
     else:
-        table = np.fromiter(
-            chain.from_iterable(graph.labeled_edges()), dtype=np.int64
-        ).reshape(-1, 3)
+        triples = list(chain.from_iterable(graph.labeled_edges()))
+        require_int64s("label", triples[2::3])
+        table = np.array(triples, dtype=np.int64).reshape(-1, 3)
     table.flags.writeable = False
     return table
 

@@ -22,7 +22,6 @@ from repro.parallel.pool import PoolTicket, WorkerPool, WorkerPoolError
 from repro.parallel.shm import (
     EpochManifest,
     SegmentGuard,
-    SnapshotSpec,
     attach_epoch,
     export_epoch,
     reap_stale_segments,
@@ -32,7 +31,6 @@ __all__ = [
     "EpochManifest",
     "PoolTicket",
     "SegmentGuard",
-    "SnapshotSpec",
     "WorkerPool",
     "WorkerPoolError",
     "attach_epoch",

@@ -9,14 +9,14 @@ against them **zero-copy** — the child maps the segment and wraps numpy
 views over it; no serialization of the graph ever crosses a process
 boundary.
 
-The wire format is deliberately dumb: every exported array is ``int64``
-(the dtype all snapshot and owner arrays already share), so a segment
-is a flat ``int64`` heap and the :class:`EpochManifest` — a small
-picklable description shipped over the pool's task queue — records each
-array as an ``(offset, length)`` pair in elements.  :func:`attach_epoch`
-inverts the export into real :class:`~repro.core.snapshot.GraphSnapshot`
-/ :class:`~repro.partition.owner_index.OwnerIndex` / ``Epoch`` objects
-whose arrays are read-only views into the mapped segment.
+The wire format is the epoch's own layout: a segment is a flat ``int64``
+heap holding the epoch's :class:`~repro.core.snapshot.CSRHeap` arrays as
+they are, then the owner table's, and the :class:`EpochManifest` — a
+small picklable description shipped over the pool's task queue — records
+each array as an ``(offset, length)`` pair in elements.
+:func:`attach_epoch` builds the ``CSRHeap``, ``OwnerIndex`` and ``Epoch``
+over read-only views of the mapped segment, with a publish's
+constructors.
 
 Crash-safe cleanup
 ------------------
@@ -43,29 +43,15 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.core.snapshot import GraphSnapshot
+from repro.core.snapshot import CSRHeap
 from repro.partition.owner_index import OwnerIndex
 from repro.serve.epoch import Epoch
 
 #: Every exported array shares this dtype (offsets are in elements).
 SEGMENT_DTYPE = np.dtype("<i8")
 
-#: The arrays a :class:`GraphSnapshot` is rebuilt from (``degrees`` is
-#: derived, not stored).
-_SNAPSHOT_FIELDS = ("node_ids", "indptr", "dsts", "labels", "local_counts")
-
 _GUARD_PREFIX = "moctopus-shm-"
 _GUARD_SUFFIX = ".guard"
-
-
-@dataclass(frozen=True)
-class SnapshotSpec:
-    """Where one snapshot's arrays live inside the segment."""
-
-    #: ``field name -> (offset, length)`` in ``SEGMENT_DTYPE`` elements.
-    arrays: Dict[str, Tuple[int, int]]
-    bytes_per_entry: int
-    working_set_bytes: int
 
 
 @dataclass(frozen=True)
@@ -73,18 +59,15 @@ class EpochManifest:
     """Picklable description of one exported epoch.
 
     Everything a worker needs to rebuild the epoch locally: the segment
-    name, the per-snapshot array layout (modules first, host last — the
-    same order ``Epoch.snapshots`` uses) and the owner-table layout
-    (``dense`` or sorted ``nodes``/``parts``, mirroring
-    :meth:`OwnerIndex.export_arrays`).
+    name and where each array lives in it — the heap's by field name, the
+    owner table's as :meth:`OwnerIndex.export_arrays` names them — as
+    ``(offset, length)`` pairs in ``SEGMENT_DTYPE`` elements.
     """
 
     segment: str
     epoch_id: int
     num_nodes: int
-    num_edges: int
-    num_modules: int
-    snapshots: Tuple[SnapshotSpec, ...]
+    heap: Dict[str, Tuple[int, int]]
     owners: Dict[str, Tuple[int, int]]
     total_elements: int
 
@@ -115,18 +98,7 @@ def export_epoch(
         offset += len(array)
         return span
 
-    specs = []
-    for snapshot in epoch.snapshots:
-        specs.append(
-            SnapshotSpec(
-                arrays={
-                    name: place(getattr(snapshot, name))
-                    for name in _SNAPSHOT_FIELDS
-                },
-                bytes_per_entry=snapshot.bytes_per_entry,
-                working_set_bytes=snapshot.working_set_bytes,
-            )
-        )
+    heap = {name: place(array) for name, array in epoch.heap.arrays().items()}
     owners = {
         name: place(array)
         for name, array in epoch.owners.export_arrays().items()
@@ -143,20 +115,18 @@ def export_epoch(
         # to a buffer ``frombuffer`` accepts.
         size=max(1, offset) * SEGMENT_DTYPE.itemsize,
     )
-    heap = np.frombuffer(segment.buf, dtype=SEGMENT_DTYPE)
+    mapped = np.frombuffer(segment.buf, dtype=SEGMENT_DTYPE)
     cursor = 0
     for chunk in chunks:
-        heap[cursor : cursor + len(chunk)] = chunk
+        mapped[cursor : cursor + len(chunk)] = chunk
         cursor += len(chunk)
-    del heap  # drop the buffer view so close()/unlink() can't be blocked
+    del mapped  # drop the buffer view so close()/unlink() can't be blocked
 
     manifest = EpochManifest(
         segment=segment.name,
         epoch_id=epoch.epoch_id,
         num_nodes=epoch.num_nodes,
-        num_edges=epoch.num_edges,
-        num_modules=epoch.num_modules,
-        snapshots=tuple(specs),
+        heap=heap,
         owners=owners,
         total_elements=offset,
     )
@@ -187,42 +157,20 @@ def attach_epoch(
     spams the tracker with KeyErrors.
     """
     segment = shared_memory.SharedMemory(name=manifest.segment)
-    heap = np.frombuffer(segment.buf, dtype=SEGMENT_DTYPE)
-    heap.flags.writeable = False  # read-only views, like any published epoch
+    mapped = np.frombuffer(segment.buf, dtype=SEGMENT_DTYPE)
+    mapped.flags.writeable = False  # read-only views, like any published epoch
 
     def view(span: Tuple[int, int]) -> np.ndarray:
         offset, length = span
-        return heap[offset : offset + length]
+        return mapped[offset : offset + length]
 
-    snapshots = tuple(
-        GraphSnapshot(
-            node_ids=view(spec.arrays["node_ids"]),
-            indptr=view(spec.arrays["indptr"]),
-            dsts=view(spec.arrays["dsts"]),
-            labels=view(spec.arrays["labels"]),
-            local_counts=view(spec.arrays["local_counts"]),
-            bytes_per_entry=spec.bytes_per_entry,
-            working_set_bytes=spec.working_set_bytes,
-        ).freeze()
-        for spec in manifest.snapshots
-    )
-    owners = OwnerIndex.from_arrays(
-        dense=view(manifest.owners["dense"])
-        if "dense" in manifest.owners
-        else None,
-        nodes=view(manifest.owners["nodes"])
-        if "nodes" in manifest.owners
-        else None,
-        parts=view(manifest.owners["parts"])
-        if "parts" in manifest.owners
-        else None,
-    )
     epoch = Epoch(
         epoch_id=manifest.epoch_id,
-        snapshots=snapshots,
-        owners=owners,
+        heap=CSRHeap(**{name: view(span) for name, span in manifest.heap.items()}),
+        owners=OwnerIndex.from_arrays(
+            **{name: view(span) for name, span in manifest.owners.items()}
+        ),
         num_nodes=manifest.num_nodes,
-        num_edges=manifest.num_edges,
     )
     return epoch, segment
 

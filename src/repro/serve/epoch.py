@@ -1,15 +1,14 @@
 """Epochs: immutable point-in-time captures of the served graph.
 
 The serving layer gives every reader a **snapshot-isolated** view of the
-system: a reader pins an :class:`Epoch` — the frozen CSR snapshots of
-every storage plus a frozen copy of the node-partition table — and all
-of its queries execute against those arrays no matter how far the
-single writer advances in the meantime.  Capturing an epoch is cheap by
-construction: the storages' :class:`~repro.core.snapshot.SnapshotCache`
-already maintains immutable CSR bases incrementally, so a capture is
-``to_csr()`` per storage (a cache hit when nothing changed since the
-last refresh, a splice of the dirty rows otherwise) plus one memcpy of
-the owner table.
+system: a reader pins an :class:`Epoch` — one frozen
+:class:`~repro.core.snapshot.CSRHeap` holding every storage's rows plus
+a frozen copy of the node-partition table — and all of its queries
+execute against those arrays no matter how far the single writer
+advances in the meantime.  A capture is one
+:func:`~repro.core.snapshot.splice` of the rows the storages wrote since
+the last one into the previous heap (nothing at all when no row was
+written) plus one memcpy of the owner table.
 
 :class:`EpochManager` owns the publish lifecycle.  The single writer
 marks the current epoch **stale** after every update batch / migration
@@ -53,7 +52,7 @@ import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
-from repro.core.snapshot import GraphSnapshot
+from repro.core.snapshot import CSRHeap, GraphSnapshot, splice
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import PIMSystem
@@ -98,14 +97,16 @@ class LockLike(Protocol):
 class Epoch:
     """One immutable published version of the served graph.
 
-    ``snapshots`` holds the per-module CSR captures followed by the host
-    capture (index ``num_modules``); ``owners`` is a frozen
-    :class:`OwnerIndex` copy of the partition table at capture time.
+    ``heap`` holds every storage's rows, the modules' segments followed
+    by the host's (segment ``num_modules``); ``owners`` is a frozen
+    :class:`OwnerIndex` copy of the partition table at capture time.  A
+    publish and a worker's attach of an exported epoch both build one
+    with this constructor.
     """
 
     __slots__ = (
         "epoch_id",
-        "snapshots",
+        "heap",
         "owners",
         "num_nodes",
         "num_edges",
@@ -116,49 +117,40 @@ class Epoch:
     )
 
     def __init__(
-        self,
-        epoch_id: int,
-        snapshots: Tuple[GraphSnapshot, ...],
-        owners: OwnerIndex,
-        num_nodes: int,
-        num_edges: int,
+        self, epoch_id: int, heap: CSRHeap, owners: OwnerIndex, num_nodes: int
     ) -> None:
         self.epoch_id = epoch_id
-        self.snapshots = snapshots
+        self.heap = heap
         self.owners = owners
         self.num_nodes = num_nodes
-        #: Total adjacency entries across the snapshots.
-        self.num_edges = num_edges
-        #: Total adjacency rows across the snapshots, summed once: every
-        #: ``"auto"`` dispatch and every plan asks an unpatched view.
-        self.num_rows = sum(snapshot.num_rows for snapshot in snapshots)
-        self.num_modules = len(snapshots) - 1
+        self.num_edges = heap.num_edges
+        self.num_rows = heap.num_rows
+        self.num_modules = heap.num_segments - 1
         self._degree_histogram: Optional[np.ndarray] = None
         self._label_edge_counts: Optional[Dict[int, int]] = None
 
+    @property
+    def snapshots(self) -> Tuple[GraphSnapshot, ...]:
+        """Every segment's view: the modules', then the host's."""
+        return tuple(map(self.heap.segment, range(self.heap.num_segments)))
+
     def degree_histogram(self) -> np.ndarray:
-        """Out-degree histogram across every pinned snapshot (cached).
+        """Out-degree histogram of every row of the epoch (cached, frozen).
 
         ``histogram[d]`` counts adjacency rows of out-degree ``d`` over
-        all modules plus the host capture.  Each per-snapshot histogram
-        is itself cached on its (immutable) :class:`GraphSnapshot`, so
-        an epoch only pays the padded sum once — the substrate for the
-        matrix engine's dense-vs-sparse frontier crossover and the
-        roadmap's cost-based planner.
+        all modules plus the host; always at least one bucket long.  The
+        substrate for the matrix engine's dense-vs-sparse frontier
+        crossover and the cost-based planner.
         """
         histogram = self._degree_histogram
         if histogram is None:
-            parts = [snapshot.degree_histogram() for snapshot in self.snapshots]
-            width = max(len(part) for part in parts)
-            histogram = np.zeros(width, dtype=np.int64)
-            for part in parts:
-                histogram[: len(part)] += part
+            histogram = np.bincount(self.heap.degrees, minlength=1).astype(np.int64)
             histogram.flags.writeable = False
             self._degree_histogram = histogram
         return histogram
 
     def label_edge_counts(self) -> Dict[int, int]:
-        """Edge count per label id across every pinned snapshot (cached).
+        """Edge count per label id across the epoch (cached).
 
         Feeds the cost-based planner's per-label fanout estimates: the
         expected frontier growth of an ``smxm`` step filtered to label
@@ -166,25 +158,18 @@ class Epoch:
         """
         counts = self._label_edge_counts
         if counts is None:
-            counts = {}
-            for snapshot in self.snapshots:
-                if len(snapshot.labels) == 0:
-                    continue
-                values, occurrences = np.unique(
-                    snapshot.labels, return_counts=True
-                )
-                for value, occurrence in zip(
-                    values.tolist(), occurrences.tolist()
-                ):
-                    counts[value] = counts.get(value, 0) + occurrence
+            values, occurrences = np.unique(self.heap.labels, return_counts=True)
+            counts = dict(zip(values.tolist(), occurrences.tolist()))
             self._label_edge_counts = counts
         return counts
 
+    def segment_of(self, partition: int) -> int:
+        """The heap segment of ``partition`` (``HOST_PARTITION`` = host)."""
+        return self.num_modules if partition == HOST_PARTITION else partition
+
     def snapshot_of(self, partition: int) -> GraphSnapshot:
         """Pinned snapshot of ``partition`` (``HOST_PARTITION`` = host)."""
-        if partition == HOST_PARTITION:
-            return self.snapshots[self.num_modules]
-        return self.snapshots[partition]
+        return self.heap.segment(self.segment_of(partition))
 
     def owner(self, node: int) -> Optional[int]:
         """Owner of ``node`` at this epoch (``None`` when unplaced)."""
@@ -206,8 +191,8 @@ class EpochView:
     """The :class:`~repro.engine.base.PlanView` over one epoch.
 
     ``patched`` optionally overrides per-partition snapshots with
-    session-patched ones (uncommitted writes spliced in with
-    :func:`~repro.core.snapshot.merge_snapshot`); ``extra_owners`` maps
+    session-patched ones (uncommitted writes merged in with
+    :meth:`~repro.core.snapshot.CSRHeap.merge`); ``extra_owners`` maps
     the session-created nodes the epoch's owner table does not place to
     their provisional partitions so the engines can route frontiers
     through rows that exist only in the overlay.
@@ -305,21 +290,19 @@ class EpochView:
             return None
         return self.epoch
 
-    def _snapshots(self) -> List[GraphSnapshot]:
-        partitions = (*range(self.epoch.num_modules), HOST_PARTITION)
-        return [self.snapshot_of(partition) for partition in partitions]
-
     def total_rows(self) -> int:
         """Total adjacency rows across the view's snapshots."""
-        if not self._patched:  # the epoch's own, summed once
-            return self.epoch.num_rows
-        return sum(snapshot.num_rows for snapshot in self._snapshots())
+        return self.epoch.num_rows + sum(
+            patch.num_rows - self.epoch.snapshot_of(partition).num_rows
+            for partition, patch in self._patched.items()
+        )
 
     def total_edges(self) -> int:
         """Total adjacency entries across the view's snapshots."""
-        if not self._patched:
-            return self.epoch.num_edges
-        return sum(snapshot.num_edges for snapshot in self._snapshots())
+        return self.epoch.num_edges + sum(
+            patch.num_edges - self.epoch.snapshot_of(partition).num_edges
+            for partition, patch in self._patched.items()
+        )
 
 
 class EpochManager:
@@ -349,6 +332,13 @@ class EpochManager:
         #: ``None`` once the owning system closed.
         self._partition_map: Optional[PartitionMap] = partition_map
         self._storages = tuple(storages)
+        #: The last published (or installed) heap; storage ``i`` reads
+        #: its clean rows from segment ``i`` (an empty base until then).
+        self._heap: Optional[CSRHeap] = CSRHeap.empty(
+            [storage.bytes_per_entry for storage in self._storages]
+        )
+        #: Number of publishes that spliced written rows into a new heap.
+        self.splices = 0
         #: Owner table, journal-patched between captures; every epoch
         #: takes a frozen copy.
         self._owner_capture = OwnerIndex()
@@ -385,6 +375,14 @@ class EpochManager:
         """
         return self.current()
 
+    def install(self, heap: CSRHeap) -> None:
+        """Make ``heap``, a load's or a restore's, the empty storages' rows."""
+        with self._lock:
+            for index, storage in enumerate(self._storages):
+                storage.adopt(heap, index)
+            self._heap = heap
+            self._stale = True
+
     def restore_published_count(self, count: int) -> None:
         """Resume epoch numbering after recovery (ids stay monotonic)."""
         with self._lock:
@@ -402,16 +400,18 @@ class EpochManager:
                 raise RuntimeError(SYSTEM_CLOSED)
             epoch = self._current
             if self._stale or epoch is None:
-                # Cheap by design: ``to_csr()`` is a cache hit for every
-                # storage the last update batch didn't touch.
-                snapshots = tuple(storage.to_csr() for storage in self._storages)
+                heap = splice(self._heap, self._storages)
+                if heap is not self._heap:
+                    self._heap = heap
+                    self.splices += 1
+                    for index, storage in enumerate(self._storages):
+                        storage.rebase(heap, index)
                 self._owner_capture.refresh(self._partition_map)
                 epoch = Epoch(
                     epoch_id=self._next_id,
-                    snapshots=snapshots,
+                    heap=heap,
                     owners=self._owner_capture.frozen_copy(),
                     num_nodes=len(self._partition_map),
-                    num_edges=sum(snapshot.num_edges for snapshot in snapshots),
                 )
                 self._next_id += 1
                 previous, self._current = self._current, epoch
@@ -440,9 +440,10 @@ class EpochManager:
         """The owning system is closing: drop the current epoch and every
         reference to live state.
 
-        The storages are dropped too (a module storage's base holds its
-        clean rows, so it goes with the storage, not before it), and so
-        are the partition map, the owner table and the retire hook.
+        The storages and the heap are dropped too (a module storage's
+        base holds its clean rows, so it goes with the storage, not
+        before it), and so are the partition map, the owner table and the
+        retire hook.
         Pinned readers keep their arrays and can still :meth:`unpin`;
         :meth:`current` and :meth:`pin` raise from now on.  Idempotent.
         """
@@ -453,6 +454,7 @@ class EpochManager:
                 self._retire_unless_live(released.epoch_id)
             self._partition_map = None
             self._storages = ()
+            self._heap = None
             self._owner_capture = OwnerIndex()
             self._on_retire = None
 

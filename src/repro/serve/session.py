@@ -4,12 +4,11 @@ A :class:`Session` pins one epoch at ``begin()`` and keeps every query
 on that frozen state until the caller explicitly :meth:`refresh`\\ es —
 the MVCC contract "a pinned reader never observes later writes".  On
 top of isolation the session layers **read-your-writes**: updates
-staged through the session are spliced into the pinned snapshots (with
-the same :func:`~repro.core.snapshot.merge_snapshot` machinery the
-storages use for their own incremental maintenance) so the session's
-queries see its uncommitted edges immediately, while other readers and
-the live system see nothing until :meth:`commit` hands the staged batch
-to the single writer.
+staged through the session are merged into the pinned segments they
+touch (with :meth:`~repro.core.snapshot.CSRHeap.merge`, the first half
+of every publish's splice) so the session's queries see its uncommitted
+edges immediately, while other readers and the live system see nothing
+until :meth:`commit` hands the staged batch to the single writer.
 
 Sessions on different threads execute concurrently without sharing any
 mutable state: the pinned arrays are frozen (``writeable=False``), the
@@ -26,10 +25,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.checks import require_int64s, require_labels
-from repro.core.snapshot import GraphSnapshot, merge_snapshot, row_buffer
+from repro.core.snapshot import RowBuffer, row_buffer
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
@@ -316,24 +313,22 @@ class Session:
         if not self._local:
             self._view_cache = EpochView(self._epoch, self._pim)
             return self._view_cache
-        by_owner: Dict[int, List[int]] = {}
-        for node in self._local:
-            owner = self._epoch.owner(node)
+        epoch = self._epoch
+        by_owner: Dict[int, Dict[int, RowBuffer]] = {}
+        for node, row in self._local.items():
+            owner = epoch.owner(node)
             if owner is None:
                 owner = self._new_nodes[node]
-            by_owner.setdefault(owner, []).append(node)
-        patched: Dict[int, GraphSnapshot] = {}
-        for owner, nodes in by_owner.items():
-            base = self._epoch.snapshot_of(owner)
-            dirty = np.sort(np.fromiter(nodes, dtype=np.int64, count=len(nodes)))
-            patched[owner] = merge_snapshot(
-                base,
-                dirty,
-                lambda node: row_buffer(self._local[node]),
-                bytes_per_entry=base.bytes_per_entry,
-                working_set_bytes=base.working_set_bytes,
-                count_local=(owner != HOST_PARTITION),
-            ).freeze()
+            by_owner.setdefault(owner, {})[node] = row_buffer(row)
+        owners = sorted(by_owner, key=epoch.segment_of)
+        segments = list(map(epoch.segment_of, owners))
+        block = epoch.heap.merge(
+            segments,
+            [by_owner[owner] for owner in owners],
+            epoch.heap.working_set_bytes[segments].tolist(),
+            [owner != HOST_PARTITION for owner in owners],
+        )
+        patched = {owner: block.segment(index) for index, owner in enumerate(owners)}
         self._view_cache = EpochView(
             self._epoch, self._pim, patched=patched,
             extra_owners=dict(self._new_nodes),

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.snapshot import row_buffer
+from repro.core.snapshot import row_buffer, splice
 from repro.core.system import Moctopus
 from repro.durability import wal as wal_module
 from repro.partition.owner_index import OwnerIndex
@@ -150,9 +150,11 @@ def public_rows(storage):
 def fingerprint(system: Moctopus) -> Dict:
     """The durable-equivalence view of a system's state."""
     snapshots = []
-    storages = list(system._module_storages) + [system._host_storage]
-    for storage in storages:
-        snapshot = storage.to_csr()
+    # What the next publish would write, without publishing: epoch
+    # numbering is part of the state under comparison.
+    storages = (*system._module_storages, system._host_storage)
+    heap = splice(system._epochs._heap, storages)
+    for snapshot in map(heap.segment, range(heap.num_segments)):
         snapshots.append(
             {
                 "node_ids": snapshot.node_ids.copy(),

@@ -20,11 +20,12 @@ engine-independent reference.
 :func:`load_per_edge` is the oracle of the columnar bulk loader
 (``test_bulk_load.py``): the per-edge ingest loop it replaced.
 
-:func:`build_snapshot_reference` is the oracle of every CSR snapshot a
-storage publishes: per-edge Python appends over the rows' public reads.
+:func:`build_snapshot_reference` is the oracle of every heap segment a
+publish writes: per-edge Python appends over the rows' public reads.
 :func:`snapshot_of` is the system's own way to freeze rows — all of
-them spliced into the empty snapshot — for tests that need a snapshot
-of hand-written rows.
+them merged into an empty segment — for tests that need a snapshot of
+hand-written rows, and :func:`publisher` / :func:`publish` publish
+standalone storages through the system's own epoch manager.
 """
 
 from __future__ import annotations
@@ -33,16 +34,11 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.snapshot import (
-    EMPTY_SNAPSHOT,
-    HOLE,
-    GraphSnapshot,
-    RowBuffer,
-    merge_snapshot,
-)
+from repro.core.snapshot import HOLE, CSRHeap, GraphSnapshot, RowBuffer
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
-from repro.partition.base import HOST_PARTITION
+from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.rpq import RPQuery, evaluate_rpq
+from repro.serve.epoch import EpochManager
 
 
 class ReferenceModel:
@@ -288,14 +284,20 @@ def snapshot_of(
     working_set_bytes: int,
     count_local: bool,
 ) -> GraphSnapshot:
-    """``(node, row buffer)`` pairs frozen the way a storage's first
-    ``to_csr()`` does it: every row spliced into the empty snapshot."""
-    rows = dict(rows)
-    return merge_snapshot(
-        EMPTY_SNAPSHOT,
-        np.array(sorted(rows), dtype=np.int64),
-        rows.get,
-        bytes_per_entry=bytes_per_entry,
-        working_set_bytes=working_set_bytes,
-        count_local=count_local,
-    ).freeze()
+    """``(node, row buffer)`` pairs frozen the way a publish freezes a
+    storage's written rows: merged into an empty segment."""
+    heap = CSRHeap.empty([bytes_per_entry])
+    return heap.merge([0], [dict(rows)], [working_set_bytes], [count_local]).segment(0)
+
+
+def publisher(*storages) -> EpochManager:
+    """An epoch manager over standalone storages: storage ``i`` is
+    segment ``i`` of its heap."""
+    return EpochManager(PartitionMap(1), storages)
+
+
+def publish(manager: EpochManager) -> Tuple[GraphSnapshot, ...]:
+    """Publish ``manager``'s storages now, as the writer's next pin would,
+    and return their segments."""
+    manager.mark_stale()
+    return manager.current().snapshots

@@ -26,16 +26,15 @@ from functools import partial
 from typing import Callable, Dict, List, Tuple
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model import build_snapshot_reference, load_per_edge
+from model import build_snapshot_reference, load_per_edge, publish, publisher
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
-from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.snapshot import row_buffer
+from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage, footprint
+from repro.core.snapshot import CSRHeap, row_buffer
 from repro.graph import DiGraph, power_law_graph
 from repro.graph import stream
 from repro.paper import PIMHashSystem, placed_at
@@ -96,20 +95,16 @@ def load_state(system: Moctopus) -> Dict[str, object]:
             [(node, free.tolist()) for node, free in host._free_list_map.items()],
             host._total_slots,
             host.num_edges,
-            sorted(host._cache.dirty),
         ),
     }
-    # Last: building a snapshot changes the caches the fields above read.
+    # Last: a publish rebases the storages the fields above read.
     state["csr"] = [
         tuple(
             getattr(snapshot, name).tolist()
             for name in ("node_ids", "indptr", "dsts", "labels", "local_counts")
         )
         + (snapshot.working_set_bytes,)
-        for snapshot in (
-            storage.to_csr()
-            for storage in (*system._module_storages, host)
-        )
+        for snapshot in system._epochs.current().snapshots
     ]
     return state
 
@@ -117,12 +112,10 @@ def load_state(system: Moctopus) -> Dict[str, object]:
 def _empty_system(new_system: Callable[[], Moctopus], cache_base: bool) -> Moctopus:
     system = new_system()
     if cache_base:
-        # A base snapshot cached before the load (the fault-injection
-        # reference fingerprints the empty system): every host row the
-        # load touches must then be recorded in its dirty rows, and every
-        # module's base replaced by the loaded one.
-        for storage in (*system._module_storages, system._host_storage):
-            storage.to_csr()
+        # An epoch published before the load (the fault-injection
+        # reference fingerprints the empty system): the loaded heap must
+        # replace it, and the oracle's writes splice into it.
+        system._epochs.current()
     return system
 
 
@@ -140,6 +133,8 @@ def assert_load_matches_oracle(
     actual = load_state(loaded)
     for key in expected:
         assert actual[key] == expected[key], f"{key} differs"
+    # The loader wrote the heap: its first publish built nothing.
+    assert loaded._epochs.splices == 0
     return loaded
 
 
@@ -235,37 +230,33 @@ def test_bootstrap_only_recovery_equals_the_live_load(tmp_path, chunk_rows):
         recovered.close()
 
 
-def test_load_csr_seeds_the_base_and_charges_memory():
-    """The storage's bulk fill on its own: the rows become the base, an
-    empty row kept, the memory is charged once, and no row gets a buffer
-    — so the next refresh is a cache hit."""
+def test_adopt_makes_a_segment_the_base_and_charges_memory():
+    """The storage's bulk fill on its own: a heap segment becomes the
+    base, an empty row kept, the memory is charged once, and no row gets
+    a buffer — so the first publish after the install splices nothing."""
     memory = LocalMemory(1 << 20)
     storage = LocalGraphStorage(memory=memory)
-    storage.to_csr()  # a cached empty base, which the load replaces
+    manager = publisher(storage)
+    publish(manager)  # an empty epoch, which the install replaces
     rows = {1: [(2, 5), (3, 6), (4, 7)], 2: [(1, 0)], 8: [(1, 2)], 9: []}
-    storage.load_csr(
-        np.array([1, 2, 8, 9]),
-        np.array([0, 3, 4, 5, 5]),
-        np.array([2, 3, 4, 1, 1]),
-        np.array([5, 6, 7, 0, 2]),
+    reference = build_snapshot_reference(
+        [(node, row_buffer(entries)) for node, entries in rows.items()],
+        BYTES_PER_ENTRY,
+        footprint(4, 5),
+        count_local=True,
     )
+    manager.install(CSRHeap.from_segments([reference]))
     assert [(node, storage.next_hops_with_labels(node)) for node in storage.rows()] == list(
         rows.items()
     )
     assert (storage.num_rows, storage.num_edges) == (4, 5)
-    assert memory.used_bytes == storage.storage_bytes
-    assert not storage._buffers and not storage._cache.dirty
-    builds = storage.snapshot_builds
-    reference = build_snapshot_reference(
-        [(node, row_buffer(entries)) for node, entries in rows.items()],
-        BYTES_PER_ENTRY,
-        storage.storage_bytes,
-        count_local=True,
-    )
-    assert storage.to_csr().same_arrays(reference)
-    assert storage.snapshot_builds == builds
+    assert memory.used_bytes == storage.storage_bytes == footprint(4, 5)
+    assert not storage._buffers and not storage.written
+    (snapshot,) = publish(manager)
+    assert snapshot.same_arrays(reference)
+    assert manager.splices == 0
     with pytest.raises(RuntimeError):
-        storage.load_csr(np.array([3]), np.array([0, 0]), np.array([]), np.array([]))
+        storage.adopt(CSRHeap.from_segments([reference]), 0)
 
 
 @st.composite
@@ -300,7 +291,7 @@ def test_host_load_edges_equals_one_insert_per_edge(row, promoted):
                 host.insert_edge(7, dst, dst % 3)
         for dst in deleted:
             host.delete_edge(7, dst)
-        host.to_csr()
+        publish(publisher(host))
         return host
 
     bulk, oracle = build(), build()
@@ -316,7 +307,7 @@ def test_host_load_edges_equals_one_insert_per_edge(row, promoted):
     )
     assert bulk._free_list_map[7].tolist() == oracle._free_list_map[7].tolist()
     assert bulk._total_slots == oracle._total_slots
-    assert bulk._cache.dirty == oracle._cache.dirty
+    assert bulk.written == oracle.written
 
 
 def test_tiny_module_memory_fails_the_loader_and_the_oracle_alike():
@@ -361,6 +352,36 @@ def test_a_negative_node_id_is_refused_before_the_log(tmp_path):
             assert system.num_nodes == 0
         system.load_graph(DiGraph.from_edges([(0, 1)]))
         assert system.durable_lsn == 1
+    finally:
+        system.close()
+
+
+@pytest.mark.parametrize("graph_kind", ["digraph", "stream"])
+def test_a_label_a_write_may_not_store_is_refused_before_the_log(tmp_path, graph_kind):
+    """A float or ``bool`` label was truncated to 1 by the edge table —
+    stored, logged in ``BOOTSTRAP`` and recovered as 1 — and one past
+    int64 raised ``OverflowError``.  ``insert_edges`` refuses all three."""
+    system = Moctopus(_config(durability_dir=str(tmp_path)))
+    try:
+        for label, match in [
+            (1.5, "label must be an integer, got 1.5"),
+            (True, "label must be an integer, got True"),
+            (2**63, f"label must be in .*, got {2**63}"),
+            (-(2**63) - 1, "label must be in"),
+        ]:
+            edges = [(0, 1, 2), (1, 2, label)]
+            graph = DiGraph() if graph_kind == "digraph" else EdgeStream(edges, [0, 1, 2])
+            if graph_kind == "digraph":
+                for src, dst, edge_label in edges:
+                    graph.add_edge(src, dst, label=edge_label)
+            with pytest.raises(ValueError, match=match):
+                system.load_graph(graph)
+            assert system.durable_lsn == 0 and system.num_nodes == 0
+            with pytest.raises(ValueError, match=match):
+                system.insert_edges([(0, 1)], labels=[label])
+        system.load_graph(EdgeStream([(0, 1, -5), (1, 2, 2**63 - 1)], []))
+        assert system.durable_lsn == 1
+        assert system.graph.edge_label(1, 2) == 2**63 - 1
     finally:
         system.close()
 
@@ -435,9 +456,8 @@ def test_a_self_loop_promotion_leaves_no_phantom_row():
     rows = [node for storage in system._module_storages for node in storage.rows()]
     assert sorted(rows + list(system._host_storage.rows())) == [0, 1, 2]
     assert list(system._host_storage.rows()) == [0]
-    for storage in system._module_storages:
+    for storage, snapshot in zip(system._module_storages, system._epochs.current().snapshots):
         assert storage._memory.used_bytes == storage.storage_bytes
-        snapshot = storage.to_csr()
         assert all(snapshot.local_hops(node) <= 1 for node in storage.rows())
 
 

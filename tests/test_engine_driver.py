@@ -197,8 +197,7 @@ def churned_system() -> Moctopus:
 def test_live_rows_and_snapshots_read_alike_after_churn():
     system = churned_system()
     storages = [*system._module_storages, system._host_storage]
-    for storage in storages:
-        snapshot = storage.to_csr()
+    for storage, snapshot in zip(storages, system._epochs.current().snapshots):
         assert storage.working_set_bytes == snapshot.working_set_bytes
         on_module = storage is not system._host_storage
         assert snapshot.bytes_per_entry == (

@@ -44,8 +44,9 @@ ENGINES = ENGINE_NAMES
 
 def assert_snapshots_match_rebuild(system, context=""):
     """Incremental snapshots must equal from-scratch rebuilds array-for-array."""
+    snapshots = system._epochs.current().snapshots
     for module_id, storage in enumerate(system._module_storages):
-        snapshot = storage.to_csr()
+        snapshot = snapshots[module_id]
         reference = build_snapshot_reference(
             public_rows(storage),
             bytes_per_entry=BYTES_PER_ENTRY,
@@ -56,7 +57,7 @@ def assert_snapshots_match_rebuild(system, context=""):
             f"module {module_id} snapshot diverged from rebuild {context}"
         )
     host = system._host_storage
-    snapshot = host.to_csr()
+    snapshot = snapshots[-1]
     reference = build_snapshot_reference(
         public_rows(host),
         bytes_per_entry=BYTES_PER_SLOT,

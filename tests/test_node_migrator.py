@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model import migrate
+from model import migrate, publish
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
@@ -34,6 +34,7 @@ from repro.partition.base import HOST_PARTITION
 from repro.partition.labor_division import LaborDivisionPartitioner
 from repro.partition.radical_greedy import RadicalGreedyPartitioner
 from repro.pim import CostModel, ExecutionStats, PIMSystem
+from repro.serve.epoch import EpochManager
 
 Moves = List[Tuple[int, int, int]]
 
@@ -68,6 +69,10 @@ class Rig:
         self.migrator = NodeMigrator(
             self.partitioner, self.storages, self.host, capacity_factor=capacity_factor
         )
+        self.epochs = self.epoch_manager()
+
+    def epoch_manager(self) -> EpochManager:
+        return EpochManager(self.partitioner.partition_map, (*self.storages, self.host))
 
     def storage_of(self, partition: int):
         return self.host if partition == HOST_PARTITION else self.storages[partition]
@@ -288,33 +293,33 @@ def test_pass_matches_the_scalar_oracle(case):
     ]
     for rig in rigs:
         if snapshots != "none":
-            for storage in rig.storages:
-                storage.to_csr()
+            heap = rig.epochs.current().heap
         if snapshots == "seeded":
-            # Every row clean in a restored base, then one written row
+            # Every row clean in an installed heap, then one written row
             # per module: the pass reads and moves both kinds.
-            for module, storage in enumerate(rig.storages):
+            for module in range(num_modules):
                 rig.pim.modules[module].memory.reset()
-                seeded = rig.storages[module] = LocalGraphStorage(
+                rig.storages[module] = LocalGraphStorage(
                     memory=rig.pim.modules[module].memory
                 )
-                seeded.restore_rows(storage.to_csr())
+            rig.epochs = rig.epoch_manager()
+            rig.epochs.install(heap)
         if snapshots in ("dirty", "seeded"):
             for module, storage in enumerate(rig.storages):
                 storage.add_edge(1000 + module, 0)
                 rig.partitioner.partition_map.assign(1000 + module, module)
     real, reference = rigs
-    builds = [storage.snapshot_builds for storage in real.storages]
+    bases = [storage._heap for storage in real.storages]
     moves, stats = real.run(reports, limit)
-    assert [storage.snapshot_builds for storage in real.storages] == builds, (
-        "the pass must not refresh a snapshot"
+    assert [storage._heap for storage in real.storages] == bases, (
+        "the pass must not publish"
     )
     reference_moves, reference_stats = reference.run_reference(reports, limit)
     assert moves == reference_moves
     assert stats == reference_stats
     assert real.state() == reference.state()
-    for mine, theirs in zip(real.storages, reference.storages):
-        assert mine.to_csr().same_arrays(theirs.to_csr())
+    for mine, theirs in zip(publish(real.epochs), publish(reference.epochs)):
+        assert mine.same_arrays(theirs)
 
 
 # ----------------------------------------------------------------------

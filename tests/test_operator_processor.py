@@ -3,10 +3,16 @@
 
 from __future__ import annotations
 
+from model import publish, publisher
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.operator_processor import apply_update_ops, smxm
 from repro.graph.stream import UpdateKind
 from repro.rpq import build_dfa
+
+
+def snapshot(storage: LocalGraphStorage):
+    """``storage``'s rows as a publish writes them."""
+    return publish(publisher(storage))[0]
 
 
 def make_storage() -> LocalGraphStorage:
@@ -19,7 +25,7 @@ def make_storage() -> LocalGraphStorage:
 
 
 def test_smxm_expands_local_rows_and_counts_work():
-    produced, work = smxm({1: {0, 7}, 2: {0}}, make_storage().to_csr())
+    produced, work = smxm({1: {0, 7}, 2: {0}}, snapshot(make_storage()))
     assert produced[2] == {0, 7}
     assert produced[3] == {0, 7}
     assert work.rows_touched == 2
@@ -29,7 +35,7 @@ def test_smxm_expands_local_rows_and_counts_work():
 
 
 def test_smxm_missing_row_produces_nothing():
-    produced, work = smxm({99: {0}}, make_storage().to_csr())
+    produced, work = smxm({99: {0}}, snapshot(make_storage()))
     assert produced == {}
     assert work.rows_touched == 1
     assert work.items_processed == 0
@@ -40,11 +46,11 @@ def test_smxm_detects_misplaced_nodes():
     # Node 1 lives here but none of its next hops do.
     storage.add_edge(1, 50)
     storage.add_edge(1, 51)
-    _, work = smxm({1: {0}}, storage.to_csr(), misplacement_threshold=0.5)
+    _, work = smxm({1: {0}}, snapshot(storage), misplacement_threshold=0.5)
     assert 1 in work.misplacement_reports
     local, remote = work.misplacement_reports[1]
     assert local == 0 and remote == 2
-    _, quiet = smxm({1: {0}}, storage.to_csr(), misplacement_threshold=None)
+    _, quiet = smxm({1: {0}}, snapshot(storage), misplacement_threshold=None)
     assert quiet.misplacement_reports == {}
 
 
@@ -54,7 +60,7 @@ def test_smxm_with_dfa_filters_by_label():
     storage.add_edge(1, 3, label=2)
     dfa = build_dfa("a")
     produced, _ = smxm(
-        {1: {(0, dfa.start)}}, storage.to_csr(), dfa=dfa, label_names={1: "a", 2: "b"}
+        {1: {(0, dfa.start)}}, snapshot(storage), dfa=dfa, label_names={1: "a", 2: "b"}
     )
     assert set(produced) == {2}
     ((row, state),) = produced[2]

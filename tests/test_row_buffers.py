@@ -21,6 +21,7 @@ import os
 import random
 import shutil
 import sys
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultinject import public_rows
-from model import ReferenceModel, build_snapshot_reference, snapshot_of
+from model import ReferenceModel, build_snapshot_reference, publish, publisher, snapshot_of
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import (
     BYTES_PER_SLOT,
@@ -36,8 +37,8 @@ from repro.core.hetero_storage import (
     INITIAL_CAPACITY,
     HeterogeneousGraphStorage,
 )
-from repro.core.local_storage import BYTES_PER_ENTRY, BYTES_PER_ROW, LocalGraphStorage
-from repro.core.snapshot import HOLE, row_buffer, row_pairs
+from repro.core.local_storage import BYTES_PER_ENTRY, BYTES_PER_ROW, LocalGraphStorage, footprint
+from repro.core.snapshot import HOLE, CSRHeap, row_buffer, row_pairs
 from repro.durability.checkpoint import capture_checkpoint
 from repro.graph import DiGraph, power_law_graph
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
@@ -45,6 +46,7 @@ from repro.paper import placed_at
 from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel, LocalMemory
 from repro.rpq import RPQuery
+from repro.serve.epoch import EpochManager
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 sys.path.insert(0, DATA)
@@ -106,19 +108,21 @@ class ModuleModel:
             assert storage.remove_row(node) == [tuple(entry) for entry in row or []]
             self.rows.pop(node, None)
 
-    def check(self, storage: LocalGraphStorage, memory: LocalMemory) -> None:
+    def check(
+        self, storage: LocalGraphStorage, memory: LocalMemory, manager: EpochManager
+    ) -> None:
         edges = sum(len(row) for row in self.rows.values())
         assert sorted(storage.rows()) == sorted(self.rows)
         assert storage.num_rows == len(self.rows) and storage.num_edges == edges
         assert storage.storage_bytes == len(self.rows) * BYTES_PER_ROW + edges * BYTES_PER_ENTRY
         assert memory.used_bytes == storage.storage_bytes
-        # The migrator's columnar read, before the refresh: the step's
+        # The migrator's columnar read, before the publish: the step's
         # row comes from its buffer, every other one from the base.
         lengths, dsts = storage.gather_dsts(np.arange(NODES + 1))
         expected = [[dst for dst, _ in self.rows.get(node, [])] for node in range(NODES + 1)]
         assert lengths.tolist() == [len(row) for row in expected]
         assert dsts.tolist() == [dst for row in expected for dst in row]
-        snapshot = storage.to_csr()
+        (snapshot,) = publish(manager)
         for node in range(NODES):
             row = self.rows.get(node)
             assert storage.has_row(node) is (row is not None)
@@ -280,46 +284,41 @@ op_strategy = st.one_of(
 )
 
 
-def module_storage(rows, start: str, memory: LocalMemory) -> LocalGraphStorage:
-    """A storage holding ``rows`` (``node -> [(dst, label), ...]``):
-    installed row by row, bulk-loaded into its base, or restored from a
-    checkpoint snapshot of them."""
+def module_storage(
+    rows, start: str, memory: LocalMemory
+) -> Tuple[LocalGraphStorage, EpochManager]:
+    """A storage holding ``rows`` (``node -> [(dst, label), ...]``), and
+    the manager that publishes it: installed row by row, or adopted from a
+    heap segment built as a bulk load builds one (the per-edge reference
+    builder) or as a checkpoint restore does (the system's merge)."""
     storage = LocalGraphStorage(memory=memory)
+    manager = publisher(storage)
     ids = sorted(rows)
     if start == "written":
         for node in ids:
             storage.insert_row(node, rows[node])
-        return storage
-    if start == "loaded":
-        indptr = np.cumsum([0] + [len(rows[node]) for node in ids])
-        entries = np.array([entry for node in ids for entry in rows[node]], dtype=np.int64)
-        entries = entries.reshape(-1, 2)
-        storage.load_csr(
-            np.array(ids, dtype=np.int64), indptr, entries[:, 0].copy(), entries[:, 1].copy()
-        )
-    else:
-        assert start == "restored"
-        edges = sum(map(len, rows.values()))
-        size = max(len(rows) * BYTES_PER_ROW + edges * BYTES_PER_ENTRY, 1)
-        storage.restore_rows(
-            snapshot_of([(node, row_buffer(rows[node])) for node in ids], BYTES_PER_ENTRY, size, True)
-        )
+        return storage, manager
+    build = build_snapshot_reference if start == "loaded" else snapshot_of
+    assert start in ("loaded", "restored")
+    size = max(footprint(len(rows), sum(map(len, rows.values()))), 1)
+    segment = build([(node, row_buffer(rows[node])) for node in ids], BYTES_PER_ENTRY, size, True)
+    manager.install(CSRHeap.from_segments([segment]))
     assert not storage._buffers  # every row starts clean, in the base
-    return storage
+    return storage, manager
 
 
 def run_module_script(ops, rows=None, start: str = "written") -> None:
     memory = LocalMemory(1 << 20)
-    storage = module_storage(rows or {}, start, memory)
+    storage, manager = module_storage(rows or {}, start, memory)
     model = ModuleModel(rows)
-    model.check(storage, memory)
+    model.check(storage, memory, manager)
     touched = set(storage._buffers)
-    for op in ops:  # a refresh per step: one splice, or a hit after a no-op
+    for op in ops:  # a publish per step: one splice, or none after a no-op
         model.apply(storage, op)
-        model.check(storage, memory)
+        model.check(storage, memory, manager)
         touched.add(op[1])
         assert set(storage._buffers) <= touched  # only written rows are copied
-        assert storage.to_csr().same_arrays(
+        assert publish(manager)[0].same_arrays(
             build_snapshot_reference(
                 public_rows(storage), BYTES_PER_ENTRY, max(storage.storage_bytes, 1), True
             )
@@ -328,11 +327,12 @@ def run_module_script(ops, rows=None, start: str = "written") -> None:
 
 def run_host_script(ops) -> None:
     storage = HeterogeneousGraphStorage(num_pim_modules=4)
+    manager = publisher(storage)
     model = HostModel()
     for op in ops:
         model.apply(storage, op)
         model.check(storage)
-        assert storage.to_csr().same_arrays(
+        assert publish(manager)[0].same_arrays(
             build_snapshot_reference(
                 public_rows(storage), BYTES_PER_SLOT, max(storage.total_bytes(), 1), False
             )
@@ -409,8 +409,7 @@ def test_build_from_buffers_skips_holes_and_keeps_empty_rows():
     assert row_pairs(rows[3][1]) == [(2, 2)]
 
 
-@pytest.mark.parametrize("dropped", [True, False], ids=["after_drop", "over_the_base"])
-def test_a_batch_refresh_agrees_with_the_reference_builder(dropped):
+def test_a_batch_refresh_agrees_with_the_reference_builder():
     local = LocalGraphStorage()
     host = HeterogeneousGraphStorage(num_pim_modules=4)
     for node in range(10):
@@ -419,12 +418,12 @@ def test_a_batch_refresh_agrees_with_the_reference_builder(dropped):
             local.add_edge(node, dst + node, label=dst)
         for dst in range(3 + node):
             host.insert_edge(node, 100 + dst, label=dst % 3)
-    local.to_csr()
-    host.to_csr()
+    manager = publisher(local, host)
+    publish(manager)
 
     # One batch: holes punched and refilled, an edge relabelled, a row
     # emptied, a row removed for good, and a row removed and
-    # re-installed before the refresh.
+    # re-installed before the publish.
     host.delete_edge(3, 101)
     host.delete_edge(3, 103)
     host.insert_edge(3, 777, label=2)
@@ -440,24 +439,25 @@ def test_a_batch_refresh_agrees_with_the_reference_builder(dropped):
     local.insert_row(3, list(reversed(moved)))
     local.remove_row(7)
 
-    for storage, bytes_per_entry, size, count_local in (
-        (local, BYTES_PER_ENTRY, local.storage_bytes, True),
-        (host, BYTES_PER_SLOT, host.total_bytes(), False),
+    refreshed = publish(manager)
+    assert manager.splices == 2
+    for snapshot, storage, bytes_per_entry, size, count_local in zip(
+        refreshed,
+        (local, host),
+        (BYTES_PER_ENTRY, BYTES_PER_SLOT),
+        (local.storage_bytes, host.total_bytes()),
+        (True, False),
     ):
-        if dropped:  # the next refresh splices every row into the empty snapshot
-            storage.drop_snapshot()
-        refreshed = storage.to_csr()
-        assert storage.snapshot_builds == 2
-        assert refreshed.same_arrays(
+        assert snapshot.same_arrays(
             build_snapshot_reference(public_rows(storage), bytes_per_entry, size, count_local)
         )
-    assert host.to_csr().degrees[0] == 0 and host.has_row(0)
+    assert refreshed[1].degrees[0] == 0 and host.has_row(0)
 
 
 def test_restored_storages_refresh_against_their_read_only_seed():
-    """``restore_rows`` / ``restore_arrays`` seed a frozen base; splices
-    over it — a few rows, then every row — must equal a rebuild, and the
-    restored positional state must be the captured one."""
+    """A restore installs a frozen heap (``adopt`` / ``restore_arrays``);
+    splices over it — a few rows, then every row — must equal a rebuild,
+    and the restored positional state must be the captured one."""
     local = LocalGraphStorage()
     host = HeterogeneousGraphStorage(num_pim_modules=4)
     for node in range(8):
@@ -466,14 +466,18 @@ def test_restored_storages_refresh_against_their_read_only_seed():
         for dst in range(9):
             host.insert_edge(node, 50 + dst, label=dst % 4)
         host.delete_edge(node, 50 + node)  # a hole at a different position per row
+    manager = publisher(local, host)
+    heap = manager.current().heap
     restored_local = LocalGraphStorage(memory=LocalMemory(1 << 20))
-    restored_local.restore_rows(local.to_csr())
     restored_host = HeterogeneousGraphStorage(num_pim_modules=4)
     captured = host.capture_arrays()
-    restored_host.restore_arrays(captured, base=host.to_csr())
+    restored_host.restore_arrays(captured)
+    restored = publisher(restored_local, restored_host)
+    restored.install(heap)
 
-    assert restored_local.to_csr() is local.to_csr()  # cache hit on the seed
-    assert not restored_local.to_csr().dsts.flags.writeable
+    assert restored.current().heap is heap  # the first publish builds nothing
+    assert restored.splices == 0
+    assert not publish(restored)[0].dsts.flags.writeable
     assert restored_local.storage_bytes == local.storage_bytes
     assert restored_local._memory.used_bytes == local.storage_bytes
     assert public_rows(restored_local) == public_rows(local)
@@ -489,20 +493,21 @@ def test_restored_storages_refresh_against_their_read_only_seed():
     for storage in (restored_host, host):
         storage.insert_edge(2, 99, label=3)  # refills the hole the free list names
         storage.delete_edge(0, 51)
-    assert restored_local.to_csr().same_arrays(local.to_csr())
-    assert restored_host.to_csr().same_arrays(host.to_csr())
+    for mine, theirs in zip(publish(restored), publish(manager)):
+        assert mine.same_arrays(theirs)
     assert restored_host.next_hops_with_labels(2) == host.next_hops_with_labels(2)
     # Slots fill from the top (7..0, then 15); 99 took the hole 52 left at 5.
     assert restored_host.next_hops(2) == [57, 56, 55, 54, 53, 99, 51, 50, 58]
     for node in range(8):  # every row dirty, over the seeded lineage
         restored_local.add_edge(node, 200 + node)
         restored_host.insert_edge(node, 200 + node)
-    assert restored_local.to_csr().same_arrays(
+    local_snapshot, host_snapshot = publish(restored)
+    assert local_snapshot.same_arrays(
         build_snapshot_reference(
             public_rows(restored_local), BYTES_PER_ENTRY, restored_local.storage_bytes, True
         )
     )
-    assert restored_host.to_csr().same_arrays(
+    assert host_snapshot.same_arrays(
         build_snapshot_reference(
             public_rows(restored_host), BYTES_PER_SLOT, restored_host.total_bytes(), False
         )
@@ -629,8 +634,7 @@ def test_rows_stay_resizable_after_every_reader_of_their_buffers(tmp_path):
         system.apply_updates(ops)
 
     try:
-        for storage in storages:
-            storage.to_csr()
+        system._epochs.current()
         grow_every_row(0)
 
         session = system.begin()  # a pinned epoch over fresh snapshots

@@ -1,4 +1,4 @@
-"""Tests for the CSR storage snapshots and their incremental maintenance."""
+"""Tests for the epoch heap, its segment snapshots and the publish splice."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT, HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.snapshot import EMPTY_SNAPSHOT, merge_snapshot, row_buffer
+from repro.core.snapshot import CSRHeap, row_buffer
 from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.paper import placed_at
 from repro.pim import CostModel
 
 from faultinject import public_rows
-from model import build_snapshot_reference, load_per_edge, snapshot_of
+from model import build_snapshot_reference, load_per_edge, publish, publisher, snapshot_of
 
 
 def buffers(rows):
@@ -35,8 +35,14 @@ def reference_of(storage):
     )
 
 
+def published(storage):
+    """A standalone storage and the function that publishes its segment."""
+    manager = publisher(storage)
+    return manager, lambda: publish(manager)[0]
+
+
 # ----------------------------------------------------------------------
-# Rows spliced into the empty snapshot (a storage's first refresh)
+# Rows merged into an empty segment (a storage's first publish)
 # ----------------------------------------------------------------------
 def test_build_snapshot_orders_rows_and_counts_locals():
     snapshot = snapshot_of(
@@ -57,9 +63,7 @@ def test_build_snapshot_empty():
     snapshot = snapshot_of([], bytes_per_entry=12, working_set_bytes=1, count_local=True)
     assert snapshot.num_rows == 0 and snapshot.num_edges == 0
     assert snapshot.lookup(np.array([3, 7])).tolist() == [-1, -1]
-    assert snapshot is not EMPTY_SNAPSHOT and snapshot.same_arrays(
-        build_snapshot_reference([], 12, 1, True)
-    )
+    assert snapshot.same_arrays(build_snapshot_reference([], 12, 1, True))
 
 
 def test_build_snapshot_trailing_empty_rows():
@@ -73,8 +77,8 @@ def test_build_snapshot_trailing_empty_rows():
 
 
 def test_build_snapshot_matches_scalar_reference():
-    """The splice into the empty snapshot and the per-edge reference
-    agree array-for-array."""
+    """The merge into an empty segment and the per-edge reference agree
+    array-for-array."""
     rows = buffers(
         [
             (5, [(1, 0), (5, 2), (9, 1)]),
@@ -90,56 +94,57 @@ def test_build_snapshot_matches_scalar_reference():
 
 
 # ----------------------------------------------------------------------
-# Dirty rows + merge_snapshot
+# Written rows + the splice
 # ----------------------------------------------------------------------
 def test_overlay_empty_fast_path_returns_same_object():
     storage = LocalGraphStorage()
+    manager, snapshot = published(storage)
     storage.add_edge(1, 2)
-    assert not storage._cache.dirty  # nothing is recorded before a base exists
-    first = storage.to_csr()
-    # No mutation since the refresh: the cached base comes back as-is.
-    assert storage.to_csr() is first
-    assert storage.snapshot_builds == 1
-    assert not storage._cache.dirty
+    assert storage.written == {1}
+    first = snapshot()
+    # Nothing written since the publish: the heap, and its view, come back.
+    assert snapshot() is first
+    assert manager.splices == 1
+    assert not storage.written
     storage.add_edge(1, 3)
     storage.remove_edge(1, 3)
-    assert storage._cache.dirty == {1}
+    assert storage.written == {1}
 
 
 def test_overlay_delete_of_never_snapshotted_edge():
-    """An edge added and deleted between refreshes merges cleanly."""
+    """An edge added and deleted between publishes merges cleanly."""
     storage = LocalGraphStorage()
+    _, snapshot = published(storage)
     storage.add_edge(1, 2)
-    storage.to_csr()
+    snapshot()
     storage.add_edge(3, 4)   # never in the base
     storage.remove_edge(3, 4)
-    snapshot = storage.to_csr()
-    assert snapshot.same_arrays(reference_of(storage))
+    spliced = snapshot()
+    assert spliced.same_arrays(reference_of(storage))
     # Row 3 exists (empty) because add_edge created it.
-    assert snapshot.node_ids.tolist() == [1, 3]
-    assert snapshot.degrees.tolist() == [1, 0]
+    assert spliced.node_ids.tolist() == [1, 3]
+    assert spliced.degrees.tolist() == [1, 0]
     # Deleting an edge that never existed anywhere is a no-op merge-wise.
     storage.remove_edge(77, 78)
-    assert storage.to_csr().same_arrays(reference_of(storage))
+    assert snapshot().same_arrays(reference_of(storage))
 
 
 def test_overlay_row_migrated_then_updated_in_same_batch():
-    """A row moved between storages and edited before the next refresh."""
+    """A row moved between storages and edited before the next publish."""
     source = LocalGraphStorage()
     target = LocalGraphStorage()
+    manager = publisher(source, target)
     for node in range(8):
         source.add_edge(node, node + 100)
         target.add_edge(node + 50, node + 100)
-    source.to_csr()
-    target.to_csr()
+    publish(manager)
     # Migrate row 3 and update it on its new home, all within one batch.
     entries = source.remove_row(3)
     target.insert_row(3, entries)
     target.add_edge(3, 999)
     target.remove_edge(3, 103)
-    source_snapshot = source.to_csr()
-    target_snapshot = target.to_csr()
-    assert source.snapshot_builds == 2 and target.snapshot_builds == 2
+    source_snapshot, target_snapshot = publish(manager)
+    assert manager.splices == 2
     assert source_snapshot.same_arrays(reference_of(source))
     assert target_snapshot.same_arrays(reference_of(target))
     assert 3 not in source_snapshot.node_ids.tolist()
@@ -149,56 +154,57 @@ def test_overlay_row_migrated_then_updated_in_same_batch():
     # Remove + reinstall on the *same* storage also resolves to live data.
     entries = target.remove_row(3)
     target.insert_row(3, [(42, 7)])
-    assert target.to_csr().same_arrays(reference_of(target))
+    assert publish(manager)[1].same_arrays(reference_of(target))
 
 
 def test_merge_snapshot_into_empty_base():
     rows = dict(buffers([(4, [(1, 0)]), (2, [(4, 5)])]))
-    merged = merge_snapshot(
-        EMPTY_SNAPSHOT,
-        np.array([2, 4], dtype=np.int64),
-        rows.get,
-        bytes_per_entry=12,
-        working_set_bytes=50,
-        count_local=True,
-    )
+    empty = CSRHeap.empty([12, 12])
+    block = empty.merge([1], [rows], [50], [True])
+    merged = block.segment(0)
     reference = build_snapshot_reference(list(rows.items()), 12, 50, True)
-    assert merged.same_arrays(reference)
+    assert block.num_segments == 1 and merged.same_arrays(reference)
     # Membership changes flip locality of *clean* rows too: 2 -> 4 is
     # local only because row 4 exists.
     assert merged.local_counts.tolist() == [1, 0]
-    assert EMPTY_SNAPSHOT.num_rows == 0 and not EMPTY_SNAPSHOT.dsts.flags.writeable
+    # Spliced back, the untouched segment stays empty.
+    heap = empty.replace([1], block)
+    assert heap.segment(1).same_arrays(reference)
+    assert heap.segment(0).num_rows == 0 and not heap.dsts.flags.writeable
 
 
 def test_hetero_overlay_merges_match_rebuild():
     storage = HeterogeneousGraphStorage(num_pim_modules=4)
+    manager, snapshot = published(storage)
     for node in range(6):
         for dst in range(3):
             storage.insert_edge(node, 10 * node + dst)
-    storage.to_csr()
+    snapshot()
     storage.insert_edge(2, 999)
     storage.delete_edge(3, 30)
     entries = storage.remove_row(4)
     storage.insert_row(40, entries)
-    snapshot = storage.to_csr()
-    assert storage.snapshot_builds == 2
-    assert snapshot.same_arrays(reference_of(storage))
+    spliced = snapshot()
+    assert manager.splices == 2
+    assert spliced.same_arrays(reference_of(storage))
 
 
 # ----------------------------------------------------------------------
-# Differential: every to_csr() of a scripted storage equals the oracle
+# Differential: every publish of scripted storages equals the oracle
 # ----------------------------------------------------------------------
 NODES = 6
 VALUES = 8
 
 
 class StoragePair:
-    """Two storages of one kind, so a row can move out of one and in to
-    the other; ``apply`` runs one scripted op on side ``op[1]``."""
+    """Two storages of one kind — two segments of one heap — so a row can
+    move out of one and in to the other; ``apply`` runs one scripted op
+    on side ``op[1]``."""
 
     def __init__(self, kind: str) -> None:
         self.module = kind == "module"
         self.sides = [self.fresh(), self.fresh()]
+        self.manager = publisher(*self.sides)
 
     def fresh(self):
         return LocalGraphStorage() if self.module else HeterogeneousGraphStorage(4)
@@ -227,18 +233,19 @@ class StoragePair:
         elif kind == "touch_all":  # a batch that dirties every row
             for node in list(storage.rows()):
                 self.add(storage, node, VALUES, op[2])
-        elif kind == "drop":
-            storage.drop_snapshot()
         elif kind == "reseed":  # continue on a checkpoint-seeded lineage
-            restored = self.fresh()
-            if self.module:
-                restored.restore_rows(storage.to_csr())
-            else:
-                restored.restore_arrays(storage.capture_arrays(), base=storage.to_csr())
-            self.sides[side] = restored
+            self.manager.mark_stale()
+            heap = self.manager.current().heap
+            restored = [self.fresh(), self.fresh()]
+            if not self.module:
+                for mine, theirs in zip(restored, self.sides):
+                    mine.restore_arrays(theirs.capture_arrays())
+            self.sides = restored
+            self.manager = publisher(*restored)
+            self.manager.install(heap)
         else:
             assert kind == "refresh"
-            assert storage.to_csr().same_arrays(reference_of(storage))
+            assert publish(self.manager)[side].same_arrays(reference_of(storage))
 
 
 node_values = st.integers(0, NODES - 1)
@@ -250,13 +257,11 @@ script_ops = st.one_of(
     st.tuples(st.just("sub"), sides, node_values, values),
     st.tuples(st.just("move"), sides, node_values),
     st.tuples(st.just("touch_all"), sides, values),
-    st.tuples(st.just("drop"), sides),
     st.tuples(st.just("reseed"), sides),
     st.tuples(st.just("refresh"), sides),
     st.tuples(st.just("refresh"), sides),
 )
 FIRST_REFRESH = [("add", 0, 1, 2, 0), ("add", 0, 3, 1, 1), ("add", 0, 2, 2, 5), ("refresh", 0)]
-AFTER_DROP = [("add", 0, 1, 2, 0), ("refresh", 0), ("add", 0, 2, 1, 0), ("drop", 0), ("refresh", 0)]
 OVER_A_SEED = [
     ("add", 0, 1, 2, 0), ("add", 0, 2, 3, 1), ("reseed", 0), ("refresh", 0),
     ("sub", 0, 1, 2), ("add", 0, 3, 1, 0), ("refresh", 0),
@@ -274,7 +279,6 @@ REMOVED_AND_READDED = [
 @pytest.mark.parametrize("kind", ["module", "host"])
 @settings(max_examples=300, deadline=None)
 @example(ops=FIRST_REFRESH)
-@example(ops=AFTER_DROP)
 @example(ops=OVER_A_SEED)
 @example(ops=EVERY_ROW)
 @example(ops=MOVED_OUT)
@@ -289,111 +293,110 @@ def test_every_refresh_equals_the_reference_builder(kind, ops):
 
 
 # ----------------------------------------------------------------------
-# LocalGraphStorage.to_csr
+# A module storage's segment
 # ----------------------------------------------------------------------
 def test_local_storage_snapshot_cached_until_mutation():
     storage = LocalGraphStorage()
+    manager, snapshot = published(storage)
     storage.add_edge(1, 2)
     storage.add_edge(2, 3)
-    first = storage.to_csr()
-    assert storage.to_csr() is first
-    assert storage.snapshot_builds == 1
+    first = snapshot()
+    assert snapshot() is first
+    assert manager.splices == 1
 
     storage.add_edge(1, 4)
-    second = storage.to_csr()
+    second = snapshot()
     assert second is not first
-    assert storage.snapshot_builds == 2
+    assert manager.splices == 2
     # Only source rows live in the segment: rows 1 and 2.
     assert second.degrees.tolist() == [2, 1]
 
 
 def test_local_storage_snapshot_invalidated_by_every_mutation():
     storage = LocalGraphStorage()
+    _, snapshot = published(storage)
     storage.add_edge(1, 2, label=7)
 
-    storage.to_csr()
+    snapshot()
     assert storage.remove_edge(1, 2)
-    assert storage.to_csr().num_edges == 0
+    assert snapshot().num_edges == 0
 
-    storage.to_csr()
     storage.insert_row(10, [(11, 0), (12, 0)])
-    assert storage.to_csr().lookup(np.array([10])).tolist() == [1]
+    assert snapshot().lookup(np.array([10])).tolist() == [1]
 
-    storage.to_csr()
     storage.remove_row(10)
-    assert storage.to_csr().lookup(np.array([10])).tolist() == [-1]
+    assert snapshot().lookup(np.array([10])).tolist() == [-1]
 
-    storage.to_csr()
     storage.ensure_row(99)
-    assert 99 in storage.to_csr().node_ids.tolist()
+    assert 99 in snapshot().node_ids.tolist()
 
     # Relabeling an existing edge is a mutation too.
     storage.add_edge(1, 5, label=1)
-    snapshot = storage.to_csr()
+    before = snapshot()
     storage.add_edge(1, 5, label=2)
-    assert storage.to_csr() is not snapshot
+    assert snapshot() is not before
 
 
 def test_local_storage_snapshot_bytes_match_scalar_accounting():
     storage = LocalGraphStorage()
+    _, snapshot = published(storage)
     for dst in range(5):
         storage.add_edge(0, dst)
-    snapshot = storage.to_csr()
-    assert snapshot.bytes_per_entry == BYTES_PER_ENTRY
-    assert int(snapshot.degrees[0]) * snapshot.bytes_per_entry == len(
+    segment = snapshot()
+    assert segment.bytes_per_entry == BYTES_PER_ENTRY
+    assert int(segment.degrees[0]) * segment.bytes_per_entry == len(
         storage.next_hops_with_labels(0)
     ) * BYTES_PER_ENTRY
-    assert snapshot.working_set_bytes == max(storage.storage_bytes, 1)
+    assert segment.working_set_bytes == max(storage.storage_bytes, 1)
 
 
 # ----------------------------------------------------------------------
-# HeterogeneousGraphStorage.to_csr
+# The host storage's segment
 # ----------------------------------------------------------------------
 def test_hetero_snapshot_matches_cols_vector_order():
     storage = HeterogeneousGraphStorage(num_pim_modules=4)
+    _, snapshot = published(storage)
     storage.insert_edge(3, 10)
     storage.insert_edge(3, 11)
     storage.insert_edge(3, 12)
     storage.delete_edge(3, 11)
-    snapshot = storage.to_csr()
-    assert snapshot.node_ids.tolist() == [3]
+    segment = snapshot()
+    assert segment.node_ids.tolist() == [3]
     # Occupied slots in position order — the order a host scan streams.
     expected = [dst for dst, _ in storage.next_hops_with_labels(3)]
-    start, end = int(snapshot.indptr[0]), int(snapshot.indptr[1])
-    assert snapshot.dsts[start:end].tolist() == expected
-    assert snapshot.bytes_per_entry == BYTES_PER_SLOT
-    assert snapshot.working_set_bytes == max(storage.total_bytes(), 1)
+    start, end = int(segment.indptr[0]), int(segment.indptr[1])
+    assert segment.dsts[start:end].tolist() == expected
+    assert segment.bytes_per_entry == BYTES_PER_SLOT
+    assert segment.working_set_bytes == max(storage.total_bytes(), 1)
     # The host never detects misplacement.
-    assert snapshot.local_counts.tolist() == [0]
+    assert segment.local_counts.tolist() == [0]
 
 
 def test_hetero_snapshot_invalidation():
     storage = HeterogeneousGraphStorage(num_pim_modules=4)
+    manager, snapshot = published(storage)
     storage.insert_edge(1, 2)
-    first = storage.to_csr()
-    assert storage.to_csr() is first
+    first = snapshot()
+    assert snapshot() is first
 
     storage.insert_edge(1, 3)
-    assert storage.to_csr() is not first
-    assert storage.snapshot_builds == 2
+    assert snapshot() is not first
+    assert manager.splices == 2
 
-    storage.to_csr()
     storage.delete_edge(1, 2)
-    assert storage.to_csr().num_edges == 1
+    assert snapshot().num_edges == 1
 
-    storage.to_csr()
     storage.insert_row(7, [(8, 0)])
-    assert 7 in storage.to_csr().node_ids.tolist()
+    assert 7 in snapshot().node_ids.tolist()
 
-    storage.to_csr()
     storage.remove_row(7)
-    assert 7 not in storage.to_csr().node_ids.tolist()
+    assert 7 not in snapshot().node_ids.tolist()
 
-    # A no-op update (duplicate insert) does not invalidate.
-    cached = storage.to_csr()
+    # A no-op update (duplicate insert) writes nothing.
+    cached = snapshot()
     outcome = storage.insert_edge(1, 3)
     assert not outcome.applied
-    assert storage.to_csr() is cached
+    assert snapshot() is cached
 
 
 # ----------------------------------------------------------------------
@@ -403,116 +406,123 @@ def test_hetero_snapshot_invalidation():
 # ----------------------------------------------------------------------
 def test_published_snapshot_arrays_are_read_only():
     storage = LocalGraphStorage()
+    manager, snapshot = published(storage)
     storage.add_edge(1, 2)
     storage.add_edge(1, 3)
-    snapshot = storage.to_csr()
+    segment = snapshot()
     for array in (
-        snapshot.node_ids,
-        snapshot.indptr,
-        snapshot.dsts,
-        snapshot.labels,
-        snapshot.local_counts,
-        snapshot.degrees,
+        segment.node_ids,
+        segment.indptr,
+        segment.dsts,
+        segment.labels,
+        segment.local_counts,
+        segment.degrees,
     ):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        snapshot.dsts[0] = 999
+        segment.dsts[0] = 999
     with pytest.raises(ValueError):
-        snapshot.indptr[0] = 7
-    # Every refresh publishes frozen arrays: a splice over the base...
+        segment.indptr[0] = 7
+    # Every publish writes frozen arrays: a splice over the base...
     storage.add_edge(1, 4)
-    assert not storage.to_csr().dsts.flags.writeable
-    # ...and one of every row after a drop.
-    storage.drop_snapshot()
-    frozen = storage.to_csr()
-    assert storage.snapshot_builds == 3
-    assert not frozen.dsts.flags.writeable
+    assert not snapshot().dsts.flags.writeable
+    # ...and the heap they are views of.
+    heap = manager.current().heap
+    assert manager.splices == 2
+    for array in (*heap.arrays().values(), heap.degrees):
+        assert not array.flags.writeable
     hetero = HeterogeneousGraphStorage(num_pim_modules=4)
+    _, hetero_snapshot = published(hetero)
     hetero.insert_edge(1, 2)
     with pytest.raises(ValueError):
-        hetero.to_csr().dsts[0] = 999
+        hetero_snapshot().dsts[0] = 999
 
 
 def test_refresh_tolerates_frozen_base_arrays():
     """Splices of a few rows and of every row run on ``writeable=False``
-    bases.
+    heaps.
 
-    Published bases are frozen and shared by reference (epochs, the
-    checkpoint loader seeds them via ``SnapshotCache.seed_base``), so
-    :func:`merge_snapshot` may never write into a base array — it must
-    copy before splicing.  The regression covers both storages and
-    asserts the refreshed arrays equal a from-scratch rebuild and are
-    themselves fresh (not aliases of the frozen inputs).
+    Published heaps are frozen and shared by reference (epochs, the
+    storages' bases, a restore's installed arrays), so a splice may
+    never write into one — it must copy.  The regression covers both
+    storages and asserts the spliced arrays equal a from-scratch rebuild
+    and are themselves fresh (not aliases of the frozen inputs).
     """
     storage = LocalGraphStorage()
+    manager, snapshot = published(storage)
     for node in range(12):
         storage.add_edge(node, node + 1)
         storage.add_edge(node, node + 2)
-    base = storage.to_csr()
+    base = snapshot()
     assert not base.dsts.flags.writeable
-    # A few dirty rows -> splice against the frozen base.
+    # A few written rows -> splice against the frozen base.
     storage.add_edge(0, 99)
     storage.remove_edge(1, 2)
-    spliced = storage.to_csr()
+    spliced = snapshot()
     assert spliced.same_arrays(reference_of(storage))
-    assert spliced.dsts.base is not base.dsts
-    # Every row dirty -> still a splice against a frozen previous base.
+    assert not np.shares_memory(spliced.dsts, base.dsts)
+    # Every row written -> still a splice against a frozen previous base.
     for node in range(12):
         storage.add_edge(node, node + 50)
-    assert storage.to_csr().same_arrays(reference_of(storage))
-    assert storage.snapshot_builds == 3
+    assert snapshot().same_arrays(reference_of(storage))
+    assert manager.splices == 3
 
     hetero = HeterogeneousGraphStorage(num_pim_modules=4)
+    _, hetero_snapshot = published(hetero)
     for node in range(8):
         hetero.insert_edge(node, node + 1)
-    hetero.to_csr()
+    hetero_snapshot()
     hetero.delete_edge(0, 1)
     hetero.insert_edge(0, 7)
-    assert hetero.to_csr().same_arrays(reference_of(hetero))
+    assert hetero_snapshot().same_arrays(reference_of(hetero))
 
 
 def test_seed_base_restores_cache_and_allows_mutation():
-    """A storage seeded from checkpoint arrays behaves like the original.
+    """A storage that adopts a restored heap behaves like the original.
 
-    The first refresh is a cache hit on the seeded (frozen) arrays, and
-    later mutations splice against that read-only base without raising
-    or diverging from a rebuild.
+    The first publish builds nothing — the installed (frozen) heap comes
+    back — and later mutations splice against that read-only heap
+    without raising or diverging from a rebuild.
     """
     original = LocalGraphStorage()
+    _, original_snapshot = published(original)
     for node in range(6):
         original.add_edge(node, (node + 1) % 6, label=node % 3)
-    frozen = original.to_csr()
+    frozen = original_snapshot()
 
     restored = LocalGraphStorage()
-    restored.restore_rows(frozen)
-    # Cache hit: the exact seeded object comes back.
-    assert restored.to_csr() is frozen
+    manager, snapshot = published(restored)
+    manager.install(CSRHeap.from_segments([frozen]))
+    # Nothing to splice: the installed heap's own view comes back.
+    first = snapshot()
+    assert first.same_arrays(frozen) and snapshot() is first
+    assert manager.splices == 0
     assert restored.num_edges == original.num_edges
     assert restored.storage_bytes == original.storage_bytes
-    # Mutating after the seed splices against the read-only base.
+    # Mutating after the install splices against the read-only heap.
     restored.add_edge(2, 99)
     restored.remove_edge(0, 1)
-    refreshed = restored.to_csr()
-    assert refreshed.same_arrays(reference_of(restored))
-    # And a batch dirtying every row over the seeded lineage also works.
+    assert snapshot().same_arrays(reference_of(restored))
+    # And a batch writing every row over the installed lineage also works.
     for node in range(6):
         restored.add_edge(node, node + 40)
-    assert restored.to_csr().same_arrays(reference_of(restored))
+    assert snapshot().same_arrays(reference_of(restored))
 
 
 def test_restore_rows_requires_empty_storage():
     storage = LocalGraphStorage()
     storage.add_edge(1, 2)
     donor = LocalGraphStorage()
+    _, donor_snapshot = published(donor)
     donor.add_edge(3, 4)
     with pytest.raises(RuntimeError):
-        storage.restore_rows(donor.to_csr())
+        storage.adopt(CSRHeap.from_segments([donor_snapshot()]), 0)
     assert storage.next_hops_with_labels(1) == [(2, 0)] and not storage.has_row(3)
     hetero = HeterogeneousGraphStorage(num_pim_modules=2)
     hetero.insert_edge(1, 2)
     empty = HeterogeneousGraphStorage(num_pim_modules=2)
     with pytest.raises(RuntimeError):
-        hetero.restore_arrays(empty.capture_arrays(), base=empty.to_csr())
+        hetero.restore_arrays(empty.capture_arrays())
     assert hetero.next_hops(1) == [2] and hetero.num_rows == 1
 
 
@@ -521,7 +531,7 @@ def test_row_entries_reads_pinned_rows():
     storage.add_edge(5, 9, label=2)
     storage.add_edge(5, 1, label=7)
     storage.add_edge(3, 5)
-    snapshot = storage.to_csr()
+    snapshot = publish(publisher(storage))[0]
     assert snapshot.row_entries(5) == [(9, 2), (1, 7)]
     assert snapshot.row_entries(3) == [(5, 0)]
     assert snapshot.row_entries(404) == []
@@ -571,7 +581,7 @@ def test_pinned_epoch_survives_compactions_and_promotions():
         epoch = session._epoch
         fingerprint = _epoch_array_fingerprint(epoch)
         baseline, _ = session.batch_khop(list(range(10)), 2)
-        builds = [storage.snapshot_builds for storage in system._module_storages]
+        splices = system._epochs.splices
 
         for round_id in range(6):
             edges = [
@@ -580,11 +590,14 @@ def test_pinned_epoch_survives_compactions_and_promotions():
             system.insert_edges(edges)
             system.delete_edges(edges[::2])
             system.batch_khop(list(range(8)), 2)  # live queries + migrations
-        spliced = [
-            storage.snapshot_builds - before
-            for storage, before in zip(system._module_storages, builds)
+        current = system._epochs.current()
+        changed = [
+            not current.snapshot_of(module).same_arrays(epoch.snapshot_of(module))
+            for module in range(epoch.num_modules)
         ]
-        assert min(spliced) > 0, "churn must splice into every module's base"
+        assert system._epochs.splices > splices and all(changed), (
+            "churn must splice into every module's base"
+        )
 
         # Hub promotion: push one still-module-resident node over the
         # high-degree threshold so its whole row migrates to the host.
@@ -676,7 +689,7 @@ def test_transpose_block_round_trips_every_edge():
     graph = random_graph(40, 200, seed=13)
     for src, dst in graph.edges():
         storage.add_edge(src, dst)
-    snapshot = storage.to_csr()
+    snapshot = publish(publisher(storage))[0]
     block = snapshot.transpose_block()
     pulled = set()
     for position, dst in enumerate(block.dsts.tolist()):
@@ -708,15 +721,16 @@ def test_label_blocks_partition_edges_by_label():
 
 
 def test_derived_views_refresh_with_the_snapshot():
-    """Mutation replaces the snapshot object, so stale cached views are
-    unreachable rather than invalidated in place."""
+    """A publish builds a new heap and new views, so stale cached views
+    are unreachable rather than invalidated in place."""
     storage = LocalGraphStorage()
+    _, snapshot = published(storage)
     storage.add_edge(0, 1)
-    before = storage.to_csr()
+    before = snapshot()
     block_before = before.transpose_block()
     histogram_before = before.degree_histogram()
     storage.add_edge(0, 2)
-    after = storage.to_csr()
+    after = snapshot()
     assert after is not before
     assert after.transpose_block() is not block_before
     assert after.degree_histogram() is not histogram_before
@@ -757,13 +771,12 @@ def _labelled_power_law() -> DiGraph:
 
 
 def _assert_modules_publish_their_bases(system: Moctopus, oracle: Moctopus) -> None:
-    """The first publish is a cache hit on every module, each module
-    snapshot is the per-edge reference of the oracle's rows, and no
-    module row is a buffer."""
+    """The first publish builds nothing, each module snapshot is the
+    per-edge reference of the oracle's rows, and no module row is a
+    buffer."""
     modules = system._module_storages
-    builds = [storage.snapshot_builds for storage in modules]
     epoch = system._epochs.current()
-    assert [storage.snapshot_builds for storage in modules] == builds
+    assert system._epochs.splices == 0
     for storage, snapshot, expected in zip(modules, epoch.snapshots, oracle._module_storages):
         assert not storage._buffers
         reference = build_snapshot_reference(
