@@ -409,7 +409,11 @@ def test_build_from_buffers_skips_holes_and_keeps_empty_rows():
     assert row_pairs(rows[3][1]) == [(2, 2)]
 
 
-def test_a_batch_refresh_agrees_with_the_reference_builder():
+@pytest.mark.parametrize("dropped", [True, False], ids=["after_drop", "over_the_base"])
+def test_a_batch_refresh_agrees_with_the_reference_builder(dropped):
+    """One batch published ``after_drop`` (no earlier publish: every row
+    is spliced into the empty heap) or ``over_the_base`` (the batch is
+    spliced over the previous heap) equals a rebuild."""
     local = LocalGraphStorage()
     host = HeterogeneousGraphStorage(num_pim_modules=4)
     for node in range(10):
@@ -419,7 +423,8 @@ def test_a_batch_refresh_agrees_with_the_reference_builder():
         for dst in range(3 + node):
             host.insert_edge(node, 100 + dst, label=dst % 3)
     manager = publisher(local, host)
-    publish(manager)
+    if not dropped:
+        publish(manager)
 
     # One batch: holes punched and refilled, an edge relabelled, a row
     # emptied, a row removed for good, and a row removed and
@@ -440,7 +445,7 @@ def test_a_batch_refresh_agrees_with_the_reference_builder():
     local.remove_row(7)
 
     refreshed = publish(manager)
-    assert manager.splices == 2
+    assert manager.splices == (1 if dropped else 2)
     for snapshot, storage, bytes_per_entry, size, count_local in zip(
         refreshed,
         (local, host),
