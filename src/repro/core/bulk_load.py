@@ -420,8 +420,7 @@ class _BulkLoader:
             degrees,
             dsts,
             labels,
-            np.zeros(len(segment_of), dtype=np.int64),
-            segment_of < len(columns),
+            np.array([storage.count_local for storage in storages]),
             np.array([storage.bytes_per_entry for storage in storages], dtype=np.int64),
             working_set,
         )

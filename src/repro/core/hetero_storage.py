@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.snapshot import (
     HOLE,
-    CSRHeap,
+    GraphSnapshot,
     RowBuffer,
     RowEntries,
     join_buffers,
@@ -231,8 +231,8 @@ class HeterogeneousGraphStorage:
         vectors = self._vectors
         return {node: vectors[node].slots if node in vectors else None for node in self.written}
 
-    def rebase(self, heap: CSRHeap, segment: int) -> None:
-        """Forget the written rows: a publish, load or restore put them in ``heap``."""
+    def rebase(self, segment: GraphSnapshot) -> None:
+        """Forget the written rows: a publish, load or restore put them in ``segment``."""
         self.written.clear()
 
     adopt = rebase

@@ -34,7 +34,7 @@ existed, ...), while the *processors* translate those reports into
 charged work on the simulated hardware.
 
 Mutations record the touched row in :attr:`LocalGraphStorage.written`,
-and the next publish splices the written rows into a new heap and
+and the next publish splices the written rows into a new segment and
 rebases the storage onto it — see :mod:`repro.core.snapshot` for the
 lifecycle.
 """
@@ -77,7 +77,7 @@ def footprint(rows, edges):
 
 
 #: The base of a storage no publish has rebased yet: no rows.
-_EMPTY_HEAP = CSRHeap.empty([BYTES_PER_ENTRY])
+_EMPTY_SEGMENT = CSRHeap.empty([BYTES_PER_ENTRY]).segment(0)
 
 
 class LocalGraphStorage:
@@ -99,13 +99,8 @@ class LocalGraphStorage:
         #: Ids of the rows written since the last publish: a tombstone, a
         #: new row or a buffer that differs from the base.
         self.written: Set[int] = set()
-        #: The heap, and its segment, that hold the clean rows.
-        self._heap = _EMPTY_HEAP
-        self._segment = 0
-
-    def _base(self) -> GraphSnapshot:
-        """The segment view holding the clean rows."""
-        return self._heap.segment(self._segment)
+        #: The segment of the last published heap: the clean rows.
+        self._base: GraphSnapshot = _EMPTY_SEGMENT
 
     # ------------------------------------------------------------------
     # Introspection
@@ -134,14 +129,14 @@ class LocalGraphStorage:
         """Whether ``node``'s row lives on this module."""
         row = self._buffers.get(node, _CLEAN)
         if row is _CLEAN:
-            return self._base().row_index(node) >= 0
+            return self._base.row_index(node) >= 0
         return row is not None
 
     def rows(self) -> Iterator[int]:
         """Iterate over stored row ids, in ascending order."""
         buffers = self._buffers
         clean = [
-            node for node in self._base().node_ids.tolist() if node not in buffers
+            node for node in self._base.node_ids.tolist() if node not in buffers
         ]
         written = [node for node, row in buffers.items() if row is not None]
         return iter(sorted(clean + written))
@@ -150,7 +145,7 @@ class LocalGraphStorage:
         """Out-degree of ``node`` on this module (0 when absent)."""
         row = self._buffers.get(node, _CLEAN)
         if row is _CLEAN:
-            base = self._base()
+            base = self._base
             index = base.row_index(node)
             return 0 if index < 0 else base.degrees.item(index)
         return 0 if row is None else len(row) >> 1
@@ -164,7 +159,7 @@ class LocalGraphStorage:
         base (a buffer a publish spliced equals its base row): nothing is
         published, and no buffer is created.
         """
-        base = self._base()
+        base = self._base
         written = self.written
         index = base.lookup(nodes)
         found = index >= 0
@@ -188,7 +183,7 @@ class LocalGraphStorage:
     def _copy_base_row(self, node: int) -> Optional[RowBuffer]:
         """Copy ``node``'s clean base row into its buffer (the first write
         to it); ``None`` when the base has no such row."""
-        base = self._base()
+        base = self._base
         index = base.row_index(node)
         if index < 0:
             return None
@@ -244,7 +239,7 @@ class LocalGraphStorage:
         """Delete ``src -> dst``; return ``True`` if it existed."""
         row = self._buffers.get(src, _CLEAN)
         if row is _CLEAN:
-            if dst not in self._base().row_dsts(src):
+            if dst not in self._base.row_dsts(src):
                 return False
             row = self._copy_base_row(src)
         elif row is None:
@@ -268,7 +263,7 @@ class LocalGraphStorage:
         """
         row = self._buffers.get(node, _CLEAN)
         if row is _CLEAN:
-            entries = self._base().row_entries(node)
+            entries = self._base.row_entries(node)
             if not entries and not self.has_row(node):
                 return []
         elif row is None:
@@ -297,22 +292,22 @@ class LocalGraphStorage:
     # ------------------------------------------------------------------
     # The heap: load, restore and publish
     # ------------------------------------------------------------------
-    def adopt(self, heap: CSRHeap, segment: int) -> None:
-        """Make segment ``segment`` of ``heap`` this empty storage's rows
-        (a bulk load or a checkpoint restore): no row gets a buffer, and
-        the memory is charged once, for the whole segment."""
+    def adopt(self, segment: GraphSnapshot) -> None:
+        """Make ``segment``, a heap's, this empty storage's rows (a bulk
+        load or a checkpoint restore): no row gets a buffer, and the
+        memory is charged once, for the whole segment, before anything
+        changes."""
         if self._num_rows or self._buffers:
             raise RuntimeError("adopt requires an empty storage")
-        self.rebase(heap, segment)
-        self._num_rows, self._num_edges = self._base().num_rows, self._base().num_edges
         if self._memory is not None:
-            self._memory.allocate(self.storage_bytes)
+            self._memory.allocate(footprint(segment.num_rows, segment.num_edges))
+        self.rebase(segment)
+        self._num_rows, self._num_edges = segment.num_rows, segment.num_edges
 
-    def rebase(self, heap: CSRHeap, segment: int) -> None:
-        """Read clean rows from segment ``segment`` of ``heap`` from now on:
-        a publish spliced every written row into it."""
-        self._heap = heap
-        self._segment = segment
+    def rebase(self, segment: GraphSnapshot) -> None:
+        """Read clean rows from ``segment`` from now on: a publish spliced
+        every written row into it."""
+        self._base = segment
         self.written.clear()
 
     def written_rows(self) -> Dict[int, Optional[RowBuffer]]:
@@ -326,21 +321,21 @@ class LocalGraphStorage:
         """Next-hop NodeIDs of ``node`` (empty when the row is absent)."""
         row = self._buffers.get(node, _CLEAN)
         if row is _CLEAN:
-            return self._base().row_dsts(node)
+            return self._base.row_dsts(node)
         return [] if row is None else row[::2].tolist()
 
     def next_hops_with_labels(self, node: int) -> List[Tuple[int, int]]:
         """Next hops of ``node`` as ``(dst, label)`` pairs."""
         row = self._buffers.get(node, _CLEAN)
         if row is _CLEAN:
-            return self._base().row_entries(node)
+            return self._base.row_entries(node)
         return [] if row is None else row_pairs(row)
 
     def has_edge(self, src: int, dst: int) -> bool:
         """Whether ``src -> dst`` is stored on this module."""
         row = self._buffers.get(src, _CLEAN)
         if row is _CLEAN:
-            return dst in self._base().row_dsts(src)
+            return dst in self._base.row_dsts(src)
         return row is not None and dst in row[::2]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,14 +1,13 @@
-"""The epoch layout: one flat CSR heap for every storage, spliced per publish.
+"""The epoch layout: one CSR heap of every storage's segment, spliced per publish.
 
 A :class:`CSRHeap` holds the adjacency of the module storages
 (:class:`~repro.core.local_storage.LocalGraphStorage`) and then the
 host's (:class:`~repro.core.hetero_storage.HeterogeneousGraphStorage`),
-one segment each, end to end in one set of arrays.  A
-:class:`GraphSnapshot` is a segment's view — slices, not copies — and
-what every kernel reads; it carries its storage's byte-accounting
-constants and the per-row count of locally-owned destinations that the
-paper's misplacement detection needs, so every engine charges the same
-simulated work.
+one segment each.  A :class:`GraphSnapshot` is a segment's view — slices
+of the block that built it, not copies — and what every kernel reads;
+it carries its storage's byte-accounting constants and the per-row
+count of locally-owned destinations that the paper's misplacement
+detection needs, so every engine charges the same simulated work.
 
 The storages keep each *written* row as one ``array('q')`` interleaving
 ``dst0, label0, dst1, label1, ...`` (a :data:`HOLE` ``dst`` is an empty
@@ -18,14 +17,13 @@ buffer cannot be resized.
 
 A storage records the ids of the rows it writes in ``written`` and reads
 every other row from its **base**, its segment of the last published
-heap.  A publish is one :func:`splice`: :meth:`CSRHeap.merge` merges
-every storage's written rows into their segments in one vectorized
-pass, :meth:`CSRHeap.replace` copies each run of untouched segments as
-one slice (a publish touching most rows merges every segment instead),
-and the storages are rebased onto the new heap.  Nothing written,
-nothing built — nor after a load or a restore, which write the heap
-directly (:meth:`~repro.serve.epoch.EpochManager.install`).  A session patches
-its staged rows in with the same :meth:`CSRHeap.merge`.  A splice is
+heap.  A publish is one :func:`splice`: :func:`merge_segment` merges
+each storage's written rows into its segment, the new heap takes every
+untouched segment from the previous one as it is, and the storages that
+wrote are rebased onto their new segments.  Nothing written, nothing
+built — nor after a load or a restore, which write the heap directly
+(:meth:`~repro.serve.epoch.EpochManager.install`).  A session patches
+its staged rows in with the same :func:`merge_segment`.  A splice is
 exact, so a heap is array-for-array the CSR of the current rows however
 long its lineage; the suites hold every segment to a per-edge reference
 builder (``tests/model.py``).
@@ -36,9 +34,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import chain
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import (
-    Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+    ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
 )
 
 import numpy as np
@@ -102,12 +100,11 @@ def split_buffers(values: np.ndarray, bounds: np.ndarray) -> List[array]:
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``starts[i], starts[i] + 1, ..., starts[i] + lengths[i] - 1`` for
-    every ``i``, end to end: steps of 1, a jump at each piece's first item,
-    summed in place (one output-sized array, the only one)."""
-    starts, lengths = starts[lengths > 0], lengths[lengths > 0]
-    out = np.ones(int(lengths.sum()), dtype=np.int64)
-    out[np.cumsum(lengths) - lengths] = starts + 1 - np.concatenate([[1], starts + lengths])[:-1]
-    return np.cumsum(out, out=out)
+    every ``i``, end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - ends + lengths, lengths
+    )
 
 
 class TransposedBlock:
@@ -168,6 +165,7 @@ class GraphSnapshot:
 
     Rows are identified by their *global* node ids; ``node_ids`` is
     sorted so membership and row lookup are ``searchsorted`` calls.
+    Every array is frozen.
     """
 
     def __init__(
@@ -195,6 +193,8 @@ class GraphSnapshot:
         self.working_set_bytes = working_set_bytes
         #: Per-row out-degrees: ``indptr``'s steps (a heap passes its own).
         self.degrees = np.diff(indptr) if degrees is None else degrees
+        for array in (node_ids, indptr, dsts, labels, local_counts, self.degrees):
+            array.flags.writeable = False
         # Lazily built derived views (transpose / per-label blocks /
         # degree histogram / row ids).  A snapshot is immutable — a
         # publish builds a new heap, and new views over it — so once
@@ -365,21 +365,30 @@ def flatten_rows(
     return live_prefix[bounds >> 1], slots[live, 0], slots[live, 1]
 
 
+def _local_counts(
+    node_ids: np.ndarray, indptr: np.ndarray, dsts: np.ndarray
+) -> np.ndarray:
+    """Per ``indptr`` row over ``dsts``: how many of its destinations are
+    in the sorted ``node_ids``."""
+    prefix = np.zeros(len(dsts) + 1, dtype=np.int64)
+    np.cumsum(_sorted_member_mask(node_ids, dsts), out=prefix[1:])
+    return prefix[indptr[1:]] - prefix[indptr[:-1]]
+
+
 def build_heap(
     node_ids: np.ndarray,
     segment_of: np.ndarray,
     degrees: np.ndarray,
     dsts: np.ndarray,
     labels: np.ndarray,
-    local_counts: np.ndarray,
-    recount: np.ndarray,
+    count_local: np.ndarray,
     bytes_per_entry: np.ndarray,
     working_set_bytes: np.ndarray,
 ) -> "CSRHeap":
-    """The heap of rows laid out by segment, then by node id: row ``i`` is
-    in segment ``segment_of[i]`` and has the next ``degrees[i]`` edges.
-    Rows where ``recount`` is set get their ``local_counts`` counted anew:
-    how many of their destinations are rows of their own segment."""
+    """The heap of rows laid out by segment, then by node id (a bulk
+    load's): row ``i`` is in segment ``segment_of[i]`` and has the next
+    ``degrees[i]`` edges.  In the segments where ``count_local`` is set,
+    each row counts its destinations that are rows of the segment."""
     count = len(bytes_per_entry)
     row_offsets = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(segment_of, minlength=count), out=row_offsets[1:])
@@ -387,292 +396,206 @@ def build_heap(
     edge_offsets = np.concatenate([[0], ends])[row_offsets]
     indptr = np.zeros(len(node_ids) + count, dtype=np.int64)
     indptr[np.arange(1, len(node_ids) + 1) + segment_of] = ends - edge_offsets[segment_of]
-    bounds = row_offsets.tolist()
-    for low, high in zip(bounds, bounds[1:]):
-        rows = low + np.flatnonzero(recount[low:high])
-        if len(rows):
-            local = _sorted_member_mask(
-                node_ids[low:high], dsts[ranges(ends[rows] - degrees[rows], degrees[rows])]
-            )
-            prefix = np.concatenate([[0], np.cumsum(local)])
-            row_ends = np.cumsum(degrees[rows])
-            local_counts[rows] = prefix[row_ends] - prefix[row_ends - degrees[rows]]
-    return CSRHeap(
+    local_counts = np.zeros(len(node_ids), dtype=np.int64)
+    rows, edges = row_offsets.tolist(), edge_offsets.tolist()
+    for index in np.flatnonzero(count_local).tolist():
+        low, high = rows[index], rows[index + 1]
+        local_counts[low:high] = _local_counts(
+            node_ids[low:high],
+            indptr[low + index : high + index + 1],
+            dsts[edges[index] : edges[index + 1]],
+        )
+    return CSRHeap.from_arrays(
         node_ids, indptr, dsts, labels, local_counts, row_offsets, edge_offsets,
         bytes_per_entry, working_set_bytes, degrees,
     )
 
 
-@dataclass(eq=False)
 class CSRHeap:
-    """One flat CSR holding every segment of an epoch, end to end.
+    """Every segment of an epoch: the module storages', then the host's.
 
-    Segment ``s`` is rows ``row_offsets[s]:row_offsets[s + 1]`` of
-    ``node_ids`` (ascending within the segment), ``local_counts`` and
-    ``degrees``, and edges ``edge_offsets[s]:edge_offsets[s + 1]`` of
-    ``dsts`` and ``labels``.  Its ``indptr`` — one entry per row plus a
-    leading 0 — is ``indptr[row_offsets[s] + s:row_offsets[s + 1] + s +
-    1]``, so a segment's own CSR is a slice of every array and
-    :meth:`segment` hands it out as a :class:`GraphSnapshot` without a
-    copy.  ``bytes_per_entry`` and ``working_set_bytes`` hold each
-    segment's byte-accounting constants.  Every array is frozen.
+    Segment ``s`` is a :class:`GraphSnapshot` of storage ``s``'s rows.
+    Heaps share segments: a splice builds the segments whose storages
+    wrote rows and takes every other one from the previous heap as it
+    is, so a publish costs the segments it touched, not the graph.  A
+    spliced segment owns its arrays; the segments of a load, a restore
+    or a shared-memory attach are slices of the one block that built
+    them, which lives while some heap holds one of them.
+
+    The flat layout (:meth:`arrays`, what :func:`build_heap` and
+    :meth:`from_arrays` take and shared memory exports) lays the segments
+    end to end: segment ``s`` is rows ``row_offsets[s]:row_offsets[s +
+    1]`` of ``node_ids`` and ``local_counts``, edges
+    ``edge_offsets[s]:edge_offsets[s + 1]`` of ``dsts`` and ``labels``,
+    and ``indptr[row_offsets[s] + s:row_offsets[s + 1] + s + 1]`` (its
+    own ``indptr``, leading 0 included); ``bytes_per_entry`` and
+    ``working_set_bytes`` hold each segment's byte-accounting constants.
+    Every array is frozen.
     """
 
-    #: The arrays a heap is built from (and exported as), in order.
+    #: The flat layout's arrays, in order.
     FIELDS: ClassVar[Tuple[str, ...]] = (
         "node_ids", "indptr", "dsts", "labels", "local_counts",
         "row_offsets", "edge_offsets", "bytes_per_entry", "working_set_bytes",
     )
 
-    node_ids: np.ndarray
-    indptr: np.ndarray
-    dsts: np.ndarray
-    labels: np.ndarray
-    local_counts: np.ndarray
-    row_offsets: np.ndarray
-    edge_offsets: np.ndarray
-    bytes_per_entry: np.ndarray
-    working_set_bytes: np.ndarray
-    #: Derived from ``indptr`` on first use, unless a splice passed them.
-    _degrees: Optional[np.ndarray] = None
+    __slots__ = ("segments", "num_rows", "num_edges")
 
-    def __post_init__(self) -> None:
-        for array in (*self.arrays().values(), self._degrees):
-            if array is not None:
-                array.flags.writeable = False
-        self._bounds = (self.row_offsets.tolist(), self.edge_offsets.tolist())
-        # Built on first use; two readers racing build equal views.
-        self._views: List[Optional[GraphSnapshot]] = [None] * self.num_segments
+    def __init__(self, segments: Sequence[GraphSnapshot]) -> None:
+        self.segments: Tuple[GraphSnapshot, ...] = tuple(segments)
+        #: Adjacency rows and entries across every segment.
+        self.num_rows = sum(map(len, map(attrgetter("node_ids"), self.segments)))
+        self.num_edges = sum(map(len, map(attrgetter("dsts"), self.segments)))
 
     @classmethod
     def empty(cls, bytes_per_entry: Sequence[int]) -> "CSRHeap":
         """A heap of ``len(bytes_per_entry)`` empty segments."""
         count = len(bytes_per_entry)
-        offsets, ones = np.zeros(count + 1, dtype=np.int64), np.ones(count, dtype=np.int64)
-        return cls(_EMPTY, offsets[1:], _EMPTY, _EMPTY, _EMPTY, offsets, offsets,
-                   np.array(bytes_per_entry, dtype=np.int64), ones)
+        return cls.from_arrays(
+            _EMPTY, np.zeros(count, dtype=np.int64), _EMPTY, _EMPTY, _EMPTY,
+            np.zeros(count + 1, dtype=np.int64), np.zeros(count + 1, dtype=np.int64),
+            np.array(bytes_per_entry, dtype=np.int64), np.ones(count, dtype=np.int64),
+        )
 
     @classmethod
-    def from_segments(cls, segments: Sequence[GraphSnapshot]) -> "CSRHeap":
-        """The heap of ``segments`` laid end to end (a checkpoint restore)."""
-        columns = [
-            np.concatenate([_EMPTY, *(getattr(segment, name) for segment in segments)])
-            for name in cls.FIELDS[:5]
-        ]
-        offsets = [
-            np.cumsum([0, *(getattr(segment, name) for segment in segments)])
-            for name in ("num_rows", "num_edges")
-        ]
-        constants = [
-            np.array([getattr(segment, name) for segment in segments], dtype=np.int64)
-            for name in cls.FIELDS[7:]
-        ]
-        return cls(*columns, *offsets, *constants)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Per-row out-degrees: the steps of each segment's ``indptr``."""
-        if self._degrees is None:
-            boundaries = self.row_offsets[1:-1] + np.arange(self.num_segments - 1)
-            self._degrees = np.delete(np.diff(self.indptr), boundaries)
-            self._degrees.flags.writeable = False
-        return self._degrees
+    def from_arrays(
+        cls,
+        node_ids: np.ndarray,
+        indptr: np.ndarray,
+        dsts: np.ndarray,
+        labels: np.ndarray,
+        local_counts: np.ndarray,
+        row_offsets: np.ndarray,
+        edge_offsets: np.ndarray,
+        bytes_per_entry: np.ndarray,
+        working_set_bytes: np.ndarray,
+        degrees: Optional[np.ndarray] = None,
+    ) -> "CSRHeap":
+        """The heap of the flat layout (one block): each segment a view of
+        slices, with its per-row ``degrees`` when given."""
+        rows, edges = row_offsets.tolist(), edge_offsets.tolist()
+        segments = []
+        for index, (low, high, first, last) in enumerate(
+            zip(rows, rows[1:], edges, edges[1:])
+        ):
+            segments.append(GraphSnapshot(
+                node_ids=node_ids[low:high],
+                indptr=indptr[low + index : high + index + 1],
+                dsts=dsts[first:last],
+                labels=labels[first:last],
+                local_counts=local_counts[low:high],
+                bytes_per_entry=bytes_per_entry.item(index),
+                working_set_bytes=working_set_bytes.item(index),
+                degrees=None if degrees is None else degrees[low:high],
+            ))
+        return cls(segments)
 
     @property
     def num_segments(self) -> int:
         """Number of segments (modules, then the host)."""
-        return len(self.row_offsets) - 1
-
-    @property
-    def num_rows(self) -> int:
-        """Adjacency rows across every segment."""
-        return len(self.node_ids)
-
-    @property
-    def num_edges(self) -> int:
-        """Adjacency entries across every segment."""
-        return len(self.dsts)
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays :class:`CSRHeap` is built from, by name."""
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return len(self.segments)
 
     def segment(self, index: int) -> GraphSnapshot:
-        """Segment ``index`` as a :class:`GraphSnapshot` of array slices."""
-        view = self._views[index]
-        if view is None:
-            rows, edges = self._bounds
-            low, high = rows[index], rows[index + 1]
-            first, last = edges[index], edges[index + 1]
-            view = self._views[index] = GraphSnapshot(
-                node_ids=self.node_ids[low:high],
-                indptr=self.indptr[low + index : high + index + 1],
-                dsts=self.dsts[first:last],
-                labels=self.labels[first:last],
-                local_counts=self.local_counts[low:high],
-                bytes_per_entry=self.bytes_per_entry.item(index),
-                working_set_bytes=self.working_set_bytes.item(index),
-                degrees=self.degrees[low:high],
-            )
-        return view
+        """Segment ``index``'s view."""
+        return self.segments[index]
 
-    def merge(
-        self,
-        segments: Sequence[int],
-        rows: Sequence[Mapping[int, Optional[RowBuffer]]],
-        working_set_bytes: Sequence[int],
-        count_local: Sequence[bool],
-    ) -> "CSRHeap":
-        """The ``segments`` (ascending) with ``rows`` written in, as a heap
-        of those segments alone: ``rows[k]`` maps each row of segment
-        ``segments[k]`` written since this heap to its buffer (``None``:
-        removed), ``working_set_bytes[k]`` is its new footprint and
-        ``count_local[k]`` whether it counts local destinations.
+    def column(self, name: str) -> np.ndarray:
+        """Every segment's ``name`` array (``node_ids``, ``dsts``,
+        ``labels``, ``local_counts``, ``degrees`` or ``indptr``) end to
+        end, as one new frozen array."""
+        column = np.concatenate([_EMPTY, *(getattr(s, name) for s in self.segments)])
+        column.flags.writeable = False
+        return column
 
-        One stable sort merges the written rows into the old ones, and each
-        column is one gather or one slice per run of untouched rows.  Local
-        counts are recounted for a segment's written rows, or all its rows
-        when its row set changed (that flips membership of destinations).
-        """
-        count = len(segments)
-        touched = np.asarray(segments, dtype=np.int64)
-        old_counts = self.row_offsets[touched + 1] - self.row_offsets[touched]
-        old_bounds = np.concatenate([[0], np.cumsum(old_counts)])
-        take_old = _taker(self.row_offsets[touched], old_counts, self.num_rows)
-        old_nodes = take_old(self.node_ids, _EMPTY)
+    @property
+    def degrees(self) -> np.ndarray:
+        """Per-row out-degrees across every segment, in layout order."""
+        return self.column("degrees")
 
-        pieces, positions, buffers = [_EMPTY], [_EMPTY], []
-        for first, stop, written in zip(old_bounds.tolist(), old_bounds[1:].tolist(), rows):
-            nodes = np.sort(np.fromiter(written, dtype=np.int64, count=len(written)))
-            pieces.append(nodes)
-            positions.append(first + np.searchsorted(old_nodes[first:stop], nodes))
-            buffers.extend(map(written.get, nodes.tolist()))
-        dirty, position = np.concatenate(pieces), np.concatenate(positions)
-        dirty_segment = np.repeat(np.arange(count), list(map(len, pieces[1:])))
-        # A written row replaces its old row, when it had one.
-        found = position < old_bounds[dirty_segment + 1]
-        found[found] = old_nodes[position[found]] == dirty[found]
-        kept = np.delete(np.arange(len(old_nodes)), position[found])
-        present = np.array([buffer is not None for buffer in buffers], dtype=bool)
-        delta_indptr, delta_dsts, delta_labels = flatten_rows(
-            [buffer for buffer in buffers if buffer is not None]
-        )
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The flat layout, by name: every array a new frozen copy."""
+        arrays = {name: self.column(name) for name in self.FIELDS[:5]}
+        for name, size in (("row_offsets", "num_rows"), ("edge_offsets", "num_edges")):
+            arrays[name] = np.cumsum([0, *(getattr(s, size) for s in self.segments)])
+        for name in self.FIELDS[7:]:
+            arrays[name] = np.array([getattr(s, name) for s in self.segments], dtype=np.int64)
+        for array in arrays.values():
+            array.flags.writeable = False
+        return arrays
 
-        # Rows ordered by (segment, node): a written row's search position
-        # is its key, a kept row's index its own, and the written row goes
-        # first on a tie (its node is the smaller).  Written rows come
-        # first in every concatenation below.
-        order = np.argsort(np.concatenate([position[present], kept]), kind="stable")
-        is_written = order < len(delta_indptr) - 1
-        old_segment = np.repeat(np.arange(count), old_counts)
-        segment_of = np.concatenate([dirty_segment[present], old_segment[kept]])[order]
-        old_degrees = take_old(self.degrees, _EMPTY)
-        degrees = np.concatenate([np.diff(delta_indptr), old_degrees[kept]])[order]
-        # Where each row's edges start in ``heap ++ delta``.
-        old_starts = _taker(
-            self.row_offsets[touched] + touched, old_counts, len(self.indptr)
-        )(self.indptr, _EMPTY) + np.repeat(self.edge_offsets[touched], old_counts)
-        starts = np.concatenate([delta_indptr[:-1] + self.num_edges, old_starts[kept]])
-        take = _taker(starts[order], degrees, self.num_edges)
-        dsts, labels = take(self.dsts, delta_dsts), take(self.labels, delta_labels)
-        del take  # its gather index is edge-sized
-        # A segment's row set changed where a row came or went.
-        changed = np.isin(np.arange(count), dirty_segment[found != present])
-        counts = np.concatenate(
-            [np.zeros(len(delta_indptr) - 1, dtype=np.int64),
-             take_old(self.local_counts, _EMPTY)[kept]]
+    def replace(self, segments: Mapping[int, GraphSnapshot]) -> "CSRHeap":
+        """This heap with ``segments[s]`` as segment ``s``."""
+        merged = list(self.segments)
+        for index, segment in segments.items():
+            merged[index] = segment
+        return CSRHeap(merged)
+
+
+def merge_segment(
+    base: GraphSnapshot,
+    rows: Mapping[int, Optional[RowBuffer]],
+    working_set_bytes: int,
+    count_local: bool,
+) -> GraphSnapshot:
+    """``base`` with ``rows`` written in, as a new segment of its own
+    arrays: ``rows`` maps each row written since ``base`` to its buffer
+    (``None``: removed), ``working_set_bytes`` is the new footprint and
+    ``count_local`` whether rows count their local destinations.
+
+    The kept base rows and the flattened written rows are ordered by node
+    id, and each column comes out of one gather over ``base ++ written``.
+    Local counts are recounted for the written rows, or for every row when
+    a row came or went (that flips membership of destinations).
+    """
+    dirty = np.fromiter(rows, dtype=np.int64, count=len(rows))
+    keep = ~_sorted_member_mask(np.sort(dirty), base.node_ids)
+    buffers = list(rows.values())
+    present = np.array([buffer is not None for buffer in buffers], dtype=bool)
+    written = dirty[present]
+    delta_indptr, delta_dsts, delta_labels = flatten_rows(
+        [buffer for buffer in buffers if buffer is not None]
+    )
+
+    all_nodes = np.concatenate([base.node_ids[keep], written])
+    order = np.argsort(all_nodes)
+    node_ids = all_nodes[order]
+    degrees = np.concatenate([base.degrees[keep], np.diff(delta_indptr)])[order]
+    indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    # Where each row's edges start in ``base ++ written``.
+    starts = np.concatenate([base.indptr[:-1][keep], delta_indptr[:-1] + base.num_edges])
+    index = ranges(starts[order], degrees)
+    dsts = np.concatenate([base.dsts, delta_dsts])[index]
+    labels = np.concatenate([base.labels, delta_labels])[index]
+
+    if not count_local:
+        local_counts = np.zeros(len(node_ids), dtype=np.int64)
+    elif len(written) < len(dirty) or not _sorted_member_mask(base.node_ids, written).all():
+        local_counts = _local_counts(node_ids, indptr, dsts)
+    else:
+        local_counts = np.concatenate(
+            [base.local_counts[keep], _local_counts(node_ids, delta_indptr, delta_dsts)]
         )[order]
-        return build_heap(
-            np.concatenate([dirty[present], old_nodes[kept]])[order],
-            segment_of,
-            degrees,
-            dsts,
-            labels,
-            counts,
-            np.asarray(count_local, dtype=bool)[segment_of]
-            & (changed[segment_of] | is_written),
-            self.bytes_per_entry[touched],
-            np.array(working_set_bytes, dtype=np.int64),
-        )
-
-    def replace(self, segments: Sequence[int], block: "CSRHeap") -> "CSRHeap":
-        """This heap with ``block``'s segments in place of ``segments``
-        (ascending, one per block segment): each column is one slice per
-        run of untouched segments and one per run of replaced ones."""
-        mine = np.ones(self.num_segments, dtype=bool)
-        mine[segments] = False
-        theirs = np.cumsum(~mine) - 1  # a replaced segment's block index
-
-        def counts(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-            return np.where(mine, np.diff(own), np.diff(other)[theirs])
-
-        def taker(own: np.ndarray, other: np.ndarray, pad: int = 0):
-            """Each segment's span of a column that ``own`` / ``other``
-            offsets cut into segments, with ``pad`` more items each."""
-            size = own[-1] + pad * len(mine)  # the column's length here
-            index = np.arange(len(mine))
-            starts = np.where(
-                mine, own[:-1] + pad * index, size + other[theirs] + pad * theirs
-            )
-            return _taker(starts, counts(own, other) + pad, size)
-
-        rows = taker(self.row_offsets, block.row_offsets)
-        edges = taker(self.edge_offsets, block.edge_offsets)
-        constants = [
-            np.where(mine, self.bytes_per_entry, block.bytes_per_entry[theirs]),
-            np.where(mine, self.working_set_bytes, block.working_set_bytes[theirs]),
-        ]
-        return CSRHeap(
-            rows(self.node_ids, block.node_ids),
-            taker(self.row_offsets, block.row_offsets, 1)(self.indptr, block.indptr),
-            edges(self.dsts, block.dsts),
-            edges(self.labels, block.labels),
-            rows(self.local_counts, block.local_counts),
-            np.cumsum([0, *counts(self.row_offsets, block.row_offsets)]),
-            np.cumsum([0, *counts(self.edge_offsets, block.edge_offsets)]),
-            *constants,
-            rows(self.degrees, block.degrees),
-        )
-
-
-def _taker(
-    starts: np.ndarray, lengths: np.ndarray, size: int
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """A function laying items ``starts[i]:starts[i] + lengths[i]`` of
-    ``old ++ new`` (``old`` has ``size`` items) end to end for every
-    ``i``: one slice per run of pieces already end to end, or — when the
-    runs average under 64 items — one gather."""
-    if not len(starts):
-        return lambda old, new: _EMPTY
-    ends = starts + lengths
-    # A run never crosses from ``old`` into ``new``.
-    breaks = np.flatnonzero((starts[1:] != ends[:-1]) | (starts[1:] == size)) + 1
-    if len(breaks) > int(lengths.sum()) >> 6:
-        index = ranges(starts, lengths)
-        return lambda old, new: np.concatenate([old, new])[index]
-    runs = list(zip(
-        starts[np.concatenate([[0], breaks])].tolist(),
-        ends[np.concatenate([breaks - 1, [len(starts) - 1]])].tolist(),
-    ))
-    return lambda old, new: np.concatenate([_EMPTY, *(
-        old[low:high] if low < size else new[low - size : high - size] for low, high in runs
-    )])
+    return GraphSnapshot(
+        node_ids, indptr, dsts, labels, local_counts,
+        base.bytes_per_entry, working_set_bytes, degrees,
+    )
 
 
 def splice(heap: CSRHeap, storages: Sequence) -> CSRHeap:
     """The heap of the storages' current rows (storage ``i`` is segment
     ``i``): the rows each wrote since ``heap`` (``written``, read by
-    ``written_rows()``) merged in, or ``heap`` itself when none did.
+    ``written_rows()``) merged into its segment, every other segment
+    taken from ``heap``, or ``heap`` itself when nothing was written.
     Nothing changes: a publish rebases the storages onto the result."""
-    touched = [index for index, storage in enumerate(storages) if storage.written]
-    if not touched:
-        return heap
-    if 2 * np.diff(heap.row_offsets)[touched].sum() > heap.num_rows:
-        touched = list(range(len(storages)))  # cheaper than a second copy of most rows
-    block = heap.merge(
-        touched,
-        [storages[index].written_rows() for index in touched],
-        [storages[index].working_set_bytes for index in touched],
-        [storages[index].count_local for index in touched],
-    )
-    return block if len(touched) == len(storages) else heap.replace(touched, block)
+    merged = {
+        index: merge_segment(
+            heap.segment(index),
+            storage.written_rows(),
+            storage.working_set_bytes,
+            storage.count_local,
+        )
+        for index, storage in enumerate(storages)
+        if storage.written
+    }
+    return heap.replace(merged) if merged else heap

@@ -31,9 +31,8 @@ harness can tear a checkpoint at any byte.
 Capture holds the writer lock, so it builds arrays only from arrays and
 buffers (no per-edge Python objects), and every array it returns is a
 private copy or a frozen epoch array — none aliases a live row.
-Capture slices each segment out of the epoch's heap; restore is the
-mirror image: the segments' arrays are laid end to end into one heap
-that the storages adopt, and the host vectors are filled with
+Capture takes each segment of the epoch's heap; restore is the mirror
+image: the segments' arrays make the heap that the storages adopt, and the host vectors are filled with
 ``frombytes`` slices of the checkpoint's arrays.  The array names,
 dtypes and contents are those of ``CHECKPOINT_FORMAT`` 1 since it was
 introduced; ``tests/data/ckpt_pr16`` keeps a directory written before
@@ -377,7 +376,7 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
     )
     metas = [*manifest["storages"], host_meta]
     segments = map(_snapshot_from_arrays, _prefixes(num_modules), metas, [arrays] * len(metas))
-    system._epochs.install(CSRHeap.from_segments(list(segments)))
+    system._epochs.install(CSRHeap(list(segments)))
     for module_id, (storage, meta) in enumerate(zip(system._module_storages, metas)):
         if storage.num_edges != int(meta["num_edges"]):
             raise CheckpointError(

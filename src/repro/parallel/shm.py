@@ -10,13 +10,14 @@ views over it; no serialization of the graph ever crosses a process
 boundary.
 
 The wire format is the epoch's own layout: a segment is a flat ``int64``
-heap holding the epoch's :class:`~repro.core.snapshot.CSRHeap` arrays as
-they are, then the owner table's, and the :class:`EpochManifest` — a
+heap holding the epoch's :class:`~repro.core.snapshot.CSRHeap` in its
+flat layout (:meth:`~repro.core.snapshot.CSRHeap.arrays`), then the
+owner table's arrays, and the :class:`EpochManifest` — a
 small picklable description shipped over the pool's task queue — records
 each array as an ``(offset, length)`` pair in elements.
-:func:`attach_epoch` builds the ``CSRHeap``, ``OwnerIndex`` and ``Epoch``
-over read-only views of the mapped segment, with a publish's
-constructors.
+:func:`attach_epoch` builds the ``CSRHeap`` (as a load does), the
+``OwnerIndex`` and the ``Epoch`` (as a publish does) over read-only
+views of the mapped segment.
 
 Crash-safe cleanup
 ------------------
@@ -166,7 +167,7 @@ def attach_epoch(
 
     epoch = Epoch(
         epoch_id=manifest.epoch_id,
-        heap=CSRHeap(**{name: view(span) for name, span in manifest.heap.items()}),
+        heap=CSRHeap.from_arrays(**{name: view(span) for name, span in manifest.heap.items()}),
         owners=OwnerIndex.from_arrays(
             **{name: view(span) for name, span in manifest.owners.items()}
         ),

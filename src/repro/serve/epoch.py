@@ -7,7 +7,8 @@ a frozen copy of the node-partition table — and all of its queries
 execute against those arrays no matter how far the single writer
 advances in the meantime.  A capture is one
 :func:`~repro.core.snapshot.splice` of the rows the storages wrote since
-the last one into the previous heap (nothing at all when no row was
+the last one into their segments of the previous heap (every other
+segment is shared with it, and nothing at all is built when no row was
 written) plus one memcpy of the owner table.
 
 :class:`EpochManager` owns the publish lifecycle.  The single writer
@@ -158,7 +159,7 @@ class Epoch:
         """
         counts = self._label_edge_counts
         if counts is None:
-            values, occurrences = np.unique(self.heap.labels, return_counts=True)
+            values, occurrences = np.unique(self.heap.column("labels"), return_counts=True)
             counts = dict(zip(values.tolist(), occurrences.tolist()))
             self._label_edge_counts = counts
         return counts
@@ -192,7 +193,7 @@ class EpochView:
 
     ``patched`` optionally overrides per-partition snapshots with
     session-patched ones (uncommitted writes merged in with
-    :meth:`~repro.core.snapshot.CSRHeap.merge`); ``extra_owners`` maps
+    :func:`~repro.core.snapshot.merge_segment`); ``extra_owners`` maps
     the session-created nodes the epoch's owner table does not place to
     their provisional partitions so the engines can route frontiers
     through rows that exist only in the overlay.
@@ -376,12 +377,23 @@ class EpochManager:
         return self.current()
 
     def install(self, heap: CSRHeap) -> None:
-        """Make ``heap``, a load's or a restore's, the empty storages' rows."""
+        """Make ``heap``, a load's or a restore's, the empty storages' rows.
+
+        A storage whose module memory cannot hold its segment raises
+        :class:`~repro.pim.memory.MemoryCapacityError` and keeps its own
+        rows, as do the storages after it; the heap takes the segments
+        the storages before it adopted, so the next publish is still
+        exactly the storages' rows.
+        """
         with self._lock:
-            for index, storage in enumerate(self._storages):
-                storage.adopt(heap, index)
-            self._heap = heap
             self._stale = True
+            for index, storage in enumerate(self._storages):
+                try:
+                    storage.adopt(heap.segment(index))
+                except BaseException:
+                    self._heap = self._heap.replace(dict(enumerate(heap.segments[:index])))
+                    raise
+            self._heap = heap
 
     def restore_published_count(self, count: int) -> None:
         """Resume epoch numbering after recovery (ids stay monotonic)."""
@@ -405,7 +417,8 @@ class EpochManager:
                     self._heap = heap
                     self.splices += 1
                     for index, storage in enumerate(self._storages):
-                        storage.rebase(heap, index)
+                        if storage.written:
+                            storage.rebase(heap.segment(index))
                 self._owner_capture.refresh(self._partition_map)
                 epoch = Epoch(
                     epoch_id=self._next_id,

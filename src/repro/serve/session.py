@@ -5,8 +5,8 @@ on that frozen state until the caller explicitly :meth:`refresh`\\ es —
 the MVCC contract "a pinned reader never observes later writes".  On
 top of isolation the session layers **read-your-writes**: updates
 staged through the session are merged into the pinned segments they
-touch (with :meth:`~repro.core.snapshot.CSRHeap.merge`, the first half
-of every publish's splice) so the session's queries see its uncommitted
+touch (with :func:`~repro.core.snapshot.merge_segment`, as every
+publish's splice merges a storage's written rows) so the session's queries see its uncommitted
 edges immediately, while other readers and the live system see nothing
 until :meth:`commit` hands the staged batch to the single writer.
 
@@ -26,7 +26,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.checks import require_int64s, require_labels
-from repro.core.snapshot import RowBuffer, row_buffer
+from repro.core.snapshot import RowBuffer, merge_segment, row_buffer
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
@@ -320,15 +320,15 @@ class Session:
             if owner is None:
                 owner = self._new_nodes[node]
             by_owner.setdefault(owner, {})[node] = row_buffer(row)
-        owners = sorted(by_owner, key=epoch.segment_of)
-        segments = list(map(epoch.segment_of, owners))
-        block = epoch.heap.merge(
-            segments,
-            [by_owner[owner] for owner in owners],
-            epoch.heap.working_set_bytes[segments].tolist(),
-            [owner != HOST_PARTITION for owner in owners],
-        )
-        patched = {owner: block.segment(index) for index, owner in enumerate(owners)}
+        patched = {
+            owner: merge_segment(
+                epoch.snapshot_of(owner),
+                rows,
+                epoch.snapshot_of(owner).working_set_bytes,
+                owner != HOST_PARTITION,
+            )
+            for owner, rows in by_owner.items()
+        }
         self._view_cache = EpochView(
             self._epoch, self._pim, patched=patched,
             extra_owners=dict(self._new_nodes),

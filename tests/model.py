@@ -34,7 +34,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.snapshot import HOLE, CSRHeap, GraphSnapshot, RowBuffer
+from repro.core.snapshot import HOLE, CSRHeap, GraphSnapshot, RowBuffer, merge_segment
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.rpq import RPQuery, evaluate_rpq
@@ -286,8 +286,8 @@ def snapshot_of(
 ) -> GraphSnapshot:
     """``(node, row buffer)`` pairs frozen the way a publish freezes a
     storage's written rows: merged into an empty segment."""
-    heap = CSRHeap.empty([bytes_per_entry])
-    return heap.merge([0], [dict(rows)], [working_set_bytes], [count_local]).segment(0)
+    empty = CSRHeap.empty([bytes_per_entry]).segment(0)
+    return merge_segment(empty, dict(rows), working_set_bytes, count_local)
 
 
 def publisher(*storages) -> EpochManager:

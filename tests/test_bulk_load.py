@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultinject import public_rows
 from model import build_snapshot_reference, load_per_edge, publish, publisher
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
@@ -245,7 +246,7 @@ def test_adopt_makes_a_segment_the_base_and_charges_memory():
         footprint(4, 5),
         count_local=True,
     )
-    manager.install(CSRHeap.from_segments([reference]))
+    manager.install(CSRHeap([reference]))
     assert [(node, storage.next_hops_with_labels(node)) for node in storage.rows()] == list(
         rows.items()
     )
@@ -256,7 +257,7 @@ def test_adopt_makes_a_segment_the_base_and_charges_memory():
     assert snapshot.same_arrays(reference)
     assert manager.splices == 0
     with pytest.raises(RuntimeError):
-        storage.adopt(CSRHeap.from_segments([reference]), 0)
+        storage.adopt(reference)
 
 
 @st.composite
@@ -317,6 +318,21 @@ def test_tiny_module_memory_fails_the_loader_and_the_oracle_alike():
         Moctopus.from_graph(graph, config)
     with pytest.raises(MemoryCapacityError):
         load_per_edge(Moctopus(config), graph.labeled_edges(), graph.nodes())
+    # Part-way: modules 0 and 1 fit (2748 and 2768 bytes), module 2 (2992)
+    # does not.  The storages that took their segments keep them, the
+    # rest keep their own rows, and the next publish is exactly that.
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4, module_memory_bytes=2900))
+    system = Moctopus(config)
+    with pytest.raises(MemoryCapacityError):
+        system.load_graph(graph)
+    storages = system._module_storages
+    assert [storage.num_rows > 0 for storage in storages] == [True, True, False, False]
+    for storage, segment in zip(storages, system._epochs.current().snapshots):
+        assert segment.same_arrays(
+            build_snapshot_reference(
+                public_rows(storage), BYTES_PER_ENTRY, storage.working_set_bytes, True
+            )
+        )
 
 
 def test_loading_into_a_non_empty_system_is_refused_before_the_log(tmp_path):

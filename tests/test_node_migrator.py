@@ -309,9 +309,9 @@ def test_pass_matches_the_scalar_oracle(case):
                 storage.add_edge(1000 + module, 0)
                 rig.partitioner.partition_map.assign(1000 + module, module)
     real, reference = rigs
-    bases = [storage._heap for storage in real.storages]
+    bases = [storage._base for storage in real.storages]
     moves, stats = real.run(reports, limit)
-    assert [storage._heap for storage in real.storages] == bases, (
+    assert [storage._base for storage in real.storages] == bases, (
         "the pass must not publish"
     )
     reference_moves, reference_stats = reference.run_reference(reports, limit)

@@ -302,7 +302,7 @@ def module_storage(
     assert start in ("loaded", "restored")
     size = max(footprint(len(rows), sum(map(len, rows.values()))), 1)
     segment = build([(node, row_buffer(rows[node])) for node in ids], BYTES_PER_ENTRY, size, True)
-    manager.install(CSRHeap.from_segments([segment]))
+    manager.install(CSRHeap([segment]))
     assert not storage._buffers  # every row starts clean, in the base
     return storage, manager
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT, HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.snapshot import CSRHeap, row_buffer
+from repro.core.snapshot import CSRHeap, merge_segment, row_buffer
 from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.paper import placed_at
 from repro.pim import CostModel
@@ -160,17 +160,33 @@ def test_overlay_row_migrated_then_updated_in_same_batch():
 def test_merge_snapshot_into_empty_base():
     rows = dict(buffers([(4, [(1, 0)]), (2, [(4, 5)])]))
     empty = CSRHeap.empty([12, 12])
-    block = empty.merge([1], [rows], [50], [True])
-    merged = block.segment(0)
+    merged = merge_segment(empty.segment(1), rows, 50, True)
     reference = build_snapshot_reference(list(rows.items()), 12, 50, True)
-    assert block.num_segments == 1 and merged.same_arrays(reference)
+    assert merged.same_arrays(reference)
     # Membership changes flip locality of *clean* rows too: 2 -> 4 is
     # local only because row 4 exists.
     assert merged.local_counts.tolist() == [1, 0]
-    # Spliced back, the untouched segment stays empty.
-    heap = empty.replace([1], block)
-    assert heap.segment(1).same_arrays(reference)
-    assert heap.segment(0).num_rows == 0 and not heap.dsts.flags.writeable
+    # Spliced back, the untouched segment is the old heap's own.
+    heap = empty.replace({1: merged})
+    assert heap.segment(1) is merged and heap.num_rows == 2
+    assert heap.segment(0) is empty.segment(0)
+    assert not merged.dsts.flags.writeable
+
+
+def test_a_publish_shares_every_untouched_segment():
+    """A splice builds only the segments whose storages wrote rows: the
+    others are the previous heap's views, arrays and all."""
+    first, second = LocalGraphStorage(), LocalGraphStorage()
+    manager = publisher(first, second)
+    first.add_edge(1, 2)
+    second.add_edge(3, 4)
+    before = publish(manager)
+    first.add_edge(1, 5)
+    after = publish(manager)
+    assert manager.splices == 2
+    assert after[1] is before[1]
+    assert after[0].same_arrays(reference_of(first))
+    assert not np.shares_memory(after[0].dsts, before[0].dsts)
 
 
 def test_hetero_overlay_merges_match_rebuild():
@@ -492,7 +508,7 @@ def test_seed_base_restores_cache_and_allows_mutation():
 
     restored = LocalGraphStorage()
     manager, snapshot = published(restored)
-    manager.install(CSRHeap.from_segments([frozen]))
+    manager.install(CSRHeap([frozen]))
     # Nothing to splice: the installed heap's own view comes back.
     first = snapshot()
     assert first.same_arrays(frozen) and snapshot() is first
@@ -516,7 +532,7 @@ def test_restore_rows_requires_empty_storage():
     _, donor_snapshot = published(donor)
     donor.add_edge(3, 4)
     with pytest.raises(RuntimeError):
-        storage.adopt(CSRHeap.from_segments([donor_snapshot()]), 0)
+        storage.adopt(donor_snapshot())
     assert storage.next_hops_with_labels(1) == [(2, 0)] and not storage.has_row(3)
     hetero = HeterogeneousGraphStorage(num_pim_modules=2)
     hetero.insert_edge(1, 2)
