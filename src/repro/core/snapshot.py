@@ -3,9 +3,8 @@
 A :class:`CSRHeap` holds the adjacency of the module storages
 (:class:`~repro.core.local_storage.LocalGraphStorage`) and then the
 host's (:class:`~repro.core.hetero_storage.HeterogeneousGraphStorage`),
-one segment each.  A :class:`GraphSnapshot` is a segment's view — slices
-of the block that built it, not copies — and what every kernel reads;
-it carries its storage's byte-accounting constants and the per-row
+one segment each.  A segment is a :class:`GraphSnapshot`, the only
+thing a kernel reads; it carries its storage's byte-accounting constants and the per-row
 count of locally-owned destinations that the paper's misplacement
 detection needs, so every engine charges the same simulated work.
 
@@ -177,7 +176,6 @@ class GraphSnapshot:
         local_counts: np.ndarray,
         bytes_per_entry: int,
         working_set_bytes: int,
-        degrees: Optional[np.ndarray] = None,
     ) -> None:
         self.node_ids = node_ids
         self.indptr = indptr
@@ -191,14 +189,13 @@ class GraphSnapshot:
         #: Size of the structure for working-set-dependent access costs
         #: (the host's ``cols_vector`` capacity; a module's segment bytes).
         self.working_set_bytes = working_set_bytes
-        #: Per-row out-degrees: ``indptr``'s steps (a heap passes its own).
-        self.degrees = np.diff(indptr) if degrees is None else degrees
+        self.degrees = np.diff(indptr)
         for array in (node_ids, indptr, dsts, labels, local_counts, self.degrees):
             array.flags.writeable = False
         # Lazily built derived views (transpose / per-label blocks /
         # degree histogram / row ids).  A snapshot is immutable — a
-        # publish builds a new heap, and new views over it — so once
-        # built these can never go stale.  Concurrent
+        # publish builds new segments — so once built these can never go
+        # stale.  Concurrent
         # pinned readers may race to build one; both compute the same
         # arrays and the single reference assignment publishes either
         # safely.
@@ -407,7 +404,7 @@ def build_heap(
         )
     return CSRHeap.from_arrays(
         node_ids, indptr, dsts, labels, local_counts, row_offsets, edge_offsets,
-        bytes_per_entry, working_set_bytes, degrees,
+        bytes_per_entry, working_set_bytes,
     )
 
 
@@ -469,10 +466,9 @@ class CSRHeap:
         edge_offsets: np.ndarray,
         bytes_per_entry: np.ndarray,
         working_set_bytes: np.ndarray,
-        degrees: Optional[np.ndarray] = None,
     ) -> "CSRHeap":
         """The heap of the flat layout (one block): each segment a view of
-        slices, with its per-row ``degrees`` when given."""
+        its slices."""
         rows, edges = row_offsets.tolist(), edge_offsets.tolist()
         segments = []
         for index, (low, high, first, last) in enumerate(
@@ -486,7 +482,6 @@ class CSRHeap:
                 local_counts=local_counts[low:high],
                 bytes_per_entry=bytes_per_entry.item(index),
                 working_set_bytes=working_set_bytes.item(index),
-                degrees=None if degrees is None else degrees[low:high],
             ))
         return cls(segments)
 
@@ -577,8 +572,7 @@ def merge_segment(
             [base.local_counts[keep], _local_counts(node_ids, delta_indptr, delta_dsts)]
         )[order]
     return GraphSnapshot(
-        node_ids, indptr, dsts, labels, local_counts,
-        base.bytes_per_entry, working_set_bytes, degrees,
+        node_ids, indptr, dsts, labels, local_counts, base.bytes_per_entry, working_set_bytes
     )
 
 

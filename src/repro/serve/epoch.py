@@ -133,7 +133,7 @@ class Epoch:
     @property
     def snapshots(self) -> Tuple[GraphSnapshot, ...]:
         """Every segment's view: the modules', then the host's."""
-        return tuple(map(self.heap.segment, range(self.heap.num_segments)))
+        return self.heap.segments
 
     def degree_histogram(self) -> np.ndarray:
         """Out-degree histogram of every row of the epoch (cached, frozen).
