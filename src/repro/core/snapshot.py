@@ -557,15 +557,18 @@ def merge_segment(
     degrees = np.concatenate([base.degrees[keep], np.diff(delta_indptr)])[order]
     indptr = np.zeros(len(node_ids) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    # Where each row's edges start in ``base ++ written``.
+    # Where each row's edges start in ``base ++ written``; an edge's index
+    # is its row's start plus its place in the row.
     starts = np.concatenate([base.indptr[:-1][keep], delta_indptr[:-1] + base.num_edges])
-    index = ranges(starts[order], degrees)
+    index = np.repeat(starts[order] - indptr[:-1], degrees)
+    index += np.arange(len(index))
     dsts = np.concatenate([base.dsts, delta_dsts])[index]
     labels = np.concatenate([base.labels, delta_labels])[index]
 
     if not count_local:
         local_counts = np.zeros(len(node_ids), dtype=np.int64)
-    elif len(written) < len(dirty) or not _sorted_member_mask(base.node_ids, written).all():
+    elif len(written) < len(dirty) or len(node_ids) != base.num_rows:
+        # A row went, or one came (no row went, yet the count moved).
         local_counts = _local_counts(node_ids, indptr, dsts)
     else:
         local_counts = np.concatenate(
