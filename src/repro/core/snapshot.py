@@ -415,7 +415,7 @@ class CSRHeap:
     Heaps share segments: a splice builds the segments whose storages
     wrote rows and takes every other one from the previous heap as it
     is, so a publish costs the segments it touched, not the graph.  A
-    spliced segment owns its arrays; the segments of a load, a restore
+    spliced or restored segment owns its arrays; the segments of a load
     or a shared-memory attach are slices of the one block that built
     them, which lives while some heap holds one of them.
 
