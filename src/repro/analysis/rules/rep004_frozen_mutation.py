@@ -7,9 +7,10 @@ Mutating one would either raise at runtime (numpy honors the flag) or —
 worse, through a view or an ``out=`` kwarg on a copy that aliases the
 base — silently corrupt every other reader of the epoch.
 
-The rule taints variables bound from frozen-snapshot accessors
-(``to_csr``, ``snapshot_of``, ``degree_histogram``, ``freeze``, plus
-attribute loads off a tainted variable like ``snap.indptr``) and flags
+The rule taints variables bound from frozen-snapshot accessors — an
+epoch's or a view's ``snapshot_of``, and a :class:`CSRHeap`'s
+``segment``, ``column`` and ``arrays`` — plus attribute loads off a
+tainted variable like ``snap.indptr``, and flags
 in-place mutation of tainted names: subscript stores, augmented
 assignment, ``.sort()`` / ``.fill()`` / ``.partition()`` /
 ``.resize()`` calls, and ``out=`` keywords.  Rebinding a name
@@ -47,14 +48,7 @@ HINT = (
 )
 
 #: Calls whose results are frozen shared state.
-FROZEN_ACCESSORS = frozenset(
-    {
-        "to_csr",
-        "snapshot_of",
-        "degree_histogram",
-        "freeze",
-    }
-)
+FROZEN_ACCESSORS = frozenset({"snapshot_of", "segment", "column", "arrays"})
 
 #: Attributes that hold frozen state on every object carrying them:
 #: the CSR pair of a ``BatchResult`` (and of snapshots and their blocks),
@@ -79,8 +73,13 @@ def _base_name(node: ast.AST) -> str:
 
 
 def _frozen_attribute(node: ast.AST) -> Optional[str]:
-    """``base.attr`` when the chain reads a :data:`FROZEN_ATTRIBUTES` member."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
+    """``base.attr`` when the chain reads a :data:`FROZEN_ATTRIBUTES`
+    member, ``accessor()`` when it reads off a :data:`FROZEN_ACCESSORS`
+    call (``heap.segment(0).dsts``); any other call returns fresh state."""
+    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Call)):
+        if isinstance(node, ast.Call):
+            name = call_func_name(node)
+            return f"{name}()" if name in FROZEN_ACCESSORS else None
         if isinstance(node, ast.Attribute) and node.attr in FROZEN_ATTRIBUTES:
             return f"{_base_name(node) or '?'}.{node.attr}"
         node = node.value

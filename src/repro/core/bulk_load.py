@@ -41,7 +41,7 @@ from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage, footprint
 from repro.core.node_migrator import NodeMigrator
 from repro.core.partitioner import GraphPartitioner
-from repro.core.snapshot import CSRHeap, build_heap, flatten_rows, ranges
+from repro.core.snapshot import CSRHeap, build_heap, flatten_rows, ranges, sorted_runs
 from repro.graph.stream import array_chunks
 
 _NO_IDS = np.empty(0, dtype=np.int64)
@@ -71,18 +71,6 @@ def bulk_load(
         loader.load_chunk(chunk)
     loader.load_isolated(nodes)
     return loader.heap()
-
-
-def _group_by_source(srcs: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges grouped by source, each group in stream order:
-    ``(order, starts, counts)`` — group ``g`` is
-    ``order[starts[g]:starts[g] + counts[g]]``, sources ascending."""
-    order = np.argsort(srcs, kind="stable")
-    grouped = srcs[order]
-    first_of_group = np.ones(len(srcs), dtype=bool)
-    np.not_equal(grouped[1:], grouped[:-1], out=first_of_group[1:])
-    starts = np.flatnonzero(first_of_group)
-    return order, starts, np.diff(starts, append=len(srcs))
 
 
 class _ModuleColumns:
@@ -140,7 +128,10 @@ class _BulkLoader:
 
     def load_chunk(self, chunk: np.ndarray) -> None:
         """Place, then store, one chunk of edges."""
-        order, starts, counts = _group_by_source(chunk[:, 0])
+        # The edges grouped by source, sources ascending, each group in
+        # stream order: group ``g`` is ``order[bounds[g]:bounds[g + 1]]``.
+        order, bounds = sorted_runs(chunk[:, 0])
+        starts, counts = bounds[:-1], np.diff(bounds)
         sources = chunk[order[starts], 0]
         source_list = sources.tolist()
 

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.partitioner import GraphPartitioner
-from repro.engine.vectorized import _unique
+from repro.core.snapshot import sorted_runs
 from repro.partition.base import HOST_PARTITION
 from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import OperationContext
@@ -68,7 +68,9 @@ def _tally(
     own_votes = np.zeros(len(current), dtype=np.int64)
     own = parts == current[tally_voter]
     own_votes[tally_voter[own]] = votes[own]
-    candidates = _unique(tally_voter[votes > own_votes[tally_voter]])
+    outvoted = tally_voter[votes > own_votes[tally_voter]]
+    order, runs = sorted_runs(outvoted)
+    candidates = outvoted[order[runs[:-1]]]
     bounds = np.searchsorted(tally_voter, np.arange(len(current) + 1))
     return parts, votes, bounds, candidates
 

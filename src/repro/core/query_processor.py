@@ -5,8 +5,8 @@ The processor's job is planning and delegation, not data movement:
 1. a query is planned into the one :class:`~repro.rpq.planner.Plan`
    (:mod:`repro.rpq.planner`): ``k`` ``smxm`` expansions plus the
    ``mwait`` reduce for the paper's k-hop workload and fixed-length
-   RPQs, a DFA-guided fixpoint for the rest — costed from the view's
-   frozen epoch when it has one, and bound to the view's row count;
+   RPQs, a DFA-guided fixpoint for the rest — the query's shape, bound
+   to the view's row count;
 2. the plan is handed, with the view to run it against, to the current
    :class:`~repro.engine.base.ExecutionEngine` — the ``"auto"``
    dispatcher a system starts on, choosing per call between the scalar
@@ -30,28 +30,29 @@ into time, the mwait reduction, and the misplacement reports handed to
 the node migrator off the query's critical path.
 
 Executions whose view answers :meth:`PlanView.frozen_epoch` (pinned,
-unpatched) additionally go through two caches that are correct by
-construction because their keys embed the epoch id — a new epoch can
-never observe a stale entry.  Both are bounded least-recently-used maps
-(:data:`PLAN_CACHE_ENTRIES`, :data:`RESULT_CACHE_ENTRIES`):
+unpatched) additionally go through two bounded least-recently-used
+caches (:data:`PLAN_CACHE_ENTRIES`, :data:`RESULT_CACHE_ENTRIES`):
 
-* a **plan cache** mapping ``(epoch id, query shape, batch size)`` to
-  the :class:`Plan` (plans are frozen, so cached plans are shared, not
-  copied);
+* a **plan cache** mapping the query shape to its unlowered
+  :class:`Plan`.  A plan is a function of the shape alone, so one entry
+  serves every epoch and every batch size; each call lowers it with the
+  view's row count.  No cost estimate is made here: only ``explain()``
+  costs a plan (:func:`~repro.rpq.planner.cost_plan`);
 * a **result cache** mapping ``(epoch id, query shape, exact sources,
-  engine)`` to ``(result, stats)``.  A :class:`BatchResult` is two
-  frozen arrays, so the entry, the first caller and every hit share
-  them without copying; only the small, mutable
-  :class:`ExecutionStats` is copied per insert and per hit, because
-  callers stamp counters into the stats they receive.  Cached answers —
-  results *and* simulated counters — are therefore bit-identical to an
-  uncached execution.
+  engine)`` to ``(result, stats)`` — correct by construction because
+  the key embeds the epoch id, so a new epoch can never observe a stale
+  entry.  A :class:`BatchResult` is two frozen arrays, so the entry,
+  the first caller and every hit share them without copying; only the
+  small, mutable :class:`ExecutionStats` is copied per insert and per
+  hit, because callers stamp counters into the stats they receive.
+  Cached answers — results *and* simulated counters — are therefore
+  bit-identical to an uncached execution.
 
 Hit/miss counters accumulate on :attr:`QueryProcessor.cache_stats`
 (a separate :class:`ExecutionStats`), never on per-query stats, so the
 per-query observables stay identical between cold and warm runs.
 When an epoch retires, :meth:`QueryProcessor.forget_epoch` drops its
-entries from both caches.
+result entries.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from repro.rpq.query import BatchResult, KHopQuery, RPQuery
 
 __all__ = ["PLAN_CACHE_ENTRIES", "QueryProcessor", "RESULT_CACHE_ENTRIES"]
 
-#: Bound of the epoch-keyed plan cache (entries).
+#: Bound of the shape-keyed plan cache (entries).
 PLAN_CACHE_ENTRIES = 128
 #: Bound of the epoch-keyed result cache (entries).
 RESULT_CACHE_ENTRIES = 256
@@ -141,16 +142,16 @@ class QueryProcessor:
         self.engine = create_engine(name, self.label_names)
 
     def forget_epoch(self, epoch_id: int) -> None:
-        """Drop the plan and result entries of a retired epoch.
+        """Drop the result entries of a retired epoch.
 
         Epoch ids are never reused, so such an entry could never hit
         again; left alone it would hold an LRU slot (and a result's
         arrays) until newer entries pushed it out.
         """
         with self._cache_lock:
-            for cache in (self._plan_cache, self._result_cache):
-                for key in [key for key in cache if key[0] == epoch_id]:
-                    del cache[key]
+            cache = self._result_cache
+            for key in [key for key in cache if key[0] == epoch_id]:
+                del cache[key]
 
     # ------------------------------------------------------------------
     # The entry point
@@ -163,9 +164,9 @@ class QueryProcessor:
         ``view`` is an :class:`~repro.serve.epoch.EpochView`: frozen
         owners and snapshots, and the platform its totals fold into.
         Only a view answering :meth:`~repro.engine.base.PlanView.frozen_epoch`
-        gets a costed plan and the epoch-keyed caches; a live view
-        (charged to the system's own platform) and a session-patched
-        view plan uncosted and always execute.
+        goes through the caches; a live view (charged to the system's
+        own platform) and a session-patched view always plan and
+        execute.
         ``engine`` defaults to the processor's current backend; a session
         or a scheduler passes the one it captured when it started.
         """
@@ -199,37 +200,27 @@ class QueryProcessor:
     def plan(self, query, view: PlanView) -> Plan:
         """The plan ``query`` runs as against ``view``, without running it.
 
-        Costed from the view's frozen epoch when it has one (structure
-        only otherwise), with fixpoint bounds derived from the view's
-        row count.  ``explain()`` renders this plan, and the parallel
-        worker pool plans here once and ships the picklable result to
-        its worker processes, so every process executes exactly the plan
-        an in-process pinned execution would.
+        The query's shape with its fixpoint bound derived from the
+        view's row count.  ``explain()`` renders this plan, and the
+        parallel worker pool plans here once and ships the picklable
+        result to its worker processes, so every process executes
+        exactly the plan an in-process pinned execution would.
 
-        Plans are cached per ``(epoch id, query shape, batch size)`` —
-        epoch-keyed, so an entry can never outlive the data it was
-        planned against.  Batch size is part of the key because the cost
-        estimates scale with it.
+        A view with a frozen epoch reads the shape from the plan cache,
+        keyed by the shape alone; live and patched views plan afresh.
         """
-        epoch = view.frozen_epoch()
-        plan_key = None
-        if epoch is not None:
-            plan_key = (
-                epoch.epoch_id,
-                self._query_key(query),
-                len(query.sources),
-            )
+        key = self._query_key(query)
+        frozen = view.frozen_epoch() is not None
+        plan = None
+        if frozen:
             with self._cache_lock:
-                cached = self._plan_cache.lookup(plan_key)
-            if cached is not None:
-                return cached
-        plan = lower_plan(
-            plan_query(query, epoch, self.label_names), view.total_rows()
-        )
-        if plan_key is not None:
-            with self._cache_lock:
-                self._plan_cache.insert(plan_key, plan)
-        return plan
+                plan = self._plan_cache.lookup(key)
+        if plan is None:
+            plan = plan_query(query)
+            if frozen:
+                with self._cache_lock:
+                    self._plan_cache.insert(key, plan)
+        return lower_plan(plan, view.total_rows())
 
     @staticmethod
     def _query_key(query) -> Tuple:

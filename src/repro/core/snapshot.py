@@ -136,13 +136,14 @@ class TransposedBlock:
         return len(self.src_rows)
 
 
-def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of non-empty ``values`` and the bounds of its
-    runs of equal values: run ``i`` is ``order[bounds[i]:bounds[i + 1]]``."""
+def sorted_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``values`` and the bounds of its runs of
+    equal values: run ``i`` is ``order[bounds[i]:bounds[i + 1]]``, the
+    runs in ascending value order, each in input order (``bounds`` is
+    ``[0]`` when ``values`` is empty)."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    boundary = np.empty(len(ordered), dtype=bool)
-    boundary[0] = True
+    boundary = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=boundary[1:])
     return order, np.append(np.flatnonzero(boundary), len(ordered))
 
@@ -155,7 +156,7 @@ def _transpose_edges(
         return TransposedBlock(
             _EMPTY.copy(), np.zeros(1, dtype=np.int64), _EMPTY.copy()
         )
-    order, indptr = _runs(dsts)
+    order, indptr = sorted_runs(dsts)
     return TransposedBlock(dsts[order[indptr[:-1]]], indptr, src_rows[order])
 
 
@@ -192,16 +193,15 @@ class GraphSnapshot:
         self.degrees = np.diff(indptr)
         for array in (node_ids, indptr, dsts, labels, local_counts, self.degrees):
             array.flags.writeable = False
-        # Lazily built derived views (transpose / per-label blocks /
-        # degree histogram / row ids).  A snapshot is immutable — a
-        # publish builds new segments — so once built these can never go
-        # stale.  Concurrent
+        # Lazily built derived views (transpose / per-label blocks / row
+        # ids); row and edge counts are read off the arrays, never
+        # cached.  A snapshot is immutable — a publish builds new
+        # segments — so once built these can never go stale.  Concurrent
         # pinned readers may race to build one; both compute the same
         # arrays and the single reference assignment publishes either
         # safely.
         self._transpose: Optional[TransposedBlock] = None
         self._label_blocks: Optional[dict] = None
-        self._degree_histogram: Optional[np.ndarray] = None
         self._row_ids: Optional[List[int]] = None
 
     @property
@@ -267,21 +267,6 @@ class GraphSnapshot:
         row = self.row_index(node)
         return 0 if row < 0 else self.local_counts.item(row)
 
-    def degree_histogram(self) -> np.ndarray:
-        """Out-degree histogram of the snapshot's rows (cached, frozen).
-
-        ``histogram[d]`` is the number of rows with out-degree ``d``;
-        always at least one bucket long.  Computed once per snapshot
-        from the CSR ``indptr`` diff — the dense-vs-sparse crossover
-        substrate of the matrix engine and the cost-based planner.
-        """
-        histogram = self._degree_histogram
-        if histogram is None:
-            histogram = np.bincount(self.degrees, minlength=1).astype(np.int64)
-            histogram.flags.writeable = False
-            self._degree_histogram = histogram
-        return histogram
-
     def transpose_block(self) -> TransposedBlock:
         """In-edges of the snapshot grouped by destination (cached).
 
@@ -312,7 +297,7 @@ class GraphSnapshot:
                 src_rows = np.repeat(
                     np.arange(self.num_rows, dtype=np.int64), self.degrees
                 )
-                order, bounds = _runs(self.labels)
+                order, bounds = sorted_runs(self.labels)
                 bounds = bounds.tolist()
                 for start, stop in zip(bounds, bounds[1:]):
                     chunk = order[start:stop]

@@ -55,6 +55,7 @@ from repro.partition.metrics import PartitionQuality, evaluate_partition
 from repro.partition.radical_greedy import DEFAULT_CAPACITY_FACTOR, RadicalGreedyPartitioner
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
+from repro.rpq.planner import cost_plan
 from repro.rpq.query import BatchResult, KHopQuery
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -245,7 +246,7 @@ class Moctopus:
     def _live_view(self) -> "EpochView":
         """The view a live query runs on: the current epoch (published
         now if a write made it stale), charged to :attr:`pim`, never
-        costed or cached, and reporting misplaced nodes to the migrator
+        cached, and reporting misplaced nodes to the migrator
         when it repairs the placement."""
         from repro.serve.epoch import EpochView
 
@@ -522,14 +523,15 @@ class Moctopus:
     # Introspection
     # ------------------------------------------------------------------
     def explain(self, query, pinned: bool = True) -> str:
-        """The cost-based plan for ``query``, rendered for humans.
+        """The plan for ``query`` with its cost estimates, rendered for humans.
 
         With ``pinned`` (the default) the query is planned against the
         latest published epoch, so the explanation shows what a session
-        opened now would run — cost estimates and the planner's
-        reasoning included.  ``pinned=False`` explains the plan a live
-        query runs instead, on the same epoch: uncosted, since a live
-        view is never costed or cached.
+        opened now would run, costed for the query's batch from that
+        epoch's statistics (:func:`~repro.rpq.planner.cost_plan`; only
+        here does the cost model run).  ``pinned=False`` explains the
+        plan a live query runs instead, on the same epoch: uncosted,
+        since a live view has no frozen statistics.
         """
         from repro.serve.epoch import EpochView
 
@@ -537,7 +539,12 @@ class Moctopus:
             view = EpochView(self._epochs.current(), self.pim)
         else:
             view = self._live_view()
-        return self._query_processor.plan(query, view).explain()
+        processor = self._query_processor
+        plan = processor.plan(query, view)
+        decision = cost_plan(
+            plan, len(query.sources), view.frozen_epoch(), processor.label_names
+        )
+        return plan.explain(decision)
 
     @property
     def cache_stats(self) -> ExecutionStats:

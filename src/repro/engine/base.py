@@ -114,8 +114,9 @@ class PlanView(Protocol):
 
     def frozen_epoch(self) -> Optional["Epoch"]:
         """The epoch whose frozen statistics describe exactly this view,
-        or ``None``: only then may a plan be costed from them, and a
-        plan or an answer be cached under the epoch's id."""
+        or ``None``: only then may an answer be cached under the epoch's
+        id, a plan be shared by query shape, and ``explain()`` cost a
+        plan from the epoch's statistics."""
         ...
 
 

@@ -30,8 +30,8 @@ Edges whose label every live state rejects are never touched.
 Pull pays ``O(E_total)`` per phase regardless of frontier size, so tiny
 frontiers stay on the inherited push path: the crossover compares the
 frontier's *touched* edge count (already exact in the charged work
-counters) against the dense pull cost derived from the snapshot's cached
-out-degree histogram, biased by the plan shape
+counters) against the dense pull cost, the snapshot's rows plus its
+edges, biased by the plan shape
 (:meth:`~repro.rpq.planner.Plan.max_expansion_phases`) —
 deep traversals saturate their frontiers and tolerate an earlier switch.
 
@@ -103,12 +103,9 @@ class PullBitsetKernel(BitsetKernel):
 
     def _use_pull(self, snapshot, touched_edges: int) -> bool:
         """Dense-vs-sparse crossover for one partition's expansion."""
-        histogram = snapshot.degree_histogram()
-        # rows + edges straight off the cached histogram: the pull side
-        # touches every stored in-edge plus one plane slot per row.
-        dense_work = int(histogram.sum()) + int(
-            histogram @ np.arange(len(histogram), dtype=np.int64)
-        )
+        # The pull side touches every stored in-edge plus one plane slot
+        # per row.
+        dense_work = snapshot.num_rows + snapshot.num_edges
         factor = (
             self.PULL_CROSSOVER_DEEP
             if self._deep_plan

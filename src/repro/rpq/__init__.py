@@ -10,8 +10,9 @@ package provides:
 * query objects — :class:`RPQuery` and the paper's :class:`KHopQuery`
   workload (:mod:`repro.rpq.query`),
 * the planner: one frozen :class:`Plan` per query — ``k`` ``smxm``
-  expansions or a fixpoint, then ``mwait`` — costed from an epoch's
-  frozen statistics when there is one (:mod:`repro.rpq.planner`),
+  expansions or a fixpoint, then ``mwait``: the query's shape, costed
+  from an epoch's frozen statistics only when explained
+  (:mod:`repro.rpq.planner`),
 * a reference evaluator used as the correctness oracle for every engine
   (:mod:`repro.rpq.evaluator`).
 """
@@ -50,6 +51,7 @@ from repro.rpq.planner import (
     GraphCostStats,
     Plan,
     PlanDecision,
+    cost_plan,
     lower_plan,
     plan_query,
 )
@@ -84,6 +86,7 @@ __all__ = [
     "make_batch_khop",
     "random_source_batch",
     "plan_query",
+    "cost_plan",
     "lower_plan",
     "evaluate_khop",
     "evaluate_rpq",

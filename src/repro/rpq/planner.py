@@ -16,15 +16,16 @@ answer being the final frontier.  Everything else expands to fixpoint
 are reached.  General RPQs carry their DFA: each phase expands all
 in-flight automaton states at once, so the kernels need no other shape.
 
-:func:`plan_query` fixes the shape from the query alone.  Given a
-frozen :class:`~repro.serve.epoch.Epoch` it also costs the plan from the
-statistics the epoch already carries — the out-degree histogram (average
-wildcard fanout), the per-label edge counts (a hop over a rare label is
-costed as rare) and the minimized DFA's per-hop live-state sets (the
-product-graph frontier caps).  The estimates and the reasoning ride on
-the plan as a :class:`PlanDecision` (:meth:`Plan.explain`).  Live
-executions and session-patched views have no frozen statistics and get
-an uncosted plan of the same shape.
+:func:`plan_query` fixes the shape from the query alone, and a plan is
+nothing but that shape.  The cost model runs only when a plan is
+explained: :func:`cost_plan` estimates it for a batch against a frozen
+:class:`~repro.serve.epoch.Epoch` from statistics the epoch already
+carries — its row and edge counts (average wildcard fanout), the
+per-label edge counts (a hop over a rare label is costed as rare) and
+the minimized DFA's per-hop live-state sets (the product-graph frontier
+caps) — and :meth:`Plan.explain` prints the resulting
+:class:`PlanDecision`.  Without a frozen epoch (a live execution or a
+session-patched view) the decision says the plan is uncosted.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.rpq.automaton import DFA
 from repro.rpq.query import KHopQuery, RPQuery
@@ -52,11 +51,7 @@ class GraphCostStats:
 
     @classmethod
     def from_epoch(cls, epoch, label_names: Dict[int, str]) -> "GraphCostStats":
-        histogram = epoch.degree_histogram()
-        num_rows = int(histogram.sum())
-        num_edges = int(
-            (np.arange(len(histogram), dtype=np.int64) * histogram).sum()
-        )
+        num_rows, num_edges = epoch.num_rows, epoch.num_edges
         counts: Dict[str, int] = {}
         for label_id, count in epoch.label_edge_counts().items():
             name = label_names.get(label_id, str(label_id))
@@ -116,8 +111,6 @@ class Plan:
     dfa: Optional[DFA] = None
     #: Iteration bound of a fixpoint plan, bound by :func:`lower_plan`.
     fixpoint_bound: Optional[int] = None
-    #: The planner's estimates and reasoning (what ``explain()`` prints).
-    decision: PlanDecision = _NO_STATISTICS
 
     @property
     def accumulate_results(self) -> bool:
@@ -139,14 +132,15 @@ class Plan:
             raise ValueError("fixpoint plan without a bound: see lower_plan()")
         return self.fixpoint_bound
 
-    def explain(self) -> str:
-        """Human-readable plan description (one line per phase).
+    def explain(self, decision: PlanDecision = _NO_STATISTICS) -> str:
+        """Human-readable plan description: ``decision`` (what
+        :func:`cost_plan` estimated), then one line per phase.
 
         A DFA plan's expansion lines name the labels its live states can
         leave over at that depth (``any`` past a wildcard arc); a
         fixpoint line names every label of the automaton.
         """
-        lines = self.decision.explain_lines()
+        lines = decision.explain_lines()
         dfa = self.dfa
         if self.expansions is None:
             labels = {label for arcs in dfa.transitions.values() for label in arcs}
@@ -225,40 +219,39 @@ def _estimate_hops(
     return tuple(estimates), cost
 
 
-def plan_query(
-    query, epoch=None, label_names: Optional[Dict[int, str]] = None
-) -> Plan:
-    """The :class:`Plan` for ``query``.
-
-    Without ``epoch`` the plan is structure only.  With one — a frozen
-    :class:`~repro.serve.epoch.Epoch`, ``label_names`` naming its integer
-    edge labels — the plan is costed from the epoch's statistics.
-    """
+def plan_query(query) -> Plan:
+    """The :class:`Plan` for ``query``: its shape, from the query alone."""
     if isinstance(query, KHopQuery):
-        expansions: Optional[int] = query.hops
-        dfa = None
-    elif isinstance(query, RPQuery):
-        expansions = query.ast().fixed_length()
-        dfa = query.dfa()
-    else:
-        raise TypeError(f"unsupported query type {type(query).__name__}")
+        return Plan(query.hops)
+    if isinstance(query, RPQuery):
+        return Plan(query.ast().fixed_length(), query.dfa())
+    raise TypeError(f"unsupported query type {type(query).__name__}")
+
+
+def cost_plan(
+    plan: Plan, batch_size: int, epoch=None,
+    label_names: Optional[Dict[int, str]] = None,
+) -> PlanDecision:
+    """What ``plan`` is estimated to cost for ``batch_size`` sources.
+
+    Costed from a frozen :class:`~repro.serve.epoch.Epoch`'s statistics,
+    ``label_names`` naming its integer edge labels; without an epoch the
+    decision says the plan is uncosted.
+    """
     if epoch is None:
-        return Plan(expansions, dfa)
+        return _NO_STATISTICS
     stats = GraphCostStats.from_epoch(epoch, label_names or {})
-    batch_size = float(len(query.sources))
-    if expansions is None:
+    if plan.expansions is None:
         # Kleene plans saturate: every product-graph edge relaxes at
         # most once, so cost ~ edges x states.
-        cost = batch_size + float(stats.num_edges) * dfa.num_states
-        return Plan(None, dfa, decision=PlanDecision(
-            cost, (), "variable-length plans run to fixpoint",
-        ))
-    estimates, cost = _estimate_hops(dfa, expansions, stats, batch_size)
+        cost = float(batch_size) + float(stats.num_edges) * plan.dfa.num_states
+        return PlanDecision(cost, (), "variable-length plans run to fixpoint")
+    estimates, cost = _estimate_hops(plan.dfa, plan.expansions, stats, float(batch_size))
     reason = (
-        "k-hop plans use the bit-mask path" if dfa is None
+        "k-hop plans use the bit-mask path" if plan.dfa is None
         else "fixed-length plans expand the DFA hop by hop"
     )
-    return Plan(expansions, dfa, decision=PlanDecision(cost, estimates, reason))
+    return PlanDecision(cost, estimates, reason)
 
 
 def lower_plan(plan: Plan, default_fixpoint_iterations: int) -> Plan:

@@ -28,9 +28,9 @@ uncommitted writes (read-your-writes), plus the accounting
 into.  A pinned reader passes a private platform, because pinned reads
 are not logged and must stay out of the live system's checkpointed
 totals.  A live query runs on a ``live`` view of the *current* epoch
-that folds into the system's own platform, is never costed or cached,
-and hands its misplacement reports to the node migrator when the
-placement migrates (``Moctopus._live_view``).
+that folds into the system's own platform, is never cached, and hands
+its misplacement reports to the node migrator when the placement
+migrates (``Moctopus._live_view``).
 """
 
 from __future__ import annotations
@@ -113,7 +113,6 @@ class Epoch:
         "num_edges",
         "num_rows",
         "num_modules",
-        "_degree_histogram",
         "_label_edge_counts",
     )
 
@@ -127,7 +126,6 @@ class Epoch:
         self.num_edges = heap.num_edges
         self.num_rows = heap.num_rows
         self.num_modules = heap.num_segments - 1
-        self._degree_histogram: Optional[np.ndarray] = None
         self._label_edge_counts: Optional[Dict[int, int]] = None
 
     @property
@@ -135,27 +133,13 @@ class Epoch:
         """Every segment's view: the modules', then the host's."""
         return self.heap.segments
 
-    def degree_histogram(self) -> np.ndarray:
-        """Out-degree histogram of every row of the epoch (cached, frozen).
-
-        ``histogram[d]`` counts adjacency rows of out-degree ``d`` over
-        all modules plus the host; always at least one bucket long.  The
-        substrate for the matrix engine's dense-vs-sparse frontier
-        crossover and the cost-based planner.
-        """
-        histogram = self._degree_histogram
-        if histogram is None:
-            histogram = np.bincount(self.heap.degrees, minlength=1).astype(np.int64)
-            histogram.flags.writeable = False
-            self._degree_histogram = histogram
-        return histogram
-
     def label_edge_counts(self) -> Dict[int, int]:
         """Edge count per label id across the epoch (cached).
 
-        Feeds the cost-based planner's per-label fanout estimates: the
-        expected frontier growth of an ``smxm`` step filtered to label
-        ``l`` is ``count[l] / total_rows`` per frontier node.
+        Feeds the cost model's per-label fanout estimates when
+        ``explain()`` costs a plan: the expected frontier growth of an
+        ``smxm`` step filtered to label ``l`` is ``count[l] / num_rows``
+        per frontier node.
         """
         counts = self._label_edge_counts
         if counts is None:
@@ -199,8 +183,8 @@ class EpochView:
     through rows that exist only in the overlay.
 
     ``live`` marks a live query's view of the current epoch.  It charges
-    the system's own platform, so it is never costed or cached: a cache
-    hit would leave that platform uncharged.  ``migrator`` is given only
+    the system's own platform, so it is never cached: a cache hit would
+    leave that platform uncharged.  ``migrator`` is given only
     to a live view whose placement migrates: module partitions then
     detect misplacement and the reports go to it.
     """
@@ -233,9 +217,9 @@ class EpochView:
     def is_patched(self) -> bool:
         """Whether the view overlays session-local (uncommitted) state.
 
-        Patched views are invisible to the epoch-keyed plan/result
-        caches and to cost-based planning — both are only sound against
-        the epoch's frozen, shared state.
+        Patched views are invisible to the plan and result caches and
+        to the cost model — the epoch's frozen, shared state does not
+        describe what they read.
         """
         return bool(self._patched) or bool(self._extra_owners)
 
@@ -286,7 +270,9 @@ class EpochView:
         overlay — its statistics and its id then describe something other
         than what the view reads — or is live: a cached answer would skip
         the system's charges and the expansion whose reports drive
-        migration."""
+        migration.  The caches key results by its id and share plans by
+        query shape among such views; ``explain()`` costs a plan from
+        its statistics."""
         if self.live or self.is_patched():
             return None
         return self.epoch

@@ -359,9 +359,9 @@ class TestRep004:
         findings = lint(
             "REP004",
             """
-            def tamper(graph):
-                csr = graph.to_csr()
-                csr[0] = 1
+            def tamper(heap):
+                dsts = heap.column("dsts")
+                dsts[0] = 1
             """,
         )
         assert [f.rule for f in findings] == ["REP004"]
@@ -382,8 +382,8 @@ class TestRep004:
         findings = lint(
             "REP004",
             """
-            def reduce(graph, np):
-                degrees = graph.degree_histogram()
+            def reduce(heap, np):
+                degrees = heap.column("degrees")
                 np.cumsum(degrees, out=degrees)
             """,
         )
@@ -393,14 +393,31 @@ class TestRep004:
         findings = lint(
             "REP004",
             """
-            def safe(graph):
-                csr = graph.to_csr()
-                csr = csr.copy()
-                csr[0] = 1
-                csr.sort()
+            def safe(heap):
+                dsts = heap.column("dsts")
+                dsts = dsts.copy()
+                dsts[0] = 1
+                dsts.sort()
             """,
         )
         assert findings == []
+
+    def test_flags_mutation_through_the_heap_accessors(self):
+        findings = lint(
+            "REP004",
+            """
+            def tamper(heap):
+                heap.segment(0).dsts[0] = 1
+                segment = heap.segment(1)
+                segment.labels.sort()
+                arrays = heap.arrays()
+                arrays["indptr"][1:] += 1
+                fresh = heap.segment(2).dsts.copy()
+                fresh[0] = 1
+            """,
+        )
+        assert [f.rule for f in findings] == ["REP004"] * 3
+        assert "segment()" in findings[0].message
 
     def test_untainted_arrays_are_clean(self):
         findings = lint(

@@ -129,7 +129,7 @@ def test_result_invariant_on_reverse_plans(engine, expression, final_edges):
         plan = system._query_processor.plan(query, view=session._view())
         # No seeds, no reversed automaton: the plan runs the query's own DFA.
         assert [field.name for field in dataclasses.fields(plan)] == [
-            "expansions", "dfa", "fixpoint_bound", "decision"
+            "expansions", "dfa", "fixpoint_bound"
         ]
         assert plan.dfa is query.dfa()
         result, stats = session.execute(query)

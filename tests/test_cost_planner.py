@@ -6,15 +6,19 @@ Covers the planner protocol end to end:
   bound by the attached DFA's state count (the product graph visits
   ``rows x states`` pairs, not ``rows``), shown both on the bound plan
   and as an actual truncated answer on a labeled cycle;
-* only an unpatched pinned view's plan is costed: live and
-  session-patched views plan the same shape without statistics;
+* a plan is its query's shape: live, pinned and session-patched views
+  plan alike, only ``explain()`` costs a plan (from the epoch it pins
+  and the query's batch size, nothing on the execution path does), and
+  its text is pinned literally;
 * zero-length expressions (``a{0}``, ``(a|b){0}``) across engines and
   oracle;
-* the epoch-keyed plan cache and LRU result cache: warm answers are
-  bit-identical to cold ones (results *and* per-query counters), hit
-  counters land on the separate ``cache_stats`` accumulator, entries
-  never survive their epoch, and patched session views and live
-  queries (which must keep reporting misplaced nodes) bypass caching;
+* the shape-keyed plan cache and the epoch-keyed LRU result cache:
+  warm answers are bit-identical to cold ones (results *and* per-query
+  counters), hit counters land on the separate ``cache_stats``
+  accumulator, a plan serves every epoch and batch size of its shape,
+  results never survive their epoch, and patched session views and
+  live queries (which must keep reporting misplaced nodes) bypass
+  caching;
 * ``RPQuery`` AST/DFA memoization.
 """
 
@@ -29,7 +33,8 @@ from repro.engine import lower_plan
 from repro.graph import DiGraph, random_graph
 from repro.paper import PIMHashSystem, placed_at
 from repro.pim import CostModel
-from repro.rpq import KHopQuery, RPQuery, plan_query
+from repro.rpq import KHopQuery, RPQuery, cost_plan, plan_query
+from repro.rpq import planner
 from repro.rpq.evaluator import evaluate_rpq
 
 ENGINES = ("python", "vectorized", "matrix", "auto")
@@ -113,24 +118,138 @@ def test_unscaled_bound_would_truncate_cycle_closure(engine):
 
 
 # ----------------------------------------------------------------------
-# Costed and uncosted plans
+# A plan is its shape; only explain() costs it
 # ----------------------------------------------------------------------
 def test_patched_views_and_live_queries_plan_forward():
     system = build_system(skewed_graph())
     processor = system._query_processor
     query = RPQuery("a/c", sources=list(range(40)))
-    live = processor.plan(query, system._live_view())
-    assert "no frozen epoch statistics" in live.decision.reason
-    assert live.decision.cost == 0.0
+
+    def costed(view):
+        plan = processor.plan(query, view)
+        return plan, cost_plan(
+            plan, len(query.sources), view.frozen_epoch(), processor.label_names
+        )
+
+    live, live_decision = costed(system._live_view())
+    assert "no frozen epoch statistics" in live_decision.reason
+    assert live_decision.cost == 0.0
+    assert system.explain(query, pinned=False) == live.explain(live_decision)
     with system.begin() as session:
-        pinned = processor.plan(query, view=session._view())
-        assert pinned.decision.cost > 0.0
-        assert len(pinned.decision.hop_estimates) == 2
+        pinned, pinned_decision = costed(session._view())
+        assert pinned_decision.cost > 0.0
+        assert len(pinned_decision.hop_estimates) == 2
+        assert system.explain(query) == pinned.explain(pinned_decision)
         session.insert_edges([(70, 71)], labels=[3])
-        patched = processor.plan(query, view=session._view())
-        assert patched.decision == live.decision
+        patched, patched_decision = costed(session._view())
+        assert patched_decision == live_decision
     for plan in (live, pinned, patched):
         assert (plan.expansions, plan.dfa) == (2, query.dfa())
+    assert live == pinned == patched
+
+
+def test_execution_computes_no_epoch_statistics(monkeypatch):
+    system = build_system(skewed_graph())
+    query = RPQuery("a/c", sources=list(range(40)))
+
+    def refuse(*args):
+        raise AssertionError("the execution path costed a plan")
+
+    monkeypatch.setattr(planner.GraphCostStats, "from_epoch", refuse)
+    system.execute(query)
+    system.insert_edges([(70, 71)], labels=[3])
+    epoch = system._epochs.current()  # freshly published
+    with system.begin() as session:
+        assert session.epoch_id == epoch.epoch_id
+        session.execute(query)
+        session.execute(RPQuery("(a/a)*", sources=[0, 1]))
+        session.batch_khop([0, 1, 2], 2)
+    with system.serve() as scheduler:
+        scheduler.submit(0, 2).result(timeout=10)
+        scheduler.submit_rpq(0, "a/c").result(timeout=10)
+    assert system._epochs.current() is epoch
+    assert epoch._label_edge_counts is None
+    monkeypatch.undo()
+    system.explain(query)
+    assert epoch._label_edge_counts is not None
+
+
+def test_a_plan_serves_every_epoch_and_batch_size_of_its_shape():
+    system = build_system(skewed_graph())
+    counters = system._query_processor.cache_stats.counters
+    with system.begin() as session:
+        session.execute(RPQuery("a/c", sources=list(range(40))))
+        assert (counters["plan_cache_misses"], counters.get("plan_cache_hits", 0)) == (1, 0)
+        session.execute(RPQuery("a/c", sources=[0, 1]))  # a second batch size
+        assert (counters["plan_cache_misses"], counters["plan_cache_hits"]) == (1, 1)
+    first_epoch = session.epoch_id
+    system.insert_edges([(70, 71)], labels=[3])
+    with system.begin() as session:  # a second epoch
+        assert session.epoch_id != first_epoch
+        session.execute(RPQuery("a/c", sources=list(range(40))))
+    assert (counters["plan_cache_misses"], counters["plan_cache_hits"]) == (1, 2)
+    assert list(system._query_processor._plan_cache) == [("rpq", "a/c")]
+
+
+_UNCOSTED = (
+    "cost: 0.0\n"
+    "decision: uncosted (no frozen epoch statistics: live execution or "
+    "session-patched view)\n"
+)
+_KHOP = "decision: k-hop plans use the bit-mask path\n"
+_FIXED = "decision: fixed-length plans expand the DFA hop by hop\n"
+_KLEENE = "decision: variable-length plans run to fixpoint\n"
+
+#: ``(query, explain(), phase lines)`` in the order one system explains
+#: them; the last three follow one inserted ``a`` edge (a new epoch).
+#: Recorded from the implementation that costed every pinned plan.
+EXPLAINED = [
+    (KHopQuery(1, list(range(40))),
+     "cost: 328.5\n" + _KHOP + "frontier estimates per hop: [80.0]\n",
+     "0: smxm expand label=any\n1: mwait reduce"),
+    (KHopQuery(1, list(range(8))),
+     "cost: 65.7\n" + _KHOP + "frontier estimates per hop: [57.7]\n",
+     "0: smxm expand label=any\n1: mwait reduce"),
+    (KHopQuery(3, list(range(40))),
+     "cost: 1482.5\n" + _KHOP + "frontier estimates per hop: [80.0, 80.0, 80.0]\n",
+     "0: smxm expand label=any\n1: smxm expand label=any\n"
+     "2: smxm expand label=any\n3: mwait reduce"),
+    (RPQuery("c", list(range(8))),
+     "cost: 8.3\n" + _FIXED + "frontier estimates per hop: [0.3]\n",
+     "0: smxm expand label=c\n1: mwait reduce"),
+    (RPQuery("a/c", list(range(40))),
+     "cost: 281.0\n" + _FIXED + "frontier estimates per hop: [80.0, 3.0]\n",
+     "0: smxm expand label=a\n1: smxm expand label=c\n2: mwait reduce"),
+    (RPQuery("a/c", [0]),
+     "cost: 7.2\n" + _FIXED + "frontier estimates per hop: [6.0, 0.2]\n",
+     "0: smxm expand label=a\n1: smxm expand label=c\n2: mwait reduce"),
+    (RPQuery("(a|b)/_/c", list(range(25))),
+     "cost: 784.4\n" + _FIXED + "frontier estimates per hop: [80.0, 80.0, 3.0]\n",
+     "0: smxm expand label=a|b\n1: smxm expand label=any\n"
+     "2: smxm expand label=c\n3: mwait reduce"),
+    (RPQuery("a{0}", [0, 1]), "cost: 2.0\n" + _FIXED, "0: mwait reduce"),
+    (RPQuery("(a/a)*", list(range(30))),
+     "cost: 1184.0\n" + _KLEENE, "0: smxm fixpoint label=a\n1: mwait reduce"),
+    (RPQuery("a/(b|c)*", list(range(12))),
+     "cost: 1166.0\n" + _KLEENE, "0: smxm fixpoint label=a|b|c\n1: mwait reduce"),
+    (KHopQuery(1, list(range(40))),
+     "cost: 329.0\n" + _KHOP + "frontier estimates per hop: [80.0]\n",
+     "0: smxm expand label=any\n1: mwait reduce"),
+    (RPQuery("a/c", list(range(40))),
+     "cost: 281.5\n" + _FIXED + "frontier estimates per hop: [80.0, 3.0]\n",
+     "0: smxm expand label=a\n1: smxm expand label=c\n2: mwait reduce"),
+    (RPQuery("(a/a)*", list(range(30))),
+     "cost: 1186.0\n" + _KLEENE, "0: smxm fixpoint label=a\n1: mwait reduce"),
+]
+
+
+def test_explain_prints_the_recorded_text_pinned_and_live():
+    system = build_system(skewed_graph())
+    for index, (query, header, phases) in enumerate(EXPLAINED):
+        if index == 10:
+            system.insert_edges([(19, 20)], labels=[1])
+        assert system.explain(query) == header + phases, index
+        assert system.explain(query, pinned=False) == _UNCOSTED + phases, index
 
 
 # ----------------------------------------------------------------------

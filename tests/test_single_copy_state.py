@@ -321,8 +321,9 @@ def test_retired_epochs_leave_the_caches():
         with system.begin() as session:
             session.batch_khop([0, 1, 2], 2)
     live = {pinned.epoch_id, system.current_epoch_id}
-    for cache in (processor._plan_cache, processor._result_cache):
-        assert {key[0] for key in cache} == live
+    assert {key[0] for key in processor._result_cache} == live
+    # A plan is its shape: one entry served every epoch.
+    assert list(processor._plan_cache) == [("khop", 2)]
     hits = system.cache_stats.counters.get("result_cache_hits", 0)
     pinned.batch_khop([0, 1, 2], 2)
     assert system.cache_stats.counters["result_cache_hits"] == hits + 1

@@ -661,25 +661,8 @@ def test_epoch_retention_bounds_registry():
 
 
 # ----------------------------------------------------------------------
-# Derived views: degree histogram, transposed blocks, per-label blocks
+# Derived views: transposed blocks, per-label blocks
 # ----------------------------------------------------------------------
-def test_degree_histogram_counts_rows_by_out_degree():
-    snapshot = snapshot_of(
-        buffers([(5, [(1, 0), (5, 0), (9, 0)]), (1, [(5, 0)]), (9, [])]),
-        bytes_per_entry=12,
-        working_set_bytes=100,
-        count_local=True,
-    )
-    histogram = snapshot.degree_histogram()
-    assert histogram.tolist() == [1, 1, 0, 1]  # degrees 0, 1 and 3
-    assert not histogram.flags.writeable
-    assert snapshot.degree_histogram() is histogram  # cached
-    empty = snapshot_of(
-        [], bytes_per_entry=12, working_set_bytes=1, count_local=True
-    )
-    assert empty.degree_histogram().tolist() == [0]
-
-
 def test_transpose_block_groups_in_edges_by_destination():
     snapshot = snapshot_of(
         buffers([(1, [(7, 0), (3, 0)]), (5, [(3, 0)]), (9, [(9, 0)])]),
@@ -744,33 +727,12 @@ def test_derived_views_refresh_with_the_snapshot():
     storage.add_edge(0, 1)
     before = snapshot()
     block_before = before.transpose_block()
-    histogram_before = before.degree_histogram()
     storage.add_edge(0, 2)
     after = snapshot()
     assert after is not before
     assert after.transpose_block() is not block_before
-    assert after.degree_histogram() is not histogram_before
     assert after.transpose_block().dsts.tolist() == [1, 2]
     assert before.transpose_block().dsts.tolist() == [1]  # old view intact
-
-
-def test_epoch_degree_histogram_sums_pinned_snapshots():
-    system = Moctopus.from_graph(
-        random_graph(30, 120, seed=9),
-        MoctopusConfig(cost_model=CostModel(num_modules=4)),
-    )
-    epoch = system._epochs.current()
-    histogram = epoch.degree_histogram()
-    parts = [snapshot.degree_histogram() for snapshot in epoch.snapshots]
-    expected = np.zeros(max(len(part) for part in parts), dtype=np.int64)
-    for part in parts:
-        expected[: len(part)] += part
-    assert histogram.tolist() == expected.tolist()
-    assert int(histogram.sum()) == sum(
-        snapshot.num_rows for snapshot in epoch.snapshots
-    )
-    assert not histogram.flags.writeable
-    assert epoch.degree_histogram() is histogram  # cached
 
 
 # ----------------------------------------------------------------------
