@@ -35,10 +35,11 @@ It contains:
 ``repro.engine``
     The execution layer: one driver runs a ``Plan`` as dispatch, ``smxm``
     expand+route phases and ``mwait``, charging the simulated platform,
-    over swappable kernels — the scalar reference, the vectorized numpy
-    kernels over CSR storage snapshots, the semiring-matrix kernels —
-    selected by ``Moctopus.use_engine`` and required to agree on every
-    result and every simulated counter.
+    over kernels picked by name (``repro.engine.execute``; the name is
+    set with ``Moctopus.use_engine``) — the scalar reference, the
+    vectorized numpy kernels over CSR storage snapshots, the
+    semiring-matrix kernels — required to agree on every result and
+    every simulated counter.
 
 ``repro.serve``
     The snapshot-isolated concurrent serving layer: immutable epoch

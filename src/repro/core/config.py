@@ -30,9 +30,10 @@ address, auth token, in-flight cap and request timeout — are keyword
 arguments of the call that opens it (``Moctopus.serve()``,
 ``Moctopus.listen()``), not fields: a listening address or a secret is
 not state to write to disk or to recover.
-How a storage keeps its CSR view fresh is not a knob either: every
-refresh splices the rows edited since the last one into the cached view
-(:mod:`repro.core.snapshot`).
+How the epoch heap is kept fresh is not a knob either: a publish is one
+:func:`~repro.core.snapshot.splice`, which merges the rows each storage
+wrote into that storage's segment of the heap and takes every other
+segment from the previous heap as it is.
 
 An integer field must be an integer in range (:func:`repro.checks.
 require_int`).

@@ -1,4 +1,4 @@
-"""The Query Processor: a thin coordinator over the execution engines.
+"""The Query Processor: plans a query and runs it on the current kernel.
 
 The processor's job is planning and delegation, not data movement:
 
@@ -7,10 +7,10 @@ The processor's job is planning and delegation, not data movement:
    ``mwait`` reduce for the paper's k-hop workload and fixed-length
    RPQs, a DFA-guided fixpoint for the rest — the query's shape, bound
    to the view's row count;
-2. the plan is handed, with the view to run it against, to the current
-   :class:`~repro.engine.base.ExecutionEngine` — the ``"auto"``
-   dispatcher a system starts on, choosing per call between the scalar
-   ``"python"`` backend and the vectorized one, or the kernel
+2. the plan is handed, with the view to run it against, to
+   :func:`repro.engine.execute` under a kernel name — ``"auto"``, which
+   a system starts on and which chooses per call between the scalar
+   ``"python"`` kernel and the vectorized one, or the kernel
    ``Moctopus.use_engine`` pinned — which executes it on the simulated
    platform and returns the answer matrix plus the execution
    statistics.
@@ -20,11 +20,10 @@ every caller passes an :class:`~repro.serve.epoch.EpochView`: a live
 query a ``live`` one over the current epoch, charged to the system and
 reporting misplacement to the node migrator when the placement migrates
 (``Moctopus._live_view``); sessions and the scheduler a pinned one.
-Engines keep no state between calls, so the processor holds one
-instance, :attr:`QueryProcessor.engine`, and every caller shares it; a
-session or a scheduler keeps the one that was current when it started.
+The kernel is a plain string, :attr:`QueryProcessor.engine`; a session
+or a scheduler keeps the one that was current when it started.
 
-All backends implement the same operator semantics (see
+All kernels implement the same operator semantics (see
 :mod:`repro.engine`): the smxm phases where partitioning quality turns
 into time, the mwait reduction, and the misplacement reports handed to
 the node migrator off the query's critical path.
@@ -39,9 +38,10 @@ caches (:data:`PLAN_CACHE_ENTRIES`, :data:`RESULT_CACHE_ENTRIES`):
   view's row count.  No cost estimate is made here: only ``explain()``
   costs a plan (:func:`~repro.rpq.planner.cost_plan`);
 * a **result cache** mapping ``(epoch id, query shape, exact sources,
-  engine)`` to ``(result, stats)`` — correct by construction because
-  the key embeds the epoch id, so a new epoch can never observe a stale
-  entry.  A :class:`BatchResult` is two frozen arrays, so the entry,
+  kernel name)`` to ``(result, stats)`` — correct by construction
+  because the key embeds the epoch id, so a new epoch can never observe
+  a stale entry.  It is looked up before planning: a hit neither plans
+  nor lowers.  A :class:`BatchResult` is two frozen arrays, so the entry,
   the first caller and every hit share them without copying; only the
   small, mutable :class:`ExecutionStats` is copied per insert and per
   hit, because callers stamp counters into the stats they receive.
@@ -61,7 +61,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.engine.base import ExecutionEngine, PlanView, create_engine
+from repro.engine import ENGINE_NAMES, PlanView, execute
 from repro.pim.stats import ExecutionStats
 from repro.rpq.planner import Plan, lower_plan, plan_query
 from repro.rpq.query import BatchResult, KHopQuery, RPQuery
@@ -120,13 +120,14 @@ class _LruCache(OrderedDict):
 
 
 class QueryProcessor:
-    """Plans batch path queries and delegates them to an execution engine."""
+    """Plans batch path queries and runs them on the kernel it names."""
 
     def __init__(self, label_names: Optional[Dict[int, str]] = None) -> None:
         #: Integer edge label -> query label string.
         self.label_names: Dict[int, str] = label_names or {}
-        #: The kernel every caller runs on.
-        self.engine: ExecutionEngine = create_engine("auto", self.label_names)
+        #: Name of the kernel every caller runs on (an ``ENGINE_NAMES``
+        #: entry); only :meth:`use_engine` sets it.
+        self.engine = "auto"
         #: Cache hit/miss counters.  Deliberately *not* merged into any
         #: per-query :class:`ExecutionStats` — per-query observables must
         #: stay bit-identical between cold and warm executions.
@@ -138,8 +139,12 @@ class QueryProcessor:
         )
 
     def use_engine(self, name: str) -> None:
-        """Swap the execution backend (``Moctopus.use_engine``)."""
-        self.engine = create_engine(name, self.label_names)
+        """Swap the execution kernel (``Moctopus.use_engine``)."""
+        if name not in ENGINE_NAMES:
+            raise ValueError(
+                f"unknown execution engine {name!r}; expected one of {ENGINE_NAMES}"
+            )
+        self.engine = name
 
     def forget_epoch(self, epoch_id: int) -> None:
         """Drop the result entries of a retired epoch.
@@ -157,22 +162,22 @@ class QueryProcessor:
     # The entry point
     # ------------------------------------------------------------------
     def execute_on_view(
-        self, query, view: PlanView, engine: Optional[ExecutionEngine] = None
+        self, query, view: PlanView, engine: Optional[str] = None
     ) -> Tuple[BatchResult, ExecutionStats]:
         """Plan ``query`` and execute it against ``view``.
 
         ``view`` is an :class:`~repro.serve.epoch.EpochView`: frozen
         owners and snapshots, and the platform its totals fold into.
         Only a view answering :meth:`~repro.engine.base.PlanView.frozen_epoch`
-        goes through the caches; a live view (charged to the system's
-        own platform) and a session-patched view always plan and
-        execute.
-        ``engine`` defaults to the processor's current backend; a session
-        or a scheduler passes the one it captured when it started.
+        goes through the caches, the result cache first, so a hit plans
+        nothing; a live view (charged to the system's own platform) and
+        a session-patched view always plan and execute.
+        ``engine`` (a kernel name) defaults to the processor's current
+        one; a session or a scheduler passes the one it captured when
+        it started.
         """
         if engine is None:
             engine = self.engine
-        plan = self.plan(query, view)
         epoch = view.frozen_epoch()
         result_key = None
         if epoch is not None:
@@ -180,14 +185,15 @@ class QueryProcessor:
                 epoch.epoch_id,
                 self._query_key(query),
                 tuple(query.sources),
-                engine.name,
+                engine,
             )
             with self._cache_lock:
                 cached = self._result_cache.lookup(result_key)
             if cached is not None:
                 # Outside the lock, so concurrent hits never serialize.
                 return _shared_outcome(cached)
-        outcome = engine.execute(plan, query.sources, view)
+        plan = self.plan(query, view)
+        outcome = execute(engine, plan, query.sources, view, self.label_names)
         if result_key is not None:
             entry = _shared_outcome(outcome)
             with self._cache_lock:

@@ -487,11 +487,6 @@ class CSRHeap:
         column.flags.writeable = False
         return column
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """Per-row out-degrees across every segment, in layout order."""
-        return self.column("degrees")
-
     def arrays(self) -> Dict[str, np.ndarray]:
         """The flat layout, by name: every array a new frozen copy."""
         arrays = {name: self.column(name) for name in self.FIELDS[:5]}

@@ -581,8 +581,8 @@ class Moctopus:
 
     @property
     def engine_name(self) -> str:
-        """Name of the active query execution backend."""
-        return self._query_processor.engine.name
+        """Name of the active query execution kernel."""
+        return self._query_processor.engine
 
     def use_engine(self, name: str) -> None:
         """Swap the query execution kernel (any ``ENGINE_NAMES`` entry).

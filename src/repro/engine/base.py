@@ -1,53 +1,42 @@
-"""The execution-engine protocol and the one view of graph state.
+"""The kernel names, the ``"auto"`` rule and the one view of graph state.
 
 The query processor plans a query into a
-:class:`~repro.rpq.planner.Plan` and hands it, with a
-:class:`PlanView`, to an :class:`ExecutionEngine`.  Engines are
-interchangeable: every backend must produce identical
+:class:`~repro.rpq.planner.Plan` and hands it, with a :class:`PlanView`
+and a kernel name, to :func:`repro.engine.execute`.  The kernels are
+interchangeable: every one must produce identical
 :class:`~repro.rpq.query.BatchResult`s *and* identical simulated work
 counters (rows touched, bytes streamed, items processed, channel
-traffic) for the same plan on the same view — the paper's figures are
-derived from those counters, so a faster backend must not change what
-the simulation measures.  They cannot drift apart: one driver
-(:func:`repro.engine.driver.execute_plan`) sequences the plan and
-charges the platform for all of them; a backend only supplies the
+traffic) for the same plan on the same view —
+the paper's figures are derived from those counters, so a faster kernel
+must not change what the simulation measures.  They cannot drift apart:
+one driver (:func:`repro.engine.driver.execute_plan`) sequences the plan
+and charges the platform for all of them; a kernel only supplies the
 frontier math.
 
-A :class:`PlanView` is all the graph state a backend sees — owners,
+A :class:`PlanView` is all the graph state a kernel sees — owners,
 adjacency snapshots, the accounting platform.  Its one implementation,
 :class:`~repro.serve.epoch.EpochView`, reads an epoch's frozen
 snapshots (:class:`~repro.core.snapshot.GraphSnapshot`), whether the
 execution is live (the current epoch), pinned, session-patched or
-pool-attached.  Engines keep nothing between calls but the label
-table, so one instance per backend serves every caller and thread;
-:func:`create_engine` maps a kernel name (``Moctopus.use_engine``) to
-one.
+pool-attached.  A kernel is a name (``Moctopus.use_engine``):
+:func:`repro.engine.execute` builds the per-call kernel object it
+names, so there is nothing to share or keep between calls.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.planner import Plan
-from repro.rpq.query import BatchResult
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.core.snapshot import GraphSnapshot
     from repro.serve.epoch import Epoch
 
-#: Names accepted by :func:`create_engine` / ``Moctopus.use_engine``.
+#: Names accepted by :func:`repro.engine.execute` / ``Moctopus.use_engine``.
 #: ``"auto"`` selects per call between the scalar and the vectorized
 #: backend; ``"matrix"`` runs only when named.
 ENGINE_NAMES = ("auto", "python", "vectorized", "matrix")
@@ -120,21 +109,6 @@ class PlanView(Protocol):
         ...
 
 
-@runtime_checkable
-class ExecutionEngine(Protocol):
-    """A plan executor (one of the swappable backends)."""
-
-    #: Engine name as selected by ``Moctopus.use_engine``.
-    name: str
-
-    def execute(
-        self, plan: Plan, sources: List[int], view: PlanView
-    ) -> Tuple[BatchResult, ExecutionStats]:
-        """Run ``plan`` for the batch ``sources`` against ``view``,
-        charging the simulated work to ``view.pim``."""
-        ...
-
-
 def choose_engine(
     plan: Plan, batch_size: int, avg_out_degree: float
 ) -> str:
@@ -154,50 +128,3 @@ def choose_engine(
         return "vectorized"
     return "python" if estimate < AUTO_CROSSOVER_ITEMS else "vectorized"
 
-
-class AutoEngine:
-    """Dispatches each plan to the backend :func:`choose_engine` names.
-
-    The backends return identical results and identical simulated
-    statistics, so the choice only moves wall-clock time and memory.
-    """
-
-    name = "auto"
-
-    def __init__(self, label_names: Dict[int, str]) -> None:
-        self._label_names = label_names
-
-    def execute(
-        self, plan: Plan, sources: List[int], view: PlanView
-    ) -> Tuple[BatchResult, ExecutionStats]:
-        # Every view answers the same two questions, so one graph and
-        # one request choose alike live and pinned.
-        avg_out_degree = view.total_edges() / max(1, view.total_rows())
-        name = choose_engine(plan, len(sources), avg_out_degree)
-        # Backends keep nothing between calls, so none is kept here.
-        return create_engine(name, self._label_names).execute(plan, sources, view)
-
-
-def create_engine(name: str, label_names: Dict[int, str]) -> ExecutionEngine:
-    """Instantiate the backend selected by ``name``.
-
-    ``label_names`` (integer edge label -> query label string) is the
-    only thing an engine holds.
-    """
-    if name == "auto":
-        return AutoEngine(label_names)
-    if name == "python":
-        from repro.engine.python_engine import PythonEngine
-
-        return PythonEngine(label_names)
-    if name == "vectorized":
-        from repro.engine.vectorized import VectorizedEngine
-
-        return VectorizedEngine(label_names)
-    if name == "matrix":
-        from repro.engine.matrix_engine import MatrixEngine
-
-        return MatrixEngine(label_names)
-    raise ValueError(
-        f"unknown execution engine {name!r}; expected one of {ENGINE_NAMES}"
-    )

@@ -1,9 +1,9 @@
-"""The one runner of plans, and the only code that charges.
+"""The one runner of plans, and the only code that charges a query.
 
-Every backend runs a :class:`~repro.rpq.planner.Plan` through
-:func:`execute_plan`.  The driver owns what the simulation measures —
-phase sequencing and naming (``"dispatch"``, ``"smxm <i>"`` or
-``"smxm fixpoint <i>"``, ``"mwait"``), the accounting operation on
+:func:`repro.engine.execute` runs every :class:`~repro.rpq.planner.Plan`
+through :func:`execute_plan`.  The driver owns what the simulation
+measures — phase sequencing and naming (``"dispatch"``, ``"smxm <i>"``
+or ``"smxm fixpoint <i>"``, ``"mwait"``), the accounting operation on
 ``view.pim``, the dispatch / expand / route / reduce charges, the
 ``batch_size`` / ``unknown_sources`` / ``results`` counters and the
 misplacement hand-off — and asks a :class:`Kernel` for frontier math
@@ -12,19 +12,14 @@ only (diagram: README, "Execution engines").
 A kernel is a per-call object: it reads the view, keeps the frontier
 representation and the accumulating answer, and reports each expansion's
 work as a frozen :class:`ExpandWork`.  It never touches the platform, so
-bit-identical statistics across backends follow from the counts the
+bit-identical statistics across kernels follow from the counts the
 kernels report, not from three copies of the charging code.
-
-The charge formulas import ``repro.core`` constants, so this module
-loads with the backends (see the import note in
-:mod:`repro.engine.base`), never from ``base``.
 """
 
 from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     List,
     NamedTuple,
@@ -111,14 +106,14 @@ def execute_plan(
     plan: Plan,
     sources: List[int],
     view: PlanView,
-    make_kernel: Callable[[Plan, List[int], PlanView], Kernel],
+    kernel: Kernel,
 ) -> Tuple[BatchResult, ExecutionStats]:
-    """Run ``plan`` for ``sources`` against ``view``, charging ``view.pim``.
+    """Run ``plan`` for ``sources`` against ``view`` with ``kernel`` (built
+    for this call), charging ``view.pim``.
 
     Dispatch, then ``plan.expansions`` fused expand+route phases or the
     bounded fixpoint loop, then ``mwait``.
     """
-    kernel = make_kernel(plan, sources, view)
     op = view.pim.begin_operation()
     frontier, unknown = kernel.initial_frontier()
     with op.phase("dispatch"):

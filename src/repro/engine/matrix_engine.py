@@ -55,7 +55,6 @@ from repro.engine.vectorized import (
     BitsetKernel,
     KeysKernel,
     MaskBlock,
-    VectorizedEngine,
     _EMPTY,
     _row_bit_masks,
     _run_starts,
@@ -220,10 +219,3 @@ class PullKeysKernel(KeysKernel):
             return produced_chunks[0]
         return np.concatenate(produced_chunks)
 
-
-class MatrixEngine(VectorizedEngine):
-    """Executes plans as masked boolean-semiring SpGEMM."""
-
-    name = "matrix"
-    bitset_kernel = PullBitsetKernel
-    keys_kernel = PullKeysKernel

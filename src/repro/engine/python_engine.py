@@ -18,9 +18,8 @@ import numpy as np
 
 from repro.core.operator_processor import smxm
 from repro.engine.base import PlanView
-from repro.engine.driver import ExpandWork, execute_plan
+from repro.engine.driver import ExpandWork
 from repro.partition.base import HOST_PARTITION
-from repro.pim.stats import ExecutionStats
 from repro.rpq.planner import Plan
 from repro.rpq.query import BatchResult, Context, ContextSet
 
@@ -167,21 +166,3 @@ class ScalarKernel:
         result = BatchResult.from_sets(self._sources, self._results)
         return result.indptr, result.indices
 
-
-class PythonEngine:
-    """Executes plans with :class:`ScalarKernel`."""
-
-    name = "python"
-
-    def __init__(self, label_names: Dict[int, str]) -> None:
-        self._label_names = label_names
-
-    def execute(
-        self, plan: Plan, sources: List[int], view: PlanView
-    ) -> Tuple[BatchResult, ExecutionStats]:
-        return execute_plan(plan, sources, view, self._kernel)
-
-    def _kernel(
-        self, plan: Plan, sources: List[int], view: PlanView
-    ) -> ScalarKernel:
-        return ScalarKernel(plan, sources, view, self._label_names)

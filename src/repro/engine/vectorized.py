@@ -44,13 +44,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.base import PlanView, ReportColumns
-from repro.engine.driver import ExpandWork, execute_plan
+from repro.engine.driver import ExpandWork
 from repro.partition.base import HOST_PARTITION
 from repro.partition.owner_index import OwnerIndex
-from repro.pim.stats import ExecutionStats
 from repro.rpq.automaton import DFA
 from repro.rpq.planner import Plan
-from repro.rpq.query import BatchResult, csr_from_sorted_pairs
+from repro.rpq.query import csr_from_sorted_pairs
 
 #: Owner code of a node the partitioner has never seen (dangling edge).
 _UNKNOWN_OWNER = OwnerIndex.UNKNOWN
@@ -597,26 +596,3 @@ class KeysKernel:
             len(self._sources),
         )
 
-
-class VectorizedEngine:
-    """Executes plans with columnar frontiers and CSR snapshots."""
-
-    name = "vectorized"
-
-    #: The kernels for bare-row and automaton-guided plans; a subclass
-    #: swaps the frontier math by naming its own pair.
-    bitset_kernel = BitsetKernel
-    keys_kernel = KeysKernel
-
-    def __init__(self, label_names: Dict[int, str]) -> None:
-        self._label_names = label_names
-
-    def execute(
-        self, plan: Plan, sources: List[int], view: PlanView
-    ) -> Tuple[BatchResult, ExecutionStats]:
-        return execute_plan(plan, sources, view, self._kernel)
-
-    def _kernel(self, plan: Plan, sources: List[int], view: PlanView):
-        if plan.dfa is None:
-            return self.bitset_kernel(plan, sources, view)
-        return self.keys_kernel(plan, sources, view, self._label_names)

@@ -446,7 +446,7 @@ class MoctopusServer:
                 "id": rid,
                 "server": "moctopus",
                 "protocol": PROTOCOL_VERSION,
-                "engine": self.scheduler._engine.name,
+                "engine": self.scheduler._engine,
                 "max_inflight": self._max_inflight,
             }
         )

@@ -42,6 +42,7 @@ import traceback
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.checks import require_int
+from repro.engine import execute
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import PIMSystem
 from repro.rpq.query import BatchResult, KHopQuery
@@ -109,7 +110,8 @@ def _execute_task(  # pragma: no cover - runs in the worker process
     worker_id: int,
     config,
     attached: Dict[int, tuple],
-    engine,
+    engine_name: str,
+    label_names: Dict[int, str],
     message: tuple,
     result_queue,
 ) -> None:
@@ -129,7 +131,7 @@ def _execute_task(  # pragma: no cover - runs in the worker process
         # delta (see absorb_lifetime).
         pim = PIMSystem(config.cost_model)
         view = EpochView(epoch, pim)
-        result, stats = engine.execute(plan, sources, view)
+        result, stats = execute(engine_name, plan, sources, view, label_names)
         result_queue.put(
             ("done", task_id, worker_id, result, stats,
              pim.capture_lifetime())
@@ -149,10 +151,6 @@ def worker_main(  # pragma: no cover - runs in the worker process
     result_queue,
 ) -> None:
     """Entry point of one pool worker process."""
-    from repro.engine.base import create_engine
-
-    # Engines keep nothing between calls, so one serves every task.
-    engine = create_engine(engine_name, label_names)
     attached: Dict[int, tuple] = {}
     while True:
         message = task_queue.get()
@@ -172,7 +170,8 @@ def worker_main(  # pragma: no cover - runs in the worker process
             result_queue.put(("retired", worker_id, epoch_id))
         else:  # ("exec", task_id, epoch_id, plan, sources)
             _execute_task(
-                worker_id, config, attached, engine, message, result_queue
+                worker_id, config, attached, engine_name, label_names,
+                message, result_queue,
             )
         # Nothing epoch-shaped may survive the iteration (see
         # ``_execute_task``); ``message`` itself is plain data.

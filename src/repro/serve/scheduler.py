@@ -235,9 +235,9 @@ class BatchScheduler:
         #: logged).  Pool mode charges it for expression groups only
         #: (k-hop windows account on the pool's platform).
         self._pim = PIMSystem(config.cost_model)
-        #: Backend of in-process group execution (pool mode still needs
-        #: it for expression groups, which stay on the drain thread):
-        #: the system's kernel as it is now.
+        #: Kernel name of in-process group execution (pool mode still
+        #: needs it for expression groups, which stay on the drain
+        #: thread): the system's kernel as it is now.
         self._engine = system._query_processor.engine
         if parallel:
             # Imported lazily: repro.parallel sits above repro.serve.

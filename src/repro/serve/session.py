@@ -12,9 +12,9 @@ until :meth:`commit` hands the staged batch to the single writer.
 
 Sessions on different threads execute concurrently without sharing any
 mutable state: the pinned arrays are frozen (``writeable=False``), the
-engine — the system's, captured at ``begin()`` — keeps nothing between
-calls, a phase's charges live in the operation that opened it, and
-everything else is session-local — including the accounting
+kernel is a name — the system's, captured at ``begin()`` — whose
+frontier state is built afresh for every call, a phase's charges live
+in the operation that opened it, and everything else is session-local — including the accounting
 :class:`~repro.pim.system.PIMSystem` the session's reads fold their
 totals into, which keeps unlogged pinned reads out of the live system's
 checkpointed totals and needs no lock because nothing else charges it.
@@ -55,7 +55,8 @@ class Session:
 
     def __init__(self, system: "Moctopus") -> None:
         self._system = system
-        #: The kernel current at ``begin()``; a later ``use_engine`` keeps it.
+        #: Name of the kernel current at ``begin()``; a later
+        #: ``use_engine`` does not change it.
         #: Read before pinning: on a closed system it raises with no pin taken.
         self._engine = system._query_processor.engine
         #: ``None`` once closed; ``close()`` keeps its id in ``_epoch_id``.

@@ -16,7 +16,7 @@ Covers the planner protocol end to end:
   warm answers are bit-identical to cold ones (results *and* per-query
   counters), hit counters land on the separate ``cache_stats``
   accumulator, a plan serves every epoch and batch size of its shape,
-  results never survive their epoch, and patched session views and
+  a result hit plans nothing, results never survive their epoch, and patched session views and
   live queries (which must keep reporting misplaced nodes) bypass
   caching;
 * ``RPQuery`` AST/DFA memoization.
@@ -29,7 +29,7 @@ import random
 import pytest
 
 from repro.core import Moctopus, MoctopusConfig, query_processor
-from repro.engine import lower_plan
+from repro.engine import execute, lower_plan
 from repro.graph import DiGraph, random_graph
 from repro.paper import PIMHashSystem, placed_at
 from repro.pim import CostModel
@@ -109,7 +109,9 @@ def test_unscaled_bound_would_truncate_cycle_closure(engine):
     physical = lower_plan(plan, default_fixpoint_iterations=5)
     processor = system._query_processor
     view = system._live_view()
-    result, _ = processor.engine.execute(physical, query.sources, view)
+    result, _ = execute(
+        processor.engine, physical, query.sources, view, processor.label_names
+    )
     oracle = evaluate_rpq(system.graph, query, label_names=LABEL_NAMES)
     assert [set(d) for d in result.destinations] == [
         set(d) for d in oracle.destinations
@@ -189,6 +191,35 @@ def test_a_plan_serves_every_epoch_and_batch_size_of_its_shape():
         session.execute(RPQuery("a/c", sources=list(range(40))))
     assert (counters["plan_cache_misses"], counters["plan_cache_hits"]) == (1, 2)
     assert list(system._query_processor._plan_cache) == [("rpq", "a/c")]
+
+
+def test_a_result_hit_plans_nothing(monkeypatch):
+    """The result cache is looked up before planning: a hit neither reads
+    the plan cache nor lowers a plan."""
+    system = build_system(skewed_graph())
+    counters = system._query_processor.cache_stats.counters
+    query = RPQuery("a/c", sources=list(range(40)))
+    with system.begin() as session:
+        first, _ = session.execute(query)
+        plan_counts = (
+            counters.get("plan_cache_hits", 0), counters["plan_cache_misses"]
+        )
+        hits = counters.get("result_cache_hits", 0)
+        lowered = []
+        real_lower = query_processor.lower_plan
+
+        def counting_lower(*args):
+            lowered.append(args)
+            return real_lower(*args)
+
+        monkeypatch.setattr(query_processor, "lower_plan", counting_lower)
+        second, _ = session.execute(query)
+    assert second == first
+    assert counters["result_cache_hits"] == hits + 1
+    assert (
+        counters.get("plan_cache_hits", 0), counters["plan_cache_misses"]
+    ) == plan_counts
+    assert lowered == []
 
 
 _UNCOSTED = (
@@ -288,8 +319,11 @@ def test_warm_results_are_bit_identical(engine):
             again = fingerprint(*session.execute(query))
             assert cold == warm == again, expression
     counters = processor.cache_stats.counters
-    assert counters["result_cache_hits"] >= 8
-    assert counters["plan_cache_hits"] >= 0
+    assert counters["result_cache_hits"] == 8
+    # Every warm run is a result hit, which plans nothing: one plan-cache
+    # miss per expression and no plan-cache hit.
+    assert counters["plan_cache_misses"] == 4
+    assert "plan_cache_hits" not in counters
 
 
 def test_cache_counters_stay_off_per_query_stats():

@@ -8,8 +8,10 @@
 * a storage's CSR snapshot reads what the storage holds, row for row,
   after a churn script (every kernel, live queries included, reads the
   snapshot, so it must agree with the storage on what a row *is*);
-* engines keep nothing between calls: one instance per backend serves
-  eight threads at once, bit-identically to a serial run;
+* a kernel is a name: eight threads planning through one
+  ``QueryProcessor`` (its plan cache and lock) and running on its
+  kernel name and label table match a serial run bit for bit, and
+  leave the processor as they found it;
 * every charge of the query path — phase names, the full
   ``ExecutionStats``, the answers — equals the absolute record in
   ``tests/data/query_golden.json`` on every engine (parity alone cannot
@@ -222,41 +224,42 @@ def test_live_rows_and_snapshots_read_alike_after_churn():
 
 
 # ----------------------------------------------------------------------
-# (d) Engines are shareable: one instance, eight threads
+# (d) A kernel name is shareable: eight threads, one processor
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ENGINE_NAMES)
-def test_one_engine_instance_serves_eight_threads(name):
+def test_eight_threads_on_one_kernel_name_match_a_serial_run(name):
     system = build_system(skewed_graph())
     system.use_engine(name)
     processor = system._query_processor
-    engine = processor.engine
     epoch = system._epochs.pin()
     try:
-        planning_view = EpochView(epoch, PIMSystem(COST_MODEL))
         queries = [
             KHopQuery(hops=2, sources=list(range(0, 40, 3))),
             RPQuery("a/b", sources=list(range(30))),
             RPQuery("a/c", sources=list(range(40))),
             RPQuery("(a|b)*/c", sources=list(range(20))),
         ]
-        plans = [processor.plan(query, planning_view) for query in queries]
 
         def run(index):
-            # A view (and its accounting platform) per execution.
-            result, stats = engine.execute(
-                plans[index], queries[index].sources,
-                EpochView(epoch, PIMSystem(COST_MODEL)),
+            # A view (and its accounting platform) per execution; the
+            # plan comes through the processor's shared plan cache.
+            query = queries[index]
+            view = EpochView(epoch, PIMSystem(COST_MODEL))
+            result, stats = repro.engine.execute(
+                processor.engine, processor.plan(query, view), query.sources,
+                view, processor.label_names,
             )
             return result, stats_fingerprint(stats)
 
-        state_before = dict(vars(engine))
-        serial = [run(index) for index in range(len(plans))]
+        label_names = processor.label_names
+        labels_before = dict(label_names)
+        serial = [run(index) for index in range(len(queries))]
         outcomes, errors = {}, []
 
         def worker(thread_id):
             try:
                 for round_ in range(6):
-                    index = (thread_id + round_) % len(plans)
+                    index = (thread_id + round_) % len(queries)
                     outcomes[thread_id, round_] = (index, run(index))
             except BaseException as error:  # the test's own boundary
                 errors.append(error)
@@ -276,8 +279,9 @@ def test_one_engine_instance_serves_eight_threads(name):
         assert len(outcomes) == 48
         for index, outcome in outcomes.values():
             assert outcome == serial[index]
-        assert vars(engine) == state_before
-        assert all(vars(engine)[key] is value for key, value in state_before.items())
+        assert processor.engine == name
+        assert processor.label_names is label_names
+        assert label_names == labels_before
     finally:
         system._epochs.unpin(epoch)
 

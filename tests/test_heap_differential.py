@@ -129,7 +129,8 @@ class Harness:
             ),
             context,
         )
-        assert epoch.num_edges == self.model.num_edges == int(epoch.heap.degrees.sum())
+        degrees = epoch.heap.column("degrees")
+        assert epoch.num_edges == self.model.num_edges == int(degrees.sum())
 
     def stage(self, ops, commit: bool, context: str) -> None:
         """Stage ``ops`` in a session and check its patched segments, then
@@ -170,7 +171,9 @@ class Harness:
                 rebuilt, mapping = attach_epoch(manifest)
                 for name, array in epoch.heap.arrays().items():
                     assert np.array_equal(rebuilt.heap.arrays()[name], array), name
-                assert np.array_equal(rebuilt.heap.degrees, epoch.heap.degrees)
+                assert np.array_equal(
+                    rebuilt.heap.column("degrees"), epoch.heap.column("degrees")
+                )
                 assert all(
                     ours.same_arrays(theirs)
                     for ours, theirs in zip(epoch.snapshots, rebuilt.snapshots)

@@ -146,9 +146,9 @@ def test_kernel_is_chosen_in_one_place():
     system.use_engine("python")
     with system.begin() as session, system.serve() as scheduler:
         system.use_engine("vectorized")
-        assert session._engine.name == scheduler._engine.name == "python"
+        assert session._engine == scheduler._engine == "python"
         with system.begin() as later:
-            assert later._engine.name == "vectorized"
+            assert later._engine == "vectorized"
             expected, _ = later.batch_khop([0, 1], 2)
         assert session.batch_khop([0, 1], 2)[0] == expected
         assert scheduler.query(1, 2) == expected.destinations_of(1)

@@ -25,7 +25,7 @@ import pytest
 
 from model import ReferenceModel
 from repro.core import Moctopus, MoctopusConfig
-from repro.engine.python_engine import PythonEngine
+from repro.engine.python_engine import ScalarKernel
 from repro.graph import random_graph
 from repro.parallel import (
     WorkerPool,
@@ -277,15 +277,15 @@ def test_export_busy_at_supersede_retires_once_drained():
 
 def test_pool_worker_error_propagates(monkeypatch):
     system = build_system(2, "python")
-    real_execute = PythonEngine.execute
+    real_initial_frontier = ScalarKernel.initial_frontier
 
-    def faulty_execute(self, plan, sources, view):
-        if sources == [13]:
+    def faulty_initial_frontier(self):
+        if self._sources == [13]:
             raise RuntimeError("kernel fault injected")
-        return real_execute(self, plan, sources, view)
+        return real_initial_frontier(self)
 
     # Patched before the fork, so the worker inherits the fault.
-    monkeypatch.setattr(PythonEngine, "execute", faulty_execute)
+    monkeypatch.setattr(ScalarKernel, "initial_frontier", faulty_initial_frontier)
     pool = WorkerPool(system, workers=1)
     try:
         ticket = pool.submit(KHopQuery(hops=1, sources=[13]))

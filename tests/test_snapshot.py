@@ -445,7 +445,7 @@ def test_published_snapshot_arrays_are_read_only():
     # ...and the heap they are views of.
     heap = manager.current().heap
     assert manager.splices == 2
-    for array in (*heap.arrays().values(), heap.degrees):
+    for array in (*heap.arrays().values(), heap.column("degrees")):
         assert not array.flags.writeable
     hetero = HeterogeneousGraphStorage(num_pim_modules=4)
     _, hetero_snapshot = published(hetero)
