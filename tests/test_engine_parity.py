@@ -158,6 +158,28 @@ def test_config_rejects_unknown_engine():
     assert system.pim.capture_lifetime() == before
 
 
+def test_create_engine_factory():
+    # A kernel is a name: every name in ENGINE_NAMES runs the same plan to
+    # the same answer, and any other name is refused.
+    assert ENGINE_NAMES == ("auto", "python", "vectorized", "matrix")
+    system = Moctopus.from_graph(
+        DiGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)]),
+        MoctopusConfig(cost_model=CostModel(num_modules=4)),
+    )
+    query = KHopQuery(hops=2, sources=[0, 2])
+    view = system._live_view()
+    plan = system._query_processor.plan(query, view)
+    results = {
+        name: execute(name, plan, query.sources, view, {})[0].pairs()
+        for name in ENGINE_NAMES
+    }
+    assert results["python"] == {(0, 2), (2, 1)}  # exactly two hops
+    for name, pairs in results.items():
+        assert pairs == results["python"], name
+    with pytest.raises(ValueError):
+        execute("gpu", plan, query.sources, view, {})
+
+
 # ----------------------------------------------------------------------
 # Hypothesis differential suite
 # ----------------------------------------------------------------------
