@@ -21,8 +21,9 @@ each storage's written rows into its segment, the new heap takes every
 untouched segment from the previous one as it is, and the storages that
 wrote are rebased onto their new segments.  Nothing written, nothing
 built — nor after a load or a restore, which write the heap directly
-(:meth:`~repro.serve.epoch.EpochManager.install`).  A session patches
-its staged rows in with the same :func:`merge_segment`.  A splice is
+(:meth:`~repro.serve.epoch.EpochManager.install`).  A session writes
+its staged updates into storages rebased on its pinned segments and
+merges their written rows in with the same :func:`merge_segment`.  A splice is
 exact, so a heap is array-for-array the CSR of the current rows however
 long its lineage; the suites hold every segment to a per-edge reference
 builder (``tests/model.py``).

@@ -35,7 +35,6 @@ from repro.durability.checkpoint import (
     latest_checkpoint,
     persist_checkpoint,
     retained_checkpoint_lsns,
-    write_checkpoint,
 )
 from repro.durability.wal import (
     CorruptWalError,
@@ -68,7 +67,6 @@ __all__ = [
     "retained_checkpoint_lsns",
     "scan_wal",
     "wal_directory",
-    "write_checkpoint",
     "write_config_manifest",
 ]
 

@@ -242,21 +242,6 @@ def persist_checkpoint(
     return final_path
 
 
-def write_checkpoint(
-    system: "Moctopus", directory: str, lsn: int, fsync: bool = False
-) -> str:
-    """Capture and persist a checkpoint in one call (caller holds the lock).
-
-    Convenience composition of :func:`capture_checkpoint` and
-    :func:`persist_checkpoint`; the live controller splits the two so
-    only the capture runs under the writer lock.
-    """
-    if os.path.exists(checkpoint_dir_path(directory, lsn)):
-        return checkpoint_dir_path(directory, lsn)
-    manifest, arrays = capture_checkpoint(system)
-    return persist_checkpoint(manifest, arrays, directory, lsn, fsync=fsync)
-
-
 def _prune(directory: str) -> None:
     """Drop finished checkpoints past the retention bound, and orphans."""
     finished = sorted(

@@ -4,7 +4,7 @@
 reproduction builds on.  It is intentionally simple: nodes are integer
 identifiers, edges are directed and optionally carry an integer label
 (regular path queries match over edge labels).  The structure keeps
-out-adjacency per node, maintains degree counts incrementally, and
+out-adjacency per node, counts its edges incrementally, and
 supports the dynamic workload of the paper (streams of edge insertions
 and deletions).
 """
@@ -111,7 +111,6 @@ class DiGraph:
 
     def __init__(self, num_nodes: int = 0) -> None:
         self._adj: Dict[int, Dict[int, int]] = {}
-        self._in_degree: Dict[int, int] = {}
         self._num_edges = 0
         for node in range(num_nodes):
             self.add_node(node)
@@ -124,29 +123,11 @@ class DiGraph:
         if node in self._adj:
             return False
         self._adj[node] = {}
-        self._in_degree.setdefault(node, 0)
         return True
 
     def has_node(self, node: int) -> bool:
         """Return whether ``node`` exists in the graph."""
         return node in self._adj
-
-    def remove_node(self, node: int) -> None:
-        """Remove ``node`` and every edge incident to it.
-
-        Removing a node that does not exist raises :class:`KeyError`,
-        mirroring dictionary semantics.
-        """
-        out_neighbors = list(self._adj[node])
-        for dst in out_neighbors:
-            self.remove_edge(node, dst)
-        # Remove incoming edges by scanning all sources; acceptable for the
-        # rare node-removal path (the paper's workload is edge-centric).
-        for src in list(self._adj):
-            if node in self._adj[src]:
-                self.remove_edge(src, node)
-        del self._adj[node]
-        self._in_degree.pop(node, None)
 
     def nodes(self) -> Iterator[int]:
         """Iterate over node identifiers in insertion order."""
@@ -175,7 +156,6 @@ class DiGraph:
             row[dst] = label
             return False
         row[dst] = label
-        self._in_degree[dst] = self._in_degree.get(dst, 0) + 1
         self._num_edges += 1
         return True
 
@@ -185,7 +165,6 @@ class DiGraph:
         if row is None or dst not in row:
             return False
         del row[dst]
-        self._in_degree[dst] -= 1
         self._num_edges -= 1
         return True
 
@@ -275,10 +254,6 @@ class DiGraph:
         row = self._adj.get(node)
         return 0 if row is None else len(row)
 
-    def in_degree(self, node: int) -> int:
-        """Number of incoming edges of ``node`` (0 for unknown nodes)."""
-        return self._in_degree.get(node, 0)
-
     def degree_histogram(self) -> Dict[int, int]:
         """Mapping ``out_degree -> number of nodes`` with that degree."""
         histogram: Dict[int, int] = {}
@@ -314,16 +289,6 @@ class DiGraph:
         return graph
 
     @classmethod
-    def from_labeled_edges(
-        cls, edges: Iterable[LabeledEdge], num_nodes: int = 0
-    ) -> "DiGraph":
-        """Build a graph from an iterable of ``(src, dst, label)`` triples."""
-        graph = cls(num_nodes=num_nodes)
-        for src, dst, label in edges:
-            graph.add_edge(src, dst, label)
-        return graph
-
-    @classmethod
     def copy_of(cls, graph: ReadableGraph) -> "DiGraph":
         """An independent, mutable copy of any readable graph."""
         clone = cls()
@@ -336,15 +301,6 @@ class DiGraph:
     def copy(self) -> "DiGraph":
         """Return a deep copy of this graph."""
         return DiGraph.copy_of(self)
-
-    def reverse(self) -> "DiGraph":
-        """Return a new graph with every edge direction flipped."""
-        reversed_graph = DiGraph()
-        for node in self._adj:
-            reversed_graph.add_node(node)
-        for src, dst, label in self.labeled_edges():
-            reversed_graph.add_edge(dst, src, label)
-        return reversed_graph
 
     def __contains__(self, node: int) -> bool:
         return node in self._adj

@@ -1,8 +1,8 @@
 """The snapshot-isolated concurrent serving layer.
 
-Built on the storages' incrementally-maintained immutable CSR bases
-(:mod:`repro.core.snapshot`), this package adds the epoch/MVCC machinery
-that lets many readers and one writer share a
+Built on the epoch heap — one frozen CSR segment per storage, spliced
+per publish (:mod:`repro.core.snapshot`) — this package adds the
+epoch/MVCC machinery that lets many readers and one writer share a
 :class:`~repro.core.system.Moctopus` instance:
 
 * :mod:`repro.serve.epoch` — :class:`Epoch` captures (frozen snapshots +

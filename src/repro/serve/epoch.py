@@ -22,8 +22,9 @@ nothing else does.
 
 :class:`EpochView` is the lens an execution engine actually receives
 (the :class:`~repro.engine.base.PlanView` contract), and the only one:
-the epoch's frozen state, optionally patched with a session's
-uncommitted writes (read-your-writes), plus the accounting
+a heap it reads — the epoch's, or a session's, which is the epoch's
+with the rows the session's staged writes changed merged in
+(read-your-writes) — the epoch's owner table, plus the accounting
 :class:`~repro.pim.system.PIMSystem` whose totals its executions fold
 into.  A pinned reader passes a private platform, because pinned reads
 are not logged and must stay out of the live system's checkpointed
@@ -175,12 +176,12 @@ class Epoch:
 class EpochView:
     """The :class:`~repro.engine.base.PlanView` over one epoch.
 
-    ``patched`` optionally overrides per-partition snapshots with
-    session-patched ones (uncommitted writes merged in with
-    :func:`~repro.core.snapshot.merge_segment`); ``extra_owners`` maps
+    ``heap`` is the heap the view reads, the epoch's by default; a
+    session passes the epoch's with its staged rows merged in
+    (:func:`~repro.core.snapshot.merge_segment`).  ``extra_owners`` maps
     the session-created nodes the epoch's owner table does not place to
     their provisional partitions so the engines can route frontiers
-    through rows that exist only in the overlay.
+    through rows that exist only in the session.
 
     ``live`` marks a live query's view of the current epoch.  It charges
     the system's own platform, so it is never cached: a cache hit would
@@ -193,7 +194,7 @@ class EpochView:
         self,
         epoch: Epoch,
         pim: PIMSystem,
-        patched: Optional[Dict[int, GraphSnapshot]] = None,
+        heap: Optional[CSRHeap] = None,
         extra_owners: Optional[Dict[int, int]] = None,
         *,
         live: bool = False,
@@ -204,7 +205,8 @@ class EpochView:
         #: the pinning reader's own platform, or the live system's for
         #: a live query.
         self.pim = pim
-        self._patched = patched or {}
+        #: The segments the view reads: the epoch's, or a session's.
+        self.heap = epoch.heap if heap is None else heap
         self._extra_owners = extra_owners or {}
         self.live = live
         self._migrator = migrator
@@ -221,14 +223,11 @@ class EpochView:
         to the cost model — the epoch's frozen, shared state does not
         describe what they read.
         """
-        return bool(self._patched) or bool(self._extra_owners)
+        return self.heap is not self.epoch.heap or bool(self._extra_owners)
 
     def snapshot_of(self, partition: int) -> GraphSnapshot:
-        """Pinned (possibly session-patched) snapshot of ``partition``."""
-        patched = self._patched.get(partition)
-        if patched is not None:
-            return patched
-        return self.epoch.snapshot_of(partition)
+        """The view's segment of ``partition`` (``HOST_PARTITION`` = host)."""
+        return self.heap.segment(self.epoch.segment_of(partition))
 
     def misplacement_threshold(self, partition: int) -> Optional[float]:
         """:data:`MISPLACEMENT_THRESHOLD` on a module when the view
@@ -279,17 +278,11 @@ class EpochView:
 
     def total_rows(self) -> int:
         """Total adjacency rows across the view's snapshots."""
-        return self.epoch.num_rows + sum(
-            patch.num_rows - self.epoch.snapshot_of(partition).num_rows
-            for partition, patch in self._patched.items()
-        )
+        return self.heap.num_rows
 
     def total_edges(self) -> int:
         """Total adjacency entries across the view's snapshots."""
-        return self.epoch.num_edges + sum(
-            patch.num_edges - self.epoch.snapshot_of(partition).num_edges
-            for partition, patch in self._patched.items()
-        )
+        return self.heap.num_edges
 
 
 class EpochManager:

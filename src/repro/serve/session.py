@@ -3,10 +3,13 @@
 A :class:`Session` pins one epoch at ``begin()`` and keeps every query
 on that frozen state until the caller explicitly :meth:`refresh`\\ es —
 the MVCC contract "a pinned reader never observes later writes".  On
-top of isolation the session layers **read-your-writes**: updates
-staged through the session are merged into the pinned segments they
-touch (with :func:`~repro.core.snapshot.merge_segment`, as every
-publish's splice merges a storage's written rows) so the session's queries see its uncommitted
+top of isolation the session layers **read-your-writes**: an update
+staged through the session is written, under the live update path's
+rules, into a :class:`~repro.core.local_storage.LocalGraphStorage`
+rebased on the pinned segment of its source's partition, and the rows
+those storages wrote are merged into their segments (with
+:func:`~repro.core.snapshot.merge_segment`, as a publish merges a
+storage's written rows).  The session's queries see its uncommitted
 edges immediately, while other readers and the live system see nothing
 until :meth:`commit` hands the staged batch to the single writer.
 
@@ -26,7 +29,8 @@ from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.checks import require_int64s, require_labels
-from repro.core.snapshot import RowBuffer, merge_segment, row_buffer
+from repro.core.local_storage import LocalGraphStorage
+from repro.core.snapshot import merge_segment
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION
@@ -37,6 +41,74 @@ from repro.serve.epoch import Epoch, EpochView
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.core.system import Moctopus
+
+
+class _Overlay:
+    """A session's staged writes on one pinned epoch, as storage rows.
+
+    Each partition a staged op touches gets one
+    :class:`~repro.core.local_storage.LocalGraphStorage`, with no memory
+    account, rebased on the epoch's segment; the op is that storage's
+    ``add_edge`` / ``remove_edge``, so an insert writes its source's row
+    and a delete of a missing edge writes nothing.  A node the epoch does
+    not place gets a provisional owner, ``node % num_modules``, for
+    routing only (reachability is placement-agnostic; the partitioner
+    decides at commit), and no row.
+    """
+
+    def __init__(self, epoch: Epoch) -> None:
+        self.epoch = epoch
+        self._storages: Dict[int, LocalGraphStorage] = {}
+        #: Provisional owners of the nodes the epoch does not place.
+        self._new_owners: Dict[int, int] = {}
+
+    def _owner(self, node: int) -> Optional[int]:
+        owner = self.epoch.owner(node)
+        return self._new_owners.get(node) if owner is None else owner
+
+    def _place(self, node: int) -> int:
+        owner = self._owner(node)
+        if owner is None:
+            owner = node % max(1, self.epoch.num_modules)
+            self._new_owners[node] = owner
+        return owner
+
+    def _storage(self, partition: int) -> LocalGraphStorage:
+        storage = self._storages.get(partition)
+        if storage is None:
+            storage = self._storages[partition] = LocalGraphStorage()
+            storage.rebase(self.epoch.snapshot_of(partition))
+        return storage
+
+    def stage(self, kind: UpdateKind, src: int, dst: int, label: int) -> None:
+        """Write one op into its source's partition."""
+        if kind is UpdateKind.INSERT:
+            self._storage(self._place(src)).add_edge(src, dst, label)
+            self._place(dst)
+            return
+        owner = self._owner(src)
+        if owner is not None:
+            self._storage(owner).remove_edge(src, dst)
+
+    def view(self, pim: PIMSystem) -> EpochView:
+        """The epoch with every written row merged into its segment."""
+        epoch = self.epoch
+        merged = {}
+        for partition, storage in self._storages.items():
+            if storage.written:
+                base = epoch.snapshot_of(partition)
+                merged[epoch.segment_of(partition)] = merge_segment(
+                    base,
+                    storage.written_rows(),
+                    base.working_set_bytes,
+                    partition != HOST_PARTITION,
+                )
+        return EpochView(
+            epoch,
+            pim,
+            heap=epoch.heap.replace(merged) if merged else None,
+            extra_owners=dict(self._new_owners),
+        )
 
 
 class Session:
@@ -65,12 +137,10 @@ class Session:
         #: Totals sink of this session's pinned executions (no other
         #: reader, so no lock).
         self._pim = PIMSystem(system.config.cost_model)
-        #: Patched row contents of every source the session wrote:
-        #: ``node -> [(dst, label), ...]`` (full row, storage semantics).
-        self._local: Dict[int, List[Tuple[int, int]]] = {}
-        #: Session-created nodes and their provisional partitions.
-        self._new_nodes: Dict[int, int] = {}
-        #: Staged updates in submission order, replayed verbatim on commit.
+        #: The staged ops written over the pinned epoch (``None`` once closed).
+        self._overlay: Optional[_Overlay] = _Overlay(self._epoch)
+        #: Staged updates in submission order, replayed verbatim on
+        #: refresh and commit.
         self._ops: List[Tuple[UpdateKind, int, int, int]] = []
         self._view_cache: Optional[EpochView] = None
         #: Queries answered by this session (per-epoch stats feed).
@@ -92,40 +162,27 @@ class Session:
     def refresh(self) -> int:
         """Re-pin the latest published epoch and return its id.
 
-        Staged (uncommitted) updates survive a refresh: they are
-        re-spliced onto the new epoch, so read-your-writes holds across
-        the move.
-
-        The swap is exception-safe: the old epoch's pin is only released
-        after the move onto the new epoch (including the overlay rebase)
-        has fully succeeded.  If anything raises in between, the freshly
-        taken pin is dropped and the session rolls back to its previous
-        epoch, staged ops and overlay — pin counts stay balanced either
-        way, so a failed refresh can never block retention eviction.
+        Staged (uncommitted) updates survive a refresh: they are written
+        again over the new epoch, so read-your-writes holds across the
+        move.  They are written before anything is swapped: if that
+        raises, the new epoch is unpinned and the session is unchanged,
+        so pin counts stay balanced and a failed refresh can never block
+        retention eviction.
         """
         self._assert_open()
         manager = self._system._epochs
         latest = manager.pin()
-        previous = self._epoch
-        # ``_rebase_local`` clears the staged state in place, so roll-back
-        # needs real copies, not aliases.
-        staged = list(self._ops)
-        local_backup = {node: list(row) for node, row in self._local.items()}
-        new_nodes_backup = dict(self._new_nodes)
         try:
-            self._epoch = latest
-            self._view_cache = None
-            self._rebase_local()
+            overlay = _Overlay(latest)
+            for op in self._ops:
+                overlay.stage(*op)
         except BaseException:
-            self._epoch = previous
-            self._ops = staged
-            self._local = local_backup
-            self._new_nodes = new_nodes_backup
-            self._view_cache = None
             manager.unpin(latest)
             raise
+        previous = self._epoch
+        self._epoch, self._overlay, self._view_cache = latest, overlay, None
         manager.unpin(previous)
-        return self._epoch.epoch_id
+        return latest.epoch_id
 
     def close(self) -> None:
         """Release the pinned epoch; idempotent (extra calls are no-ops).
@@ -140,9 +197,7 @@ class Session:
             self._closed = True
             epoch, self._epoch = self._epoch, None
             self._epoch_id = epoch.epoch_id
-            self._view_cache = None
-            self._local.clear()
-            self._new_nodes.clear()
+            self._view_cache = self._overlay = None
             self._ops.clear()
             self._system._epochs.unpin(epoch)
 
@@ -195,7 +250,7 @@ class Session:
         require_int64s("node id", chain.from_iterable(edges), non_negative=True)
         for index, (src, dst) in enumerate(edges):
             label = labels[index] if labels else DEFAULT_LABEL
-            self._stage_insert(src, dst, label)
+            self._stage(UpdateKind.INSERT, src, dst, label)
 
     def delete_edges(self, edges) -> None:
         """Stage edge deletions, visible to this session immediately."""
@@ -203,7 +258,7 @@ class Session:
         edges = list(edges)
         require_int64s("node id", chain.from_iterable(edges), non_negative=True)
         for src, dst in edges:
-            self._stage_delete(src, dst)
+            self._stage(UpdateKind.DELETE, src, dst, DEFAULT_LABEL)
 
     def apply_updates(self, ops: List[UpdateOp]) -> None:
         """Stage a mixed :class:`UpdateOp` stream in order."""
@@ -212,10 +267,7 @@ class Session:
             "node id", chain.from_iterable(op.edge for op in ops), non_negative=True
         )
         for op in ops:
-            if op.kind is UpdateKind.INSERT:
-                self._stage_insert(op.src, op.dst, DEFAULT_LABEL)
-            else:
-                self._stage_delete(op.src, op.dst)
+            self._stage(op.kind, op.src, op.dst, DEFAULT_LABEL)
 
     def commit(self) -> Optional[ExecutionStats]:
         """Hand the staged updates to the writer and re-pin.
@@ -235,105 +287,22 @@ class Session:
             op_labels = [label for _, _, _, label in self._ops]
             stats = self._system.apply_updates(ops, labels=op_labels)
             self._ops.clear()
-            self._local.clear()
-            self._new_nodes.clear()
+            self._overlay = _Overlay(self._epoch)
+            self._view_cache = None
         # Commit always lands the session on the latest epoch, staged
         # writes or not — "after commit I see the current state".
         self.refresh()
         return stats
 
-    # ------------------------------------------------------------------
-    # Overlay plumbing
-    # ------------------------------------------------------------------
-    def _stage_insert(self, src: int, dst: int, label: int) -> None:
-        self._ops.append((UpdateKind.INSERT, src, dst, label))
-        row = self._row_for_write(src)
-        for position, (existing_dst, _) in enumerate(row):
-            if existing_dst == dst:
-                row[position] = (dst, label)
-                break
-        else:
-            row.append((dst, label))
-        self._register_node(dst)
+    def _stage(self, kind: UpdateKind, src: int, dst: int, label: int) -> None:
+        self._overlay.stage(kind, src, dst, label)
+        self._ops.append((kind, src, dst, label))
         self._view_cache = None
-
-    def _stage_delete(self, src: int, dst: int) -> None:
-        self._ops.append((UpdateKind.DELETE, src, dst, DEFAULT_LABEL))
-        if self._epoch.owner(src) is None and src not in self._local:
-            # Deleting from a node the epoch has never seen is a no-op
-            # (the live update path treats it as a host no-op too).
-            return
-        row = self._row_for_write(src)
-        for position, (existing_dst, _) in enumerate(row):
-            if existing_dst == dst:
-                del row[position]
-                break
-        self._view_cache = None
-
-    def _row_for_write(self, node: int) -> List[Tuple[int, int]]:
-        """The session's patched row of ``node``, seeded from the epoch."""
-        row = self._local.get(node)
-        if row is None:
-            owner = self._epoch.owner(node)
-            if owner is None:
-                self._register_node(node)
-                row = []
-            else:
-                row = self._epoch.snapshot_of(owner).row_entries(node)
-            self._local[node] = row
-        return row
-
-    def _register_node(self, node: int) -> None:
-        """Give a session-created node a provisional partition and row."""
-        if self._epoch.owner(node) is not None or node in self._new_nodes:
-            return
-        # Provisional placement for routing only: the real partitioner
-        # decides at commit time.  Reachability results are placement-
-        # agnostic, so any deterministic choice works.
-        self._new_nodes[node] = node % max(1, self._epoch.num_modules)
-        self._local.setdefault(node, [])
-
-    def _rebase_local(self) -> None:
-        """Re-splice the staged ops onto a freshly pinned epoch."""
-        if not self._ops:
-            return
-        staged = list(self._ops)
-        self._ops.clear()
-        self._local.clear()
-        self._new_nodes.clear()
-        for kind, src, dst, label in staged:
-            if kind is UpdateKind.INSERT:
-                self._stage_insert(src, dst, label)
-            else:
-                self._stage_delete(src, dst)
 
     def _view(self) -> EpochView:
-        """The engine-facing view: pinned epoch + spliced staged writes."""
-        if self._view_cache is not None:
-            return self._view_cache
-        if not self._local:
-            self._view_cache = EpochView(self._epoch, self._pim)
-            return self._view_cache
-        epoch = self._epoch
-        by_owner: Dict[int, Dict[int, RowBuffer]] = {}
-        for node, row in self._local.items():
-            owner = epoch.owner(node)
-            if owner is None:
-                owner = self._new_nodes[node]
-            by_owner.setdefault(owner, {})[node] = row_buffer(row)
-        patched = {
-            owner: merge_segment(
-                epoch.snapshot_of(owner),
-                rows,
-                epoch.snapshot_of(owner).working_set_bytes,
-                owner != HOST_PARTITION,
-            )
-            for owner, rows in by_owner.items()
-        }
-        self._view_cache = EpochView(
-            self._epoch, self._pim, patched=patched,
-            extra_owners=dict(self._new_nodes),
-        )
+        """The engine-facing view: pinned epoch + staged rows."""
+        if self._view_cache is None:
+            self._view_cache = self._overlay.view(self._pim)
         return self._view_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -400,6 +400,21 @@ def test_patched_session_views_bypass_the_result_cache():
         assert processor.cache_stats.counters.get("result_cache_hits", 0) == hits
 
 
+def test_a_session_whose_staged_ops_write_no_row_keeps_the_caches():
+    """A staged delete of a missing edge writes nothing, so the session's
+    view is the pinned epoch and its queries hit the result cache."""
+    system = build_system(skewed_graph())
+    processor = system._query_processor
+    query = RPQuery("c", sources=[5, 70])
+    with system.begin() as session:
+        session.execute(query)
+        session.delete_edges([(70, 10**6)])
+        assert session._view().frozen_epoch() is session._epoch
+        hits = processor.cache_stats.counters.get("result_cache_hits", 0)
+        session.execute(query)
+        assert processor.cache_stats.counters.get("result_cache_hits", 0) == hits + 1
+
+
 def test_live_queries_bypass_the_caches_and_keep_reporting():
     """A live query runs on the current epoch but is never cached: a hit
     would skip the expansion whose misplacement reports drive migration."""

@@ -377,7 +377,8 @@ def test_view_totals_equal_a_fresh_sum_patched_or_not():
         live = system._live_view()
         assert totals == (live.total_rows(), live.total_edges())
 
-        # Two new rows (500 and, provisionally placed, 501) and two edges.
+        # One new row (500; 501 is provisionally placed, with no row) and
+        # two edges.
         session.insert_edges([(500, 501), (70, 500)], labels=[1, 3])
         patched = session._view()
         assert patched.frozen_epoch() is None

@@ -6,15 +6,16 @@ system and a :class:`~model.ReferenceModel`.  After every publish each
 module segment of the heap must equal, array for array (local counts
 included), ``model.build_snapshot_reference`` of the model's rows placed
 on that module, and the host segment must hold exactly the model's host
-rows.  A session's patched segments are held to the same oracle over the
-model plus its staged writes, and an ``export_epoch`` → ``attach_epoch``
-round trip must give back the published epoch array for array.
+rows.  The segments a session's staged writes changed are held to the
+same oracle over the model plus those writes, and an ``export_epoch`` →
+``attach_epoch`` round trip must give back the published epoch array
+for array.
 
 Which nodes have a row is the storages' rule, tracked beside the model:
 every loaded node, and the source of every insert.  An insert's
 destination is placed but gets no row (it answers like an empty one),
-and a delete writes no row; a session also gives a row to every node it
-stages a write on, and to each destination the epoch has never placed.
+and a delete writes no row.  A session's staged writes follow the same
+rule, because they are written by the same storage code.
 """
 
 from __future__ import annotations
@@ -139,19 +140,19 @@ class Harness:
             epoch = session._epoch
             overlay = self.model.copy()
             apply_ops(session, overlay, ops)
-            written: Set[int] = set()
-            for insert, src, dst, _ in ops:
-                if insert or epoch.owner(src) is not None or src in written:
-                    written.add(src)
-                if insert and epoch.owner(dst) is None:
-                    written.add(dst)
+            # An insert writes its source's row and nothing else.
+            written = {src for insert, src, _, _ in ops if insert}
             view = session._view()
             assert_segments_match(
                 overlay,
                 self.rows | written,
                 view.owner,
                 view.snapshot_of,
-                sorted(view._patched),
+                [
+                    partition
+                    for partition in PARTITIONS
+                    if view.snapshot_of(partition) is not epoch.snapshot_of(partition)
+                ],
                 # A patch keeps its segment's footprint: staged rows are
                 # not stored.
                 lambda partition, rows, edges: epoch.snapshot_of(partition).working_set_bytes,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import chain
 
 import pytest
 from hypothesis import settings
@@ -35,6 +36,7 @@ from model import ReferenceModel
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import random_graph
 from repro.paper import placed_at
+from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel
 from repro.rpq import RPQuery
 from repro.serve import SchedulerSaturated
@@ -403,8 +405,9 @@ def test_scheduler_sees_new_epochs():
 # Pin accounting: injected failures must never leak an epoch pin
 # ----------------------------------------------------------------------
 def test_refresh_failure_leaks_no_pin(monkeypatch):
-    """A refresh that raises mid-swap rolls back: same epoch, same staged
-    ops, balanced pin counts — retention eviction stays unblocked."""
+    """A refresh that raises while it writes the staged ops over the new
+    epoch leaves the session as it was: same epoch, same staged ops,
+    balanced pin counts — retention eviction stays unblocked."""
     system = build_system(21, "vectorized")
     manager = system._epochs
     session = system.begin()
@@ -414,12 +417,12 @@ def test_refresh_failure_leaks_no_pin(monkeypatch):
     system.insert_edges([(1, 2)])  # make the next refresh a real move
     assert manager.pins() == 1
 
-    from repro.serve.session import Session
+    from repro.core.local_storage import LocalGraphStorage
 
-    def exploding_rebase(self):
+    def exploding_add_edge(self, src, dst, label=0):
         raise RuntimeError("injected rebase failure")
 
-    monkeypatch.setattr(Session, "_rebase_local", exploding_rebase)
+    monkeypatch.setattr(LocalGraphStorage, "add_edge", exploding_add_edge)
     with pytest.raises(RuntimeError, match="injected rebase"):
         session.refresh()
     assert manager.pins() == 1, "failed refresh leaked an epoch pin"
@@ -435,6 +438,35 @@ def test_refresh_failure_leaks_no_pin(monkeypatch):
     session.close()
     assert manager.pins() == 0
     session.close()  # idempotent
+
+
+def test_session_view_holds_exactly_the_rows_its_commit_publishes():
+    """Staged writes follow the live update path's row rules: an insert's
+    brand-new destination gets no row, and a delete of a missing edge —
+    from a node with a row or from one that is placed without a row —
+    writes nothing."""
+    system = build_system(23, "python")
+    rowless = 10**6 + 1
+    system.insert_edges([(1, rowless)])  # placed, with no row
+
+    def row_ids(view):
+        partitions = (*range(view.epoch.num_modules), HOST_PARTITION)
+        return sorted(
+            chain.from_iterable(
+                view.snapshot_of(partition).node_ids.tolist() for partition in partitions
+            )
+        )
+
+    with system.begin() as session:
+        assert session._epoch.owner(rowless) is not None
+        assert rowless not in row_ids(session._view())
+        session.insert_edges([(0, 10**6)])
+        session.delete_edges([(2, 10**6 + 7), (rowless, 0)])
+        staged = row_ids(session._view())
+        session.commit()
+        assert staged == row_ids(session._view())
+    assert 10**6 not in staged and rowless not in staged
+    system.close()
 
 
 def test_commit_failure_keeps_pins_balanced(monkeypatch):
