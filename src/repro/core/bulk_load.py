@@ -10,7 +10,7 @@ decisions with numpy, a chunk of
 exactly them, in stream order: the placements between two promotions
 are one run of the policy's own ``assign_nodes``, and a promotion is
 the labor-division wrapper's ``promote``.  The partition map (its
-order, version and journal included), the observed out-degrees and the
+order and owner vector included), the observed out-degrees and the
 placement counters are therefore what feeding the edges one at a time
 through :meth:`~repro.core.partitioner.GraphPartitioner.ingest_edge`
 leaves behind.
@@ -217,10 +217,11 @@ class _BulkLoader:
         ``src0, dst0, src1, dst1, ...``, their ids, and the other
         endpoint of each one's edge (its first neighbor)."""
         ends = chunk[:, :2].reshape(-1)
-        unseen = np.flatnonzero(np.isin(ends, self._placed, invert=True))
+        unseen = np.isin(ends, self._placed, invert=True)
         ids, first = np.unique(ends[unseen], return_index=True)
         self._placed = np.concatenate([self._placed, ids])
-        mentions = np.sort(unseen[first])
+        # The positions only now: the sort above is the load's peak.
+        mentions = np.sort(np.flatnonzero(unseen)[first])
         return mentions, ends[mentions], ends[mentions ^ 1].tolist()
 
     def _decide(

@@ -212,11 +212,16 @@ class LocalGraphStorage:
         return True
 
     def add_edge(self, src: int, dst: int, label: int = DEFAULT_LABEL) -> bool:
-        """Insert ``src -> dst``; return ``True`` if the edge was new."""
+        """Insert ``src -> dst``; return ``True`` if the edge was new.
+
+        Re-inserting an edge relabels it; with the label it already has,
+        nothing is written (a clean row stays clean).
+        """
         if dst == HOLE:
             raise ValueError(f"node id {HOLE} is reserved for empty slots")
         row = self._buffers.get(src, _CLEAN)
-        if row is _CLEAN:
+        clean = row is _CLEAN
+        if clean:
             row = self._copy_base_row(src)
         if row is None:
             row = self._new_row(src)
@@ -224,7 +229,12 @@ class LocalGraphStorage:
         # can equal a node id.
         dsts = row[::2]
         if dst in dsts:
-            row[2 * dsts.index(dst) + 1] = label
+            slot = 2 * dsts.index(dst) + 1
+            if row[slot] == label:
+                if clean:
+                    del self._buffers[src]
+                return False
+            row[slot] = label
             self.written.add(src)
             return False
         if self._memory is not None:

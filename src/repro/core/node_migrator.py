@@ -25,7 +25,6 @@ from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.partitioner import GraphPartitioner
 from repro.core.snapshot import sorted_runs
 from repro.partition.base import HOST_PARTITION
-from repro.partition.owner_index import OwnerIndex
 from repro.pim.system import OperationContext
 
 #: Misplacement reports as columns: ``(nodes, local, remote)`` int64 arrays.
@@ -115,8 +114,6 @@ class NodeMigrator:
         self._reports: List[_Columns] = []
         #: Whether ``_reports`` is the single merged chunk of :meth:`_pending`.
         self._merged = True
-        #: Version-cached array lookups over the partition map, for the vote.
-        self._owners = OwnerIndex()
         #: Lifetime number of locality migrations performed.
         self.migrations_performed = 0
         #: Lifetime number of promotions to the host performed.
@@ -241,8 +238,8 @@ class NodeMigrator:
         self.clear_pending()
         if not nodes.size:
             return 0
-        self._owners.refresh(self._partitioner.partition_map)
-        current = self._owners.owners_of(nodes)
+        owners_of = self._partitioner.partition_map.owners_of
+        current = owners_of(nodes)
         on_module = current >= 0  # neither the host nor unknown
         nodes, current = nodes[on_module], current[on_module]
         if not nodes.size:
@@ -250,7 +247,7 @@ class NodeMigrator:
 
         voters, dsts = self._next_hops(nodes, current)
         tally_part, tally_votes, tally_bounds, candidates = _tally(
-            voters, self._owners.owners_of(dsts), current, self._partitioner.num_modules
+            voters, owners_of(dsts), current, self._partitioner.num_modules
         )
         if not candidates.size:
             return 0

@@ -95,7 +95,7 @@ class GraphPartitioner:
     def capture_state(self) -> Dict[str, object]:
         """What future placement decisions depend on, beyond the
         ``node_partition_vector`` itself (a checkpoint takes that from
-        its published epoch's frozen owner table).
+        its published epoch's frozen owner vector).
 
         The labor-division wrapper's observed out-degrees as sorted
         ``(node, degree)`` array rows (they decide future promotions)
@@ -123,8 +123,8 @@ class GraphPartitioner:
         """
         if len(self.partition_map):
             raise RuntimeError("restore_state requires an empty partitioner")
-        for node, partition in state["assignments"].tolist():
-            self.partition_map.assign(node, partition)
+        assignments = state["assignments"]
+        self.partition_map.assign_new(assignments[:, 0].tolist(), assignments[:, 1].tolist())
         if self.labor_division is not None:
             self.labor_division._out_degree = dict(state["out_degrees"].tolist())
             self.labor_division.promotions = int(state["promotions"])

@@ -145,10 +145,13 @@ class UpdateProcessor:
         self._module_storages = module_storages
         self._host_storage = host_storage
         self._migrator = node_migrator
-        #: Bytes of the ``node_partition_vector`` (2 per node) as of the
-        #: current batch's start: the working set every partition-vector
-        #: access of the batch is charged against.  Read once per batch —
-        #: nodes the partition phase places do not grow it mid-batch.
+        #: Bytes of the ``node_partition_vector`` as of the current
+        #: batch's start: the working set every partition-vector access
+        #: of the batch is charged against.  Read once per batch — nodes
+        #: the partition phase places do not grow it mid-batch.  The map
+        #: stores the vector as ``int16``, but the charge is placed nodes
+        #: x 2 B on purpose, not the array's ``nbytes`` (its spare length
+        #: and side table are storage detail), so simulated time stays put.
         self._vector_bytes = 0
         #: Lifetime number of update batches applied.  Checkpointed and
         #: restored (then advanced by WAL tail replay) so the counter

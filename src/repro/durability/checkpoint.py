@@ -120,8 +120,8 @@ def capture_checkpoint(system: "Moctopus") -> Tuple[Dict, Dict[str, np.ndarray]]
     for name, array in system._host_storage.capture_arrays().items():
         arrays[f"hx_{name}"] = array
 
-    # The published epoch's frozen owner table *is* the
-    # ``node_partition_vector``, already as sorted arrays.
+    # The published epoch's frozen owner vector *is* the
+    # ``node_partition_vector``; its table is the sorted pairs.
     arrays["p_assignments"] = np.column_stack(epoch.owners.table())
     partition = system._partitioner.capture_state()
     arrays["ld_out_degrees"] = partition["out_degrees"]

@@ -77,7 +77,8 @@ class PlanView(Protocol):
         ...
 
     def owners_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorized owner lookup (``OwnerIndex.UNKNOWN`` when unplaced)."""
+        """Vectorized owner lookup (``repro.partition.base.UNKNOWN`` when
+        unplaced), as ``int64``."""
         ...
 
     def snapshot_of(self, partition: int) -> "GraphSnapshot":

@@ -45,14 +45,10 @@ import numpy as np
 
 from repro.engine.base import PlanView, ReportColumns
 from repro.engine.driver import ExpandWork
-from repro.partition.base import HOST_PARTITION
-from repro.partition.owner_index import OwnerIndex
+from repro.partition.base import HOST_PARTITION, UNKNOWN
 from repro.rpq.automaton import DFA
 from repro.rpq.planner import Plan
 from repro.rpq.query import csr_from_sorted_pairs
-
-#: Owner code of a node the partitioner has never seen (dangling edge).
-_UNKNOWN_OWNER = OwnerIndex.UNKNOWN
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -255,7 +251,7 @@ class BitsetKernel:
     def initial_frontier(self) -> Tuple[Dict[int, MaskBlock], int]:
         nodes = np.asarray(self._sources, dtype=np.int64)
         owners = self._view.owners_of(nodes)
-        known = owners != _UNKNOWN_OWNER
+        known = owners != UNKNOWN
         masks = _row_bit_masks(np.flatnonzero(known), self._num_words)
         self._routed.append((nodes[known], masks, owners[known]))
         return self.next_frontier(), int(len(nodes) - known.sum())
@@ -326,7 +322,7 @@ class BitsetKernel:
         # Dangling destinations are dropped before any routing
         # accounting, as in the scalar path.
         owners = self._view.owners_of(dsts)
-        known = owners != _UNKNOWN_OWNER
+        known = owners != UNKNOWN
         if not known.all():
             dsts, masks, owners = dsts[known], masks[known], owners[known]
         self._routed.append((dsts, masks, owners))
@@ -455,7 +451,7 @@ class KeysKernel:
     def initial_frontier(self) -> Tuple[Dict[int, np.ndarray], int]:
         dfa = self._dfa
         nodes = np.asarray(self._sources, dtype=np.int64)
-        known = self._view.owners_of(nodes) != _UNKNOWN_OWNER
+        known = self._view.owners_of(nodes) != UNKNOWN
         nodes, rows = nodes[known], np.flatnonzero(known)
         if self._accumulate and dfa.is_accepting(dfa.start):
             self._accepted.append((rows, nodes))
@@ -542,7 +538,7 @@ class KeysKernel:
         # Dangling destinations (never registered with the partitioner)
         # are dropped before any accounting, as in the scalar path.
         owners = self._view.owners_of(self._unpack_nodes(keys))
-        known = owners != _UNKNOWN_OWNER
+        known = owners != UNKNOWN
         if not known.all():
             keys, owners = keys[known], owners[known]
 

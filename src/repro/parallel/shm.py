@@ -12,12 +12,14 @@ boundary.
 The wire format is the epoch's own layout: a segment is a flat ``int64``
 heap holding the epoch's :class:`~repro.core.snapshot.CSRHeap` in its
 flat layout (:meth:`~repro.core.snapshot.CSRHeap.arrays`), then the
-owner table's arrays, and the :class:`EpochManifest` — a
-small picklable description shipped over the pool's task queue — records
-each array as an ``(offset, length)`` pair in elements.
-:func:`attach_epoch` builds the ``CSRHeap`` (as a load does), the
-``OwnerIndex`` and the ``Epoch`` (as a publish does) over read-only
-views of the mapped segment.
+owner vector's ``int16`` array (padded to whole elements) and its side
+table, and the :class:`EpochManifest` — a small picklable description
+shipped over the pool's task queue — records each array as an
+``(offset, length)`` pair: the offset in segment elements, the length
+in the array's own.  :func:`attach_epoch` builds the ``CSRHeap`` (as a
+load does), the :class:`~repro.partition.base.OwnerVector` and the
+``Epoch`` (as a publish does) over read-only views of the mapped
+segment.
 
 Crash-safe cleanup
 ------------------
@@ -45,7 +47,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from repro.core.snapshot import CSRHeap
-from repro.partition.owner_index import OwnerIndex
+from repro.partition.base import OWNER_DTYPE, OwnerVector
 from repro.serve.epoch import Epoch
 
 #: Every exported array shares this dtype (offsets are in elements).
@@ -61,8 +63,9 @@ class EpochManifest:
 
     Everything a worker needs to rebuild the epoch locally: the segment
     name and where each array lives in it — the heap's by field name, the
-    owner table's as :meth:`OwnerIndex.export_arrays` names them — as
-    ``(offset, length)`` pairs in ``SEGMENT_DTYPE`` elements.
+    owner vector's as ``dense``, ``side_nodes`` and ``side_parts`` — as
+    ``(offset, length)`` pairs: the offset in ``SEGMENT_DTYPE`` elements,
+    the length in the array's own.
     """
 
     segment: str
@@ -93,16 +96,20 @@ def export_epoch(
 
     def place(array: np.ndarray) -> Tuple[int, int]:
         nonlocal offset
+        span = (offset, len(array))
+        if array.dtype == OWNER_DTYPE:  # the owner vector, in whole elements
+            padded = np.zeros(-(-array.nbytes // SEGMENT_DTYPE.itemsize), SEGMENT_DTYPE)
+            padded.view(OWNER_DTYPE)[: len(array)] = array
+            array = padded
         array = np.ascontiguousarray(array, dtype=SEGMENT_DTYPE)
         chunks.append(array)
-        span = (offset, len(array))
         offset += len(array)
         return span
 
     heap = {name: place(array) for name, array in epoch.heap.arrays().items()}
     owners = {
-        name: place(array)
-        for name, array in epoch.owners.export_arrays().items()
+        name: place(getattr(epoch.owners, name))
+        for name in ("dense", "side_nodes", "side_parts")
     }
 
     if segment_name is None:
@@ -161,15 +168,18 @@ def attach_epoch(
     mapped = np.frombuffer(segment.buf, dtype=SEGMENT_DTYPE)
     mapped.flags.writeable = False  # read-only views, like any published epoch
 
-    def view(span: Tuple[int, int]) -> np.ndarray:
+    def view(span: Tuple[int, int], dtype: np.dtype = SEGMENT_DTYPE) -> np.ndarray:
         offset, length = span
-        return mapped[offset : offset + length]
+        return mapped[offset:].view(dtype)[:length]
 
+    owners = manifest.owners
     epoch = Epoch(
         epoch_id=manifest.epoch_id,
         heap=CSRHeap.from_arrays(**{name: view(span) for name, span in manifest.heap.items()}),
-        owners=OwnerIndex.from_arrays(
-            **{name: view(span) for name, span in manifest.owners.items()}
+        owners=OwnerVector(
+            view(owners["dense"], OWNER_DTYPE),
+            view(owners["side_nodes"]),
+            view(owners["side_parts"]),
         ),
         num_nodes=manifest.num_nodes,
     )

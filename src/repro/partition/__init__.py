@@ -20,6 +20,7 @@ The greedy and adaptive families the partitioner ablation also compares
 
 from repro.partition.base import (
     HOST_PARTITION,
+    OwnerVector,
     PartitionMap,
     StreamingPartitioner,
     partition_static_graph,
@@ -33,7 +34,6 @@ from repro.partition.labor_division import (
     DEFAULT_HIGH_DEGREE_THRESHOLD,
     LaborDivisionPartitioner,
 )
-from repro.partition.owner_index import OwnerIndex
 from repro.partition.metrics import (
     PartitionQuality,
     evaluate_partition,
@@ -51,7 +51,7 @@ __all__ = [
     "DEFAULT_CAPACITY_FACTOR",
     "LaborDivisionPartitioner",
     "DEFAULT_HIGH_DEGREE_THRESHOLD",
-    "OwnerIndex",
+    "OwnerVector",
     "PartitionQuality",
     "evaluate_partition",
     "load_imbalance",

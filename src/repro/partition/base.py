@@ -6,6 +6,13 @@ package a partition id is an integer in ``0 .. P-1`` for PIM modules and
 the sentinel :data:`HOST_PARTITION` (``-1``) for the host, matching the
 paper's ``node_partition_vector`` where the host is marked ``H``.
 
+That vector exists once: :class:`PartitionMap` writes it as an ``int16``
+array indexed by node id (:data:`UNKNOWN` where nothing is placed) plus
+a sorted side table for the ids too far past the placement to index,
+and every reader — a published epoch, a session, a worker process, the
+node migrator — reads it as an :class:`OwnerVector`.  Epochs share it
+copy-on-write, one whole vector at a time.
+
 Two interaction styles are supported:
 
 * **streaming** — :meth:`StreamingPartitioner.ingest_edge` is called for
@@ -23,26 +30,128 @@ Two interaction styles are supported:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from itertools import islice
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.graph.digraph import DiGraph
 
 #: Partition id of the host CPU (the paper's ``H`` marker).
 HOST_PARTITION = -1
 
-#: Placement changes a :class:`PartitionMap` remembers for incremental
-#: consumers (the vectorized owner index); older gaps force a rebuild.
-JOURNAL_CAPACITY = 4096
+#: Owner code of a node id that no partition holds.
+UNKNOWN = -2
+
+#: The owner vector's entry type; a partition count it cannot hold is
+#: refused (:class:`PartitionMap`).
+OWNER_DTYPE = np.int16
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
+
+def _dense_limit(count: int) -> int:
+    """Ids from this one on, with ``count`` nodes placed, go in the side
+    table: a dense vector may not outgrow the placement by more."""
+    return 4 * count + 1024
+
+
+class OwnerVector:
+    """The ``node_partition_vector`` as frozen arrays.
+
+    ``dense`` (:data:`OWNER_DTYPE`, at least one entry) holds the owner of
+    every id below its length, :data:`UNKNOWN` where none is placed; the
+    placed ids it does not cover are ``side_nodes`` (sorted) with their
+    owners ``side_parts``.  An epoch holds one, and consecutive epochs
+    hold the same one until the map is written
+    (:meth:`PartitionMap.freeze`).
+    """
+
+    __slots__ = ("dense", "side_nodes", "side_parts", "_span")
+
+    def __init__(
+        self, dense: np.ndarray, side_nodes: np.ndarray, side_parts: np.ndarray
+    ) -> None:
+        self.dense = dense
+        self.side_nodes = side_nodes
+        self.side_parts = side_parts
+        self._span = len(dense)
+
+    def owner(self, node: int) -> Optional[int]:
+        """Owner of ``node`` (``None`` when unplaced) — the scalar kernel's
+        per-node route, so one frame."""
+        if 0 <= node < self._span:
+            owner = self.dense.item(node)
+            return None if owner == UNKNOWN else owner
+        side = self.side_nodes
+        position = side.searchsorted(node)
+        if position < len(side) and side.item(position) == node:
+            return self.side_parts.item(position)
+        return None
+
+    def owners_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Owner per node as ``int64`` (:data:`UNKNOWN` when unplaced —
+        negative ids included, which no write path places)."""
+        span = self._span
+        owners = np.where(
+            (nodes >= 0) & (nodes < span),
+            self.dense[np.clip(nodes, 0, span - 1)],
+            np.int64(UNKNOWN),
+        )
+        side = self.side_nodes
+        if len(side):
+            positions = np.minimum(side.searchsorted(nodes), len(side) - 1)
+            found = side[positions] == nodes
+            owners[found] = self.side_parts[positions[found]]
+        return owners
+
+    def table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every placed ``(nodes, partitions)`` pair as ``int64`` columns,
+        nodes ascending: two vectors hold the same placement exactly when
+        their tables are equal, and a checkpoint stores this form."""
+        nodes = np.flatnonzero(self.dense != UNKNOWN)
+        parts = self.dense[nodes].astype(np.int64)
+        if len(self.side_nodes):
+            nodes = np.concatenate([nodes, self.side_nodes])
+            order = np.argsort(nodes, kind="stable")
+            nodes, parts = nodes[order], np.concatenate([parts, self.side_parts])[order]
+        return nodes, parts
+
+    def placed(self, node: int, partition: int) -> "OwnerVector":
+        """This vector with the unplaced ``node`` on ``partition``: a new
+        vector that shares every array it does not change."""
+        if 0 <= node < self._span:
+            dense = self.dense.copy()
+            dense[node] = partition
+            dense.flags.writeable = False
+            return OwnerVector(dense, self.side_nodes, self.side_parts)
+        position = self.side_nodes.searchsorted(node)
+        side_nodes = np.insert(self.side_nodes, position, node)
+        side_parts = np.insert(self.side_parts, position, partition)
+        side_nodes.flags.writeable = side_parts.flags.writeable = False
+        return OwnerVector(self.dense, side_nodes, side_parts)
 
 
 class PartitionMap:
-    """Mutable node -> partition mapping with per-partition size tracking."""
+    """Mutable node -> partition mapping with per-partition size tracking.
+
+    The map keeps the placement twice: a dict, which is the writers'
+    scalar index and keeps the order nodes were first placed in, and the
+    owner vector every reader gets from :meth:`freeze`.  Readers share
+    the vector copy-on-write: a freeze hands out the live array
+    read-only, and the next write copies it first, so a freeze with no
+    write since the last one copies nothing.
+    """
 
     def __init__(self, num_partitions: int) -> None:
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")
+        if num_partitions > np.iinfo(OWNER_DTYPE).max + 1:
+            raise ValueError(
+                f"num_partitions {num_partitions} does not fit the owner vector"
+                f" ({np.dtype(OWNER_DTYPE).name})"
+            )
         self.num_partitions = num_partitions
         self._assignment: Dict[int, int] = {}
         #: :meth:`partition_of` is the assignment dict's own ``get``: the
@@ -54,13 +163,16 @@ class PartitionMap:
         self.is_assigned = self._assignment.__contains__
         self._sizes: Dict[int, int] = {partition: 0 for partition in range(num_partitions)}
         self._sizes[HOST_PARTITION] = 0
-        #: Bumped on every placement change; cheap staleness check for
-        #: derived lookup structures (the vectorized engine's owner
-        #: vector caches against it).
-        self.version = 0
-        #: Ring buffer of the most recent placement changes, in order;
-        #: :meth:`changes_since` serves incremental consumers from it.
-        self._journal: Deque[Tuple[int, int]] = deque(maxlen=JOURNAL_CAPACITY)
+        #: The owner vector: ids below ``len(_dense)`` there, the placed
+        #: ids past it (:func:`_dense_limit`) in ``_side``.
+        self._dense = np.full(1, UNKNOWN, dtype=OWNER_DTYPE)
+        self._side: Dict[int, int] = {}
+        #: ``_side`` as sorted arrays (``None`` until rebuilt after a write).
+        self._side_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = (_NO_IDS, _NO_IDS)
+        #: What the last :meth:`freeze` returned, until the next write.
+        self._frozen: Optional[OwnerVector] = None
+        #: Whether a frozen vector holds ``_dense`` (the next write copies).
+        self._shared = False
 
     def assign(self, node: int, partition: int) -> None:
         """Place ``node`` on ``partition`` (moving it if already placed)."""
@@ -70,17 +182,21 @@ class PartitionMap:
             self._sizes[previous] -= 1
         self._assignment[node] = partition
         self._sizes[partition] += 1
-        self._journal.append((node, partition))
-        self.version += 1
+        dense = self._writable(node)
+        if dense is None:
+            self._side[node] = partition
+            self._side_arrays = None
+        else:
+            dense[node] = partition
 
     def assign_new(self, nodes: List[int], partitions: List[int]) -> None:
         """:meth:`assign` each of ``nodes`` to its partition, in order.
 
         The nodes must be distinct and not placed yet (a placement run's
-        output): the map, sizes, journal and version then end exactly as
-        one :meth:`assign` per node leaves them.
+        output): the map and its sizes then end exactly as one
+        :meth:`assign` per node leaves them.
         """
-        if not nodes:
+        if not len(nodes):
             return
         self._validate(min(partitions))
         self._validate(max(partitions))
@@ -88,24 +204,65 @@ class PartitionMap:
         sizes = self._sizes
         for partition in partitions:
             sizes[partition] += 1
-        self._journal.extend(zip(nodes, partitions))
-        self.version += len(nodes)
+        self._frozen = None
+        limit = _dense_limit(len(self._assignment))
+        highest = max(nodes)
+        if min(nodes) < 0 or highest >= limit:
+            ids, parts = np.asarray(nodes), np.asarray(partitions)
+            side = (ids < 0) | (ids >= limit)
+            self._side.update(zip(ids[side].tolist(), parts[side].tolist()))
+            self._side_arrays = None
+            nodes, partitions = ids[~side], parts[~side]
+            highest = nodes.max(initial=-1)
+        if highest >= 0:
+            self._writable(highest)[nodes] = partitions
 
-    def changes_since(self, version: int) -> Optional[List[Tuple[int, int]]]:
-        """Placement changes after ``version``, oldest first.
-
-        Returns ``None`` when the gap exceeds the journal capacity (the
-        caller must rebuild from scratch).  ``version`` is a value of
-        :attr:`version` the caller observed earlier; one journal entry is
-        appended per version bump, so the delta is the last
-        ``current - version`` entries.
-        """
-        delta = self.version - version
-        if delta < 0 or delta > len(self._journal):
+    def _writable(self, node: int) -> Optional[np.ndarray]:
+        """The dense vector, ours to write and long enough to hold
+        ``node``, or ``None`` when ``node`` belongs in the side table."""
+        self._frozen = None
+        dense = self._dense
+        if 0 <= node < len(dense):
+            if self._shared:
+                dense = self._dense = dense.copy()
+                self._shared = False
+            return dense
+        limit = _dense_limit(len(self._assignment))
+        if not 0 <= node < limit:
             return None
-        if delta == 0:
-            return []
-        return list(islice(self._journal, len(self._journal) - delta, None))
+        size = min(max(node + 1, 2 * len(dense)), limit)
+        grown = np.full(size, UNKNOWN, dtype=OWNER_DTYPE)
+        grown[: len(dense)] = dense
+        covered = [side for side in self._side if 0 <= side < size]
+        for side in covered:
+            grown[side] = self._side.pop(side)
+        if covered:
+            self._side_arrays = None
+        self._dense, self._shared = grown, False
+        return grown
+
+    def _side_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._side_arrays is None:
+            nodes = np.array(sorted(self._side), dtype=np.int64)
+            parts = np.array([self._side[node] for node in nodes.tolist()], dtype=np.int64)
+            nodes.flags.writeable = parts.flags.writeable = False
+            self._side_arrays = (nodes, parts)
+        return self._side_arrays
+
+    def freeze(self) -> OwnerVector:
+        """The owner vector as it stands, read-only; the same object until
+        the map is next written."""
+        frozen = self._frozen
+        if frozen is None:
+            dense = self._dense.view()
+            dense.flags.writeable = False
+            frozen = self._frozen = OwnerVector(dense, *self._side_table())
+            self._shared = True
+        return frozen
+
+    def owners_of(self, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`OwnerVector.owners_of` on the live vector, unfrozen."""
+        return OwnerVector(self._dense, *self._side_table()).owners_of(nodes)
 
     def partition_of(self, node: int) -> Optional[int]:
         """Partition of ``node`` or ``None`` when unassigned."""
@@ -129,13 +286,8 @@ class PartitionMap:
         """Number of nodes on all PIM partitions together (O(1))."""
         return len(self._assignment) - self._sizes[HOST_PARTITION]
 
-    def nodes_on(self, partition: int) -> List[int]:
-        """All nodes currently placed on ``partition``."""
-        self._validate(partition)
-        return [node for node, assigned in self._assignment.items() if assigned == partition]
-
     def items(self) -> Iterable[Tuple[int, int]]:
-        """Iterate over ``(node, partition)`` pairs."""
+        """Iterate over ``(node, partition)`` pairs, in first-placement order."""
         return self._assignment.items()
 
     def __len__(self) -> int:
@@ -150,13 +302,6 @@ class PartitionMap:
                 f"partition {partition} out of range "
                 f"(0..{self.num_partitions - 1} or HOST_PARTITION)"
             )
-
-    def copy(self) -> "PartitionMap":
-        """Deep copy of the mapping."""
-        clone = PartitionMap(self.num_partitions)
-        for node, partition in self._assignment.items():
-            clone.assign(node, partition)
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,7 +6,7 @@ epoch/MVCC machinery that lets many readers and one writer share a
 :class:`~repro.core.system.Moctopus` instance:
 
 * :mod:`repro.serve.epoch` — :class:`Epoch` captures (frozen snapshots +
-  frozen owner table), the publish/pin/retire lifecycle in
+  the shared, frozen owner vector), the publish/pin/retire lifecycle in
   :class:`EpochManager`, and the :class:`EpochView` lens engines execute
   against;
 * :mod:`repro.serve.session` — :class:`Session`: pin-on-begin snapshot

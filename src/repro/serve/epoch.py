@@ -3,13 +3,16 @@
 The serving layer gives every reader a **snapshot-isolated** view of the
 system: a reader pins an :class:`Epoch` — one frozen
 :class:`~repro.core.snapshot.CSRHeap` holding every storage's rows plus
-a frozen copy of the node-partition table — and all of its queries
-execute against those arrays no matter how far the single writer
-advances in the meantime.  A capture is one
-:func:`~repro.core.snapshot.splice` of the rows the storages wrote since
-the last one into their segments of the previous heap (every other
-segment is shared with it, and nothing at all is built when no row was
-written) plus one memcpy of the owner table.
+the frozen :class:`~repro.partition.base.OwnerVector` of the node
+partition table — and all of its queries execute against those arrays
+no matter how far the single writer advances in the meantime.  A
+capture is one :func:`~repro.core.snapshot.splice` of the rows the
+storages wrote since the last one into their segments of the previous
+heap (every other segment is shared with it, and nothing at all is
+built when no row was written) plus the partition map's
+:meth:`~repro.partition.base.PartitionMap.freeze`, which shares the
+previous epoch's vector when nothing was placed since and otherwise
+hands out the live one, for the map to copy at its next write.
 
 :class:`EpochManager` owns the publish lifecycle.  The single writer
 marks the current epoch **stale** after every update batch / migration
@@ -24,7 +27,8 @@ nothing else does.
 (the :class:`~repro.engine.base.PlanView` contract), and the only one:
 a heap it reads — the epoch's, or a session's, which is the epoch's
 with the rows the session's staged writes changed merged in
-(read-your-writes) — the epoch's owner table, plus the accounting
+(read-your-writes) — an owner vector — the epoch's, or a session's with
+its new nodes placed — plus the accounting
 :class:`~repro.pim.system.PIMSystem` whose totals its executions fold
 into.  A pinned reader passes a private platform, because pinned reads
 are not logged and must stay out of the live system's checkpointed
@@ -55,8 +59,7 @@ import numpy as np
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.core.snapshot import CSRHeap, GraphSnapshot, splice
-from repro.partition.base import HOST_PARTITION, PartitionMap
-from repro.partition.owner_index import OwnerIndex
+from repro.partition.base import HOST_PARTITION, OwnerVector, PartitionMap
 from repro.pim.system import PIMSystem
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -100,8 +103,9 @@ class Epoch:
     """One immutable published version of the served graph.
 
     ``heap`` holds every storage's rows, the modules' segments followed
-    by the host's (segment ``num_modules``); ``owners`` is a frozen
-    :class:`OwnerIndex` copy of the partition table at capture time.  A
+    by the host's (segment ``num_modules``); ``owners`` is the partition
+    table's frozen :class:`~repro.partition.base.OwnerVector` at capture
+    time, shared with the epochs before it that placed nothing new.  A
     publish and a worker's attach of an exported epoch both build one
     with this constructor.
     """
@@ -115,10 +119,11 @@ class Epoch:
         "num_rows",
         "num_modules",
         "_label_edge_counts",
+        "__weakref__",
     )
 
     def __init__(
-        self, epoch_id: int, heap: CSRHeap, owners: OwnerIndex, num_nodes: int
+        self, epoch_id: int, heap: CSRHeap, owners: OwnerVector, num_nodes: int
     ) -> None:
         self.epoch_id = epoch_id
         self.heap = heap
@@ -157,15 +162,6 @@ class Epoch:
         """Pinned snapshot of ``partition`` (``HOST_PARTITION`` = host)."""
         return self.heap.segment(self.segment_of(partition))
 
-    def owner(self, node: int) -> Optional[int]:
-        """Owner of ``node`` at this epoch (``None`` when unplaced)."""
-        owner = self.owners.owner_of(node)
-        return None if owner == OwnerIndex.UNKNOWN else owner
-
-    def owners_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorized owner lookup against the frozen partition table."""
-        return self.owners.owners_of(nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Epoch(id={self.epoch_id}, nodes={self.num_nodes}, "
@@ -178,10 +174,11 @@ class EpochView:
 
     ``heap`` is the heap the view reads, the epoch's by default; a
     session passes the epoch's with its staged rows merged in
-    (:func:`~repro.core.snapshot.merge_segment`).  ``extra_owners`` maps
-    the session-created nodes the epoch's owner table does not place to
-    their provisional partitions so the engines can route frontiers
-    through rows that exist only in the session.
+    (:func:`~repro.core.snapshot.merge_segment`).  ``owners`` is the
+    owner vector it routes by, the epoch's by default; a session that
+    placed new nodes passes the epoch's with their provisional owners
+    (:meth:`~repro.partition.base.OwnerVector.placed`).  ``owner`` and
+    ``owners_of`` are that vector's own methods.
 
     ``live`` marks a live query's view of the current epoch.  It charges
     the system's own platform, so it is never cached: a cache hit would
@@ -195,7 +192,7 @@ class EpochView:
         epoch: Epoch,
         pim: PIMSystem,
         heap: Optional[CSRHeap] = None,
-        extra_owners: Optional[Dict[int, int]] = None,
+        owners: Optional[OwnerVector] = None,
         *,
         live: bool = False,
         migrator: Optional[NodeMigrator] = None,
@@ -207,7 +204,10 @@ class EpochView:
         self.pim = pim
         #: The segments the view reads: the epoch's, or a session's.
         self.heap = epoch.heap if heap is None else heap
-        self._extra_owners = extra_owners or {}
+        #: The owner vector the view routes by: the epoch's, or a session's.
+        self.owners = epoch.owners if owners is None else owners
+        self.owner = self.owners.owner
+        self.owners_of = self.owners.owners_of
         self.live = live
         self._migrator = migrator
 
@@ -223,7 +223,7 @@ class EpochView:
         to the cost model — the epoch's frozen, shared state does not
         describe what they read.
         """
-        return self.heap is not self.epoch.heap or bool(self._extra_owners)
+        return self.heap is not self.epoch.heap or self.owners is not self.epoch.owners
 
     def snapshot_of(self, partition: int) -> GraphSnapshot:
         """The view's segment of ``partition`` (``HOST_PARTITION`` = host)."""
@@ -245,24 +245,6 @@ class EpochView:
         misdirect it."""
         if self._migrator is not None:
             self._migrator.report_misplaced(*reports)
-
-    def owner(self, node: int) -> Optional[int]:
-        """Owner at the pinned epoch, extended with session-local nodes."""
-        if self._extra_owners:  # the scalar route asks once per node
-            extra = self._extra_owners.get(node)
-            if extra is not None:
-                return extra
-        return self.epoch.owner(node)
-
-    def owners_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorized owner lookup, extended with session-local nodes."""
-        owners = self.epoch.owners_of(nodes)
-        if self._extra_owners:
-            for position in np.flatnonzero(owners == OwnerIndex.UNKNOWN).tolist():
-                owners[position] = self._extra_owners.get(
-                    int(nodes[position]), OwnerIndex.UNKNOWN
-                )
-        return owners
 
     def frozen_epoch(self) -> Optional[Epoch]:
         """The pinned epoch, unless the view is patched with a session
@@ -319,9 +301,6 @@ class EpochManager:
         )
         #: Number of publishes that spliced written rows into a new heap.
         self.splices = 0
-        #: Owner table, journal-patched between captures; every epoch
-        #: takes a frozen copy.
-        self._owner_capture = OwnerIndex()
         self._on_retire = on_retire
         self._lock: LockLike = (
             lock if lock is not None else threading.RLock()
@@ -398,11 +377,10 @@ class EpochManager:
                     for index, storage in enumerate(self._storages):
                         if storage.written:
                             storage.rebase(heap.segment(index))
-                self._owner_capture.refresh(self._partition_map)
                 epoch = Epoch(
                     epoch_id=self._next_id,
                     heap=heap,
-                    owners=self._owner_capture.frozen_copy(),
+                    owners=self._partition_map.freeze(),
                     num_nodes=len(self._partition_map),
                 )
                 self._next_id += 1
@@ -434,8 +412,7 @@ class EpochManager:
 
         The storages and the heap are dropped too (a module storage's
         base holds its clean rows, so it goes with the storage, not
-        before it), and so are the partition map, the owner table and the
-        retire hook.
+        before it), and so are the partition map and the retire hook.
         Pinned readers keep their arrays and can still :meth:`unpin`;
         :meth:`current` and :meth:`pin` raise from now on.  Idempotent.
         """
@@ -447,7 +424,6 @@ class EpochManager:
             self._partition_map = None
             self._storages = ()
             self._heap = None
-            self._owner_capture = OwnerIndex()
             self._on_retire = None
 
     # ------------------------------------------------------------------

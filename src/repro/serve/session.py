@@ -53,24 +53,21 @@ class _Overlay:
     and a delete of a missing edge writes nothing.  A node the epoch does
     not place gets a provisional owner, ``node % num_modules``, for
     routing only (reachability is placement-agnostic; the partitioner
-    decides at commit), and no row.
+    decides at commit), and no row: the overlay's owner vector is then
+    the epoch's with that node placed.
     """
 
     def __init__(self, epoch: Epoch) -> None:
         self.epoch = epoch
         self._storages: Dict[int, LocalGraphStorage] = {}
-        #: Provisional owners of the nodes the epoch does not place.
-        self._new_owners: Dict[int, int] = {}
-
-    def _owner(self, node: int) -> Optional[int]:
-        owner = self.epoch.owner(node)
-        return self._new_owners.get(node) if owner is None else owner
+        #: The epoch's owner vector, plus the nodes the overlay placed.
+        self.owners = epoch.owners
 
     def _place(self, node: int) -> int:
-        owner = self._owner(node)
+        owner = self.owners.owner(node)
         if owner is None:
             owner = node % max(1, self.epoch.num_modules)
-            self._new_owners[node] = owner
+            self.owners = self.owners.placed(node, owner)
         return owner
 
     def _storage(self, partition: int) -> LocalGraphStorage:
@@ -86,7 +83,7 @@ class _Overlay:
             self._storage(self._place(src)).add_edge(src, dst, label)
             self._place(dst)
             return
-        owner = self._owner(src)
+        owner = self.owners.owner(src)
         if owner is not None:
             self._storage(owner).remove_edge(src, dst)
 
@@ -107,7 +104,7 @@ class _Overlay:
             epoch,
             pim,
             heap=epoch.heap.replace(merged) if merged else None,
-            extra_owners=dict(self._new_owners),
+            owners=self.owners,
         )
 
 

@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.snapshot import row_buffer, splice
 from repro.core.system import Moctopus
 from repro.durability import wal as wal_module
-from repro.partition.owner_index import OwnerIndex
 from repro.pim.stats import ExecutionStats
 
 #: Tear modes: crash before any byte, after half the payload, or after
@@ -166,11 +165,9 @@ def fingerprint(system: Moctopus) -> Dict:
                 "working_set_bytes": snapshot.working_set_bytes,
             }
         )
-    # The literal "same OwnerIndex" criterion: refresh an index from the
-    # live partition map and take its canonical (nodes, partitions) form.
-    owner_index = OwnerIndex()
-    owner_index.refresh(system._partitioner.partition_map)
-    owner_nodes, owner_parts = owner_index.table()
+    # The live partition map's owner vector in its canonical
+    # (nodes, partitions) form.
+    owner_nodes, owner_parts = system._partitioner.partition_map.freeze().table()
     return {
         "snapshots": snapshots,
         "owners": list(zip(owner_nodes.tolist(), owner_parts.tolist())),

@@ -20,6 +20,9 @@ engine-independent reference.
 :func:`load_per_edge` is the oracle of the columnar bulk loader
 (``test_bulk_load.py``): the per-edge ingest loop it replaced.
 
+:class:`OwnerModel` is the oracle of the partition map's owner vector
+(``test_owner_vector.py``): a plain dict, copied at every freeze.
+
 :func:`build_snapshot_reference` is the oracle of every heap segment a
 publish writes: per-edge Python appends over the rows' public reads.
 :func:`snapshot_of` is the system's own way to freeze rows — all of
@@ -203,6 +206,25 @@ def migrate(
         sizes[target] += 1
         moves.append((node, current, target))
     return moves
+
+
+class OwnerModel:
+    """The owner vector as a plain ``node -> partition`` dict.
+
+    A freeze is a copy of the dict, so a frozen model never changes
+    whatever the live one does afterwards.
+    """
+
+    def __init__(self) -> None:
+        self.owners: Dict[int, int] = {}
+
+    def assign(self, node: int, partition: int) -> None:
+        """Place (or move) ``node``."""
+        self.owners[node] = partition
+
+    def freeze(self) -> Dict[int, int]:
+        """The placement as it stands, as an independent dict."""
+        return dict(self.owners)
 
 
 def load_per_edge(

@@ -67,8 +67,7 @@ def load_state(system: Moctopus) -> Dict[str, object]:
     host = system._host_storage
     state = {
         "map": list(partition_map.items()),
-        "version": partition_map.version,
-        "journal": list(partition_map._journal),
+        "owners": [column.tolist() for column in partition_map.freeze().table()],
         "sizes": dict(partition_map._sizes),
         "degrees": None if labor is None else list(labor._out_degree.items()),
         "counters": system.partition_statistics(),
@@ -480,10 +479,10 @@ def test_a_self_loop_promotion_leaves_no_phantom_row():
 def test_load_transient_bytes_stay_under_the_ceiling():
     """The load's traced peak above what it retains, on the smoke graph.
 
-    Measured 548 706 B: the graph's 6 506 edges are one chunk, so this
+    Measured 529 163 B: the graph's 6 506 edges are one chunk, so this
     is the edge table (156 KB) plus one chunk's arrays — at the peak,
     the first-mention search's — and the node-id dict (the per-edge loop
-    held one edge at a time: 832 B).  The ceiling sits ~10 % above.
+    held one edge at a time: 832 B).  The ceiling sits ~13 % above.
     """
     graph = power_law_graph(1200, edges_per_node=4, skew=0.6, reciprocity=0.3, seed=13)
     system = Moctopus(MoctopusConfig(cost_model=scaled_cost_model()))

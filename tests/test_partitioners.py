@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from repro.graph import DiGraph, community_graph, random_graph
 from repro.paper import AdaptivePartitioner, LDGPartitioner
-from repro.partition.base import JOURNAL_CAPACITY
 from repro.partition import (
     HOST_PARTITION,
     HashPartitioner,
     LaborDivisionPartitioner,
-    OwnerIndex,
     PartitionMap,
     RadicalGreedyPartitioner,
     evaluate_partition,
@@ -42,19 +40,19 @@ def test_partition_map_host_partition_and_validation():
     pmap = PartitionMap(2)
     pmap.assign(5, HOST_PARTITION)
     assert pmap.host_size() == 1
-    assert pmap.nodes_on(HOST_PARTITION) == [5]
+    assert pmap.partition_of(5) == HOST_PARTITION
+    assert [column.tolist() for column in pmap.freeze().table()] == [[5], [HOST_PARTITION]]
     with pytest.raises(ValueError):
         pmap.assign(1, 7)
     with pytest.raises(ValueError):
         PartitionMap(0)
 
 
-def test_partition_map_copy_is_independent():
-    pmap = PartitionMap(2)
-    pmap.assign(1, 0)
-    clone = pmap.copy()
-    clone.assign(1, 1)
-    assert pmap.partition_of(1) == 0
+def test_partition_map_refuses_counts_the_owner_vector_cannot_hold():
+    """Partition ids are stored as int16: a larger count would wrap."""
+    assert PartitionMap(2**15).num_partitions == 2**15
+    with pytest.raises(ValueError, match="int16"):
+        PartitionMap(2**15 + 1)
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +98,7 @@ def test_adaptive_migration_improves_locality():
     partitioner = AdaptivePartitioner(4, imbalance_tolerance=1.3)
     for src, dst in graph.edges():
         partitioner.ingest_edge(src, dst)
-    before = evaluate_partition(graph, partitioner.partition_map.copy())
+    before = evaluate_partition(graph, partitioner.partition_map)
     moved = partitioner.converge(max_rounds=5)
     after = evaluate_partition(graph, partitioner.partition_map)
     assert moved > 0
@@ -205,8 +203,7 @@ def test_a_placement_run_places_like_one_assign_node_each(placed, run, policy, d
         inner = getattr(partitioner, "pim_partitioner", partitioner)
         return (
             list(pmap.items()),
-            pmap.version,
-            list(pmap._journal),
+            [column.tolist() for column in pmap.freeze().table()],
             dict(pmap._sizes),
             getattr(inner, "greedy_placements", None),
             getattr(inner, "fallback_placements", None),
@@ -268,46 +265,3 @@ def test_every_streaming_partitioner_assigns_every_node(num_partitions, seed):
             partition = pmap.partition_of(node)
             assert partition is not None
             assert partition == HOST_PARTITION or 0 <= partition < num_partitions
-
-
-# ----------------------------------------------------------------------
-# PartitionMap change journal + OwnerIndex
-# ----------------------------------------------------------------------
-def test_partition_map_changes_since():
-    pmap = PartitionMap(4)
-    base_version = pmap.version
-    assert pmap.changes_since(base_version) == []
-    pmap.assign(10, 1)
-    pmap.assign(11, 2)
-    pmap.assign(10, HOST_PARTITION)  # re-placement: latest wins, in order
-    assert pmap.changes_since(base_version) == [
-        (10, 1),
-        (11, 2),
-        (10, HOST_PARTITION),
-    ]
-    assert pmap.changes_since(pmap.version - 1) == [(10, HOST_PARTITION)]
-    assert pmap.changes_since(pmap.version) == []
-    # A gap beyond the journal (or a bogus future version) forces rebuild.
-    assert pmap.changes_since(pmap.version + 1) is None
-    assert pmap.changes_since(-JOURNAL_CAPACITY - 1) is None
-
-
-def test_owner_index_incremental_matches_rebuild():
-    import numpy as np
-
-    pmap = PartitionMap(4)
-    for node in range(50):
-        pmap.assign(node, node % 4)
-    incremental = OwnerIndex()
-    incremental.refresh(pmap)
-    # Churn placements (including new, larger ids) and re-refresh: the
-    # delta-patched index must answer like a freshly-built one.
-    pmap.assign(3, HOST_PARTITION)
-    pmap.assign(7, 2)
-    pmap.assign(60, 1)  # new id: dense vector must grow
-    incremental.refresh(pmap)
-    fresh = OwnerIndex()
-    fresh.refresh(pmap)
-    probes = np.array([0, 3, 7, 49, 60, 61, 1000], dtype=np.int64)
-    assert incremental.owners_of(probes).tolist() == fresh.owners_of(probes).tolist()
-    assert incremental.owners_of(probes)[-1] == OwnerIndex.UNKNOWN

@@ -458,7 +458,7 @@ def test_session_view_holds_exactly_the_rows_its_commit_publishes():
         )
 
     with system.begin() as session:
-        assert session._epoch.owner(rowless) is not None
+        assert session._epoch.owners.owner(rowless) is not None
         assert rowless not in row_ids(session._view())
         session.insert_edges([(0, 10**6)])
         session.delete_edges([(2, 10**6 + 7), (rowless, 0)])

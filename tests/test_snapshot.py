@@ -13,7 +13,9 @@ from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.snapshot import CSRHeap, merge_segment, row_buffer
 from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.paper import placed_at
+from repro.partition.base import HOST_PARTITION
 from repro.pim import CostModel
+from repro.rpq import KHopQuery
 
 from faultinject import public_rows
 from model import build_snapshot_reference, load_per_edge, publish, publisher, snapshot_of
@@ -155,6 +157,45 @@ def test_overlay_row_migrated_then_updated_in_same_batch():
     entries = target.remove_row(3)
     target.insert_row(3, [(42, 7)])
     assert publish(manager)[1].same_arrays(reference_of(target))
+
+
+def _an_edge_on_a_module(system, graph):
+    """A ``(src, dst, label)`` edge of ``graph`` whose source a module holds."""
+    return next(
+        (src, dst, label)
+        for src, dst, label in graph.labeled_edges()
+        if system._partitioner.partition_of(src) != HOST_PARTITION
+    )
+
+
+def test_reinserting_an_edge_with_its_own_label_writes_nothing():
+    """The row stays clean, so the next publish splices nothing; a
+    relabel still writes."""
+    graph = random_graph(200, 800, seed=1)
+    system = Moctopus.from_graph(graph, MoctopusConfig())
+    src, dst, label = _an_edge_on_a_module(system, graph)
+    system.insert_edges([(src, dst)], labels=[label])
+    system._epochs.current()
+    assert system._epochs.splices == 0
+    system.insert_edges([(src, dst)], labels=[label + 1])
+    system._epochs.current()
+    assert system._epochs.splices == 1
+    system.close()
+
+
+def test_a_session_staging_an_edge_it_has_keeps_its_caches():
+    graph = random_graph(200, 800, seed=1)
+    system = Moctopus.from_graph(graph, MoctopusConfig())
+    src, dst, label = _an_edge_on_a_module(system, graph)
+    query = KHopQuery(hops=2, sources=[src])
+    with system.begin() as session:
+        session.execute(query)
+        session.insert_edges([(src, dst)], labels=[label])
+        assert session._view().frozen_epoch() is session._epoch
+        hits = system.cache_stats.counters.get("result_cache_hits", 0)
+        session.execute(query)
+        assert system.cache_stats.counters.get("result_cache_hits", 0) == hits + 1
+    system.close()
 
 
 def test_merge_snapshot_into_empty_base():
