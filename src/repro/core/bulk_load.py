@@ -5,15 +5,15 @@ edge that mentions it, and labor division moves a node at most once,
 when its out-degree passes the high-degree threshold.  A bulk load
 therefore makes one placement decision per node and one promotion per
 hub, however many edges it stores.  :func:`bulk_load` finds those
-decisions with numpy, a chunk of
-:data:`~repro.graph.stream.EDGE_CHUNK_ROWS` edges at a time, and makes
-exactly them, in stream order: the placements between two promotions
-are one run of the policy's own ``assign_nodes``, and a promotion is
-the labor-division wrapper's ``promote``.  The partition map (its
-order and owner vector included), the observed out-degrees and the
-placement counters are therefore what feeding the edges one at a time
-through :meth:`~repro.core.partitioner.GraphPartitioner.ingest_edge`
-leaves behind.
+decisions with numpy, a chunk of :data:`~repro.graph.stream.EDGE_CHUNK_ROWS`
+edges at a time, and makes exactly them, in stream order: the placements
+between two promotions are one run of the policy's own ``assign_nodes``,
+and a promotion is the labor-division wrapper's ``promote``.  The
+partition map, the observed out-degrees and the placement counters are
+therefore what :meth:`~repro.core.partitioner.GraphPartitioner.ingest_edge`
+one edge at a time leaves behind.  The load sizes the owner vector once,
+from the node count and the largest id, and asks it which endpoints are
+unplaced.
 
 The module rows are stored as columns: every module accumulates the
 rows each chunk creates on it and the table positions of the edges its
@@ -43,6 +43,7 @@ from repro.core.node_migrator import NodeMigrator
 from repro.core.partitioner import GraphPartitioner
 from repro.core.snapshot import CSRHeap, build_heap, flatten_rows, ranges, sorted_runs
 from repro.graph.stream import array_chunks
+from repro.partition.base import UNKNOWN
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 
@@ -66,6 +67,8 @@ def bulk_load(
     (:meth:`~repro.serve.epoch.EpochManager.install`); the host storage
     holds its rows already.
     """
+    highest = max(max(nodes, default=-1), int(table[:, :2].max(initial=-1)))
+    partitioner.partition_map.reserve(len(nodes), highest)
     loader = _BulkLoader(partitioner, module_storages, host_storage, migrator, table, nodes)
     for chunk in array_chunks(table):
         loader.load_chunk(chunk)
@@ -111,6 +114,7 @@ class _BulkLoader:
         nodes: List[int],
     ) -> None:
         self._partitioner = partitioner
+        self._map = partitioner.partition_map
         self._labor = partitioner.labor_division
         self._modules = module_storages
         self._columns = [_ModuleColumns() for _ in module_storages]
@@ -122,9 +126,6 @@ class _BulkLoader:
         #: The graph's own ``int`` objects by value: every dict key the
         #: load creates is one of them, not a fresh ``int`` per chunk.
         self._canonical = dict(zip(nodes, nodes))
-        #: Ids of the nodes this load has placed: the system started
-        #: empty, so these are all the placed nodes.
-        self._placed = np.empty(0, dtype=np.int64)
 
     def load_chunk(self, chunk: np.ndarray) -> None:
         """Place, then store, one chunk of edges."""
@@ -186,8 +187,7 @@ class _BulkLoader:
         is_new = np.zeros(len(sources), dtype=bool)
         is_new[position[is_source]] = True
         earlier = np.flatnonzero(~is_new & (cutoffs > 0))
-        earlier_nodes = sources[earlier].tolist()
-        earlier_owners = list(map(self._partitioner.partition_of, earlier_nodes))
+        earlier_owners = self._map.owners_of(sources[earlier])
 
         parts, promoted = self._decide(
             nodes,
@@ -202,7 +202,7 @@ class _BulkLoader:
             self._labor.observe(nodes, repeat(0))
 
         row_ids = np.concatenate([new_ids, sources[earlier]])
-        row_parts = np.array(parts + earlier_owners, dtype=np.int64)
+        row_parts = np.concatenate([np.array(parts, dtype=np.int64), earlier_owners])
         row_starts = np.concatenate([starts[position], starts[earlier]])
         row_lengths = np.concatenate(
             [np.where(is_source, cutoffs[position], 0), cutoffs[earlier]]
@@ -212,17 +212,18 @@ class _BulkLoader:
     def _first_mentions(
         self, chunk: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-        """The chunk's first mentions of unplaced nodes, which join the
-        placed table: their positions (ascending) in the endpoint stream
-        ``src0, dst0, src1, dst1, ...``, their ids, and the other
-        endpoint of each one's edge (its first neighbor)."""
-        ends = chunk[:, :2].reshape(-1)
-        unseen = np.isin(ends, self._placed, invert=True)
-        ids, first = np.unique(ends[unseen], return_index=True)
-        self._placed = np.concatenate([self._placed, ids])
+        """The chunk's first mentions of unplaced nodes: their positions
+        (ascending) in the endpoint stream ``src0, dst0, src1, dst1, ...``,
+        their ids, and the other endpoint of each one's edge (its first
+        neighbor)."""
+        # The endpoint columns as they lie: the stream is their C order.
+        ends = chunk[:, :2]
+        unseen = self._map.owners_of(ends) == UNKNOWN
+        first = np.unique(ends[unseen], return_index=True)[1]
         # The positions only now: the sort above is the load's peak.
         mentions = np.sort(np.flatnonzero(unseen)[first])
-        return mentions, ends[mentions], ends[mentions ^ 1].tolist()
+        edges, sides = mentions >> 1, mentions & 1
+        return mentions, ends[edges, sides], ends[edges, sides ^ 1].tolist()
 
     def _decide(
         self,
@@ -349,7 +350,7 @@ class _BulkLoader:
         """Place the ``nodes`` no edge placed, in order, and give each an
         empty row on its partition."""
         ids = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-        unseen = np.flatnonzero(np.isin(ids, self._placed, invert=True))
+        unseen = np.flatnonzero(self._map.owners_of(ids) == UNKNOWN)
         # A node listed twice is placed at its first listing.
         unseen = np.sort(unseen[np.unique(ids[unseen], return_index=True)[1]])
         isolated = list(map(nodes.__getitem__, unseen.tolist()))

@@ -97,7 +97,7 @@ class StoredGraphView:
 
     def nodes(self) -> Iterator[int]:
         """Iterate over node identifiers in ascending order."""
-        return iter(sorted(node for node, _ in self._partition_map.items()))
+        return iter(self._partition_map.freeze().table()[0].tolist())
 
     def labeled_edges(self) -> Iterator[LabeledEdge]:
         """Iterate over ``(src, dst, label)`` triples, sources ascending."""

@@ -10,9 +10,9 @@ nodes above out-degree 16 to the host; the evaluation's PIM-hash system
 division.
 
 The partitioner owns the ``node_partition_vector`` (the
-:class:`~repro.partition.base.PartitionMap`), which records every
-placement decision so new nodes can be assigned in O(1) by consulting
-their first neighbor's entry.
+:class:`~repro.partition.base.PartitionMap`, one ``int16`` owner vector),
+which records every placement decision so new nodes can be assigned in
+O(1) by consulting their first neighbor's entry.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ class GraphPartitioner:
             self.labor_division = placement
             self.pim_policy = placement.pim_partitioner
         #: Partition of a node (``HOST_PARTITION`` for the host, ``None``
-        #: if unknown), bound once: the policies share one partition map
-        #: and never rebind it, so the three frames the method would walk
-        #: (partitioner -> policy -> map) are one ``dict.get``.
+        #: if unknown): the map's own lookup.
         self.partition_of = self.partition_map.partition_of
 
     # ------------------------------------------------------------------

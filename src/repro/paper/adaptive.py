@@ -76,15 +76,16 @@ class AdaptivePartitioner(StreamingPartitioner):
     def migration_round(self) -> int:
         """One migration sweep; returns the number of nodes moved.
 
-        Every assigned node is examined; if most of its neighbors live on
+        Every node an edge mentions is examined, in first-mention order
+        (an isolated node has no votes); if most of its neighbors live on
         a different partition and that partition is under the imbalance
         limit, the node moves there.
         """
         moved = 0
         limit = self._capacity_limit()
-        for node, current in list(self.partition_map.items()):
+        for node in self._neighbors:
             target = self._majority_partition(node)
-            if target is None or target == current:
+            if target is None or target == self.partition_map.partition_of(node):
                 continue
             if self.partition_map.size(target) + 1 > limit:
                 continue

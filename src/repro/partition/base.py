@@ -6,12 +6,12 @@ package a partition id is an integer in ``0 .. P-1`` for PIM modules and
 the sentinel :data:`HOST_PARTITION` (``-1``) for the host, matching the
 paper's ``node_partition_vector`` where the host is marked ``H``.
 
-That vector exists once: :class:`PartitionMap` writes it as an ``int16``
-array indexed by node id (:data:`UNKNOWN` where nothing is placed) plus
-a sorted side table for the ids too far past the placement to index,
-and every reader — a published epoch, a session, a worker process, the
-node migrator — reads it as an :class:`OwnerVector`.  Epochs share it
-copy-on-write, one whole vector at a time.
+That vector is the only record of who owns a node: :class:`PartitionMap`
+writes it as an ``int16`` array indexed by node id (:data:`UNKNOWN` where
+nothing is placed) plus a side table for the ids too far past the
+placement to index, its own lookups read it live, and every other
+reader — an epoch, a session, a worker process, the node migrator —
+reads it as an :class:`OwnerVector`, shared copy-on-write.
 
 Two interaction styles are supported:
 
@@ -30,8 +30,7 @@ Two interaction styles are supported:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +52,8 @@ _NO_IDS.flags.writeable = False
 
 def _dense_limit(count: int) -> int:
     """Ids from this one on, with ``count`` nodes placed, go in the side
-    table: a dense vector may not outgrow the placement by more."""
+    table: a dense vector may not outgrow the placement (or the one a
+    bulk load will reach, :meth:`PartitionMap.reserve`) by more."""
     return 4 * count + 1024
 
 
@@ -93,12 +93,8 @@ class OwnerVector:
     def owners_of(self, nodes: np.ndarray) -> np.ndarray:
         """Owner per node as ``int64`` (:data:`UNKNOWN` when unplaced —
         negative ids included, which no write path places)."""
-        span = self._span
-        owners = np.where(
-            (nodes >= 0) & (nodes < span),
-            self.dense[np.clip(nodes, 0, span - 1)],
-            np.int64(UNKNOWN),
-        )
+        inside = (nodes >= 0) & (nodes < self._span)
+        owners = np.where(inside, self.dense.take(nodes, mode="clip"), np.int64(UNKNOWN))
         side = self.side_nodes
         if len(side):
             positions = np.minimum(side.searchsorted(nodes), len(side) - 1)
@@ -136,12 +132,13 @@ class OwnerVector:
 class PartitionMap:
     """Mutable node -> partition mapping with per-partition size tracking.
 
-    The map keeps the placement twice: a dict, which is the writers'
-    scalar index and keeps the order nodes were first placed in, and the
-    owner vector every reader gets from :meth:`freeze`.  Readers share
-    the vector copy-on-write: a freeze hands out the live array
-    read-only, and the next write copies it first, so a freeze with no
-    write since the last one copies nothing.
+    The owner vector is the only record of who owns a node: lookups read
+    the live array (or the side table for far ids), and every reader
+    outside the writers gets it from :meth:`freeze`.  Readers share the
+    vector copy-on-write: a freeze hands out the live array read-only,
+    and the next write copies it first, so a freeze with no write since
+    the last one copies nothing.  Beside it the map keeps one node count
+    per partition and the number of placed nodes.
     """
 
     def __init__(self, num_partitions: int) -> None:
@@ -153,34 +150,31 @@ class PartitionMap:
                 f" ({np.dtype(OWNER_DTYPE).name})"
             )
         self.num_partitions = num_partitions
-        self._assignment: Dict[int, int] = {}
-        #: :meth:`partition_of` is the assignment dict's own ``get``: the
-        #: dict is never rebound, and the lookup is the hottest call of
-        #: bulk loading and update placement.
-        self.partition_of = self._assignment.get
-        #: Whether a node has been placed — bound the same way (the
-        #: per-edge ingest asks it of both endpoints of every edge).
-        self.is_assigned = self._assignment.__contains__
-        self._sizes: Dict[int, int] = {partition: 0 for partition in range(num_partitions)}
-        self._sizes[HOST_PARTITION] = 0
+        #: Node count per partition, the host's last (``HOST_PARTITION`` indexes it).
+        self._sizes = [0] * (num_partitions + 1)
+        #: Number of placed nodes.
+        self._count = 0
         #: The owner vector: ids below ``len(_dense)`` there, the placed
-        #: ids past it (:func:`_dense_limit`) in ``_side``.
-        self._dense = np.full(1, UNKNOWN, dtype=OWNER_DTYPE)
+        #: ids past it (:func:`_dense_limit`) in ``_side``.  Only
+        #: :meth:`_grow` rebinds ``_dense``, with ``_owners``, its
+        #: memoryview (the cheapest scalar read), and ``_shared``, whether
+        #: a frozen vector holds it (the next write copies).
+        self._dense = np.empty(0, dtype=OWNER_DTYPE)
         self._side: Dict[int, int] = {}
+        self._grow(1)
         #: ``_side`` as sorted arrays (``None`` until rebuilt after a write).
         self._side_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = (_NO_IDS, _NO_IDS)
         #: What the last :meth:`freeze` returned, until the next write.
         self._frozen: Optional[OwnerVector] = None
-        #: Whether a frozen vector holds ``_dense`` (the next write copies).
-        self._shared = False
 
     def assign(self, node: int, partition: int) -> None:
         """Place ``node`` on ``partition`` (moving it if already placed)."""
         self._validate(partition)
-        previous = self._assignment.get(node)
-        if previous is not None:
+        previous = self.partition_of(node)
+        if previous is None:
+            self._count += 1
+        else:
             self._sizes[previous] -= 1
-        self._assignment[node] = partition
         self._sizes[partition] += 1
         dense = self._writable(node)
         if dense is None:
@@ -200,16 +194,17 @@ class PartitionMap:
             return
         self._validate(min(partitions))
         self._validate(max(partitions))
-        self._assignment.update(zip(nodes, partitions))
         sizes = self._sizes
         for partition in partitions:
             sizes[partition] += 1
+        self._count += len(nodes)
         self._frozen = None
-        limit = _dense_limit(len(self._assignment))
+        # Ids below ``bound`` go in the dense vector (growing it if need be).
+        bound = max(_dense_limit(self._count), len(self._dense))
         highest = max(nodes)
-        if min(nodes) < 0 or highest >= limit:
+        if min(nodes) < 0 or highest >= bound:
             ids, parts = np.asarray(nodes), np.asarray(partitions)
-            side = (ids < 0) | (ids >= limit)
+            side = (ids < 0) | (ids >= bound)
             self._side.update(zip(ids[side].tolist(), parts[side].tolist()))
             self._side_arrays = None
             nodes, partitions = ids[~side], parts[~side]
@@ -217,20 +212,29 @@ class PartitionMap:
         if highest >= 0:
             self._writable(highest)[nodes] = partitions
 
+    def reserve(self, count: int, highest: int) -> None:
+        """Size the dense vector once for ``count`` more placements with ids
+        up to ``highest`` (a bulk load's): none regrows it or goes aside."""
+        size = min(highest + 1, _dense_limit(self._count + count))
+        if size > len(self._dense):  # a frozen vector stays valid: nothing moves
+            self._grow(size)
+
     def _writable(self, node: int) -> Optional[np.ndarray]:
         """The dense vector, ours to write and long enough to hold
         ``node``, or ``None`` when ``node`` belongs in the side table."""
         self._frozen = None
         dense = self._dense
         if 0 <= node < len(dense):
-            if self._shared:
-                dense = self._dense = dense.copy()
-                self._shared = False
-            return dense
-        limit = _dense_limit(len(self._assignment))
+            return self._grow(len(dense)) if self._shared else dense
+        limit = _dense_limit(self._count)
         if not 0 <= node < limit:
             return None
-        size = min(max(node + 1, 2 * len(dense)), limit)
+        return self._grow(min(max(node + 1, 2 * len(dense)), limit))
+
+    def _grow(self, size: int) -> np.ndarray:
+        """A fresh dense vector of ``size`` entries (a copy when the size is
+        unchanged), holding the side-table ids it covers."""
+        dense = self._dense
         grown = np.full(size, UNKNOWN, dtype=OWNER_DTYPE)
         grown[: len(dense)] = dense
         covered = [side for side in self._side if 0 <= side < size]
@@ -238,7 +242,7 @@ class PartitionMap:
             grown[side] = self._side.pop(side)
         if covered:
             self._side_arrays = None
-        self._dense, self._shared = grown, False
+        self._dense, self._owners, self._shared = grown, memoryview(grown), False
         return grown
 
     def _side_table(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -266,7 +270,17 @@ class PartitionMap:
 
     def partition_of(self, node: int) -> Optional[int]:
         """Partition of ``node`` or ``None`` when unassigned."""
-        return self._assignment.get(node)
+        owners = self._owners
+        if 0 <= node < len(owners):
+            owner = owners[node]
+            return None if owner == UNKNOWN else owner
+        return self._side.get(node)
+
+    def is_assigned(self, node: int) -> bool:
+        """Whether ``node`` has been placed."""
+        return self.partition_of(node) is not None
+
+    __contains__ = is_assigned
 
     def size(self, partition: int) -> int:
         """Number of nodes currently on ``partition``."""
@@ -275,8 +289,7 @@ class PartitionMap:
 
     def pim_sizes(self) -> List[int]:
         """Node counts of the PIM partitions only (index = partition id)."""
-        # ``_sizes`` holds the PIM partitions in id order, then the host.
-        return list(islice(self._sizes.values(), self.num_partitions))
+        return self._sizes[: self.num_partitions]
 
     def host_size(self) -> int:
         """Number of nodes on the host partition."""
@@ -284,17 +297,10 @@ class PartitionMap:
 
     def pim_total(self) -> int:
         """Number of nodes on all PIM partitions together (O(1))."""
-        return len(self._assignment) - self._sizes[HOST_PARTITION]
-
-    def items(self) -> Iterable[Tuple[int, int]]:
-        """Iterate over ``(node, partition)`` pairs, in first-placement order."""
-        return self._assignment.items()
+        return self._count - self._sizes[HOST_PARTITION]
 
     def __len__(self) -> int:
-        return len(self._assignment)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._assignment
+        return self._count
 
     def _validate(self, partition: int) -> None:
         if partition != HOST_PARTITION and not 0 <= partition < self.num_partitions:
@@ -306,7 +312,7 @@ class PartitionMap:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PartitionMap(partitions={self.num_partitions}, "
-            f"assigned={len(self._assignment)}, host={self.host_size()})"
+            f"assigned={self._count}, host={self.host_size()})"
         )
 
 
@@ -350,13 +356,13 @@ class StreamingPartitioner(ABC):
         this mirrors the paper's Figure 1 where a new node's partition is
         derived from the first edge that mentions it.
         """
-        if not self.partition_map.is_assigned(src):
-            self.assign_node(src, first_neighbor=dst)
-        if not self.partition_map.is_assigned(dst):
-            self.assign_node(dst, first_neighbor=src)
-        src_partition = self.partition_map.partition_of(src)
-        dst_partition = self.partition_map.partition_of(dst)
-        assert src_partition is not None and dst_partition is not None
+        partition_of = self.partition_map.partition_of
+        src_partition = partition_of(src)
+        if src_partition is None:
+            src_partition = self.assign_node(src, first_neighbor=dst)
+        dst_partition = partition_of(dst)
+        if dst_partition is None:
+            dst_partition = self.assign_node(dst, first_neighbor=src)
         return src_partition, dst_partition
 
     def partition_of(self, node: int) -> Optional[int]:

@@ -131,10 +131,7 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         the bulk loader promote at the crossing edge itself.  Tests use
         it to assert exactly that.
         """
-        count = 0
-        for node, degree in self._out_degree.items():
-            partition = self.partition_map.partition_of(node)
-            if partition is not None and partition != HOST_PARTITION:
-                if degree > self.high_degree_threshold:
-                    count += 1
-        return count
+        threshold = self.high_degree_threshold
+        hubs = [node for node, degree in self._out_degree.items() if degree > threshold]
+        owners = self.partition_map.owners_of(np.array(hubs, dtype=np.int64))
+        return int(np.count_nonzero(owners >= 0))

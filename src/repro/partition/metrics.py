@@ -14,10 +14,13 @@ in PIM balance numbers would be misleading.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Dict, List
 
+import numpy as np
+
 from repro.graph.digraph import ReadableGraph
-from repro.partition.base import HOST_PARTITION, PartitionMap
+from repro.partition.base import HOST_PARTITION, UNKNOWN, PartitionMap
 
 
 @dataclass(frozen=True)
@@ -59,35 +62,26 @@ def evaluate_partition(graph: ReadableGraph, partition_map: PartitionMap) -> Par
     ``ValueError`` because quality numbers over a partial assignment are
     meaningless.
     """
-    for node in graph.nodes():
-        if not partition_map.is_assigned(node):
-            raise ValueError(f"node {node} is not assigned to any partition")
+    nodes = np.fromiter(graph.nodes(), dtype=np.int64)
+    unassigned = nodes[partition_map.owners_of(nodes) == UNKNOWN]
+    if len(unassigned):
+        raise ValueError(f"node {unassigned[0]} is not assigned to any partition")
 
-    total_edges = 0
-    cut_edges = 0
-    local_edges = 0
-    host_edges = 0
-    for src, dst in graph.edges():
-        total_edges += 1
-        src_partition = partition_map.partition_of(src)
-        dst_partition = partition_map.partition_of(dst)
-        touches_host = HOST_PARTITION in (src_partition, dst_partition)
-        if touches_host:
-            host_edges += 1
-        if src_partition == dst_partition or src_partition == HOST_PARTITION:
-            # Host-resident sources stream their whole next-hop array
-            # locally, so they count as local regardless of destination.
-            local_edges += 1
-        if (
-            src_partition != dst_partition
-            and not touches_host
-        ):
-            cut_edges += 1
+    total_edges = cut_edges = local_edges = host_edges = 0
+    edges = iter(graph.edges())
+    # A few thousand edges at a time: the count allocates nothing edge-sized.
+    while len(ends := np.fromiter(chain.from_iterable(islice(edges, 4096)), dtype=np.int64)):
+        src, dst = partition_map.owners_of(ends.reshape(-1, 2)).T
+        touches_host = (src == HOST_PARTITION) | (dst == HOST_PARTITION)
+        total_edges += len(src)
+        host_edges += int(np.count_nonzero(touches_host))
+        # A host source streams its whole row locally, whatever the destination.
+        local_edges += int(np.count_nonzero((src == dst) | (src == HOST_PARTITION)))
+        cut_edges += int(np.count_nonzero((src != dst) & ~touches_host))
 
     pim_sizes = partition_map.pim_sizes()
-    positive_sizes = [size for size in pim_sizes]
-    mean_size = (sum(positive_sizes) / len(positive_sizes)) if positive_sizes else 0.0
-    balance = (max(positive_sizes) / mean_size) if mean_size > 0 else 1.0
+    mean_size = sum(pim_sizes) / len(pim_sizes)
+    balance = (max(pim_sizes) / mean_size) if mean_size > 0 else 1.0
 
     return PartitionQuality(
         num_partitions=partition_map.num_partitions,

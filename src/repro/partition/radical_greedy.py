@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.partition.base import StreamingPartitioner
+import numpy as np
+
+from repro.partition.base import UNKNOWN, StreamingPartitioner
 from repro.partition.hash_partition import stable_node_hash
 
 #: The paper's capacity-constraint proportion: 1.05x the average.
@@ -91,11 +93,12 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         Each node is placed as :meth:`assign_node` would place it after
         the ones before it: the capacity limit and the partition sizes
         move with every placement, and a first neighbor placed earlier in
-        the run counts.  The run reads the map's sizes once and writes
-        its placements once (:meth:`PartitionMap.assign_new`).
+        the run counts.  It reads the sizes and its neighbors' owners once
+        and writes its placements once (:meth:`PartitionMap.assign_new`).
         """
         partition_map = self.partition_map
-        partition_of = partition_map.partition_of
+        neighbors = [-1 if n is None else n for n in first_neighbors]  # -1: never placed
+        owners = partition_map.owners_of(np.array(neighbors, dtype=np.int64)).tolist()
         sizes = partition_map.pim_sizes()
         total = partition_map.pim_total()
         count = self.num_partitions
@@ -105,14 +108,13 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         partitions: List[int] = []
         append = partitions.append
         greedy = 0
-        for node, neighbor in zip(nodes, first_neighbors):
+        for node, neighbor, partition in zip(nodes, first_neighbors, owners):
             # The dynamic capacity grows with the graph ("increasing with
             # graph scale"), so early placements are never starved.
             limit = factor * (total / count)
             if limit < floor:
                 limit = floor
-            partition = partition_of(neighbor)
-            if partition is None:
+            if partition == UNKNOWN:
                 partition = placed.get(neighbor)
             if partition is None or partition < 0 or sizes[partition] + 1 > limit:
                 partition = self._hash_fallback(node, limit, sizes)

@@ -18,10 +18,13 @@ engine-independent reference.
 (``test_node_migrator.py``): the per-node scalar vote over plain dicts.
 
 :func:`load_per_edge` is the oracle of the columnar bulk loader
-(``test_bulk_load.py``): the per-edge ingest loop it replaced.
+(``test_bulk_load.py``): the per-edge ingest loop it replaced, and
+:func:`edge_counts` that of ``evaluate_partition``'s columnar counts
+(``test_partitioners.py``).
 
 :class:`OwnerModel` is the oracle of the partition map's owner vector
 (``test_owner_vector.py``): a plain dict, copied at every freeze.
+:func:`placement` reads a partition map back as such a dict.
 
 :func:`build_snapshot_reference` is the oracle of every heap segment a
 publish writes: per-edge Python appends over the rows' public reads.
@@ -225,6 +228,29 @@ class OwnerModel:
     def freeze(self) -> Dict[int, int]:
         """The placement as it stands, as an independent dict."""
         return dict(self.owners)
+
+
+def placement(partition_map) -> Dict[int, int]:
+    """A partition map's placement as a ``node -> partition`` dict, read
+    from its frozen owner vector's table (nodes ascending)."""
+    nodes, parts = partition_map.freeze().table()
+    return dict(zip(nodes.tolist(), parts.tolist()))
+
+
+def edge_counts(graph, owners: Dict[int, int]) -> Tuple[int, int, int, int]:
+    """``(edges, cut, local, host)`` edge counts of ``graph`` under a
+    ``node -> partition`` dict, one edge at a time: a cut edge joins two
+    PIM partitions, a local one stays on one partition or leaves the host,
+    a host one touches it."""
+    total = cut = local = host = 0
+    for src, dst in graph.edges():
+        src_partition, dst_partition = owners.get(src), owners.get(dst)
+        touches_host = HOST_PARTITION in (src_partition, dst_partition)
+        total += 1
+        host += touches_host
+        local += src_partition == dst_partition or src_partition == HOST_PARTITION
+        cut += src_partition != dst_partition and not touches_host
+    return total, cut, local, host
 
 
 def load_per_edge(

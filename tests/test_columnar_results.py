@@ -28,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import placement
 from repro.core import Moctopus, MoctopusConfig
 from repro.engine import ENGINE_NAMES, choose_engine, lower_plan
 from repro.engine.base import AUTO_CROSSOVER_ITEMS
@@ -150,8 +151,7 @@ def test_auto_matches_scalar_on_a_bulk_batch():
         system = build_system(graph, engine=engine)
         result, stats = system.batch_khop(sources, 3)
         outcomes[engine] = (result, stats.breakdown(), dict(stats.counters))
-        placement = dict(system._partitioner.partition_map.items())
-        outcomes[engine] += (placement,)
+        outcomes[engine] += (placement(system._partitioner.partition_map),)
     plan = lower_plan(plan_query(KHopQuery(3, sources)), 300)
     assert choose_engine(plan, len(sources), 2400 / 300) != "python"
     assert outcomes["auto"] == outcomes["python"]

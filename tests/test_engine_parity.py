@@ -28,7 +28,7 @@ from repro.pim import CostModel
 from repro.rpq import KHopQuery, RPQuery, random_source_batch
 
 from faultinject import public_rows
-from model import build_snapshot_reference
+from model import build_snapshot_reference, placement
 
 #: Every backend and the ``"auto"`` dispatcher; each is compared to the
 #: scalar reference ``"python"``.
@@ -108,9 +108,9 @@ def assert_update_stats_agree(per_engine_stats, context=""):
 
 
 def assert_placements_agree(systems, context=""):
-    reference = dict(systems["python"]._partitioner.partition_map.items())
+    reference = placement(systems["python"]._partitioner.partition_map)
     for engine, system in systems.items():
-        assert dict(system._partitioner.partition_map.items()) == reference, (
+        assert placement(system._partitioner.partition_map) == reference, (
             f"{engine} placement diverged {context}"
         )
 

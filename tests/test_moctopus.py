@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import placement
 from repro.core import Moctopus, MoctopusConfig
 from repro.graph import DiGraph, random_graph
 from repro.durability.recovery import recover
@@ -225,11 +226,11 @@ def test_pim_hash_system_disables_moctopus_features(small_power_law):
     for node in small_power_law.nodes():
         assert system.partition_of(node) == stable_node_hash(node) % 8
     assert system.host_node_count() == 0
-    before = dict(system._partitioner.partition_map.items())
+    before = placement(system._partitioner.partition_map)
     sources = random_source_batch(list(small_power_law.nodes()), 16, seed=3)
     system.batch_khop(sources, hops=2)
     assert system._migrator.pending_reports == 0
-    assert dict(system._partitioner.partition_map.items()) == before
+    assert placement(system._partitioner.partition_map) == before
 
 
 # ----------------------------------------------------------------------
@@ -352,10 +353,10 @@ def test_migration_reduces_pending_reports(small_community):
 
 def test_disabling_migration_keeps_placement_static(small_community):
     system = small_system(small_community)
-    before = dict(system._partitioner.partition_map.items())
+    before = placement(system._partitioner.partition_map)
     sources = random_source_batch(list(small_community.nodes()), 16, seed=3)
     system.batch_khop(sources, hops=2, auto_migrate=False)
-    after = dict(system._partitioner.partition_map.items())
+    after = placement(system._partitioner.partition_map)
     assert before == after
 
 

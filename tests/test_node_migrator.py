@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from model import migrate, publish
+from model import migrate, placement, publish
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
@@ -78,7 +78,7 @@ class Rig:
         return self.host if partition == HOST_PARTITION else self.storages[partition]
 
     def placement(self) -> Dict[int, int]:
-        return dict(self.partitioner.partition_map.items())
+        return placement(self.partitioner.partition_map)
 
     def rows(self) -> Dict[int, List[int]]:
         return {
@@ -338,21 +338,21 @@ def test_run_maintenance_matches_the_oracle_on_engine_reports(engine):
         system.batch_khop(sources, hops, auto_migrate=False)
         reports = [node for node, _, _ in system._migrator.capture_pending()]
         assert reports, "the probe must report misplaced nodes"
-        placement = dict(system._partitioner.partition_map.items())
+        owners = placement(system._partitioner.partition_map)
         rows = {
             node: storage.next_hops(node)
             for storage in system._module_storages
             for node in storage.rows()
         }
         expected = migrate(
-            reports, placement, rows, 4096,
+            reports, owners, rows, 4096,
             num_partitions=config.num_modules,
             capacity_factor=MIGRATION_CAPACITY_FACTOR,
         )
         moved, stats = system.run_maintenance()
         assert system._migrator.last_moves == expected
         assert moved == len(expected) == stats.counters["migrations"]
-        assert dict(system._partitioner.partition_map.items()) == placement
+        assert placement(system._partitioner.partition_map) == owners
         total_moves += moved
     assert total_moves > 0
 

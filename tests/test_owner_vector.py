@@ -4,10 +4,11 @@
 ``node_partition_vector`` as one ``int16`` array indexed by node id plus a
 sorted side table for the ids past it, and shares it copy-on-write with
 every vector :meth:`~repro.partition.base.PartitionMap.freeze` handed out.
-Random placements, bulk placements and migrations over dense ids and ids
-far past the dense range (``10**9``, ``2**40``), frozen between steps,
-must leave every frozen vector equal to the model as it was at its freeze,
-the live lookups equal to the model now, and the size counters equal to a
+Random placements, bulk placements, migrations and reservations over
+dense ids and ids far past the dense range (``10**9``, ``2**40``), frozen
+between steps, must leave every frozen vector equal to the model as it
+was at its freeze, the live lookups (``partition_of``, ``is_assigned``,
+``in``, ``len``) equal to the model now, and the size counters equal to a
 count of the vector.
 """
 
@@ -45,6 +46,7 @@ steps = st.lists(
             st.lists(st.tuples(node_ids, partitions), max_size=24),
         ),
         st.tuples(st.just("migrate"), st.integers(min_value=0), st.integers(0, PARTITIONS - 1)),
+        st.tuples(st.just("reserve"), st.integers(0, 2000), node_ids),
         st.tuples(st.just("freeze")),
     ),
     max_size=40,
@@ -95,6 +97,8 @@ def test_owner_vector_matches_a_dict_model(script):
             node = sorted(model.owners)[step[1] % len(model.owners)]
             pmap.assign(node, step[2])
             model.assign(node, step[2])
+        elif kind == "reserve":
+            pmap.reserve(step[1], step[2])
         elif kind == "freeze":
             vector = pmap.freeze()
             assert not vector.dense.flags.writeable
@@ -106,6 +110,14 @@ def test_owner_vector_matches_a_dict_model(script):
         check_vector(pmap.freeze(), model.owners)
         live = pmap.owners_of(PROBES)
         assert live.tolist() == [model.owners.get(node, UNKNOWN) for node in PROBES.tolist()]
+        probes = sorted({*PROBES.tolist(), *model.owners})
+        assert [pmap.partition_of(node) for node in probes] == [
+            model.owners.get(node) for node in probes
+        ]
+        assert [pmap.is_assigned(node) for node in probes] == [
+            node in model.owners for node in probes
+        ]
+        assert [node in pmap for node in probes] == [node in model.owners for node in probes]
         parts = pmap.freeze().table()[1]
         counts = np.bincount(parts - HOST_PARTITION, minlength=PARTITIONS + 1)
         assert counts.tolist() == [pmap.host_size(), *pmap.pim_sizes()]

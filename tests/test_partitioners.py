@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import edge_counts, placement
 from repro.graph import DiGraph, community_graph, random_graph
 from repro.paper import AdaptivePartitioner, LDGPartitioner
 from repro.partition import (
@@ -67,7 +68,7 @@ def test_hash_partitioner_is_deterministic_and_balanced():
     graph = random_graph(400, 1600, seed=1)
     pmap = partition_static_graph(HashPartitioner(8), graph)
     again = partition_static_graph(HashPartitioner(8), graph)
-    assert dict(pmap.items()) == dict(again.items())
+    assert placement(pmap) == placement(again)
     quality = evaluate_partition(graph, pmap)
     assert quality.balance_factor < 1.4
     # Hash ignores locality: the cut should be close to (P-1)/P.
@@ -202,9 +203,8 @@ def test_a_placement_run_places_like_one_assign_node_each(placed, run, policy, d
         pmap = partitioner.partition_map
         inner = getattr(partitioner, "pim_partitioner", partitioner)
         return (
-            list(pmap.items()),
             [column.tolist() for column in pmap.freeze().table()],
-            dict(pmap._sizes),
+            (pmap.pim_sizes(), pmap.host_size()),
             getattr(inner, "greedy_placements", None),
             getattr(inner, "fallback_placements", None),
         )
@@ -253,11 +253,14 @@ def test_load_imbalance_edge_cases():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=200))
 def test_every_streaming_partitioner_assigns_every_node(num_partitions, seed):
+    """Every node placed, and ``evaluate_partition`` counting the edges
+    as the per-edge loop does."""
     graph = random_graph(80, 240, seed=seed)
     for partitioner in (
         HashPartitioner(num_partitions),
         RadicalGreedyPartitioner(num_partitions),
         LDGPartitioner(num_partitions, expected_nodes=graph.num_nodes or 1),
+        LaborDivisionPartitioner(RadicalGreedyPartitioner(num_partitions), 4),
     ):
         pmap = partition_static_graph(partitioner, graph)
         assert len(pmap) == graph.num_nodes
@@ -265,3 +268,9 @@ def test_every_streaming_partitioner_assigns_every_node(num_partitions, seed):
             partition = pmap.partition_of(node)
             assert partition is not None
             assert partition == HOST_PARTITION or 0 <= partition < num_partitions
+        total, cut, local, host = edge_counts(graph, placement(pmap))
+        quality = evaluate_partition(graph, pmap)
+        assert quality.edge_cut_fraction == cut / total
+        assert quality.locality_fraction == local / total
+        assert quality.host_edge_fraction == host / total
+        assert quality.host_nodes == pmap.host_size()

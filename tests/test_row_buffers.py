@@ -29,7 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from faultinject import public_rows
-from model import ReferenceModel, build_snapshot_reference, publish, publisher, snapshot_of
+from model import (
+    ReferenceModel,
+    build_snapshot_reference,
+    placement,
+    publish,
+    publisher,
+    snapshot_of,
+)
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import (
     BYTES_PER_SLOT,
@@ -560,9 +567,11 @@ def test_checkpoint_arrays_equal_arrays_derived_from_public_reads():
         for key in ("node_ids", "indptr", "dsts", "labels", "local_counts"):
             assert np.array_equal(arrays[f"{prefix}_{key}"], getattr(reference, key)), prefix
 
-    # What the tuple-row commit wrote: sorted dict items as int64 pairs.
+    # What the tuple-row commit wrote: sorted placements as int64 pairs.
     partition_map = system._partitioner.partition_map
-    assignments = np.asarray(sorted(partition_map.items()), dtype=np.int64).reshape(-1, 2)
+    assignments = np.asarray(
+        sorted(placement(partition_map).items()), dtype=np.int64
+    ).reshape(-1, 2)
     degrees = np.asarray(
         sorted(system._partitioner._policy._out_degree.items()), dtype=np.int64
     ).reshape(-1, 2)

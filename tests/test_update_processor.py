@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from model import placement
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.update_processor import _PendingBatch
 from repro.graph import DiGraph
@@ -172,11 +173,11 @@ SHORT_LABELS_EDGES = [(0, 100), (1, 101), (2, 102)]
 @pytest.mark.parametrize("labels", [[7], [], [1, 2, 3, 4]])
 def test_mismatched_labels_leave_a_memory_only_system_untouched(labels):
     system = promotion_system()
-    placement = dict(system._partitioner.partition_map.items())
+    owners = placement(system._partitioner.partition_map)
     num_nodes, epoch_id = system.num_nodes, system.current_epoch_id
     with pytest.raises(ValueError, match="labels"):
         system.insert_edges(SHORT_LABELS_EDGES, labels=labels)
-    assert dict(system._partitioner.partition_map.items()) == placement
+    assert placement(system._partitioner.partition_map) == owners
     assert system.num_nodes == num_nodes
     assert system.current_epoch_id == epoch_id
     assert system._update_processor.batches_applied == 0
@@ -248,7 +249,7 @@ def test_negative_ids_are_rejected_before_the_write_ahead_point(tmp_path):
     system = Moctopus.from_graph(graph, config)
     try:
         durable_lsn = system.durable_lsn
-        placement = dict(system._partitioner.partition_map.items())
+        owners = placement(system._partitioner.partition_map)
         writes = [
             (lambda: system.insert_edges(NEGATIVE_EDGES), "non-negative"),
             (lambda: system.delete_edges([(0, -1)]), "non-negative"),
@@ -264,7 +265,7 @@ def test_negative_ids_are_rejected_before_the_write_ahead_point(tmp_path):
                 write()
             assert system.durable_lsn == durable_lsn
             assert system._durability.failed is None
-            assert dict(system._partitioner.partition_map.items()) == placement
+            assert placement(system._partitioner.partition_map) == owners
             assert system._update_processor.batches_applied == 0
             assert system.num_edges == 5
         system.insert_edges([(0, 2)], labels=[7])  # the log still takes writes
