@@ -5,9 +5,10 @@ Figure 1:
 
 * :class:`Moctopus` — the system facade (query + update entry points);
 * :class:`MoctopusConfig` — the tunables two callers set differently;
-* :class:`GraphPartitioner` / :class:`NodeMigrator` — the PIM-friendly
-  dynamic graph partitioning algorithm (labor division + greedy-adaptive
-  load balancing);
+* :class:`NodeMigrator` — with the placement policy a system builds
+  (``Moctopus._build_placement``: radical greedy under labor division,
+  :mod:`repro.partition`), the PIM-friendly dynamic graph partitioning
+  algorithm (labor division + greedy-adaptive load balancing);
 * :class:`QueryProcessor` / :class:`UpdateProcessor` — translate
   requests into ``smxm`` / ``mwait`` / ``add`` / ``sub`` operators and
   execute them across the host and the PIM modules;
@@ -30,7 +31,6 @@ from repro.core.hetero_storage import (
     HeteroUpdateOutcome,
 )
 from repro.core.operator_processor import SmxmWork, UpdateWork, apply_update_ops
-from repro.core.partitioner import GraphPartitioner
 from repro.core.snapshot import GraphSnapshot
 from repro.core.node_migrator import NodeMigrator
 from repro.core.query_processor import QueryProcessor
@@ -40,7 +40,6 @@ from repro.core.system import Moctopus
 __all__ = [
     "Moctopus",
     "MoctopusConfig",
-    "GraphPartitioner",
     "NodeMigrator",
     "QueryProcessor",
     "UpdateProcessor",

@@ -10,8 +10,9 @@ edges at a time, and makes exactly them, in stream order: the placements
 between two promotions are one run of the policy's own ``assign_nodes``,
 and a promotion is the labor-division wrapper's ``promote``.  The
 partition map, the observed out-degrees and the placement counters are
-therefore what :meth:`~repro.core.partitioner.GraphPartitioner.ingest_edge`
-one edge at a time leaves behind.  The load sizes the owner vector once,
+therefore what the policy's
+:meth:`~repro.partition.base.StreamingPartitioner.ingest_edge` one edge
+at a time leaves behind.  The load sizes the owner vector once,
 from the node count and the largest id, and asks it which endpoints are
 unplaced.
 
@@ -40,16 +41,16 @@ import numpy as np
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage, footprint
 from repro.core.node_migrator import NodeMigrator
-from repro.core.partitioner import GraphPartitioner
 from repro.core.snapshot import CSRHeap, build_heap, flatten_rows, ranges, sorted_runs
 from repro.graph.stream import array_chunks
-from repro.partition.base import UNKNOWN
+from repro.partition.base import UNKNOWN, StreamingPartitioner
+from repro.partition.labor_division import LaborDivisionPartitioner
 
 _NO_IDS = np.empty(0, dtype=np.int64)
 
 
 def bulk_load(
-    partitioner: GraphPartitioner,
+    partitioner: StreamingPartitioner,
     module_storages: List[LocalGraphStorage],
     host_storage: HeterogeneousGraphStorage,
     migrator: NodeMigrator,
@@ -106,7 +107,7 @@ class _BulkLoader:
 
     def __init__(
         self,
-        partitioner: GraphPartitioner,
+        partitioner: StreamingPartitioner,
         module_storages: List[LocalGraphStorage],
         host_storage: HeterogeneousGraphStorage,
         migrator: NodeMigrator,
@@ -115,7 +116,8 @@ class _BulkLoader:
     ) -> None:
         self._partitioner = partitioner
         self._map = partitioner.partition_map
-        self._labor = partitioner.labor_division
+        #: The labor-division policy, ``None`` when the placement has none.
+        self._labor = partitioner if isinstance(partitioner, LaborDivisionPartitioner) else None
         self._modules = module_storages
         self._columns = [_ModuleColumns() for _ in module_storages]
         self._host = host_storage

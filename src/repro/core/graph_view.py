@@ -10,12 +10,16 @@ vector, so the system needs no second adjacency structure.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.graph.digraph import DiGraph, Edge, LabeledEdge
 from repro.partition.base import HOST_PARTITION, PartitionMap
+
+#: Node ids :meth:`StoredGraphView.nodes` turns into ``int``s at a time.
+_CHUNK = 4096
 
 
 class StoredGraphView:
@@ -96,8 +100,12 @@ class StoredGraphView:
         return dict(self.successors_with_labels(src)).get(dst)
 
     def nodes(self) -> Iterator[int]:
-        """Iterate over node identifiers in ascending order."""
-        return iter(self._partition_map.freeze().table()[0].tolist())
+        """Iterate over node identifiers in ascending order: the placed ids
+        as the call finds them, turned into ``int``s a chunk at a time."""
+        ids = self._partition_map.nodes()
+        return chain.from_iterable(
+            ids[start : start + _CHUNK].tolist() for start in range(0, len(ids), _CHUNK)
+        )
 
     def labeled_edges(self) -> Iterator[LabeledEdge]:
         """Iterate over ``(src, dst, label)`` triples, sources ascending."""

@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.partitioner import GraphPartitioner
 from repro.core.snapshot import sorted_runs
-from repro.partition.base import HOST_PARTITION
+from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.pim.system import OperationContext
 
 #: Misplacement reports as columns: ``(nodes, local, remote)`` int64 arrays.
@@ -97,12 +96,13 @@ class NodeMigrator:
 
     def __init__(
         self,
-        partitioner: GraphPartitioner,
+        partition_map: PartitionMap,
         module_storages: List[LocalGraphStorage],
         host_storage: HeterogeneousGraphStorage,
         capacity_factor: float,
     ) -> None:
-        self._partitioner = partitioner
+        #: The ``node_partition_vector`` a move rewrites.
+        self._map = partition_map
         self._module_storages = module_storages
         self._host_storage = host_storage
         #: A node only moves to a module whose node count stays within
@@ -167,7 +167,7 @@ class NodeMigrator:
     # Locality migration
     # ------------------------------------------------------------------
     def _target_has_headroom(self, target: int) -> bool:
-        partition_map = self._partitioner.partition_map
+        partition_map = self._map
         average = partition_map.pim_total() / max(1, partition_map.num_partitions)
         return partition_map.size(target) + 1 <= self._capacity_factor * max(average, 1.0)
 
@@ -175,7 +175,7 @@ class NodeMigrator:
         """Move ``node``'s row and partition-map entry; the row's length."""
         entries = self._module_storages[source].remove_row(node)
         self._module_storages[target].insert_row(node, entries)
-        self._partitioner.migrate(node, target)
+        self._map.assign(node, target)
         self.migrations_performed += 1
         return len(entries)
 
@@ -238,7 +238,7 @@ class NodeMigrator:
         self.clear_pending()
         if not nodes.size:
             return 0
-        owners_of = self._partitioner.partition_map.owners_of
+        owners_of = self._map.owners_of
         current = owners_of(nodes)
         on_module = current >= 0  # neither the host nor unknown
         nodes, current = nodes[on_module], current[on_module]
@@ -247,7 +247,7 @@ class NodeMigrator:
 
         voters, dsts = self._next_hops(nodes, current)
         tally_part, tally_votes, tally_bounds, candidates = _tally(
-            voters, owners_of(dsts), current, self._partitioner.num_modules
+            voters, owners_of(dsts), current, self._map.num_partitions
         )
         if not candidates.size:
             return 0

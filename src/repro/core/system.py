@@ -41,7 +41,6 @@ from repro.core.graph_view import StoredGraphView
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.core.node_migrator import MIGRATION_CAPACITY_FACTOR, NodeMigrator
-from repro.core.partitioner import GraphPartitioner
 from repro.core.query_processor import QueryProcessor
 from repro.core.update_processor import UpdateProcessor
 from repro.graph.digraph import ReadableGraph
@@ -93,7 +92,8 @@ class Moctopus:
     ) -> None:
         self.config = config or MoctopusConfig()
         self.pim = PIMSystem(self.config.cost_model)
-        self._partitioner = GraphPartitioner(self._build_placement())
+        #: The placement policy; it owns the ``node_partition_vector``.
+        self._partitioner = self._build_placement()
         self._module_storages = [
             LocalGraphStorage(memory=module.memory) for module in self.pim.modules
         ]
@@ -106,7 +106,7 @@ class Moctopus:
             self._host_storage,
         )
         self._migrator = NodeMigrator(
-            self._partitioner,
+            self._partitioner.partition_map,
             self._module_storages,
             self._host_storage,
             capacity_factor=MIGRATION_CAPACITY_FACTOR,
@@ -154,7 +154,7 @@ class Moctopus:
 
         The one place a system's placement is built; a class that places
         otherwise overrides it, and a durability directory records what
-        it built (:meth:`~repro.core.partitioner.GraphPartitioner.record`).
+        it built (:meth:`~repro.partition.base.StreamingPartitioner.record`).
         """
         return LaborDivisionPartitioner(
             RadicalGreedyPartitioner(
@@ -618,7 +618,7 @@ class Moctopus:
         return {
             "greedy_placements": self._partitioner.pim_policy.greedy_placements,
             "fallback_placements": self._partitioner.pim_policy.fallback_placements,
-            "promotions": self._partitioner.promotions(),
+            "promotions": self._partitioner.promotions,
             "locality_migrations": self._migrator.migrations_performed,
         }
 

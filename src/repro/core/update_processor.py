@@ -21,11 +21,17 @@ Execution of one batch:
    index lookups on the module sharding that row's maps, and the host
    performs the single positional write into ``cols_vector``.
 
-The partition step is one pass over the batch in batch order with a
-partition-vector consultation per update: this module alone knows how a
-batch is partitioned (the kernel ``Moctopus.use_engine`` pins is a
-query kernel and has no meaning here).  All phase accounting is integer counters folded
-into time once per phase.
+The partition step is one pass over the batch in batch order against
+the placement policy itself: each update consults (and, for an insert,
+extends) the partition vector once per endpoint, and a source an insert
+takes past the high-degree threshold moves to the host at once.  The
+updates are then routed by where each source row lives at batch end —
+an update whose source was promoted during the batch follows it to the
+host in its own batch position — so no queued update ever has to be
+pulled back out of a module.  This module alone knows how a batch is
+partitioned (the kernel ``Moctopus.use_engine`` pins is a query kernel
+and has no meaning here).  All phase accounting is integer counters
+folded into time once per phase.
 
 **Replay determinism contract.**  The durability layer
 (:mod:`repro.durability`) recovers from crashes by re-running
@@ -42,17 +48,16 @@ contract.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage
 from repro.core.node_migrator import NodeMigrator
 from repro.core.operator_processor import apply_update_ops
 from repro.core.operators import BYTES_PER_UPDATE_ITEM, OPERATOR_HEADER_BYTES
-from repro.core.partitioner import GraphPartitioner
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
-from repro.partition.base import HOST_PARTITION
+from repro.partition.base import HOST_PARTITION, StreamingPartitioner
 from repro.pim.stats import ExecutionStats
 from repro.pim.system import OperationContext, PIMSystem
 
@@ -62,71 +67,10 @@ from repro.pim.system import OperationContext, PIMSystem
 #: are ignored on removal).
 PendingEntry = Tuple[UpdateKind, int, int, int]
 
-
-class _PendingBatch:
-    """Per-module ``add``/``sub`` operator payloads of one batch.
-
-    Entries are appended as the partition loop meets them, so each
-    module's payload is in true batch order even though insertions and
-    deletions travel as separate ``add``/``sub`` operators.  Applying
-    the grouped operators wholesale (all adds, then all subs) would
-    silently resolve a delete→insert of the same edge within one batch
-    to *absent*, diverging from sequential semantics.
-
-    Entries are also indexed by source as they are queued, because a
-    source promoted to the host mid-batch must pull its already-queued
-    updates out of its old module's operators (they would otherwise be
-    applied to a row that no longer lives there).  Requeueing tombstones
-    the entries in place — survivor order is untouched and one promotion
-    costs O(pending-for-source), not a rescan of the whole batch —
-    and :meth:`finalize` drops the tombstones in a single pass.
-    """
-
-    def __init__(self) -> None:
-        self.ops: Dict[int, List[Optional[PendingEntry]]] = {}
-        self._positions: Dict[Tuple[int, int], List[int]] = {}
-        #: Which operator kinds were ever queued per module; an operator
-        #: fully drained by requeues still ships (empty) and its kernel
-        #: launch is still part of the charged work.
-        self._operators: Dict[int, set] = {}
-
-    def queue(self, module: int, entry: PendingEntry) -> None:
-        """Queue one update for ``module``, indexed for a possible requeue."""
-        kind, src, _, _ = entry
-        bucket = self.ops.setdefault(module, [])
-        self._positions.setdefault((module, src), []).append(len(bucket))
-        self._operators.setdefault(module, set()).add(kind)
-        bucket.append(entry)
-
-    def requeue_source(self, src: int, module: int) -> List[PendingEntry]:
-        """Remove and return ``src``'s pending entries on ``module``, in
-        batch order."""
-        requeued: List[PendingEntry] = []
-        bucket = self.ops.get(module, [])
-        for position in self._positions.pop((module, src), []):
-            requeued.append(bucket[position])
-            bucket[position] = None
-        return requeued
-
-    def finalize(
-        self,
-    ) -> Dict[int, Tuple[List[PendingEntry], bool, bool]]:
-        """Tombstone-free per-module payloads in batch order.
-
-        Returns ``module -> (entries, has_add_operator, has_sub_operator)``
-        where the operator flags record which operator kinds were queued
-        (even when every entry was requeued away — the empty kernel
-        launch is part of the charged work).
-        """
-        finalized: Dict[int, Tuple[List[PendingEntry], bool, bool]] = {}
-        for module, bucket in self.ops.items():
-            operators = self._operators[module]
-            finalized[module] = (
-                [entry for entry in bucket if entry is not None],
-                UpdateKind.INSERT in operators,
-                UpdateKind.DELETE in operators,
-            )
-        return finalized
+#: A batch's module payloads: per module, its entries in batch order and
+#: the operator kinds (``add``/``sub``) it was sent, modules in the order
+#: they were first sent an op.
+ModuleOps = Dict[int, Tuple[List[PendingEntry], Set[UpdateKind]]]
 
 
 class UpdateProcessor:
@@ -135,13 +79,15 @@ class UpdateProcessor:
     def __init__(
         self,
         pim_system: PIMSystem,
-        partitioner: GraphPartitioner,
+        policy: StreamingPartitioner,
         module_storages: List[LocalGraphStorage],
         host_storage: HeterogeneousGraphStorage,
         node_migrator: NodeMigrator,
     ) -> None:
         self._pim = pim_system
-        self._partitioner = partitioner
+        self._policy = policy
+        #: The map's own owner lookup (one frame per read).
+        self._partition_of = policy.partition_map.partition_of
         self._module_storages = module_storages
         self._host_storage = host_storage
         self._migrator = node_migrator
@@ -167,22 +113,15 @@ class UpdateProcessor:
     ) -> ExecutionStats:
         """Apply a mixed batch of updates following the paper's flow."""
         operation = self._pim.begin_operation()
-        self._vector_bytes = len(self._partitioner.partition_map) * 2
+        self._vector_bytes = len(self._policy.partition_map) * 2
 
-        pending = _PendingBatch()
-        hetero_ops: List[Tuple[UpdateOp, int]] = []
-
+        promoted: Set[int] = set()
         with operation.phase("partition"):
-            for index, update in enumerate(ops):
-                label = labels[index] if labels else DEFAULT_LABEL
-                operation.host.process_items(1)
-                self._route_update(update, label, operation, pending, hetero_ops)
-        module_ops = pending.finalize()
+            owners = [self._place(update, operation, promoted) for update in ops]
+        module_ops, hetero_ops = self._route(ops, labels, owners, promoted)
 
         with operation.phase("dispatch"):
-            dispatched_items = sum(
-                len(entries) for entries, _, _ in module_ops.values()
-            )
+            dispatched_items = sum(len(entries) for entries, _ in module_ops.values())
             if dispatched_items:
                 # All per-module add/sub operators ship in one rank-level
                 # batched scatter.
@@ -201,67 +140,64 @@ class UpdateProcessor:
         return stats
 
     # ------------------------------------------------------------------
-    # Placement of update targets
+    # Partition: place, then route
     # ------------------------------------------------------------------
-    def _route_update(
-        self,
-        update: UpdateOp,
-        label: int,
-        operation: OperationContext,
-        pending: _PendingBatch,
-        hetero_ops: List[Tuple[UpdateOp, int]],
-    ) -> None:
-        """Place one update and queue it for its owner."""
-        owner, promoted_from = self._place_for_update(update, operation)
-        if promoted_from is not None:
-            # The source was promoted to the host while this batch was
-            # being partitioned: updates already queued for its old
-            # module must follow it (in their batch order), or they
-            # would be applied to a row that no longer lives there.
-            for kind, src, dst, queued_label in pending.requeue_source(
-                update.src, promoted_from
-            ):
-                hetero_ops.append((UpdateOp(kind, src, dst), queued_label))
-        if owner == HOST_PARTITION:
-            hetero_ops.append((update, label))
-        else:
-            pending.queue(owner, (update.kind, update.src, update.dst, label))
+    def _place(
+        self, update: UpdateOp, operation: OperationContext, promoted: Set[int]
+    ) -> Optional[int]:
+        """Place one update's endpoints; the owner of its source row now
+        (``None`` when a delete names a source never placed).
 
-    def _place_for_update(
-        self, update: UpdateOp, operation: OperationContext
-    ) -> Tuple[int, Optional[int]]:
-        """Owner of the update's source row, plus the module it was promoted from.
-
-        Returns ``(owner_partition, promoted_from)`` where ``promoted_from``
-        is the PIM module the source just left (``None`` when no promotion
-        happened during this placement).
+        A source this insert takes past the high-degree threshold joins
+        ``promoted``, and its row moves to the host now.
         """
-        src, dst = update.src, update.dst
+        operation.host.process_items(1)
+        src = update.src
         if update.kind is UpdateKind.INSERT:
-            previous = self._partitioner.partition_of(src)
-            src_partition, _ = self._partitioner.ingest_edge(src, dst)
-            promoted_from: Optional[int] = None
-            # The labor-division wrapper may have just promoted the source
-            # because this edge pushed it over the threshold.
-            if (
-                previous is not None
-                and previous != HOST_PARTITION
-                and src_partition == HOST_PARTITION
-            ):
+            owner, previous = self._policy.ingest_edge(src, update.dst)
+            if owner == HOST_PARTITION and previous is not None and previous >= 0:
                 self._migrator.promote_to_host(src, previous, op=operation)
-                promoted_from = previous
+                promoted.add(src)
             # Consulting (and possibly extending) the partition vector is a
             # host-side access per endpoint over its 2 bytes per node: under
             # scaled_cost_model()'s 32 KB LLC that is cache-resident only up
             # to 16 384 nodes, and each access past that is a DRAM miss.
             operation.host.random_accesses(2, working_set_bytes=self._vector_bytes)
-            return src_partition, promoted_from
-        owner = self._partitioner.partition_of(src)
+            return owner
         operation.host.random_accesses(1, working_set_bytes=self._vector_bytes)
-        if owner is None:
-            # Deleting an edge of an unknown node: treat as a host no-op.
-            return HOST_PARTITION, None
-        return owner, None
+        return self._partition_of(src)
+
+    @staticmethod
+    def _route(
+        ops: List[UpdateOp],
+        labels: Optional[List[int]],
+        owners: List[Optional[int]],
+        promoted: Set[int],
+    ) -> Tuple[ModuleOps, List[Tuple[UpdateOp, int]]]:
+        """Group the batch by where each source row lives at batch end.
+
+        An op goes to the host when its source was on the host or
+        unplaced at its turn, or was promoted during the batch; every
+        other op goes to its owner module, in batch order, so a
+        delete→insert of one edge keeps its sequential result.  A
+        module's payload pairs its entries with the operator kinds it
+        was sent: an operator whose every op then followed a promotion
+        to the host still ships (empty) and launches its kernel.
+        """
+        module_ops: ModuleOps = {}
+        hetero_ops: List[Tuple[UpdateOp, int]] = []
+        for index, (update, owner) in enumerate(zip(ops, owners)):
+            label = labels[index] if labels else DEFAULT_LABEL
+            if owner is not None and owner >= 0:
+                if owner not in module_ops:
+                    module_ops[owner] = ([], set())
+                entries, kinds = module_ops[owner]
+                kinds.add(update.kind)
+                if update.src not in promoted:
+                    entries.append((update.kind, update.src, update.dst, label))
+                    continue
+            hetero_ops.append((update, label))
+        return module_ops, hetero_ops
 
     # ------------------------------------------------------------------
     # Application
@@ -269,7 +205,7 @@ class UpdateProcessor:
     def _apply_module_updates(
         self,
         operation: OperationContext,
-        module_ops: Dict[int, Tuple[List[PendingEntry], bool, bool]],
+        module_ops: ModuleOps,
     ) -> None:
         """Apply each module's slice of the batch in true batch order.
 
@@ -279,11 +215,9 @@ class UpdateProcessor:
         would resolve a delete→insert of the same edge within one batch
         to *absent* instead of the sequential result.
         """
-        for module_id, (entries, has_add_op, has_sub_op) in module_ops.items():
+        for module_id, (entries, kinds) in module_ops.items():
             module = operation.module(module_id)
-            if has_add_op:
-                module.launch_kernel()
-            if has_sub_op:
+            for _ in range(len(kinds)):  # one add and/or one sub operator
                 module.launch_kernel()
             work = apply_update_ops(self._module_storages[module_id], entries)
             module.random_accesses(work.map_lookups)

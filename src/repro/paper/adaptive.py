@@ -43,7 +43,7 @@ class AdaptivePartitioner(StreamingPartitioner):
         self.migrations = 0
 
     # ------------------------------------------------------------------
-    def ingest_edge(self, src: int, dst: int) -> Tuple[int, int]:
+    def ingest_edge(self, src: int, dst: int) -> Tuple[int, Optional[int]]:
         """Observe the edge and keep the neighborhood index current."""
         self._neighbors.setdefault(src, set()).add(dst)
         self._neighbors.setdefault(dst, set()).add(src)

@@ -264,6 +264,14 @@ class PartitionMap:
             self._shared = True
         return frozen
 
+    def nodes(self) -> np.ndarray:
+        """Every placed id, ascending, read off the live vector: unlike a
+        :meth:`freeze`, it leaves the vector for the next write to keep."""
+        nodes = np.flatnonzero(self._dense != UNKNOWN)
+        if self._side:
+            nodes = np.sort(np.concatenate([nodes, self._side_table()[0]]))
+        return nodes
+
     def owners_of(self, nodes: np.ndarray) -> np.ndarray:
         """:meth:`OwnerVector.owners_of` on the live vector, unfrozen."""
         return OwnerVector(self._dense, *self._side_table()).owners_of(nodes)
@@ -317,15 +325,25 @@ class PartitionMap:
 
 
 class StreamingPartitioner(ABC):
-    """Base class for partitioners that decide placements edge by edge."""
+    """Base class for partitioners that decide placements edge by edge.
 
-    #: The policy's name, as a durability directory records it
-    #: (:meth:`repro.core.partitioner.GraphPartitioner.record`).
+    A :class:`~repro.core.system.Moctopus` holds the one its
+    ``_build_placement()`` returns: the policy places every node, and
+    its :meth:`record`, :meth:`capture_state` and :meth:`restore_state`
+    are what a durability directory keeps of it.
+    """
+
+    #: The policy's name, as a durability directory records it (:meth:`record`).
     name: str
     #: Whether the node migrator repairs this policy's placements (the
     #: adaptive half of greedy-adaptive partitioning): a system reports
     #: misplaced nodes and migrates them after a query only then.
     migrates = False
+    #: The dynamic capacity constraint's proportion, for a policy that has one.
+    capacity_factor: Optional[float] = None
+    #: Nodes promoted to the host because they became high-degree (only
+    #: labor division promotes).
+    promotions = 0
 
     def __init__(self, num_partitions: int) -> None:
         self.num_partitions = num_partitions
@@ -335,6 +353,12 @@ class StreamingPartitioner(ABC):
         #: Placements diverted by a capacity constraint or the lack of a
         #: placed neighbor.
         self.fallback_placements = 0
+
+    @property
+    def pim_policy(self) -> "StreamingPartitioner":
+        """The policy placing the nodes that live on PIM modules: its
+        counters, and whether the node migrator repairs it."""
+        return self
 
     @abstractmethod
     def assign_node(self, node: int, first_neighbor: Optional[int] = None) -> int:
@@ -347,27 +371,68 @@ class StreamingPartitioner(ABC):
         :meth:`assign_node` call each; return their partitions."""
         return list(map(self.assign_node, nodes, first_neighbors))
 
-    def ingest_edge(self, src: int, dst: int) -> Tuple[int, int]:
+    def ingest_edge(self, src: int, dst: int) -> Tuple[int, Optional[int]]:
         """Observe the edge ``src -> dst``; place unseen endpoints.
 
-        Returns the ``(src_partition, dst_partition)`` pair after
-        placement.  The source is placed first (its first neighbor is the
+        Returns the source's partition after the edge and before it
+        (``None`` when the edge placed it), reading each endpoint's owner
+        once.  The source is placed first (its first neighbor is the
         destination); the destination's first neighbor is the source —
         this mirrors the paper's Figure 1 where a new node's partition is
         derived from the first edge that mentions it.
         """
         partition_of = self.partition_map.partition_of
-        src_partition = partition_of(src)
+        previous = src_partition = partition_of(src)
         if src_partition is None:
             src_partition = self.assign_node(src, first_neighbor=dst)
-        dst_partition = partition_of(dst)
-        if dst_partition is None:
-            dst_partition = self.assign_node(dst, first_neighbor=src)
-        return src_partition, dst_partition
+        if partition_of(dst) is None:
+            self.assign_node(dst, first_neighbor=src)
+        return src_partition, previous
 
     def partition_of(self, node: int) -> Optional[int]:
         """Partition of ``node`` or ``None`` when unassigned."""
         return self.partition_map.partition_of(node)
+
+    # ------------------------------------------------------------------
+    # Durability: the placement record, checkpoint capture / restore
+    # ------------------------------------------------------------------
+    def record(self) -> Dict[str, object]:
+        """The placement's own parameters, as a durability directory
+        records them (``config.json`` and every checkpoint manifest).
+
+        Replay re-runs placement, so recovery refuses a directory whose
+        record differs from the recovering class's.  The keys are the
+        config fields placement once was.
+        """
+        return {
+            "pim_placement": self.name,
+            "enable_migration": self.migrates,
+            "capacity_factor": self.capacity_factor,
+            "high_degree_threshold": None,
+        }
+
+    def capture_state(self) -> Dict[str, object]:
+        """What future placement decisions depend on, beyond the
+        ``node_partition_vector`` itself (a checkpoint takes that from
+        its published epoch's frozen owner vector): the observed
+        out-degrees as sorted ``(node, degree)`` array rows (none here)
+        and the placement counters."""
+        return {
+            "out_degrees": np.empty((0, 2), dtype=np.int64),
+            "greedy_placements": self.greedy_placements,
+            "fallback_placements": self.fallback_placements,
+            "promotions": self.promotions,
+        }
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Rebuild policy state from a capture plus its ``assignments``
+        (a two-column int array); the policy must be freshly built."""
+        if len(self.partition_map):
+            raise RuntimeError("restore_state requires an empty partitioner")
+        assignments = state["assignments"]
+        self.partition_map.assign_new(assignments[:, 0].tolist(), assignments[:, 1].tolist())
+        self.greedy_placements = int(state["greedy_placements"])
+        self.fallback_placements = int(state["fallback_placements"])
 
 
 def partition_static_graph(

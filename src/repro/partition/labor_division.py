@@ -55,6 +55,11 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         #: threshold after initial placement.
         self.promotions = 0
 
+    @property
+    def pim_policy(self) -> StreamingPartitioner:
+        """The wrapped policy: it places every node that stays on PIM."""
+        return self.pim_partitioner
+
     # ------------------------------------------------------------------
     def observed_out_degree(self, node: int) -> int:
         """Out-degree of ``node`` as seen by this partitioner's edge stream."""
@@ -113,16 +118,16 @@ class LaborDivisionPartitioner(StreamingPartitioner):
             return super().assign_nodes(nodes, first_neighbors)
         return self.pim_partitioner.assign_nodes(nodes, first_neighbors)
 
-    def ingest_edge(self, src: int, dst: int) -> Tuple[int, int]:
+    def ingest_edge(self, src: int, dst: int) -> Tuple[int, Optional[int]]:
         """Observe an edge, place endpoints, and promote a hub if needed."""
         self._out_degree[src] = self._out_degree.get(src, 0) + 1
         self._out_degree.setdefault(dst, 0)
-        src_partition, dst_partition = super().ingest_edge(src, dst)
+        src_partition, previous = super().ingest_edge(src, dst)
         # The source may have just crossed the threshold: promote it.
         if src_partition != HOST_PARTITION and self.is_high_degree(src):
             self.promote(src)
             src_partition = HOST_PARTITION
-        return src_partition, dst_partition
+        return src_partition, previous
 
     def pending_promotions(self) -> int:
         """Nodes still on PIM whose observed degree exceeds the threshold.
@@ -135,3 +140,33 @@ class LaborDivisionPartitioner(StreamingPartitioner):
         hubs = [node for node, degree in self._out_degree.items() if degree > threshold]
         owners = self.partition_map.owners_of(np.array(hubs, dtype=np.int64))
         return int(np.count_nonzero(owners >= 0))
+
+    # ------------------------------------------------------------------
+    # Durability
+    # ------------------------------------------------------------------
+    def record(self) -> Dict[str, object]:
+        """The wrapped policy's record, with the threshold."""
+        return {
+            **self.pim_partitioner.record(),
+            "high_degree_threshold": self.high_degree_threshold,
+        }
+
+    def capture_state(self) -> Dict[str, object]:
+        """The wrapped policy's counters, the promotions and the observed
+        out-degrees (they decide future promotions), as sorted
+        ``(node, degree)`` array rows."""
+        observed = self._out_degree
+        nodes = np.fromiter(observed.keys(), dtype=np.int64, count=len(observed))
+        counts = np.fromiter(observed.values(), dtype=np.int64, count=len(observed))
+        order = np.argsort(nodes)
+        return {
+            **self.pim_partitioner.capture_state(),
+            "out_degrees": np.column_stack([nodes[order], counts[order]]),
+            "promotions": self.promotions,
+        }
+
+    def restore_state(self, state: Dict[str, object]) -> None:
+        """Restore the wrapped policy, then the degrees and promotions."""
+        self.pim_partitioner.restore_state(state)
+        self._out_degree = dict(state["out_degrees"].tolist())
+        self.promotions = int(state["promotions"])

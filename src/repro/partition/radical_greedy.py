@@ -128,10 +128,3 @@ class RadicalGreedyPartitioner(StreamingPartitioner):
         self.greedy_placements += greedy
         self.fallback_placements += len(partitions) - greedy
         return partitions
-
-    # ------------------------------------------------------------------
-    def migrate(self, node: int, target_partition: int) -> None:
-        """Move an already-placed node (the adaptive half calls this)."""
-        if not self.partition_map.is_assigned(node):
-            raise KeyError(f"node {node} has not been assigned yet")
-        self.partition_map.assign(node, target_partition)

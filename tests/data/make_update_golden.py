@@ -15,12 +15,13 @@ partition phase has to get right — followed by seeded random batches:
 
 * brand-new sources and destinations (the partition vector grows);
 * two module-resident sources crossing the high-degree threshold in one
-  batch with inserts *and* deletes already queued for their modules
-  (the tombstone requeue);
+  batch with inserts *and* deletes sent to their modules earlier in the
+  batch (every op of a source promoted during the batch goes to the host,
+  in its own batch position);
 * delete -> insert of one edge in one batch (batch order per module);
-* a brand-new source that promotes within its first batch, so its
-  module's ``add`` operator is emptied by the requeue and still
-  launches its kernel;
+* a brand-new source that promotes within its first batch, so every op
+  its module's ``add`` operator was sent moves to the host, and the
+  emptied operator still launches its kernel;
 * a delete whose source was never seen (host no-op);
 * inserts and deletes on host-resident hub rows.
 """

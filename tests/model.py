@@ -8,7 +8,11 @@ registered lazily by the first insert that mentions them, deletes never
 register nodes, rows survive the deletion of their last edge) and a
 from-first-principles BFS for the paper's exact-``k``-hop query
 semantics.  It shares no code with the engines or the storages, so any
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology.  It is also the
+oracle of the update path's routing (``test_update_processor.py``):
+:meth:`ReferenceModel.apply_ops` applies a mixed batch one op at a
+time, and :meth:`ReferenceModel.hubs` names the sources labor division
+must have moved to the host.
 
 General RPQs are answered through :func:`repro.rpq.evaluate_rpq`, the
 product-graph BFS that the repo's existing suites already use as the
@@ -42,6 +46,7 @@ import numpy as np
 
 from repro.core.snapshot import HOLE, CSRHeap, GraphSnapshot, RowBuffer, merge_segment
 from repro.graph.digraph import DEFAULT_LABEL, DiGraph
+from repro.graph.stream import UpdateKind, UpdateOp
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.rpq import RPQuery, evaluate_rpq
 from repro.serve.epoch import EpochManager
@@ -54,6 +59,9 @@ class ReferenceModel:
         #: ``src -> dst -> label``; a node's presence (as a key) is what
         #: "registered with the partitioner" means in the real system.
         self.rows: Dict[int, Dict[int, int]] = {}
+        #: Inserts seen per source, relabels included: the out-degree
+        #: labor division observes.
+        self.inserts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -72,6 +80,7 @@ class ReferenceModel:
         """Deep copy — what a pinned epoch freezes."""
         clone = ReferenceModel()
         clone.rows = {src: dict(row) for src, row in self.rows.items()}
+        clone.inserts = dict(self.inserts)
         return clone
 
     # ------------------------------------------------------------------
@@ -81,6 +90,7 @@ class ReferenceModel:
         """Insert (or relabel) ``src -> dst``; registers both endpoints."""
         self.rows.setdefault(src, {})[dst] = label
         self.rows.setdefault(dst, {})
+        self.inserts[src] = self.inserts.get(src, 0) + 1
 
     def delete(self, src: int, dst: int) -> None:
         """Delete ``src -> dst`` if present; never registers a node."""
@@ -95,6 +105,20 @@ class ReferenceModel:
             self.insert(src, dst)
         for src, dst in deletes:
             self.delete(src, dst)
+
+    def apply_ops(self, ops: List[UpdateOp], labels: Optional[List[int]] = None) -> None:
+        """Apply a mixed batch one op at a time, in batch order: the
+        sequential semantics an update batch must keep."""
+        for index, op in enumerate(ops):
+            if op.kind is UpdateKind.INSERT:
+                self.insert(op.src, op.dst, labels[index] if labels else DEFAULT_LABEL)
+            else:
+                self.delete(op.src, op.dst)
+
+    def hubs(self, threshold: int) -> Set[int]:
+        """The sources seen inserted into more than ``threshold`` times:
+        the rows labor division keeps on the host."""
+        return {src for src, count in self.inserts.items() if count > threshold}
 
     # ------------------------------------------------------------------
     # Queries
@@ -274,8 +298,7 @@ def load_per_edge(
         return host if partition == HOST_PARTITION else system._module_storages[partition]
 
     for src, dst, label in edges:
-        previous = partitioner.partition_of(src)
-        src_partition, _ = partitioner.ingest_edge(src, dst)
+        src_partition, previous = partitioner.ingest_edge(src, dst)
         if previous not in (None, HOST_PARTITION) and src_partition == HOST_PARTITION:
             system._migrator.promote_to_host(src, previous)
         storage_of(partitioner.partition_of(dst)).ensure_row(dst)

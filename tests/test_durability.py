@@ -1003,7 +1003,7 @@ def test_recovery_refuses_a_placement_other_than_its_class(tmp_path):
     recovered = THRESHOLD_8.recover(directory)
     try:
         assert type(recovered) is THRESHOLD_8
-        assert recovered._partitioner.labor_division.high_degree_threshold == 8
+        assert recovered._partitioner.high_degree_threshold == 8
     finally:
         recovered.close()
 

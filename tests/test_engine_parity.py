@@ -303,13 +303,15 @@ def test_parity_with_interleaved_updates(seed):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_parity_with_heavy_update_batches(seed):
-    """Hub-concentrated update batches ≡ across engines, snapshots included.
+    """Hub-concentrated update batches ≡ across systems whatever their
+    query kernel, snapshots included.
 
-    Batches big enough to promote sources mid-batch exercise the
-    vectorized update path's stateful remainder (placement of brand-new
-    nodes, threshold crossings, requeues) against the scalar reference,
-    and after every step each storage's incrementally-maintained CSR
-    snapshot must equal a from-scratch rebuild array-for-array.
+    There is one update path; batches big enough to promote sources
+    mid-batch (placement of brand-new nodes, threshold crossings, ops
+    that follow a promoted source to the host) must leave every system
+    with the same stats and placement, and after every step each
+    storage's incrementally-maintained CSR snapshot must equal a
+    from-scratch rebuild array-for-array.
     """
     rng = random.Random(seed)
     graph = random_graph(50, 180, seed=seed)
@@ -340,7 +342,8 @@ def test_parity_with_heavy_update_batches(seed):
             )
         elif kind == "hub_insert":
             # Concentrate inserts on a few sources so some cross the
-            # high-degree threshold mid-batch (promotion + requeue).
+            # high-degree threshold mid-batch (a promotion, and the
+            # source's earlier ops follow it to the host).
             hubs = [rng.randrange(70) for _ in range(3)]
             edges = [(rng.choice(hubs), rng.randrange(150)) for _ in range(40)]
             assert_update_stats_agree(

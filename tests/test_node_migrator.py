@@ -28,7 +28,6 @@ from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.node_migrator import MIGRATION_CAPACITY_FACTOR, NodeMigrator
-from repro.core.partitioner import GraphPartitioner
 from repro.graph import community_graph
 from repro.partition.base import HOST_PARTITION
 from repro.partition.labor_division import LaborDivisionPartitioner
@@ -42,7 +41,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 class Rig:
-    """A partitioner, its storages and a migrator, placed by hand."""
+    """A placement policy, its storages and a migrator, placed by hand."""
 
     def __init__(
         self,
@@ -55,9 +54,7 @@ class Rig:
         self.capacity_factor = capacity_factor
         self.num_modules = num_modules
         self.pim = PIMSystem(config.cost_model)
-        self.partitioner = GraphPartitioner(
-            LaborDivisionPartitioner(RadicalGreedyPartitioner(num_modules))
-        )
+        self.partitioner = LaborDivisionPartitioner(RadicalGreedyPartitioner(num_modules))
         self.storages = [
             LocalGraphStorage(memory=module.memory) for module in self.pim.modules
         ]
@@ -67,7 +64,10 @@ class Rig:
             entries = [(dst, 0) for dst in rows.get(node, ())]
             self.storage_of(partition).insert_row(node, entries)
         self.migrator = NodeMigrator(
-            self.partitioner, self.storages, self.host, capacity_factor=capacity_factor
+            self.partitioner.partition_map,
+            self.storages,
+            self.host,
+            capacity_factor=capacity_factor,
         )
         self.epochs = self.epoch_manager()
 
@@ -127,7 +127,7 @@ class Rig:
             for node, source, target in moves:
                 entries = self.storages[source].remove_row(node)
                 self.storages[target].insert_row(node, entries)
-                self.partitioner.migrate(node, target)
+                self.partitioner.partition_map.assign(node, target)
                 self.migrator.migrations_performed += 1
                 op.ipc_transfer(max(1, len(entries)) * BYTES_PER_ENTRY)
                 op.module(source).random_accesses(1)

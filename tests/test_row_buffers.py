@@ -573,7 +573,7 @@ def test_checkpoint_arrays_equal_arrays_derived_from_public_reads():
         sorted(placement(partition_map).items()), dtype=np.int64
     ).reshape(-1, 2)
     degrees = np.asarray(
-        sorted(system._partitioner._policy._out_degree.items()), dtype=np.int64
+        sorted(system._partitioner._out_degree.items()), dtype=np.int64
     ).reshape(-1, 2)
     pending = np.asarray(system._migrator.capture_pending(), dtype=np.int64).reshape(-1, 3)
     for name, expected in (
@@ -691,7 +691,7 @@ def test_relabel_answers_the_same_on_host_and_module_rows(tmp_path):
     model = ReferenceModel.from_digraph(graph)
     config = MoctopusConfig(cost_model=CostModel(num_modules=4), durability_dir=str(tmp_path))
     system = THRESHOLD_8.from_graph(graph, config)
-    assert system._partitioner.is_host(0) and not system._partitioner.is_host(100)
+    assert system.partition_of(0) == HOST_PARTITION != system.partition_of(100)
     # Unnamed labels are spelled as their numbers (names do not survive
     # a recovery; the numbers do).
     queries = [RPQuery(text, [0, 100]) for text in ("1", "2", "2/2", "1/2")]

@@ -1,5 +1,7 @@
-"""Tests for the batch update path: the requeue index, promotions
-mid-batch, input validation and the absolute accounting record."""
+"""Tests for the batch update path: routing by where each source row
+lives at batch end (promotions mid-batch, operators a promotion emptied,
+never-placed sources), a random-batch differential against the
+sequential model, input validation and the absolute accounting record."""
 
 from __future__ import annotations
 
@@ -8,10 +10,11 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from model import placement
+from model import ReferenceModel, placement
 from repro.core import Moctopus, MoctopusConfig
-from repro.core.update_processor import _PendingBatch
 from repro.graph import DiGraph
 from repro.graph.stream import UpdateKind, UpdateOp
 from repro.paper import placed_at
@@ -26,45 +29,7 @@ INSERT, DELETE = UpdateKind.INSERT, UpdateKind.DELETE
 
 
 # ----------------------------------------------------------------------
-# _PendingBatch (the per-source requeue index)
-# ----------------------------------------------------------------------
-def test_pending_batch_requeue_is_per_source():
-    pending = _PendingBatch()
-    pending.queue(0, (INSERT, 1, 10, 0))
-    pending.queue(0, (INSERT, 2, 20, 0))
-    pending.queue(0, (INSERT, 1, 11, 3))
-    pending.queue(0, (DELETE, 1, 12, 0))
-    pending.queue(0, (DELETE, 3, 30, 0))
-    requeued = pending.requeue_source(1, module=0)
-    # src 1's entries come back in batch order; others are untouched.
-    assert requeued == [(INSERT, 1, 10, 0), (INSERT, 1, 11, 3), (DELETE, 1, 12, 0)]
-    module_ops = pending.finalize()
-    entries, has_adds, has_subs = module_ops[0]
-    assert entries == [(INSERT, 2, 20, 0), (DELETE, 3, 30, 0)]
-    assert has_adds and has_subs
-
-
-def test_pending_batch_keeps_emptied_module_operator():
-    """A module whose whole payload was requeued still gets an operator:
-    the update path dispatches (and charges a kernel launch for) an
-    operator to every module that had entries queued, even if a
-    promotion drained them all."""
-    pending = _PendingBatch()
-    pending.queue(2, (INSERT, 7, 70, 0))
-    pending.requeue_source(7, module=2)
-    module_ops = pending.finalize()
-    assert module_ops == {2: ([], True, False)}
-
-
-def test_pending_batch_requeue_of_unknown_source_is_empty():
-    pending = _PendingBatch()
-    pending.queue(0, (INSERT, 1, 10, 0))
-    assert pending.requeue_source(99, module=0) == []
-    assert pending.requeue_source(1, module=5) == []
-
-
-# ----------------------------------------------------------------------
-# Promotions mid-batch (requeue through the real update path)
+# Promotions mid-batch: an op follows its source's row to the host
 # ----------------------------------------------------------------------
 def promotion_system(engine="python", threshold=4):
     """``engine`` picks the query kernel the tests read the result back
@@ -76,9 +41,69 @@ def promotion_system(engine="python", threshold=4):
     return system
 
 
+def kernels_launched(system, module: int) -> int:
+    """Lifetime kernel launches charged to ``module``."""
+    charged = system.pim.totals.modules
+    return charged[module].kernels_launched if module in charged else 0
+
+
+@pytest.mark.parametrize(
+    "ops, launches",
+    [
+        ([INSERT] * 5, 1),
+        ([DELETE] + [INSERT] * 5, 2),
+    ],
+    ids=["add", "add_and_sub"],
+)
+def test_a_module_whose_ops_all_moved_to_the_host_still_launches_them(ops, launches):
+    """Every op sent to node 0's module follows node 0 to the host when
+    the batch promotes it, yet the module still launches one kernel per
+    operator kind it was sent: the emptied operator ships and is charged."""
+    system = promotion_system()
+    module = system.partition_of(0)
+    assert module != HOST_PARTITION
+    before = kernels_launched(system, module)
+    batch = [UpdateOp(kind, 0, 1 if kind is DELETE else 20 + i) for i, kind in enumerate(ops)]
+    system.apply_updates(batch)
+    assert system.partition_of(0) == HOST_PARTITION
+    assert kernels_launched(system, module) - before == launches
+    assert not system._module_storages[module].has_row(0)
+    kept = set() if DELETE in ops else {1}  # 0 -> 1 was loaded
+    inserted = {op.dst for op in batch if op.kind is INSERT}
+    assert set(system._host_storage.next_hops(0)) == kept | inserted
+
+
+def test_a_promoted_source_applies_its_earlier_delete_exactly_once():
+    """A delete→insert of one edge sent to the module before the source's
+    promotion replays once, on the host, in batch order: a delete applied
+    again after the re-insert would erase it."""
+    system = promotion_system()
+    edges = system.num_edges
+    ops = [UpdateOp(DELETE, 0, 1), UpdateOp(INSERT, 0, 1)]
+    ops += [UpdateOp(INSERT, 0, dst) for dst in range(20, 25)]
+    system.apply_updates(ops)
+    assert system.partition_of(0) == HOST_PARTITION
+    assert system.has_edge(0, 1)
+    assert system.num_edges == edges + 5
+    assert system._host_storage.row_length(0) == 6
+
+
+def test_a_delete_from_a_never_placed_source_is_a_host_no_op():
+    system = promotion_system()
+    nodes, edges = system.num_nodes, system.num_edges
+    launched = [kernels_launched(system, module) for module in range(4)]
+    stats = system.apply_updates([UpdateOp(DELETE, 99_999, 0)])
+    assert stats.counters["updates"] == 1
+    assert system.partition_of(99_999) is None
+    assert (system.num_nodes, system.num_edges) == (nodes, edges)
+    assert [kernels_launched(system, module) for module in range(4)] == launched
+    assert not system._host_storage.has_row(99_999)
+
+
 @pytest.mark.parametrize("engine", ["python", "vectorized", "matrix"])
 def test_multiple_promotions_in_one_batch(engine):
-    """Two sources crossing the threshold in the same batch both requeue."""
+    """Two sources crossing the threshold in the same batch both move
+    their earlier ops to the host."""
     system = promotion_system(engine=engine)
     assert system.partition_of(0) != HOST_PARTITION
     assert system.partition_of(1) != HOST_PARTITION
@@ -89,10 +114,10 @@ def test_multiple_promotions_in_one_batch(engine):
     stats = system.insert_edges(edges)
     assert stats.counters["updates"] == len(edges)
     # Both sources ended up promoted, with every inserted edge applied
-    # exactly once (requeued entries must not double-apply).
+    # exactly once (an op that followed its source must not double-apply).
     assert system.partition_of(0) == HOST_PARTITION
     assert system.partition_of(1) == HOST_PARTITION
-    assert system._partitioner.promotions() == 2
+    assert system.partition_statistics()["promotions"] == 2
     for src, dst in edges:
         assert system.has_edge(src, dst)
         assert system._host_storage.has_edge(src, dst)
@@ -104,11 +129,11 @@ def test_multiple_promotions_in_one_batch(engine):
 @pytest.mark.parametrize("engine", ["python", "vectorized", "matrix"])
 def test_promotion_requeues_pending_deletes_too(engine):
     system = promotion_system(engine=engine)
-    ops = [UpdateOp(UpdateKind.DELETE, 0, 1)]  # queued for 0's module first
+    ops = [UpdateOp(UpdateKind.DELETE, 0, 1)]  # sent to 0's module first
     ops += [UpdateOp(UpdateKind.INSERT, 0, dst) for dst in range(20, 25)]
     system.apply_updates(ops)
     assert system.partition_of(0) == HOST_PARTITION
-    assert not system.has_edge(0, 1)  # the requeued delete was applied
+    assert not system.has_edge(0, 1)  # the delete followed 0 to the host
     for dst in range(20, 25):
         assert system.has_edge(0, dst)
     result, _ = system.batch_khop([0], hops=1)
@@ -161,6 +186,61 @@ def test_mixed_batch_stats_match_insert_then_delete_state():
     assert not system.has_edge(2, 3)
     assert system.has_edge(5, 2)
     assert not system.has_edge(3, 0)
+
+
+# ----------------------------------------------------------------------
+# Routing differential: random mixed batches against the sequential model
+# ----------------------------------------------------------------------
+THRESHOLD = 4
+#: Loaded ids (a ring, node 0 one edge short of the threshold), ids no
+#: load placed, and ids only ever deleted from (never placed).
+LOADED, FRESH, NEVER_PLACED = list(range(12)), [100, 101, 102, 103], [900, 901]
+RING = [(node, (node + 1) % 12) for node in LOADED] + [(0, 5), (0, 7), (0, 9)]
+
+_insert_sources = st.sampled_from([0, 1, 2, 100, 101])  # few, so they cross
+_ends = st.sampled_from(LOADED + FRESH)
+_labels = st.integers(0, 3)
+_steps = st.one_of(
+    st.tuples(st.just("insert"), _insert_sources, _ends, _labels),
+    st.tuples(st.just("delete"), st.sampled_from(LOADED + FRESH + NEVER_PLACED), _ends, _labels),
+    st.tuples(st.just("reinsert"), _insert_sources, _ends, _labels),
+)
+
+
+def _batch(steps):
+    """The ops and labels of drawn steps: a ``reinsert`` is a delete of
+    an edge followed at once by its insert."""
+    ops, labels = [], []
+    for kind, src, dst, label in steps:
+        if kind != "insert":
+            ops.append(UpdateOp(DELETE, src, dst))
+            labels.append(0)
+        if kind != "delete":
+            ops.append(UpdateOp(INSERT, src, dst))
+            labels.append(label)
+    return ops, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_steps, min_size=1, max_size=24), min_size=1, max_size=3))
+def test_random_batches_route_like_the_sequential_model(batches):
+    """Whatever a batch promotes, never places or deletes and re-inserts,
+    the stored graph is the per-op model's, no source is left on PIM
+    above the threshold, and the host holds exactly the promoted rows."""
+    graph = DiGraph.from_edges(RING)
+    config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+    system = placed_at(high_degree_threshold=THRESHOLD).from_graph(graph, config)
+    model = ReferenceModel.from_digraph(graph)
+    for steps in batches:
+        ops, labels = _batch(steps)
+        system.apply_updates(ops, labels)
+        model.apply_ops(ops, labels)
+        assert sorted(system.graph.labeled_edges()) == sorted(model.to_digraph().labeled_edges())
+        assert list(system.graph.nodes()) == sorted(model.rows)
+        assert system._partitioner.pending_promotions() == 0
+        hosted = {node for node in model.rows if system.partition_of(node) == HOST_PARTITION}
+        assert set(system._host_storage.rows()) == hosted == model.hubs(THRESHOLD)
+    assert all(system.partition_of(node) is None for node in NEVER_PLACED)
 
 
 # ----------------------------------------------------------------------
