@@ -11,10 +11,11 @@ Figure 1:
   algorithm (labor division + greedy-adaptive load balancing);
 * :class:`QueryProcessor` / :class:`UpdateProcessor` — translate
   requests into ``smxm`` / ``mwait`` / ``add`` / ``sub`` operators and
-  execute them across the host and the PIM modules;
-* :func:`apply_update_ops` — the per-module ``add``/``sub`` operator;
-* :class:`LocalGraphStorage` — the hash-map adjacency segment of a PIM
-  module;
+  execute them across the host and the PIM modules (the module side of
+  ``add``/``sub`` is ``UpdateProcessor._apply_module_updates``, of
+  ``smxm`` the engines in :mod:`repro.engine`);
+* :class:`LocalGraphStorage` — a PIM module: the hash-map adjacency
+  segment in its local memory, whose capacity it enforces;
 * :class:`HeterogeneousGraphStorage` — the host's ``cols_vector`` rows
   plus PIM-side index maps for high-degree nodes;
 * :class:`StoredGraphView` — ``system.graph``: the stored graph read
@@ -30,7 +31,6 @@ from repro.core.hetero_storage import (
     HeterogeneousGraphStorage,
     HeteroUpdateOutcome,
 )
-from repro.core.operator_processor import SmxmWork, UpdateWork, apply_update_ops
 from repro.core.snapshot import GraphSnapshot
 from repro.core.node_migrator import NodeMigrator
 from repro.core.query_processor import QueryProcessor
@@ -43,9 +43,6 @@ __all__ = [
     "NodeMigrator",
     "QueryProcessor",
     "UpdateProcessor",
-    "apply_update_ops",
-    "SmxmWork",
-    "UpdateWork",
     "LocalGraphStorage",
     "HeterogeneousGraphStorage",
     "HeteroUpdateOutcome",

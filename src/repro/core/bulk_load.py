@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import LocalGraphStorage, footprint
-from repro.core.node_migrator import NodeMigrator
 from repro.core.snapshot import CSRHeap, build_heap, flatten_rows, ranges, sorted_runs
 from repro.graph.stream import array_chunks
 from repro.partition.base import UNKNOWN, StreamingPartitioner
@@ -53,7 +52,6 @@ def bulk_load(
     partitioner: StreamingPartitioner,
     module_storages: List[LocalGraphStorage],
     host_storage: HeterogeneousGraphStorage,
-    migrator: NodeMigrator,
     table: np.ndarray,
     nodes: List[int],
 ) -> CSRHeap:
@@ -70,7 +68,7 @@ def bulk_load(
     """
     highest = max(max(nodes, default=-1), int(table[:, :2].max(initial=-1)))
     partitioner.partition_map.reserve(len(nodes), highest)
-    loader = _BulkLoader(partitioner, module_storages, host_storage, migrator, table, nodes)
+    loader = _BulkLoader(partitioner, module_storages, host_storage, table, nodes)
     for chunk in array_chunks(table):
         loader.load_chunk(chunk)
     loader.load_isolated(nodes)
@@ -110,7 +108,6 @@ class _BulkLoader:
         partitioner: StreamingPartitioner,
         module_storages: List[LocalGraphStorage],
         host_storage: HeterogeneousGraphStorage,
-        migrator: NodeMigrator,
         table: np.ndarray,
         nodes: List[int],
     ) -> None:
@@ -121,7 +118,6 @@ class _BulkLoader:
         self._modules = module_storages
         self._columns = [_ModuleColumns() for _ in module_storages]
         self._host = host_storage
-        self._migrator = migrator
         self._table = table
         #: Table position of the current chunk's first edge.
         self._offset = 0
@@ -322,7 +318,6 @@ class _BulkLoader:
         }
         for node, _ in promoted:
             self._host.insert_row(node, rows_of[node])
-        self._migrator.promotions_performed += len(promoted)
 
     def _store_hub_edges(
         self,

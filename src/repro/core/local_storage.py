@@ -6,7 +6,10 @@ next-hop NodeIDs and their edge labels.  A hash map is used for its
 concurrency and scalability, exactly as the paper describes; in the
 simulator it is modelled by byte accounting against the module's 64 MB
 local memory (:data:`BYTES_PER_ROW` per row, :data:`BYTES_PER_ENTRY`
-per entry), while the rows themselves are held once, copy on write:
+per entry): the storage is the module's only record of that memory, and
+a write that would overflow it raises
+:class:`~repro.pim.memory.MemoryCapacityError` before its bytes are
+stored.  The rows themselves are held once, copy on write:
 
 * a **clean** row lives only in the storage's frozen base — its
   segment of the last published
@@ -57,7 +60,7 @@ from repro.core.snapshot import (
     row_pairs,
 )
 from repro.graph.digraph import DEFAULT_LABEL
-from repro.pim.memory import LocalMemory
+from repro.pim.memory import MemoryCapacityError
 
 #: Bytes charged per stored next-hop entry (NodeID + label).
 BYTES_PER_ENTRY = 12
@@ -88,12 +91,16 @@ class LocalGraphStorage:
     #: A module segment counts its rows' local destinations.
     count_local = True
 
-    def __init__(self, memory: Optional[LocalMemory] = None) -> None:
+    def __init__(self, capacity_bytes: Optional[int] = None) -> None:
         #: Every row ever written: ``node -> dst0, label0, dst1,
         #: label1, ...`` in insertion order, or ``None`` for a removed
         #: row.  Every other row is a clean base row.
         self._buffers: Dict[int, Optional[RowBuffer]] = {}
-        self._memory = memory
+        if capacity_bytes is not None and capacity_bytes <= 0:
+            raise ValueError("capacity_bytes must be positive")
+        #: The module's local memory in bytes; ``None`` = unbounded (a
+        #: session's staged rows).
+        self.capacity_bytes = capacity_bytes
         self._num_rows = 0
         self._num_edges = 0
         #: Ids of the rows written since the last publish: a tombstone, a
@@ -124,6 +131,22 @@ class LocalGraphStorage:
     def working_set_bytes(self) -> int:
         """The segment's footprint as its snapshots carry it (never 0)."""
         return max(self.storage_bytes, 1)
+
+    def fits(self, num_bytes: int) -> bool:
+        """Whether ``num_bytes`` more would stay within the capacity."""
+        capacity = self.capacity_bytes
+        return capacity is None or self.storage_bytes + num_bytes <= capacity
+
+    def _reserve(self, num_bytes: int) -> None:
+        """Refuse a write of ``num_bytes`` that would overflow the module's
+        memory, before it changes anything."""
+        if not self.fits(num_bytes):
+            capacity = self.capacity_bytes
+            raise MemoryCapacityError(
+                requested=num_bytes,
+                available=capacity - self.storage_bytes,
+                capacity=capacity,
+            )
 
     def has_row(self, node: int) -> bool:
         """Whether ``node``'s row lives on this module."""
@@ -197,8 +220,7 @@ class LocalGraphStorage:
 
     def _new_row(self, node: int) -> RowBuffer:
         """Create ``node``'s empty row (it must not exist)."""
-        if self._memory is not None:
-            self._memory.allocate(BYTES_PER_ROW)
+        self._reserve(BYTES_PER_ROW)
         row = self._buffers[node] = array("q")
         self._num_rows += 1
         self.written.add(node)
@@ -237,8 +259,7 @@ class LocalGraphStorage:
             row[slot] = label
             self.written.add(src)
             return False
-        if self._memory is not None:
-            self._memory.allocate(BYTES_PER_ENTRY)
+        self._reserve(BYTES_PER_ENTRY)
         row.append(dst)
         row.append(label)
         self._num_edges += 1
@@ -260,8 +281,6 @@ class LocalGraphStorage:
         index = 2 * dsts.index(dst)
         del row[index : index + 2]
         self._num_edges -= 1
-        if self._memory is not None:
-            self._memory.free(BYTES_PER_ENTRY)
         self.written.add(src)
         return True
 
@@ -283,8 +302,6 @@ class LocalGraphStorage:
         self._buffers[node] = None
         self._num_rows -= 1
         self._num_edges -= len(entries)
-        if self._memory is not None:
-            self._memory.free(BYTES_PER_ROW + len(entries) * BYTES_PER_ENTRY)
         self.written.add(node)
         return entries
 
@@ -292,8 +309,7 @@ class LocalGraphStorage:
         """Install a full row (the receiving side of a migration)."""
         if self.has_row(node):
             raise ValueError(f"row {node} already exists on this module")
-        if self._memory is not None:
-            self._memory.allocate(BYTES_PER_ROW + len(entries) * BYTES_PER_ENTRY)
+        self._reserve(footprint(1, len(entries)))
         self._buffers[node] = row_buffer(entries)
         self._num_rows += 1
         self._num_edges += len(entries)
@@ -305,12 +321,11 @@ class LocalGraphStorage:
     def adopt(self, segment: GraphSnapshot) -> None:
         """Make ``segment``, a heap's, this empty storage's rows (a bulk
         load or a checkpoint restore): no row gets a buffer, and the
-        memory is charged once, for the whole segment, before anything
+        capacity is checked once, for the whole segment, before anything
         changes."""
         if self._num_rows or self._buffers:
             raise RuntimeError("adopt requires an empty storage")
-        if self._memory is not None:
-            self._memory.allocate(footprint(segment.num_rows, segment.num_edges))
+        self._reserve(footprint(segment.num_rows, segment.num_edges))
         self.rebase(segment)
         self._num_rows, self._num_edges = segment.num_rows, segment.num_edges
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
-from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
+from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage, footprint
 from repro.core.snapshot import sorted_runs
 from repro.partition.base import HOST_PARTITION, PartitionMap
 from repro.pim.system import OperationContext
@@ -116,8 +116,6 @@ class NodeMigrator:
         self._merged = True
         #: Lifetime number of locality migrations performed.
         self.migrations_performed = 0
-        #: Lifetime number of promotions to the host performed.
-        self.promotions_performed = 0
         #: ``(node, from_module, to_module)`` moves of the most recent
         #: :meth:`apply_migrations` pass — the partition-map change
         #: journal the durability layer appends to the WAL.
@@ -166,10 +164,15 @@ class NodeMigrator:
     # ------------------------------------------------------------------
     # Locality migration
     # ------------------------------------------------------------------
-    def _target_has_headroom(self, target: int) -> bool:
+    def _target_has_headroom(self, node: int, source: int, target: int) -> bool:
+        """Whether ``target`` may take ``node``: its node count stays within
+        the capacity factor, and its memory holds ``node``'s row."""
         partition_map = self._map
         average = partition_map.pim_total() / max(1, partition_map.num_partitions)
-        return partition_map.size(target) + 1 <= self._capacity_factor * max(average, 1.0)
+        if partition_map.size(target) + 1 > self._capacity_factor * max(average, 1.0):
+            return False
+        row_length = self._module_storages[source].row_length(node)
+        return self._module_storages[target].fits(footprint(1, row_length))
 
     def _move_row(self, node: int, source: int, target: int) -> int:
         """Move ``node``'s row and partition-map entry; the row's length."""
@@ -205,10 +208,13 @@ class NodeMigrator:
         A node moves to the PIM partition holding *strictly more* of its
         next hops than its current one (the lowest partition id among
         equals; moving on a tie would only churn), if that partition has
-        headroom.  Nodes are decided in ascending id order — the engines
-        discover misplaced nodes in different orders, but headroom checks
-        and the migration limit must resolve identically for every
-        backend — and each decision sees the moves made before it.
+        headroom: room for one more node under the capacity factor, and
+        local memory for the node's row (a module that cannot take the
+        row leaves the node where it is).  Nodes are decided in ascending
+        id order — the engines discover misplaced nodes in different
+        orders, but headroom checks and the migration limit must resolve
+        identically for every backend — and each decision sees the moves
+        made before it.
 
         The vote is columnar: the pending nodes' rows are read live (never
         through a publish: a pass after a small scalar query must not pay
@@ -270,9 +276,9 @@ class NodeMigrator:
             target = min(votes, key=lambda part: (-votes[part], part))
             if votes[target] <= votes.get(source, 0):
                 continue
-            if not self._target_has_headroom(target):
-                continue
             node = int(nodes[voter])
+            if not self._target_has_headroom(node, source, target):
+                continue
             row_length = self._move_row(node, source, target)
             migrated += 1
             self.last_moves.append((node, source, target))
@@ -353,7 +359,6 @@ class NodeMigrator:
             return
         entries = self._module_storages[source_partition].remove_row(node)
         self._host_storage.insert_row(node, entries)
-        self.promotions_performed += 1
         if op is not None:
             row_bytes = max(1, len(entries)) * BYTES_PER_ENTRY
             op.cpc_transfer(row_bytes)

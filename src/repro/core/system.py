@@ -94,8 +94,9 @@ class Moctopus:
         self.pim = PIMSystem(self.config.cost_model)
         #: The placement policy; it owns the ``node_partition_vector``.
         self._partitioner = self._build_placement()
+        capacity = self.config.cost_model.module_memory_bytes
         self._module_storages = [
-            LocalGraphStorage(memory=module.memory) for module in self.pim.modules
+            LocalGraphStorage(capacity) for _ in range(self.config.num_modules)
         ]
         self._host_storage = HeterogeneousGraphStorage(self.config.num_modules)
         #: Live read-only graph view over the storages — the only
@@ -215,7 +216,6 @@ class Moctopus:
                     self._partitioner,
                     self._module_storages,
                     self._host_storage,
-                    self._migrator,
                     table,
                     nodes,
                 )
@@ -522,23 +522,19 @@ class Moctopus:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def explain(self, query, pinned: bool = True) -> str:
+    def explain(self, query) -> str:
         """The plan for ``query`` with its cost estimates, rendered for humans.
 
-        With ``pinned`` (the default) the query is planned against the
-        latest published epoch, so the explanation shows what a session
-        opened now would run, costed for the query's batch from that
-        epoch's statistics (:func:`~repro.rpq.planner.cost_plan`; only
-        here does the cost model run).  ``pinned=False`` explains the
-        plan a live query runs instead, on the same epoch: uncosted,
-        since a live view has no frozen statistics.
+        The query is planned against the latest published epoch, so the
+        explanation shows what a session opened now would run, costed
+        for the query's batch from that epoch's statistics
+        (:func:`~repro.rpq.planner.cost_plan`; only here does the cost
+        model run).  A live query runs the same plan; ``Plan.explain()``
+        with no decision renders it uncosted.
         """
         from repro.serve.epoch import EpochView
 
-        if pinned:
-            view = EpochView(self._epochs.current(), self.pim)
-        else:
-            view = self._live_view()
+        view = EpochView(self._epochs.current(), self.pim)
         processor = self._query_processor
         plan = processor.plan(query, view)
         decision = cost_plan(

@@ -51,9 +51,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.hetero_storage import HeterogeneousGraphStorage
-from repro.core.local_storage import LocalGraphStorage
+from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
 from repro.core.node_migrator import NodeMigrator
-from repro.core.operator_processor import apply_update_ops
 from repro.core.operators import BYTES_PER_UPDATE_ITEM, OPERATOR_HEADER_BYTES
 from repro.graph.digraph import DEFAULT_LABEL
 from repro.graph.stream import UpdateKind, UpdateOp
@@ -62,9 +61,8 @@ from repro.pim.stats import ExecutionStats
 from repro.pim.system import OperationContext, PIMSystem
 
 
-#: One queued module update, ``(kind, src, dst, label)`` — exactly what
-#: :func:`~repro.core.operator_processor.apply_update_ops` takes (labels
-#: are ignored on removal).
+#: One queued module update, ``(kind, src, dst, label)`` (the label is
+#: ignored on removal).
 PendingEntry = Tuple[UpdateKind, int, int, int]
 
 #: A batch's module payloads: per module, its entries in batch order and
@@ -207,22 +205,32 @@ class UpdateProcessor:
         operation: OperationContext,
         module_ops: ModuleOps,
     ) -> None:
-        """Apply each module's slice of the batch in true batch order.
+        """Apply each module's slice of the batch in true batch order —
+        the module-side half of the ``add``/``sub`` operators.
 
         The ``add`` and ``sub`` operators still dispatch (and charge one
         kernel launch each) per module, but their entries are applied
         interleaved by batch position: applying all adds before all subs
         would resolve a delete→insert of the same edge within one batch
-        to *absent* instead of the sequential result.
+        to *absent* instead of the sequential result.  Each entry costs
+        one hash-map lookup and one item, plus the bytes of the row it
+        reads before it writes.
         """
         for module_id, (entries, kinds) in module_ops.items():
             module = operation.module(module_id)
             for _ in range(len(kinds)):  # one add and/or one sub operator
                 module.launch_kernel()
-            work = apply_update_ops(self._module_storages[module_id], entries)
-            module.random_accesses(work.map_lookups)
-            module.stream_bytes(work.bytes_streamed)
-            module.process_items(work.items_processed)
+            storage = self._module_storages[module_id]
+            streamed = 0
+            for kind, src, dst, label in entries:
+                streamed += storage.row_length(src) * BYTES_PER_ENTRY
+                if kind is UpdateKind.INSERT:
+                    storage.add_edge(src, dst, label)
+                else:
+                    storage.remove_edge(src, dst)
+            module.random_accesses(len(entries))
+            module.stream_bytes(streamed)
+            module.process_items(len(entries))
 
     def _apply_hetero_updates(
         self,

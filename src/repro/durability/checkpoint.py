@@ -144,7 +144,8 @@ def capture_checkpoint(system: "Moctopus") -> Tuple[Dict, Dict[str, np.ndarray]]
             "fallback_placements": partition["fallback_placements"],
             "promotions": partition["promotions"],
             "migrations_performed": system._migrator.migrations_performed,
-            "promotions_performed": system._migrator.promotions_performed,
+            # The policy's count: every promotion the migrator carries out.
+            "promotions_performed": partition["promotions"],
             "batches_applied": system._update_processor.batches_applied,
         },
         "pim": system.pim.capture_lifetime(),
@@ -387,7 +388,6 @@ def restore_into(system: "Moctopus", state: CheckpointState) -> None:
         }
     )
     system._migrator.migrations_performed = int(counters["migrations_performed"])
-    system._migrator.promotions_performed = int(counters["promotions_performed"])
     system._update_processor.batches_applied = int(counters["batches_applied"])
     system._migrator.restore_pending(arrays["mig_pending"])
 

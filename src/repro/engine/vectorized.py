@@ -194,7 +194,7 @@ def _misplaced(
     threshold: Optional[float],
 ) -> Optional[ReportColumns]:
     """``(nodes, local, remote)`` columns of the nodes whose next hops
-    mostly live elsewhere — :func:`~repro.core.operator_processor.smxm`'s
+    mostly live elsewhere — :func:`~repro.engine.python_engine.smxm`'s
     test over the snapshot's ``local_counts`` (``threshold`` ``None`` = no
     detection); ``None`` when there are none."""
     if threshold is None:

@@ -15,13 +15,14 @@ Public surface:
 * :class:`PIMSystem`, whose :meth:`~PIMSystem.begin_operation` returns an
   :class:`OperationContext` used to charge work phase by phase;
 * :class:`ExecutionStats` with the host/CPC/IPC/PIM time breakdown;
-* :class:`LocalMemory` / :class:`MemoryCapacityError` for the 64 MB
-  per-module capacity constraint.
+* :class:`MemoryCapacityError`, raised by a module's graph storage
+  (:class:`~repro.core.local_storage.LocalGraphStorage`) when a write
+  would overflow its 64 MB of local memory.
 """
 
 from repro.pim.cost_model import UPMEM_FULL, UPMEM_RANK, CostModel, scaled_cost_model
 from repro.pim.ledger import ChargeLedger, ModuleCounters
-from repro.pim.memory import LocalMemory, MemoryCapacityError, PIMModule
+from repro.pim.memory import MemoryCapacityError
 from repro.pim.stats import ChannelCounters, ExecutionStats
 from repro.pim.system import OperationContext, PIMSystem
 
@@ -31,9 +32,7 @@ __all__ = [
     "UPMEM_FULL",
     "scaled_cost_model",
     "ChargeLedger",
-    "LocalMemory",
     "MemoryCapacityError",
-    "PIMModule",
     "ChannelCounters",
     "ModuleCounters",
     "ExecutionStats",

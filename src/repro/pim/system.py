@@ -33,12 +33,10 @@ exactly as if run back to back.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from functools import cached_property
 from typing import Iterator, List, Optional
 
 from repro.pim.cost_model import CostModel
 from repro.pim.ledger import ChargeLedger, HostCounters, ModuleCounters
-from repro.pim.memory import LocalMemory, PIMModule
 from repro.pim.stats import ExecutionStats
 
 
@@ -144,10 +142,11 @@ class OperationContext:
 class PIMSystem:
     """The simulated platform: one host CPU, P PIM modules, shared channels.
 
-    It keeps what outlives an operation: the cost model, the totals of
-    everything charged so far, and each module's local-memory capacity
-    account.  Totals fold once per closed phase and take no lock; a
-    platform charged from several threads relies on the serialisation
+    It keeps what outlives an operation: the cost model and the totals
+    of everything charged so far.  A module's local memory is its graph
+    storage (:class:`~repro.core.local_storage.LocalGraphStorage`), not
+    the platform's.  Totals fold once per closed phase and take no lock;
+    a platform charged from several threads relies on the serialisation
     its owner already has (the system's under the writer lock, the
     worker pool's under the pool lock).
     """
@@ -157,16 +156,6 @@ class PIMSystem:
         #: Every charge of every closed phase (diagnostics; see
         #: :meth:`capture_lifetime`).
         self.totals = ChargeLedger()
-
-    @cached_property
-    def modules(self) -> List[PIMModule]:
-        """The modules' persistent halves, built when first asked for
-        (only a system that stores a graph needs capacity accounts)."""
-        capacity = self.cost_model.module_memory_bytes
-        return [
-            PIMModule(module_id, LocalMemory(capacity))
-            for module_id in range(self.num_modules)
-        ]
 
     @property
     def num_modules(self) -> int:
@@ -204,10 +193,6 @@ class PIMSystem:
         charging the same operations on one platform in any order.
         """
         self.totals.merge(ChargeLedger.from_manifest(state))
-
-    def memory_utilization(self) -> List[float]:
-        """Per-module local-memory utilisation (0.0 - 1.0)."""
-        return [module.memory.utilization for module in self.modules]
 
     def load_report(self) -> List[int]:
         """Lifetime items processed per module (load-balance diagnostic)."""

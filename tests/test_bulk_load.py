@@ -40,7 +40,7 @@ from repro.graph import DiGraph, power_law_graph
 from repro.graph import stream
 from repro.paper import PIMHashSystem, placed_at
 from repro.pim import CostModel, scaled_cost_model
-from repro.pim.memory import LocalMemory, MemoryCapacityError
+from repro.pim.memory import MemoryCapacityError
 
 Edge = Tuple[int, int, int]
 
@@ -69,7 +69,6 @@ def load_state(system: Moctopus) -> Dict[str, object]:
         "sizes": (partition_map.pim_sizes(), partition_map.host_size()),
         "degrees": list(getattr(labor, "_out_degree", {}).items()),
         "counters": system.partition_statistics(),
-        "promotions_performed": system._migrator.promotions_performed,
         # A module's rows through its public readers, ids ascending: a
         # loaded module holds them in its base, the per-edge oracle's as
         # written buffers.  Neither keeps a creation order any more (a
@@ -80,7 +79,8 @@ def load_state(system: Moctopus) -> Dict[str, object]:
                 [(node, storage.next_hops_with_labels(node)) for node in storage.rows()],
                 storage.num_rows,
                 storage.num_edges,
-                storage._memory.used_bytes,
+                storage.storage_bytes,
+                storage.capacity_bytes,
             )
             for storage in system._module_storages
         ],
@@ -232,10 +232,9 @@ def test_bootstrap_only_recovery_equals_the_live_load(tmp_path, chunk_rows):
 
 def test_adopt_makes_a_segment_the_base_and_charges_memory():
     """The storage's bulk fill on its own: a heap segment becomes the
-    base, an empty row kept, the memory is charged once, and no row gets
+    base, an empty row kept, the memory is counted once, and no row gets
     a buffer — so the first publish after the install splices nothing."""
-    memory = LocalMemory(1 << 20)
-    storage = LocalGraphStorage(memory=memory)
+    storage = LocalGraphStorage(capacity_bytes=1 << 20)
     manager = publisher(storage)
     publish(manager)  # an empty epoch, which the install replaces
     rows = {1: [(2, 5), (3, 6), (4, 7)], 2: [(1, 0)], 8: [(1, 2)], 9: []}
@@ -250,7 +249,8 @@ def test_adopt_makes_a_segment_the_base_and_charges_memory():
         rows.items()
     )
     assert (storage.num_rows, storage.num_edges) == (4, 5)
-    assert memory.used_bytes == storage.storage_bytes == footprint(4, 5)
+    assert storage.storage_bytes == footprint(4, 5)
+    assert not storage.fits((1 << 20) - footprint(4, 5) + 1)
     assert not storage._buffers and not storage.written
     (snapshot,) = publish(manager)
     assert snapshot.same_arrays(reference)
@@ -472,7 +472,9 @@ def test_a_self_loop_promotion_leaves_no_phantom_row():
     assert sorted(rows + list(system._host_storage.rows())) == [0, 1, 2]
     assert list(system._host_storage.rows()) == [0]
     for storage, snapshot in zip(system._module_storages, system._epochs.current().snapshots):
-        assert storage._memory.used_bytes == storage.storage_bytes
+        rows = list(storage.rows())
+        edges = sum(storage.row_length(node) for node in rows)
+        assert storage.storage_bytes == footprint(len(rows), edges)
         assert all(snapshot.local_hops(node) <= 1 for node in storage.rows())
 
 

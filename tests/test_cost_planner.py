@@ -136,7 +136,7 @@ def test_patched_views_and_live_queries_plan_forward():
     live, live_decision = costed(system._live_view())
     assert "no frozen epoch statistics" in live_decision.reason
     assert live_decision.cost == 0.0
-    assert system.explain(query, pinned=False) == live.explain(live_decision)
+    assert live.explain() == live.explain(live_decision)
     with system.begin() as session:
         pinned, pinned_decision = costed(session._view())
         assert pinned_decision.cost > 0.0
@@ -280,7 +280,8 @@ def test_explain_prints_the_recorded_text_pinned_and_live():
         if index == 10:
             system.insert_edges([(19, 20)], labels=[1])
         assert system.explain(query) == header + phases, index
-        assert system.explain(query, pinned=False) == _UNCOSTED + phases, index
+        live = system._query_processor.plan(query, system._live_view())
+        assert live.explain() == _UNCOSTED + phases, index
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +482,8 @@ def test_system_explain_and_cache_stats_facade():
     assert text.splitlines()[0].startswith("cost: ")
     assert "decision: fixed-length plans" in text
     assert "frontier estimates per hop: [" in text
-    live = system.explain(RPQuery("a/c", sources=[0]), pinned=False)
-    assert "no frozen epoch statistics" in live
+    live = system._query_processor.plan(RPQuery("a/c", sources=[0]), system._live_view())
+    assert "no frozen epoch statistics" in live.explain()
     query = RPQuery("a/b", sources=[0, 1])
     with system.begin() as session:
         session.execute(query)

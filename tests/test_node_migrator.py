@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from faultinject import crash
 from model import migrate, placement, publish
 from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
@@ -55,9 +56,8 @@ class Rig:
         self.num_modules = num_modules
         self.pim = PIMSystem(config.cost_model)
         self.partitioner = LaborDivisionPartitioner(RadicalGreedyPartitioner(num_modules))
-        self.storages = [
-            LocalGraphStorage(memory=module.memory) for module in self.pim.modules
-        ]
+        self.memory = config.cost_model.module_memory_bytes
+        self.storages = [LocalGraphStorage(self.memory) for _ in range(num_modules)]
         self.host = HeterogeneousGraphStorage(num_modules)
         for node, partition in placement.items():
             self.partitioner.partition_map.assign(node, partition)
@@ -210,7 +210,40 @@ def test_headroom_sits_exactly_on_the_capacity_boundary():
     sizes = rig.partitioner.partition_map.pim_sizes()
     for target in range(4):
         old = sizes[target] + 1 <= 1.2 * max(sum(sizes) / max(1, len(sizes)), 1.0)
-        assert rig.migrator._target_has_headroom(target) == old
+        assert rig.migrator._target_has_headroom(1, 0, target) == old
+
+
+def test_a_full_module_takes_no_migrant_and_loses_no_edge(tmp_path):
+    """A module whose memory cannot take a node's row has no headroom for
+    it: the node stays where it is with its edges, the pass returns
+    normally, and its journaled moves recover to the same placement."""
+    graph = community_graph(8, 50, seed=0)
+    memory = 9312  # the fullest module holds 9 304 bytes after the load
+    config = MoctopusConfig(
+        cost_model=CostModel(num_modules=4, module_memory_bytes=memory),
+        durability_dir=str(tmp_path),
+        checkpoint_interval_batches=0,
+    )
+    system = Moctopus.from_graph(graph, config)
+    storages = system._module_storages
+    assert max(storage.storage_bytes for storage in storages) == memory - 8
+    nodes = sorted(graph.nodes())
+    for start in range(0, len(nodes), 64):
+        system.batch_khop(nodes[start:start + 64], hops=2)
+    assert system._migrator.migrations_performed > 0
+    assert sorted(system.graph.labeled_edges()) == sorted(graph.labeled_edges())
+    owners = placement(system._partitioner.partition_map)
+    for node, owner in owners.items():
+        if owner != HOST_PARTITION:
+            assert storages[owner].has_row(node), node
+    assert all(storage.storage_bytes <= memory for storage in storages)
+    crash(system)
+    recovered = Moctopus.recover(str(tmp_path))
+    try:
+        assert placement(recovered._partitioner.partition_map) == owners
+        assert sorted(recovered.graph.labeled_edges()) == sorted(graph.labeled_edges())
+    finally:
+        recovered.close()
 
 
 def test_limit_truncates_and_discards_the_rest():
@@ -298,10 +331,7 @@ def test_pass_matches_the_scalar_oracle(case):
             # Every row clean in an installed heap, then one written row
             # per module: the pass reads and moves both kinds.
             for module in range(num_modules):
-                rig.pim.modules[module].memory.reset()
-                rig.storages[module] = LocalGraphStorage(
-                    memory=rig.pim.modules[module].memory
-                )
+                rig.storages[module] = LocalGraphStorage(rig.memory)
             rig.epochs = rig.epoch_manager()
             rig.epochs.install(heap)
         if snapshots in ("dirty", "seeded"):

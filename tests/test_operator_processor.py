@@ -1,12 +1,15 @@
-"""Tests for the per-module operators: the scalar ``smxm`` loop and
-``apply_update_ops``."""
+"""Tests for the per-module operators: the scalar ``smxm`` loop of
+:mod:`repro.engine.python_engine` and the ``add``/``sub`` operators a
+module applies to its storage."""
 
 from __future__ import annotations
 
 from model import publish, publisher
+from repro.core import Moctopus, MoctopusConfig
 from repro.core.local_storage import BYTES_PER_ENTRY, LocalGraphStorage
-from repro.core.operator_processor import apply_update_ops, smxm
-from repro.graph.stream import UpdateKind
+from repro.engine.python_engine import smxm
+from repro.graph import DiGraph
+from repro.pim import CostModel
 from repro.rpq import build_dfa
 
 
@@ -47,11 +50,10 @@ def test_smxm_detects_misplaced_nodes():
     storage.add_edge(1, 50)
     storage.add_edge(1, 51)
     _, work = smxm({1: {0}}, snapshot(storage), misplacement_threshold=0.5)
-    assert 1 in work.misplacement_reports
-    local, remote = work.misplacement_reports[1]
-    assert local == 0 and remote == 2
+    nodes, local, remote = work.misplaced
+    assert (nodes.tolist(), local.tolist(), remote.tolist()) == ([1], [0], [2])
     _, quiet = smxm({1: {0}}, snapshot(storage), misplacement_threshold=None)
-    assert quiet.misplacement_reports == {}
+    assert quiet.misplaced is None
 
 
 def test_smxm_with_dfa_filters_by_label():
@@ -68,20 +70,30 @@ def test_smxm_with_dfa_filters_by_label():
 
 
 def test_process_add_and_sub():
-    storage = LocalGraphStorage()
-    work = apply_update_ops(
-        storage,
-        [
-            (UpdateKind.INSERT, 1, 2, 0),
-            (UpdateKind.INSERT, 1, 3, 0),
-            (UpdateKind.INSERT, 1, 2, 0),
-        ],
-    )
-    assert work.applied == 2
-    assert work.map_lookups == 3
-    assert storage.num_edges == 2
-    work = apply_update_ops(
-        storage, [(UpdateKind.DELETE, 1, 2, 0), (UpdateKind.DELETE, 1, 9, 0)]
-    )
-    assert work.applied == 1
-    assert storage.num_edges == 1
+    """A module applies its slice of a batch in batch order, charging one
+    lookup and one item per op plus the bytes of the row it reads first,
+    and one kernel launch per operator."""
+    config = MoctopusConfig(cost_model=CostModel(num_modules=1))
+    system = Moctopus.from_graph(DiGraph.from_edges([(1, 0)]), config)
+    (storage,) = system._module_storages
+    module = system.pim.totals.modules[0]
+
+    def charged():
+        return (
+            module.accesses_made,
+            module.bytes_streamed,
+            module.items_processed,
+            module.kernels_launched,
+        )
+
+    system.delete_edges([(1, 0)])
+    before = charged()
+    system.insert_edges([(1, 2), (1, 3), (1, 2)])
+    assert storage.num_edges == 2 and storage.next_hops(1) == [2, 3]
+    after = charged()
+    # Rows of 0, 1 and 2 entries were read before the three inserts.
+    assert [b - a for a, b in zip(before, after)] == [3, 3 * BYTES_PER_ENTRY, 3, 1]
+    system.delete_edges([(1, 2), (1, 9)])
+    assert storage.num_edges == 1 and storage.next_hops(1) == [3]
+    # Rows of 2 entries, then 1, were read before the two deletes.
+    assert [b - a for a, b in zip(after, charged())] == [2, 3 * BYTES_PER_ENTRY, 2, 1]

@@ -11,8 +11,6 @@ import pytest
 from repro.pim import (
     CostModel,
     ExecutionStats,
-    LocalMemory,
-    MemoryCapacityError,
     PIMSystem,
     UPMEM_FULL,
     UPMEM_RANK,
@@ -63,40 +61,6 @@ def test_describe_contains_key_parameters():
     description = CostModel().describe()
     assert description["num_modules"] == 64
     assert "cpc_bandwidth" in description
-
-
-# ----------------------------------------------------------------------
-# Local memory
-# ----------------------------------------------------------------------
-def test_local_memory_allocation_and_free():
-    memory = LocalMemory(1000)
-    memory.allocate(600)
-    assert memory.used_bytes == 600
-    assert memory.available_bytes == 400
-    assert memory.utilization == pytest.approx(0.6)
-    memory.free(100)
-    assert memory.used_bytes == 500
-    memory.reset()
-    assert memory.used_bytes == 0
-
-
-def test_local_memory_overflow_raises():
-    memory = LocalMemory(100)
-    memory.allocate(90)
-    with pytest.raises(MemoryCapacityError) as info:
-        memory.allocate(20)
-    assert info.value.requested == 20
-    assert info.value.available == 10
-
-
-def test_local_memory_invalid_arguments():
-    with pytest.raises(ValueError):
-        LocalMemory(0)
-    memory = LocalMemory(10)
-    with pytest.raises(ValueError):
-        memory.allocate(-1)
-    with pytest.raises(ValueError):
-        memory.free(5)
 
 
 # ----------------------------------------------------------------------
@@ -185,12 +149,10 @@ def test_counters_and_reports():
     op = system.begin_operation()
     with op.phase("w"):
         op.module(2).process_items(5)
-        system.modules[2].memory  # touch attribute, no allocation
     op.add_counter("queries", 2)
     stats = op.finish()
     assert stats.counters["queries"] == 2
-    assert system.load_report()[2] == 5
-    assert len(system.memory_utilization()) == 3
+    assert system.load_report() == [0, 0, 5]
 
 
 def test_stats_copy_equals_deepcopy_and_shares_nothing():

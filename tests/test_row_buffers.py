@@ -51,7 +51,7 @@ from repro.graph import DiGraph, power_law_graph
 from repro.graph.stream import UpdateKind, UpdateOp, UpdateStream
 from repro.paper import placed_at
 from repro.partition.base import HOST_PARTITION
-from repro.pim import CostModel, LocalMemory
+from repro.pim import CostModel
 from repro.rpq import RPQuery
 from repro.serve.epoch import EpochManager
 
@@ -68,6 +68,8 @@ THRESHOLD_8 = placed_at(high_degree_threshold=8)
 #: buffer would trip over.
 NODES = 6
 VALUES = 12
+#: A module's memory in these scripts: every write passes its check.
+MODULE_BYTES = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -115,14 +117,14 @@ class ModuleModel:
             assert storage.remove_row(node) == [tuple(entry) for entry in row or []]
             self.rows.pop(node, None)
 
-    def check(
-        self, storage: LocalGraphStorage, memory: LocalMemory, manager: EpochManager
-    ) -> None:
+    def check(self, storage: LocalGraphStorage, manager: EpochManager) -> None:
         edges = sum(len(row) for row in self.rows.values())
         assert sorted(storage.rows()) == sorted(self.rows)
         assert storage.num_rows == len(self.rows) and storage.num_edges == edges
         assert storage.storage_bytes == len(self.rows) * BYTES_PER_ROW + edges * BYTES_PER_ENTRY
-        assert memory.used_bytes == storage.storage_bytes
+        # The capacity is checked against that same count.
+        free = MODULE_BYTES - storage.storage_bytes
+        assert storage.fits(free) and not storage.fits(free + 1)
         # The migrator's columnar read, before the publish: the step's
         # row comes from its buffer, every other one from the base.
         lengths, dsts = storage.gather_dsts(np.arange(NODES + 1))
@@ -292,13 +294,13 @@ op_strategy = st.one_of(
 
 
 def module_storage(
-    rows, start: str, memory: LocalMemory
+    rows, start: str
 ) -> Tuple[LocalGraphStorage, EpochManager]:
     """A storage holding ``rows`` (``node -> [(dst, label), ...]``), and
     the manager that publishes it: installed row by row, or adopted from a
     heap segment built as a bulk load builds one (the per-edge reference
     builder) or as a checkpoint restore does (the system's merge)."""
-    storage = LocalGraphStorage(memory=memory)
+    storage = LocalGraphStorage(capacity_bytes=MODULE_BYTES)
     manager = publisher(storage)
     ids = sorted(rows)
     if start == "written":
@@ -315,14 +317,13 @@ def module_storage(
 
 
 def run_module_script(ops, rows=None, start: str = "written") -> None:
-    memory = LocalMemory(1 << 20)
-    storage, manager = module_storage(rows or {}, start, memory)
+    storage, manager = module_storage(rows or {}, start)
     model = ModuleModel(rows)
-    model.check(storage, memory, manager)
+    model.check(storage, manager)
     touched = set(storage._buffers)
     for op in ops:  # a publish per step: one splice, or none after a no-op
         model.apply(storage, op)
-        model.check(storage, memory, manager)
+        model.check(storage, manager)
         touched.add(op[1])
         assert set(storage._buffers) <= touched  # only written rows are copied
         assert publish(manager)[0].same_arrays(
@@ -480,7 +481,7 @@ def test_restored_storages_refresh_against_their_read_only_seed():
         host.delete_edge(node, 50 + node)  # a hole at a different position per row
     manager = publisher(local, host)
     heap = manager.current().heap
-    restored_local = LocalGraphStorage(memory=LocalMemory(1 << 20))
+    restored_local = LocalGraphStorage(capacity_bytes=MODULE_BYTES)
     restored_host = HeterogeneousGraphStorage(num_pim_modules=4)
     captured = host.capture_arrays()
     restored_host.restore_arrays(captured)
@@ -491,7 +492,7 @@ def test_restored_storages_refresh_against_their_read_only_seed():
     assert restored.splices == 0
     assert not publish(restored)[0].dsts.flags.writeable
     assert restored_local.storage_bytes == local.storage_bytes
-    assert restored_local._memory.used_bytes == local.storage_bytes
+    assert not restored_local.fits(MODULE_BYTES - local.storage_bytes + 1)
     assert public_rows(restored_local) == public_rows(local)
     recaptured = restored_host.capture_arrays()
     assert sorted(recaptured) == sorted(captured)

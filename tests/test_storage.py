@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from model import build_snapshot_reference
+from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import HeterogeneousGraphStorage
 from repro.core.local_storage import (
     BYTES_PER_ENTRY,
     BYTES_PER_ROW,
     LocalGraphStorage,
+    footprint,
 )
-from repro.pim import LocalMemory, MemoryCapacityError
+from repro.core.snapshot import row_buffer
+from repro.pim import CostModel, MemoryCapacityError
 
 
 # ----------------------------------------------------------------------
@@ -63,22 +67,79 @@ def test_local_storage_row_move_roundtrip():
 
 
 def test_local_storage_memory_accounting():
-    memory = LocalMemory(10_000)
-    storage = LocalGraphStorage(memory=memory)
+    storage = LocalGraphStorage(capacity_bytes=10_000)
     storage.add_edge(1, 2)
     # One row record (for the source) plus one next-hop entry.
-    assert memory.used_bytes == BYTES_PER_ROW + BYTES_PER_ENTRY
+    assert storage.storage_bytes == BYTES_PER_ROW + BYTES_PER_ENTRY
     storage.remove_edge(1, 2)
-    assert memory.used_bytes == BYTES_PER_ROW
     assert storage.storage_bytes == BYTES_PER_ROW
+    storage.insert_row(2, [(3, 0), (4, 1)])
+    assert storage.storage_bytes == footprint(2, 2)
+    storage.remove_row(2)
+    # A freed row's bytes can be taken again at once.
+    assert storage.storage_bytes == BYTES_PER_ROW
+    assert storage.fits(10_000 - BYTES_PER_ROW)
+    assert not storage.fits(10_000 - BYTES_PER_ROW + 1)
+
+
+def _two_row_segment():
+    """A heap segment of two rows holding three entries."""
+    rows = [(1, row_buffer([(2, 0), (3, 0)])), (2, row_buffer([(1, 0)]))]
+    return build_snapshot_reference(rows, BYTES_PER_ENTRY, footprint(2, 3), True)
+
+
+#: ``(write, capacity, stored first, bytes the write asks for, bytes
+#: stored once it succeeds)`` — every path by which a module's storage
+#: takes memory.
+CAPACITY_CASES = [
+    ("add_edge's new row", BYTES_PER_ROW - 1, [], BYTES_PER_ROW, footprint(1, 1)),
+    ("a new entry", footprint(1, 1), [(1, 2)], BYTES_PER_ENTRY, footprint(1, 2)),
+    ("insert_row", footprint(2, 3) - 1, [(1, 2)], footprint(1, 2), footprint(2, 3)),
+    ("adopt", footprint(2, 3) - 1, [], footprint(2, 3), footprint(2, 3)),
+]
 
 
 def test_local_storage_capacity_enforced():
-    memory = LocalMemory(BYTES_PER_ROW + BYTES_PER_ENTRY)
-    storage = LocalGraphStorage(memory=memory)
-    storage.add_edge(1, 2)
-    with pytest.raises(MemoryCapacityError):
-        storage.add_edge(1, 3)
+    writes = {
+        "add_edge's new row": lambda storage: storage.add_edge(1, 2),
+        "a new entry": lambda storage: storage.add_edge(1, 3),
+        "insert_row": lambda storage: storage.insert_row(2, [(3, 0), (4, 0)]),
+        "adopt": lambda storage: storage.adopt(_two_row_segment()),
+    }
+    for name, capacity, edges, requested, full in CAPACITY_CASES:
+        storage = LocalGraphStorage(capacity_bytes=capacity)
+        for src, dst in edges:
+            storage.add_edge(src, dst)
+        before = (storage.storage_bytes, storage.num_rows, storage.num_edges)
+        assert not storage.fits(requested), name
+        with pytest.raises(MemoryCapacityError) as info:
+            writes[name](storage)
+        assert info.value.requested == requested, name
+        assert info.value.available == capacity - before[0], name
+        assert info.value.capacity == capacity, name
+        after = (storage.storage_bytes, storage.num_rows, storage.num_edges)
+        assert after == before, name
+        # A module exactly big enough takes the same write.
+        storage = LocalGraphStorage(capacity_bytes=full)
+        for src, dst in edges:
+            storage.add_edge(src, dst)
+        writes[name](storage)
+        assert storage.storage_bytes == full and not storage.fits(1), name
+
+
+def test_non_positive_module_memory_is_refused():
+    """A storage, and so a system, cannot be built with no memory; an
+    unbounded storage (a session's staged rows) takes any write."""
+    for capacity in (0, -1):
+        with pytest.raises(ValueError):
+            LocalGraphStorage(capacity_bytes=capacity)
+        config = MoctopusConfig(
+            cost_model=CostModel(num_modules=2, module_memory_bytes=capacity)
+        )
+        with pytest.raises(ValueError):
+            Moctopus(config)
+    unbounded = LocalGraphStorage()
+    assert unbounded.capacity_bytes is None and unbounded.fits(1 << 62)
 
 
 # ----------------------------------------------------------------------
