@@ -35,9 +35,9 @@ def main() -> None:
     cost_model = scaled_cost_model()
     # A system starts on the "auto" kernel, which picks one per call
     # from the size of the request; moctopus.use_engine("python" |
-    # "vectorized" | "matrix") pins one.  All of them return
-    # bit-identical results and simulated stats, so the choice only
-    # changes how fast the reproduction itself runs.
+    # "vectorized") pins one.  Both return bit-identical results and
+    # simulated stats, so the choice only changes how fast the
+    # reproduction itself runs.
     moctopus = Moctopus.from_graph(graph, MoctopusConfig(cost_model=cost_model))
     pim_hash = PIMHashSystem.from_graph(graph, MoctopusConfig(cost_model=cost_model))
     redisgraph = RedisGraphEngine.from_graph(graph, cost_model=cost_model)

@@ -36,9 +36,9 @@ It contains:
     The execution layer: one driver runs a ``Plan`` as dispatch, ``smxm``
     expand+route phases and ``mwait``, charging the simulated platform,
     over kernels picked by name (``repro.engine.execute``; the name is
-    set with ``Moctopus.use_engine``) — the scalar reference, the
-    vectorized numpy kernels over CSR storage snapshots, the
-    semiring-matrix kernels — required to agree on every result and
+    set with ``Moctopus.use_engine``) — the scalar reference and the
+    numpy kernels over CSR storage snapshots, which push or pull each
+    phase as its work decides — required to agree on every result and
     every simulated counter.
 
 ``repro.serve``

@@ -5,8 +5,9 @@ Every concurrency fix this codebase has shipped — the epoch-pin leak in
 shared-``__traceback__`` race on coalesced failures — was an instance of
 a *checkable project invariant*: lock discipline, pin/unpin pairing, the
 WAL write funnel, frozen-array immutability, asyncio non-blocking rules,
-deterministic iteration feeding stats and wire output — and the system
-stays free of the paper's evaluation apparatus.  This package
+deterministic iteration feeding stats and wire output — the system
+stays free of the paper's evaluation apparatus, and only the accounting
+modules charge the simulated platform.  This package
 checks those invariants mechanically, in CI, on every change:
 
 :mod:`repro.analysis.lint`
@@ -15,7 +16,7 @@ checks those invariants mechanically, in CI, on every change:
     file:line, rule id and a fix hint, plus a baseline/suppression
     mechanism so deliberate exceptions are explicit) driving the
     project-specific rules in :mod:`repro.analysis.rules` (REP001 —
-    REP007).  ``python -m repro.analysis`` runs it over ``src/``.
+    REP008).  ``python -m repro.analysis`` runs it over ``src/``.
 
 :mod:`repro.analysis.lockcheck`
     An opt-in runtime lock-order checker: instrumented

@@ -1,6 +1,6 @@
 """``python -m repro.analysis`` — the project-invariant lint CLI.
 
-Runs REP001 — REP007 over ``src/`` (or explicit paths), applies the
+Runs REP001 — REP008 over ``src/`` (or explicit paths), applies the
 inline ``# repro: noqa REP00x — why`` suppressions and the baseline
 file, and exits nonzero on any non-baselined finding — the contract the
 ``analysis`` CI job gates on.
@@ -33,7 +33,7 @@ DEFAULT_BASELINE = "analysis-baseline.json"
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Project-invariant static analysis (REP001-REP007).",
+        description="Project-invariant static analysis (REP001-REP008).",
     )
     parser.add_argument(
         "paths",

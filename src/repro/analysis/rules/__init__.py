@@ -1,4 +1,4 @@
-"""The project-specific rule registry (REP001 — REP007).
+"""The project-specific rule registry (REP001 — REP008).
 
 Each rule module exposes a ``Rule`` class with ``rule_id``, ``title``,
 ``hint`` and ``check(module) -> Iterator[Finding]``.  ``all_rules()``
@@ -18,6 +18,7 @@ from repro.analysis.rules import (
     rep005_async_blocking,
     rep006_unordered_iteration,
     rep007_paper_boundary,
+    rep008_charging_funnel,
 )
 
 _RULE_MODULES = (
@@ -28,6 +29,7 @@ _RULE_MODULES = (
     rep005_async_blocking,
     rep006_unordered_iteration,
     rep007_paper_boundary,
+    rep008_charging_funnel,
 )
 
 

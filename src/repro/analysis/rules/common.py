@@ -2,7 +2,7 @@
 
 Everything here is heuristic name-based analysis: the rules target
 *this* codebase's naming conventions (``*_lock``, ``*_queue``,
-``pin``/``unpin``, ``wal_write``), which is what makes a seven-rule
+``pin``/``unpin``, ``wal_write``), which is what makes a eight-rule
 project linter precise enough to gate CI where a general-purpose tool
 could not be.
 """

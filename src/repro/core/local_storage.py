@@ -246,20 +246,25 @@ class LocalGraphStorage:
         if clean:
             row = self._copy_base_row(src)
         if row is None:
+            # A new row and its first entry are one reservation.
+            self._reserve(footprint(1, 1))
             row = self._new_row(src)
-        # Search the dst column only: in the interleaved buffer a label
-        # can equal a node id.
-        dsts = row[::2]
-        if dst in dsts:
-            slot = 2 * dsts.index(dst) + 1
-            if row[slot] == label:
-                if clean:
-                    del self._buffers[src]
+        else:
+            # Search the dst column only: in the interleaved buffer a
+            # label can equal a node id.
+            dsts = row[::2]
+            if dst in dsts:
+                slot = 2 * dsts.index(dst) + 1
+                if row[slot] == label:
+                    if clean:
+                        del self._buffers[src]
+                    return False
+                row[slot] = label
+                self.written.add(src)
                 return False
-            row[slot] = label
-            self.written.add(src)
-            return False
-        self._reserve(BYTES_PER_ENTRY)
+            if clean and not self.fits(BYTES_PER_ENTRY):
+                del self._buffers[src]  # a refused write leaves no copy
+            self._reserve(BYTES_PER_ENTRY)
         row.append(dst)
         row.append(label)
         self._num_edges += 1

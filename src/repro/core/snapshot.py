@@ -114,7 +114,7 @@ class TransposedBlock:
     ``dsts`` holds the sorted unique destination node ids, ``indptr``
     the per-destination segment bounds, and ``src_rows`` the producing
     row *indices* (positions into the owning snapshot's ``node_ids``,
-    not global ids) of each in-edge.  This is the matrix engine's
+    not global ids) of each in-edge.  This is the array kernels'
     pull-side operand: one ``np.bitwise_or.reduceat`` over the
     ``indptr`` segments computes ``frontier ⊗ Adj`` for a whole
     partition without any per-phase edge sort.
@@ -287,7 +287,7 @@ class GraphSnapshot:
         """Per-label transposed adjacency blocks (cached): label ->
         :class:`TransposedBlock` over only that label's edges.
 
-        The matrix engine's DFA path pulls one block per (label, live
+        A pulling DFA phase reads one block per (label, live
         automaton transition) pair, so edges whose label the automaton
         rejects are never touched.
         """

@@ -18,12 +18,10 @@ the size of the graph it is about to run on):
 * :mod:`repro.engine.python_engine` — the scalar reference kernel
   (exact original semantics), ``"python"``;
 * :mod:`repro.engine.vectorized` — the numpy kernels expanding columnar
-  frontiers against CSR storage snapshots (push-style gathers),
-  ``"vectorized"``;
-* :mod:`repro.engine.matrix_engine` — the semiring-matrix kernels
-  executing plans as masked boolean SpGEMM over pre-transposed CSR
-  blocks, with a dense-vs-sparse crossover back to the push path,
-  ``"matrix"``.
+  frontiers against CSR storage snapshots, each partition's phase by
+  push (gather and sort) or pull (masked boolean SpGEMM over the
+  snapshot's transposed blocks) as its counted work decides,
+  ``"vectorized"`` (``"matrix"`` is a second name for it).
 
 Kernels are interchangeable by contract: identical results *and*
 identical simulated work counters, so ``Moctopus.use_engine`` can flip
@@ -35,7 +33,6 @@ from typing import Dict, List, Tuple
 from repro.engine import base
 from repro.engine.base import ENGINE_NAMES, PlanView, choose_engine
 from repro.engine.driver import ExpandWork, Kernel, execute_plan
-from repro.engine.matrix_engine import PullBitsetKernel, PullKeysKernel
 from repro.engine.python_engine import ScalarKernel
 from repro.engine.vectorized import BitsetKernel, KeysKernel
 from repro.pim.stats import ExecutionStats
@@ -79,9 +76,7 @@ def execute(
             f"unknown execution engine {kernel!r}; expected one of {ENGINE_NAMES}"
         )
     elif plan.dfa is None:
-        bitset = PullBitsetKernel if kernel == "matrix" else BitsetKernel
-        frontier = bitset(plan, sources, view)
+        frontier = BitsetKernel(plan, sources, view)
     else:
-        keys = PullKeysKernel if kernel == "matrix" else KeysKernel
-        frontier = keys(plan, sources, view, label_names)
+        frontier = KeysKernel(plan, sources, view, label_names)
     return execute_plan(plan, sources, view, frontier)

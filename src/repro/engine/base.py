@@ -38,7 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 #: Names accepted by :func:`repro.engine.execute` / ``Moctopus.use_engine``.
 #: ``"auto"`` selects per call between the scalar and the vectorized
-#: backend; ``"matrix"`` runs only when named.
+#: kernel.  ``"matrix"`` is a second name for ``"vectorized"``, whose
+#: phases pull (masked SpGEMM) by themselves when their work says so; it
+#: stays because the end-to-end benchmark's probes name it.
 ENGINE_NAMES = ("auto", "python", "vectorized", "matrix")
 
 #: Estimated final-frontier items (``batch size x average out-degree ^

@@ -11,9 +11,10 @@ only (diagram: README, "Execution engines").
 
 A kernel is a per-call object: it reads the view, keeps the frontier
 representation and the accumulating answer, and reports each expansion's
-work as a frozen :class:`ExpandWork`.  It never touches the platform, so
-bit-identical statistics across kernels follow from the counts the
-kernels report, not from three copies of the charging code.
+work as a frozen :class:`ExpandWork`.  It never touches the platform
+(lint rule REP008), so bit-identical statistics across kernels follow
+from the counts the kernels report, not from a copy of the charging
+code per kernel.
 """
 
 from __future__ import annotations

@@ -26,19 +26,32 @@ generates).  Deduplication is a sort, already-seen filtering is a
 ``searchsorted``, and node / row / state are recovered with two
 ``divmod``\\ s.
 
+**Push or pull, per phase and partition.**  *Push* gathers the
+frontier rows' out-edges and sorts them by destination, ``O(E' log
+E')`` in the edges it touches.  *Pull* computes ``F' = F ⊗ Adjᵀ``
+literally: the frontier masks go into a plane with one word row per
+adjacency row, and one gather plus one ``np.bitwise_or.reduceat`` over
+the snapshot's transposed in-edges (one block per edge label for a DFA
+plan) yields every destination's mask, at the cost of the whole
+partition.  Each partition's expansion takes the side its counted work
+says is cheaper (:func:`_pull_pays`), as direction-optimising BFS
+(Beamer et al., SC 2012) and GraphBLAS's per-``mxm`` choice do; the
+answer is the same either way.
+
 Each representation is a per-call :class:`~repro.engine.driver.Kernel`
 (:class:`BitsetKernel`, :class:`KeysKernel`).  The kernels are
 *simulation-faithful*: for every expansion they derive the same work
 counters (rows touched, bytes streamed, items processed, frontier items
 crossing CPC/IPC, misplacement reports) the scalar kernel would have
-produced and report them to the driver, which charges every backend
-alike — so results and :class:`~repro.pim.stats.ExecutionStats` are
-bit-identical.  Only the wall-clock cost of computing the answer changes
-— which is the point.
+produced, before choosing push or pull, and report them to the driver,
+which charges every backend alike — so results and
+:class:`~repro.pim.stats.ExecutionStats` are bit-identical.  Only the
+wall-clock cost of computing the answer changes — which is the point.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,6 +64,10 @@ from repro.rpq.planner import Plan
 from repro.rpq.query import csr_from_sorted_pairs
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+#: A DFA phase pulls when its block work times the mask words is at
+#: most this many times the items it steps.
+KEYS_CROSSOVER = 2
 
 #: A bit-frontier block: sorted unique node ids plus per-node row masks.
 MaskBlock = Tuple[np.ndarray, np.ndarray]
@@ -210,6 +227,13 @@ def _misplaced(
     return nodes[reported], local[reported], remote[reported]
 
 
+def _pull_pays(push_work: float, pull_work: int) -> bool:
+    """Whether one partition's expansion pulls: a bitset phase weighs
+    ``touched x log2(touched)`` against ``2 x words x (rows + edges)``, a
+    DFA phase ``KEYS_CROSSOVER x items`` against its block work."""
+    return pull_work <= push_work
+
+
 def _crossing_items(
     producer: int, owners: np.ndarray, weights: Optional[np.ndarray] = None
 ) -> Tuple[int, int]:
@@ -239,9 +263,6 @@ class BitsetKernel:
         self._view = view
         self._sources = sources
         self._num_words = max(1, (len(sources) + 63) // 64)
-        #: Whether the plan runs more than one expansion phase (biases
-        #: the pull kernels' dense-vs-sparse crossover).
-        self._deep_plan = plan.max_expansion_phases() > 1
         #: ``(dsts, masks, owners)`` routed during the current phase.
         self._routed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         #: Stays empty when an expansion drains the frontier and the
@@ -280,9 +301,12 @@ class BitsetKernel:
         )
         if num_edges == 0:
             return work, None
-        return work, self._produce(snapshot, masks, row_idx, degrees, num_edges)
+        pull_work = 2 * self._num_words * (snapshot.num_rows + snapshot.num_edges)
+        if _pull_pays(num_edges * math.log2(num_edges), pull_work):
+            return work, self._pull(snapshot, masks, row_idx)
+        return work, self._push(snapshot, masks, row_idx, degrees, num_edges)
 
-    def _produce(
+    def _push(
         self,
         snapshot,
         masks: np.ndarray,
@@ -290,15 +314,8 @@ class BitsetKernel:
         degrees: np.ndarray,
         num_edges: int,
     ) -> MaskBlock:
-        """Compute one partition's produced ``(dsts, masks)`` block.
-
-        The production kernel behind :meth:`expand`, separated from the
-        work counting so subclasses can swap the frontier math without
-        touching what the simulation measures.  This implementation is
-        the push-style gather: collect the adjacency rows of every
-        frontier node, sort the edges by destination, and OR-reduce the
-        source masks per destination.
-        """
+        """Gather the frontier rows' out-edges, sort them by destination
+        and OR-reduce the source masks per destination."""
         node_rep = np.repeat(np.arange(len(row_idx)), degrees)
         starts = snapshot.indptr[np.maximum(row_idx, 0)]
         cumulative = np.cumsum(degrees)
@@ -314,6 +331,21 @@ class BitsetKernel:
             sorted_dsts[run_mask],
             np.bitwise_or.reduceat(edge_masks, run_start, axis=0),
         )
+
+    def _pull(self, snapshot, masks: np.ndarray, row_idx: np.ndarray) -> MaskBlock:
+        """``frontier ⊗ Adjᵀ`` over the snapshot's transposed block: rows
+        off the frontier keep the zero word, which adds nothing to an OR."""
+        block = snapshot.transpose_block()
+        plane = np.zeros((snapshot.num_rows, masks.shape[1]), dtype=np.uint64)
+        present = row_idx >= 0
+        plane[row_idx[present]] = masks[present]
+        produced = np.bitwise_or.reduceat(
+            plane[block.src_rows], block.indptr[:-1], axis=0
+        )
+        keep = produced.any(axis=1)
+        if keep.all():
+            return block.dsts, produced
+        return block.dsts[keep], produced[keep]
 
     def route(self, producer: int, produced: Optional[MaskBlock]) -> Tuple[int, int]:
         if produced is None:
@@ -409,6 +441,7 @@ class KeysKernel:
         self._stepper = _DfaStepper(plan.dfa, label_names)
         # Packed-key parameters for this batch (see module docstring).
         self._row_span = max(1, len(sources))
+        self._num_words = max(1, (len(sources) + 63) // 64)
         self._state_span = self._stepper.num_slots + 1
         self._max_packable_node = (2 ** 62) // (self._row_span * self._state_span)
         #: ``(rows, dsts)`` array pairs accepted so far — while routing in
@@ -489,11 +522,24 @@ class KeysKernel:
         )
         if items_processed == 0:
             return work, _EMPTY
-        return work, self._produce(
+        push_work = KEYS_CROSSOVER * items_processed
+        # Pull ORs at least one plane of rows: when even that loses, its
+        # live transitions are not worth counting.
+        if _pull_pays(push_work, snapshot.num_rows * self._num_words):
+            item_row_idx = np.repeat(row_idx, counts)
+            present = item_row_idx >= 0
+            active = _unique(states[present])
+            live, pull_work = self._live_transitions(snapshot, active.tolist())
+            if _pull_pays(push_work, pull_work * self._num_words):
+                return work, self._pull(
+                    snapshot, rows[present], states[present],
+                    item_row_idx[present], active, live,
+                )
+        return work, self._push(
             snapshot, rows, states, counts, row_idx, item_degrees, items_processed
         )
 
-    def _produce(
+    def _push(
         self,
         snapshot,
         rows: np.ndarray,
@@ -503,14 +549,8 @@ class KeysKernel:
         item_degrees: np.ndarray,
         items_processed: int,
     ) -> np.ndarray:
-        """Compute one partition's produced context keys (with duplicates).
-
-        The production kernel behind :meth:`expand`, separated from the
-        work counting so subclasses can swap the frontier math without
-        touching what the simulation measures.  This implementation is
-        the push-style gather: enumerate every (item, out-edge) pair and
-        step the automaton per pair.
-        """
+        """Enumerate every (item, out-edge) pair and step the automaton
+        per pair."""
         item_starts = np.repeat(
             snapshot.indptr[np.maximum(row_idx, 0)], counts
         )
@@ -527,6 +567,67 @@ class KeysKernel:
         next_states = self._stepper.step(states[item_rep], labels)
         keep = next_states >= 0
         return self._pack(dsts[keep], produced_rows[keep], next_states[keep])
+
+    def _live_transitions(
+        self, snapshot, active: List[int]
+    ) -> Tuple[List[Tuple[int, int, int]], int]:
+        """The ``(label, position in active, next state)`` transitions the
+        ``active`` states take over the snapshot's label blocks, and their
+        pull work: a plane of rows per state plus each block edge once per
+        state that leaves over its label."""
+        live: List[Tuple[int, int, int]] = []
+        pull_work = len(active) * snapshot.num_rows
+        for label, block in snapshot.label_blocks().items():
+            column = self._stepper.column(label)
+            for position, state in enumerate(active):
+                next_state = int(column[state])
+                if next_state >= 0:
+                    live.append((label, position, next_state))
+                    pull_work += block.num_edges
+        return live, pull_work
+
+    def _pull(
+        self,
+        snapshot,
+        rows: np.ndarray,
+        states: np.ndarray,
+        row_idx: np.ndarray,
+        active: np.ndarray,
+        live: List[Tuple[int, int, int]],
+    ) -> np.ndarray:
+        """One block product per live transition: state ``s``'s plane
+        ``⊗ Adj_lᵀ`` feeds state ``δ(s, l)``.  The items all sit on
+        stored rows (``row_idx``)."""
+        num_rows, num_words = snapshot.num_rows, self._num_words
+        # planes[i, row, word]: the query-row bits of the items sitting on
+        # that adjacency row in state active[i].
+        planes = np.zeros(len(active) * num_rows * num_words, dtype=np.uint64)
+        slots = (np.searchsorted(active, states) * num_rows + row_idx) * num_words
+        bits = np.uint64(1) << (rows % 64).astype(np.uint64)
+        np.bitwise_or.at(planes, slots + rows // 64, bits)
+        planes = planes.reshape(len(active), num_rows, num_words)
+        blocks = snapshot.label_blocks()
+        produced: List[np.ndarray] = [_EMPTY]
+        for label, position, next_state in live:
+            block = blocks[label]
+            masks = np.bitwise_or.reduceat(
+                planes[position][block.src_rows], block.indptr[:-1], axis=0
+            )
+            keep = masks.any(axis=1)
+            hits = np.unpackbits(
+                np.ascontiguousarray(masks[keep]).view(np.uint8),
+                axis=1,
+                bitorder="little",
+            )[:, : self._row_span]
+            positions, hit_rows = np.nonzero(hits)
+            produced.append(
+                self._pack(
+                    block.dsts[keep][positions],
+                    hit_rows.astype(np.int64),
+                    np.full(len(positions), next_state, dtype=np.int64),
+                )
+            )
+        return np.concatenate(produced)
 
     def route(self, producer: int, produced: np.ndarray) -> Tuple[int, int]:
         if produced.size == 0:

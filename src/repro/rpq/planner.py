@@ -120,12 +120,7 @@ class Plan:
         return self.expansions is None
 
     def max_expansion_phases(self) -> int:
-        """Upper bound on the ``smxm`` phases this plan can run.
-
-        Cost-aware kernels (the matrix engine's dense-vs-sparse
-        crossover) use it to tell a one-shot 1-hop plan from a deep
-        traversal whose frontiers will saturate.
-        """
+        """Upper bound on the ``smxm`` phases this plan can run."""
         if self.expansions is not None:
             return self.expansions
         if self.fixpoint_bound is None:

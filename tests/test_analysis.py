@@ -4,7 +4,7 @@ Three layers:
 
 * lint framework — finding identity, inline ``# repro: noqa`` handling,
   baseline load/cover/update round-trips, the CLI exit contract;
-* the project rules REP001-REP006 — for each rule a fixture snippet the
+* the project rules REP001-REP008 — for each rule a fixture snippet the
   rule must flag and close negative variants it must stay quiet on
   (every positive test fails if its rule is disabled or removed from
   the registry);
@@ -690,14 +690,75 @@ class TestRep007:
         assert [finding.render() for finding in report.findings] == []
 
 
+class TestRep008:
+    KERNEL = "src/repro/engine/vectorized.py"
+    SNIPPET = """
+    def expand(self, partition, block):
+        op = self._view.pim.begin_operation()
+        with op.phase("smxm"):
+            op.module(partition).process_items(len(block))
+            op.ipc_transfer(12)
+        return block
+    """
+
+    def test_flags_a_charge_in_a_kernel(self):
+        findings = lint("REP008", self.SNIPPET, relpath=self.KERNEL)
+        assert [(f.detail, f.scope) for f in findings] == [
+            ("calls begin_operation", "expand"),
+            ("calls process_items", "expand"),
+            ("calls ipc_transfer", "expand"),
+        ]
+
+    def test_the_accounting_modules_charge(self):
+        for relpath in (
+            "src/repro/engine/driver.py",
+            "src/repro/core/update_processor.py",
+            "src/repro/core/node_migrator.py",
+            "src/repro/core/system.py",
+            "src/repro/paper/redisgraph.py",
+            "src/repro/pim/system.py",
+        ):
+            assert lint("REP008", self.SNIPPET, relpath=relpath) == [], relpath
+
+    def test_neighbouring_paths_and_names_are_clean(self):
+        for relpath in ("src/repro/engine/driver_helpers.py", "src/repro/pimless/x.py"):
+            assert [f.detail for f in lint("REP008", self.SNIPPET, relpath=relpath)] == [
+                "calls begin_operation", "calls process_items", "calls ipc_transfer",
+            ], relpath
+        findings = lint(
+            "REP008",
+            """
+            def expand(self, work):
+                stream_bytes = work.bytes_streamed
+                work.phase("smxm")
+                return stream_bytes
+            """,
+            relpath=self.KERNEL,
+        )
+        assert findings == []
+
+    def test_the_source_tree_keeps_one_accounting_path(self):
+        """No kernel, view or serving module charges the platform."""
+        import pathlib
+
+        import repro
+
+        package = pathlib.Path(repro.__file__).parent
+        runner = LintRunner([rule_by_id("REP008")], root=str(package.parent.parent))
+        report = runner.run([str(package)])
+        assert report.files_checked > 80
+        assert [finding.render() for finding in report.findings] == []
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 class TestRegistry:
-    def test_all_seven_rules_registered(self):
+    def test_all_eight_rules_registered(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert ids == [
-            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007"
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
+            "REP008",
         ]
 
     def test_rule_by_id_rejects_unknown(self):

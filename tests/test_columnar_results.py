@@ -32,7 +32,6 @@ from model import placement
 from repro.core import Moctopus, MoctopusConfig
 from repro.engine import ENGINE_NAMES, choose_engine, lower_plan
 from repro.engine.base import AUTO_CROSSOVER_ITEMS
-from repro.engine.matrix_engine import PullBitsetKernel
 from repro.engine.vectorized import BitsetKernel, _group_into_results
 from repro.graph import DiGraph, power_law_graph, random_graph
 from repro.parallel.pool import WorkerPool
@@ -160,23 +159,16 @@ def test_auto_matches_scalar_on_a_bulk_batch():
 # ----------------------------------------------------------------------
 # The bit-mask reduce against per-row Python sets
 # ----------------------------------------------------------------------
-BITSET_KERNELS = {"vectorized": BitsetKernel, "matrix": PullBitsetKernel}
-
-
 @settings(max_examples=60, deadline=None)
-@given(
-    kernel=st.sampled_from(sorted(BITSET_KERNELS)),
-    num_rows=st.sampled_from([1, 63, 64, 65, 512]),
-    data=st.data(),
-)
-def test_bitset_reduce_matches_per_row_sets(kernel, num_rows, data):
+@given(num_rows=st.sampled_from([1, 63, 64, 65, 512]), data=st.data())
+def test_bitset_reduce_matches_per_row_sets(num_rows, data):
     """Rows land in their own ascending slices for every word count, with
     empty rows anywhere and blocks split over owners in any order."""
-    system = build_system(labeled_graph(), engine=kernel)
+    system = build_system(labeled_graph(), engine="vectorized")
     sources = [3] * num_rows  # the reduce reads only their count
     live = system._live_view()
     plan = system._query_processor.plan(KHopQuery(1, sources), live)
-    instance = BITSET_KERNELS[kernel](plan, sources, live)
+    instance = BitsetKernel(plan, sources, live)
     # Per frontier node: the rows it answers (any subset, maybe none).
     nodes = data.draw(st.lists(st.integers(0, 300), unique=True, max_size=40))
     row = st.integers(0, num_rows - 1)

@@ -107,9 +107,7 @@ CHARGING_CALLS = {
 }
 
 
-@pytest.mark.parametrize(
-    "module", ["python_engine.py", "vectorized.py", "matrix_engine.py"]
-)
+@pytest.mark.parametrize("module", ["python_engine.py", "vectorized.py"])
 def test_backends_never_touch_the_platform(module):
     path = pathlib.Path(repro.engine.__file__).with_name(module)
     called = {

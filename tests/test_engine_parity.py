@@ -1,10 +1,12 @@
-"""Differential tests: the ``python`` ≡ ``vectorized`` ≡ ``matrix`` kernels.
+"""Differential tests: the ``python`` ≡ ``vectorized`` kernels.
 
 The execution kernels are interchangeable by contract — identical
 :class:`~repro.rpq.query.BatchResult`s *and* identical simulated
 statistics (time components, channel counters, per-phase PIM times,
-free-form counters) on the same system state.  These tests drive all
-three backends through the same randomized workloads, including
+free-form counters) on the same system state, whether an array phase
+pushed or pulled.  These tests drive every engine name (``"matrix"``
+is a second name for ``"vectorized"``, ``"auto"`` picks per call)
+through the same randomized workloads, including
 interleaved insert/delete batches that exercise the CSR snapshot
 invalidation and migration passes that exercise deterministic
 misplacement handling.
@@ -22,6 +24,7 @@ from repro.core import Moctopus, MoctopusConfig
 from repro.core.hetero_storage import BYTES_PER_SLOT
 from repro.core.local_storage import BYTES_PER_ENTRY
 from repro.engine import ENGINE_NAMES, execute
+from repro.engine.vectorized import BitsetKernel, KeysKernel
 from repro.graph import DiGraph, load_dataset, power_law_graph, random_graph
 from repro.paper import placed_at
 from repro.pim import CostModel
@@ -413,6 +416,42 @@ def test_parity_with_wide_batches():
             },
             context=f"wide batch hops={hops}",
         )
+
+
+@pytest.mark.parametrize("kernel", [BitsetKernel, KeysKernel])
+def test_push_and_pull_phases_agree_on_a_dense_graph(kernel, monkeypatch):
+    """On a dense graph the array kernel pulls some phases and pushes
+    others (the first hop is sparse, the later ones saturate), and every
+    mix gives the scalar kernel's answers and stats."""
+    rng = random.Random(7)
+    graph = DiGraph()
+    for _ in range(6000):
+        graph.add_edge(rng.randrange(300), rng.randrange(300), label=rng.randrange(1, 4))
+    labels = {1: "a", 2: "b", 3: "c"}
+    systems = {}
+    for engine in ENGINES:
+        config = MoctopusConfig(cost_model=CostModel(num_modules=4))
+        systems[engine] = placed_at(64).from_graph(graph, config, label_names=labels)
+        systems[engine].use_engine(engine)
+    sides = {"_push": 0, "_pull": 0}
+    for side in sides:
+        def counted(self, *args, side=side, produce=getattr(kernel, side)):
+            sides[side] += 1
+            return produce(self, *args)
+
+        monkeypatch.setattr(kernel, side, counted)
+    for batch in (32, 80):  # one and two mask words
+        sources = random_source_batch(list(graph.nodes()), batch, seed=batch)
+        if kernel is BitsetKernel:
+            run = lambda system: system.batch_khop(sources, 3, auto_migrate=False)
+        else:
+            query = RPQuery(".{3}", sources)
+            run = lambda system: system.execute(query, auto_migrate=False)
+        assert_equivalent(
+            {engine: run(system) for engine, system in systems.items()},
+            context=f"dense {kernel.__name__} batch={batch}",
+        )
+    assert sides["_push"] > 0 and sides["_pull"] > 0, sides
 
 
 @pytest.mark.parametrize("trace", [1, 8, 15])

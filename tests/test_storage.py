@@ -92,7 +92,7 @@ def _two_row_segment():
 #: stored once it succeeds)`` — every path by which a module's storage
 #: takes memory.
 CAPACITY_CASES = [
-    ("add_edge's new row", BYTES_PER_ROW - 1, [], BYTES_PER_ROW, footprint(1, 1)),
+    ("add_edge's new row", footprint(1, 1) - 1, [], footprint(1, 1), footprint(1, 1)),
     ("a new entry", footprint(1, 1), [(1, 2)], BYTES_PER_ENTRY, footprint(1, 2)),
     ("insert_row", footprint(2, 3) - 1, [(1, 2)], footprint(1, 2), footprint(2, 3)),
     ("adopt", footprint(2, 3) - 1, [], footprint(2, 3), footprint(2, 3)),
@@ -125,6 +125,25 @@ def test_local_storage_capacity_enforced():
             storage.add_edge(src, dst)
         writes[name](storage)
         assert storage.storage_bytes == full and not storage.fits(1), name
+
+
+def test_a_refused_add_edge_leaves_no_row_and_no_copy():
+    """A new row and its first entry are one reservation, and an entry
+    refused on a clean row leaves no buffer behind."""
+    storage = LocalGraphStorage(capacity_bytes=footprint(1, 1) - 1)
+    with pytest.raises(MemoryCapacityError):
+        storage.add_edge(1, 2)
+    assert (storage.num_rows, storage.num_edges, storage.storage_bytes) == (0, 0, 0)
+    assert not storage.has_row(1) and storage.written_rows() == {}
+
+    storage = LocalGraphStorage(capacity_bytes=footprint(2, 3))
+    storage.adopt(_two_row_segment())
+    with pytest.raises(MemoryCapacityError):
+        storage.add_edge(1, 9)
+    assert storage._buffers == {} and storage.written_rows() == {}
+    assert storage.next_hops(1) == [2, 3] and storage.num_edges == 3
+    # Re-inserting a stored edge needs no memory and still writes nothing.
+    assert storage.add_edge(1, 2) is False and storage._buffers == {}
 
 
 def test_non_positive_module_memory_is_refused():
